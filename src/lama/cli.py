@@ -403,12 +403,7 @@ def build_parser() -> _Parser:
 
 
 def run(argv=None) -> int:
-    try:
-        from threadpoolctl import threadpool_limits
-
-        threadpool_limits(limits=1)
-    except Exception:
-        pass
+    xp._limit_blas()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -71,13 +71,12 @@ def worker_count() -> int:
 
 
 def _limit_blas():
-    # Workers pin BLAS to one thread so results do not depend on pool size.
+    # Pin BLAS to one thread so results do not depend on pool size.
     try:
         from threadpoolctl import threadpool_limits
-
-        threadpool_limits(limits=1)
-    except Exception:
-        pass
+    except ImportError:
+        return
+    threadpool_limits(limits=1)
 
 
 def _pmap(fn, items, workers: int):
@@ -131,11 +130,9 @@ def compute_weights(
     method: str,
     sigma2_hat: float | None = None,
     xi_override: float | None = None,
-    qp_opts: dict | None = None,
 ) -> WeightChoice:
     """Chosen weights for one method tag (see ALL_METHODS)."""
     method = method.lower()
-    opts = qp_opts or {}
     M = fits.M
 
     if method == "uniform":
@@ -149,7 +146,7 @@ def compute_weights(
     if method == "mma":
         s2 = crit.sigma_hat(fits) if sigma2_hat is None else sigma2_hat
         program = crit.mma_program(fits, s2)
-        report = solve_simplex_qp(program.A, program.b, **opts)
+        report = solve_simplex_qp(program.A, program.b)
         return WeightChoice(method, report.weights, report.objective, s2)
 
     if method == "jma":
@@ -165,7 +162,7 @@ def compute_weights(
             raise ValueError("every candidate interpolates; leave-one-out undefined")
         sub = fits.subset(keep)
         program = crit.jma_program(sub)
-        report = solve_simplex_qp(program.A, program.b, **opts)
+        report = solve_simplex_qp(program.A, program.b)
         w = _scatter(M, np.flatnonzero(keep), report.weights)
         return WeightChoice(method, w, report.objective, excluded=tuple(dropped.tolist()))
 
@@ -187,7 +184,7 @@ def compute_weights(
         else:
             xi_val = float(xi_override)
         program = crit.lama_program(sub, s2, xi_val)
-        report = solve_simplex_qp(program.A, program.b, **opts)
+        report = solve_simplex_qp(program.A, program.b)
         w = _scatter(M, np.flatnonzero(keep), report.weights)
         # report the per-observation criterion (the program is on the n-scale)
         return WeightChoice(method, w, report.objective / sub.n, s2, xi_val, tuple(dropped.tolist()))

@@ -15,8 +15,6 @@ __all__ = [
     "default_rank_tol",
     "min_norm_ls",
     "projection",
-    "residual_matrix",
-    "weighted_projection_trace2",
 ]
 
 
@@ -86,32 +84,3 @@ def projection(X: np.ndarray, rank_tol: float | None = None) -> np.ndarray:
     U, _, _, r = _thin_svd(X, rank_tol)
     Ur = U[:, :r]
     return Ur @ Ur.T
-
-
-def residual_matrix(fits) -> np.ndarray:
-    """The n x M matrix whose column q is Y - P_q Y for candidate q.
-
-    Accepts any fitted-candidates object exposing ``residuals``; the matrix
-    is produced at fit time, this accessor only validates and returns it.
-    """
-    R = np.asarray(fits.residuals, dtype=np.float64)
-    if R.ndim != 2 or R.shape[1] == 0:
-        raise ValueError("fits must hold at least one residual column")
-    if not np.all(np.isfinite(R)):
-        raise ValueError("residual matrix contains non-finite entries")
-    return R
-
-
-def weighted_projection_trace2(fits, w: np.ndarray) -> float:
-    """tr(P(w)^2) for the weighted projector P(w) = sum_q w_q P_q.
-
-    Expands to sum_{q,l} w_q w_l tr(P_q P_l) using the pairwise traces cached
-    at fit time, so no n x n matrix is ever formed.  For nested candidates
-    tr(P_q P_l) = min(r_q, r_l) with r the column-space ranks, which reduces
-    to min(k_q, k_l) under full column rank.
-    """
-    w = np.asarray(w, dtype=np.float64).reshape(-1)
-    T = np.asarray(fits.proj_traces, dtype=np.float64)
-    if w.shape[0] != T.shape[0]:
-        raise ValueError(f"weight length {w.shape[0]} does not match {T.shape[0]} candidates")
-    return float(w @ T @ w)

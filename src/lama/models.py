@@ -3,8 +3,8 @@
 A candidate set is a priority ordering of the regressors plus a strictly
 increasing list of model sizes; candidate q uses the first k_q regressors
 under the ordering.  ``fit_all`` fits every candidate by minimum-norm least
-squares and caches residuals, leverages, and the pairwise projector traces
-that the weight-choice criteria consume.
+squares and caches the residuals, leverages and ranks that the weight-choice
+criteria consume.
 """
 
 from __future__ import annotations
@@ -110,8 +110,7 @@ class NestedCandidateSet:
 class ModelFits:
     """All candidates fitted on one dataset.
 
-    residuals, leverages are n x M with one column per candidate;
-    proj_traces holds tr(P_q P_l), which for nested spans is min(r_q, r_l).
+    residuals, leverages are n x M with one column per candidate.
     Immutable after construction.
     """
 
@@ -123,7 +122,6 @@ class ModelFits:
     leverages: np.ndarray
     rss: np.ndarray
     ranks: np.ndarray
-    proj_traces: np.ndarray
 
     @property
     def M(self) -> int:
@@ -145,7 +143,6 @@ class ModelFits:
             leverages=self.leverages[:, keep],
             rss=self.rss[keep],
             ranks=self.ranks[keep],
-            proj_traces=self.proj_traces[np.ix_(keep, keep)],
         )
 
     def predict(self, X_new: np.ndarray) -> np.ndarray:
@@ -328,9 +325,6 @@ def fit_all(data: Dataset, cands: NestedCandidateSet, rank_tol: float | None = N
             ranks[q] = r
 
     rss = np.sum(residuals * residuals, axis=0)
-    # Nested column sets give nested column spaces, so P_q P_l = P_min and
-    # the pairwise trace is just the smaller rank.
-    traces = np.minimum.outer(ranks, ranks).astype(np.float64)
     return ModelFits(
         n=n,
         sizes=sizes.copy(),
@@ -340,5 +334,4 @@ def fit_all(data: Dataset, cands: NestedCandidateSet, rank_tol: float | None = N
         leverages=leverages,
         rss=rss,
         ranks=ranks,
-        proj_traces=traces,
     )

@@ -1,12 +1,14 @@
 """Minimize w'Aw + b'w over the probability simplex.
 
-Projected gradient with backtracking, followed by an active-set polish that
-solves the equality-constrained system on the working support and verifies
-the multiplier signs.  Indefinite A is tolerated: descent is still monotone
-(the step never exceeds the curvature bound), restarts from every vertex
-guard against local minima, and the report carries a status instead of a
-false convexity claim.  Everything is deterministic: fixed restart order,
-fixed tie-breaking (lowest objective, then lexicographically smallest w).
+A primal active-set method (Nocedal & Wright, *Numerical Optimization*,
+Alg. 16.3) started at the best vertex.  A singular KKT system on the free
+support is a zero-curvature direction, walked downhill to the next bound.
+Ties go to the lowest index.  The method needs convexity on the simplex: the
+centred matrix (I - 11'/M) A (I - 11'/M) may have no negative eigenvalue
+beyond roundoff, else ``ValueError``.  sigma2 max(k_q, k_l), indefinite on the
+whole space but linear on the simplex, passes.  The report's ``status`` and
+``kkt_residual`` (the projected-gradient fixed-point residual) certify the
+answer.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import numpy as np
 
 __all__ = ["SolveReport", "simplex_project", "solve_simplex_qp"]
 
-_SUPPORT_EPS = 1e-12
+_MAX_ITER = 10_000
 
 
 @dataclass(frozen=True)
@@ -27,7 +29,6 @@ class SolveReport:
     iterations: int
     status: str  # converged | max-iter | degenerate
     kkt_residual: float
-    objective_history: tuple[float, ...] | None = None
 
     def to_dict(self) -> dict:
         return {
@@ -64,93 +65,36 @@ def _kkt_residual(A: np.ndarray, b: np.ndarray, w: np.ndarray) -> float:
     return float(np.linalg.norm(w - simplex_project(w - g)))
 
 
-def _pgd(A, b, w, L, max_iter, tol, history):
-    """Monotone projected-gradient descent; returns (w, iterations used)."""
-    f = _objective(A, b, w)
-    safe = 1.0 / L
-    t = safe
-    it = 0
-    while it < max_iter:
-        it += 1
-        g = 2.0 * A @ w + b
-        t = min(t * 2.0, 1e6 * safe)  # optimistic growth, then backtrack
-        while True:
-            w_new = simplex_project(w - t * g)
-            d = w_new - w
-            f_new = _objective(A, b, w_new)
-            if f_new <= f + g @ d + 0.5 / t * (d @ d) + 1e-18 or t <= safe:
-                break
-            t = max(t * 0.25, safe)
-        if history is not None:
-            history.append(f_new)
-        step = float(np.max(np.abs(w_new - w)))
-        w, f = w_new, f_new
-        if step <= tol * 1e-3 or step == 0.0:
-            break
-    return w, it
+def _check_convex_on_simplex(A: np.ndarray) -> None:
+    """Raise unless A has no negative curvature along {p : sum p = 0}."""
+    M = A.shape[0]
+    P = np.eye(M) - 1.0 / M
+    eigs = np.linalg.eigvalsh(P @ A @ P)
+    # Centring a large constant or linear part leaves roundoff of order
+    # eps * max|A_ij|, so that bounds the tolerance from below.
+    floor = max(float(np.max(np.abs(eigs))), float(np.max(np.abs(A))))
+    if eigs[0] < -1e-12 * floor:
+        raise ValueError(
+            f"program is not convex on the simplex (curvature {eigs[0]:.3g}); "
+            "the active-set solver requires convexity"
+        )
 
 
-def _polish(A, b, w, scale):
-    """Active-set refinement: exact KKT solve on the working support.
-
-    Solves [2A_SS 1; 1' 0][w_S; nu] = [-b_S; 1], drops negative coordinates,
-    and admits outside coordinates whose reduced cost undercuts the
-    multiplier.  Returns the refined point (caller keeps it only if the
-    objective does not regress).
-    """
-    M = w.shape[0]
-    support = set(np.flatnonzero(w > _SUPPORT_EPS))
-    if not support:
-        support = {int(np.argmin(b))}
-    for _ in range(3 * M + 5):
-        S = np.array(sorted(support))
-        k = S.size
-        KKT = np.zeros((k + 1, k + 1))
-        KKT[:k, :k] = 2.0 * A[np.ix_(S, S)]
-        KKT[:k, k] = 1.0
-        KKT[k, :k] = 1.0
-        rhs = np.concatenate([-b[S], [1.0]])
-        try:
-            sol = np.linalg.solve(KKT, rhs)
-        except np.linalg.LinAlgError:
-            sol, *_ = np.linalg.lstsq(KKT, rhs, rcond=None)
-        wS, nu = sol[:k], sol[k]
-        if k > 1 and np.min(wS) < -1e-12:
-            support.discard(int(S[np.argmin(wS)]))
-            continue
-        w_try = np.zeros(M)
-        w_try[S] = np.maximum(wS, 0.0)
-        total = w_try.sum()
-        if total <= 0.0 or not np.all(np.isfinite(w_try)):
-            return w  # degenerate system; keep the input point
-        w_try /= total
-        g = 2.0 * A @ w_try + b
-        outside = np.setdiff1d(np.arange(M), S, assume_unique=True)
-        if outside.size:
-            j = outside[np.argmin(g[outside])]
-            if g[j] < nu - 1e-10 * scale:
-                support.add(int(j))
-                continue
-        return w_try
-    return w
+def _ratio_test(w: np.ndarray, p: np.ndarray, cap: float) -> tuple[float, int]:
+    """Longest step t <= cap keeping w + t p >= 0, and the blocking position (-1 if none)."""
+    neg = np.flatnonzero(p < 0.0)
+    ratios = w[neg] / -p[neg]
+    if neg.size == 0 or ratios.min() >= cap:
+        return cap, -1
+    j = int(np.argmin(ratios))
+    return max(float(ratios[j]), 0.0), int(neg[j])
 
 
-def solve_simplex_qp(
-    A: np.ndarray,
-    b: np.ndarray | None = None,
-    tol: float = 1e-9,
-    max_iter: int = 50_000,
-    restarts="auto",
-    track_history: bool = False,
-) -> SolveReport:
+def solve_simplex_qp(A: np.ndarray, b: np.ndarray | None = None) -> SolveReport:
     """Minimize w'Aw + b'w over the probability simplex.
 
-    restarts:
-      * "auto" (default): a single uniform start when A is certified convex
-        (restarts cannot change the answer then), vertices plus uniform
-        otherwise;
-      * "full": all M vertices plus the uniform start regardless;
-      * an iterable of explicit start vectors.
+    Raises ``ValueError`` on malformed input and on programs that are not
+    convex on the simplex.
     """
     A = np.asarray(A, dtype=np.float64)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -168,66 +112,53 @@ def solve_simplex_qp(
 
     if M == 1:
         w = np.array([1.0])
-        return SolveReport(w, _objective(A, b, w), 0, "converged", 0.0,
-                           (float(_objective(A, b, w)),) if track_history else None)
+        return SolveReport(w, _objective(A, b, w), 0, "converged", 0.0)
 
-    eigs = np.linalg.eigvalsh(A)
-    lam_abs = float(np.max(np.abs(eigs)))
-    convex = eigs[0] >= -1e-12 * max(1.0, lam_abs)
-    L = max(2.0 * lam_abs, 1e-12 * scale)
+    _check_convex_on_simplex(A)
+    free = [int(np.argmin(np.diag(A) + b))]
+    w = np.zeros(M)
+    w[free[0]] = 1.0
+    optimal = False
+    iterations = 0
+    while not optimal and iterations < _MAX_ITER:
+        iterations += 1
+        k = len(free)
+        K = np.zeros((k + 1, k + 1))
+        K[:k, :k] = 2.0 * A[np.ix_(free, free)]
+        K[:k, k] = K[k, :k] = scale  # sum w = 1, bordered at the scale of A and b
+        U, s, Vt = np.linalg.svd(K)
+        wF = w[free]
+        if s[-1] <= 1e-12 * s[0]:
+            # Zero curvature along the null vector: the objective is linear
+            # on that line, so go downhill to the first bound.
+            p = Vt[-1, :k]
+            if (2.0 * A[free] @ w + b[free]) @ p > 0.0:
+                p = -p
+            t, block = _ratio_test(wF, p, np.inf)
+        else:
+            sol = Vt.T @ ((U.T @ np.concatenate([-b[free], [scale]])) / s)
+            p = sol[:k] - wF
+            t, block = _ratio_test(wF, p, 1.0)
+        w[free] = wF + t * p
+        if block >= 0:
+            w[free[block]] = 0.0
+            del free[block]
+            continue
+        # Minimizer of the face: the free gradient entries share the value
+        # -scale * sol[k]; a bound index with a smaller gradient entry enters.
+        reduced = 2.0 * A @ w + b + scale * sol[k]
+        reduced[free] = np.inf
+        j = int(np.argmin(reduced))
+        if reduced[j] < -1e-12 * scale:
+            free = sorted(free + [j])
+        else:
+            optimal = True
 
-    if restarts == "auto":
-        starts = [np.full(M, 1.0 / M)] if convex else None
-    elif restarts == "full":
-        starts = None
-    else:
-        starts = [simplex_project(np.asarray(s, dtype=np.float64)) for s in restarts]
-        if not starts:
-            raise ValueError("explicit restart list is empty")
-    if starts is None:
-        starts = [np.eye(M)[q] for q in range(M)] + [np.full(M, 1.0 / M)]
-
-    best_w = None
-    best_f = np.inf
-    total_iters = 0
-    history: list[float] | None = [] if track_history else None
-    budget = max(max_iter // len(starts), 100)
-
-    for w0 in starts:
-        w, used = _pgd(A, b, w0, L, min(budget, 300), tol, history)
-        total_iters += used
-        remaining = budget - used
-        for _ in range(20):  # polish/descend rounds within this start's budget
-            w_pol = _polish(A, b, w, scale)
-            if _objective(A, b, w_pol) <= _objective(A, b, w) + 1e-18 * scale:
-                w = w_pol
-            if _kkt_residual(A, b, w) <= max(tol, 1e-12) * scale or remaining <= 0:
-                break
-            w, used = _pgd(A, b, w, L, min(remaining, 300), tol, history)
-            total_iters += used
-            remaining -= used
-        f = _objective(A, b, w)
-        if f < best_f or (f == best_f and best_w is not None and _lex_less(w, best_w)):
-            best_f, best_w = f, w
-
-    w = np.maximum(best_w, 0.0)
+    w = np.maximum(w, 0.0)
     w /= w.sum()
     kkt = _kkt_residual(A, b, w)
-    status = "converged" if kkt <= max(tol, 1e-12) * scale else "max-iter"
-    if not np.all(np.isfinite(w)):
-        status = "degenerate"
-    return SolveReport(
-        weights=w,
-        objective=_objective(A, b, w),
-        iterations=total_iters,
-        status=status,
-        kkt_residual=kkt,
-        objective_history=tuple(history) if history is not None else None,
-    )
-
-
-def _lex_less(a: np.ndarray, b: np.ndarray) -> bool:
-    for x, y in zip(a, b):
-        if x != y:
-            return bool(x < y)
-    return False
+    if kkt <= 1e-9 * scale:
+        status = "converged"
+    else:
+        status = "degenerate" if optimal else "max-iter"
+    return SolveReport(w, _objective(A, b, w), iterations, status, kkt)

@@ -55,7 +55,6 @@ def summary_fits(n, sizes, rss):
         leverages=np.tile(sizes / n, (n, 1)).astype(np.float64),
         rss=rss,
         ranks=sizes.copy(),
-        proj_traces=np.minimum.outer(sizes, sizes).astype(np.float64),
     )
 
 

@@ -157,12 +157,6 @@ class TestComputeWeights:
         with pytest.raises(ValueError, match="unknown method"):
             compute_weights(fits, "stacking")
 
-    def test_solver_options_pass_through(self):
-        fits, _, _ = make_fits(15, n=24, sizes=(1, 3, 6))
-        default = compute_weights(fits, "mma")
-        full = compute_weights(fits, "mma", qp_opts={"restarts": "full"})
-        np.testing.assert_allclose(full.weights, default.weights, atol=1e-7)
-
 
 class TestSimulationConfig:
     def test_validation(self):

@@ -10,13 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lama.linalg import (
-    default_rank_tol,
-    min_norm_ls,
-    projection,
-    residual_matrix,
-    weighted_projection_trace2,
-)
+from lama.linalg import default_rank_tol, min_norm_ls, projection
 from lama.models import Dataset, build_nested, fit_all
 
 from conftest import make_fits
@@ -101,47 +95,54 @@ class TestProjection:
 
 
 class TestResidualMatrix:
-    def test_interpolating_candidate_has_zero_residuals(self, rng):
-        fits, _, _ = make_fits(3, n=6, sizes=(2, 6), p=6)
-        E = residual_matrix(fits)
+    """Candidate residual columns (I - P_q) Y, formed from explicit projectors
+    and checked against the residuals stored by fit_all."""
+
+    @staticmethod
+    def _residuals(fits, data):
+        return np.column_stack(
+            [data.Y - projection(data.X[:, fits.ordering[:k]]) @ data.Y for k in fits.sizes]
+        )
+
+    def test_interpolating_candidate_has_zero_residuals(self):
+        fits, data, _ = make_fits(3, n=6, sizes=(2, 6), p=6)
+        E = self._residuals(fits, data)
+        assert np.allclose(E, fits.residuals, atol=1e-8)
         assert np.allclose(E[:, 1], 0.0, atol=1e-8)
 
     def test_nested_residual_norms_decrease(self):
-        fits, _, _ = make_fits(4, n=30, sizes=(2, 5, 9, 14))
-        norms = np.sum(residual_matrix(fits) ** 2, axis=0)
+        fits, data, _ = make_fits(4, n=30, sizes=(2, 5, 9, 14))
+        norms = np.sum(self._residuals(fits, data) ** 2, axis=0)
+        assert np.allclose(norms, fits.rss, rtol=1e-9)
         assert np.all(np.diff(norms) <= 1e-10)
-
-    def test_rejects_non_finite_and_empty(self):
-        class Fake:
-            residuals = np.array([[np.nan], [0.0]])
-
-        with pytest.raises(ValueError):
-            residual_matrix(Fake())
-        Fake.residuals = np.empty((3, 0))
-        with pytest.raises(ValueError):
-            residual_matrix(Fake())
 
 
 class TestWeightedProjectionTrace:
+    """tr(P(w)^2) for P(w) = sum_q w_q P_q, from materialized projectors."""
+
+    @staticmethod
+    def _trace2(X, fits, w):
+        Pw = sum(wq * projection(X[:, fits.ordering[:k]]) for wq, k in zip(w, fits.sizes))
+        return float(np.trace(Pw @ Pw))
+
     def test_vertex_weight_gives_model_size(self):
-        fits, _, _ = make_fits(5, n=20, sizes=(2, 5, 8))
+        fits, data, _ = make_fits(5, n=20, sizes=(2, 5, 8))
         for q, k in enumerate((2, 5, 8)):
             w = np.zeros(3)
             w[q] = 1.0
-            assert weighted_projection_trace2(fits, w) == pytest.approx(k)
+            assert self._trace2(data.X, fits, w) == pytest.approx(k)
 
     def test_matches_explicit_matrix_product(self, rng):
-        # Independent route: materialize P(w) and take the trace of its square.
         X = rng.standard_normal((15, 5))
         data = Dataset(Y=rng.standard_normal(15), X=X)
         fits = fit_all(data, build_nested(np.arange(5), (2, 5)))
         w = np.array([0.5, 0.5])
         Pw = 0.5 * projection(X[:, :2]) + 0.5 * projection(X)
-        assert weighted_projection_trace2(fits, w) == pytest.approx(
-            float(np.trace(Pw @ Pw)), abs=1e-9
-        )
+        assert self._trace2(X, fits, w) == pytest.approx(float(np.trace(Pw @ Pw)), abs=1e-9)
         # Closed form for nested full-rank spans: sum of pairwise minima.
-        assert weighted_projection_trace2(fits, w) == pytest.approx(2.75, abs=1e-9)
+        closed = w @ np.minimum.outer(fits.ranks, fits.ranks) @ w
+        assert closed == pytest.approx(2.75)
+        assert self._trace2(X, fits, w) == pytest.approx(closed, abs=1e-9)
 
     def test_identical_spans_collapse_to_common_rank(self, rng):
         X = np.empty((10, 2))
@@ -149,12 +150,7 @@ class TestWeightedProjectionTrace:
         X[:, 1] = 2.0 * X[:, 0]  # second model adds a dependent column
         data = Dataset(Y=rng.standard_normal(10), X=X)
         fits = fit_all(data, build_nested(np.arange(2), (1, 2)))
-        assert weighted_projection_trace2(fits, np.array([0.5, 0.5])) == pytest.approx(1.0)
-
-    def test_length_mismatch_rejected(self):
-        fits, _, _ = make_fits(6)
-        with pytest.raises(ValueError):
-            weighted_projection_trace2(fits, np.ones(2))
+        assert self._trace2(X, fits, np.array([0.5, 0.5])) == pytest.approx(1.0)
 
 
 def test_default_rank_tol_scales_with_shape():

@@ -116,9 +116,16 @@ class TestFitAll:
         assert fits.rss[0] == pytest.approx(float(resid_ols @ resid_ols))
 
     def test_pairwise_traces_are_min_sizes(self):
-        fits, _, _ = make_fits(11, n=25, sizes=(2, 4, 9))
-        expected = np.minimum.outer([2, 4, 9], [2, 4, 9])
-        assert np.allclose(fits.proj_traces, expected, atol=1e-8)
+        # Nested spans give P_q P_l = P_min(q,l), so tr(P_q P_l) = min(r_q, r_l);
+        # the projectors are formed explicitly as the independent route.
+        fits, data, _ = make_fits(11, n=25, sizes=(2, 4, 9))
+        P = [projection(data.X[:, fits.ordering[:k]]) for k in fits.sizes]
+        traces = np.array([[np.trace(Pq @ Pl) for Pl in P] for Pq in P])
+        assert np.allclose(traces, np.minimum.outer([2, 4, 9], [2, 4, 9]), atol=1e-8)
+        # Hence tr(P(w)^2) = w' min(r_q, r_l) w for P(w) = sum_q w_q P_q.
+        w = np.array([0.2, 0.3, 0.5])
+        Pw = sum(wq * Pq for wq, Pq in zip(w, P))
+        assert np.trace(Pw @ Pw) == pytest.approx(w @ np.minimum.outer(fits.ranks, fits.ranks) @ w)
 
     def test_interpolating_candidate_zero_residual(self, rng):
         X = rng.standard_normal((6, 6))
@@ -156,7 +163,15 @@ class TestFitAll:
             Dataset(Y=rng.standard_normal(12), X=X), build_nested(np.arange(3), (2, 3))
         )
         assert list(fits.ranks) == [2, 2]
-        assert fits.proj_traces[0, 1] == pytest.approx(2.0)
+        assert np.trace(projection(X[:, :2]) @ projection(X)) == pytest.approx(2.0)
+        # A dependent column leaves the span unchanged: both projectors coincide.
+        X = X[:, :2].copy()
+        X[:, 1] = 2.0 * X[:, 0]
+        fits = fit_all(
+            Dataset(Y=rng.standard_normal(12), X=X), build_nested(np.arange(2), (1, 2))
+        )
+        assert list(fits.ranks) == [1, 1]
+        assert np.trace(projection(X[:, :1]) @ projection(X)) == pytest.approx(1.0)
 
     def test_predict_reproduces_training_fit(self, rng):
         fits, data, _ = make_fits(12, n=18, sizes=(1, 4, 7))
@@ -170,7 +185,7 @@ class TestFitAll:
         sub = fits.subset(np.array([False, True, True]))
         assert list(sub.sizes) == [5, 8]
         assert np.allclose(sub.residuals, fits.residuals[:, 1:])
-        assert np.allclose(sub.proj_traces, fits.proj_traces[1:, 1:])
+        assert np.array_equal(sub.ranks, fits.ranks[1:])
         with pytest.raises(ValueError):
             fits.subset(np.zeros(3, dtype=bool))
 

@@ -1,14 +1,17 @@
 """Simplex quadratic programs: projection, solver, and solve reports.
 
 The solver is held to a lattice brute-force oracle on low-dimensional
-problems, to hand-solved two-candidate programs, and to feasibility,
-determinism, and tie-breaking contracts that the experiment layer relies on.
+problems (rank-deficient ones included), to hand-solved two-candidate
+programs, and to the feasibility, determinism, tie-breaking and convexity
+contracts that the experiment layer relies on.
 """
 
 import numpy as np
 import pytest
 
-from lama.qp import SolveReport, simplex_project, solve_simplex_qp
+from lama.criteria import lama_criterion_value, lama_program
+from lama.models import ModelFits
+from lama.qp import simplex_project, solve_simplex_qp
 
 from conftest import grid_min, simplex_grid
 
@@ -49,9 +52,12 @@ class TestSolveSimplexQp:
         assert report.objective == pytest.approx(1 / 3, abs=1e-9)
 
     def test_two_candidate_closed_form(self):
-        # min w1^2 + 2 w2^2 on the simplex: gradient balance at (2/3, 1/3).
-        report = solve_simplex_qp(np.diag([1.0, 2.0]))
-        np.testing.assert_allclose(report.weights, [2 / 3, 1 / 3], atol=1e-9)
+        # min w1^2 + 2 w2^2 on the simplex: gradient balance at (2/3, 1/3),
+        # whatever the scale of the program.
+        for c in (1e-9, 1.0, 1e8):
+            report = solve_simplex_qp(c * np.diag([1.0, 2.0]))
+            np.testing.assert_allclose(report.weights, [2 / 3, 1 / 3], atol=1e-9)
+            assert report.status == "converged"
 
     def test_linear_term_pulls_to_a_vertex(self):
         report = solve_simplex_qp(np.eye(2), b=[-2.0, 0.0])
@@ -82,12 +88,65 @@ class TestSolveSimplexQp:
         assert report.objective == pytest.approx(-1.0, abs=1e-9)
 
     def test_indefinite_never_loses_to_the_lattice(self, rng):
+        # Indefinite on the whole space, convex on the simplex: u1' + 1u' is
+        # linear there, so only the PSD part G'G curves the objective.
         for _ in range(5):
-            A = rng.standard_normal((3, 3))
-            A = 0.5 * (A + A.T)
+            G = rng.standard_normal((2, 3))
+            u = rng.standard_normal(3)
+            A = G.T @ G + 3.0 * np.add.outer(u - u.mean(), u - u.mean())
             b = rng.standard_normal(3)
+            assert np.linalg.eigvalsh(A)[0] < 0.0
             report = solve_simplex_qp(A, b)
+            assert report.status == "converged"
             assert report.objective <= grid_min(A, b, step=0.02) + 1e-6
+
+    def test_negative_curvature_on_the_simplex_raises(self):
+        for A in (-np.eye(3), np.array([[0.0, 1.0], [1.0, 0.0]])):
+            with pytest.raises(ValueError, match="not convex on the simplex"):
+                solve_simplex_qp(A)
+
+    def test_rank_deficient_programs_match_the_lattice(self):
+        # Singular KKT systems on the working face: A = G'G with rank < M,
+        # some with a term linear on the simplex, some with integer b so
+        # that objective values tie.
+        rng = np.random.default_rng(7)
+        for i in range(200):
+            M = int(rng.integers(3, 5))
+            G = rng.standard_normal((int(rng.integers(1, M)), M))
+            A = G.T @ G
+            if i % 3 == 0:
+                u = rng.standard_normal(M)
+                A = A + np.add.outer(u, u)
+            b = rng.standard_normal(M)
+            if i % 2 == 0:
+                b = np.round(b)
+            report = solve_simplex_qp(A, b)
+            assert report.status == "converged"
+            assert report.objective <= grid_min(A, b, step=0.01 if M == 3 else 0.02) + 1e-6
+
+    def test_lama_program_indefinite_on_the_whole_space_is_solved(self):
+        # Sizes (1, 2), n = 10, sigma2 = 1, zero residuals: sigma2 max(k_q, k_l)
+        # makes A indefinite, but on the simplex it is linear and the rest,
+        # sigma2 n k_min / (n - k_min), is PSD.
+        n, sizes = 10, np.array([1, 2])
+        fits = ModelFits(
+            n=n,
+            sizes=sizes,
+            ordering=np.arange(2),
+            coefs=(np.zeros(1), np.zeros(2)),
+            residuals=np.zeros((n, 2)),
+            leverages=np.tile(sizes / n, (n, 1)),
+            rss=np.zeros(2),
+            ranks=sizes.copy(),
+        )
+        program = lama_program(fits, 1.0, 0.0)
+        assert np.linalg.eigvalsh(program.A)[0] < 0.0
+        report = solve_simplex_qp(program.A, program.b)
+        assert report.status == "converged"
+        assert report.objective <= grid_min(program.A, program.b) + 1e-12
+        assert report.objective / n == pytest.approx(
+            lama_criterion_value(fits, 1.0, 0.0, report.weights), rel=1e-12
+        )
 
     def test_deterministic_across_calls(self, rng):
         G = rng.standard_normal((4, 4))
@@ -98,16 +157,16 @@ class TestSolveSimplexQp:
         assert first.objective == second.objective
         assert first.iterations == second.iterations
 
-    def test_flat_objective_ties_break_lexicographically_smallest(self):
-        report = solve_simplex_qp(np.zeros((3, 3)), restarts="full")
-        np.testing.assert_allclose(report.weights, [0.0, 0.0, 1.0], atol=1e-12)
-
-    def test_explicit_restart_at_the_optimum_stays_put(self):
-        report = solve_simplex_qp(np.diag([1.0, 2.0]), restarts=[[2 / 3, 1 / 3]])
-        np.testing.assert_allclose(report.weights, [2 / 3, 1 / 3], atol=1e-10)
+    def test_flat_objective_ties_break_to_the_lowest_index_vertex(self):
+        report = solve_simplex_qp(np.zeros((3, 3)))
+        np.testing.assert_array_equal(report.weights, [1.0, 0.0, 0.0])
+        report = solve_simplex_qp(np.ones((3, 3)), b=[1.0, 0.0, 0.0])
+        np.testing.assert_array_equal(report.weights, [0.0, 1.0, 0.0])
 
     def test_asymmetric_input_sees_only_the_symmetric_part(self, rng):
-        A = rng.standard_normal((3, 3))
+        G = rng.standard_normal((4, 3))
+        S = rng.standard_normal((3, 3))
+        A = G.T @ G + (S - S.T)
         b = rng.standard_normal(3)
         direct = solve_simplex_qp(A, b)
         symmetrized = solve_simplex_qp(0.5 * (A + A.T), b)
@@ -119,16 +178,6 @@ class TestSolveSimplexQp:
         assert report.objective == pytest.approx(5.0)
         assert report.status == "converged"
         assert report.iterations == 0
-
-    def test_history_is_monotone_for_convex_programs(self, rng):
-        G = rng.standard_normal((6, 4))
-        report = solve_simplex_qp(G.T @ G, rng.standard_normal(4), track_history=True)
-        hist = np.asarray(report.objective_history)
-        assert hist.size >= 1
-        assert np.all(np.diff(hist) <= 1e-10)
-
-    def test_history_absent_by_default(self):
-        assert solve_simplex_qp(np.eye(2)).objective_history is None
 
     def test_report_serialization(self):
         d = solve_simplex_qp(np.eye(2)).to_dict()
@@ -145,5 +194,3 @@ class TestSolveSimplexQp:
             solve_simplex_qp(np.eye(2), b=[1.0])
         with pytest.raises(ValueError, match="finite"):
             solve_simplex_qp(np.array([[np.inf, 0.0], [0.0, 1.0]]))
-        with pytest.raises(ValueError, match="restart"):
-            solve_simplex_qp(np.eye(2), restarts=[])
