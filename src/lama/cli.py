@@ -30,7 +30,7 @@ import numpy as np
 
 from . import datasets as ds
 from . import experiments as xp
-from .models import Dataset, default_model_counts, fit_all, build_nested, load_csv, order_by_cp
+from .models import Dataset, fit_all, build_nested, load_csv, order_by_cp
 from .risk_theory import PowerLawProfile, risk_surface
 
 __all__ = ["main", "run"]
@@ -77,14 +77,34 @@ def _parse_float_list(text: str) -> list[float]:
     return [float(piece) for piece in text.split(",")]
 
 
+def _flag_type(parse):
+    """argparse ``type=`` converter: a value ``parse`` rejects is a usage error."""
+
+    def convert(text: str):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"bad value {text!r}: {exc}") from None
+
+    return convert
+
+
+_INT_LIST = _flag_type(_parse_int_list)
+_FLOAT_LIST = _flag_type(_parse_float_list)
+
+
 def _parse_methods(text: str) -> tuple[str, ...]:
     return tuple(piece.strip().lower() for piece in text.split(",") if piece.strip())
 
 
-def _open_out(path: str | None):
+def _write_out(path: str | None, emit) -> int:
+    """Call ``emit(fh)`` on stdout, or on the file at ``path``; returns exit code 0."""
     if path is None or path == "-":
-        return sys.stdout, False
-    return open(path, "w"), True
+        emit(sys.stdout)
+    else:
+        with open(path, "w") as fh:
+            emit(fh)
+    return 0
 
 
 def _load_dataset(args) -> Dataset:
@@ -117,35 +137,15 @@ def _profile_from(args) -> PowerLawProfile:
 def _cmd_surface(args) -> int:
     profile = _profile_from(args)
     surf = risk_surface(
-        _parse_int_list(args.n_range),
-        _parse_int_list(args.m_range),
+        args.n_range,
+        args.m_range,
         profile,
         sigma2=args.sigma2,
         weighting=_WEIGHTINGS[args.weights],
         exclude_singular=args.exclude_singular,
     )
-    fh, close = _open_out(args.out)
-    try:
-        surf.to_csv(fh)
-    finally:
-        if close:
-            fh.close()
-    return 0
+    return _write_out(args.out, surf.to_csv)
 
-
-_SIM_DEFAULTS = {
-    "n_values": (25, 50, 150, 300),
-    "r2_values": (0.5,),
-    "alpha": 0.5,
-    "p": 1000,
-    "m_values": None,
-    "replications": 200,
-    "seed": 0,
-    "methods": ("mma", "jma", "lama", "saic", "sbic"),
-    "test_size": 1000,
-    "exclude_boundary": False,
-    "truncate_loss": None,
-}
 
 _SIM_FLAGS = {
     "n_values": "--n",
@@ -163,52 +163,44 @@ _SIM_FLAGS = {
 
 
 def _cmd_simulate(args) -> int:
+    # Lists, not tuples, so that flag values compare equal to JSON ones.
     flag_vals = {
-        "n_values": None if args.n is None else tuple(_parse_int_list(args.n)),
-        "r2_values": None if args.r2 is None else tuple(_parse_float_list(args.r2)),
+        "n_values": args.n,
+        "r2_values": args.r2,
         "alpha": args.alpha,
         "p": args.p,
-        "m_values": None if args.m is None else tuple(_parse_int_list(args.m)),
+        "m_values": args.m,
         "replications": args.reps,
         "seed": args.seed,
-        "methods": None if args.methods is None else _parse_methods(args.methods),
+        "methods": None if args.methods is None else list(_parse_methods(args.methods)),
         "test_size": args.test_size,
         "exclude_boundary": True if args.exclude_boundary else None,
         "truncate_loss": args.truncate_loss,
     }
+    merged = xp.SimulationConfig().to_dict()
     config_vals = {}
     if args.config is not None:
         with open(args.config) as fh:
-            raw = json.load(fh)
-        unknown = set(raw) - set(_SIM_DEFAULTS)
+            config_vals = json.load(fh)
+        if not isinstance(config_vals, dict):
+            raise UsageError(f"{args.config}: config must be a JSON object")
+        unknown = set(config_vals) - set(merged)
         if unknown:
             raise UsageError(f"unknown config field(s): {sorted(unknown)}")
-        for key, val in raw.items():
-            if key in {"n_values", "m_values", "r2_values", "methods"} and val is not None:
-                val = tuple(val)
-            config_vals[key] = val
 
-    merged = dict(_SIM_DEFAULTS)
     for key, val in flag_vals.items():
         if val is not None:
             merged[key] = val
     for key, val in config_vals.items():
-        if key in flag_vals and flag_vals[key] is not None and flag_vals[key] != val:
+        if flag_vals[key] is not None and flag_vals[key] != val:
             warnings.warn(
                 f"{_SIM_FLAGS[key]} conflicts with config field {key!r}; config wins",
                 RuntimeWarning,
             )
         merged[key] = val
 
-    cfg = xp.SimulationConfig(**merged)
-    rows = xp.run_simulation(cfg)
-    fh, close = _open_out(args.out)
-    try:
-        xp.simulation_csv(rows, fh)
-    finally:
-        if close:
-            fh.close()
-    return 0
+    rows = xp.run_simulation(xp.SimulationConfig.from_dict(merged))
+    return _write_out(args.out, lambda fh: xp.simulation_csv(rows, fh))
 
 
 def _cmd_eval(args) -> int:
@@ -221,13 +213,7 @@ def _cmd_eval(args) -> int:
         methods=_parse_methods(args.methods),
         max_models=args.max_models,
     )
-    fh, close = _open_out(args.out)
-    try:
-        xp.real_eval_csv(rows, fh)
-    finally:
-        if close:
-            fh.close()
-    return 0
+    return _write_out(args.out, lambda fh: xp.real_eval_csv(rows, fh))
 
 
 def _cmd_fit(args) -> int:
@@ -247,46 +233,23 @@ def _cmd_fit(args) -> int:
         build_nested(np.arange(data.p), np.arange(1, m_cap + 1)),
     )
     records = [xp.compute_weights(fits, method).to_record() for method in _parse_methods(args.methods)]
-    fh, close = _open_out(args.out)
-    try:
-        json.dump(records, fh, indent=2)
-        fh.write("\n")
-    finally:
-        if close:
-            fh.close()
-    return 0
+    return _write_out(args.out, lambda fh: fh.write(json.dumps(records, indent=2) + "\n"))
 
 
 def _cmd_validate_rmt(args) -> int:
-    theta = None if args.theta is None else np.asarray(_parse_float_list(args.theta))
+    theta = None if args.theta is None else np.asarray(args.theta)
     report = xp.validate_rmt(args.n, args.c, reps=args.reps, seed=args.seed, theta=theta)
-    fh, close = _open_out(args.out)
-    try:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")
-    finally:
-        if close:
-            fh.close()
-    return 0
+    return _write_out(args.out, lambda fh: fh.write(json.dumps(report, indent=2) + "\n"))
 
 
 def _cmd_validate_thm1(args) -> int:
-    sizes = _parse_int_list(args.sizes)
     profile = _profile_from(args)
-    theta = profile.coefficients(max(args.p, max(sizes)))
-    w = None if args.weights is None else np.asarray(_parse_float_list(args.weights))
+    theta = profile.coefficients(max(args.p, max(args.sizes)))
     report = xp.validate_theorem1(
-        args.n, sizes, theta, sigma2=args.sigma2, reps=args.reps, seed=args.seed,
-        w=w, test_size=args.test_size,
+        args.n, args.sizes, theta, sigma2=args.sigma2, reps=args.reps, seed=args.seed,
+        w=args.weights, test_size=args.test_size,
     )
-    fh, close = _open_out(args.out)
-    try:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")
-    finally:
-        if close:
-            fh.close()
-    return 0
+    return _write_out(args.out, lambda fh: fh.write(json.dumps(report, indent=2) + "\n"))
 
 
 # ---------------------------------------------------------------------------
@@ -314,8 +277,10 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", metavar="COMMAND", parser_class=_Parser)
 
     sp = sub.add_parser("surface", help="closed-form risk over an (n, M) grid (CSV)")
-    sp.add_argument("--n-range", required=True, help="sample sizes, a:b[:step] or comma list, inclusive")
-    sp.add_argument("--m-range", required=True, help="candidate counts, a:b[:step] or comma list, inclusive")
+    sp.add_argument("--n-range", type=_INT_LIST, required=True,
+                    help="sample sizes, a:b[:step] or comma list, inclusive")
+    sp.add_argument("--m-range", type=_INT_LIST, required=True,
+                    help="candidate counts, a:b[:step] or comma list, inclusive")
     sp.add_argument("--weights", choices=sorted(_WEIGHTINGS), default="equal",
                     help="equal | varpen (inverse limiting variance) | single (largest model alone)")
     sp.add_argument("--sigma2", type=float, default=1.0, help="noise variance (default 1.0)")
@@ -328,9 +293,12 @@ def build_parser() -> _Parser:
     sp = sub.add_parser("simulate",
                         help="synthetic method comparison (CSV)")
     sp.add_argument("--config", default=None, help="JSON config; wins over flags on conflict")
-    sp.add_argument("--n", default=None, help="sample sizes, comma list (default 25,50,150,300)")
-    sp.add_argument("--m", default=None, help="candidate counts, comma list (default: the three standard counts per n)")
-    sp.add_argument("--r2", default=None, help="population R-squared values, comma list (default 0.5)")
+    sp.add_argument("--n", type=_INT_LIST, default=None,
+                    help="sample sizes, comma list (default 25,50,150,300)")
+    sp.add_argument("--m", type=_INT_LIST, default=None,
+                    help="candidate counts, comma list (default: the three standard counts per n)")
+    sp.add_argument("--r2", type=_FLOAT_LIST, default=None,
+                    help="population R-squared values, comma list (default 0.5)")
     sp.add_argument("--alpha", type=float, default=None, help="coefficient decay parameter (default 0.5)")
     sp.add_argument("--p", type=int, default=None, help="number of regressors (default 1000)")
     sp.add_argument("--reps", type=int, default=None, help="replications per setting (default 200)")
@@ -381,7 +349,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--c", type=float, required=True, help="aspect ratio k/n, away from 1")
     sp.add_argument("--reps", type=int, default=20, help="replications (default 20)")
     sp.add_argument("--seed", type=int, default=0, help="base seed (default 0)")
-    sp.add_argument("--theta", default=None,
+    sp.add_argument("--theta", type=_FLOAT_LIST, default=None,
                     help="signal vector for the quadratic form, comma list (default: first basis vector)")
     sp.add_argument("--out", default=None, help="output JSON path (default stdout)")
     sp.set_defaults(func=_cmd_validate_rmt)
@@ -389,12 +357,14 @@ def build_parser() -> _Parser:
     sp = sub.add_parser("validate-thm1",
                         help="Monte-Carlo check of the weighted-average risk limit (JSON)")
     sp.add_argument("--n", type=int, required=True, help="sample size")
-    sp.add_argument("--sizes", required=True, help="candidate sizes, comma list or a:b[:step]")
+    sp.add_argument("--sizes", type=_INT_LIST, required=True,
+                    help="candidate sizes, comma list or a:b[:step]")
     sp.add_argument("--sigma2", type=float, default=1.0, help="noise variance (default 1.0)")
     sp.add_argument("--reps", type=int, default=100, help="replications (default 100)")
     sp.add_argument("--seed", type=int, default=0, help="base seed (default 0)")
     sp.add_argument("--test-size", type=int, default=1000, help="test draws per replication (default 1000)")
-    sp.add_argument("--weights", default=None, help="weight vector, comma list (default equal)")
+    sp.add_argument("--weights", type=_FLOAT_LIST, default=None,
+                    help="weight vector, comma list (default equal)")
     sp.add_argument("--out", default=None, help="output JSON path (default stdout)")
     _add_profile_flags(sp)
     sp.set_defaults(func=_cmd_validate_thm1)

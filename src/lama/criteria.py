@@ -10,6 +10,13 @@ honest, and (b) a variance-weighted ridge on the weights whose strength xi
 is set analytically from the dispersion of the per-candidate variance and
 bias diagnostics.  Information-criterion scores (AIC/BIC, plus smoothed
 variants) round out the baselines.
+
+The nesting does the work of the residual quadratic form: projections onto
+nested spans satisfy (I - P_q)(I - P_l) = I - P_max(q,l), so
+e_q'e_l = RSS_max(q,l).  The Mallows and large-model programs are therefore
+built from ``rss`` and ``sizes`` alone, in O(M^2).  Only the jackknife
+program reads the n x M residuals: its leave-one-out residuals
+e_iq / (1 - h_iq) have no such reduction.
 """
 
 from __future__ import annotations
@@ -141,12 +148,17 @@ def _sigma_hat_at(fits: ModelFits, K: int) -> float:
     return float(fits.rss[K]) / (fits.n - k)
 
 
+def _residual_gram(fits: ModelFits) -> np.ndarray:
+    """e_q'e_l = RSS_max(q,l), the residual cross-products of nested candidates."""
+    i = np.arange(fits.M)
+    return fits.rss[np.maximum.outer(i, i)]
+
+
 def mma_program(fits: ModelFits, sigma2_hat: float) -> QuadraticProgram:
     """Mallows criterion: w' (e'e/n) w + 2 sigma2_hat sum_q w_q k_q / n."""
     if sigma2_hat < 0.0 or not np.isfinite(sigma2_hat):
         raise ValueError("sigma2_hat must be finite and nonnegative")
-    E = fits.residuals
-    A = _sym(E.T @ E) / fits.n
+    A = _residual_gram(fits) / fits.n
     b = 2.0 * sigma2_hat * fits.sizes / fits.n
     return QuadraticProgram(A=A, b=b)
 
@@ -202,7 +214,7 @@ def b_in_diag(fits: ModelFits, sigma2_hat: float) -> np.ndarray:
 def lama_program(fits: ModelFits, sigma2_hat: float, xi_value: float) -> QuadraticProgram:
     """Large-model criterion at sample scale (n times the per-observation value):
 
-        A(q,l) = [e'e](q,l)
+        A(q,l) = RSS_max(q,l)
                  + sigma2 (max(k_q,k_l) + n min(k_q,k_l)/(n - min(k_q,k_l)))
                  + 1{q=l} xi sigma2 n k_q / (n - k_q),   b = 0.
 
@@ -216,10 +228,9 @@ def lama_program(fits: ModelFits, sigma2_hat: float, xi_value: float) -> Quadrat
     if not np.isfinite(xi_value) or xi_value < 0.0:
         raise ValueError("xi must be nonnegative and finite")
     sizes = fits.sizes.astype(np.float64)
-    E = fits.residuals
     kmax = np.maximum.outer(sizes, sizes)
     kmin = np.minimum.outer(sizes, sizes)
-    A = _sym(E.T @ E) + sigma2_hat * (kmax + n * kmin / (n - kmin))
+    A = _residual_gram(fits) + sigma2_hat * (kmax + n * kmin / (n - kmin))
     A[np.diag_indices_from(A)] += xi_value * sigma2_hat * n * sizes / (n - sizes)
     return QuadraticProgram(A=A, b=np.zeros(fits.M))
 

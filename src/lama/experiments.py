@@ -202,8 +202,8 @@ class SimulationConfig:
     coefficients theta_j = g sqrt(2 alpha) j^(-alpha-1/2) with g set by the
     population R-squared, unit noise."""
 
-    n_values: tuple[int, ...]
-    r2_values: tuple[float, ...]
+    n_values: tuple[int, ...] = (25, 50, 150, 300)
+    r2_values: tuple[float, ...] = (0.5,)
     alpha: float = 0.5
     p: int = 1000
     m_values: tuple[int, ...] | None = None  # None: the three default counts per n
@@ -520,7 +520,9 @@ def validate_rmt(n: int, c: float, reps: int, seed: int, theta: np.ndarray | Non
 
     Below the boundary: tr((X'X)^-1) against c/(1-c).  Above: tr((X'X)^+)
     against 1/(c-1) and the projected signal quadratic form against
-    |theta|^2 / c.  Singular draws are redrawn and counted.
+    |theta|^2 / c.  Singular draws are redrawn and counted.  ``theta``, when
+    given, must have length k = round(c n) on either side of the boundary;
+    it defaults to the first basis vector and is used only above it.
     """
     if n < 4:
         raise ValueError("n too small")
@@ -531,6 +533,8 @@ def validate_rmt(n: int, c: float, reps: int, seed: int, theta: np.ndarray | Non
     if theta is None and over:
         theta = np.zeros(k)
         theta[0] = 1.0
+    elif theta is not None and np.shape(theta) != (k,):
+        raise ValueError(f"theta must have length k={k} (c={c}, n={n}), got shape {np.shape(theta)}")
     retries = 0
     traces = []
     quads = []

@@ -30,8 +30,6 @@ __all__ = [
     "RiskMatrices",
     "RiskSurface",
     "PowerLawProfile",
-    "dv_entry",
-    "db_entry",
     "single_model_risk",
     "phi",
     "theorem1_matrices",
@@ -54,64 +52,6 @@ def _positive(x: float, name: str) -> float:
     return x
 
 
-def dv_entry(c_q: float, c_l: float, sigma2: float) -> float:
-    """Limiting out-of-sample variance entry for a candidate pair.
-
-    Arguments are order-free; internally sorted so c_q <= c_l.  Piecewise:
-
-        sigma2 * c_q / (1 - c_q)    when c_q <= c_l < 1
-        sigma2 * c_q / (c_l - c_q)  when c_q < 1 < c_l
-        sigma2 / (c_l - 1)          when 1 < c_q <= c_l
-
-    Ratios within BOUNDARY_DELTA of 1 give +inf.
-    """
-    c_q = _positive(c_q, "c_q")
-    c_l = _positive(c_l, "c_l")
-    sigma2 = _positive(sigma2, "sigma2")
-    lo, hi = min(c_q, c_l), max(c_q, c_l)
-    if abs(lo - 1.0) <= BOUNDARY_DELTA or abs(hi - 1.0) <= BOUNDARY_DELTA:
-        return np.inf
-    if hi < 1.0:
-        return sigma2 * lo / (1.0 - lo)
-    if lo > 1.0:
-        return sigma2 / (hi - 1.0)
-    return sigma2 * lo / (hi - lo)
-
-
-def db_entry(c_q: float, c_l: float, norm_q2: float, norm_l2: float, re_norm_l2: float) -> float:
-    """Limiting out-of-sample bias entry for a candidate pair.
-
-    norm_q2 and norm_l2 are the squared signal norms carried by the two
-    models and re_norm_l2 is the squared norm omitted by the *larger* one.
-    The (c, norm) pairs may be given in either order; nesting requires the
-    smaller model to carry no more signal than the larger.
-    """
-    c_q = _positive(c_q, "c_q")
-    c_l = _positive(c_l, "c_l")
-    for name, v in (("norm_q2", norm_q2), ("norm_l2", norm_l2), ("re_norm_l2", re_norm_l2)):
-        if not np.isfinite(v) or v < 0.0:
-            raise ValueError(f"{name} must be nonnegative and finite, got {v}")
-    if c_q > c_l:
-        c_q, c_l = c_l, c_q
-        norm_q2, norm_l2 = norm_l2, norm_q2
-    if norm_q2 > norm_l2:
-        raise ValueError(
-            f"nesting violated: smaller model carries norm {norm_q2} > {norm_l2}"
-        )
-    if abs(c_q - 1.0) <= BOUNDARY_DELTA or abs(c_l - 1.0) <= BOUNDARY_DELTA:
-        return np.inf
-    if c_l < 1.0:
-        return re_norm_l2 / (1.0 - c_q)
-    if c_q > 1.0:
-        return (
-            (c_q - 1.0) / c_q * norm_q2
-            + (norm_l2 - norm_q2)
-            + c_l / (c_l - 1.0) * re_norm_l2
-        )
-    gap = c_l - c_q
-    return (c_l - 1.0) / gap * (norm_l2 - norm_q2) + c_l / gap * re_norm_l2
-
-
 def single_model_risk(c: float, norm2: float, sigma2: float) -> float:
     """Limiting out-of-sample risk of one min-norm least-squares fit.
 
@@ -124,11 +64,17 @@ def single_model_risk(c: float, norm2: float, sigma2: float) -> float:
     sigma2 = _positive(sigma2, "sigma2")
     if not np.isfinite(norm2) or norm2 < 0.0:
         raise ValueError(f"norm2 must be nonnegative and finite, got {norm2}")
+    bias, variance = _single_parts(c, norm2, sigma2)
+    return bias + variance
+
+
+def _single_parts(c: float, norm2: float, sigma2: float) -> tuple[float, float]:
+    """(bias, variance) limits of one min-norm fit; both +inf at the boundary."""
     if abs(c - 1.0) <= BOUNDARY_DELTA:
-        return np.inf
+        return np.inf, np.inf
     if c < 1.0:
-        return sigma2 * c / (1.0 - c)
-    return norm2 * (1.0 - 1.0 / c) + sigma2 / (c - 1.0)
+        return 0.0, sigma2 * c / (1.0 - c)
+    return norm2 * (1.0 - 1.0 / c), sigma2 / (c - 1.0)
 
 
 def phi(Sigma: np.ndarray, theta: np.ndarray, k_q: int) -> float:
@@ -194,8 +140,10 @@ class TheoreticalRiskModel:
         _positive(self.sigma2, "sigma2")
         if tn.shape != c.shape or rn.shape != c.shape:
             raise ValueError("norm arrays must match the number of candidates")
-        if np.any(tn < 0.0) or np.any(rn < 0.0):
+        if not (np.all(tn >= 0.0) and np.all(rn >= 0.0)):
             raise ValueError("squared norms must be nonnegative")
+        if np.any(np.diff(tn) < 0.0):
+            raise ValueError("nesting violated: a larger model carries less signal norm")
         if self.Sigma is None:
             bad = np.abs(tn + rn - self.total_norm2) > 1e-10 * max(1.0, self.total_norm2)
             if np.any(bad):
@@ -535,14 +483,8 @@ def risk_surface(
             out_n[i], out_m[i] = n, m
 
             if weighting == "single":
-                c = m / float(n)
-                norm2 = float(profile.prefix_norm2(m))
-                if abs(c - 1.0) <= BOUNDARY_DELTA:
-                    risk[i] = bias[i] = var[i] = np.inf
-                else:
-                    var[i] = sigma2 * c / (1.0 - c) if c < 1.0 else sigma2 / (c - 1.0)
-                    bias[i] = 0.0 if c < 1.0 else norm2 * (1.0 - 1.0 / c)
-                    risk[i] = var[i] + bias[i]
+                bias[i], var[i] = _single_parts(m / float(n), float(profile.prefix_norm2(m)), sigma2)
+                risk[i] = bias[i] + var[i]
                 i += 1
                 continue
 

@@ -35,6 +35,26 @@ class TestRangeParsing:
             with pytest.raises(ValueError, match="range"):
                 _parse_range(text)
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["surface", "--n-range", "5:3", "--m-range", "1:2"],
+            ["surface", "--n-range", "a", "--m-range", "1:2"],
+            ["surface", "--n-range", "20", "--m-range", "1:2:0"],
+            ["simulate", "--r2", "0.5,x"],
+            ["simulate", "--n", "8,b", "--m", "3"],
+            ["simulate", "--n", "8", "--m", "5:3"],
+            ["validate-thm1", "--n", "20", "--sizes", "2,x"],
+            ["validate-thm1", "--n", "20", "--sizes", "2,4", "--weights", "0.5,y"],
+            ["validate-rmt", "--n", "30", "--c", "2.0", "--theta", "1,z"],
+        ],
+    )
+    def test_malformed_list_flags_are_usage_errors(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert "bad value" in err and "numerical failure" not in err
+
 
 class TestSurfaceCommand:
     def test_csv_to_stdout(self, capsys):
@@ -126,6 +146,11 @@ class TestSimulateCommand:
         bad.write_text("{not json")
         code, _, _ = run_cli(capsys, "simulate", "--config", str(bad))
         assert code == 1
+        for text in ("[]", "5"):
+            bad.write_text(text)
+            code, _, err = run_cli(capsys, "simulate", "--config", str(bad))
+            assert code == 1
+            assert "JSON object" in err
 
 
 class TestEvalCommand:

@@ -11,6 +11,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lama.criteria import (
     SIGMA_FLOOR,
@@ -31,7 +33,8 @@ from lama.criteria import (
     xi,
 )
 from lama.linalg import min_norm_ls
-from lama.models import ModelFits
+from lama.models import Dataset, ModelFits, build_nested, fit_all
+from lama.qp import solve_simplex_qp
 
 from conftest import make_fits
 
@@ -145,6 +148,52 @@ class TestMmaProgram:
             mma_program(fits, -1.0)
         with pytest.raises(ValueError):
             mma_program(fits, np.inf)
+
+
+class TestResidualGramFromRss:
+    """Nested spans give e_q'e_l = RSS_max(q,l), so the Mallows and large-model
+    programs never read the residual matrix; it is the oracle here."""
+
+    @staticmethod
+    def _fits(seed, route):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(8, 20))
+        p = n + 6 if route == "svd" else n - 2
+        X = rng.standard_normal((n, p))
+        if route == "duplicate":
+            X[:, 3] = X[:, 1]
+        elif route == "collinear":
+            X[:, 3] = X[:, 0] - 2.0 * X[:, 2]
+        Y = X[:, :3] @ rng.standard_normal(3) + rng.standard_normal(n)
+        # QR fast path when every prefix has full rank; the per-candidate
+        # SVD route past k = n and for the dependent fourth column.
+        sizes = np.unique(np.concatenate([[1, 3, 4, n - 3, p], rng.integers(1, p + 1, 3)]))
+        return fit_all(Dataset(Y=Y, X=X), build_nested(np.arange(p), sizes))
+
+    @given(
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.sampled_from(["qr", "svd", "duplicate", "collinear"]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_programs_match_explicit_residual_products(self, seed, route):
+        fits = self._fits(seed, route)
+        assert (fits.ranks == fits.sizes).all() == (route == "qr")
+        gram = fits.residuals.T @ fits.residuals
+        tol = 1e-12 * np.max(np.abs(gram))
+        s2 = sigma_hat(fits)
+        mma = mma_program(fits, s2)
+        assert np.max(np.abs(fits.n * mma.A - gram)) <= tol
+        assert solve_simplex_qp(mma.A, mma.b).status == "converged"
+
+        sub = fits.subset(fits.sizes < fits.n)
+        sub_gram = gram[np.ix_(fits.sizes < fits.n, fits.sizes < fits.n)]
+        # lama_program needs sigma2 > 0: the smallest normal float leaves
+        # only the residual part of A.
+        residual_part = lama_program(sub, np.finfo(float).tiny, 0.0).A
+        assert np.max(np.abs(residual_part - sub_gram)) <= tol
+        x = xi(np.diag(v_out_matrix(sub, s2)), b_in_diag(sub, s2))
+        lama = lama_program(sub, s2, x)
+        assert solve_simplex_qp(lama.A, lama.b).status == "converged"
 
 
 class TestLeaveOneOut:

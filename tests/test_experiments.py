@@ -412,6 +412,14 @@ class TestValidateRmt:
     def test_deterministic(self):
         assert validate_rmt(30, 0.5, 2, 9) == validate_rmt(30, 0.5, 2, 9)
 
+    def test_theta_length_must_be_k(self):
+        # k = round(c n) = 80 past the boundary, where theta is used, and
+        # k = 30 below it, where theta is unused but still checked.
+        with pytest.raises(ValueError, match="k=80"):
+            validate_rmt(40, 2.0, reps=1, seed=0, theta=np.ones(40))
+        with pytest.raises(ValueError, match="k=30"):
+            validate_rmt(60, 0.5, reps=1, seed=0, theta=np.ones(3))
+
 
 class TestValidateTheorem1:
     def test_single_carried_candidate_matches_lone_model_form(self, rng):

@@ -1,7 +1,8 @@
 """Closed-form risk limits: entries, matrices, weights, and grid surfaces.
 
-Scalar entry formulas are pinned to hand-computed values and the vectorized
-matrix builders are checked entrywise against the scalar routes.  The
+Limit-matrix entries are pinned to hand-computed values, and the vectorized
+matrix builders are checked entrywise against the scalar entry formulas kept
+here as an independent oracle.  The
 Schur-complement strength is verified against an explicit best-completion
 least-squares oracle, and surface shapes are asserted from exact evaluation
 of the limits (variance spikes past the interpolation point, then a smooth
@@ -18,10 +19,9 @@ from lama.risk_theory import (
     PowerLawProfile,
     RiskMatrices,
     TheoreticalRiskModel,
+    _single_parts,
     asymptotic_risk,
-    db_entry,
     delta_v_limit,
-    dv_entry,
     phi,
     risk_surface,
     single_model_risk,
@@ -31,75 +31,133 @@ from lama.risk_theory import (
 )
 
 
+def _dv_entry(c_q, c_l, sigma2):
+    """Scalar oracle: limiting out-of-sample variance entry of a candidate pair.
+
+        sigma2 * c_q / (1 - c_q)    when c_q <= c_l < 1
+        sigma2 * c_q / (c_l - c_q)  when c_q < 1 < c_l
+        sigma2 / (c_l - 1)          when 1 < c_q <= c_l
+
+    Arguments are order-free; ratios within BOUNDARY_DELTA of 1 give +inf.
+    """
+    lo, hi = min(c_q, c_l), max(c_q, c_l)
+    if abs(lo - 1.0) <= BOUNDARY_DELTA or abs(hi - 1.0) <= BOUNDARY_DELTA:
+        return np.inf
+    if hi < 1.0:
+        return sigma2 * lo / (1.0 - lo)
+    if lo > 1.0:
+        return sigma2 / (hi - 1.0)
+    return sigma2 * lo / (hi - lo)
+
+
+def _db_entry(c_q, c_l, norm_q2, norm_l2, re_norm_l2):
+    """Scalar oracle: limiting out-of-sample bias entry for c_q <= c_l.
+
+    norm_q2 and norm_l2 are the squared signal norms the two models carry and
+    re_norm_l2 the squared norm the larger one omits.
+    """
+    if abs(c_q - 1.0) <= BOUNDARY_DELTA or abs(c_l - 1.0) <= BOUNDARY_DELTA:
+        return np.inf
+    if c_l < 1.0:
+        return re_norm_l2 / (1.0 - c_q)
+    if c_q > 1.0:
+        return (
+            (c_q - 1.0) / c_q * norm_q2
+            + (norm_l2 - norm_q2)
+            + c_l / (c_l - 1.0) * re_norm_l2
+        )
+    gap = c_l - c_q
+    return (c_l - 1.0) / gap * (norm_l2 - norm_q2) + c_l / gap * re_norm_l2
+
+
+def _limits(c, sigma2=1.0, carried=None, total=0.0):
+    """Theorem-1 matrices of candidates with ratios c carrying the given norms."""
+    carried = np.zeros(len(c)) if carried is None else np.asarray(carried, dtype=float)
+    model = TheoreticalRiskModel(
+        c=np.asarray(c, dtype=float),
+        sigma2=sigma2,
+        theta_norms2=carried,
+        re_norms2=total - carried,
+        total_norm2=total,
+    )
+    return theorem1_matrices(model)
+
+
 class TestVarianceEntry:
     def test_both_below_boundary(self):
         # sigma2 * c_min / (1 - c_min) = 0.5 / 0.5
-        assert dv_entry(0.5, 0.5, 1.0) == pytest.approx(1.0, abs=1e-15)
+        assert _limits([0.5]).variance[0, 0] == pytest.approx(1.0, abs=1e-15)
 
     def test_straddling_pair(self):
         # sigma2 * c_min / (c_max - c_min) = 0.5 / 1.5
-        assert dv_entry(0.5, 2.0, 1.0) == pytest.approx(1.0 / 3.0, abs=1e-15)
+        assert _limits([0.5, 2.0]).variance[0, 1] == pytest.approx(1.0 / 3.0, abs=1e-15)
 
     def test_both_above_boundary(self):
         # sigma2 / (c_max - 1) = 1 / 3
-        assert dv_entry(2.0, 4.0, 1.0) == pytest.approx(1.0 / 3.0, abs=1e-15)
+        assert _limits([2.0, 4.0]).variance[0, 1] == pytest.approx(1.0 / 3.0, abs=1e-15)
 
     def test_order_free(self):
-        assert dv_entry(2.0, 0.5, 1.3) == dv_entry(0.5, 2.0, 1.3)
-        assert dv_entry(0.7, 0.2, 2.0) == dv_entry(0.2, 0.7, 2.0)
+        for c, sigma2 in (([0.5, 2.0], 1.3), ([0.2, 0.7], 2.0)):
+            V = _limits(c, sigma2).variance
+            assert V[1, 0] == V[0, 1]
 
     def test_scales_linearly_in_noise(self):
-        assert dv_entry(0.3, 0.8, 3.0) == pytest.approx(3.0 * dv_entry(0.3, 0.8, 1.0))
+        assert _limits([0.3, 0.8], 3.0).variance[0, 1] == pytest.approx(
+            3.0 * _limits([0.3, 0.8], 1.0).variance[0, 1]
+        )
 
     def test_boundary_gives_inf(self):
-        assert dv_entry(1.0, 1.0, 1.0) == np.inf
-        assert dv_entry(0.5, 1.0, 1.0) == np.inf
-        assert dv_entry(1.0 + 0.5 * BOUNDARY_DELTA, 2.0, 1.0) == np.inf
+        assert _limits([1.0]).variance[0, 0] == np.inf
+        assert _limits([0.5, 1.0]).variance[0, 1] == np.inf
+        assert _limits([1.0 + 0.5 * BOUNDARY_DELTA, 2.0]).variance[0, 1] == np.inf
 
     def test_diverges_approaching_boundary_from_below(self):
-        cs = np.linspace(0.5, 0.999, 40)
-        vals = [dv_entry(c, c, 1.0) for c in cs]
-        assert all(b > a for a, b in zip(vals, vals[1:]))
+        vals = np.diag(_limits(np.linspace(0.5, 0.999, 40)).variance)
+        assert np.all(np.diff(vals) > 0.0)
         assert vals[-1] > 500.0  # 0.999 / 0.001
 
     def test_rejects_nonpositive_inputs(self):
         with pytest.raises(ValueError):
-            dv_entry(0.0, 0.5, 1.0)
+            _limits([0.0, 0.5])
         with pytest.raises(ValueError):
-            dv_entry(0.5, 0.5, 0.0)
+            _limits([0.5], sigma2=0.0)
         with pytest.raises(ValueError):
-            dv_entry(0.5, np.inf, 1.0)
+            _limits([0.5, np.inf])
 
 
 class TestBiasEntry:
     def test_both_below_boundary(self):
         # re_norm_l2 / (1 - c_min); carried norms are irrelevant here
-        assert db_entry(0.3, 0.6, 1.0, 2.0, 2.0) == pytest.approx(2.0 / 0.7, abs=1e-12)
+        B = _limits([0.3, 0.6], carried=[1.0, 2.0], total=4.0).bias
+        assert B[0, 1] == pytest.approx(2.0 / 0.7, abs=1e-12)
 
     def test_straddling_pair(self):
         # (c_l-1)/gap * (n_l - n_q) + c_l/gap * re_l = 1/1.5 + 2/1.5
-        assert db_entry(0.5, 2.0, 1.0, 2.0, 1.0) == pytest.approx(2.0, abs=1e-12)
+        B = _limits([0.5, 2.0], carried=[1.0, 2.0], total=3.0).bias
+        assert B[0, 1] == pytest.approx(2.0, abs=1e-12)
 
     def test_both_above_boundary(self):
         # (c_q-1)/c_q * n_q + (n_l - n_q) + c_l/(c_l-1) * re_l = 0.5 + 1 + 4
-        assert db_entry(2.0, 4.0, 1.0, 2.0, 3.0) == pytest.approx(5.5, abs=1e-12)
+        B = _limits([2.0, 4.0], carried=[1.0, 2.0], total=5.0).bias
+        assert B[0, 1] == pytest.approx(5.5, abs=1e-12)
 
     def test_order_free_with_norms_tied_to_ratios(self):
-        assert db_entry(2.0, 0.5, 2.0, 1.0, 1.0) == db_entry(0.5, 2.0, 1.0, 2.0, 1.0)
+        B = _limits([0.5, 2.0], carried=[1.0, 2.0], total=3.0).bias
+        assert B[1, 0] == B[0, 1]
 
     def test_rejects_norm_decreasing_with_size(self):
         with pytest.raises(ValueError, match="nesting"):
-            db_entry(0.3, 0.6, 3.0, 2.0, 1.0)
+            _limits([0.3, 0.6], carried=[3.0, 2.0], total=4.0)
 
     def test_boundary_gives_inf(self):
-        assert db_entry(1.0, 2.0, 1.0, 2.0, 0.5) == np.inf
-        assert db_entry(0.5, 1.0, 1.0, 2.0, 0.5) == np.inf
+        assert _limits([1.0, 2.0], carried=[1.0, 2.0], total=2.5).bias[0, 1] == np.inf
+        assert _limits([0.5, 1.0], carried=[1.0, 2.0], total=2.5).bias[0, 1] == np.inf
 
     def test_rejects_negative_norms(self):
         with pytest.raises(ValueError):
-            db_entry(0.3, 0.6, -1.0, 2.0, 1.0)
+            _limits([0.3, 0.6], carried=[-1.0, 2.0], total=3.0)
         with pytest.raises(ValueError):
-            db_entry(0.3, 0.6, 1.0, 2.0, np.nan)
+            _limits([0.3, 0.6], carried=[1.0, 2.0], total=np.nan)
 
 
 class TestSingleModelRisk:
@@ -223,8 +281,8 @@ def _scalar_matrices(model):
     for q in range(M):
         for l in range(M):
             lo, hi = sorted((q, l))
-            V[q, l] = dv_entry(model.c[q], model.c[l], model.sigma2)
-            B[q, l] = db_entry(
+            V[q, l] = _dv_entry(model.c[q], model.c[l], model.sigma2)
+            B[q, l] = _db_entry(
                 model.c[lo],
                 model.c[hi],
                 model.theta_norms2[lo],
@@ -521,6 +579,17 @@ class TestRiskSurface:
             single_model_risk(2.0, float(snr_profile.prefix_norm2(40)), 1.0)
         )
         assert surface.bias[0] == 0.0
+
+    def test_single_weighting_columns_are_the_lone_model_parts(self, snr_profile):
+        ms = [5, 10, 20, 40, 80]  # c = 0.25, 0.5, 1 (boundary), 2, 4 at n = 20
+        surface = risk_surface([20], ms, snr_profile, sigma2=1.7, weighting="single")
+        for i, m in enumerate(ms):
+            norm2 = float(snr_profile.prefix_norm2(m))
+            bias, variance = _single_parts(m / 20.0, norm2, 1.7)
+            assert (surface.bias[i], surface.variance[i]) == (bias, variance)
+            assert surface.risk[i] == single_model_risk(m / 20.0, norm2, 1.7)
+        assert surface.risk[2] == np.inf
+        assert surface.bias[0] == 0.0 < surface.bias[3]
 
     def test_callable_weighting_reproduces_equal(self, snr_profile):
         def uniform(c, mats):
