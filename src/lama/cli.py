@@ -9,8 +9,8 @@ Subcommands map one-to-one onto the library workloads:
 * ``validate-rmt``   Monte-Carlo check of the random-matrix trace limits, JSON
 * ``validate-thm1``  Monte-Carlo check of the weighted-average risk limit, JSON
 
-Exit codes: 0 success, 1 usage error (bad flags, unreadable input),
-2 numerical failure during computation.
+Exit codes: 0 success, 1 usage error (bad flags, flag or config values the
+library rejects, unreadable input), 2 numerical failure during computation.
 
 Determinism: all science parameters are explicit flags or config entries;
 the only environment control is LAMA_THREADS (worker processes for
@@ -30,7 +30,7 @@ import numpy as np
 
 from . import datasets as ds
 from . import experiments as xp
-from .models import Dataset, fit_all, build_nested, load_csv, order_by_cp
+from .models import Dataset, load_csv
 from .risk_theory import PowerLawProfile, risk_surface
 
 __all__ = ["main", "run"]
@@ -38,15 +38,11 @@ __all__ = ["main", "run"]
 _WEIGHTINGS = {"equal": "equal", "varpen": "variance_penalized", "single": "single"}
 
 
-class UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     # argparse exits with 2 on bad flags; the contract reserves 2 for
-    # numerical failures, so route parse errors through UsageError instead.
+    # numerical failures, so route parse errors through InputError instead.
     def error(self, message):
-        raise UsageError(f"{self.prog}: {message}")
+        raise xp.InputError(self.prog, message)
 
 
 def _parse_range(text: str) -> list[int]:
@@ -93,8 +89,8 @@ _INT_LIST = _flag_type(_parse_int_list)
 _FLOAT_LIST = _flag_type(_parse_float_list)
 
 
-def _parse_methods(text: str) -> tuple[str, ...]:
-    return tuple(piece.strip().lower() for piece in text.split(",") if piece.strip())
+def _parse_methods(text: str) -> list[str]:
+    return [piece.strip().lower() for piece in text.split(",") if piece.strip()]
 
 
 def _write_out(path: str | None, emit) -> int:
@@ -114,9 +110,9 @@ def _load_dataset(args) -> Dataset:
         return ds.load_builtin(name, standardize=standardize)
     path = Path(name)
     if not path.exists():
-        raise UsageError(f"no such dataset: {name!r} (path or one of {ds.available()})")
+        raise xp.InputError("--data", f"no such dataset {name!r} (path or one of {ds.available()})")
     if args.response is None:
-        raise UsageError("--response is required for dataset files")
+        raise xp.InputError("--response", "required for dataset files")
     data = load_csv(path, response=args.response)
     return ds.standardize_dataset(data) if standardize else data
 
@@ -147,54 +143,32 @@ def _cmd_surface(args) -> int:
     return _write_out(args.out, surf.to_csv)
 
 
-_SIM_FLAGS = {
-    "n_values": "--n",
-    "r2_values": "--r2",
-    "alpha": "--alpha",
-    "p": "--p",
-    "m_values": "--m",
-    "replications": "--reps",
-    "seed": "--seed",
-    "methods": "--methods",
-    "test_size": "--test-size",
-    "exclude_boundary": "--exclude-boundary",
-    "truncate_loss": "--truncate-loss",
-}
+# Argparse dest of each simulate config field whose flag is not named after it.
+_SIM_DESTS = {"n_values": "n", "r2_values": "r2", "m_values": "m", "replications": "reps"}
 
 
 def _cmd_simulate(args) -> int:
-    # Lists, not tuples, so that flag values compare equal to JSON ones.
-    flag_vals = {
-        "n_values": args.n,
-        "r2_values": args.r2,
-        "alpha": args.alpha,
-        "p": args.p,
-        "m_values": args.m,
-        "replications": args.reps,
-        "seed": args.seed,
-        "methods": None if args.methods is None else list(_parse_methods(args.methods)),
-        "test_size": args.test_size,
-        "exclude_boundary": True if args.exclude_boundary else None,
-        "truncate_loss": args.truncate_loss,
-    }
     merged = xp.SimulationConfig().to_dict()
+    dests = {key: _SIM_DESTS.get(key, key) for key in merged}
     config_vals = {}
     if args.config is not None:
         with open(args.config) as fh:
             config_vals = json.load(fh)
         if not isinstance(config_vals, dict):
-            raise UsageError(f"{args.config}: config must be a JSON object")
+            raise xp.InputError(args.config, "config must be a JSON object")
         unknown = set(config_vals) - set(merged)
         if unknown:
-            raise UsageError(f"unknown config field(s): {sorted(unknown)}")
+            raise xp.InputError(args.config, f"unknown config field(s): {sorted(unknown)}")
 
-    for key, val in flag_vals.items():
-        if val is not None:
-            merged[key] = val
+    # Flag values are lists, not tuples, so that they compare equal to JSON ones.
+    for key, dest in dests.items():
+        if getattr(args, dest) is not None:
+            merged[key] = getattr(args, dest)
     for key, val in config_vals.items():
-        if flag_vals[key] is not None and flag_vals[key] != val:
+        flag_val = getattr(args, dests[key])
+        if flag_val is not None and flag_val != val:
             warnings.warn(
-                f"{_SIM_FLAGS[key]} conflicts with config field {key!r}; config wins",
+                f"--{dests[key].replace('_', '-')} conflicts with config field {key!r}; config wins",
                 RuntimeWarning,
             )
         merged[key] = val
@@ -210,7 +184,7 @@ def _cmd_eval(args) -> int:
         n_train=args.n_train,
         reps=args.reps,
         seed=args.seed,
-        methods=_parse_methods(args.methods),
+        methods=args.methods,
         max_models=args.max_models,
     )
     return _write_out(args.out, lambda fh: xp.real_eval_csv(rows, fh))
@@ -218,21 +192,16 @@ def _cmd_eval(args) -> int:
 
 def _cmd_fit(args) -> int:
     data = _load_dataset(args)
-    ordering = order_by_cp(data)
+    n_fit = data.n if args.n_train is None else args.n_train
+    if not 2 <= n_fit <= data.n:
+        raise xp.InputError("n_train", f"{n_fit} not in [2, {data.n}]")
+    X, cands = xp._nested_candidates(data, n_fit, args.max_models)
+    Y = data.Y
     if args.n_train is not None:
-        if not 2 <= args.n_train <= data.n:
-            raise UsageError(f"--n-train must be in [2, {data.n}]")
-        idx = xp.rng_for(args.seed, "fit-split", 0).permutation(data.n)[: args.n_train]
-        data = Dataset(Y=data.Y[idx], X=data.X[idx], has_intercept=data.has_intercept,
-                       column_names=data.column_names)
-    m_cap = min(data.p, int(0.9 * data.n)) if args.max_models is None else args.max_models
-    if not 1 <= m_cap <= data.p:
-        raise UsageError(f"--max-models must be in [1, {data.p}]")
-    fits = fit_all(
-        Dataset(Y=data.Y, X=data.X[:, ordering], has_intercept=data.has_intercept),
-        build_nested(np.arange(data.p), np.arange(1, m_cap + 1)),
-    )
-    records = [xp.compute_weights(fits, method).to_record() for method in _parse_methods(args.methods)]
+        idx = xp.rng_for(args.seed, "fit-split", 0).permutation(data.n)[:n_fit]
+        X, Y = X[idx], Y[idx]
+    fits = xp.fit_all(Dataset(Y=Y, X=X, has_intercept=data.has_intercept), cands)
+    records = [xp.compute_weights(fits, method).to_record() for method in args.methods]
     return _write_out(args.out, lambda fh: fh.write(json.dumps(records, indent=2) + "\n"))
 
 
@@ -303,7 +272,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--p", type=int, default=None, help="number of regressors (default 1000)")
     sp.add_argument("--reps", type=int, default=None, help="replications per setting (default 200)")
     sp.add_argument("--seed", type=int, default=None, help="base seed (default 0)")
-    sp.add_argument("--methods", default=None,
+    sp.add_argument("--methods", type=_parse_methods, default=None,
                     help=f"comma list from {','.join(xp.ALL_METHODS)} (default mma,jma,lama,saic,sbic)")
     sp.add_argument("--test-size", type=int, default=None, help="test draws per replication (default 1000)")
     sp.add_argument("--exclude-boundary", action="store_true", default=None,
@@ -320,7 +289,8 @@ def build_parser() -> _Parser:
     sp.add_argument("--n-train", type=int, required=True, help="training rows per split")
     sp.add_argument("--reps", type=int, default=1000, help="number of random splits (default 1000)")
     sp.add_argument("--seed", type=int, default=0, help="base seed (default 0)")
-    sp.add_argument("--methods", default="mma,jma,lama", help="comma list (default mma,jma,lama)")
+    sp.add_argument("--methods", type=_parse_methods, default="mma,jma,lama",
+                    help="comma list (default mma,jma,lama)")
     sp.add_argument("--max-models", type=int, default=None,
                     help="largest candidate size (default min(p, floor(0.9 n_train)))")
     sp.add_argument("--no-standardize", action="store_true",
@@ -335,7 +305,8 @@ def build_parser() -> _Parser:
     sp.add_argument("--n-train", type=int, default=None,
                     help="fit on a seeded random subsample of this size (default: all rows)")
     sp.add_argument("--seed", type=int, default=0, help="base seed for the subsample (default 0)")
-    sp.add_argument("--methods", default="mma,jma,lama", help="comma list (default mma,jma,lama)")
+    sp.add_argument("--methods", type=_parse_methods, default="mma,jma,lama",
+                    help="comma list (default mma,jma,lama)")
     sp.add_argument("--max-models", type=int, default=None,
                     help="largest candidate size (default min(p, floor(0.9 n)))")
     sp.add_argument("--no-standardize", action="store_true",
@@ -375,18 +346,20 @@ def build_parser() -> _Parser:
 def run(argv=None) -> int:
     xp._limit_blas()
     parser = build_parser()
+    args = None
     try:
         args = parser.parse_args(argv)
         if getattr(args, "command", None) is None:
             parser.print_usage(sys.stderr)
             return 1
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except xp.InputError as exc:
+        # Name the flag of that name when it set the value; with a config file
+        # the value may come from either, so keep the config field's name.
+        field = exc.field
+        if getattr(args, field, None) is not None and getattr(args, "config", None) is None:
+            field = "--" + field.replace("_", "-")
+        print(f"error: {field}: {exc.args[1]}", file=sys.stderr)
         return 1
     except (OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

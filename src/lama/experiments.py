@@ -11,10 +11,12 @@ from __future__ import annotations
 
 import math
 import os
+import types
+import typing
 import warnings
 import zlib
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -43,6 +45,32 @@ __all__ = [
 
 QUADRATIC_METHODS = ("mma", "jma", "lama")
 ALL_METHODS = QUADRATIC_METHODS + ("aic", "bic", "saic", "sbic", "uniform")
+
+
+class InputError(ValueError):
+    """A bad argument or config value: ``InputError(field, problem)``.
+
+    ``field`` names the argument or config field at fault; the CLI exits 1
+    on these and 2 on every other ``ValueError``.
+    """
+
+    @property
+    def field(self) -> str:
+        return self.args[0]
+
+    def __str__(self) -> str:
+        return f"{self.args[0]}: {self.args[1]}"
+
+
+def _method_tags(methods) -> tuple[str, ...]:
+    """Lower-cased method tags, rejecting a bare string and any tag not in ALL_METHODS."""
+    if isinstance(methods, str):
+        raise InputError("methods", f"expected a list of method names, got the string {methods!r}")
+    tags = tuple(str(m).lower() for m in methods)
+    unknown = set(tags) - set(ALL_METHODS)
+    if unknown:
+        raise InputError("methods", f"unknown methods {sorted(unknown)} (choose from {ALL_METHODS})")
+    return tags
 
 
 def _stable_key(key) -> int:
@@ -125,6 +153,10 @@ def _scatter(length: int, idx: np.ndarray, values: np.ndarray) -> np.ndarray:
     return out
 
 
+# Candidates each criterion cannot score: (criterion name, what every dropped candidate does).
+_EXCLUSION = {"jma": ("leave-one-out", "interpolates"), "lama": ("large-model", "has k >= n (boundary)")}
+
+
 def compute_weights(
     fits,
     method: str,
@@ -132,7 +164,7 @@ def compute_weights(
     xi_override: float | None = None,
 ) -> WeightChoice:
     """Chosen weights for one method tag (see ALL_METHODS)."""
-    method = method.lower()
+    (method,) = _method_tags([method])
     M = fits.M
 
     if method == "uniform":
@@ -143,53 +175,35 @@ def compute_weights(
         excluded = tuple(int(i) for i in np.flatnonzero(fits.rss <= 0.0))
         return WeightChoice(method, w, excluded=excluded)
 
-    if method == "mma":
+    s2 = None
+    if method != "jma":
         s2 = crit.sigma_hat(fits) if sigma2_hat is None else sigma2_hat
+    if method == "mma":
         program = crit.mma_program(fits, s2)
         report = solve_simplex_qp(program.A, program.b)
         return WeightChoice(method, report.weights, report.objective, s2)
 
+    keep = ~crit.loo_flagged(fits) if method == "jma" else fits.sizes < fits.n
+    dropped = tuple(np.flatnonzero(~keep).tolist())
+    name, why = _EXCLUSION[method]
+    if dropped:
+        warnings.warn(f"{name} criterion: excluding candidate(s) {list(dropped)}; each {why}",
+                      RuntimeWarning, stacklevel=2)
+    if not np.any(keep):
+        raise ValueError(f"every candidate {why}; {name} criterion undefined")
+    sub = fits.subset(keep)
     if method == "jma":
-        keep = ~crit.loo_flagged(fits)
-        dropped = np.flatnonzero(~keep)
-        if dropped.size:
-            warnings.warn(
-                f"leave-one-out criterion: excluding interpolating candidate(s) {dropped.tolist()}",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        if not np.any(keep):
-            raise ValueError("every candidate interpolates; leave-one-out undefined")
-        sub = fits.subset(keep)
-        program = crit.jma_program(sub)
-        report = solve_simplex_qp(program.A, program.b)
-        w = _scatter(M, np.flatnonzero(keep), report.weights)
-        return WeightChoice(method, w, report.objective, excluded=tuple(dropped.tolist()))
-
-    if method == "lama":
-        s2 = crit.sigma_hat(fits) if sigma2_hat is None else sigma2_hat
-        keep = fits.sizes < fits.n
-        dropped = np.flatnonzero(~keep)
-        if dropped.size:
-            warnings.warn(
-                f"large-model criterion: excluding boundary candidate(s) {dropped.tolist()} with k >= n",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        if not np.any(keep):
-            raise ValueError("every candidate has k >= n; criterion undefined")
-        sub = fits.subset(keep)
+        xi_val, program, scale = None, crit.jma_program(sub), 1
+    else:
         if xi_override is None:
             xi_val = crit.xi(np.diag(crit.v_out_matrix(sub, s2)), crit.b_in_diag(sub, s2))
         else:
             xi_val = float(xi_override)
-        program = crit.lama_program(sub, s2, xi_val)
-        report = solve_simplex_qp(program.A, program.b)
-        w = _scatter(M, np.flatnonzero(keep), report.weights)
-        # report the per-observation criterion (the program is on the n-scale)
-        return WeightChoice(method, w, report.objective / sub.n, s2, xi_val, tuple(dropped.tolist()))
-
-    raise ValueError(f"unknown method {method!r} (choose from {ALL_METHODS})")
+        # the program is on the n-scale; report the per-observation criterion
+        program, scale = crit.lama_program(sub, s2, xi_val), sub.n
+    report = solve_simplex_qp(program.A, program.b)
+    w = _scatter(M, np.flatnonzero(keep), report.weights)
+    return WeightChoice(method, w, report.objective / scale, s2, xi_val, dropped)
 
 
 # ---------------------------------------------------------------------------
@@ -216,50 +230,61 @@ class SimulationConfig:
     truncate_loss: float | None = None  # cap per-replication relative losses
 
     def __post_init__(self):
-        object.__setattr__(self, "n_values", tuple(int(n) for n in self.n_values))
-        object.__setattr__(self, "r2_values", tuple(float(r) for r in self.r2_values))
-        if self.m_values is not None:
-            object.__setattr__(self, "m_values", tuple(int(m) for m in self.m_values))
-        object.__setattr__(self, "methods", tuple(m.lower() for m in self.methods))
+        for f in fields(self):
+            object.__setattr__(self, f.name, _conform(f.name, getattr(self, f.name), _CONFIG_TYPES[f.name]))
+        object.__setattr__(self, "methods", _method_tags(self.methods))
         if not self.n_values or min(self.n_values) < 4:
-            raise ValueError("need sample sizes of at least 4")
+            raise InputError("n_values", "need sample sizes of at least 4")
         if any(not 0.0 < r < 1.0 for r in self.r2_values):
-            raise ValueError("R-squared values must lie in (0, 1)")
+            raise InputError("r2_values", "R-squared values must lie in (0, 1)")
         if self.replications < 1:
-            raise ValueError("need at least one replication")
+            raise InputError("replications", "need at least one replication")
         if self.alpha <= 0.0:
-            raise ValueError("alpha must be positive")
+            raise InputError("alpha", "must be positive")
         m_max = max(self.m_values) if self.m_values else max(default_model_counts(max(self.n_values)))
         if self.p < m_max:
-            raise ValueError(f"p={self.p} smaller than the largest candidate count {m_max}")
-        unknown = set(self.methods) - set(ALL_METHODS)
-        if unknown:
-            raise ValueError(f"unknown methods {sorted(unknown)}")
+            raise InputError("p", f"{self.p} smaller than the largest candidate count {m_max}")
 
     def to_dict(self) -> dict:
-        return {
-            "n_values": list(self.n_values),
-            "r2_values": list(self.r2_values),
-            "alpha": self.alpha,
-            "p": self.p,
-            "m_values": None if self.m_values is None else list(self.m_values),
-            "replications": self.replications,
-            "seed": self.seed,
-            "methods": list(self.methods),
-            "test_size": self.test_size,
-            "exclude_boundary": self.exclude_boundary,
-            "truncate_loss": self.truncate_loss,
-        }
+        """Every field but ``Sigma`` as a plain JSON value (tuples become lists)."""
+        out = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "Sigma"}
+        return {k: list(v) if isinstance(v, tuple) else v for k, v in out.items()}
 
     @classmethod
     def from_dict(cls, d: dict) -> "SimulationConfig":
-        d = dict(d)
-        for key in ("n_values", "r2_values", "m_values", "methods"):
-            if d.get(key) is not None:
-                d[key] = tuple(d[key])
-        if d.get("Sigma") is not None:
-            d["Sigma"] = np.asarray(d["Sigma"], dtype=np.float64)
+        """Inverse of ``to_dict``: construction conforms JSON values to the field types."""
         return cls(**d)
+
+
+_CONFIG_TYPES = typing.get_type_hints(SimulationConfig)
+
+
+def _conform(field: str, value, hint):
+    """``value`` as the field type ``hint`` (lists become tuples), or InputError naming the field."""
+    union = typing.get_origin(hint) in (typing.Union, types.UnionType)
+    kinds = typing.get_args(hint) if union else (hint,)
+    if value is None and type(None) in kinds:
+        return None
+    kind = kinds[0]
+    many = typing.get_origin(kind) is tuple
+    try:
+        if kind is np.ndarray:
+            return np.asarray(value, dtype=np.float64)
+        if many and not isinstance(value, str):
+            return tuple(typing.get_args(kind)[0](v) for v in value)
+        if kind is bool and isinstance(value, (bool, np.bool_)) or kind in (int, float):
+            return kind(value)
+    except (TypeError, ValueError):
+        pass
+    want = ("list" if many else kind.__name__) + (" or null" if union else "")
+    raise InputError(field, f"expected {want}, got {value!r}")
+
+
+def _draw_design(rng, rows: int, cfg: SimulationConfig) -> np.ndarray:
+    body = rng.standard_normal((rows, cfg.p - 1))
+    if cfg.Sigma is not None:
+        body = body @ np.linalg.cholesky(cfg.Sigma).T
+    return np.column_stack([np.ones(rows), body])
 
 
 def generate_data(cfg: SimulationConfig, r2: float, rep: int, n: int | None = None, m: int | None = None):
@@ -270,23 +295,11 @@ def generate_data(cfg: SimulationConfig, r2: float, rep: int, n: int | None = No
     so each cell is reproducible on its own; n and m default to the config's
     first sample size and its largest candidate count.
     """
-    if n is None:
-        n = cfg.n_values[0]
+    n = cfg.n_values[0] if n is None else int(n)
     if m is None:
         m = max(cfg.m_values) if cfg.m_values is not None else max(default_model_counts(n))
-    return _generate(cfg, int(n), float(r2), int(m), int(rep))
-
-
-def _draw_design(rng, rows: int, cfg: SimulationConfig) -> np.ndarray:
-    body = rng.standard_normal((rows, cfg.p - 1))
-    if cfg.Sigma is not None:
-        body = body @ np.linalg.cholesky(cfg.Sigma).T
-    return np.column_stack([np.ones(rows), body])
-
-
-def _generate(cfg: SimulationConfig, n: int, r2: float, m: int, rep: int):
-    profile = PowerLawProfile.from_r2(r2, cfg.alpha, cfg.p)
-    theta = profile.coefficients(cfg.p)
+    m, r2, rep = int(m), float(r2), int(rep)
+    theta = PowerLawProfile.from_r2(r2, cfg.alpha, cfg.p).coefficients(cfg.p)
     rng_train = rng_for(cfg.seed, "train", n, m, r2, rep)
     rng_test = rng_for(cfg.seed, "test", n, m, r2, rep)
     X = _draw_design(rng_train, n, cfg)
@@ -327,32 +340,53 @@ def relative_losses(
     return rows, False
 
 
-def _sim_rep(args):
-    cfg, n, m, r2, rep = args
-    train, test, _, mu, mu_t = _generate(cfg, n, r2, m, rep)
-    sizes = np.arange(1, m + 1)
-    if cfg.exclude_boundary:
-        sizes = sizes[sizes != n]
-    cands = build_nested(np.arange(cfg.p), sizes)
+def _fit_and_weigh(train: Dataset, cands, designs, methods) -> dict:
+    """Fit every candidate on ``train`` and choose each method's weights.
+
+    Returns ``{"preds": [candidate predictions at each design], "choices":
+    {method: WeightChoice}}``, or ``{"failed": reason}`` when a fit or a
+    weight choice raises.  Runtime warnings (excluded candidates, floors)
+    are silenced, as the harnesses run many replications.
+    """
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             fits = fit_all(train, cands)
-            pred_tr = fits.predict(train.X)
-            pred_te = fits.predict(test.X)
-            ens_tr, ens_te = {}, {}
-            for method in cfg.methods:
-                w = compute_weights(fits, method).weights
-                ens_tr[method] = pred_tr @ w
-                ens_te[method] = pred_te @ w
+            preds = [fits.predict(X) for X in designs]
+            return {"preds": preds, "choices": {m: compute_weights(fits, m) for m in methods}}
     except (ValueError, np.linalg.LinAlgError) as exc:
         return {"failed": str(exc)}
-    rows, degenerate = relative_losses(ens_tr, ens_te, pred_tr, pred_te, mu, mu_t)
+
+
+def _mean_var(values) -> tuple[float, float]:
+    """Mean and ddof-1 variance of the surviving values: nan for both when
+    none survive, variance 0 for a single one."""
+    vals = np.asarray(values, dtype=np.float64)
+    if vals.size == 0:
+        return math.nan, math.nan
+    return float(np.mean(vals)), (float(np.var(vals, ddof=1)) if vals.size > 1 else 0.0)
+
+
+def _sim_rep(args):
+    cfg, n, m, r2, rep = args
+    train, test, _, mu, mu_t = generate_data(cfg, r2, rep, n, m)
+    sizes = np.arange(1, m + 1)
+    if cfg.exclude_boundary:
+        sizes = sizes[sizes != n]
+    fit = _fit_and_weigh(train, build_nested(np.arange(cfg.p), sizes), (train.X, test.X), cfg.methods)
+    if "failed" in fit:
+        return fit
+    (pred_tr, pred_te), choices = fit["preds"], fit["choices"]
+    rows, degenerate = relative_losses(
+        {k: pred_tr @ c.weights for k, c in choices.items()},
+        {k: pred_te @ c.weights for k, c in choices.items()},
+        pred_tr, pred_te, mu, mu_t,
+    )
     if degenerate:
         return {"degenerate": True}
     if cfg.truncate_loss is not None:
         cap = float(cfg.truncate_loss)
-        rows = {m_: (min(a, cap), min(b, cap)) for m_, (a, b) in rows.items()}
+        rows = {k: (min(a, cap), min(b, cap)) for k, (a, b) in rows.items()}
     return {"losses": rows}
 
 
@@ -366,29 +400,13 @@ def run_simulation(cfg: SimulationConfig, workers: int | None = None) -> list[di
     workers = worker_count() if workers is None else workers
     rows: list[dict] = []
     for n in cfg.n_values:
-        m_list = cfg.m_values if cfg.m_values is not None else default_model_counts(n)
-        for m in m_list:
-            if m > cfg.p:
-                raise ValueError(f"candidate count {m} exceeds p={cfg.p}")
+        for m in cfg.m_values if cfg.m_values is not None else default_model_counts(n):
             for r2 in cfg.r2_values:
                 tasks = [(cfg, n, m, r2, rep) for rep in range(cfg.replications)]
-                results = _pmap(_sim_rep, tasks, workers)
-                per_method = {method: [] for method in cfg.methods}
-                excluded = 0
-                for res in results:
-                    if "losses" not in res:
-                        excluded += 1
-                        continue
-                    for method, (li, lo) in res["losses"].items():
-                        per_method[method].append((li, lo))
+                kept = [res["losses"] for res in _pmap(_sim_rep, tasks, workers) if "losses" in res]
                 for method in cfg.methods:
-                    vals = np.asarray(per_method[method], dtype=np.float64)
-                    if vals.size == 0:
-                        mean_in = mean_out = var_out = float("nan")
-                    else:
-                        mean_in = float(np.mean(vals[:, 0]))
-                        mean_out = float(np.mean(vals[:, 1]))
-                        var_out = float(np.var(vals[:, 1], ddof=1)) if vals.shape[0] > 1 else 0.0
+                    mean_in, _ = _mean_var([loss[method][0] for loss in kept])
+                    mean_out, var_out = _mean_var([loss[method][1] for loss in kept])
                     rows.append(
                         {
                             "method": method,
@@ -398,7 +416,7 @@ def run_simulation(cfg: SimulationConfig, workers: int | None = None) -> list[di
                             "rel_loss_in_mean": mean_in,
                             "rel_loss_out_mean": mean_out,
                             "rel_loss_out_var": var_out,
-                            "excluded_reps": int(excluded),
+                            "excluded_reps": cfg.replications - len(kept),
                         }
                     )
     return rows
@@ -417,8 +435,21 @@ def simulation_csv(rows: list[dict], fh) -> None:
 # Real-data repeated splits
 
 
+def _nested_candidates(data: Dataset, n_fit: int, max_models: int | None = None):
+    """Regressors in Cp order on the full data, and the nested prefixes k = 1..M.
+
+    M = min(p, floor(0.9 n_fit)) for fits on ``n_fit`` rows, unless
+    ``max_models`` overrides it.  Returns (X with its columns in that order,
+    the candidate set).
+    """
+    M = min(data.p, math.floor(0.9 * n_fit)) if max_models is None else int(max_models)
+    if not 1 <= M <= data.p:
+        raise InputError("max_models", f"{M} not in [1, {data.p}]")
+    return data.X[:, order_by_cp(data)], build_nested(np.arange(data.p), np.arange(1, M + 1))
+
+
 def _real_split(args):
-    (X, Y, sizes, n_train, methods, seed, rep) = args
+    (X, Y, has_intercept, cands, n_train, methods, seed, rep) = args
     N = X.shape[0]
     rng = rng_for(seed, "real-split", n_train, rep)
     for _retry in range(100):
@@ -428,19 +459,13 @@ def _real_split(args):
             break
     else:
         return {"degenerate": True}
-    train = Dataset(Y=Y[tr], X=X[tr], has_intercept=bool(np.allclose(X[:, 0], 1.0)))
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            cands = build_nested(np.arange(X.shape[1]), sizes)
-            fits = fit_all(train, cands)
-            pred_te = fits.predict(X[te])
-            errs = {}
-            for method in methods:
-                w = compute_weights(fits, method).weights
-                errs[method] = float(np.sum((pred_te @ w - Y[te]) ** 2)) / (N - n_train)
-    except (ValueError, np.linalg.LinAlgError) as exc:
-        return {"failed": str(exc)}
+    fit = _fit_and_weigh(Dataset(Y=Y[tr], X=X[tr], has_intercept=has_intercept), cands, (X[te],), methods)
+    if "failed" in fit:
+        return fit
+    (pred_te,) = fit["preds"]
+    errs = {
+        k: float(np.sum((pred_te @ c.weights - Y[te]) ** 2)) / (N - n_train) for k, c in fit["choices"].items()
+    }
     return {"errors": errs, "retries": int(_retry)}
 
 
@@ -464,39 +489,26 @@ def evaluate_real(
     """
     N = data.n
     if not 2 <= n_train < N:
-        raise ValueError(f"n_train must be in [2, {N - 1}]")
-    methods = tuple(m.lower() for m in methods)
-    ordering = order_by_cp(data)
-    M = min(data.p, math.floor(0.9 * n_train)) if max_models is None else int(max_models)
-    if not 1 <= M <= data.p:
-        raise ValueError(f"max_models must be in [1, {data.p}]")
-    sizes = np.arange(1, M + 1)
-    X = data.X[:, ordering]
+        raise InputError("n_train", f"{n_train} not in [2, {N - 1}]")
+    methods = _method_tags(methods)
+    X, cands = _nested_candidates(data, n_train, max_models)
+    has_intercept = bool(np.allclose(X[:, 0], 1.0))
     workers = worker_count() if workers is None else workers
 
-    tasks = [(X, data.Y, sizes, n_train, methods, seed, rep) for rep in range(reps)]
-    results = _pmap(_real_split, tasks, workers)
-    per_method = {method: [] for method in methods}
-    excluded = 0
-    redraws = 0
-    for res in results:
-        if "errors" not in res:
-            excluded += 1
-            continue
-        redraws += res.get("retries", 0)
-        for method, err in res["errors"].items():
-            per_method[method].append(err)
+    tasks = [(X, data.Y, has_intercept, cands, n_train, methods, seed, rep) for rep in range(reps)]
+    kept = [res for res in _pmap(_real_split, tasks, workers) if "errors" in res]
+    redraws = sum(res["retries"] for res in kept)
     rows = []
     for method in methods:
-        vals = np.asarray(per_method[method], dtype=np.float64)
+        mean, var = _mean_var([res["errors"][method] for res in kept])
         rows.append(
             {
                 "method": method,
                 "n_train": int(n_train),
-                "test_err_mean": float(np.mean(vals)) if vals.size else float("nan"),
-                "test_err_var": float(np.var(vals, ddof=1)) if vals.size > 1 else 0.0,
-                "reps": int(vals.size),
-                "excluded": excluded,
+                "test_err_mean": mean,
+                "test_err_var": var,
+                "reps": len(kept),
+                "excluded": reps - len(kept),
                 "redraws": redraws,
             }
         )
@@ -525,7 +537,7 @@ def validate_rmt(n: int, c: float, reps: int, seed: int, theta: np.ndarray | Non
     it defaults to the first basis vector and is used only above it.
     """
     if n < 4:
-        raise ValueError("n too small")
+        raise InputError("n", f"{n} too small (need at least 4)")
     k = round(c * n)
     if k < 1 or k == n:
         raise ValueError(f"aspect ratio c={c} lands on the boundary (k={k}, n={n})")
@@ -534,7 +546,7 @@ def validate_rmt(n: int, c: float, reps: int, seed: int, theta: np.ndarray | Non
         theta = np.zeros(k)
         theta[0] = 1.0
     elif theta is not None and np.shape(theta) != (k,):
-        raise ValueError(f"theta must have length k={k} (c={c}, n={n}), got shape {np.shape(theta)}")
+        raise InputError("theta", f"must have length k={k} (c={c}, n={n}), got shape {np.shape(theta)}")
     retries = 0
     traces = []
     quads = []
@@ -555,36 +567,19 @@ def validate_rmt(n: int, c: float, reps: int, seed: int, theta: np.ndarray | Non
                 retries += 1
         else:
             raise np.linalg.LinAlgError("could not draw a nonsingular design in 20 tries")
-    report = {
-        "n": n,
-        "k": k,
-        "c": float(c),
-        "reps": reps,
-        "retries": retries,
-    }
+    def compare(empirical: float, theoretical: float) -> dict:
+        return {
+            "empirical": empirical,
+            "theoretical": theoretical,
+            "rel_error": abs(empirical - theoretical) / theoretical,
+        }
+
+    report = {"n": n, "k": k, "c": float(c), "reps": reps, "retries": retries}
     if over:
-        th_trace = 1.0 / (c - 1.0)
-        th_quad = float(theta @ theta) / c
-        emp_trace = float(np.mean(traces))
-        emp_quad = float(np.mean(quads))
-        report["trace_pinv"] = {
-            "empirical": emp_trace,
-            "theoretical": th_trace,
-            "rel_error": abs(emp_trace - th_trace) / th_trace,
-        }
-        report["signal_quadratic_form"] = {
-            "empirical": emp_quad,
-            "theoretical": th_quad,
-            "rel_error": abs(emp_quad - th_quad) / th_quad,
-        }
+        report["trace_pinv"] = compare(float(np.mean(traces)), 1.0 / (c - 1.0))
+        report["signal_quadratic_form"] = compare(float(np.mean(quads)), float(theta @ theta) / c)
     else:
-        th_trace = c / (1.0 - c)
-        emp_trace = float(np.mean(traces))
-        report["trace_inverse"] = {
-            "empirical": emp_trace,
-            "theoretical": th_trace,
-            "rel_error": abs(emp_trace - th_trace) / th_trace,
-        }
+        report["trace_inverse"] = compare(float(np.mean(traces)), c / (1.0 - c))
     return report
 
 
@@ -609,13 +604,13 @@ def validate_theorem1(
     theta = np.asarray(theta, dtype=np.float64).reshape(-1)
     p = theta.shape[0]
     if sizes[-1] > p:
-        raise ValueError("largest candidate exceeds the coefficient length")
+        raise InputError("sizes", "largest candidate exceeds the coefficient length")
     M = sizes.shape[0]
     w = np.full(M, 1.0 / M) if w is None else np.asarray(w, dtype=np.float64).reshape(-1)
     if w.shape[0] != M:
-        raise ValueError("weight length does not match candidate count")
+        raise InputError("w", "weight length does not match candidate count")
     if sigma2 < 0.0:
-        raise ValueError("sigma2 must be nonnegative")
+        raise InputError("sigma2", "must be nonnegative")
 
     c = sizes / float(n)
     sq = np.concatenate([[0.0], np.cumsum(theta**2)])

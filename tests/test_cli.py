@@ -1,7 +1,8 @@
 """Command-line interface: flag parsing, outputs, exit codes, determinism.
 
-Exit-code contract: 0 on success, 1 for usage problems (bad flags, missing
-files, malformed config), 2 for numerical failures inside a computation.
+Exit-code contract: 0 on success, 1 for usage problems (bad flags, flag or
+config values the library rejects, missing files, malformed config), 2 for
+numerical failures inside a computation.
 Output bytes must not depend on the worker count; that is checked through
 real subprocess runs with different LAMA_THREADS settings.
 """
@@ -54,6 +55,43 @@ class TestRangeParsing:
         assert code == 1
         assert out == ""
         assert "bad value" in err and "numerical failure" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, config, name",
+    [
+        (["eval", "--data", "crime", "--n-train", "18", "--methods", "mma,foo", "--reps", "5"], None,
+         "--methods"),
+        (["eval", "--data", "crime", "--n-train", "18", "--max-models", "999", "--reps", "2"], None,
+         "--max-models"),
+        (["eval", "--data", "crime", "--n-train", "1", "--reps", "2"], None, "--n-train"),
+        (["fit", "--data", "mtcars", "--max-models", "99"], None, "--max-models"),
+        (["fit", "--data", "mtcars", "--n-train", "1"], None, "--n-train"),
+        (["fit", "--data", "mtcars", "--methods", "foo"], None, "--methods"),
+        (["simulate", "--r2", "1.5"], None, "r2_values"),
+        (["simulate", "--reps", "0"], None, "replications"),
+        (["validate-rmt", "--n", "30", "--c", "0.5", "--theta", "1,2"], None, "--theta"),
+        (["simulate"], {"n_values": 5}, "n_values"),
+        (["simulate"], {"replications": "a"}, "replications"),
+        (["simulate"], {"methods": "mma"}, "methods"),
+    ],
+    ids=[
+        "eval-unknown-method", "eval-max-models", "eval-n-train", "fit-max-models", "fit-n-train",
+        "fit-unknown-method", "simulate-r2", "simulate-reps", "rmt-theta-length", "config-n-values-scalar",
+        "config-replications-string", "config-methods-string",
+    ],
+)
+def test_rejected_values_are_usage_errors(capsys, tmp_path, argv, config, name):
+    if config is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        argv = argv + ["--config", str(path)]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and name in errors[0], err
+    assert "unknown methods ['a', 'm']" not in err  # a bare string is not split into letters
 
 
 class TestSurfaceCommand:

@@ -7,15 +7,18 @@ for their exact closed-form targets and report shapes.
 """
 
 import io
+import pickle
 
 import numpy as np
 import pytest
 
 from lama import criteria as crit
+from lama import experiments as xp
 from lama.datasets import load_mtcars
 from lama.experiments import (
     ALL_METHODS,
     QUADRATIC_METHODS,
+    InputError,
     SimulationConfig,
     compute_weights,
     evaluate_real,
@@ -175,6 +178,24 @@ class TestSimulationConfig:
         with pytest.raises(ValueError, match="unknown methods"):
             SimulationConfig(**{**good, "methods": ("mma", "ridge")})
 
+    def test_values_are_conformed_or_rejected_by_field(self):
+        cfg = SimulationConfig(n_values=[8], r2_values=[1 / 2], p=16.0, alpha=1, m_values=[3])
+        assert (cfg.n_values, cfg.r2_values, cfg.p, cfg.alpha, cfg.m_values) == ((8,), (0.5,), 16, 1.0, (3,))
+        good = dict(n_values=(8,), r2_values=(0.5,), p=16)
+        for field, value in [
+            ("n_values", 5), ("replications", "a"), ("methods", "mma"), ("exclude_boundary", "yes"),
+            ("truncate_loss", "x"), ("seed", None),
+        ]:
+            with pytest.raises(InputError, match=f"^{field}: expected") as err:
+                SimulationConfig(**{**good, field: value})
+            assert err.value.field == field
+        assert "Sigma" not in SimulationConfig(**good).to_dict()
+
+    def test_input_error_survives_pickling(self):
+        err = pickle.loads(pickle.dumps(InputError("n_values", "need sample sizes of at least 4")))
+        assert isinstance(err, ValueError)
+        assert (err.field, str(err)) == ("n_values", "n_values: need sample sizes of at least 4")
+
     def test_roundtrip_through_plain_dict(self):
         cfg = SimulationConfig(
             n_values=(8, 16),
@@ -284,6 +305,15 @@ class TestRunSimulation:
         parallel = run_simulation(self.TINY, workers=2)
         assert serial == parallel  # dict equality is exact float equality
 
+    def test_failed_replications_are_counted_and_leave_nan(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise ValueError("weight choice failed")
+
+        monkeypatch.setattr(xp, "compute_weights", fail)
+        for r in run_simulation(self.TINY, workers=1):
+            assert r["excluded_reps"] == self.TINY.replications
+            assert np.isnan([r["rel_loss_in_mean"], r["rel_loss_out_mean"], r["rel_loss_out_var"]]).all()
+
     def test_loss_cap_applies(self):
         capped = SimulationConfig.from_dict(
             {**self.TINY.to_dict(), "truncate_loss": 0.5}
@@ -368,6 +398,21 @@ class TestEvaluateReal:
             evaluate_real(data, 32, reps=1, seed=0)
         with pytest.raises(ValueError, match="max_models"):
             evaluate_real(data, 25, reps=1, seed=0, max_models=99)
+
+    def test_unknown_methods_are_rejected_before_any_split(self, monkeypatch):
+        monkeypatch.setattr(xp, "_real_split", None)  # any split would raise TypeError
+        for methods, match in [(("mma", "foo"), r"unknown methods \['foo'\]"), ("mma", "string 'mma'")]:
+            with pytest.raises(InputError, match=match):
+                evaluate_real(load_mtcars(), 25, reps=3, seed=0, methods=methods, workers=1)
+
+    def test_no_surviving_split_reports_nan(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise ValueError("weight choice failed")
+
+        monkeypatch.setattr(xp, "compute_weights", fail)
+        (row,) = evaluate_real(load_mtcars(), 25, reps=3, seed=0, methods=("mma",), workers=1)
+        assert (row["reps"], row["excluded"]) == (0, 3)
+        assert np.isnan(row["test_err_mean"]) and np.isnan(row["test_err_var"])
 
     def test_csv_layout(self):
         data = load_mtcars()
