@@ -31,7 +31,7 @@ import numpy as np
 from . import datasets as ds
 from . import experiments as xp
 from .models import Dataset, load_csv
-from .risk_theory import PowerLawProfile, risk_surface
+from .risk_theory import InputError, PowerLawProfile, risk_surface
 
 __all__ = ["main", "run"]
 
@@ -42,7 +42,7 @@ class _Parser(argparse.ArgumentParser):
     # argparse exits with 2 on bad flags; the contract reserves 2 for
     # numerical failures, so route parse errors through InputError instead.
     def error(self, message):
-        raise xp.InputError(self.prog, message)
+        raise InputError(self.prog, message)
 
 
 def _parse_range(text: str) -> list[int]:
@@ -110,9 +110,9 @@ def _load_dataset(args) -> Dataset:
         return ds.load_builtin(name, standardize=standardize)
     path = Path(name)
     if not path.exists():
-        raise xp.InputError("--data", f"no such dataset {name!r} (path or one of {ds.available()})")
+        raise InputError("--data", f"no such dataset {name!r} (path or one of {ds.available()})")
     if args.response is None:
-        raise xp.InputError("--response", "required for dataset files")
+        raise InputError("--response", "required for dataset files")
     data = load_csv(path, response=args.response)
     return ds.standardize_dataset(data) if standardize else data
 
@@ -155,10 +155,10 @@ def _cmd_simulate(args) -> int:
         with open(args.config) as fh:
             config_vals = json.load(fh)
         if not isinstance(config_vals, dict):
-            raise xp.InputError(args.config, "config must be a JSON object")
+            raise InputError(args.config, "config must be a JSON object")
         unknown = set(config_vals) - set(merged)
         if unknown:
-            raise xp.InputError(args.config, f"unknown config field(s): {sorted(unknown)}")
+            raise InputError(args.config, f"unknown config field(s): {sorted(unknown)}")
 
     # Flag values are lists, not tuples, so that they compare equal to JSON ones.
     for key, dest in dests.items():
@@ -194,7 +194,7 @@ def _cmd_fit(args) -> int:
     data = _load_dataset(args)
     n_fit = data.n if args.n_train is None else args.n_train
     if not 2 <= n_fit <= data.n:
-        raise xp.InputError("n_train", f"{n_fit} not in [2, {data.n}]")
+        raise InputError("n_train", f"{n_fit} not in [2, {data.n}]")
     X, cands = xp._nested_candidates(data, n_fit, args.max_models)
     Y = data.Y
     if args.n_train is not None:
@@ -353,7 +353,7 @@ def run(argv=None) -> int:
             parser.print_usage(sys.stderr)
             return 1
         return args.func(args)
-    except xp.InputError as exc:
+    except InputError as exc:
         # Name the flag of that name when it set the value; with a config file
         # the value may come from either, so keep the config field's name.
         field = exc.field

@@ -23,7 +23,7 @@ import numpy as np
 from . import criteria as crit
 from .models import Dataset, build_nested, default_model_counts, fit_all, order_by_cp
 from .qp import solve_simplex_qp
-from .risk_theory import PowerLawProfile, RiskMatrices, _theorem1_entries, asymptotic_risk
+from .risk_theory import InputError, PowerLawProfile, RiskMatrices, _theorem1_entries, asymptotic_risk
 
 __all__ = [
     "rng_for",
@@ -45,21 +45,6 @@ __all__ = [
 
 QUADRATIC_METHODS = ("mma", "jma", "lama")
 ALL_METHODS = QUADRATIC_METHODS + ("aic", "bic", "saic", "sbic", "uniform")
-
-
-class InputError(ValueError):
-    """A bad argument or config value: ``InputError(field, problem)``.
-
-    ``field`` names the argument or config field at fault; the CLI exits 1
-    on these and 2 on every other ``ValueError``.
-    """
-
-    @property
-    def field(self) -> str:
-        return self.args[0]
-
-    def __str__(self) -> str:
-        return f"{self.args[0]}: {self.args[1]}"
 
 
 def _method_tags(methods) -> tuple[str, ...]:
@@ -539,7 +524,9 @@ def validate_rmt(n: int, c: float, reps: int, seed: int, theta: np.ndarray | Non
     if n < 4:
         raise InputError("n", f"{n} too small (need at least 4)")
     k = round(c * n)
-    if k < 1 or k == n:
+    if k < 1:
+        raise InputError("c", f"{c} too small for n={n}: k = round(c n) = {k}, need at least 1")
+    if k == n:
         raise ValueError(f"aspect ratio c={c} lands on the boundary (k={k}, n={n})")
     over = k > n
     if theta is None and over:

@@ -45,10 +45,25 @@ __all__ = [
 BOUNDARY_DELTA = 1e-8
 
 
+class InputError(ValueError):
+    """A bad argument or config value: ``InputError(field, problem)``.
+
+    ``field`` names the argument or config field at fault; the CLI exits 1
+    on these and 2 on every other ``ValueError``.
+    """
+
+    @property
+    def field(self) -> str:
+        return self.args[0]
+
+    def __str__(self) -> str:
+        return f"{self.args[0]}: {self.args[1]}"
+
+
 def _positive(x: float, name: str) -> float:
     x = float(x)
     if not np.isfinite(x) or x <= 0.0:
-        raise ValueError(f"{name} must be a positive finite number, got {x}")
+        raise InputError(name, f"must be a positive finite number, got {x}")
     return x
 
 
@@ -315,17 +330,23 @@ def asymptotic_risk(w: np.ndarray, matrices: RiskMatrices) -> tuple[float, float
     Infinite entries met with exactly zero weight contribute nothing; any
     infinite entry with positive weight on both sides makes the part +inf.
     """
+    return _risk_parts(w, matrices.variance, matrices.bias, np.arange(matrices.variance.shape[0]))
+
+
+def _risk_parts(w, V, B, rows: np.ndarray) -> tuple[float, float, float]:
+    """asymptotic_risk of weights ``w`` on rows and columns ``rows`` of V and B."""
     w = np.asarray(w, dtype=np.float64).reshape(-1)
-    V, B = matrices.variance, matrices.bias
-    if w.shape[0] != V.shape[0]:
+    if w.shape[0] != rows.shape[0]:
         raise ValueError("weight length does not match matrices")
     if np.any(w < -1e-12) or abs(w.sum() - 1.0) > 1e-8:
         raise ValueError("weights must lie on the probability simplex")
     active = w > 0.0
     wa = w[active]
+    idx = rows[active]
     parts = []
     for A in (B, V):
-        Aa = A[np.ix_(active, active)]
+        # Rows, then columns, then C order: the A[np.ix_(idx, idx)] array, gathered faster.
+        Aa = np.ascontiguousarray(A[idx][:, idx])
         parts.append(np.inf if np.any(np.isinf(Aa)) else float(wa @ Aa @ wa))
     bias_part, var_part = parts
     return bias_part + var_part, bias_part, var_part
@@ -362,18 +383,21 @@ class PowerLawProfile:
 
     def __post_init__(self):
         if self.truncate < 1:
-            raise ValueError("truncate must be at least 1")
-        if self.scale < 0.0:
-            raise ValueError("scale must be nonnegative")
+            raise InputError("truncate", f"must be at least 1, got {self.truncate}")
+        if not np.isfinite(self.exponent):
+            raise InputError("exponent", f"must be finite, got {self.exponent}")
+        if not (np.isfinite(self.scale) and self.scale >= 0.0):
+            raise InputError("scale", f"must be nonnegative and finite, got {self.scale}")
 
     @classmethod
     def from_snr(cls, snr: float, exponent: float, sigma2: float = 1.0, truncate: int = 400):
         """Scale chosen so the total squared norm equals snr * sigma2."""
-        if snr <= 0.0 or sigma2 <= 0.0:
-            raise ValueError("snr and sigma2 must be positive")
+        target = _positive(snr, "snr") * _positive(sigma2, "sigma2")
+        # Check exponent and truncate first: truncate < 1 would make base 0.
+        cls(exponent=exponent, scale=0.0, truncate=truncate)
         j = np.arange(1, truncate + 1, dtype=np.float64)
         base = float(np.sum(j ** (-2.0 * exponent)))
-        return cls(exponent=exponent, scale=float(np.sqrt(snr * sigma2 / base)), truncate=truncate)
+        return cls(exponent=exponent, scale=float(np.sqrt(target / base)), truncate=truncate)
 
     @classmethod
     def from_r2(cls, r2: float, alpha: float, p: int):
@@ -381,9 +405,10 @@ class PowerLawProfile:
         constant g chosen so that the population R-squared g^2/(1+g^2)
         equals r2 (unit noise)."""
         if not 0.0 < r2 < 1.0:
-            raise ValueError("r2 must lie in (0, 1)")
-        if alpha <= 0.0:
-            raise ValueError("alpha must be positive")
+            raise InputError("r2", f"must lie in (0, 1), got {r2}")
+        alpha = _positive(alpha, "alpha")
+        if p < 1:
+            raise InputError("p", f"must be at least 1, got {p}")
         g = np.sqrt(r2 / (1.0 - r2))
         return cls(exponent=alpha + 0.5, scale=float(g * np.sqrt(2.0 * alpha)), truncate=p)
 
@@ -459,6 +484,10 @@ def risk_surface(
     With ``exclude_singular`` the k = n candidate is dropped from cells where
     M >= n, which is the conventional way to plot equal-weight surfaces that
     would otherwise diverge on the diagonal.
+
+    The limit matrices are built and validated once per n, at the largest M;
+    each cell reads their leading M x M block (less row and column n when
+    excluded), equal entry for entry to a per-cell build.
     """
     n_values = np.asarray(n_values, dtype=np.int64).reshape(-1)
     m_values = np.asarray(m_values, dtype=np.int64).reshape(-1)
@@ -469,48 +498,38 @@ def risk_surface(
         raise ValueError("grid values must be positive")
 
     tag = weighting if isinstance(weighting, str) else getattr(weighting, "__name__", "custom")
-    cells = n_values.size * m_values.size
-    out_n = np.empty(cells, dtype=np.int64)
-    out_m = np.empty(cells, dtype=np.int64)
-    risk = np.empty(cells)
-    bias = np.empty(cells)
-    var = np.empty(cells)
-    excl = np.zeros(cells, dtype=bool)
-
-    i = 0
-    for n in n_values:
-        for m in m_values:
-            out_n[i], out_m[i] = n, m
-
-            if weighting == "single":
-                bias[i], var[i] = _single_parts(m / float(n), float(profile.prefix_norm2(m)), sigma2)
-                risk[i] = bias[i] + var[i]
-                i += 1
-                continue
-
-            sizes = np.arange(1, m + 1)
-            if exclude_singular and m >= n:
-                sizes = sizes[sizes != n]
-                excl[i] = True
-                if sizes.size == 0:
-                    raise ValueError(f"cell (n={n}, M={m}) has no candidates left")
+    out_n = np.repeat(n_values, m_values.size)
+    out_m = np.tile(m_values, n_values.size)
+    excl = (out_m >= out_n) & (bool(exclude_singular) and weighting != "single")
+    parts = np.empty((out_n.size, 3))  # risk, bias, variance of each cell
+    sizes = np.arange(1, int(m_values.max()) + 1)
+    for i, (n, m) in enumerate(zip(out_n, out_m)):
+        if weighting == "single":
+            b, v = _single_parts(m / float(n), float(profile.prefix_norm2(m)), sigma2)
+            parts[i] = b + v, b, v
+            continue
+        if i % m_values.size == 0:  # first cell of this n: its matrices at the largest M
             c = sizes / float(n)
             norms2 = profile.prefix_norm2(sizes)
-            re2 = profile.total_norm2() - norms2
-            DV, DB = _theorem1_entries(c, norms2, re2, sigma2)
-            mats = RiskMatrices(variance=DV, bias=DB)
-            if weighting == "equal":
-                w = np.full(sizes.shape[0], 1.0 / sizes.shape[0])
-            elif weighting == "variance_penalized":
-                w = variance_penalized_weights(np.diag(DV))
-            elif callable(weighting):
-                w = np.asarray(weighting(c, mats), dtype=np.float64)
-            else:
-                raise ValueError(f"unknown weighting rule {weighting!r}")
-            risk[i], bias[i], var[i] = asymptotic_risk(w, mats)
-            i += 1
+            DV, DB = _theorem1_entries(c, norms2, profile.total_norm2() - norms2, sigma2)
+            RiskMatrices(variance=DV, bias=DB)  # validates every cell's block at once
+        rows = np.arange(m)
+        if excl[i]:
+            rows = rows[rows != n - 1]
+            if rows.size == 0:
+                raise ValueError(f"cell (n={n}, M={m}) has no candidates left")
+        if weighting == "equal":
+            w = np.full(rows.shape[0], 1.0 / rows.shape[0])
+        elif weighting == "variance_penalized":
+            w = variance_penalized_weights(DV[rows, rows])
+        elif callable(weighting):
+            cell = np.ix_(rows, rows)
+            w = weighting(c[rows], RiskMatrices(variance=DV[cell], bias=DB[cell]))
+        else:
+            raise ValueError(f"unknown weighting rule {weighting!r}")
+        parts[i] = _risk_parts(w, DV, DB, rows)
 
     return RiskSurface(
-        n=out_n, M=out_m, weighting=tag, risk=risk, bias=bias, variance=var,
+        n=out_n, M=out_m, weighting=tag, risk=parts[:, 0], bias=parts[:, 1], variance=parts[:, 2],
         excluded_singular=excl,
     )

@@ -74,11 +74,17 @@ class TestRangeParsing:
         (["simulate"], {"n_values": 5}, "n_values"),
         (["simulate"], {"replications": "a"}, "replications"),
         (["simulate"], {"methods": "mma"}, "methods"),
+        (["surface", "--n-range", "20", "--m-range", "10", "--truncate", "0"], None, "--truncate"),
+        (["surface", "--n-range", "20", "--m-range", "10", "--snr", "nan"], None, "--snr"),
+        (["surface", "--n-range", "20", "--m-range", "10", "--r2", "1.5"], None, "--r2"),
+        (["surface", "--n-range", "20", "--m-range", "10", "--sigma2", "0"], None, "--sigma2"),
+        (["validate-rmt", "--n", "30", "--c", "0.01"], None, "--c"),
     ],
     ids=[
         "eval-unknown-method", "eval-max-models", "eval-n-train", "fit-max-models", "fit-n-train",
         "fit-unknown-method", "simulate-r2", "simulate-reps", "rmt-theta-length", "config-n-values-scalar",
-        "config-replications-string", "config-methods-string",
+        "config-replications-string", "config-methods-string", "surface-truncate", "surface-snr",
+        "surface-r2", "surface-sigma2", "rmt-c-too-small",
     ],
 )
 def test_rejected_values_are_usage_errors(capsys, tmp_path, argv, config, name):

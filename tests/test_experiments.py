@@ -453,6 +453,8 @@ class TestValidateRmt:
             validate_rmt(10, 1.0, reps=1, seed=0)
         with pytest.raises(ValueError, match="too small"):
             validate_rmt(2, 0.5, reps=1, seed=0)
+        with pytest.raises(InputError, match="^c: 0.01 too small for n=30"):
+            validate_rmt(30, 0.01, reps=1, seed=0)
 
     def test_deterministic(self):
         assert validate_rmt(30, 0.5, 2, 9) == validate_rmt(30, 0.5, 2, 9)

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from lama.risk_theory import (
     BOUNDARY_DELTA,
+    InputError,
     PowerLawProfile,
     RiskMatrices,
     TheoreticalRiskModel,
@@ -524,6 +525,26 @@ class TestPowerLawProfile:
         with pytest.raises(ValueError):
             PowerLawProfile.from_snr(0.0, 0.6)
 
+    @pytest.mark.parametrize(
+        "build, field",
+        [
+            (lambda: PowerLawProfile.from_snr(1.0, 0.6, truncate=0), "truncate"),
+            (lambda: PowerLawProfile.from_snr(np.nan, 0.6), "snr"),
+            (lambda: PowerLawProfile.from_snr(np.inf, 0.6), "snr"),
+            (lambda: PowerLawProfile.from_snr(1.0, 0.6, sigma2=0.0), "sigma2"),
+            (lambda: PowerLawProfile.from_snr(1.0, np.nan), "exponent"),
+            (lambda: PowerLawProfile.from_r2(1.5, 0.5, 400), "r2"),
+            (lambda: PowerLawProfile.from_r2(np.nan, 0.5, 400), "r2"),
+            (lambda: PowerLawProfile.from_r2(0.5, np.inf, 400), "alpha"),
+            (lambda: PowerLawProfile.from_r2(0.5, 0.5, 0), "p"),
+            (lambda: PowerLawProfile(exponent=1.0, scale=np.nan), "scale"),
+        ],
+    )
+    def test_bad_values_are_input_errors_naming_the_field(self, build, field):
+        with pytest.raises(InputError) as err:
+            build()
+        assert err.value.field == field
+
 
 @pytest.fixture(scope="module")
 def snr_profile():
@@ -607,6 +628,41 @@ class TestRiskSurface:
             risk_surface([], [10], snr_profile)
         with pytest.raises(ValueError, match="positive"):
             risk_surface([0], [10], snr_profile)
+
+    @pytest.mark.parametrize("exclude", [False, True])
+    @pytest.mark.parametrize("weighting", ["equal", "variance_penalized", "callable"])
+    def test_every_cell_equals_a_per_cell_rebuild(self, snr_profile, weighting, exclude):
+        # Unsorted and duplicated M, with M < n, M = n and M > n for both n.
+        n_values, m_values = [12, 7], [15, 3, 12, 7, 3, 20, 1, 15]
+
+        def tilted(c, mats):
+            d = np.diag(mats.variance + mats.bias)
+            w = np.where(np.isfinite(d), 1.0 / (1.0 + c), 0.0)
+            return w / w.sum()
+
+        rule = tilted if weighting == "callable" else weighting
+        surface = risk_surface(
+            n_values, m_values, snr_profile, sigma2=1.3, weighting=rule, exclude_singular=exclude
+        )
+        theta = snr_profile.coefficients(snr_profile.truncate)
+        cells = [(n, m) for n in n_values for m in m_values]
+        for i, (n, m) in enumerate(cells):
+            sizes = np.arange(1, m + 1)
+            if exclude and m >= n:
+                sizes = sizes[sizes != n]
+            mats = theorem1_matrices(TheoreticalRiskModel.from_sizes(sizes, n, theta, 1.3))
+            if weighting == "equal":
+                w = np.full(sizes.size, 1.0 / sizes.size)
+            elif weighting == "variance_penalized":
+                w = variance_penalized_weights(np.diag(mats.variance))
+            else:
+                w = tilted(sizes / float(n), mats)
+            assert (surface.n[i], surface.M[i], surface.excluded_singular[i]) == (
+                n, m, exclude and m >= n
+            )
+            assert (surface.risk[i], surface.bias[i], surface.variance[i]) == asymptotic_risk(w, mats)
+        if weighting == "equal" and not exclude:
+            assert surface.risk[cells.index((12, 12))] == np.inf
 
     def test_csv_layout(self, snr_profile):
         surface = risk_surface([20], [10, 20], snr_profile, exclude_singular=True)
