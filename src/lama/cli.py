@@ -24,6 +24,7 @@ import argparse
 import json
 import sys
 import warnings
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -117,13 +118,32 @@ def _load_dataset(args) -> Dataset:
     return ds.standardize_dataset(data) if standardize else data
 
 
+@contextmanager
+def _as_flags(flags: dict[str, str]):
+    """Re-raise an InputError on a library field under the flag that set it."""
+    try:
+        yield
+    except InputError as exc:
+        if exc.field not in flags:
+            raise
+        raise InputError(flags[exc.field], exc.args[1]) from None
+
+
+# The flag behind each PowerLawProfile field, per parameterization: the user
+# types --decay or --alpha, never "exponent", and the scale overflows only
+# through --snr (times --sigma2) or --alpha.
+_PROFILE_FLAGS = {"snr": {"exponent": "--decay", "scale": "--snr"}, "r2": {"scale": "--alpha"}}
+
+
 def _profile_from(args) -> PowerLawProfile:
     if args.r2 is not None:
         alpha = 0.5 if args.alpha is None else args.alpha
-        return PowerLawProfile.from_r2(args.r2, alpha, args.p)
+        with _as_flags(_PROFILE_FLAGS["r2"]):
+            return PowerLawProfile.from_r2(args.r2, alpha, args.p)
     snr = 1.0 if args.snr is None else args.snr
     decay = 0.6 if args.decay is None else args.decay
-    return PowerLawProfile.from_snr(snr, decay, sigma2=args.sigma2, truncate=args.truncate)
+    with _as_flags(_PROFILE_FLAGS["snr"]):
+        return PowerLawProfile.from_snr(snr, decay, sigma2=args.sigma2, truncate=args.truncate)
 
 
 # ---------------------------------------------------------------------------
@@ -132,14 +152,15 @@ def _profile_from(args) -> PowerLawProfile:
 
 def _cmd_surface(args) -> int:
     profile = _profile_from(args)
-    surf = risk_surface(
-        args.n_range,
-        args.m_range,
-        profile,
-        sigma2=args.sigma2,
-        weighting=_WEIGHTINGS[args.weights],
-        exclude_singular=args.exclude_singular,
-    )
+    with _as_flags({"n_values": "--n-range", "m_values": "--m-range"}):
+        surf = risk_surface(
+            args.n_range,
+            args.m_range,
+            profile,
+            sigma2=args.sigma2,
+            weighting=_WEIGHTINGS[args.weights],
+            exclude_singular=args.exclude_singular,
+        )
     return _write_out(args.out, surf.to_csv)
 
 

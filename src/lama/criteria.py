@@ -17,6 +17,14 @@ e_q'e_l = RSS_max(q,l).  The Mallows and large-model programs are therefore
 built from ``rss`` and ``sizes`` alone, in O(M^2).  Only the jackknife
 program reads the n x M residuals: its leave-one-out residuals
 e_iq / (1 - h_iq) have no such reduction.
+
+The nesting also makes the Mallows and large-model programs banded in the
+cumulative weights C_i = w_0 + ... + w_i, and each carries that form
+(``QuadraticProgram.cumulative``, derived in ``lama.qp``) for the solver:
+Mallows is isotonic regression, solved by pool-adjacent-violators, and the
+large-model program is tridiagonal.  The jackknife program has no such form
+and goes to the general solver.  The dense A and b stay the definition:
+they give the objective and the certificate of every solve.
 """
 
 from __future__ import annotations
@@ -28,6 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .models import ModelFits
+from .qp import CumulativeForm
 
 __all__ = [
     "QuadraticProgram",
@@ -67,11 +76,16 @@ class SingularLooError(ValueError):
 
 @dataclass(frozen=True)
 class QuadraticProgram:
-    """Criterion w'Aw + b'w + offset over M candidates."""
+    """Criterion w'Aw + b'w + offset over M candidates.
+
+    ``cumulative``, when set, is the same program in cumulative weights
+    (see ``lama.qp``), which the nesting makes banded.
+    """
 
     A: np.ndarray
     b: np.ndarray
     offset: float = 0.0
+    cumulative: CumulativeForm | None = None
 
     def __post_init__(self):
         A = np.asarray(self.A, dtype=np.float64)
@@ -160,7 +174,10 @@ def mma_program(fits: ModelFits, sigma2_hat: float) -> QuadraticProgram:
         raise ValueError("sigma2_hat must be finite and nonnegative")
     A = _residual_gram(fits) / fits.n
     b = 2.0 * sigma2_hat * fits.sizes / fits.n
-    return QuadraticProgram(A=A, b=b)
+    # RSS_max(q,l) is max-type and b linear: d_i = (RSS_i - RSS_{i+1}) / n,
+    # e_i = -(b_{i+1} - b_i).
+    form = CumulativeForm(d=-np.diff(fits.rss) / fits.n, e=-np.diff(b))
+    return QuadraticProgram(A=A, b=b, cumulative=form)
 
 
 def loo_flagged(fits: ModelFits, guard: float = LEVERAGE_GUARD) -> np.ndarray:
@@ -231,8 +248,17 @@ def lama_program(fits: ModelFits, sigma2_hat: float, xi_value: float) -> Quadrat
     kmax = np.maximum.outer(sizes, sizes)
     kmin = np.minimum.outer(sizes, sizes)
     A = _residual_gram(fits) + sigma2_hat * (kmax + n * kmin / (n - kmin))
-    A[np.diag_indices_from(A)] += xi_value * sigma2_hat * n * sizes / (n - sizes)
-    return QuadraticProgram(A=A, b=np.zeros(fits.M))
+    h = n * sizes / (n - sizes)
+    A[np.diag_indices_from(A)] += xi_value * sigma2_hat * h
+    # RSS + sigma2 k is max-type and sigma2 h min-type; together their C_i^2
+    # coefficient is the nonnegative RSS_i - RSS_{i+1} + sigma2 (h - k)_{i+1} - sigma2 (h - k)_i,
+    # with h - k = k^2 / (n - k).
+    form = CumulativeForm(
+        d=-np.diff(fits.rss) + sigma2_hat * np.diff(sizes**2 / (n - sizes)),
+        e=-2.0 * sigma2_hat * np.diff(h),
+        r=xi_value * sigma2_hat * h,
+    )
+    return QuadraticProgram(A=A, b=np.zeros(fits.M), cumulative=form)
 
 
 def lama_criterion_value(

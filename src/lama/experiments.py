@@ -22,7 +22,7 @@ import numpy as np
 
 from . import criteria as crit
 from .models import Dataset, build_nested, default_model_counts, fit_all, order_by_cp
-from .qp import solve_simplex_qp
+from .qp import solve_cumulative_qp, solve_simplex_qp
 from .risk_theory import InputError, PowerLawProfile, RiskMatrices, _theorem1_entries, asymptotic_risk
 
 __all__ = [
@@ -112,7 +112,8 @@ class WeightChoice:
 
     Candidates a method cannot handle (interpolating ones, for the
     leave-one-out and large-model criteria) carry weight 0 and appear in
-    ``excluded``.
+    ``excluded``.  The quadratic methods keep their solve's ``status`` and
+    ``kkt_residual``; ``to_record`` leaves both out.
     """
 
     method: str
@@ -121,6 +122,8 @@ class WeightChoice:
     sigma2_hat: float | None = None
     xi: float | None = None
     excluded: tuple[int, ...] = ()
+    status: str | None = None
+    kkt_residual: float | None = None
 
     def to_record(self) -> dict:
         return {
@@ -136,6 +139,13 @@ def _scatter(length: int, idx: np.ndarray, values: np.ndarray) -> np.ndarray:
     out = np.zeros(length)
     out[idx] = values
     return out
+
+
+def _solve(program):
+    """The program's report: banded solvers in cumulative weights where the nesting gives them."""
+    if program.cumulative is None:
+        return solve_simplex_qp(program.A, program.b)
+    return solve_cumulative_qp(program.A, program.b, program.cumulative)
 
 
 # Candidates each criterion cannot score: (criterion name, what every dropped candidate does).
@@ -164,9 +174,9 @@ def compute_weights(
     if method != "jma":
         s2 = crit.sigma_hat(fits) if sigma2_hat is None else sigma2_hat
     if method == "mma":
-        program = crit.mma_program(fits, s2)
-        report = solve_simplex_qp(program.A, program.b)
-        return WeightChoice(method, report.weights, report.objective, s2)
+        report = _solve(crit.mma_program(fits, s2))
+        return WeightChoice(method, report.weights, report.objective, s2,
+                            status=report.status, kkt_residual=report.kkt_residual)
 
     keep = ~crit.loo_flagged(fits) if method == "jma" else fits.sizes < fits.n
     dropped = tuple(np.flatnonzero(~keep).tolist())
@@ -186,9 +196,10 @@ def compute_weights(
             xi_val = float(xi_override)
         # the program is on the n-scale; report the per-observation criterion
         program, scale = crit.lama_program(sub, s2, xi_val), sub.n
-    report = solve_simplex_qp(program.A, program.b)
+    report = _solve(program)
     w = _scatter(M, np.flatnonzero(keep), report.weights)
-    return WeightChoice(method, w, report.objective / scale, s2, xi_val, dropped)
+    return WeightChoice(method, w, report.objective / scale, s2, xi_val, dropped, report.status,
+                        report.kkt_residual)
 
 
 # ---------------------------------------------------------------------------
@@ -523,6 +534,8 @@ def validate_rmt(n: int, c: float, reps: int, seed: int, theta: np.ndarray | Non
     """
     if n < 4:
         raise InputError("n", f"{n} too small (need at least 4)")
+    if not np.isfinite(c):
+        raise InputError("c", f"must be finite, got {c}")
     k = round(c * n)
     if k < 1:
         raise InputError("c", f"{c} too small for n={n}: k = round(c n) = {k}, need at least 1")

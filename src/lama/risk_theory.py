@@ -387,7 +387,7 @@ class PowerLawProfile:
         if not np.isfinite(self.exponent):
             raise InputError("exponent", f"must be finite, got {self.exponent}")
         if not (np.isfinite(self.scale) and self.scale >= 0.0):
-            raise InputError("scale", f"must be nonnegative and finite, got {self.scale}")
+            raise InputError("scale", f"coefficient scale must be nonnegative and finite, got {self.scale}")
 
     @classmethod
     def from_snr(cls, snr: float, exponent: float, sigma2: float = 1.0, truncate: int = 400):
@@ -492,10 +492,11 @@ def risk_surface(
     n_values = np.asarray(n_values, dtype=np.int64).reshape(-1)
     m_values = np.asarray(m_values, dtype=np.int64).reshape(-1)
     sigma2 = _positive(sigma2, "sigma2")
-    if n_values.size == 0 or m_values.size == 0:
-        raise ValueError("grid must be non-empty")
-    if np.any(n_values < 1) or np.any(m_values < 1):
-        raise ValueError("grid values must be positive")
+    for name, values in (("n_values", n_values), ("m_values", m_values)):
+        if values.size == 0:
+            raise InputError(name, "grid must be non-empty")
+        if np.any(values < 1):
+            raise InputError(name, f"grid values must be positive, got {int(values.min())}")
 
     tag = weighting if isinstance(weighting, str) else getattr(weighting, "__name__", "custom")
     out_n = np.repeat(n_values, m_values.size)

@@ -10,7 +10,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from lama.models import Dataset, build_nested, fit_all
+from lama.models import Dataset, ModelFits, build_nested, fit_all
 
 
 def make_fits(seed, n=24, sizes=(1, 3, 6, 10), p=None, noise=1.0):
@@ -22,6 +22,28 @@ def make_fits(seed, n=24, sizes=(1, 3, 6, 10), p=None, noise=1.0):
     Y = X @ theta + noise * rng.standard_normal(n)
     data = Dataset(Y=Y, X=X)
     return fit_all(data, build_nested(np.arange(p), sizes)), data, theta
+
+
+def summary_fits(n, sizes, rss):
+    """Candidate summaries with prescribed sizes and residual norms.
+
+    Residual columns are scaled constant vectors so each column's squared
+    norm equals the requested value; only the fields the criteria read are
+    meaningful.
+    """
+    sizes = np.asarray(sizes, dtype=np.int64)
+    rss = np.asarray(rss, dtype=np.float64)
+    E = np.sqrt(rss / n)[None, :] * np.ones((n, sizes.size))
+    return ModelFits(
+        n=n,
+        sizes=sizes,
+        ordering=np.arange(int(sizes.max())),
+        coefs=tuple(np.zeros(int(k)) for k in sizes),
+        residuals=E,
+        leverages=np.tile(sizes / n, (n, 1)).astype(np.float64),
+        rss=rss,
+        ranks=sizes.copy(),
+    )
 
 
 def simplex_grid(M, step=0.01):

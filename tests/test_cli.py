@@ -79,12 +79,21 @@ class TestRangeParsing:
         (["surface", "--n-range", "20", "--m-range", "10", "--r2", "1.5"], None, "--r2"),
         (["surface", "--n-range", "20", "--m-range", "10", "--sigma2", "0"], None, "--sigma2"),
         (["validate-rmt", "--n", "30", "--c", "0.01"], None, "--c"),
+        (["surface", "--n-range", "0", "--m-range", "5"], None, "--n-range"),
+        (["surface", "--n-range", "20", "--m-range", "0"], None, "--m-range"),
+        (["validate-rmt", "--n", "30", "--c", "nan"], None, "--c"),
+        (["surface", "--n-range", "20", "--m-range", "10", "--decay", "nan"], None, "--decay"),
+        (["surface", "--n-range", "20", "--m-range", "10", "--snr", "1e308", "--sigma2", "1e308"], None,
+         "--snr"),
+        (["surface", "--n-range", "20", "--m-range", "10", "--r2", "0.5", "--alpha", "1e308"], None,
+         "--alpha"),
     ],
     ids=[
         "eval-unknown-method", "eval-max-models", "eval-n-train", "fit-max-models", "fit-n-train",
         "fit-unknown-method", "simulate-r2", "simulate-reps", "rmt-theta-length", "config-n-values-scalar",
         "config-replications-string", "config-methods-string", "surface-truncate", "surface-snr",
-        "surface-r2", "surface-sigma2", "rmt-c-too-small",
+        "surface-r2", "surface-sigma2", "rmt-c-too-small", "surface-n-range", "surface-m-range", "rmt-c-nan",
+        "surface-decay-nan", "surface-scale-overflow", "surface-alpha-overflow",
     ],
 )
 def test_rejected_values_are_usage_errors(capsys, tmp_path, argv, config, name):

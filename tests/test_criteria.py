@@ -33,32 +33,10 @@ from lama.criteria import (
     xi,
 )
 from lama.linalg import min_norm_ls
-from lama.models import Dataset, ModelFits, build_nested, fit_all
+from lama.models import Dataset, build_nested, fit_all
 from lama.qp import solve_simplex_qp
 
-from conftest import make_fits
-
-
-def summary_fits(n, sizes, rss):
-    """Candidate summaries with prescribed sizes and residual norms.
-
-    Residual columns are scaled constant vectors so each column's squared
-    norm equals the requested value; only the fields the criteria read are
-    meaningful.
-    """
-    sizes = np.asarray(sizes, dtype=np.int64)
-    rss = np.asarray(rss, dtype=np.float64)
-    E = np.sqrt(rss / n)[None, :] * np.ones((n, sizes.size))
-    return ModelFits(
-        n=n,
-        sizes=sizes,
-        ordering=np.arange(int(sizes.max())),
-        coefs=tuple(np.zeros(int(k)) for k in sizes),
-        residuals=E,
-        leverages=np.tile(sizes / n, (n, 1)).astype(np.float64),
-        rss=rss,
-        ranks=sizes.copy(),
-    )
+from conftest import make_fits, summary_fits
 
 
 class TestQuadraticProgram:

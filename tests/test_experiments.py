@@ -11,10 +11,12 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lama import criteria as crit
 from lama import experiments as xp
-from lama.datasets import load_mtcars
+from lama.datasets import load_builtin, load_mtcars
 from lama.experiments import (
     ALL_METHODS,
     QUADRATIC_METHODS,
@@ -32,6 +34,7 @@ from lama.experiments import (
     validate_theorem1,
     worker_count,
 )
+from lama.models import Dataset, build_nested, fit_all
 from lama.risk_theory import single_model_risk
 
 from conftest import make_fits
@@ -154,6 +157,32 @@ class TestComputeWeights:
         with pytest.warns(RuntimeWarning):
             with pytest.raises(ValueError, match="interpolates"):
                 compute_weights(fits, "jma")
+
+    @given(st.integers(min_value=0, max_value=2**32 - 1), st.floats(min_value=-3.0, max_value=3.0))
+    @settings(max_examples=40, deadline=None)
+    def test_weights_ignore_the_scale_of_the_response(self, seed, log_a):
+        # Y -> a Y scales every RSS, leave-one-out residual product and the
+        # variance estimate by a^2, and leaves xi's dispersion ratios alone.
+        a = 10.0**log_a
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(10, 30))
+        X = rng.standard_normal((n, n - 2))
+        Y = X[:, :3] @ rng.standard_normal(3) + rng.standard_normal(n)
+        cands = build_nested(np.arange(n - 2), np.unique(np.concatenate([[1, n - 2], rng.integers(1, n - 1, 4)])))
+        fits, scaled = (fit_all(Dataset(Y=c * Y, X=X), cands) for c in (1.0, a))
+        for method in QUADRATIC_METHODS:
+            base, choice = compute_weights(fits, method), compute_weights(scaled, method)
+            if method != "jma":
+                assert choice.sigma2_hat == pytest.approx(a * a * base.sigma2_hat, rel=1e-10)
+            np.testing.assert_allclose(choice.weights, base.weights, rtol=0.0, atol=1e-9)
+
+    def test_solver_facts_stay_out_of_the_record(self):
+        fits, _, _ = make_fits(3, n=24, sizes=(1, 3, 6))
+        for method in QUADRATIC_METHODS:
+            choice = compute_weights(fits, method)
+            assert choice.status == "converged" and choice.kkt_residual >= 0.0
+            assert "status" not in choice.to_record() and "kkt_residual" not in choice.to_record()
+        assert compute_weights(fits, "uniform").status is None
 
     def test_unknown_method(self):
         fits, _, _ = make_fits(13, n=24, sizes=(1, 3))
@@ -495,3 +524,22 @@ class TestValidateTheorem1:
             validate_theorem1(30, (2, 8), theta, 1.0, reps=1, seed=0)
         with pytest.raises(ValueError, match="nonnegative"):
             validate_theorem1(30, (2, 4), theta, -1.0, reps=1, seed=0)
+
+
+def test_every_solve_on_the_benchmark_configs_converges(monkeypatch):
+    # eval on crime at n_train 18 and simulate at n = 50 with M = 45 and 100
+    # (past the boundary), at reduced replications.
+    choices = []
+
+    def record(*args, **kwargs):
+        choice = compute_weights(*args, **kwargs)
+        choices.append(choice)
+        return choice
+
+    monkeypatch.setattr(xp, "compute_weights", record)
+    evaluate_real(load_builtin("crime"), n_train=18, reps=10, seed=0, methods=QUADRATIC_METHODS, workers=1)
+    cfg = SimulationConfig(n_values=(50,), m_values=(45, 100), r2_values=(0.5,), p=1000, replications=3,
+                           methods=QUADRATIC_METHODS, seed=0)
+    run_simulation(cfg, workers=1)
+    assert len(choices) == 3 * (10 + 2 * 3)
+    assert [c.status for c in choices] == ["converged"] * len(choices)

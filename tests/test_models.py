@@ -1,10 +1,13 @@
 """Datasets, forward ordering, nested candidate sets, and batch fitting."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lama import models
 from lama.linalg import min_norm_ls, projection
 from lama.models import (
     Dataset,
@@ -199,6 +202,43 @@ class TestFitAll:
     def test_residual_norms_never_increase_with_size(self, seed):
         fits, _, _ = make_fits(seed, n=16, sizes=(1, 2, 5, 9, 13))
         assert np.all(np.diff(fits.rss) <= 1e-9)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1), log_ratio=st.floats(min_value=-1.0, max_value=1.0))
+def test_qr_fast_path_matches_the_svd_route_near_its_threshold(seed, log_ratio):
+    # X = U R0 with one diagonal entry of R0 at 10^log_ratio * _QR_DIAG_RATIO
+    # of the largest, so fit_all's route choice sits on either side of the
+    # threshold.  Both routes are forced and compared, each candidate to the
+    # accuracy its condition number kappa allows: residuals and leverages
+    # within 10 eps kappa, coefficients within 100 times the least-squares
+    # perturbation bound eps (kappa + kappa^2 |r| / (s_max |beta|)).
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(6, 40))
+    k = int(rng.integers(2, n + 1))
+    U, _ = np.linalg.qr(rng.standard_normal((n, k)))
+    R0 = np.triu(rng.standard_normal((k, k))) / np.sqrt(k)
+    diag = rng.uniform(1.0, 2.0, k)
+    diag[rng.integers(0, k)] = 10.0**log_ratio * models._QR_DIAG_RATIO * diag.max()
+    R0[np.diag_indices(k)] = diag * rng.choice([-1.0, 1.0], k)
+    X = U @ R0
+    data = Dataset(Y=X @ rng.standard_normal(k) + rng.standard_normal(n), X=X)
+    sizes = np.unique(np.concatenate([[k], rng.integers(1, k + 1, 3)]))
+    cands = build_nested(np.arange(k), sizes)
+    with mock.patch.object(models, "_QR_DIAG_RATIO", 0.0):
+        qr = fit_all(data, cands)
+    with mock.patch.object(models, "_QR_DIAG_RATIO", 1.0):
+        svd = fit_all(data, cands)
+    np.testing.assert_array_equal(svd.ranks, sizes)
+    eps = np.finfo(np.float64).eps
+    for q, kq in enumerate(sizes):
+        s = np.linalg.svd(X[:, :kq], compute_uv=False)
+        kappa = s[0] / s[-1]
+        assert np.max(np.abs(qr.residuals[:, q] - svd.residuals[:, q])) <= 10 * eps * kappa * np.linalg.norm(data.Y)
+        assert np.max(np.abs(qr.leverages[:, q] - svd.leverages[:, q])) <= 10 * eps * kappa
+        beta = svd.coefs[q]
+        bound = eps * (kappa + kappa**2 * np.linalg.norm(svd.residuals[:, q]) / (s[0] * np.linalg.norm(beta)))
+        assert np.linalg.norm(qr.coefs[q] - beta) <= 100 * bound * np.linalg.norm(beta)
 
 
 def test_default_model_counts_match_rounding_rule():

@@ -8,12 +8,14 @@ contracts that the experiment layer relies on.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lama.criteria import lama_criterion_value, lama_program
-from lama.models import ModelFits
-from lama.qp import simplex_project, solve_simplex_qp
+from lama.criteria import b_in_diag, lama_criterion_value, lama_program, mma_program, sigma_hat, v_out_matrix, xi
+from lama.models import Dataset, ModelFits, build_nested, fit_all
+from lama.qp import CumulativeForm, simplex_project, solve_cumulative_qp, solve_simplex_qp
 
-from conftest import grid_min, simplex_grid
+from conftest import grid_min, simplex_grid, summary_fits
 
 
 class TestSimplexProject:
@@ -141,12 +143,13 @@ class TestSolveSimplexQp:
         )
         program = lama_program(fits, 1.0, 0.0)
         assert np.linalg.eigvalsh(program.A)[0] < 0.0
-        report = solve_simplex_qp(program.A, program.b)
-        assert report.status == "converged"
-        assert report.objective <= grid_min(program.A, program.b) + 1e-12
-        assert report.objective / n == pytest.approx(
-            lama_criterion_value(fits, 1.0, 0.0, report.weights), rel=1e-12
-        )
+        for report in (solve_simplex_qp(program.A, program.b),
+                       solve_cumulative_qp(program.A, program.b, program.cumulative)):
+            assert report.status == "converged"
+            assert report.objective <= grid_min(program.A, program.b) + 1e-12
+            assert report.objective / n == pytest.approx(
+                lama_criterion_value(fits, 1.0, 0.0, report.weights), rel=1e-12
+            )
 
     def test_deterministic_across_calls(self, rng):
         G = rng.standard_normal((4, 4))
@@ -194,3 +197,73 @@ class TestSolveSimplexQp:
             solve_simplex_qp(np.eye(2), b=[1.0])
         with pytest.raises(ValueError, match="finite"):
             solve_simplex_qp(np.array([[np.inf, 0.0], [0.0, 1.0]]))
+
+
+class TestSolveCumulativeQp:
+    """The Mallows and large-model programs solved in cumulative weights,
+    held to the dense solver as the reference."""
+
+    @staticmethod
+    def _fits(seed, route):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(8, 30))
+        p = n + int(rng.integers(1, 12)) if route == "svd" else n - 2
+        X = rng.standard_normal((n, p))
+        if route == "duplicate":
+            X[:, 3] = X[:, 1]
+        Y = X[:, :3] @ rng.standard_normal(3) + rng.standard_normal(n)
+        sizes = np.unique(np.concatenate([[1, 3, 4, p], rng.integers(1, p + 1, int(rng.integers(1, p)))]))
+        return fit_all(Dataset(Y=Y, X=X), build_nested(np.arange(p), sizes))
+
+    @given(
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.sampled_from(["qr", "svd", "duplicate"]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_matches_the_dense_solver_on_nested_fits(self, seed, route):
+        # QR fast path; SVD route past k = n, where every RSS ties at zero;
+        # a duplicated fourth column, whose step ties RSS_3 = RSS_4.
+        fits = self._fits(seed, route)
+        assert (fits.ranks == fits.sizes).all() == (route == "qr")
+        s2 = sigma_hat(fits)
+        sub = fits.subset(fits.sizes < fits.n)
+        x = xi(np.diag(v_out_matrix(sub, s2)), b_in_diag(sub, s2))
+        for program in (mma_program(fits, s2), lama_program(sub, s2, x)):
+            reference = solve_simplex_qp(program.A, program.b)
+            report = solve_cumulative_qp(program.A, program.b, program.cumulative)
+            assert report.status == "converged"
+            np.testing.assert_allclose(report.weights, reference.weights, rtol=0.0, atol=1e-9)
+            scale = max(1.0, float(np.max(np.abs(program.A))))
+            assert abs(report.objective - reference.objective) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("roundoff", [0.0, 3e-15])
+    def test_tied_step_merges_into_the_next_block(self, roundoff):
+        # n = 10, sigma2 = 1/2: d = (0.3, 0, 0.2), e = -0.1 each.  Step 1 has
+        # no curvature, so its linear term lifts C_1 to C_2: the pooled level
+        # of steps 1-2 is 0.1 / 0.2 = 1/2 (step 2 alone would give 1/4),
+        # and step 0 stays at 0.05 / 0.3 = 1/6.  An RSS rise at roundoff is a tie too.
+        fits = summary_fits(10, [1, 2, 3, 4], [6.0, 3.0, 3.0 + roundoff, 1.0])
+        program = mma_program(fits, 0.5)
+        report = solve_cumulative_qp(program.A, program.b, program.cumulative)
+        np.testing.assert_allclose(report.weights, [1 / 6, 1 / 3, 0.0, 1 / 2], atol=1e-12)
+        np.testing.assert_allclose(solve_simplex_qp(program.A, program.b).weights, report.weights, atol=1e-12)
+        assert report.objective <= grid_min(program.A, program.b) + 1e-12
+
+    def test_negative_curvature_raises(self):
+        # RSS rising by more than roundoff (Mallows), and a large-model
+        # program whose first tridiagonal pivot is negative.
+        mallows = mma_program(summary_fits(10, [1, 2], [1.0, 2.0]), 0.5)
+        large = lama_program(summary_fits(10, [1, 2], [1.0, 50.0]), 1.0, 0.0)
+        for program in (mallows, large):
+            with pytest.raises(ValueError, match="not convex on the simplex"):
+                solve_simplex_qp(program.A, program.b)
+            with pytest.raises(ValueError, match="not convex on the simplex"):
+                solve_cumulative_qp(program.A, program.b, program.cumulative)
+
+    def test_single_candidate_and_size_checks(self):
+        program = mma_program(summary_fits(10, [3], [2.0]), 0.5)
+        report = solve_cumulative_qp(program.A, program.b, program.cumulative)
+        np.testing.assert_array_equal(report.weights, [1.0])
+        assert report.status == "converged"
+        with pytest.raises(ValueError, match="cumulative form"):
+            solve_cumulative_qp(np.eye(3), None, CumulativeForm(d=np.ones(1), e=np.ones(1)))
