@@ -36,14 +36,10 @@ from .risk_theory import (
     PowerLawProfile,
     RiskMatrices,
     RiskSurface,
-    TheoreticalRiskModel,
     asymptotic_risk,
-    delta_v_limit,
-    phi,
     risk_surface,
     single_model_risk,
     theorem1_matrices,
-    theorem2_matrices,
     variance_penalized_weights,
 )
 from .experiments import (
@@ -72,14 +68,12 @@ __all__ = [
     "SimulationConfig",
     "SingularLooError",
     "SolveReport",
-    "TheoreticalRiskModel",
     "WeightChoice",
     "asymptotic_risk",
     "build_nested",
     "compute_weights",
     "default_model_counts",
     "default_sigma_model",
-    "delta_v_limit",
     "evaluate_real",
     "fit_all",
     "generate_data",
@@ -91,7 +85,6 @@ __all__ = [
     "min_norm_ls",
     "mma_program",
     "order_by_cp",
-    "phi",
     "projection",
     "relative_losses",
     "risk_surface",
@@ -102,7 +95,6 @@ __all__ = [
     "single_model_risk",
     "solve_simplex_qp",
     "theorem1_matrices",
-    "theorem2_matrices",
     "validate_rmt",
     "validate_theorem1",
     "variance_penalized_weights",

@@ -92,8 +92,10 @@ class QuadraticProgram:
         b = np.asarray(self.b, dtype=np.float64).reshape(-1)
         if A.ndim != 2 or A.shape[0] != A.shape[1] or b.shape[0] != A.shape[0]:
             raise ValueError("A must be square and b must match its size")
-        if not np.allclose(A, A.T, atol=1e-12, rtol=1e-12):
-            raise ValueError("A must be symmetric to 1e-12")
+        # np.allclose at the same tolerances, less its broadcasting and
+        # special-value handling: a NaN or infinite entry fails the test.
+        if not np.all(np.abs(A - A.T) <= 1e-12 + 1e-12 * np.abs(A.T)):
+            raise ValueError("A must be finite and symmetric to 1e-12")
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "b", b)
 

@@ -23,7 +23,7 @@ import numpy as np
 from . import criteria as crit
 from .models import Dataset, build_nested, default_model_counts, fit_all, order_by_cp
 from .qp import solve_cumulative_qp, solve_simplex_qp
-from .risk_theory import InputError, PowerLawProfile, RiskMatrices, _theorem1_entries, asymptotic_risk
+from .risk_theory import InputError, PowerLawProfile, asymptotic_risk, theorem1_matrices
 
 __all__ = [
     "rng_for",
@@ -221,7 +221,6 @@ class SimulationConfig:
     seed: int = 0
     methods: tuple[str, ...] = ("mma", "jma", "lama", "saic", "sbic")
     test_size: int = 1000
-    Sigma: np.ndarray | None = None  # covariance of the non-intercept regressors
     exclude_boundary: bool = False  # drop the k = n candidate if the grid reaches it
     truncate_loss: float | None = None  # cap per-replication relative losses
 
@@ -242,8 +241,8 @@ class SimulationConfig:
             raise InputError("p", f"{self.p} smaller than the largest candidate count {m_max}")
 
     def to_dict(self) -> dict:
-        """Every field but ``Sigma`` as a plain JSON value (tuples become lists)."""
-        out = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "Sigma"}
+        """Every field as a plain JSON value (tuples become lists)."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
         return {k: list(v) if isinstance(v, tuple) else v for k, v in out.items()}
 
     @classmethod
@@ -264,8 +263,6 @@ def _conform(field: str, value, hint):
     kind = kinds[0]
     many = typing.get_origin(kind) is tuple
     try:
-        if kind is np.ndarray:
-            return np.asarray(value, dtype=np.float64)
         if many and not isinstance(value, str):
             return tuple(typing.get_args(kind)[0](v) for v in value)
         if kind is bool and isinstance(value, (bool, np.bool_)) or kind in (int, float):
@@ -277,10 +274,7 @@ def _conform(field: str, value, hint):
 
 
 def _draw_design(rng, rows: int, cfg: SimulationConfig) -> np.ndarray:
-    body = rng.standard_normal((rows, cfg.p - 1))
-    if cfg.Sigma is not None:
-        body = body @ np.linalg.cholesky(cfg.Sigma).T
-    return np.column_stack([np.ones(rows), body])
+    return np.column_stack([np.ones(rows), rng.standard_normal((rows, cfg.p - 1))])
 
 
 def generate_data(cfg: SimulationConfig, r2: float, rep: int, n: int | None = None, m: int | None = None):
@@ -603,6 +597,8 @@ def validate_theorem1(
     sizes = np.asarray(sizes, dtype=np.int64).reshape(-1)
     theta = np.asarray(theta, dtype=np.float64).reshape(-1)
     p = theta.shape[0]
+    if sizes.size == 0 or sizes[0] < 1 or np.any(np.diff(sizes) <= 0):
+        raise InputError("sizes", f"must be positive and strictly increasing, got {sizes.tolist()}")
     if sizes[-1] > p:
         raise InputError("sizes", "largest candidate exceeds the coefficient length")
     M = sizes.shape[0]
@@ -612,12 +608,9 @@ def validate_theorem1(
     if sigma2 < 0.0:
         raise InputError("sigma2", "must be nonnegative")
 
-    c = sizes / float(n)
     sq = np.concatenate([[0.0], np.cumsum(theta**2)])
-    norms2 = sq[sizes]
-    re2 = float(sq[-1]) - norms2
-    DV, DB = _theorem1_entries(c, norms2, re2, sigma2)
-    theo_risk, theo_bias, theo_var = asymptotic_risk(w, RiskMatrices(variance=DV, bias=DB))
+    mats = theorem1_matrices(sizes / float(n), sq[sizes], float(sq[-1]), sigma2)
+    theo_risk, theo_bias, theo_var = asymptotic_risk(w, mats)
 
     cands = build_nested(np.arange(p), sizes)
     risks = []

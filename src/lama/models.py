@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .linalg import _thin_svd, default_rank_tol, min_norm_ls
 
@@ -110,14 +109,15 @@ class NestedCandidateSet:
 class ModelFits:
     """All candidates fitted on one dataset.
 
-    residuals, leverages are n x M with one column per candidate.
-    Immutable after construction.
+    residuals, leverages are n x M with one column per candidate; coefs is
+    k_M x M, column q holding candidate q's coefficients in its first k_q
+    rows and zeros below.  Immutable after construction.
     """
 
     n: int
     sizes: np.ndarray
     ordering: np.ndarray
-    coefs: tuple[np.ndarray, ...]
+    coefs: np.ndarray
     residuals: np.ndarray
     leverages: np.ndarray
     rss: np.ndarray
@@ -138,7 +138,7 @@ class ModelFits:
             n=self.n,
             sizes=self.sizes[keep],
             ordering=self.ordering,
-            coefs=tuple(self.coefs[i] for i in keep),
+            coefs=self.coefs[:, keep],
             residuals=self.residuals[:, keep],
             leverages=self.leverages[:, keep],
             rss=self.rss[keep],
@@ -148,13 +148,10 @@ class ModelFits:
     def predict(self, X_new: np.ndarray) -> np.ndarray:
         """Per-candidate predictions on new rows, one column per candidate."""
         X_new = np.asarray(X_new, dtype=np.float64)
-        if X_new.ndim != 2 or X_new.shape[1] < self.sizes[-1]:
+        kM = self.coefs.shape[0]
+        if X_new.ndim != 2 or X_new.shape[1] < kM:
             raise ValueError("X_new must have at least k_M columns")
-        Xo = X_new[:, self.ordering[: self.sizes[-1]]]
-        B = np.zeros((self.sizes[-1], self.M))
-        for q, beta in enumerate(self.coefs):
-            B[: self.sizes[q], q] = beta
-        return Xo @ B
+        return X_new[:, self.ordering[:kM]] @ self.coefs
 
 
 def load_csv(path, response: str, intercept: bool = True) -> Dataset:
@@ -293,7 +290,6 @@ def fit_all(data: Dataset, cands: NestedCandidateSet, rank_tol: float | None = N
     if rank_tol is None:
         rank_tol = default_rank_tol(Xo)
 
-    coefs: list[np.ndarray] = []
     residuals = np.empty((n, M))
     leverages = np.empty((n, M))
     ranks = np.empty(M, dtype=np.int64)
@@ -306,20 +302,21 @@ def fit_all(data: Dataset, cands: NestedCandidateSet, rank_tol: float | None = N
 
     if fast:
         z = Q.T @ Y
-        fitted_steps = np.cumsum(Q * z, axis=1)
-        lev_steps = np.cumsum(Q * Q, axis=1)
-        for q, k in enumerate(sizes):
-            coefs.append(solve_triangular(R[:k, :k], z[:k], lower=False))
-            residuals[:, q] = Y - fitted_steps[:, k - 1]
-            leverages[:, q] = lev_steps[:, k - 1]
+        # R is upper triangular (its LU is R itself), so the solve against z
+        # cut to its first k_q rows returns exact zeros below them: one solve
+        # fits every prefix.
+        coefs = np.linalg.solve(R, z[:, None] * (np.arange(kM)[:, None] < sizes))
+        residuals[:] = Y[:, None] - np.cumsum(Q * z, axis=1)[:, sizes - 1]
+        leverages[:] = np.cumsum(Q * Q, axis=1)[:, sizes - 1]
         ranks[:] = sizes
     else:
+        coefs = np.zeros((kM, M))
         for q, k in enumerate(sizes):
             Xq = Xo[:, :k]
             U, s, Vt, r = _thin_svd(Xq, rank_tol)
             Ur = U[:, :r]
             UtY = Ur.T @ Y
-            coefs.append(Vt[:r].T @ (UtY / s[:r]) if r else np.zeros(k))
+            coefs[:k, q] = Vt[:r].T @ (UtY / s[:r])
             residuals[:, q] = Y - Ur @ UtY
             leverages[:, q] = np.sum(Ur * Ur, axis=1)
             ranks[q] = r
@@ -329,7 +326,7 @@ def fit_all(data: Dataset, cands: NestedCandidateSet, rank_tol: float | None = N
         n=n,
         sizes=sizes.copy(),
         ordering=cands.ordering.copy(),
-        coefs=tuple(coefs),
+        coefs=coefs,
         residuals=residuals,
         leverages=leverages,
         rss=rss,

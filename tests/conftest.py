@@ -38,7 +38,7 @@ def summary_fits(n, sizes, rss):
         n=n,
         sizes=sizes,
         ordering=np.arange(int(sizes.max())),
-        coefs=tuple(np.zeros(int(k)) for k in sizes),
+        coefs=np.zeros((int(sizes.max()), sizes.size)),
         residuals=E,
         leverages=np.tile(sizes / n, (n, 1)).astype(np.float64),
         rss=rss,

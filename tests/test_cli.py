@@ -87,13 +87,16 @@ class TestRangeParsing:
          "--snr"),
         (["surface", "--n-range", "20", "--m-range", "10", "--r2", "0.5", "--alpha", "1e308"], None,
          "--alpha"),
+        (["validate-thm1", "--n", "20", "--sizes", "0,4", "--reps", "1"], None, "--sizes"),
+        (["validate-thm1", "--n", "20", "--sizes", "4,2", "--reps", "1"], None, "--sizes"),
     ],
     ids=[
         "eval-unknown-method", "eval-max-models", "eval-n-train", "fit-max-models", "fit-n-train",
         "fit-unknown-method", "simulate-r2", "simulate-reps", "rmt-theta-length", "config-n-values-scalar",
         "config-replications-string", "config-methods-string", "surface-truncate", "surface-snr",
         "surface-r2", "surface-sigma2", "rmt-c-too-small", "surface-n-range", "surface-m-range", "rmt-c-nan",
-        "surface-decay-nan", "surface-scale-overflow", "surface-alpha-overflow",
+        "surface-decay-nan", "surface-scale-overflow", "surface-alpha-overflow", "thm1-sizes-zero",
+        "thm1-sizes-decreasing",
     ],
 )
 def test_rejected_values_are_usage_errors(capsys, tmp_path, argv, config, name):
@@ -320,6 +323,13 @@ class TestTopLevel:
         with pytest.raises(SystemExit) as exc:
             run(["--help"])
         assert exc.value.code == 0
+
+    def test_import_leaves_scipy_out(self):
+        # Importing scipy would double the startup every command pays.
+        code = "import lama.cli, sys; print(any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules))"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
 
 class TestProcessDeterminism:

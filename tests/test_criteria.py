@@ -52,6 +52,42 @@ class TestQuadraticProgram:
             QuadraticProgram(A=np.eye(2), b=np.ones(3))
         with pytest.raises(ValueError, match="symmetric"):
             QuadraticProgram(A=np.array([[1.0, 1e-6], [0.0, 1.0]]), b=np.zeros(2))
+        with pytest.raises(ValueError, match="symmetric"):
+            QuadraticProgram(A=np.array([[1.0, 1.0 + 1e-9], [1.0, 1.0]]), b=np.zeros(2))
+        with pytest.raises(ValueError, match="symmetric"):
+            QuadraticProgram(A=np.array([[1.0, np.nan], [np.nan, 1.0]]), b=np.zeros(2))
+
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1), log_gap=st.floats(-16.0, -8.0))
+    def test_symmetry_check_agrees_with_allclose(self, seed, log_gap):
+        # Perturbations on both sides of the 1e-12 tolerances: the elementwise
+        # test accepts exactly what np.allclose(A, A.T, 1e-12, 1e-12) accepts.
+        rng = np.random.default_rng(seed)
+        A = rng.standard_normal((4, 4)) * 10.0 ** rng.uniform(-3, 3)
+        A = A + A.T
+        A[0, 3] += 10.0**log_gap * max(1.0, abs(A[0, 3]))
+        ok = np.allclose(A, A.T, atol=1e-12, rtol=1e-12)
+        try:
+            QuadraticProgram(A=A, b=np.zeros(4))
+            accepted = True
+        except ValueError:
+            accepted = False
+        assert accepted == ok
+
+    @pytest.mark.parametrize("sizes", [(1, 3, 6, 10), (2, 7, 15, 24), (4, 12, 30)])
+    def test_every_built_program_is_exactly_symmetric(self, sizes):
+        # Candidates below, at and past n = 24, excluded from jma and lama as
+        # compute_weights excludes them.
+        for seed in range(5):
+            fits, _, _ = make_fits(seed, n=24, sizes=sizes)
+            s2 = sigma_hat(fits)
+            programs = (
+                mma_program(fits, s2),
+                jma_program(fits.subset(~loo_flagged(fits))),
+                lama_program(fits.subset(fits.sizes < fits.n), s2, 0.5),
+            )
+            for prog in programs:
+                assert np.array_equal(prog.A, prog.A.T)
 
 
 class TestSigmaHat:

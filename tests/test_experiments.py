@@ -218,7 +218,6 @@ class TestSimulationConfig:
             with pytest.raises(InputError, match=f"^{field}: expected") as err:
                 SimulationConfig(**{**good, field: value})
             assert err.value.field == field
-        assert "Sigma" not in SimulationConfig(**good).to_dict()
 
     def test_input_error_survives_pickling(self):
         err = pickle.loads(pickle.dumps(InputError("n_values", "need sample sizes of at least 4")))
@@ -272,15 +271,6 @@ class TestGenerateData:
         a = generate_data(self.CFG, 0.5, rep=0, m=3)[0]
         b = generate_data(self.CFG, 0.5, rep=0, m=5)[0]
         assert not np.array_equal(a.Y, b.Y)
-
-    def test_covariance_shapes_the_design(self):
-        cfg = SimulationConfig(
-            n_values=(2000,), r2_values=(0.5,), p=4, m_values=(3,),
-            Sigma=np.diag([4.0, 1.0, 1.0]), test_size=8,
-        )
-        train, _, _, _, _ = generate_data(cfg, 0.5, rep=0, n=2000)
-        assert np.std(train.X[:, 1]) == pytest.approx(2.0, rel=0.1)
-        assert np.std(train.X[:, 2]) == pytest.approx(1.0, rel=0.1)
 
 
 class TestRelativeLosses:

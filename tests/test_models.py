@@ -109,6 +109,21 @@ class TestOrderByCp:
             order_by_cp(data)
 
 
+def _check_routes_agree(rng, sizes):
+    """fit_all on a tall well-conditioned design against per-candidate solves."""
+    X = rng.standard_normal((30, 8))
+    Y = rng.standard_normal(30)
+    fits = fit_all(Dataset(Y=Y, X=X), build_nested(np.arange(8), sizes))
+    assert fits.coefs.shape == (sizes[-1], len(sizes))
+    for q, k in enumerate(sizes):
+        beta = min_norm_ls(X[:, :k], Y)
+        assert np.allclose(fits.coefs[:k, q], beta, atol=1e-9)
+        assert np.all(fits.coefs[k:, q] == 0.0)
+        assert np.allclose(fits.residuals[:, q], Y - X[:, :k] @ beta, atol=1e-9)
+        P = projection(X[:, :k])
+        assert np.allclose(fits.leverages[:, q], np.diag(P), atol=1e-9)
+
+
 class TestFitAll:
     def test_single_full_model_matches_ols(self, rng):
         X = rng.standard_normal((20, 4))
@@ -140,16 +155,12 @@ class TestFitAll:
     def test_fast_and_careful_routes_agree(self, rng):
         # Well-conditioned tall design takes the shared-factorization
         # shortcut; per-candidate direct solves provide the independent route.
-        X = rng.standard_normal((30, 8))
-        Y = rng.standard_normal(30)
-        fits = fit_all(Dataset(Y=Y, X=X), build_nested(np.arange(8), (2, 5, 8)))
-        for q, k in enumerate((2, 5, 8)):
-            beta = min_norm_ls(X[:, :k], Y)
-            assert np.allclose(fits.coefs[q], beta, atol=1e-9)
-            assert np.allclose(fits.residuals[:, q], Y - X[:, :k] @ beta, atol=1e-9)
-            P = projection(X[:, :k])
-            assert np.allclose(fits.leverages[:, q], np.diag(P), atol=1e-9)
+        _check_routes_agree(rng, (2, 5, 8))
 
+    def test_prefix_mask_with_sizes_skipping_one(self, rng):
+        # Sizes (3, 4, 7) skip 1 and stop short of the 8 columns, so the
+        # prefix mask and the k_M rows of coefs are both exercised.
+        _check_routes_agree(rng, (3, 4, 7))
     def test_wide_candidates_use_min_norm(self, rng):
         # More columns than rows: ranks cap at n and residuals vanish.
         X = rng.standard_normal((10, 15))
@@ -157,7 +168,7 @@ class TestFitAll:
         fits = fit_all(Dataset(Y=Y, X=X), build_nested(np.arange(15), (4, 12)))
         assert list(fits.ranks) == [4, 10]
         assert np.allclose(fits.residuals[:, 1], 0.0, atol=1e-7)
-        assert np.allclose(fits.coefs[1], min_norm_ls(X[:, :12], Y), atol=1e-8)
+        assert np.allclose(fits.coefs[:12, 1], min_norm_ls(X[:, :12], Y), atol=1e-8)
 
     def test_collinear_column_reduces_rank_and_trace(self, rng):
         X = rng.standard_normal((12, 3))
@@ -188,6 +199,7 @@ class TestFitAll:
         sub = fits.subset(np.array([False, True, True]))
         assert list(sub.sizes) == [5, 8]
         assert np.allclose(sub.residuals, fits.residuals[:, 1:])
+        assert np.array_equal(sub.coefs, fits.coefs[:, 1:])
         assert np.array_equal(sub.ranks, fits.ranks[1:])
         with pytest.raises(ValueError):
             fits.subset(np.zeros(3, dtype=bool))
@@ -236,9 +248,9 @@ def test_qr_fast_path_matches_the_svd_route_near_its_threshold(seed, log_ratio):
         kappa = s[0] / s[-1]
         assert np.max(np.abs(qr.residuals[:, q] - svd.residuals[:, q])) <= 10 * eps * kappa * np.linalg.norm(data.Y)
         assert np.max(np.abs(qr.leverages[:, q] - svd.leverages[:, q])) <= 10 * eps * kappa
-        beta = svd.coefs[q]
+        beta = svd.coefs[:kq, q]
         bound = eps * (kappa + kappa**2 * np.linalg.norm(svd.residuals[:, q]) / (s[0] * np.linalg.norm(beta)))
-        assert np.linalg.norm(qr.coefs[q] - beta) <= 100 * bound * np.linalg.norm(beta)
+        assert np.linalg.norm(qr.coefs[:kq, q] - beta) <= 100 * bound * np.linalg.norm(beta)
 
 
 def test_default_model_counts_match_rounding_rule():

@@ -135,7 +135,7 @@ class TestSolveSimplexQp:
             n=n,
             sizes=sizes,
             ordering=np.arange(2),
-            coefs=(np.zeros(1), np.zeros(2)),
+            coefs=np.zeros((2, 2)),
             residuals=np.zeros((n, 2)),
             leverages=np.tile(sizes / n, (n, 1)),
             rss=np.zeros(2),

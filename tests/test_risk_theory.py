@@ -1,12 +1,14 @@
 """Closed-form risk limits: entries, matrices, weights, and grid surfaces.
 
 Limit-matrix entries are pinned to hand-computed values, and the vectorized
-matrix builders are checked entrywise against the scalar entry formulas kept
-here as an independent oracle.  The
-Schur-complement strength is verified against an explicit best-completion
-least-squares oracle, and surface shapes are asserted from exact evaluation
-of the limits (variance spikes past the interpolation point, then a smooth
-descent).
+matrix builder is checked entrywise against the scalar entry formulas kept
+here as an independent oracle, and below the boundary against the
+general-covariance limits at the identity covariance.  Those limits, their
+Schur-complement strength and the variance-gap limit live here as oracles:
+each is pinned to hand values (the strength also to an explicit
+best-completion least-squares solve) before it checks the library.  Surface
+shapes are asserted from exact evaluation of the limits (variance spikes past
+the interpolation point, then a smooth descent).
 """
 
 import numpy as np
@@ -19,15 +21,11 @@ from lama.risk_theory import (
     InputError,
     PowerLawProfile,
     RiskMatrices,
-    TheoreticalRiskModel,
     _single_parts,
     asymptotic_risk,
-    delta_v_limit,
-    phi,
     risk_surface,
     single_model_risk,
     theorem1_matrices,
-    theorem2_matrices,
     variance_penalized_weights,
 )
 
@@ -71,17 +69,81 @@ def _db_entry(c_q, c_l, norm_q2, norm_l2, re_norm_l2):
     return (c_l - 1.0) / gap * (norm_l2 - norm_q2) + c_l / gap * re_norm_l2
 
 
+def _phi(Sigma, theta, k_q):
+    """Oracle: omitted-signal strength under a general covariance.
+
+    The quadratic form of the omitted coefficients theta[k_q:] in the Schur
+    complement of the leading k_q x k_q block of Sigma.  Equals the plain
+    squared norm of the omitted block when Sigma is the identity, and zero
+    when nothing is omitted.
+    """
+    Sigma = np.asarray(Sigma, dtype=float)
+    theta = np.asarray(theta, dtype=float).reshape(-1)
+    p = theta.shape[0]
+    if Sigma.shape != (p, p):
+        raise ValueError(f"Sigma must be {p}x{p} to match theta, got {Sigma.shape}")
+    if not np.allclose(Sigma, Sigma.T, atol=1e-10):
+        raise ValueError("Sigma must be symmetric")
+    if not 0 <= k_q <= p:
+        raise ValueError(f"k_q must be in [0, {p}], got {k_q}")
+    if k_q == p:
+        return 0.0
+    t_re = theta[k_q:]
+    if k_q == 0:
+        return max(float(t_re @ Sigma @ t_re), 0.0)
+    try:
+        L = np.linalg.cholesky(Sigma[:k_q, :k_q])
+    except np.linalg.LinAlgError as exc:
+        raise ValueError("Sigma is not positive definite") from exc
+    u = np.linalg.solve(L, Sigma[:k_q, k_q:] @ t_re)
+    return max(float(t_re @ Sigma[k_q:, k_q:] @ t_re - u @ u), 0.0)
+
+
+def _theorem2(c, phis, sigma2):
+    """Oracle: (variance, bias) limits under a general covariance.
+
+    Stated only for the fully under-parameterized regime (all ratios below
+    1): entries sigma2 c_min / (1 - c_min) and phi_max / (1 - c_min), with
+    phis[q] the omitted-signal strength of candidate q.  At the identity
+    covariance phi_q is the omitted squared norm.
+    """
+    c = np.asarray(c, dtype=float)
+    phis = np.asarray(phis, dtype=float)
+    if np.any(c >= 1.0 - BOUNDARY_DELTA):
+        raise ValueError("general-covariance limits require all aspect ratios below 1")
+    idx = np.arange(c.size)
+    imin, imax = np.minimum.outer(idx, idx), np.maximum.outer(idx, idx)
+    cmin = c[imin]
+    return sigma2 * cmin / (1.0 - cmin), phis[imax] / (1.0 - cmin)
+
+
+def _delta_v(w, c, sigma2):
+    """Oracle: limit of the out-of-sample minus in-sample variance.
+
+    sigma2 * sum_{q,l} w_q w_l min(c_q, c_l)^2 / (1 - min(c_q, c_l)); defined
+    for ratios strictly inside (0, 1) and strictly positive on the simplex.
+    """
+    w = np.asarray(w, dtype=float).reshape(-1)
+    c = np.asarray(c, dtype=float).reshape(-1)
+    if w.shape != c.shape:
+        raise ValueError("w and c must have the same length")
+    if np.any(c <= 0.0) or np.any(c >= 1.0):
+        raise ValueError("all aspect ratios must lie strictly inside (0, 1)")
+    cmin = np.minimum.outer(c, c)
+    return sigma2 * float(w @ (cmin**2 / (1.0 - cmin)) @ w)
+
+
+def _nested(sizes, n, theta):
+    """(ratios, carried squared norms, total squared norm) of nested prefixes of theta."""
+    sizes = np.asarray(sizes)
+    sq = np.concatenate([[0.0], np.cumsum(np.asarray(theta, dtype=float) ** 2)])
+    return sizes / float(n), sq[sizes], float(sq[-1])
+
+
 def _limits(c, sigma2=1.0, carried=None, total=0.0):
     """Theorem-1 matrices of candidates with ratios c carrying the given norms."""
-    carried = np.zeros(len(c)) if carried is None else np.asarray(carried, dtype=float)
-    model = TheoreticalRiskModel(
-        c=np.asarray(c, dtype=float),
-        sigma2=sigma2,
-        theta_norms2=carried,
-        re_norms2=total - carried,
-        total_norm2=total,
-    )
-    return theorem1_matrices(model)
+    carried = np.zeros(len(c)) if carried is None else carried
+    return theorem1_matrices(c, carried, total, sigma2)
 
 
 class TestVarianceEntry:
@@ -121,7 +183,7 @@ class TestVarianceEntry:
         with pytest.raises(ValueError):
             _limits([0.0, 0.5])
         with pytest.raises(ValueError):
-            _limits([0.5], sigma2=0.0)
+            _limits([0.5], sigma2=-1.0)
         with pytest.raises(ValueError):
             _limits([0.5, np.inf])
 
@@ -185,21 +247,21 @@ class TestSingleModelRisk:
 class TestPhi:
     def test_identity_covariance_is_omitted_norm(self):
         theta = np.array([3.0, 2.0, 1.0, 0.5])
-        assert phi(np.eye(4), theta, 2) == pytest.approx(1.25, abs=1e-14)
+        assert _phi(np.eye(4), theta, 2) == pytest.approx(1.25, abs=1e-14)
 
     def test_nothing_omitted_is_zero(self):
-        assert phi(np.eye(3), [1.0, 2.0, 3.0], 3) == 0.0
+        assert _phi(np.eye(3), [1.0, 2.0, 3.0], 3) == 0.0
 
     def test_empty_retained_block_is_full_quadratic_form(self):
         Sigma = np.array([[2.0, 0.5], [0.5, 1.0]])
         theta = np.array([1.0, 2.0])
-        assert phi(Sigma, theta, 0) == pytest.approx(float(theta @ Sigma @ theta))
+        assert _phi(Sigma, theta, 0) == pytest.approx(float(theta @ Sigma @ theta))
 
     def test_two_dim_correlated_closed_form(self):
         # Schur complement of a 2x2 correlation matrix is 1 - rho^2.
         rho, t2 = 0.6, 1.7
         Sigma = np.array([[1.0, rho], [rho, 1.0]])
-        got = phi(Sigma, np.array([0.9, t2]), 1)
+        got = _phi(Sigma, np.array([0.9, t2]), 1)
         assert got == pytest.approx(t2**2 * (1.0 - rho**2), abs=1e-14)
 
     def test_matches_best_completion_oracle(self, rng):
@@ -211,103 +273,43 @@ class TestPhi:
         theta = rng.standard_normal(p)
         free = -np.linalg.solve(Sigma[:k, :k], Sigma[:k, k:] @ theta[k:])
         v = np.concatenate([free, theta[k:]])
-        assert phi(Sigma, theta, k) == pytest.approx(float(v @ Sigma @ v), rel=1e-10)
+        assert _phi(Sigma, theta, k) == pytest.approx(float(v @ Sigma @ v), rel=1e-10)
 
     def test_validation_errors(self):
         with pytest.raises(ValueError, match="symmetric"):
-            phi(np.array([[1.0, 0.2], [0.0, 1.0]]), [1.0, 1.0], 1)
+            _phi(np.array([[1.0, 0.2], [0.0, 1.0]]), [1.0, 1.0], 1)
         with pytest.raises(ValueError, match="k_q"):
-            phi(np.eye(2), [1.0, 1.0], 3)
+            _phi(np.eye(2), [1.0, 1.0], 3)
         with pytest.raises(ValueError, match="positive definite"):
-            phi(np.array([[-1.0, 0.0], [0.0, 1.0]]), [1.0, 1.0], 1)
+            _phi(np.array([[-1.0, 0.0], [0.0, 1.0]]), [1.0, 1.0], 1)
         with pytest.raises(ValueError, match="2x2"):
-            phi(np.eye(3), [1.0, 1.0], 1)
+            _phi(np.eye(3), [1.0, 1.0], 1)
 
 
-class TestTheoreticalRiskModel:
-    def test_from_sizes_prefix_norms(self):
-        model = TheoreticalRiskModel.from_sizes(
-            sizes=[1, 2, 4], n=8, theta=np.ones(4), sigma2=1.0
-        )
-        assert model.M == 3
-        np.testing.assert_allclose(model.c, [0.125, 0.25, 0.5])
-        np.testing.assert_allclose(model.theta_norms2, [1.0, 2.0, 4.0])
-        np.testing.assert_allclose(model.re_norms2, [3.0, 2.0, 0.0])
-        assert model.total_norm2 == pytest.approx(4.0)
-
-    def test_from_sizes_requires_covering_theta(self):
-        with pytest.raises(ValueError, match="cover"):
-            TheoreticalRiskModel.from_sizes([1, 5], 10, np.ones(4), 1.0)
-
-    def test_from_sizes_fills_phis_when_given_covariance(self):
-        rho = 0.6
-        Sigma = np.array([[1.0, rho], [rho, 1.0]])
-        model = TheoreticalRiskModel.from_sizes(
-            [1, 2], 10, np.array([1.0, 2.0]), 1.0, Sigma=Sigma
-        )
-        np.testing.assert_allclose(model.phis, [4.0 * (1 - rho**2), 0.0], atol=1e-14)
-
-    def test_rejects_inconsistent_norm_split(self):
-        with pytest.raises(ValueError, match="total"):
-            TheoreticalRiskModel(
-                c=np.array([0.5]),
-                sigma2=1.0,
-                theta_norms2=np.array([1.0]),
-                re_norms2=np.array([1.0]),
-                total_norm2=3.0,
-            )
-
-    def test_rejects_nonincreasing_ratios(self):
-        with pytest.raises(ValueError, match="increasing"):
-            TheoreticalRiskModel(
-                c=np.array([0.5, 0.5]),
-                sigma2=1.0,
-                theta_norms2=np.array([1.0, 1.0]),
-                re_norms2=np.array([0.0, 0.0]),
-                total_norm2=1.0,
-            )
-
-    def test_rejects_nonpositive_covariance(self):
-        with pytest.raises(ValueError, match="positive definite"):
-            TheoreticalRiskModel.from_sizes(
-                [1], 4, [1.0, 1.0], 1.0, Sigma=np.diag([1.0, -1.0])
-            )
-
-
-def _scalar_matrices(model):
+def _scalar_matrices(c, carried, total, sigma2):
     """Entrywise rebuild of the limit matrices through the scalar formulas."""
-    M = model.M
+    M = len(c)
     V = np.empty((M, M))
     B = np.empty((M, M))
     for q in range(M):
         for l in range(M):
             lo, hi = sorted((q, l))
-            V[q, l] = _dv_entry(model.c[q], model.c[l], model.sigma2)
-            B[q, l] = _db_entry(
-                model.c[lo],
-                model.c[hi],
-                model.theta_norms2[lo],
-                model.theta_norms2[hi],
-                model.re_norms2[hi],
-            )
+            V[q, l] = _dv_entry(c[q], c[l], sigma2)
+            B[q, l] = _db_entry(c[lo], c[hi], carried[lo], carried[hi], total - carried[hi])
     return V, B
 
 
 class TestLimitMatrices:
     def test_vectorized_matches_scalar_entries(self, rng):
         # Sizes land on both sides of the boundary to hit every branch.
-        theta = rng.standard_normal(30)
-        model = TheoreticalRiskModel.from_sizes(
-            [2, 5, 9, 14, 22, 30], n=12, theta=theta, sigma2=1.7
-        )
-        mats = theorem1_matrices(model)
-        V, B = _scalar_matrices(model)
+        c, carried, total = _nested([2, 5, 9, 14, 22, 30], 12, rng.standard_normal(30))
+        mats = theorem1_matrices(c, carried, total, 1.7)
+        V, B = _scalar_matrices(c, carried, total, 1.7)
         np.testing.assert_allclose(mats.variance, V, rtol=1e-13)
         np.testing.assert_allclose(mats.bias, B, rtol=1e-13)
 
     def test_boundary_row_is_inf(self):
-        model = TheoreticalRiskModel.from_sizes([2, 5, 10], 10, np.ones(10), 1.0)
-        mats = theorem1_matrices(model)
+        mats = theorem1_matrices(*_nested([2, 5, 10], 10, np.ones(10)), 1.0)
         assert np.all(np.isinf(mats.variance[2, :]))
         assert np.all(np.isinf(mats.bias[:, 2]))
         assert np.all(np.isfinite(mats.variance[:2, :2]))
@@ -321,53 +323,53 @@ class TestLimitMatrices:
             V = np.minimum.outer(c, c)
             V = V / (1.0 - V)
             assert np.linalg.eigvalsh(V)[0] >= -1e-10 * np.abs(V).max()
-            model = TheoreticalRiskModel(
-                c=c,
-                sigma2=2.0,
-                theta_norms2=np.zeros(c.size),
-                re_norms2=np.zeros(c.size),
-                total_norm2=0.0,
-            )
-            np.testing.assert_allclose(theorem1_matrices(model).variance, 2.0 * V)
+            np.testing.assert_allclose(theorem1_matrices(c, np.zeros(c.size), 0.0, 2.0).variance, 2.0 * V)
 
     def test_general_covariance_plugs(self):
-        model = TheoreticalRiskModel(
-            c=np.array([0.3, 0.6]),
-            sigma2=1.0,
-            theta_norms2=np.array([1.0, 2.0]),
-            re_norms2=np.array([2.0, 1.0]),
-            total_norm2=3.0,
-        )
-        mats = theorem2_matrices(model)
-        assert mats.bias[0, 0] == pytest.approx(2.0 / 0.7)
-        assert mats.variance[0, 0] == pytest.approx(0.3 / 0.7)
-        assert mats.bias[0, 1] == pytest.approx(1.0 / 0.7)
-        assert mats.variance[1, 1] == pytest.approx(0.6 / 0.4)
+        # Omitted squared norms 2 and 1 of a total 3 carried as 1 and 2.
+        V, B = _theorem2([0.3, 0.6], [2.0, 1.0], 1.0)
+        assert B[0, 0] == pytest.approx(2.0 / 0.7)
+        assert V[0, 0] == pytest.approx(0.3 / 0.7)
+        assert B[0, 1] == pytest.approx(1.0 / 0.7)
+        assert V[1, 1] == pytest.approx(0.6 / 0.4)
 
     def test_general_covariance_reduces_to_isotropic(self, rng):
-        theta = rng.standard_normal(12)
-        model = TheoreticalRiskModel.from_sizes(
-            [2, 5, 9, 12], n=20, theta=theta, sigma2=0.8
-        )
-        iso = theorem1_matrices(model)
-        gen = theorem2_matrices(model)
-        np.testing.assert_allclose(gen.variance, iso.variance, atol=1e-12)
-        np.testing.assert_allclose(gen.bias, iso.bias, atol=1e-12)
+        sizes, theta = [2, 5, 9, 12], rng.standard_normal(12)
+        c, carried, total = _nested(sizes, 20, theta)
+        iso = theorem1_matrices(c, carried, total, 0.8)
+        V, B = _theorem2(c, [_phi(np.eye(12), theta, k) for k in sizes], 0.8)
+        np.testing.assert_allclose(iso.variance, V, atol=1e-12)
+        np.testing.assert_allclose(iso.bias, B, atol=1e-12)
 
     def test_general_covariance_uses_schur_strengths(self):
         rho = 0.6
         Sigma = np.array([[1.0, rho], [rho, 1.0]])
-        model = TheoreticalRiskModel.from_sizes(
-            [1, 2], 10, np.array([1.0, 2.0]), 1.0, Sigma=Sigma
-        )
-        mats = theorem2_matrices(model)
-        assert mats.bias[0, 0] == pytest.approx(4.0 * (1 - rho**2) / 0.9)
-        assert mats.bias[1, 1] == pytest.approx(0.0, abs=1e-14)
+        theta = np.array([1.0, 2.0])
+        phis = [_phi(Sigma, theta, k) for k in (1, 2)]
+        np.testing.assert_allclose(phis, [4.0 * (1 - rho**2), 0.0], atol=1e-14)
+        _, B = _theorem2([0.1, 0.2], phis, 1.0)
+        assert B[0, 0] == pytest.approx(4.0 * (1 - rho**2) / 0.9)
+        assert B[1, 1] == pytest.approx(0.0, abs=1e-14)
 
     def test_general_covariance_rejects_boundary(self):
-        model = TheoreticalRiskModel.from_sizes([2, 10], 10, np.ones(10), 1.0)
         with pytest.raises(ValueError, match="below 1"):
-            theorem2_matrices(model)
+            _theorem2([0.2, 1.0], [1.0, 0.0], 1.0)
+
+    def test_input_checks(self):
+        with pytest.raises(ValueError, match="at least one"):
+            theorem1_matrices([], [], 1.0, 1.0)
+        with pytest.raises(ValueError, match="increasing"):
+            theorem1_matrices([0.5, 0.5], [1.0, 1.0], 1.0, 1.0)
+        with pytest.raises(ValueError, match="one carried norm"):
+            theorem1_matrices([0.2, 0.5], [1.0], 1.0, 1.0)
+        with pytest.raises(ValueError, match="nesting"):
+            theorem1_matrices([0.5], [4.0], 3.0, 1.0)  # carries more than the total
+        with pytest.raises(ValueError, match="finite"):
+            theorem1_matrices([0.2, 0.5], [np.nan, 1.0], 1.0, 1.0)
+        with pytest.raises(ValueError, match="sigma2"):
+            theorem1_matrices([0.5], [1.0], 1.0, np.nan)
+        # Noiseless responses are allowed: the variance matrix is then zero.
+        assert np.all(theorem1_matrices([0.2, 0.5], [1.0, 2.0], 3.0, 0.0).variance == 0.0)
 
     def test_matrix_container_validation(self):
         with pytest.raises(ValueError, match="symmetric"):
@@ -378,6 +380,9 @@ class TestLimitMatrices:
             RiskMatrices(
                 variance=np.array([[1.0, np.inf], [2.0, 1.0]]), bias=np.zeros((2, 2))
             )
+        with pytest.raises(ValueError, match="symmetric"):  # the 1e-10 tolerances, as np.allclose
+            RiskMatrices(variance=np.array([[1.0, 1.0 + 1e-9], [1.0, 1.0]]), bias=np.zeros((2, 2)))
+        RiskMatrices(variance=np.array([[1.0, 1.0 + 1e-11], [1.0, 1.0]]), bias=np.zeros((2, 2)))
         with pytest.raises(ValueError, match="nonnegative"):
             RiskMatrices(
                 variance=np.array([[-1.0, 0.0], [0.0, 1.0]]), bias=np.zeros((2, 2))
@@ -424,16 +429,13 @@ class TestAsymptoticRisk:
     def test_vertex_matches_single_model_when_all_signal_carried(self):
         # Signal entirely inside the smallest candidate: no omitted-norm
         # coupling, so each vertex reproduces the lone-model closed form.
-        theta = np.array([2.0, 0.0, 0.0, 0.0, 0.0, 0.0])
-        model = TheoreticalRiskModel.from_sizes([1, 3, 6], 4, theta, 1.5)
-        mats = theorem1_matrices(model)
-        for q, c in enumerate(model.c):
+        c, carried, total = _nested([1, 3, 6], 4, [2.0, 0.0, 0.0, 0.0, 0.0, 0.0])
+        mats = theorem1_matrices(c, carried, total, 1.5)
+        for q in range(3):
             w = np.zeros(3)
             w[q] = 1.0
             risk, _, _ = asymptotic_risk(w, mats)
-            assert risk == pytest.approx(
-                single_model_risk(c, model.theta_norms2[q], 1.5), rel=1e-12
-            )
+            assert risk == pytest.approx(single_model_risk(c[q], carried[q], 1.5), rel=1e-12)
 
     def test_zero_weight_silences_infinite_entries(self):
         V = np.array([[1.0, np.inf], [np.inf, np.inf]])
@@ -461,11 +463,11 @@ class TestAsymptoticRisk:
 class TestDeltaVLimit:
     def test_single_candidate_plug(self):
         # c^2 / (1 - c) = 0.25 / 0.5
-        assert delta_v_limit([1.0], [0.5], 1.0) == pytest.approx(0.5, abs=1e-15)
+        assert _delta_v([1.0], [0.5], 1.0) == pytest.approx(0.5, abs=1e-15)
 
     def test_two_candidate_plug(self):
         # pairwise min ratios (0.2, 0.2; 0.2, 0.5): 0.25*(3*0.05 + 0.5)
-        got = delta_v_limit([0.5, 0.5], [0.2, 0.5], 1.0)
+        got = _delta_v([0.5, 0.5], [0.2, 0.5], 1.0)
         assert got == pytest.approx(0.1625, abs=1e-15)
 
     @given(st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=2**32 - 1))
@@ -474,17 +476,31 @@ class TestDeltaVLimit:
         r = np.random.default_rng(seed)
         w = r.dirichlet(np.ones(m))
         c = np.sort(r.uniform(0.01, 0.99, size=m))
-        val = delta_v_limit(w, c, 2.0)
+        val = _delta_v(w, c, 2.0)
         assert val > 0.0
         assert val <= 2.0 * float(np.max(c**2 / (1.0 - c))) + 1e-12
 
+    @given(st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_is_the_out_of_sample_minus_in_sample_variance(self, m, seed):
+        # Nested projections give an in-sample variance of exactly
+        # sigma2 w' min(c_q, c_l) w, so the gap to the Theorem-1 variance
+        # limit w' D_V w is the oracle's closed form.
+        r = np.random.default_rng(seed)
+        w = r.dirichlet(np.ones(m))
+        c = np.unique(r.uniform(0.01, 0.99, size=m))
+        w = w[: c.size] / w[: c.size].sum()
+        V = theorem1_matrices(c, np.zeros(c.size), 0.0, 1.7).variance
+        in_sample = 1.7 * float(w @ np.minimum.outer(c, c) @ w)
+        assert float(w @ V @ w) - in_sample == pytest.approx(_delta_v(w, c, 1.7), rel=1e-10)
+
     def test_rejects_ratios_outside_open_interval(self):
         with pytest.raises(ValueError, match="inside"):
-            delta_v_limit([1.0], [1.0], 1.0)
+            _delta_v([1.0], [1.0], 1.0)
         with pytest.raises(ValueError, match="inside"):
-            delta_v_limit([0.5, 0.5], [0.5, 1.2], 1.0)
+            _delta_v([0.5, 0.5], [0.5, 1.2], 1.0)
         with pytest.raises(ValueError, match="length"):
-            delta_v_limit([1.0], [0.3, 0.4], 1.0)
+            _delta_v([1.0], [0.3, 0.4], 1.0)
 
 
 class TestPowerLawProfile:
@@ -562,8 +578,7 @@ class TestRiskSurface:
     def test_single_cell_matches_scalar_rebuild(self, snr_profile):
         surface = risk_surface([40], [10], snr_profile, sigma2=1.3)
         theta = snr_profile.coefficients(snr_profile.truncate)
-        model = TheoreticalRiskModel.from_sizes(np.arange(1, 11), 40, theta, 1.3)
-        V, B = _scalar_matrices(model)
+        V, B = _scalar_matrices(*_nested(np.arange(1, 11), 40, theta), 1.3)
         w = np.full(10, 0.1)
         expected = float(w @ (V + B) @ w)
         assert surface.risk[0] == pytest.approx(expected, rel=1e-12)
@@ -650,7 +665,7 @@ class TestRiskSurface:
             sizes = np.arange(1, m + 1)
             if exclude and m >= n:
                 sizes = sizes[sizes != n]
-            mats = theorem1_matrices(TheoreticalRiskModel.from_sizes(sizes, n, theta, 1.3))
+            mats = theorem1_matrices(*_nested(sizes, n, theta), 1.3)
             if weighting == "equal":
                 w = np.full(sizes.size, 1.0 / sizes.size)
             elif weighting == "variance_penalized":
