@@ -1,7 +1,7 @@
 """Model averaging over nested minimum-norm least-squares candidates.
 
 The library splits into: exact fitting of nested candidate models
-(``models``, ``linalg``), closed-form limiting risk of weighted averages
+(``models``), closed-form limiting risk of weighted averages
 (``risk_theory``), data-driven weight criteria and their quadratic programs
 (``criteria``, ``qp``), experiment harnesses with replayable randomness
 (``experiments``), bundled example data (``datasets``), and a command-line
@@ -20,12 +20,9 @@ from .criteria import (
     sigma_hat,
     xi,
 )
-from .linalg import min_norm_ls, projection
 from .models import (
     Dataset,
     ModelFits,
-    NestedCandidateSet,
-    build_nested,
     default_model_counts,
     fit_all,
     load_csv,
@@ -60,7 +57,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Dataset",
     "ModelFits",
-    "NestedCandidateSet",
     "PowerLawProfile",
     "QuadraticProgram",
     "RiskMatrices",
@@ -70,7 +66,6 @@ __all__ = [
     "SolveReport",
     "WeightChoice",
     "asymptotic_risk",
-    "build_nested",
     "compute_weights",
     "default_model_counts",
     "default_sigma_model",
@@ -82,10 +77,8 @@ __all__ = [
     "lama_criterion_value",
     "lama_program",
     "load_csv",
-    "min_norm_ls",
     "mma_program",
     "order_by_cp",
-    "projection",
     "relative_losses",
     "risk_surface",
     "rng_for",

@@ -216,12 +216,12 @@ def _cmd_fit(args) -> int:
     n_fit = data.n if args.n_train is None else args.n_train
     if not 2 <= n_fit <= data.n:
         raise InputError("n_train", f"{n_fit} not in [2, {data.n}]")
-    X, cands = xp._nested_candidates(data, n_fit, args.max_models)
+    X, sizes = xp._nested_candidates(data, n_fit, args.max_models)
     Y = data.Y
     if args.n_train is not None:
         idx = xp.rng_for(args.seed, "fit-split", 0).permutation(data.n)[:n_fit]
         X, Y = X[idx], Y[idx]
-    fits = xp.fit_all(Dataset(Y=Y, X=X, has_intercept=data.has_intercept), cands)
+    fits = xp.fit_all(Dataset(Y=Y, X=X), sizes)
     records = [xp.compute_weights(fits, method).to_record() for method in args.methods]
     return _write_out(args.out, lambda fh: fh.write(json.dumps(records, indent=2) + "\n"))
 

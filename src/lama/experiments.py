@@ -21,7 +21,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import criteria as crit
-from .models import Dataset, build_nested, default_model_counts, fit_all, order_by_cp
+from .models import Dataset, default_model_counts, fit_all, order_by_cp
 from .qp import solve_cumulative_qp, solve_simplex_qp
 from .risk_theory import InputError, PowerLawProfile, asymptotic_risk, theorem1_matrices
 
@@ -330,8 +330,8 @@ def relative_losses(
     return rows, False
 
 
-def _fit_and_weigh(train: Dataset, cands, designs, methods) -> dict:
-    """Fit every candidate on ``train`` and choose each method's weights.
+def _fit_and_weigh(train: Dataset, sizes, designs, methods) -> dict:
+    """Fit the column prefixes ``sizes`` of ``train`` and choose each method's weights.
 
     Returns ``{"preds": [candidate predictions at each design], "choices":
     {method: WeightChoice}}``, or ``{"failed": reason}`` when a fit or a
@@ -341,7 +341,7 @@ def _fit_and_weigh(train: Dataset, cands, designs, methods) -> dict:
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            fits = fit_all(train, cands)
+            fits = fit_all(train, sizes)
             preds = [fits.predict(X) for X in designs]
             return {"preds": preds, "choices": {m: compute_weights(fits, m) for m in methods}}
     except (ValueError, np.linalg.LinAlgError) as exc:
@@ -363,7 +363,7 @@ def _sim_rep(args):
     sizes = np.arange(1, m + 1)
     if cfg.exclude_boundary:
         sizes = sizes[sizes != n]
-    fit = _fit_and_weigh(train, build_nested(np.arange(cfg.p), sizes), (train.X, test.X), cfg.methods)
+    fit = _fit_and_weigh(train, sizes, (train.X, test.X), cfg.methods)
     if "failed" in fit:
         return fit
     (pred_tr, pred_te), choices = fit["preds"], fit["choices"]
@@ -426,20 +426,20 @@ def simulation_csv(rows: list[dict], fh) -> None:
 
 
 def _nested_candidates(data: Dataset, n_fit: int, max_models: int | None = None):
-    """Regressors in Cp order on the full data, and the nested prefixes k = 1..M.
+    """Regressors in Cp order on the full data, and the nested prefix sizes k = 1..M.
 
     M = min(p, floor(0.9 n_fit)) for fits on ``n_fit`` rows, unless
     ``max_models`` overrides it.  Returns (X with its columns in that order,
-    the candidate set).
+    the sizes).
     """
     M = min(data.p, math.floor(0.9 * n_fit)) if max_models is None else int(max_models)
     if not 1 <= M <= data.p:
         raise InputError("max_models", f"{M} not in [1, {data.p}]")
-    return data.X[:, order_by_cp(data)], build_nested(np.arange(data.p), np.arange(1, M + 1))
+    return data.X[:, order_by_cp(data)], np.arange(1, M + 1)
 
 
 def _real_split(args):
-    (X, Y, has_intercept, cands, n_train, methods, seed, rep) = args
+    (X, Y, sizes, n_train, methods, seed, rep) = args
     N = X.shape[0]
     rng = rng_for(seed, "real-split", n_train, rep)
     for _retry in range(100):
@@ -449,7 +449,7 @@ def _real_split(args):
             break
     else:
         return {"degenerate": True}
-    fit = _fit_and_weigh(Dataset(Y=Y[tr], X=X[tr], has_intercept=has_intercept), cands, (X[te],), methods)
+    fit = _fit_and_weigh(Dataset(Y=Y[tr], X=X[tr]), sizes, (X[te],), methods)
     if "failed" in fit:
         return fit
     (pred_te,) = fit["preds"]
@@ -481,11 +481,10 @@ def evaluate_real(
     if not 2 <= n_train < N:
         raise InputError("n_train", f"{n_train} not in [2, {N - 1}]")
     methods = _method_tags(methods)
-    X, cands = _nested_candidates(data, n_train, max_models)
-    has_intercept = bool(np.allclose(X[:, 0], 1.0))
+    X, sizes = _nested_candidates(data, n_train, max_models)
     workers = worker_count() if workers is None else workers
 
-    tasks = [(X, data.Y, has_intercept, cands, n_train, methods, seed, rep) for rep in range(reps)]
+    tasks = [(X, data.Y, sizes, n_train, methods, seed, rep) for rep in range(reps)]
     kept = [res for res in _pmap(_real_split, tasks, workers) if "errors" in res]
     redraws = sum(res["retries"] for res in kept)
     rows = []
@@ -528,6 +527,8 @@ def validate_rmt(n: int, c: float, reps: int, seed: int, theta: np.ndarray | Non
     """
     if n < 4:
         raise InputError("n", f"{n} too small (need at least 4)")
+    if reps < 1:
+        raise InputError("reps", "need at least one replication")
     if not np.isfinite(c):
         raise InputError("c", f"must be finite, got {c}")
     k = round(c * n)
@@ -594,6 +595,12 @@ def validate_theorem1(
     squared deviation of the ensemble prediction from the true mean over an
     independent test draw, then over replications.
     """
+    if n < 2:
+        raise InputError("n", f"{n} too small (need at least 2)")
+    if reps < 1:
+        raise InputError("reps", "need at least one replication")
+    if test_size < 1:
+        raise InputError("test_size", "need at least one test draw")
     sizes = np.asarray(sizes, dtype=np.int64).reshape(-1)
     theta = np.asarray(theta, dtype=np.float64).reshape(-1)
     p = theta.shape[0]
@@ -612,13 +619,12 @@ def validate_theorem1(
     mats = theorem1_matrices(sizes / float(n), sq[sizes], float(sq[-1]), sigma2)
     theo_risk, theo_bias, theo_var = asymptotic_risk(w, mats)
 
-    cands = build_nested(np.arange(p), sizes)
     risks = []
     for rep in range(reps):
         rng = rng_for(seed, "thm1", n, rep)
         X = rng.standard_normal((n, p))
         Y = X @ theta + (np.sqrt(sigma2) * rng.standard_normal(n) if sigma2 > 0 else 0.0)
-        fits = fit_all(Dataset(Y=Y, X=X), cands)
+        fits = fit_all(Dataset(Y=Y, X=X), sizes)
         Xt = rng.standard_normal((test_size, p))
         pred = fits.predict(Xt) @ w
         risks.append(float(np.mean((pred - Xt @ theta) ** 2)))

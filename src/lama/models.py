@@ -1,8 +1,9 @@
-"""Datasets, nested candidate model construction, and batch fitting.
+"""Datasets, regressor ordering, and batch fitting of nested candidates.
 
-A candidate set is a priority ordering of the regressors plus a strictly
-increasing list of model sizes; candidate q uses the first k_q regressors
-under the ordering.  ``fit_all`` fits every candidate by minimum-norm least
+A candidate is a prefix of the design's columns: given strictly increasing
+sizes k_1 < ... < k_M, candidate q uses the first k_q columns of X, so the
+regressors are put in priority order (``order_by_cp``) by permuting X's
+columns once.  ``fit_all`` fits every candidate by minimum-norm least
 squares and caches the residuals, leverages and ranks that the weight-choice
 criteria consume.
 """
@@ -11,19 +12,15 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _thin_svd, default_rank_tol, min_norm_ls
-
 __all__ = [
     "Dataset",
-    "NestedCandidateSet",
     "ModelFits",
     "load_csv",
     "order_by_cp",
-    "build_nested",
     "fit_all",
     "default_model_counts",
 ]
@@ -37,8 +34,8 @@ _QR_DIAG_RATIO = 1e-10
 class Dataset:
     """Response vector plus full design matrix.
 
-    When ``has_intercept`` is set, column 0 of X is a column of ones and is
-    treated as the intercept by the ordering helpers.
+    When ``has_intercept`` is set, column 0 of X is a column of ones and
+    ``order_by_cp`` seeds it as the first regressor.
     """
 
     Y: np.ndarray
@@ -77,35 +74,6 @@ class Dataset:
 
 
 @dataclass(frozen=True)
-class NestedCandidateSet:
-    """Regressor priority order and the strictly increasing candidate sizes."""
-
-    ordering: np.ndarray
-    sizes: np.ndarray
-
-    def __post_init__(self):
-        ordering = np.asarray(self.ordering, dtype=np.int64).reshape(-1)
-        sizes = np.asarray(self.sizes, dtype=np.int64).reshape(-1)
-        p = ordering.shape[0]
-        if not np.array_equal(np.sort(ordering), np.arange(p)):
-            raise ValueError("ordering must be a permutation of 0..p-1")
-        if sizes.size == 0:
-            raise ValueError("need at least one candidate size")
-        if sizes[0] < 1:
-            raise ValueError("candidate sizes must be at least 1")
-        if np.any(np.diff(sizes) <= 0):
-            raise ValueError("candidate sizes must be strictly increasing")
-        if sizes[-1] > p:
-            raise ValueError(f"largest size {sizes[-1]} exceeds {p} regressors")
-        object.__setattr__(self, "ordering", ordering)
-        object.__setattr__(self, "sizes", sizes)
-
-    @property
-    def M(self) -> int:
-        return self.sizes.shape[0]
-
-
-@dataclass(frozen=True)
 class ModelFits:
     """All candidates fitted on one dataset.
 
@@ -116,7 +84,6 @@ class ModelFits:
 
     n: int
     sizes: np.ndarray
-    ordering: np.ndarray
     coefs: np.ndarray
     residuals: np.ndarray
     leverages: np.ndarray
@@ -137,7 +104,6 @@ class ModelFits:
         return ModelFits(
             n=self.n,
             sizes=self.sizes[keep],
-            ordering=self.ordering,
             coefs=self.coefs[:, keep],
             residuals=self.residuals[:, keep],
             leverages=self.leverages[:, keep],
@@ -146,12 +112,17 @@ class ModelFits:
         )
 
     def predict(self, X_new: np.ndarray) -> np.ndarray:
-        """Per-candidate predictions on new rows, one column per candidate."""
+        """Per-candidate predictions on new rows, one column per candidate.
+
+        Only the first k_M columns of ``X_new`` are read.  They are copied in
+        Fortran order, so the product's bits do not depend on how many
+        columns follow or on ``X_new``'s memory layout.
+        """
         X_new = np.asarray(X_new, dtype=np.float64)
         kM = self.coefs.shape[0]
         if X_new.ndim != 2 or X_new.shape[1] < kM:
             raise ValueError("X_new must have at least k_M columns")
-        return X_new[:, self.ordering[:kM]] @ self.coefs
+        return np.asfortranarray(X_new[:, :kM]) @ self.coefs
 
 
 def load_csv(path, response: str, intercept: bool = True) -> Dataset:
@@ -184,35 +155,23 @@ def load_csv(path, response: str, intercept: bool = True) -> Dataset:
     return Dataset(Y=Y, X=X, has_intercept=intercept, column_names=tuple(names))
 
 
-def order_by_cp(data: Dataset, max_terms: int | None = None, keep_intercept: bool = True) -> np.ndarray:
+def order_by_cp(data: Dataset) -> np.ndarray:
     """Greedy forward ordering of the regressors by Mallows' Cp.
 
-    At each step the regressor whose addition minimizes
-    Cp = RSS / sigma2_ref - n + 2k is appended, where sigma2_ref comes from
-    the largest reference model with k <= floor(0.9 n) (columns taken in
-    original order).  Ties go to the lower original index.  Indices never
-    selected (beyond ``max_terms``) follow in original order, so the result
-    is always a full permutation.
-
-    With ``keep_intercept`` (default) an intercept column is seeded as the
-    first selected term rather than competing in the search.
+    Cp = RSS / sigma2 - n + 2k for any fixed sigma2 > 0.  At each step every
+    candidate column adds one term, so k is common to them all and the Cp
+    minimizer is the column with the largest RSS drop (q_j'Y)^2, q_j being
+    its unit residual against the columns already selected.  Ties go to the
+    lower original index.  Selection stops after min(n - 2, p) terms or when
+    every remaining column lies in the selected span; the columns never
+    selected follow in original order, so the result is always a full
+    permutation.  An intercept column (``has_intercept``) is seeded as the
+    first term rather than competing in the search.
     """
     n, p = data.n, data.p
-    if max_terms is None:
-        max_terms = min(n - 2, p)
-    if not 1 <= max_terms <= min(n - 2, p):
-        raise ValueError(f"max_terms must be in [1, min(n-2, p)] = [1, {min(n - 2, p)}]")
-
-    k_ref = min(p, math.floor(0.9 * n))
-    if n - k_ref < 2:
-        raise ValueError("sample too small to fit the Cp reference model")
-    ref = data.X[:, :k_ref]
-    rss_ref = float(np.sum((data.Y - ref @ min_norm_ls(ref, data.Y)) ** 2))
-    sigma2_ref = rss_ref / (n - k_ref)
-    if sigma2_ref <= 0.0:
-        # Exact interpolation by the reference model; Cp then reduces to a
-        # pure RSS comparison, which the gain-based search below still gives.
-        sigma2_ref = np.finfo(np.float64).tiny
+    if n < 3:
+        raise ValueError(f"need at least 3 observations to order regressors, got {n}")
+    term_cap = min(n - 2, p)
 
     X, Y = data.X, data.Y
     col_norms = np.linalg.norm(X, axis=0)
@@ -230,14 +189,14 @@ def order_by_cp(data: Dataset, max_terms: int | None = None, keep_intercept: boo
             return None  # column already in the span
         return r / nr
 
-    if data.has_intercept and keep_intercept:
+    if data.has_intercept:
         q0 = grow(0)
         if q0 is not None:
             Q = np.column_stack([Q, q0])
         selected.append(0)
         remaining.remove(0)
 
-    while len(selected) < max_terms and remaining:
+    while len(selected) < term_cap and remaining:
         gains = np.full(len(remaining), -1.0)
         vecs: list[np.ndarray | None] = []
         for i, j in enumerate(remaining):
@@ -256,11 +215,6 @@ def order_by_cp(data: Dataset, max_terms: int | None = None, keep_intercept: boo
     return np.array(selected + remaining, dtype=np.int64)
 
 
-def build_nested(ordering: np.ndarray, sizes) -> NestedCandidateSet:
-    """Candidate q = first k_q regressors under ``ordering``."""
-    return NestedCandidateSet(ordering=np.asarray(ordering), sizes=np.asarray(sizes))
-
-
 def default_model_counts(n: int) -> tuple[int, int, int]:
     """The three candidate-count settings used by the synthetic experiments."""
     return (
@@ -270,25 +224,31 @@ def default_model_counts(n: int) -> tuple[int, int, int]:
     )
 
 
-def fit_all(data: Dataset, cands: NestedCandidateSet, rank_tol: float | None = None) -> ModelFits:
-    """Fit every nested candidate by minimum-norm least squares.
+def fit_all(data: Dataset, sizes) -> ModelFits:
+    """Fit candidate q = the first ``sizes[q]`` columns of X by minimum-norm least squares.
 
-    A single QR factorization of the largest candidate covers all prefixes
-    when they are comfortably full rank; otherwise each candidate goes
-    through the SVD pseudo-inverse.  Both routes produce identical values up
-    to roundoff (the fast path is an algebraic rearrangement, exercised
-    against the SVD route in the tests).
+    ``sizes`` must be nonempty, at least 1, strictly increasing and at most
+    p.  A single QR factorization of the largest candidate covers all
+    prefixes when they are comfortably full rank; otherwise each candidate
+    goes through the SVD pseudo-inverse, treating singular values at or below
+    max(n, k_M) * eps times the largest as zero.  Both routes produce
+    identical values up to roundoff (the fast path is an algebraic
+    rearrangement, exercised against the SVD route in the tests).
     """
-    if cands.ordering.shape[0] != data.p:
-        raise ValueError("candidate ordering length does not match dataset columns")
+    sizes = np.array(sizes, dtype=np.int64).reshape(-1)
+    if sizes.size == 0:
+        raise ValueError("need at least one candidate size")
+    if sizes[0] < 1:
+        raise ValueError("candidate sizes must be at least 1")
+    if np.any(np.diff(sizes) <= 0):
+        raise ValueError("candidate sizes must be strictly increasing")
+    if sizes[-1] > data.p:
+        raise ValueError(f"largest size {sizes[-1]} exceeds {data.p} regressors")
     n = data.n
-    sizes = cands.sizes
-    M = cands.M
+    M = sizes.shape[0]
     kM = int(sizes[-1])
-    Xo = data.X[:, cands.ordering[:kM]]
+    Xo = data.X[:, :kM]
     Y = data.Y
-    if rank_tol is None:
-        rank_tol = default_rank_tol(Xo)
 
     residuals = np.empty((n, M))
     leverages = np.empty((n, M))
@@ -298,7 +258,7 @@ def fit_all(data: Dataset, cands: NestedCandidateSet, rank_tol: float | None = N
     if kM <= n:
         Q, R = np.linalg.qr(Xo, mode="reduced")
         dr = np.abs(np.diag(R))
-        fast = dr.size > 0 and dr.min() > _QR_DIAG_RATIO * dr.max()
+        fast = dr.min() > _QR_DIAG_RATIO * dr.max()
 
     if fast:
         z = Q.T @ Y
@@ -311,9 +271,10 @@ def fit_all(data: Dataset, cands: NestedCandidateSet, rank_tol: float | None = N
         ranks[:] = sizes
     else:
         coefs = np.zeros((kM, M))
+        cutoff = max(n, kM) * np.finfo(np.float64).eps
         for q, k in enumerate(sizes):
-            Xq = Xo[:, :k]
-            U, s, Vt, r = _thin_svd(Xq, rank_tol)
+            U, s, Vt = np.linalg.svd(Xo[:, :k], full_matrices=False)
+            r = int(np.count_nonzero(s > cutoff * s[0]))
             Ur = U[:, :r]
             UtY = Ur.T @ Y
             coefs[:k, q] = Vt[:r].T @ (UtY / s[:r])
@@ -324,8 +285,7 @@ def fit_all(data: Dataset, cands: NestedCandidateSet, rank_tol: float | None = N
     rss = np.sum(residuals * residuals, axis=0)
     return ModelFits(
         n=n,
-        sizes=sizes.copy(),
-        ordering=cands.ordering.copy(),
+        sizes=sizes,
         coefs=coefs,
         residuals=residuals,
         leverages=leverages,

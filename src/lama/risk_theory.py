@@ -96,6 +96,8 @@ class RiskMatrices:
         if V.ndim != 2 or V.shape[0] != V.shape[1] or B.shape != V.shape:
             raise ValueError("variance and bias must be square matrices of equal shape")
         for name, A in (("variance", V), ("bias", B)):
+            if np.isnan(A).any():
+                raise ValueError(f"{name} matrix has NaN entries")
             finite = np.isfinite(A)
             both = finite & finite.T
             upper, lower = A[both], A.T[both]

@@ -10,7 +10,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from lama.models import Dataset, ModelFits, build_nested, fit_all
+from lama.models import Dataset, ModelFits, fit_all
 
 
 def make_fits(seed, n=24, sizes=(1, 3, 6, 10), p=None, noise=1.0):
@@ -21,7 +21,7 @@ def make_fits(seed, n=24, sizes=(1, 3, 6, 10), p=None, noise=1.0):
     theta = rng.standard_normal(p) / np.sqrt(p)
     Y = X @ theta + noise * rng.standard_normal(n)
     data = Dataset(Y=Y, X=X)
-    return fit_all(data, build_nested(np.arange(p), sizes)), data, theta
+    return fit_all(data, sizes), data, theta
 
 
 def summary_fits(n, sizes, rss):
@@ -37,7 +37,6 @@ def summary_fits(n, sizes, rss):
     return ModelFits(
         n=n,
         sizes=sizes,
-        ordering=np.arange(int(sizes.max())),
         coefs=np.zeros((int(sizes.max()), sizes.size)),
         residuals=E,
         leverages=np.tile(sizes / n, (n, 1)).astype(np.float64),

@@ -35,8 +35,7 @@ from lama.experiments import (
     validate_rmt,
     validate_theorem1,
 )
-from lama.linalg import projection
-from lama.models import Dataset, build_nested, fit_all
+from lama.models import Dataset, fit_all
 from lama.qp import solve_simplex_qp
 from lama.risk_theory import PowerLawProfile, risk_surface
 
@@ -150,8 +149,8 @@ def test_criterion_06_mallows_unbiasedness():
     X = rng_for(0, "design").standard_normal((n, p))
     theta = np.array([1.0, 0.7, 0.4, 0.2, 0.1])
     mu = X @ theta
-    cands = build_nested(np.arange(p), np.arange(1, p + 1))
-    projectors = [projection(X[:, :k]) for k in range(1, p + 1)]
+    sizes = np.arange(1, p + 1)
+    projectors = [X[:, :k] @ np.linalg.pinv(X[:, :k]) for k in sizes]
 
     for w in (np.full(p, 0.2), np.array([0.4, 0.3, 0.15, 0.1, 0.05])):
         averaged = sum(wq * Pq for wq, Pq in zip(w, projectors))
@@ -162,7 +161,7 @@ def test_criterion_06_mallows_unbiasedness():
         values = []
         for rep in range(500):
             eps = rng_for(0, "noise", rep).standard_normal(n)
-            fits = fit_all(Dataset(Y=mu + eps, X=X), cands)
+            fits = fit_all(Dataset(Y=mu + eps, X=X), sizes)
             values.append(mma_program(fits, 1.0).value(w))
         assert float(np.mean(values)) == pytest.approx(expected, rel=0.05)
 

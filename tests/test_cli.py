@@ -89,6 +89,13 @@ class TestRangeParsing:
          "--alpha"),
         (["validate-thm1", "--n", "20", "--sizes", "0,4", "--reps", "1"], None, "--sizes"),
         (["validate-thm1", "--n", "20", "--sizes", "4,2", "--reps", "1"], None, "--sizes"),
+        (["validate-thm1", "--n", "20", "--sizes", "2,4", "--reps", "0"], None, "--reps"),
+        (["validate-thm1", "--n", "20", "--sizes", "2,4", "--reps", "1", "--test-size", "0"], None,
+         "--test-size"),
+        (["validate-thm1", "--n", "20", "--sizes", "2,4", "--reps", "1", "--test-size", "-1"], None,
+         "--test-size"),
+        (["validate-thm1", "--n", "0", "--sizes", "2,4", "--reps", "1"], None, "--n:"),
+        (["validate-rmt", "--n", "20", "--c", "0.5", "--reps", "0"], None, "--reps"),
     ],
     ids=[
         "eval-unknown-method", "eval-max-models", "eval-n-train", "fit-max-models", "fit-n-train",
@@ -96,7 +103,8 @@ class TestRangeParsing:
         "config-replications-string", "config-methods-string", "surface-truncate", "surface-snr",
         "surface-r2", "surface-sigma2", "rmt-c-too-small", "surface-n-range", "surface-m-range", "rmt-c-nan",
         "surface-decay-nan", "surface-scale-overflow", "surface-alpha-overflow", "thm1-sizes-zero",
-        "thm1-sizes-decreasing",
+        "thm1-sizes-decreasing", "thm1-reps-zero", "thm1-test-size-zero", "thm1-test-size-negative",
+        "thm1-n-zero", "rmt-reps-zero",
     ],
 )
 def test_rejected_values_are_usage_errors(capsys, tmp_path, argv, config, name):

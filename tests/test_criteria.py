@@ -32,8 +32,7 @@ from lama.criteria import (
     v_out_matrix,
     xi,
 )
-from lama.linalg import min_norm_ls
-from lama.models import Dataset, build_nested, fit_all
+from lama.models import Dataset, fit_all
 from lama.qp import solve_simplex_qp
 
 from conftest import make_fits, summary_fits
@@ -182,7 +181,7 @@ class TestResidualGramFromRss:
         # QR fast path when every prefix has full rank; the per-candidate
         # SVD route past k = n and for the dependent fourth column.
         sizes = np.unique(np.concatenate([[1, 3, 4, n - 3, p], rng.integers(1, p + 1, 3)]))
-        return fit_all(Dataset(Y=Y, X=X), build_nested(np.arange(p), sizes))
+        return fit_all(Dataset(Y=Y, X=X), sizes)
 
     @given(
         st.integers(min_value=0, max_value=2**32 - 1),
@@ -218,7 +217,7 @@ class TestLeaveOneOut:
         for q, k in enumerate((1, 3, 5)):
             for i in range(12):
                 keep = np.arange(12) != i
-                beta = min_norm_ls(data.X[keep, :k], data.Y[keep])
+                beta = np.linalg.lstsq(data.X[keep, :k], data.Y[keep], rcond=None)[0]
                 loo[i, q] = data.Y[i] - data.X[i, :k] @ beta
         implied = fits.residuals / (1.0 - fits.leverages)
         np.testing.assert_allclose(implied, loo, rtol=1e-8, atol=1e-10)

@@ -34,7 +34,7 @@ from lama.experiments import (
     validate_theorem1,
     worker_count,
 )
-from lama.models import Dataset, build_nested, fit_all
+from lama.models import Dataset, fit_all
 from lama.risk_theory import single_model_risk
 
 from conftest import make_fits
@@ -168,8 +168,8 @@ class TestComputeWeights:
         n = int(rng.integers(10, 30))
         X = rng.standard_normal((n, n - 2))
         Y = X[:, :3] @ rng.standard_normal(3) + rng.standard_normal(n)
-        cands = build_nested(np.arange(n - 2), np.unique(np.concatenate([[1, n - 2], rng.integers(1, n - 1, 4)])))
-        fits, scaled = (fit_all(Dataset(Y=c * Y, X=X), cands) for c in (1.0, a))
+        sizes = np.unique(np.concatenate([[1, n - 2], rng.integers(1, n - 1, 4)]))
+        fits, scaled = (fit_all(Dataset(Y=c * Y, X=X), sizes) for c in (1.0, a))
         for method in QUADRATIC_METHODS:
             base, choice = compute_weights(fits, method), compute_weights(scaled, method)
             if method != "jma":

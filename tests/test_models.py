@@ -1,4 +1,4 @@
-"""Datasets, forward ordering, nested candidate sets, and batch fitting."""
+"""Datasets, forward ordering, and batch fitting of column-prefix candidates."""
 
 from unittest import mock
 
@@ -8,16 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lama import models
-from lama.linalg import min_norm_ls, projection
-from lama.models import (
-    Dataset,
-    NestedCandidateSet,
-    build_nested,
-    default_model_counts,
-    fit_all,
-    load_csv,
-    order_by_cp,
-)
+from lama.models import Dataset, default_model_counts, fit_all, load_csv, order_by_cp
 
 from conftest import make_fits
 
@@ -32,31 +23,46 @@ class TestDataset:
             Dataset(Y=np.array([1.0, np.nan]), X=np.ones((2, 1)))
         with pytest.raises(ValueError):
             Dataset(Y=np.ones(2), X=np.array([[2.0], [2.0]]), has_intercept=True)
+        with pytest.raises(ValueError):
+            Dataset(Y=np.array([np.inf, 0.0]), X=np.ones((2, 2)))
+        with pytest.raises(ValueError):
+            Dataset(Y=np.ones(3), X=np.ones(3))  # 1-d design
 
     def test_shape_properties(self, rng):
         d = Dataset(Y=rng.standard_normal(7), X=rng.standard_normal((7, 3)))
         assert (d.n, d.p) == (7, 3)
 
 
-class TestNestedCandidateSet:
-    def test_strictly_increasing_sizes_required(self):
-        with pytest.raises(ValueError):
-            build_nested(np.arange(4), (2, 2))
-        with pytest.raises(ValueError):
-            build_nested(np.arange(4), (3, 1))
+class TestCandidateSizes:
+    """fit_all's checks on the prefix sizes it is given."""
 
-    def test_sizes_bounded_by_regressor_count(self):
-        with pytest.raises(ValueError):
-            build_nested(np.arange(3), (1, 5))
+    def test_strictly_increasing_sizes_required(self, rng):
+        data = Dataset(Y=rng.standard_normal(10), X=rng.standard_normal((10, 4)))
+        with pytest.raises(ValueError, match="strictly increasing"):
+            fit_all(data, (2, 2))
+        with pytest.raises(ValueError, match="strictly increasing"):
+            fit_all(data, (3, 1))
 
-    def test_ordering_must_be_permutation(self):
-        with pytest.raises(ValueError):
-            NestedCandidateSet(ordering=np.array([0, 0, 2]), sizes=np.array([1]))
+    def test_sizes_bounded_by_regressor_count(self, rng):
+        data = Dataset(Y=rng.standard_normal(10), X=rng.standard_normal((10, 3)))
+        with pytest.raises(ValueError, match="exceeds 3 regressors"):
+            fit_all(data, (1, 5))
 
-    def test_valid_construction(self):
-        cands = build_nested(np.array([2, 0, 1]), (1, 3))
-        assert cands.M == 2
-        assert list(cands.sizes) == [1, 3]
+    def test_sizes_nonempty_and_positive(self, rng):
+        data = Dataset(Y=rng.standard_normal(10), X=rng.standard_normal((10, 3)))
+        with pytest.raises(ValueError, match="at least one"):
+            fit_all(data, ())
+        with pytest.raises(ValueError, match="at least 1"):
+            fit_all(data, (0, 2))
+
+    def test_valid_sizes(self, rng):
+        data = Dataset(Y=rng.standard_normal(10), X=rng.standard_normal((10, 3)))
+        sizes = [1, 3]
+        fits = fit_all(data, sizes)
+        assert fits.M == 2
+        assert fits.sizes.dtype == np.int64 and list(fits.sizes) == [1, 3]
+        sizes[0] = 2  # the fit keeps its own copy
+        assert list(fits.sizes) == [1, 3]
 
 
 class TestOrderByCp:
@@ -66,7 +72,7 @@ class TestOrderByCp:
         X = rng.standard_normal((30, 4))
         Y = X[:, 3].copy()
         data = Dataset(Y=Y, X=X)
-        rss = [float(np.sum((Y - X[:, [j]] @ min_norm_ls(X[:, [j]], Y)) ** 2)) for j in range(4)]
+        rss = [float(np.linalg.lstsq(X[:, [j]], Y, rcond=None)[1][0]) for j in range(4)]
         assert int(np.argmin(rss)) == 3
         assert order_by_cp(data)[0] == 3
 
@@ -86,41 +92,44 @@ class TestOrderByCp:
         X = np.column_stack([np.ones(25), rng.standard_normal((25, 3))])
         data = Dataset(Y=rng.standard_normal(25), X=X, has_intercept=True)
         assert order_by_cp(data)[0] == 0
-        # The flag can be turned off, letting the intercept compete.
-        free = order_by_cp(data, keep_intercept=False)
-        assert sorted(free) == [0, 1, 2, 3]
 
     def test_deterministic(self, rng):
         X = rng.standard_normal((40, 6))
         data = Dataset(Y=rng.standard_normal(40), X=X)
         assert np.array_equal(order_by_cp(data), order_by_cp(data))
 
-    def test_result_is_full_permutation_with_max_terms(self, rng):
-        X = rng.standard_normal((30, 8))
-        data = Dataset(Y=rng.standard_normal(30), X=X)
-        ordering = order_by_cp(data, max_terms=3)
+    def test_unselected_columns_follow_in_original_order(self, rng):
+        # n = 6 selects min(n - 2, p) = 4 of the 8 columns; the other four
+        # keep their original order after them.
+        data = Dataset(Y=rng.standard_normal(6), X=rng.standard_normal((6, 8)))
+        ordering = order_by_cp(data)
         assert sorted(ordering) == list(range(8))
-        with pytest.raises(ValueError):
-            order_by_cp(data, max_terms=0)
+        assert list(ordering[4:]) == sorted(ordering[4:])
 
-    def test_sample_too_small_for_reference_model(self, rng):
+    def test_needs_three_observations(self, rng):
+        with pytest.raises(ValueError, match="at least 3 observations"):
+            order_by_cp(Dataset(Y=rng.standard_normal(2), X=rng.standard_normal((2, 3))))
+        # Three rows are enough: one term is selected.
         data = Dataset(Y=rng.standard_normal(3), X=rng.standard_normal((3, 3)))
-        with pytest.raises(ValueError):
-            order_by_cp(data)
+        assert sorted(order_by_cp(data)) == [0, 1, 2]
+
+
+def _projector(X):
+    return X @ np.linalg.pinv(X)
 
 
 def _check_routes_agree(rng, sizes):
     """fit_all on a tall well-conditioned design against per-candidate solves."""
     X = rng.standard_normal((30, 8))
     Y = rng.standard_normal(30)
-    fits = fit_all(Dataset(Y=Y, X=X), build_nested(np.arange(8), sizes))
+    fits = fit_all(Dataset(Y=Y, X=X), sizes)
     assert fits.coefs.shape == (sizes[-1], len(sizes))
     for q, k in enumerate(sizes):
-        beta = min_norm_ls(X[:, :k], Y)
+        beta = np.linalg.lstsq(X[:, :k], Y, rcond=None)[0]
         assert np.allclose(fits.coefs[:k, q], beta, atol=1e-9)
         assert np.all(fits.coefs[k:, q] == 0.0)
         assert np.allclose(fits.residuals[:, q], Y - X[:, :k] @ beta, atol=1e-9)
-        P = projection(X[:, :k])
+        P = _projector(X[:, :k])
         assert np.allclose(fits.leverages[:, q], np.diag(P), atol=1e-9)
 
 
@@ -128,7 +137,7 @@ class TestFitAll:
     def test_single_full_model_matches_ols(self, rng):
         X = rng.standard_normal((20, 4))
         Y = rng.standard_normal(20)
-        fits = fit_all(Dataset(Y=Y, X=X), build_nested(np.arange(4), (4,)))
+        fits = fit_all(Dataset(Y=Y, X=X), (4,))
         resid_ols = Y - X @ np.linalg.solve(X.T @ X, X.T @ Y)
         assert np.allclose(fits.residuals[:, 0], resid_ols, atol=1e-9)
         assert fits.rss[0] == pytest.approx(float(resid_ols @ resid_ols))
@@ -137,7 +146,7 @@ class TestFitAll:
         # Nested spans give P_q P_l = P_min(q,l), so tr(P_q P_l) = min(r_q, r_l);
         # the projectors are formed explicitly as the independent route.
         fits, data, _ = make_fits(11, n=25, sizes=(2, 4, 9))
-        P = [projection(data.X[:, fits.ordering[:k]]) for k in fits.sizes]
+        P = [_projector(data.X[:, :k]) for k in fits.sizes]
         traces = np.array([[np.trace(Pq @ Pl) for Pl in P] for Pq in P])
         assert np.allclose(traces, np.minimum.outer([2, 4, 9], [2, 4, 9]), atol=1e-8)
         # Hence tr(P(w)^2) = w' min(r_q, r_l) w for P(w) = sum_q w_q P_q.
@@ -147,9 +156,7 @@ class TestFitAll:
 
     def test_interpolating_candidate_zero_residual(self, rng):
         X = rng.standard_normal((6, 6))
-        fits = fit_all(
-            Dataset(Y=rng.standard_normal(6), X=X), build_nested(np.arange(6), (3, 6))
-        )
+        fits = fit_all(Dataset(Y=rng.standard_normal(6), X=X), (3, 6))
         assert np.allclose(fits.residuals[:, 1], 0.0, atol=1e-8)
 
     def test_fast_and_careful_routes_agree(self, rng):
@@ -161,31 +168,28 @@ class TestFitAll:
         # Sizes (3, 4, 7) skip 1 and stop short of the 8 columns, so the
         # prefix mask and the k_M rows of coefs are both exercised.
         _check_routes_agree(rng, (3, 4, 7))
+
     def test_wide_candidates_use_min_norm(self, rng):
         # More columns than rows: ranks cap at n and residuals vanish.
         X = rng.standard_normal((10, 15))
         Y = rng.standard_normal(10)
-        fits = fit_all(Dataset(Y=Y, X=X), build_nested(np.arange(15), (4, 12)))
+        fits = fit_all(Dataset(Y=Y, X=X), (4, 12))
         assert list(fits.ranks) == [4, 10]
         assert np.allclose(fits.residuals[:, 1], 0.0, atol=1e-7)
-        assert np.allclose(fits.coefs[:12, 1], min_norm_ls(X[:, :12], Y), atol=1e-8)
+        assert np.allclose(fits.coefs[:12, 1], np.linalg.lstsq(X[:, :12], Y, rcond=None)[0], atol=1e-8)
 
     def test_collinear_column_reduces_rank_and_trace(self, rng):
         X = rng.standard_normal((12, 3))
         X[:, 2] = X[:, 0] - X[:, 1]
-        fits = fit_all(
-            Dataset(Y=rng.standard_normal(12), X=X), build_nested(np.arange(3), (2, 3))
-        )
+        fits = fit_all(Dataset(Y=rng.standard_normal(12), X=X), (2, 3))
         assert list(fits.ranks) == [2, 2]
-        assert np.trace(projection(X[:, :2]) @ projection(X)) == pytest.approx(2.0)
+        assert np.trace(_projector(X[:, :2]) @ _projector(X)) == pytest.approx(2.0)
         # A dependent column leaves the span unchanged: both projectors coincide.
         X = X[:, :2].copy()
         X[:, 1] = 2.0 * X[:, 0]
-        fits = fit_all(
-            Dataset(Y=rng.standard_normal(12), X=X), build_nested(np.arange(2), (1, 2))
-        )
+        fits = fit_all(Dataset(Y=rng.standard_normal(12), X=X), (1, 2))
         assert list(fits.ranks) == [1, 1]
-        assert np.trace(projection(X[:, :1]) @ projection(X)) == pytest.approx(1.0)
+        assert np.trace(_projector(X[:, :1]) @ _projector(X)) == pytest.approx(1.0)
 
     def test_predict_reproduces_training_fit(self, rng):
         fits, data, _ = make_fits(12, n=18, sizes=(1, 4, 7))
@@ -203,11 +207,6 @@ class TestFitAll:
         assert np.array_equal(sub.ranks, fits.ranks[1:])
         with pytest.raises(ValueError):
             fits.subset(np.zeros(3, dtype=bool))
-
-    def test_ordering_length_checked(self, rng):
-        data = Dataset(Y=rng.standard_normal(10), X=rng.standard_normal((10, 4)))
-        with pytest.raises(ValueError):
-            fit_all(data, build_nested(np.arange(3), (2,)))
 
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=2**31))
@@ -236,11 +235,10 @@ def test_qr_fast_path_matches_the_svd_route_near_its_threshold(seed, log_ratio):
     X = U @ R0
     data = Dataset(Y=X @ rng.standard_normal(k) + rng.standard_normal(n), X=X)
     sizes = np.unique(np.concatenate([[k], rng.integers(1, k + 1, 3)]))
-    cands = build_nested(np.arange(k), sizes)
     with mock.patch.object(models, "_QR_DIAG_RATIO", 0.0):
-        qr = fit_all(data, cands)
+        qr = fit_all(data, sizes)
     with mock.patch.object(models, "_QR_DIAG_RATIO", 1.0):
-        svd = fit_all(data, cands)
+        svd = fit_all(data, sizes)
     np.testing.assert_array_equal(svd.ranks, sizes)
     eps = np.finfo(np.float64).eps
     for q, kq in enumerate(sizes):
@@ -251,6 +249,39 @@ def test_qr_fast_path_matches_the_svd_route_near_its_threshold(seed, log_ratio):
         beta = svd.coefs[:kq, q]
         bound = eps * (kappa + kappa**2 * np.linalg.norm(svd.residuals[:, q]) / (s[0] * np.linalg.norm(beta)))
         assert np.linalg.norm(qr.coefs[:kq, q] - beta) <= 100 * bound * np.linalg.norm(beta)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1), wide=st.booleans())
+def test_columns_past_the_largest_candidate_are_never_read(seed, wide):
+    # Candidates are column prefixes: changing, appending or dropping columns
+    # past k_M leaves every fitted array and every prediction bit for bit
+    # unchanged, on the QR fast path (k_M <= n) and the SVD route (k_M > n).
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(4, 20))
+    kM = int(rng.integers(n + 1, 2 * n + 1)) if wide else int(rng.integers(1, n + 1))
+    p = kM + int(rng.integers(1, 6))
+    X = rng.standard_normal((n, p))
+    Y = rng.standard_normal(n)
+    sizes = np.unique(np.concatenate([[kM], rng.integers(1, kM + 1, 3)]))
+
+    def past(A, rows):
+        changed = A.copy()
+        changed[:, kM:] = rng.standard_normal((rows, p - kM))
+        appended = np.column_stack([A, rng.standard_normal((rows, 3))])
+        return [changed, appended, A[:, :kM].copy(), np.asfortranarray(A)]
+
+    base = fit_all(Dataset(Y=Y, X=X), sizes)
+    X_new = rng.standard_normal((7, p))
+    expected = base.predict(X_new)
+    for variant in past(X, n):
+        fits = fit_all(Dataset(Y=Y, X=variant), sizes)
+        assert fits.n == base.n
+        for field in ("sizes", "coefs", "residuals", "leverages", "rss", "ranks"):
+            a, b = getattr(fits, field), getattr(base, field)
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), field
+        for X_other in past(X_new, 7):
+            assert fits.predict(X_other).tobytes() == expected.tobytes()
 
 
 def test_default_model_counts_match_rounding_rule():

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lama.criteria import b_in_diag, lama_criterion_value, lama_program, mma_program, sigma_hat, v_out_matrix, xi
-from lama.models import Dataset, ModelFits, build_nested, fit_all
+from lama.models import Dataset, ModelFits, fit_all
 from lama.qp import CumulativeForm, simplex_project, solve_cumulative_qp, solve_simplex_qp
 
 from conftest import grid_min, simplex_grid, summary_fits
@@ -134,7 +134,6 @@ class TestSolveSimplexQp:
         fits = ModelFits(
             n=n,
             sizes=sizes,
-            ordering=np.arange(2),
             coefs=np.zeros((2, 2)),
             residuals=np.zeros((n, 2)),
             leverages=np.tile(sizes / n, (n, 1)),
@@ -213,7 +212,7 @@ class TestSolveCumulativeQp:
             X[:, 3] = X[:, 1]
         Y = X[:, :3] @ rng.standard_normal(3) + rng.standard_normal(n)
         sizes = np.unique(np.concatenate([[1, 3, 4, p], rng.integers(1, p + 1, int(rng.integers(1, p)))]))
-        return fit_all(Dataset(Y=Y, X=X), build_nested(np.arange(p), sizes))
+        return fit_all(Dataset(Y=Y, X=X), sizes)
 
     @given(
         st.integers(min_value=0, max_value=2**32 - 1),

@@ -390,6 +390,20 @@ class TestLimitMatrices:
         with pytest.raises(ValueError, match="square"):
             RiskMatrices(variance=np.ones((2, 3)), bias=np.ones((2, 3)))
 
+    def test_matrix_container_rejects_nan(self):
+        # A NaN would make asymptotic_risk return NaN without an error;
+        # +inf stays the boundary sentinel.
+        nan_off = np.array([[1.0, np.nan], [np.nan, 1.0]])
+        with pytest.raises(ValueError, match="variance matrix has NaN"):
+            RiskMatrices(variance=nan_off, bias=np.zeros((2, 2)))
+        with pytest.raises(ValueError, match="bias matrix has NaN"):
+            RiskMatrices(variance=np.eye(2), bias=nan_off)
+        with pytest.raises(ValueError, match="bias matrix has NaN"):
+            RiskMatrices(variance=np.eye(2), bias=np.array([[np.nan, 0.0], [0.0, 0.0]]))
+        inf_off = np.array([[1.0, np.inf], [np.inf, np.inf]])
+        mats = RiskMatrices(variance=inf_off, bias=np.zeros((2, 2)))
+        assert mats.variance[1, 1] == np.inf
+
 
 class TestVariancePenalizedWeights:
     def test_inverse_variance_proportions(self):
