@@ -104,6 +104,12 @@ def _write_out(path: str | None, emit) -> int:
     return 0
 
 
+def _write_json(path: str | None, obj) -> int:
+    """``_write_out`` of ``obj`` as strict JSON: a non-finite value raises ``ValueError`` before any write."""
+    text = json.dumps(obj, indent=2, allow_nan=False) + "\n"
+    return _write_out(path, lambda fh: fh.write(text))
+
+
 def _load_dataset(args) -> Dataset:
     name = args.data
     standardize = not args.no_standardize
@@ -223,23 +229,24 @@ def _cmd_fit(args) -> int:
         X, Y = X[idx], Y[idx]
     fits = xp.fit_all(Dataset(Y=Y, X=X), sizes)
     records = [xp.compute_weights(fits, method).to_record() for method in args.methods]
-    return _write_out(args.out, lambda fh: fh.write(json.dumps(records, indent=2) + "\n"))
+    return _write_json(args.out, records)
 
 
 def _cmd_validate_rmt(args) -> int:
     theta = None if args.theta is None else np.asarray(args.theta)
     report = xp.validate_rmt(args.n, args.c, reps=args.reps, seed=args.seed, theta=theta)
-    return _write_out(args.out, lambda fh: fh.write(json.dumps(report, indent=2) + "\n"))
+    return _write_json(args.out, report)
 
 
 def _cmd_validate_thm1(args) -> int:
     profile = _profile_from(args)
     theta = profile.coefficients(max(args.p, max(args.sizes)))
-    report = xp.validate_theorem1(
-        args.n, args.sizes, theta, sigma2=args.sigma2, reps=args.reps, seed=args.seed,
-        w=args.weights, test_size=args.test_size,
-    )
-    return _write_out(args.out, lambda fh: fh.write(json.dumps(report, indent=2) + "\n"))
+    with _as_flags({"w": "--weights"}):
+        report = xp.validate_theorem1(
+            args.n, args.sizes, theta, sigma2=args.sigma2, reps=args.reps, seed=args.seed,
+            w=args.weights, test_size=args.test_size,
+        )
+    return _write_json(args.out, report)
 
 
 # ---------------------------------------------------------------------------

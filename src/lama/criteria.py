@@ -23,7 +23,7 @@ cumulative weights C_i = w_0 + ... + w_i, and each carries that form
 (``QuadraticProgram.cumulative``, derived in ``lama.qp``) for the solver:
 Mallows is isotonic regression, solved by pool-adjacent-violators, and the
 large-model program is tridiagonal.  The jackknife program has no such form
-and goes to the general solver.  The dense A and b stay the definition:
+and takes the solver's dense path.  The dense A and b stay the definition:
 they give the objective and the certificate of every solve.
 """
 

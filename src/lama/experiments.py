@@ -22,7 +22,7 @@ import numpy as np
 
 from . import criteria as crit
 from .models import Dataset, default_model_counts, fit_all, order_by_cp
-from .qp import solve_cumulative_qp, solve_simplex_qp
+from .qp import solve_simplex_qp
 from .risk_theory import InputError, PowerLawProfile, asymptotic_risk, theorem1_matrices
 
 __all__ = [
@@ -141,13 +141,6 @@ def _scatter(length: int, idx: np.ndarray, values: np.ndarray) -> np.ndarray:
     return out
 
 
-def _solve(program):
-    """The program's report: banded solvers in cumulative weights where the nesting gives them."""
-    if program.cumulative is None:
-        return solve_simplex_qp(program.A, program.b)
-    return solve_cumulative_qp(program.A, program.b, program.cumulative)
-
-
 # Candidates each criterion cannot score: (criterion name, what every dropped candidate does).
 _EXCLUSION = {"jma": ("leave-one-out", "interpolates"), "lama": ("large-model", "has k >= n (boundary)")}
 
@@ -173,30 +166,29 @@ def compute_weights(
     s2 = None
     if method != "jma":
         s2 = crit.sigma_hat(fits) if sigma2_hat is None else sigma2_hat
+    xi_val, scale, keep, dropped = None, 1, np.ones(M, dtype=bool), ()
     if method == "mma":
-        report = _solve(crit.mma_program(fits, s2))
-        return WeightChoice(method, report.weights, report.objective, s2,
-                            status=report.status, kkt_residual=report.kkt_residual)
-
-    keep = ~crit.loo_flagged(fits) if method == "jma" else fits.sizes < fits.n
-    dropped = tuple(np.flatnonzero(~keep).tolist())
-    name, why = _EXCLUSION[method]
-    if dropped:
-        warnings.warn(f"{name} criterion: excluding candidate(s) {list(dropped)}; each {why}",
-                      RuntimeWarning, stacklevel=2)
-    if not np.any(keep):
-        raise ValueError(f"every candidate {why}; {name} criterion undefined")
-    sub = fits.subset(keep)
-    if method == "jma":
-        xi_val, program, scale = None, crit.jma_program(sub), 1
+        program = crit.mma_program(fits, s2)
     else:
-        if xi_override is None:
-            xi_val = crit.xi(np.diag(crit.v_out_matrix(sub, s2)), crit.b_in_diag(sub, s2))
+        keep = ~crit.loo_flagged(fits) if method == "jma" else fits.sizes < fits.n
+        dropped = tuple(np.flatnonzero(~keep).tolist())
+        name, why = _EXCLUSION[method]
+        if dropped:
+            warnings.warn(f"{name} criterion: excluding candidate(s) {list(dropped)}; each {why}",
+                          RuntimeWarning, stacklevel=2)
+        if not np.any(keep):
+            raise ValueError(f"every candidate {why}; {name} criterion undefined")
+        sub = fits.subset(keep)
+        if method == "jma":
+            program = crit.jma_program(sub)
         else:
-            xi_val = float(xi_override)
-        # the program is on the n-scale; report the per-observation criterion
-        program, scale = crit.lama_program(sub, s2, xi_val), sub.n
-    report = _solve(program)
+            if xi_override is None:
+                xi_val = crit.xi(np.diag(crit.v_out_matrix(sub, s2)), crit.b_in_diag(sub, s2))
+            else:
+                xi_val = float(xi_override)
+            # the program is on the n-scale; report the per-observation criterion
+            program, scale = crit.lama_program(sub, s2, xi_val), sub.n
+    report = solve_simplex_qp(program.A, program.b, program.cumulative)
     w = _scatter(M, np.flatnonzero(keep), report.weights)
     return WeightChoice(method, w, report.objective / scale, s2, xi_val, dropped, report.status,
                         report.kkt_residual)
@@ -234,6 +226,8 @@ class SimulationConfig:
             raise InputError("r2_values", "R-squared values must lie in (0, 1)")
         if self.replications < 1:
             raise InputError("replications", "need at least one replication")
+        if self.test_size < 2:
+            raise InputError("test_size", f"need at least 2 test draws, got {self.test_size}")
         if self.alpha <= 0.0:
             raise InputError("alpha", "must be positive")
         m_max = max(self.m_values) if self.m_values else max(default_model_counts(max(self.n_values)))
@@ -480,6 +474,8 @@ def evaluate_real(
     N = data.n
     if not 2 <= n_train < N:
         raise InputError("n_train", f"{n_train} not in [2, {N - 1}]")
+    if reps < 1:
+        raise InputError("reps", "need at least one split")
     methods = _method_tags(methods)
     X, sizes = _nested_candidates(data, n_train, max_models)
     workers = worker_count() if workers is None else workers
@@ -593,7 +589,10 @@ def validate_theorem1(
     Gaussian design with p = len(theta) regressors; candidates are the
     nested prefixes given by ``sizes``.  The empirical risk averages the
     squared deviation of the ensemble prediction from the true mean over an
-    independent test draw, then over replications.
+    independent test draw, then over replications.  ``w`` must lie on the
+    probability simplex (``InputError`` naming ``w`` otherwise) and put no
+    weight on a candidate with k = n, whose limiting risk is infinite
+    (``ValueError``).
     """
     if n < 2:
         raise InputError("n", f"{n} too small (need at least 2)")
@@ -610,14 +609,14 @@ def validate_theorem1(
         raise InputError("sizes", "largest candidate exceeds the coefficient length")
     M = sizes.shape[0]
     w = np.full(M, 1.0 / M) if w is None else np.asarray(w, dtype=np.float64).reshape(-1)
-    if w.shape[0] != M:
-        raise InputError("w", "weight length does not match candidate count")
     if sigma2 < 0.0:
         raise InputError("sigma2", "must be nonnegative")
 
     sq = np.concatenate([[0.0], np.cumsum(theta**2)])
     mats = theorem1_matrices(sizes / float(n), sq[sizes], float(sq[-1]), sigma2)
-    theo_risk, theo_bias, theo_var = asymptotic_risk(w, mats)
+    theo_risk, theo_bias, theo_var = asymptotic_risk(w, mats)  # InputError on w off the simplex
+    if np.any((sizes == n) & (w > 0.0)):
+        raise ValueError(f"candidate size k = n = {n} has positive weight; it lies on the boundary")
 
     risks = []
     for rep in range(reps):

@@ -1,46 +1,52 @@
 """Minimize w'Aw + b'w over the probability simplex.
 
-Two solvers share one certificate: the report's ``status`` and
-``kkt_residual`` (the projected-gradient fixed-point residual, taken in w on
-the dense program) certify every answer.
+``solve_simplex_qp(A, b, form)`` is the one entry point.  Every answer has
+the same certificate: the report's ``status`` and ``kkt_residual`` (the
+projected-gradient fixed-point residual, taken in w on the dense program).
 
-``solve_simplex_qp`` is the general solver, used for the jackknife program
-and kept as the reference for the other two.  A primal active-set method
-(Nocedal & Wright, *Numerical Optimization*, Alg. 16.3) started at the best
-vertex.  A singular KKT system on the free support is a zero-curvature
-direction, walked downhill to the next bound.  Ties go to the lowest index.
-The method needs convexity on the simplex: the centred matrix
-(I - 11'/M) A (I - 11'/M) may have no negative eigenvalue beyond roundoff,
-else ``ValueError``.
+Two of the three paths run one primal active-set loop (Nocedal & Wright,
+*Numerical Optimization*, Alg. 16.3), ``_active_set``.  Each step goes
+toward the minimizer of the current face (the simplex with the bound
+indices held at zero) and stops at the first bound it meets, which then
+leaves the support.  At a face minimizer, the bound index with the lowest
+gradient entry enters if that entry lies below the free entries' common
+value; else the point is optimal.  Ties go to the lowest index.  The paths
+differ only in how they solve a face and where they start:
 
-``solve_cumulative_qp`` solves the Mallows and large-model programs, whose
-nested candidates make them banded in the cumulative weights
-C_i = w_0 + ... + w_i (C_{M-1} = 1).  A max-type entry g_max(q,l) gives
-w'Gw = g_{M-1} - sum_i (g_{i+1} - g_i) C_i^2, a min-type entry h_min(q,l)
-gives h_0 + sum_i (h_{i+1} - h_i) (1 - C_i)^2, a linear term b gives
-b_{M-1} - sum_i (b_{i+1} - b_i) C_i and a diagonal r_q w_q^2 couples only
-neighbours, (C_q - C_{q-1})^2.  So, up to a constant, the program is
+* ``form=None`` (the jackknife program, and the reference the tests hold
+  the other paths to) solves the bordered KKT system of the face densely,
+  by SVD, from the best vertex.  A singular system is a zero-curvature
+  direction, walked downhill to the next bound.  The method needs
+  convexity on the simplex: the centred matrix (I - 11'/M) A (I - 11'/M)
+  may have no negative eigenvalue beyond roundoff, else ``ValueError``.
 
-    sum_{i<M-1} d_i C_i^2 + e_i C_i + sum_q r_q w_q^2
-    over 0 <= C_0 <= ... <= C_{M-2} <= 1,
+* With a ``CumulativeForm`` (the Mallows and large-model programs), the
+  nested candidates make the program banded in the cumulative weights
+  C_i = w_0 + ... + w_i (C_{M-1} = 1).  A max-type entry g_max(q,l) gives
+  w'Gw = g_{M-1} - sum_i (g_{i+1} - g_i) C_i^2, a min-type entry h_min(q,l)
+  gives h_0 + sum_i (h_{i+1} - h_i) (1 - C_i)^2, a linear term b gives
+  b_{M-1} - sum_i (b_{i+1} - b_i) C_i and a diagonal r_q w_q^2 couples only
+  neighbours, (C_q - C_{q-1})^2.  So, up to a constant, the program is
 
-which ``CumulativeForm`` holds.
+      sum_{i<M-1} d_i C_i^2 + e_i C_i + sum_q r_q w_q^2
+      over 0 <= C_0 <= ... <= C_{M-2} <= 1.
 
-* Without the ridge (Mallows) it is weighted isotonic regression of
-  t_i = -e_i / (2 d_i) with weights d_i, clipped to [0, 1], solved exactly by
-  pool-adjacent-violators (Best & Chakravarti 1990).  A step with
+  With the ridge r (large-model) the Hessian in C is tridiagonal.  The
+  active-set loop solves each face by a tridiagonal (Thomas) solve in the
+  face's own cumulative weights.  It starts from the full support at
+  uniform weights, not from a vertex, because the ridge keeps nearly every
+  candidate: a vertex start would add them one face solve at a time.
+  Convexity is certified once, by the LDL' pivots of the full tridiagonal
+  Hessian being positive (else ``ValueError``), which makes the minimizer
+  unique and every face system positive definite.
+
+  Without the ridge (Mallows) it is weighted isotonic regression of
+  t_i = -e_i / (2 d_i) with weights d_i, clipped to [0, 1], solved exactly
+  by pool-adjacent-violators (Best & Chakravarti 1990) instead.  A step with
   |d_i| <= 1e-12 max|A| is a tie: its curvature is roundoff, and its linear
   term (e_i <= 0) pushes C_i up, so it merges into the next block (a block
   of ties alone sits at C = 1).  A d_i below -1e-12 max|A| is negative
   curvature and raises ``ValueError``.
-* With the ridge (large-model) the Hessian in C is tridiagonal.  The same
-  active set as the general solver runs on it, but each face's KKT system is
-  a tridiagonal solve in the face's own cumulative weights.  It starts from
-  the full support at uniform weights, not from a vertex, because the ridge
-  keeps nearly every candidate: a vertex start would add them one face solve
-  at a time.  Convexity is certified once, by the LDL' pivots of the full
-  tridiagonal Hessian being positive (else ``ValueError``), which makes the
-  minimizer unique and every face system positive definite.
 """
 
 from __future__ import annotations
@@ -49,7 +55,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["CumulativeForm", "SolveReport", "simplex_project", "solve_cumulative_qp", "solve_simplex_qp"]
+__all__ = ["CumulativeForm", "SolveReport", "simplex_project", "solve_simplex_qp"]
 
 _MAX_ITER = 10_000
 
@@ -61,15 +67,6 @@ class SolveReport:
     iterations: int
     status: str  # converged | max-iter | degenerate
     kkt_residual: float
-
-    def to_dict(self) -> dict:
-        return {
-            "weights": [float(x) for x in self.weights],
-            "objective": float(self.objective),
-            "iterations": int(self.iterations),
-            "status": self.status,
-            "kkt_residual": float(self.kkt_residual),
-        }
 
 
 @dataclass(frozen=True)
@@ -166,79 +163,95 @@ def _report(A, b, w, iterations: int, optimal: bool, scale: float) -> SolveRepor
     return SolveReport(w, _objective(A, b, w), iterations, status, kkt)
 
 
-def solve_simplex_qp(A: np.ndarray, b: np.ndarray | None = None) -> SolveReport:
+def solve_simplex_qp(A: np.ndarray, b: np.ndarray | None = None, form: CumulativeForm | None = None) -> SolveReport:
     """Minimize w'Aw + b'w over the probability simplex.
 
-    Raises ``ValueError`` on malformed input and on programs that are not
-    convex on the simplex.
+    ``form``, when given, must describe the same program as (A, b) in
+    cumulative weights; (A, b) still give the tolerances and the
+    certificate.  Raises ``ValueError`` on malformed input and on programs
+    that are not convex on the simplex.
     """
     A, b, scale = _checked(A, b)
     M = A.shape[0]
+    if form is not None:
+        d, e = (np.asarray(x, dtype=np.float64).reshape(-1) for x in (form.d, form.e))
+        if d.shape[0] != M - 1 or e.shape[0] != M - 1 or (form.r is not None and np.shape(form.r) != (M,)):
+            raise ValueError("cumulative form does not match the program size")
     if M == 1:
         return _report(A, b, np.array([1.0]), 0, True, scale)
+    if form is None:
+        _check_convex_on_simplex(A)
+        start = int(np.argmin(np.diag(A) + b))
+        w = np.zeros(M)
+        w[start] = 1.0
+        w, iterations, optimal = _active_set(*_dense_program(A, b, scale), [start], w, scale)
+    elif form.r is None:
+        w, iterations = _pool_adjacent_violators(d, e, 1e-12 * float(np.max(np.abs(A))))
+        optimal = True
+    else:
+        face, gradient = _tridiagonal_program(d, e, np.asarray(form.r, dtype=np.float64))
+        w, iterations, optimal = _active_set(face, gradient, list(range(M)), np.full(M, 1.0 / M), scale)
+    return _report(A, b, w, iterations, optimal, scale)
 
-    _check_convex_on_simplex(A)
-    free = [int(np.argmin(np.diag(A) + b))]
-    w = np.zeros(M)
-    w[free[0]] = 1.0
+
+def _active_set(face, gradient, free: list[int], w: np.ndarray, scale: float) -> tuple[np.ndarray, int, bool]:
+    """The active-set loop from the feasible ``w`` whose support is the sorted list ``free``.
+
+    ``face(free, w)`` gives the step on the free entries toward the current
+    face's minimizer and the longest multiple of it to take: 1 reaches the
+    minimizer, and ``inf`` walks a zero-curvature direction to the next
+    bound.  ``gradient(w)`` is the objective's gradient up to a common
+    shift.  Returns the weights, the iteration count and whether the last
+    face minimizer passed the entering test.
+    """
     optimal = False
     iterations = 0
     while not optimal and iterations < _MAX_ITER:
         iterations += 1
+        p, cap = face(free, w)
+        idx = np.array(free)  # numpy indexes an array faster than a list
+        wF = w[idx]
+        t, block = _ratio_test(wF, p, cap)
+        w[idx] = wF + t * p
+        if block >= 0:
+            w[free[block]] = 0.0
+            del free[block]
+            continue
+        # At the face minimizer the free gradient entries share one value;
+        # a bound index with a smaller entry enters.
+        g = gradient(w)
+        level = g[idx].sum() / len(free)
+        g[idx] = np.inf
+        j = int(np.argmin(g))
+        if g[j] - level < -1e-12 * scale:
+            free = sorted(free + [j])
+        else:
+            optimal = True
+    return w, iterations, optimal
+
+
+def _dense_program(A: np.ndarray, b: np.ndarray, scale: float):
+    """The face step and the gradient of the dense program; a face step solves
+    the bordered KKT system on the free indices by SVD."""
+
+    def face(free: list[int], w: np.ndarray) -> tuple[np.ndarray, float]:
         k = len(free)
         K = np.zeros((k + 1, k + 1))
         K[:k, :k] = 2.0 * A[np.ix_(free, free)]
         K[:k, k] = K[k, :k] = scale  # sum w = 1, bordered at the scale of A and b
         U, s, Vt = np.linalg.svd(K)
-        wF = w[free]
         if s[-1] <= 1e-12 * s[0]:
             # Zero curvature along the null vector: the objective is linear
             # on that line, so go downhill to the first bound.
             p = Vt[-1, :k]
-            if (2.0 * A[free] @ w + b[free]) @ p > 0.0:
-                p = -p
-            t, block = _ratio_test(wF, p, np.inf)
-        else:
-            sol = Vt.T @ ((U.T @ np.concatenate([-b[free], [scale]])) / s)
-            p = sol[:k] - wF
-            t, block = _ratio_test(wF, p, 1.0)
-        w[free] = wF + t * p
-        if block >= 0:
-            w[free[block]] = 0.0
-            del free[block]
-            continue
-        # Minimizer of the face: the free gradient entries share the value
-        # -scale * sol[k]; a bound index with a smaller gradient entry enters.
-        reduced = 2.0 * A @ w + b + scale * sol[k]
-        reduced[free] = np.inf
-        j = int(np.argmin(reduced))
-        if reduced[j] < -1e-12 * scale:
-            free = sorted(free + [j])
-        else:
-            optimal = True
-    return _report(A, b, w, iterations, optimal, scale)
+            return (-p if (2.0 * A[free] @ w + b[free]) @ p > 0.0 else p), np.inf
+        sol = Vt.T @ ((U.T @ np.concatenate([-b[free], [scale]])) / s)
+        return sol[:k] - w[free], 1.0
 
+    def gradient(w: np.ndarray) -> np.ndarray:
+        return 2.0 * A @ w + b
 
-def solve_cumulative_qp(A: np.ndarray, b: np.ndarray | None, form: CumulativeForm) -> SolveReport:
-    """Minimize w'Aw + b'w over the simplex through its cumulative form.
-
-    ``form`` must describe the same program as (A, b), which gives the
-    tolerances and the certificate.  Raises ``ValueError`` on malformed input
-    and on programs that are not convex on the simplex.
-    """
-    A, b, scale = _checked(A, b)
-    M = A.shape[0]
-    d = np.asarray(form.d, dtype=np.float64).reshape(-1)
-    e = np.asarray(form.e, dtype=np.float64).reshape(-1)
-    if d.shape[0] != M - 1 or e.shape[0] != M - 1 or (form.r is not None and np.shape(form.r) != (M,)):
-        raise ValueError("cumulative form does not match the program size")
-    if M == 1:
-        return _report(A, b, np.array([1.0]), 0, True, scale)
-    if form.r is None:
-        w, iterations = _pool_adjacent_violators(d, e, 1e-12 * float(np.max(np.abs(A))))
-        return _report(A, b, w, iterations, True, scale)
-    w, iterations, optimal = _tridiagonal_active_set(d, e, np.asarray(form.r, dtype=np.float64), scale)
-    return _report(A, b, w, iterations, optimal, scale)
+    return face, gradient
 
 
 def _level(num: float, den: float) -> float:
@@ -293,64 +306,38 @@ def _tridiagonal_solve(diag: list[float], off: list[float], rhs: list[float]) ->
     return x
 
 
-def _tridiagonal_active_set(d, e, r, scale: float) -> tuple[np.ndarray, int, bool]:
-    """The general solver's active set from the full support, each face solved in its cumulative weights.
+def _tridiagonal_program(d: np.ndarray, e: np.ndarray, r: np.ndarray):
+    """The face step and the gradient of the ridged cumulative form, once its convexity is certified.
 
     On the face with free candidates f_0 < ... < f_{s-1}, the variables are
     E_m = C_i for f_m <= i < f_{m+1} (m < s - 1); the steps inside one run
     pool their d and e, and the ridge keeps r at the free candidates only.
-    The gradient in w, up to a common shift, is
-    g_q = sum_{q <= i < M-1} (2 d_i C_i + e_i) + 2 r_q w_q.  Plain floats:
-    the programs are small and numpy's per-call cost would dominate.
-    Returns the weights, the iteration count and whether the face minimizer
-    passed the entering test.
+    The face solve runs on plain floats: the programs are small and numpy's
+    per-call cost would dominate.  The gradient in w, up to a common shift,
+    is g_q = sum_{q <= i < M-1} (2 d_i C_i + e_i) + 2 r_q w_q.
     """
     pivots = _ldl_pivots((d + r[:-1] + r[1:]).tolist(), (-r[1:-1]).tolist())
     if min(pivots) <= 0.0:
         raise _not_convex(min(pivots))
-    M = r.shape[0]
-    d, e, r = d.tolist(), e.tolist(), r.tolist()
     d_sum = [0.0] + np.cumsum(d).tolist()
     e_sum = [0.0] + np.cumsum(e).tolist()
-    free = list(range(M))
-    w = [1.0 / M] * M
-    optimal = False
-    iterations = 0
-    while not optimal and iterations < _MAX_ITER:
-        iterations += 1
+    ridge = r.tolist()
+
+    def face(free: list[int], w: np.ndarray) -> tuple[np.ndarray, float]:
         target = [1.0]
         if len(free) > 1:
             runs = list(zip(free[:-1], free[1:]))
             rhs = [0.5 * (e_sum[f] - e_sum[g]) for f, g in runs]
-            rhs[-1] += r[free[-1]]
+            rhs[-1] += ridge[free[-1]]
             E = _tridiagonal_solve(
-                [d_sum[g] - d_sum[f] + r[f] + r[g] for f, g in runs], [-r[f] for f in free[1:-1]], rhs
+                [d_sum[g] - d_sum[f] + ridge[f] + ridge[g] for f, g in runs], [-ridge[f] for f in free[1:-1]], rhs
             )
             target = [hi - lo for lo, hi in zip([0.0] + E, E + [1.0])]
-        # Ratio test: the longest step toward the face minimizer that keeps w >= 0.
-        p = [x - w[f] for x, f in zip(target, free)]
-        shortest, block = 1.0, -1
-        for m, (f, pm) in enumerate(zip(free, p)):
-            if pm < 0.0 and w[f] / -pm < shortest:
-                shortest, block = w[f] / -pm, m
-        step = max(shortest, 0.0)
-        for f, pm in zip(free, p):
-            w[f] += step * pm
-        if block >= 0:
-            w[free[block]] = 0.0
-            del free[block]
-            continue
-        C = np.cumsum(w).tolist()
-        g = [2.0 * ri * wi for ri, wi in zip(r, w)]
-        acc = 0.0
-        for i in range(M - 2, -1, -1):
-            acc += 2.0 * d[i] * C[i] + e[i]
-            g[i] += acc
-        level = sum(g[f] for f in free) / len(free)
-        members = set(free)
-        j = min((q for q in range(M) if q not in members), key=g.__getitem__, default=-1)
-        if j >= 0 and g[j] - level < -1e-12 * scale:
-            free = sorted(free + [j])
-        else:
-            optimal = True
-    return np.array(w), iterations, optimal
+        return np.array(target) - w[free], 1.0
+
+    def gradient(w: np.ndarray) -> np.ndarray:
+        g = 2.0 * r * w
+        g[:-1] += np.cumsum((2.0 * d * np.cumsum(w)[:-1] + e)[::-1])[::-1]
+        return g
+
+    return face, gradient

@@ -208,12 +208,18 @@ def asymptotic_risk(w: np.ndarray, matrices: RiskMatrices) -> tuple[float, float
 
 
 def _risk_parts(w, V, B, rows: np.ndarray) -> tuple[float, float, float]:
-    """asymptotic_risk of weights ``w`` on rows and columns ``rows`` of V and B."""
+    """asymptotic_risk of weights ``w`` on rows and columns ``rows`` of V and B.
+
+    Weights that are not a finite point of the probability simplex, one per
+    row, raise ``InputError`` naming ``w``.
+    """
     w = np.asarray(w, dtype=np.float64).reshape(-1)
     if w.shape[0] != rows.shape[0]:
-        raise ValueError("weight length does not match matrices")
-    if np.any(w < -1e-12) or abs(w.sum() - 1.0) > 1e-8:
-        raise ValueError("weights must lie on the probability simplex")
+        raise InputError("w", f"weight length {w.shape[0]} does not match the {rows.shape[0]} candidates")
+    # Both comparisons are false for NaN, so this one test also stops non-finite weights.
+    if not (np.all(w >= -1e-12) and abs(w.sum() - 1.0) <= 1e-8):
+        problem = "must lie on the probability simplex" if np.all(np.isfinite(w)) else "must be finite"
+        raise InputError("w", f"weights {problem}, got {w.tolist()}")
     active = w > 0.0
     wa = w[active]
     idx = rows[active]

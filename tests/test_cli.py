@@ -8,6 +8,7 @@ real subprocess runs with different LAMA_THREADS settings.
 """
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -15,13 +16,18 @@ import sys
 import numpy as np
 import pytest
 
-from lama.cli import _parse_int_list, _parse_range, run
+from lama.cli import _parse_int_list, _parse_range, _write_json, run
 
 
 def run_cli(capsys, *argv):
     code = run(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _reject_constant(name):
+    # json.loads hands NaN, Infinity and -Infinity here; strict JSON has none.
+    raise ValueError(f"non-finite constant {name} in JSON output")
 
 
 class TestRangeParsing:
@@ -96,6 +102,19 @@ class TestRangeParsing:
          "--test-size"),
         (["validate-thm1", "--n", "0", "--sizes", "2,4", "--reps", "1"], None, "--n:"),
         (["validate-rmt", "--n", "20", "--c", "0.5", "--reps", "0"], None, "--reps"),
+        (["validate-thm1", "--n", "20", "--sizes", "2,4", "--reps", "1", "--weights", "0.5,nan"], None,
+         "--weights"),
+        (["validate-thm1", "--n", "20", "--sizes", "2,4", "--reps", "1", "--weights", "0.7,0.7"], None,
+         "--weights"),
+        (["validate-thm1", "--n", "20", "--sizes", "2,4", "--reps", "1", "--weights=-0.5,1.5"], None,
+         "--weights"),
+        (["validate-thm1", "--n", "20", "--sizes", "2,4", "--reps", "1", "--weights", "0.5"], None,
+         "--weights"),
+        (["simulate", "--n", "8", "--m", "3", "--p", "8", "--reps", "2", "--test-size", "0"], None,
+         "--test-size"),
+        (["simulate", "--n", "8", "--m", "3", "--p", "8", "--reps", "2", "--test-size", "1"], None,
+         "--test-size"),
+        (["eval", "--data", "mtcars", "--n-train", "20", "--reps", "0"], None, "--reps"),
     ],
     ids=[
         "eval-unknown-method", "eval-max-models", "eval-n-train", "fit-max-models", "fit-n-train",
@@ -104,7 +123,9 @@ class TestRangeParsing:
         "surface-r2", "surface-sigma2", "rmt-c-too-small", "surface-n-range", "surface-m-range", "rmt-c-nan",
         "surface-decay-nan", "surface-scale-overflow", "surface-alpha-overflow", "thm1-sizes-zero",
         "thm1-sizes-decreasing", "thm1-reps-zero", "thm1-test-size-zero", "thm1-test-size-negative",
-        "thm1-n-zero", "rmt-reps-zero",
+        "thm1-n-zero", "rmt-reps-zero", "thm1-weights-nan", "thm1-weights-off-simplex",
+        "thm1-weights-negative", "thm1-weights-length", "simulate-test-size-zero", "simulate-test-size-one",
+        "eval-reps-zero",
     ],
 )
 def test_rejected_values_are_usage_errors(capsys, tmp_path, argv, config, name):
@@ -257,7 +278,7 @@ class TestFitCommand:
     def test_json_records(self, capsys):
         code, out, _ = run_cli(capsys, "fit", "--data", "mtcars", "--methods", "mma,lama")
         assert code == 0
-        records = json.loads(out)
+        records = json.loads(out, parse_constant=_reject_constant)
         assert [r["method"] for r in records] == ["mma", "lama"]
         for rec in records:
             assert set(rec) == {"method", "weights", "criterion_value", "sigma_hat", "xi"}
@@ -289,7 +310,7 @@ class TestValidateCommands:
             capsys, "validate-rmt", "--n", "30", "--c", "0.5", "--reps", "2"
         )
         assert code == 0
-        report = json.loads(out)
+        report = json.loads(out, parse_constant=_reject_constant)
         assert report["k"] == 15
         assert report["trace_inverse"]["theoretical"] == pytest.approx(1.0)
 
@@ -298,13 +319,29 @@ class TestValidateCommands:
         assert code == 2
         assert "numerical failure" in err
 
+    def test_thm1_boundary_is_a_numerical_failure(self, capsys):
+        # k = n = 2 carries weight 1/2: its limiting risk is infinite.
+        code, out, err = run_cli(capsys, "validate-thm1", "--n", "2", "--sizes", "1,2", "--reps", "2")
+        assert (code, out) == (2, "")
+        assert "numerical failure" in err and "boundary" in err
+        code, out, _ = run_cli(
+            capsys, "validate-thm1", "--n", "2", "--sizes", "1,2", "--reps", "2", "--weights", "1,0"
+        )
+        assert code == 0 and math.isfinite(json.loads(out)["theoretical_risk"])
+
+    def test_json_writer_refuses_non_finite_values(self, capsys, tmp_path):
+        for path in (None, str(tmp_path / "out.json")):
+            with pytest.raises(ValueError, match="not JSON compliant"):
+                _write_json(path, {"rel_error": float("nan")})
+        assert capsys.readouterr().out == "" and not (tmp_path / "out.json").exists()
+
     def test_thm1_json(self, capsys):
         code, out, _ = run_cli(
             capsys, "validate-thm1", "--n", "20", "--sizes", "2,4",
             "--reps", "1", "--test-size", "20",
         )
         assert code == 0
-        report = json.loads(out)
+        report = json.loads(out, parse_constant=_reject_constant)
         assert report["sizes"] == [2, 4]
         assert report["rel_error"] >= 0.0
 

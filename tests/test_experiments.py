@@ -6,6 +6,7 @@ and to the underlying programs, and the Monte-Carlo validators are checked
 for their exact closed-form targets and report shapes.
 """
 
+import dataclasses
 import io
 import pickle
 
@@ -200,6 +201,9 @@ class TestSimulationConfig:
             SimulationConfig(**{**good, "r2_values": (1.0,)})
         with pytest.raises(ValueError, match="replication"):
             SimulationConfig(**{**good, "replications": 0})
+        for size in (0, 1):
+            with pytest.raises(InputError, match="^test_size: need at least 2"):
+                SimulationConfig(**{**good, "test_size": size})
         with pytest.raises(ValueError, match="alpha"):
             SimulationConfig(**{**good, "alpha": 0.0})
         with pytest.raises(ValueError, match="smaller than"):
@@ -417,6 +421,8 @@ class TestEvaluateReal:
             evaluate_real(data, 32, reps=1, seed=0)
         with pytest.raises(ValueError, match="max_models"):
             evaluate_real(data, 25, reps=1, seed=0, max_models=99)
+        with pytest.raises(InputError, match="^reps: "):
+            evaluate_real(data, 25, reps=0, seed=0)
 
     def test_unknown_methods_are_rejected_before_any_split(self, monkeypatch):
         monkeypatch.setattr(xp, "_real_split", None)  # any split would raise TypeError
@@ -508,12 +514,44 @@ class TestValidateTheorem1:
             30, (2, 4), theta, 1.0, reps=1, seed=0, w=(0.25, 0.75), test_size=50
         )
         assert report["sizes"] == [2, 4]
-        with pytest.raises(ValueError, match="weight length"):
-            validate_theorem1(30, (2, 4), theta, 1.0, reps=1, seed=0, w=(1.0,))
+        for w, match in [((1.0,), "weight length"), ((0.5, np.nan), "finite"), ((0.7, 0.7), "simplex"),
+                         ((-0.5, 1.5), "simplex")]:
+            with pytest.raises(InputError, match=f"^w: .*{match}"):
+                validate_theorem1(30, (2, 4), theta, 1.0, reps=1, seed=0, w=w)
         with pytest.raises(ValueError, match="exceeds"):
             validate_theorem1(30, (2, 8), theta, 1.0, reps=1, seed=0)
         with pytest.raises(ValueError, match="nonnegative"):
             validate_theorem1(30, (2, 4), theta, -1.0, reps=1, seed=0)
+
+
+    def test_positive_weight_at_the_boundary_raises(self):
+        theta = np.ones(4)
+        with pytest.raises(ValueError, match="boundary") as err:
+            validate_theorem1(2, (1, 2), theta, 1.0, reps=2, seed=0)
+        assert not isinstance(err.value, InputError)
+        report = validate_theorem1(2, (1, 2), theta, 1.0, reps=2, seed=0, w=(1.0, 0.0), test_size=20)
+        assert np.isfinite(report["theoretical_risk"]) and np.isfinite(report["rel_error"])
+
+
+def test_every_quadratic_solve_goes_through_one_name(monkeypatch):
+    # The benchmark's qp.* spans wrap experiments.solve_simplex_qp, so every
+    # method's solve must be looked up there, and its report passed on as is
+    # (each gets its own status label here, so a substituted one shows).
+    reports = []
+
+    def count(*args, **kwargs):
+        reports.append(dataclasses.replace(solve(*args, **kwargs), status=f"solve {len(reports)}"))
+        return reports[-1]
+
+    solve = xp.solve_simplex_qp
+    monkeypatch.setattr(xp, "solve_simplex_qp", count)
+    evaluate_real(load_builtin("crime"), n_train=18, reps=3, seed=0, methods=QUADRATIC_METHODS, workers=1)
+    assert len(reports) == 9
+    fits, _, _ = make_fits(3, n=24, sizes=(1, 3, 6))
+    for method in QUADRATIC_METHODS:
+        choice = compute_weights(fits, method)
+        assert (choice.status, choice.kkt_residual) == (reports[-1].status, reports[-1].kkt_residual)
+    assert len(reports) == 12
 
 
 def test_every_solve_on_the_benchmark_configs_converges(monkeypatch):

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from lama.criteria import b_in_diag, lama_criterion_value, lama_program, mma_program, sigma_hat, v_out_matrix, xi
 from lama.models import Dataset, ModelFits, fit_all
-from lama.qp import CumulativeForm, simplex_project, solve_cumulative_qp, solve_simplex_qp
+from lama.qp import CumulativeForm, _tridiagonal_program, simplex_project, solve_simplex_qp
 
 from conftest import grid_min, simplex_grid, summary_fits
 
@@ -143,7 +143,7 @@ class TestSolveSimplexQp:
         program = lama_program(fits, 1.0, 0.0)
         assert np.linalg.eigvalsh(program.A)[0] < 0.0
         for report in (solve_simplex_qp(program.A, program.b),
-                       solve_cumulative_qp(program.A, program.b, program.cumulative)):
+                       solve_simplex_qp(program.A, program.b, program.cumulative)):
             assert report.status == "converged"
             assert report.objective <= grid_min(program.A, program.b) + 1e-12
             assert report.objective / n == pytest.approx(
@@ -181,12 +181,6 @@ class TestSolveSimplexQp:
         assert report.status == "converged"
         assert report.iterations == 0
 
-    def test_report_serialization(self):
-        d = solve_simplex_qp(np.eye(2)).to_dict()
-        assert set(d) == {"weights", "objective", "iterations", "status", "kkt_residual"}
-        assert isinstance(d["weights"], list)
-        assert all(isinstance(x, float) for x in d["weights"])
-
     def test_validation(self):
         with pytest.raises(ValueError, match="square"):
             solve_simplex_qp(np.ones((2, 3)))
@@ -198,9 +192,9 @@ class TestSolveSimplexQp:
             solve_simplex_qp(np.array([[np.inf, 0.0], [0.0, 1.0]]))
 
 
-class TestSolveCumulativeQp:
-    """The Mallows and large-model programs solved in cumulative weights,
-    held to the dense solver as the reference."""
+class TestCumulativeForm:
+    """The Mallows and large-model programs solved through their cumulative
+    form, held to the dense path (no form) as the reference."""
 
     @staticmethod
     def _fits(seed, route):
@@ -229,11 +223,27 @@ class TestSolveCumulativeQp:
         x = xi(np.diag(v_out_matrix(sub, s2)), b_in_diag(sub, s2))
         for program in (mma_program(fits, s2), lama_program(sub, s2, x)):
             reference = solve_simplex_qp(program.A, program.b)
-            report = solve_cumulative_qp(program.A, program.b, program.cumulative)
+            report = solve_simplex_qp(program.A, program.b, program.cumulative)
             assert report.status == "converged"
             np.testing.assert_allclose(report.weights, reference.weights, rtol=0.0, atol=1e-9)
             scale = max(1.0, float(np.max(np.abs(program.A))))
             assert abs(report.objective - reference.objective) <= 1e-12 * scale
+
+    @given(st.integers(min_value=0, max_value=2**32 - 1), st.sampled_from(["qr", "svd"]))
+    @settings(max_examples=30, deadline=None)
+    def test_tridiagonal_gradient_is_the_dense_gradient_up_to_a_shift(self, seed, route):
+        # The entering test compares gradient entries with the free ones'
+        # mean, so only a common shift may separate the two gradients.
+        fits = self._fits(seed, route)
+        s2 = sigma_hat(fits)
+        sub = fits.subset(fits.sizes < fits.n)
+        program = lama_program(sub, s2, xi(np.diag(v_out_matrix(sub, s2)), b_in_diag(sub, s2)))
+        form = program.cumulative
+        _, gradient = _tridiagonal_program(form.d, form.e, form.r)
+        w = simplex_project(np.random.default_rng(seed).standard_normal(sub.M))
+        gap = gradient(w) - (2.0 * program.A @ w + program.b)
+        scale = max(1.0, float(np.max(np.abs(program.A))), float(np.max(np.abs(program.b))))
+        assert np.ptp(gap) <= 1e-9 * scale
 
     @pytest.mark.parametrize("roundoff", [0.0, 3e-15])
     def test_tied_step_merges_into_the_next_block(self, roundoff):
@@ -243,7 +253,7 @@ class TestSolveCumulativeQp:
         # and step 0 stays at 0.05 / 0.3 = 1/6.  An RSS rise at roundoff is a tie too.
         fits = summary_fits(10, [1, 2, 3, 4], [6.0, 3.0, 3.0 + roundoff, 1.0])
         program = mma_program(fits, 0.5)
-        report = solve_cumulative_qp(program.A, program.b, program.cumulative)
+        report = solve_simplex_qp(program.A, program.b, program.cumulative)
         np.testing.assert_allclose(report.weights, [1 / 6, 1 / 3, 0.0, 1 / 2], atol=1e-12)
         np.testing.assert_allclose(solve_simplex_qp(program.A, program.b).weights, report.weights, atol=1e-12)
         assert report.objective <= grid_min(program.A, program.b) + 1e-12
@@ -257,12 +267,12 @@ class TestSolveCumulativeQp:
             with pytest.raises(ValueError, match="not convex on the simplex"):
                 solve_simplex_qp(program.A, program.b)
             with pytest.raises(ValueError, match="not convex on the simplex"):
-                solve_cumulative_qp(program.A, program.b, program.cumulative)
+                solve_simplex_qp(program.A, program.b, program.cumulative)
 
     def test_single_candidate_and_size_checks(self):
         program = mma_program(summary_fits(10, [3], [2.0]), 0.5)
-        report = solve_cumulative_qp(program.A, program.b, program.cumulative)
+        report = solve_simplex_qp(program.A, program.b, program.cumulative)
         np.testing.assert_array_equal(report.weights, [1.0])
         assert report.status == "converged"
         with pytest.raises(ValueError, match="cumulative form"):
-            solve_cumulative_qp(np.eye(3), None, CumulativeForm(d=np.ones(1), e=np.ones(1)))
+            solve_simplex_qp(np.eye(3), None, CumulativeForm(d=np.ones(1), e=np.ones(1)))

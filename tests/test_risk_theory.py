@@ -466,12 +466,11 @@ class TestAsymptoticRisk:
 
     def test_rejects_off_simplex_weights(self):
         mats = RiskMatrices(variance=np.eye(2), bias=np.zeros((2, 2)))
-        with pytest.raises(ValueError, match="simplex"):
-            asymptotic_risk([0.7, 0.7], mats)
-        with pytest.raises(ValueError, match="simplex"):
-            asymptotic_risk([1.5, -0.5], mats)
-        with pytest.raises(ValueError, match="length"):
-            asymptotic_risk([1.0], mats)
+        for w, match in [([0.7, 0.7], "simplex"), ([1.5, -0.5], "simplex"), ([1.0], "length"),
+                         ([0.5, np.nan], "finite"), ([np.inf, 0.0], "finite")]:
+            with pytest.raises(InputError, match=match) as err:
+                asymptotic_risk(w, mats)
+            assert err.value.field == "w"
 
 
 class TestDeltaVLimit:
