@@ -11,7 +11,6 @@ front end (``cli``).
 from .criteria import (
     QuadraticProgram,
     SingularLooError,
-    default_sigma_model,
     info_criterion_weights,
     jma_program,
     lama_criterion_value,
@@ -68,7 +67,6 @@ __all__ = [
     "asymptotic_risk",
     "compute_weights",
     "default_model_counts",
-    "default_sigma_model",
     "evaluate_real",
     "fit_all",
     "generate_data",

@@ -74,6 +74,13 @@ def _parse_float_list(text: str) -> list[float]:
     return [float(piece) for piece in text.split(",")]
 
 
+def _parse_methods(text: str) -> list[str]:
+    methods = [piece.strip().lower() for piece in text.split(",") if piece.strip()]
+    if not methods:
+        raise ValueError("need at least one method")
+    return methods
+
+
 def _flag_type(parse):
     """argparse ``type=`` converter: a value ``parse`` rejects is a usage error."""
 
@@ -88,10 +95,7 @@ def _flag_type(parse):
 
 _INT_LIST = _flag_type(_parse_int_list)
 _FLOAT_LIST = _flag_type(_parse_float_list)
-
-
-def _parse_methods(text: str) -> list[str]:
-    return [piece.strip().lower() for piece in text.split(",") if piece.strip()]
+_METHODS = _flag_type(_parse_methods)
 
 
 def _write_out(path: str | None, emit) -> int:
@@ -200,7 +204,12 @@ def _cmd_simulate(args) -> int:
             )
         merged[key] = val
 
-    rows = xp.run_simulation(xp.SimulationConfig.from_dict(merged))
+    # Without a config file every value came from a flag or a default, so an
+    # error names the flag; with one, run() keeps the config field's name.
+    flags = {} if args.config is not None else {key: "--" + dest for key, dest in _SIM_DESTS.items()}
+    with _as_flags(flags):
+        cfg = xp.SimulationConfig(**merged)
+    rows = xp.run_simulation(cfg)
     return _write_out(args.out, lambda fh: xp.simulation_csv(rows, fh))
 
 
@@ -300,7 +309,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--p", type=int, default=None, help="number of regressors (default 1000)")
     sp.add_argument("--reps", type=int, default=None, help="replications per setting (default 200)")
     sp.add_argument("--seed", type=int, default=None, help="base seed (default 0)")
-    sp.add_argument("--methods", type=_parse_methods, default=None,
+    sp.add_argument("--methods", type=_METHODS, default=None,
                     help=f"comma list from {','.join(xp.ALL_METHODS)} (default mma,jma,lama,saic,sbic)")
     sp.add_argument("--test-size", type=int, default=None, help="test draws per replication (default 1000)")
     sp.add_argument("--exclude-boundary", action="store_true", default=None,
@@ -317,7 +326,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--n-train", type=int, required=True, help="training rows per split")
     sp.add_argument("--reps", type=int, default=1000, help="number of random splits (default 1000)")
     sp.add_argument("--seed", type=int, default=0, help="base seed (default 0)")
-    sp.add_argument("--methods", type=_parse_methods, default="mma,jma,lama",
+    sp.add_argument("--methods", type=_METHODS, default="mma,jma,lama",
                     help="comma list (default mma,jma,lama)")
     sp.add_argument("--max-models", type=int, default=None,
                     help="largest candidate size (default min(p, floor(0.9 n_train)))")
@@ -333,7 +342,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--n-train", type=int, default=None,
                     help="fit on a seeded random subsample of this size (default: all rows)")
     sp.add_argument("--seed", type=int, default=0, help="base seed for the subsample (default 0)")
-    sp.add_argument("--methods", type=_parse_methods, default="mma,jma,lama",
+    sp.add_argument("--methods", type=_METHODS, default="mma,jma,lama",
                     help="comma list (default mma,jma,lama)")
     sp.add_argument("--max-models", type=int, default=None,
                     help="largest candidate size (default min(p, floor(0.9 n)))")

@@ -44,8 +44,6 @@ __all__ = [
     "XI_CLAMP",
     "SIGMA_FLOOR",
     "sigma_hat",
-    "default_sigma_model",
-    "guarded_sigma_model",
     "mma_program",
     "jma_program",
     "loo_flagged",
@@ -76,7 +74,7 @@ class SingularLooError(ValueError):
 
 @dataclass(frozen=True)
 class QuadraticProgram:
-    """Criterion w'Aw + b'w + offset over M candidates.
+    """Criterion w'Aw + b'w over M candidates.
 
     ``cumulative``, when set, is the same program in cumulative weights
     (see ``lama.qp``), which the nesting makes banded.
@@ -84,7 +82,6 @@ class QuadraticProgram:
 
     A: np.ndarray
     b: np.ndarray
-    offset: float = 0.0
     cumulative: CumulativeForm | None = None
 
     def __post_init__(self):
@@ -101,67 +98,35 @@ class QuadraticProgram:
 
     def value(self, w: np.ndarray) -> float:
         w = np.asarray(w, dtype=np.float64).reshape(-1)
-        return float(w @ self.A @ w + self.b @ w + self.offset)
+        return float(w @ self.A @ w + self.b @ w)
 
 
 def _sym(G: np.ndarray) -> np.ndarray:
     return 0.5 * (G + G.T)
 
 
-def default_sigma_model(fits: ModelFits) -> int:
-    """Index of the reference candidate for the residual variance estimate.
+def sigma_hat(fits: ModelFits) -> float:
+    """Residual variance estimate RSS_K / (n - k_K), floored.
 
-    The largest candidate with k <= floor(0.9 n); if none qualifies, the
-    largest with k < n.
+    The reference candidate K is the largest with k <= floor(0.9 n), or, if
+    none qualifies, the largest with k < n; without one, ``ValueError``.
+    The estimate is floored at ``SIGMA_FLOOR`` times the same ratio at the
+    largest candidate with k <= floor(0.9 n) that also keeps 5 residual
+    degrees of freedom (K itself if none does).  A near-interpolating
+    reference candidate can push RSS_K / (n - k_K) toward zero on a lucky
+    draw, which would disable every variance-scaled penalty; the floor keeps
+    the estimate a positive fraction of a stable one.
     """
-    sizes = fits.sizes
-    n = fits.n
-    ok = np.flatnonzero(sizes <= math.floor(0.9 * n))
-    if ok.size == 0:
-        ok = np.flatnonzero(sizes < n)
-    if ok.size == 0:
+    sizes, n = fits.sizes, fits.n
+    below = sizes <= math.floor(0.9 * n)
+    ref = np.flatnonzero(below) if np.any(below) else np.flatnonzero(sizes < n)
+    if ref.size == 0:
         raise ValueError("no candidate has positive residual degrees of freedom")
-    return int(ok[-1])
-
-
-def guarded_sigma_model(fits: ModelFits) -> int:
-    """Index of the stabilizing candidate for the residual variance floor.
-
-    The largest candidate with k <= floor(0.9 n) and at least 5 residual
-    degrees of freedom; if none qualifies, falls back to the reference
-    candidate from :func:`default_sigma_model`.
-    """
-    sizes = fits.sizes
-    ok = np.flatnonzero((sizes <= math.floor(0.9 * fits.n)) & (sizes <= fits.n - 5))
-    if ok.size == 0:
-        return default_sigma_model(fits)
-    return int(ok[-1])
-
-
-def sigma_hat(fits: ModelFits, K: int | None = None) -> float:
-    """Residual variance estimate RSS_K / (n - k_K) from candidate K.
-
-    With ``K=None`` the estimate comes from the largest candidate below the
-    0.9n boundary, floored at ``SIGMA_FLOOR`` times the estimate from the
-    largest candidate that also keeps 5 residual degrees of freedom.  A
-    near-interpolating reference candidate can push RSS_K / (n - k_K) toward
-    zero on a lucky draw, which would disable every variance-scaled penalty;
-    the floor keeps the estimate a positive fraction of a stable one.
-    """
-    if K is None:
-        ref = _sigma_hat_at(fits, default_sigma_model(fits))
-        guard = _sigma_hat_at(fits, guarded_sigma_model(fits))
-        return max(ref, SIGMA_FLOOR * guard)
-    if not 0 <= K < fits.M:
-        raise ValueError(f"candidate index {K} out of range")
-    return _sigma_hat_at(fits, int(K))
-
-
-def _sigma_hat_at(fits: ModelFits, K: int) -> float:
-    k = int(fits.sizes[K])
-    if k >= fits.n:
-        raise ValueError(f"candidate {K} has k={k} >= n={fits.n}: no residual degrees of freedom")
-    return float(fits.rss[K]) / (fits.n - k)
+    guarded = np.flatnonzero(below & (sizes <= n - 5))
+    K = ref[-1]
+    G = guarded[-1] if guarded.size else K
+    ref_ratio, guard_ratio = (float(fits.rss[q]) / (n - int(sizes[q])) for q in (K, G))
+    return max(ref_ratio, SIGMA_FLOOR * guard_ratio)
 
 
 def _residual_gram(fits: ModelFits) -> np.ndarray:
@@ -182,14 +147,15 @@ def mma_program(fits: ModelFits, sigma2_hat: float) -> QuadraticProgram:
     return QuadraticProgram(A=A, b=b, cumulative=form)
 
 
-def loo_flagged(fits: ModelFits, guard: float = LEVERAGE_GUARD) -> np.ndarray:
-    """Mask of candidates whose leave-one-out residuals are undefined."""
-    return np.max(fits.leverages, axis=0) >= 1.0 - guard
+def loo_flagged(fits: ModelFits) -> np.ndarray:
+    """Mask of candidates whose leave-one-out residuals are undefined:
+    some leverage within ``LEVERAGE_GUARD`` of 1."""
+    return np.max(fits.leverages, axis=0) >= 1.0 - LEVERAGE_GUARD
 
 
-def jma_program(fits: ModelFits, guard: float = LEVERAGE_GUARD) -> QuadraticProgram:
+def jma_program(fits: ModelFits) -> QuadraticProgram:
     """Leave-one-out criterion: w' (E~'E~/n) w with e~_iq = e_iq / (1 - h_iq)."""
-    flagged = loo_flagged(fits, guard)
+    flagged = loo_flagged(fits)
     if np.any(flagged):
         raise SingularLooError(np.flatnonzero(flagged))
     E_loo = fits.residuals / (1.0 - fits.leverages)
@@ -197,11 +163,11 @@ def jma_program(fits: ModelFits, guard: float = LEVERAGE_GUARD) -> QuadraticProg
     return QuadraticProgram(A=A, b=np.zeros(fits.M))
 
 
-def xi(v_diag: np.ndarray, b_diag: np.ndarray, clamp: bool = True) -> float:
+def xi(v_diag: np.ndarray, b_diag: np.ndarray) -> float:
     """Ridge strength: variance dispersion over bias dispersion.
 
-    (max v / min v) / (max b / min b) across candidates; by default clamped
-    to XI_CLAMP to guard degenerate dispersion ratios on tiny candidate sets.
+    (max v / min v) / (max b / min b) across candidates, clamped to XI_CLAMP
+    to guard degenerate dispersion ratios on tiny candidate sets.
     """
     v = np.asarray(v_diag, dtype=np.float64).reshape(-1)
     bd = np.asarray(b_diag, dtype=np.float64).reshape(-1)
@@ -212,9 +178,7 @@ def xi(v_diag: np.ndarray, b_diag: np.ndarray, clamp: bool = True) -> float:
     ):
         raise ValueError("diagnostic entries must be positive and finite")
     val = (v.max() / v.min()) / (bd.max() / bd.min())
-    if clamp:
-        val = min(max(val, XI_CLAMP[0]), XI_CLAMP[1])
-    return float(val)
+    return float(min(max(val, XI_CLAMP[0]), XI_CLAMP[1]))
 
 
 def v_out_matrix(fits: ModelFits, sigma2_hat: float) -> np.ndarray:

@@ -8,7 +8,7 @@ import numpy as np
 
 from ..models import Dataset, load_csv
 
-__all__ = ["available", "fixture_path", "load_builtin", "load_crime", "load_mtcars", "standardize_dataset"]
+__all__ = ["available", "fixture_path", "load_builtin", "standardize_dataset"]
 
 _RESPONSES = {"crime": "y", "mtcars": "mpg"}
 
@@ -42,20 +42,16 @@ def standardize_dataset(data: Dataset) -> Dataset:
     if y_sd <= 0.0:
         raise ValueError("constant response cannot be standardized")
     Y = (data.Y - np.mean(data.Y)) / y_sd
-    return Dataset(Y=Y, X=X, has_intercept=data.has_intercept, column_names=data.column_names)
+    return Dataset(Y=Y, X=X, has_intercept=data.has_intercept)
 
 
-def load_builtin(name: str, standardize: bool = True, intercept: bool = True) -> Dataset:
+def load_builtin(name: str, standardize: bool = True) -> Dataset:
+    """A bundled dataset, with intercept column, standardized by default.
+
+    "crime": 47 US states, 1960 aggregate crime rates and 15 socio-economic
+    predictors.  "mtcars": 32 cars from the 1974 Motor Trend road tests,
+    fuel economy response.
+    """
     with resources.as_file(fixture_path(name)) as path:
-        data = load_csv(path, response=_RESPONSES[name], intercept=intercept)
+        data = load_csv(path, response=_RESPONSES[name])
     return standardize_dataset(data) if standardize else data
-
-
-def load_crime(standardize: bool = True, intercept: bool = True) -> Dataset:
-    """47 US states, 1960 aggregate crime rates and 15 socio-economic predictors."""
-    return load_builtin("crime", standardize, intercept)
-
-
-def load_mtcars(standardize: bool = True, intercept: bool = True) -> Dataset:
-    """32 cars from the 1974 Motor Trend road tests; fuel economy response."""
-    return load_builtin("mtcars", standardize, intercept)

@@ -48,10 +48,12 @@ ALL_METHODS = QUADRATIC_METHODS + ("aic", "bic", "saic", "sbic", "uniform")
 
 
 def _method_tags(methods) -> tuple[str, ...]:
-    """Lower-cased method tags, rejecting a bare string and any tag not in ALL_METHODS."""
+    """Lower-cased method tags, rejecting a bare string, an empty list and any tag not in ALL_METHODS."""
     if isinstance(methods, str):
         raise InputError("methods", f"expected a list of method names, got the string {methods!r}")
     tags = tuple(str(m).lower() for m in methods)
+    if not tags:
+        raise InputError("methods", "need at least one method")
     unknown = set(tags) - set(ALL_METHODS)
     if unknown:
         raise InputError("methods", f"unknown methods {sorted(unknown)} (choose from {ALL_METHODS})")
@@ -98,7 +100,8 @@ def _pmap(fn, items, workers: int):
     if workers <= 1 or len(items) <= 1:
         return [fn(x) for x in items]
     chunk = max(1, len(items) // (workers * 4))
-    with ProcessPoolExecutor(max_workers=workers, initializer=_limit_blas) as ex:
+    # The fork start method launches every worker on the first submit.
+    with ProcessPoolExecutor(max_workers=min(workers, len(items)), initializer=_limit_blas) as ex:
         return list(ex.map(fn, items, chunksize=chunk))
 
 
@@ -145,12 +148,7 @@ def _scatter(length: int, idx: np.ndarray, values: np.ndarray) -> np.ndarray:
 _EXCLUSION = {"jma": ("leave-one-out", "interpolates"), "lama": ("large-model", "has k >= n (boundary)")}
 
 
-def compute_weights(
-    fits,
-    method: str,
-    sigma2_hat: float | None = None,
-    xi_override: float | None = None,
-) -> WeightChoice:
+def compute_weights(fits, method: str) -> WeightChoice:
     """Chosen weights for one method tag (see ALL_METHODS)."""
     (method,) = _method_tags([method])
     M = fits.M
@@ -165,7 +163,7 @@ def compute_weights(
 
     s2 = None
     if method != "jma":
-        s2 = crit.sigma_hat(fits) if sigma2_hat is None else sigma2_hat
+        s2 = crit.sigma_hat(fits)
     xi_val, scale, keep, dropped = None, 1, np.ones(M, dtype=bool), ()
     if method == "mma":
         program = crit.mma_program(fits, s2)
@@ -182,10 +180,7 @@ def compute_weights(
         if method == "jma":
             program = crit.jma_program(sub)
         else:
-            if xi_override is None:
-                xi_val = crit.xi(np.diag(crit.v_out_matrix(sub, s2)), crit.b_in_diag(sub, s2))
-            else:
-                xi_val = float(xi_override)
+            xi_val = crit.xi(np.diag(crit.v_out_matrix(sub, s2)), crit.b_in_diag(sub, s2))
             # the program is on the n-scale; report the per-observation criterion
             program, scale = crit.lama_program(sub, s2, xi_val), sub.n
     report = solve_simplex_qp(program.A, program.b, program.cumulative)
@@ -222,8 +217,12 @@ class SimulationConfig:
         object.__setattr__(self, "methods", _method_tags(self.methods))
         if not self.n_values or min(self.n_values) < 4:
             raise InputError("n_values", "need sample sizes of at least 4")
+        if not self.r2_values:
+            raise InputError("r2_values", "need at least one R-squared value")
         if any(not 0.0 < r < 1.0 for r in self.r2_values):
             raise InputError("r2_values", "R-squared values must lie in (0, 1)")
+        if self.m_values is not None and (not self.m_values or min(self.m_values) < 1):
+            raise InputError("m_values", "need candidate counts of at least 1")
         if self.replications < 1:
             raise InputError("replications", "need at least one replication")
         if self.test_size < 2:
@@ -238,11 +237,6 @@ class SimulationConfig:
         """Every field as a plain JSON value (tuples become lists)."""
         out = {f.name: getattr(self, f.name) for f in fields(self)}
         return {k: list(v) if isinstance(v, tuple) else v for k, v in out.items()}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SimulationConfig":
-        """Inverse of ``to_dict``: construction conforms JSON values to the field types."""
-        return cls(**d)
 
 
 _CONFIG_TYPES = typing.get_type_hints(SimulationConfig)
@@ -271,18 +265,14 @@ def _draw_design(rng, rows: int, cfg: SimulationConfig) -> np.ndarray:
     return np.column_stack([np.ones(rows), rng.standard_normal((rows, cfg.p - 1))])
 
 
-def generate_data(cfg: SimulationConfig, r2: float, rep: int, n: int | None = None, m: int | None = None):
-    """One replication's training and test draws.
+def generate_data(cfg: SimulationConfig, r2: float, rep: int, n: int, m: int):
+    """One replication's training and test draws at sample size n, candidate count m.
 
     Returns (train Dataset, test Dataset, theta, mu_train, mu_test).  The
     generator keys include every setting coordinate (n, M, R2, rep, stream),
-    so each cell is reproducible on its own; n and m default to the config's
-    first sample size and its largest candidate count.
+    so each cell is reproducible on its own.
     """
-    n = cfg.n_values[0] if n is None else int(n)
-    if m is None:
-        m = max(cfg.m_values) if cfg.m_values is not None else max(default_model_counts(n))
-    m, r2, rep = int(m), float(r2), int(rep)
+    n, m, r2, rep = int(n), int(m), float(r2), int(rep)
     theta = PowerLawProfile.from_r2(r2, cfg.alpha, cfg.p).coefficients(cfg.p)
     rng_train = rng_for(cfg.seed, "train", n, m, r2, rep)
     rng_test = rng_for(cfg.seed, "test", n, m, r2, rep)

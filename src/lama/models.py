@@ -41,7 +41,6 @@ class Dataset:
     Y: np.ndarray
     X: np.ndarray
     has_intercept: bool = False
-    column_names: tuple[str, ...] | None = None
 
     def __post_init__(self):
         X = np.asarray(self.X, dtype=np.float64)
@@ -59,8 +58,6 @@ class Dataset:
             raise ValueError("dataset contains non-finite entries")
         if self.has_intercept and not np.allclose(X[:, 0], 1.0):
             raise ValueError("has_intercept is set but column 0 is not all ones")
-        if self.column_names is not None and len(self.column_names) != p:
-            raise ValueError("column_names length does not match X columns")
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "Y", Y)
 
@@ -95,10 +92,8 @@ class ModelFits:
         return self.sizes.shape[0]
 
     def subset(self, keep: np.ndarray) -> "ModelFits":
-        """Restrict to the candidates selected by ``keep`` (bool mask or indices)."""
-        keep = np.asarray(keep)
-        if keep.dtype == bool:
-            keep = np.flatnonzero(keep)
+        """Restrict to the candidates where the boolean mask ``keep`` is set."""
+        keep = np.flatnonzero(keep)
         if keep.size == 0:
             raise ValueError("cannot keep zero candidates")
         return ModelFits(
@@ -125,12 +120,12 @@ class ModelFits:
         return np.asfortranarray(X_new[:, :kM]) @ self.coefs
 
 
-def load_csv(path, response: str, intercept: bool = True) -> Dataset:
+def load_csv(path, response: str) -> Dataset:
     """Read a numeric CSV with a header row into a Dataset.
 
     The named response column becomes Y; the remaining columns are regressors
-    in file order.  Lines starting with '#' are skipped, so fixtures can carry
-    provenance notes.  With ``intercept``, a column of ones is prepended.
+    in file order, behind a prepended intercept column of ones.  Lines
+    starting with '#' are skipped, so fixtures can carry provenance notes.
     """
     with open(path, newline="") as fh:
         rows = [row for row in csv.reader(fh) if row and not row[0].lstrip().startswith("#")]
@@ -147,12 +142,8 @@ def load_csv(path, response: str, intercept: bool = True) -> Dataset:
         raise ValueError(f"{path}: ragged rows")
     yj = header.index(response)
     Y = body[:, yj]
-    X = np.delete(body, yj, axis=1)
-    names = [h for j, h in enumerate(header) if j != yj]
-    if intercept:
-        X = np.column_stack([np.ones(X.shape[0]), X])
-        names = ["(intercept)"] + names
-    return Dataset(Y=Y, X=X, has_intercept=intercept, column_names=tuple(names))
+    X = np.column_stack([np.ones(body.shape[0]), np.delete(body, yj, axis=1)])
+    return Dataset(Y=Y, X=X, has_intercept=True)
 
 
 def order_by_cp(data: Dataset) -> np.ndarray:

@@ -330,7 +330,7 @@ def risk_surface(
     m_values,
     profile: PowerLawProfile,
     sigma2: float = 1.0,
-    weighting="equal",
+    weighting: str = "equal",
     exclude_singular: bool = False,
 ) -> RiskSurface:
     """Limiting risk over an (n, M) grid of nested candidate sets k_q = q.
@@ -341,8 +341,7 @@ def risk_surface(
         variance diagonal (singular candidates get weight zero);
       * "single": no averaging at all, the closed-form risk of the lone
         model with k = M (the bias column then reports its over-parameterized
-        compression bias, zero below the boundary);
-      * a callable mapping (c, RiskMatrices) -> weight vector.
+        compression bias, zero below the boundary).
 
     With ``exclude_singular`` the k = n candidate is dropped from cells where
     M >= n, which is the conventional way to plot equal-weight surfaces that
@@ -360,8 +359,9 @@ def risk_surface(
             raise InputError(name, "grid must be non-empty")
         if np.any(values < 1):
             raise InputError(name, f"grid values must be positive, got {int(values.min())}")
+    if weighting not in ("equal", "variance_penalized", "single"):
+        raise ValueError(f"unknown weighting rule {weighting!r}")
 
-    tag = weighting if isinstance(weighting, str) else getattr(weighting, "__name__", "custom")
     out_n = np.repeat(n_values, m_values.size)
     out_m = np.tile(m_values, n_values.size)
     excl = (out_m >= out_n) & (bool(exclude_singular) and weighting != "single")
@@ -383,16 +383,11 @@ def risk_surface(
                 raise ValueError(f"cell (n={n}, M={m}) has no candidates left")
         if weighting == "equal":
             w = np.full(rows.shape[0], 1.0 / rows.shape[0])
-        elif weighting == "variance_penalized":
-            w = variance_penalized_weights(DV[rows, rows])
-        elif callable(weighting):
-            cell = np.ix_(rows, rows)
-            w = weighting(c[rows], RiskMatrices(variance=DV[cell], bias=DB[cell]))
         else:
-            raise ValueError(f"unknown weighting rule {weighting!r}")
+            w = variance_penalized_weights(DV[rows, rows])
         parts[i] = _risk_parts(w, DV, DB, rows)
 
     return RiskSurface(
-        n=out_n, M=out_m, weighting=tag, risk=parts[:, 0], bias=parts[:, 1], variance=parts[:, 2],
+        n=out_n, M=out_m, weighting=weighting, risk=parts[:, 0], bias=parts[:, 1], variance=parts[:, 2],
         excluded_singular=excl,
     )

@@ -26,7 +26,7 @@ from lama.criteria import (
     v_out_matrix,
     xi,
 )
-from lama.datasets import load_crime, load_mtcars
+from lama.datasets import load_builtin
 from lama.experiments import (
     SimulationConfig,
     evaluate_real,
@@ -194,11 +194,11 @@ def test_criterion_08_real_data_reproduction():
     start = time.perf_counter()
     crime = {
         r["method"]: r
-        for r in evaluate_real(load_crime(), n_train=18, reps=1000, seed=0)
+        for r in evaluate_real(load_builtin("crime"), n_train=18, reps=1000, seed=0)
     }
     cars = {
         r["method"]: r
-        for r in evaluate_real(load_mtcars(), n_train=12, reps=1000, seed=0)
+        for r in evaluate_real(load_builtin("mtcars"), n_train=12, reps=1000, seed=0)
     }
     elapsed = time.perf_counter() - start
 

@@ -74,8 +74,16 @@ class TestRangeParsing:
         (["fit", "--data", "mtcars", "--max-models", "99"], None, "--max-models"),
         (["fit", "--data", "mtcars", "--n-train", "1"], None, "--n-train"),
         (["fit", "--data", "mtcars", "--methods", "foo"], None, "--methods"),
-        (["simulate", "--r2", "1.5"], None, "r2_values"),
-        (["simulate", "--reps", "0"], None, "replications"),
+        (["simulate", "--r2", "1.5"], None, "--r2"),
+        (["simulate", "--reps", "0"], None, "--reps"),
+        (["simulate", "--n", "2"], None, "--n"),
+        (["simulate", "--n", "20", "--m", "0", "--p", "50", "--reps", "2", "--methods", "mma"], None, "--m"),
+        (["simulate", "--n", "20", "--m=-3", "--p", "50", "--reps", "2", "--methods", "mma"], None, "--m"),
+        (["simulate"], {"r2_values": []}, "r2_values"),
+        (["simulate"], {"m_values": [0]}, "m_values"),
+        (["eval", "--data", "crime", "--n-train", "18", "--reps", "2", "--methods", ","], None, "--methods"),
+        (["simulate", "--n", "8", "--m", "3", "--p", "8", "--reps", "2", "--methods", ","], None, "--methods"),
+        (["fit", "--data", "mtcars", "--methods", ","], None, "--methods"),
         (["validate-rmt", "--n", "30", "--c", "0.5", "--theta", "1,2"], None, "--theta"),
         (["simulate"], {"n_values": 5}, "n_values"),
         (["simulate"], {"replications": "a"}, "replications"),
@@ -118,7 +126,9 @@ class TestRangeParsing:
     ],
     ids=[
         "eval-unknown-method", "eval-max-models", "eval-n-train", "fit-max-models", "fit-n-train",
-        "fit-unknown-method", "simulate-r2", "simulate-reps", "rmt-theta-length", "config-n-values-scalar",
+        "fit-unknown-method", "simulate-r2", "simulate-reps", "simulate-n", "simulate-m-zero",
+        "simulate-m-negative", "config-r2-values-empty", "config-m-values-zero", "eval-methods-empty",
+        "simulate-methods-empty", "fit-methods-empty", "rmt-theta-length", "config-n-values-scalar",
         "config-replications-string", "config-methods-string", "surface-truncate", "surface-snr",
         "surface-r2", "surface-sigma2", "rmt-c-too-small", "surface-n-range", "surface-m-range", "rmt-c-nan",
         "surface-decay-nan", "surface-scale-overflow", "surface-alpha-overflow", "thm1-sizes-zero",

@@ -20,8 +20,6 @@ from lama.criteria import (
     QuadraticProgram,
     SingularLooError,
     b_in_diag,
-    default_sigma_model,
-    guarded_sigma_model,
     info_criterion_weights,
     jma_program,
     lama_criterion_value,
@@ -40,9 +38,9 @@ from conftest import make_fits, summary_fits
 
 class TestQuadraticProgram:
     def test_value_plug(self):
-        prog = QuadraticProgram(A=np.diag([1.0, 2.0]), b=np.array([1.0, 1.0]), offset=3.0)
-        assert prog.value([1.0, 0.0]) == pytest.approx(5.0)
-        assert prog.value([0.0, 1.0]) == pytest.approx(6.0)
+        prog = QuadraticProgram(A=np.diag([1.0, 2.0]), b=np.array([1.0, 1.0]))
+        assert prog.value([1.0, 0.0]) == pytest.approx(2.0)
+        assert prog.value([0.0, 1.0]) == pytest.approx(3.0)
 
     def test_rejects_malformed_inputs(self):
         with pytest.raises(ValueError, match="square"):
@@ -90,28 +88,24 @@ class TestQuadraticProgram:
 
 
 class TestSigmaHat:
-    def test_explicit_candidate_is_rss_over_dof(self):
-        fits, _, _ = make_fits(3, n=24, sizes=(1, 3, 6, 10))
-        assert sigma_hat(fits, K=1) == pytest.approx(fits.rss[1] / (24 - 3))
-
-    def test_explicit_candidate_matches_lstsq_oracle(self):
+    def test_matches_lstsq_oracle(self):
+        # The reference candidate k=9 of n=30 keeps 21 residual degrees of freedom.
         fits, data, _ = make_fits(5, n=30, sizes=(2, 5, 9), p=9)
-        beta, *_ = np.linalg.lstsq(data.X[:, :5], data.Y, rcond=None)
-        rss = float(np.sum((data.Y - data.X[:, :5] @ beta) ** 2))
-        assert sigma_hat(fits, K=1) == pytest.approx(rss / 25, rel=1e-10)
+        beta, *_ = np.linalg.lstsq(data.X[:, :9], data.Y, rcond=None)
+        rss = float(np.sum((data.Y - data.X[:, :9] @ beta) ** 2))
+        assert sigma_hat(fits) == pytest.approx(rss / 21, rel=1e-10)
 
-    def test_default_uses_largest_below_ninety_percent(self):
+    def test_uses_largest_below_ninety_percent(self):
         fits, _, _ = make_fits(7, n=50, sizes=(2, 10, 45), p=45)
-        assert default_sigma_model(fits) == 2
-        assert guarded_sigma_model(fits) == 2
-        assert sigma_hat(fits) == pytest.approx(fits.rss[2] / 5)
+        assert sigma_hat(fits) == float(fits.rss[2]) / (50 - 45)
 
     def test_floor_binds_when_reference_collapses(self):
         # Reference candidate k=18 of n=20 nearly interpolates; the floor
         # hands back a fraction of the stable k=15 estimate.
         fits = summary_fits(20, (2, 15, 18), (40.0, 25.0, 1e-6))
-        assert default_sigma_model(fits) == 2
-        assert guarded_sigma_model(fits) == 1
+        assert sigma_hat(fits) == pytest.approx(SIGMA_FLOOR * 25.0 / 5)
+        # k=16 keeps 4 residual degrees of freedom, one short of the guard's 5.
+        fits = summary_fits(20, (2, 15, 16), (40.0, 25.0, 1e-6))
         assert sigma_hat(fits) == pytest.approx(SIGMA_FLOOR * 25.0 / 5)
 
     def test_reference_wins_when_healthy(self):
@@ -120,21 +114,12 @@ class TestSigmaHat:
 
     def test_fallback_when_everything_crowds_the_boundary(self):
         fits = summary_fits(20, (19,), (3.0,))
-        assert default_sigma_model(fits) == 0
-        assert guarded_sigma_model(fits) == 0
         assert sigma_hat(fits) == pytest.approx(3.0)
 
     def test_no_degrees_of_freedom_anywhere_raises(self):
         fits = summary_fits(20, (20,), (0.0,))
         with pytest.raises(ValueError, match="degrees of freedom"):
             sigma_hat(fits)
-
-    def test_explicit_candidate_validation(self):
-        fits = summary_fits(10, (2, 10), (5.0, 0.0))
-        with pytest.raises(ValueError, match="out of range"):
-            sigma_hat(fits, K=2)
-        with pytest.raises(ValueError, match="degrees of freedom"):
-            sigma_hat(fits, K=1)
 
 
 class TestMmaProgram:
@@ -144,7 +129,6 @@ class TestMmaProgram:
         E = fits.residuals
         np.testing.assert_allclose(prog.A, E.T @ E / 24, rtol=1e-12)
         np.testing.assert_allclose(prog.b, 2 * 1.5 * fits.sizes / 24)
-        assert prog.offset == 0.0
 
     def test_vertex_value_is_model_selection_score(self):
         fits, _, _ = make_fits(13, n=24, sizes=(1, 3, 6))
@@ -258,7 +242,6 @@ class TestXi:
     def test_clamping(self):
         assert xi([1.0, 1e12], [1.0, 1.0]) == XI_CLAMP[1]
         assert xi([1.0, 1.0], [1.0, 1e12]) == XI_CLAMP[0]
-        assert xi([1.0, 1e12], [1.0, 1.0], clamp=False) == pytest.approx(1e12)
 
     def test_validation(self):
         with pytest.raises(ValueError, match="non-empty"):

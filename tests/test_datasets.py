@@ -7,8 +7,6 @@ from lama.datasets import (
     available,
     fixture_path,
     load_builtin,
-    load_crime,
-    load_mtcars,
     standardize_dataset,
 )
 from lama.models import Dataset
@@ -33,27 +31,22 @@ class TestCatalog:
 
 class TestShapes:
     def test_crime_dimensions(self):
-        data = load_crime()
+        data = load_builtin("crime")
         assert data.X.shape == (47, 16)
         assert data.has_intercept
-        assert data.column_names[0] == "(intercept)"
 
     def test_mtcars_dimensions(self):
-        data = load_mtcars()
+        data = load_builtin("mtcars")
         assert data.X.shape == (32, 11)
         assert data.Y.shape == (32,)
-        assert "mpg" not in data.column_names
-
-    def test_intercept_can_be_dropped(self):
-        data = load_crime(intercept=False)
-        assert data.X.shape == (47, 15)
-        assert not data.has_intercept
+        raw = load_builtin("mtcars", standardize=False)
+        assert not any(np.array_equal(raw.X[:, j], raw.Y) for j in range(raw.p))  # mpg is Y only
 
 
 class TestStandardization:
-    @pytest.mark.parametrize("loader", [load_crime, load_mtcars])
-    def test_columns_are_centered_and_unit_scale(self, loader):
-        data = loader()
+    @pytest.mark.parametrize("name", ["crime", "mtcars"])
+    def test_columns_are_centered_and_unit_scale(self, name):
+        data = load_builtin(name)
         np.testing.assert_allclose(data.X[:, 0], 1.0)  # intercept untouched
         np.testing.assert_allclose(np.mean(data.X[:, 1:], axis=0), 0.0, atol=1e-12)
         np.testing.assert_allclose(np.std(data.X[:, 1:], axis=0, ddof=1), 1.0, rtol=1e-12)
@@ -61,20 +54,21 @@ class TestStandardization:
         assert np.std(data.Y, ddof=1) == pytest.approx(1.0, rel=1e-12)
 
     def test_matches_standardizing_the_raw_load(self):
-        raw = load_mtcars(standardize=False)
+        raw = load_builtin("mtcars", standardize=False)
         assert np.std(raw.Y, ddof=1) != pytest.approx(1.0)
         redone = standardize_dataset(raw)
-        np.testing.assert_allclose(redone.X, load_mtcars().X, atol=1e-12)
-        np.testing.assert_allclose(redone.Y, load_mtcars().Y, atol=1e-12)
+        np.testing.assert_allclose(redone.X, load_builtin("mtcars").X, atol=1e-12)
+        np.testing.assert_allclose(redone.Y, load_builtin("mtcars").Y, atol=1e-12)
 
     def test_idempotent(self):
-        once = load_crime()
+        once = load_builtin("crime")
         twice = standardize_dataset(once)
         np.testing.assert_allclose(twice.X, once.X, atol=1e-12)
         np.testing.assert_allclose(twice.Y, once.Y, atol=1e-12)
 
     def test_without_intercept_every_column_is_scaled(self):
-        data = load_crime(intercept=False)
+        raw = load_builtin("crime", standardize=False)
+        data = standardize_dataset(Dataset(Y=raw.Y, X=raw.X[:, 1:]))
         np.testing.assert_allclose(np.mean(data.X, axis=0), 0.0, atol=1e-12)
         np.testing.assert_allclose(np.std(data.X, axis=0, ddof=1), 1.0, rtol=1e-12)
 

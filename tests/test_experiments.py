@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from lama import criteria as crit
 from lama import experiments as xp
-from lama.datasets import load_builtin, load_mtcars
+from lama.datasets import load_builtin
 from lama.experiments import (
     ALL_METHODS,
     QUADRATIC_METHODS,
@@ -86,6 +86,29 @@ class TestWorkerCount:
         with pytest.warns(RuntimeWarning, match="LAMA_THREADS"):
             assert worker_count() == 1
 
+    def test_pool_never_exceeds_the_task_count(self, monkeypatch):
+        # Under fork every worker starts on the first submit, so the pool
+        # size is what gets forked; the stand-in runs the map in-process.
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers, initializer):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize):
+                return map(fn, items)
+
+        monkeypatch.setattr(xp, "ProcessPoolExecutor", InlinePool)
+        assert xp._pmap(abs, [-1, -2], workers=10_000) == [1, 2]
+        assert xp._pmap(abs, range(-5, 0), workers=3) == [5, 4, 3, 2, 1]
+        assert sizes == [2, 3]
+
 
 class TestComputeWeights:
     def test_every_method_lands_on_the_simplex(self):
@@ -119,11 +142,6 @@ class TestComputeWeights:
         assert choice.criterion_value == pytest.approx(prog.value(choice.weights))
         assert choice.sigma2_hat == pytest.approx(crit.sigma_hat(fits))
 
-    def test_explicit_variance_is_honored(self):
-        fits, _, _ = make_fits(7, n=24, sizes=(1, 3, 6))
-        choice = compute_weights(fits, "mma", sigma2_hat=3.5)
-        assert choice.sigma2_hat == 3.5
-
     def test_interpolating_candidates_are_zero_weighted(self):
         fits, _, _ = make_fits(9, n=10, sizes=(2, 10), p=10)
         with pytest.warns(RuntimeWarning, match="excluding"):
@@ -142,19 +160,11 @@ class TestComputeWeights:
         direct = crit.lama_criterion_value(fits, choice.sigma2_hat, choice.xi, choice.weights)
         assert choice.criterion_value == pytest.approx(direct, rel=1e-10)
 
-    def test_ridge_override(self):
-        fits, _, _ = make_fits(11, n=24, sizes=(1, 3, 6))
-        choice = compute_weights(fits, "lama", xi_override=0.125)
-        assert choice.xi == 0.125
-
     def test_all_candidates_at_the_boundary_raise(self):
         fits, _, _ = make_fits(13, n=6, sizes=(6, 8), p=8)
         # Default variance estimation fails first: nothing has residual dof.
         with pytest.raises(ValueError, match="degrees of freedom"):
             compute_weights(fits, "lama")
-        with pytest.warns(RuntimeWarning):
-            with pytest.raises(ValueError, match="k >= n"):
-                compute_weights(fits, "lama", sigma2_hat=1.0)
         with pytest.warns(RuntimeWarning):
             with pytest.raises(ValueError, match="interpolates"):
                 compute_weights(fits, "jma")
@@ -210,6 +220,13 @@ class TestSimulationConfig:
             SimulationConfig(n_values=(8,), r2_values=(0.5,), p=4, m_values=(6,))
         with pytest.raises(ValueError, match="unknown methods"):
             SimulationConfig(**{**good, "methods": ("mma", "ridge")})
+        with pytest.raises(InputError, match="^methods: need at least one"):
+            SimulationConfig(**{**good, "methods": ()})
+        for m_values in ((), (0,), (3, -3)):
+            with pytest.raises(InputError, match="^m_values: "):
+                SimulationConfig(**{**good, "m_values": m_values})
+        with pytest.raises(InputError, match="^r2_values: "):
+            SimulationConfig(**{**good, "r2_values": ()})
 
     def test_values_are_conformed_or_rejected_by_field(self):
         cfg = SimulationConfig(n_values=[8], r2_values=[1 / 2], p=16.0, alpha=1, m_values=[3])
@@ -240,21 +257,21 @@ class TestSimulationConfig:
             truncate_loss=100.0,
         )
         assert cfg.methods == ("mma", "uniform")
-        assert SimulationConfig.from_dict(cfg.to_dict()) == cfg
+        assert SimulationConfig(**cfg.to_dict()) == cfg
 
 
 class TestGenerateData:
     CFG = SimulationConfig(n_values=(12,), r2_values=(0.5,), p=16, test_size=64)
 
     def test_deterministic_per_replication(self):
-        a = generate_data(self.CFG, 0.5, rep=2)
-        b = generate_data(self.CFG, 0.5, rep=2)
+        a = generate_data(self.CFG, 0.5, rep=2, n=12, m=11)
+        b = generate_data(self.CFG, 0.5, rep=2, n=12, m=11)
         for x, y in zip(a, b):
             np.testing.assert_array_equal(x.X if hasattr(x, "X") else x, y.X if hasattr(y, "X") else y)
-        assert not np.array_equal(a[0].Y, generate_data(self.CFG, 0.5, rep=3)[0].Y)
+        assert not np.array_equal(a[0].Y, generate_data(self.CFG, 0.5, rep=3, n=12, m=11)[0].Y)
 
     def test_shapes_and_intercept(self):
-        train, test, theta, mu, mu_t = generate_data(self.CFG, 0.5, rep=0)
+        train, test, theta, mu, mu_t = generate_data(self.CFG, 0.5, rep=0, n=12, m=11)
         assert train.X.shape == (12, 16)
         assert test.X.shape == (64, 16)
         np.testing.assert_array_equal(train.X[:, 0], 1.0)
@@ -263,17 +280,17 @@ class TestGenerateData:
         assert mu_t.shape == (64,)
 
     def test_harmonic_coefficients_at_half_r2(self):
-        _, _, theta, _, _ = generate_data(self.CFG, 0.5, rep=0)
+        _, _, theta, _, _ = generate_data(self.CFG, 0.5, rep=0, n=12, m=11)
         np.testing.assert_allclose(theta, 1.0 / np.arange(1, 17), atol=1e-14)
 
     def test_means_are_linear_in_the_design(self):
-        train, test, theta, mu, mu_t = generate_data(self.CFG, 0.5, rep=1)
+        train, test, theta, mu, mu_t = generate_data(self.CFG, 0.5, rep=1, n=12, m=11)
         np.testing.assert_allclose(mu, train.X @ theta, atol=1e-12)
         np.testing.assert_allclose(mu_t, test.X @ theta, atol=1e-12)
 
     def test_candidate_count_is_part_of_the_key(self):
-        a = generate_data(self.CFG, 0.5, rep=0, m=3)[0]
-        b = generate_data(self.CFG, 0.5, rep=0, m=5)[0]
+        a = generate_data(self.CFG, 0.5, rep=0, n=12, m=3)[0]
+        b = generate_data(self.CFG, 0.5, rep=0, n=12, m=5)[0]
         assert not np.array_equal(a.Y, b.Y)
 
 
@@ -338,9 +355,7 @@ class TestRunSimulation:
             assert np.isnan([r["rel_loss_in_mean"], r["rel_loss_out_mean"], r["rel_loss_out_var"]]).all()
 
     def test_loss_cap_applies(self):
-        capped = SimulationConfig.from_dict(
-            {**self.TINY.to_dict(), "truncate_loss": 0.5}
-        )
+        capped = SimulationConfig(**{**self.TINY.to_dict(), "truncate_loss": 0.5})
         for row in run_simulation(capped, workers=1):
             assert row["rel_loss_in_mean"] <= 0.5
             assert row["rel_loss_out_mean"] <= 0.5
@@ -386,7 +401,7 @@ class TestRunSimulation:
 
 class TestEvaluateReal:
     def test_report_rows(self):
-        data = load_mtcars()
+        data = load_builtin("mtcars")
         rows = evaluate_real(data, n_train=25, reps=6, seed=0, methods=("mma", "lama"), workers=1)
         assert [r["method"] for r in rows] == ["mma", "lama"]
         for r in rows:
@@ -397,24 +412,24 @@ class TestEvaluateReal:
             assert r["test_err_var"] >= 0.0
 
     def test_single_split_single_test_point(self):
-        data = load_mtcars()
+        data = load_builtin("mtcars")
         rows = evaluate_real(data, n_train=31, reps=1, seed=0, methods=("mma",), workers=1)
         assert rows[0]["reps"] == 1
         assert rows[0]["test_err_var"] == 0.0
 
     def test_identical_at_any_worker_count(self):
-        data = load_mtcars()
+        data = load_builtin("mtcars")
         serial = evaluate_real(data, 25, reps=8, seed=4, methods=("mma", "jma"), workers=1)
         parallel = evaluate_real(data, 25, reps=8, seed=4, methods=("mma", "jma"), workers=2)
         assert serial == parallel
 
     def test_candidate_cap_override(self):
-        data = load_mtcars()
+        data = load_builtin("mtcars")
         rows = evaluate_real(data, 25, reps=2, seed=0, methods=("mma",), max_models=3, workers=1)
         assert rows[0]["reps"] == 2
 
     def test_validation(self):
-        data = load_mtcars()
+        data = load_builtin("mtcars")
         with pytest.raises(ValueError, match="n_train"):
             evaluate_real(data, 1, reps=1, seed=0)
         with pytest.raises(ValueError, match="n_train"):
@@ -426,21 +441,23 @@ class TestEvaluateReal:
 
     def test_unknown_methods_are_rejected_before_any_split(self, monkeypatch):
         monkeypatch.setattr(xp, "_real_split", None)  # any split would raise TypeError
-        for methods, match in [(("mma", "foo"), r"unknown methods \['foo'\]"), ("mma", "string 'mma'")]:
+        for methods, match in [
+            (("mma", "foo"), r"unknown methods \['foo'\]"), ("mma", "string 'mma'"), ((), "at least one method"),
+        ]:
             with pytest.raises(InputError, match=match):
-                evaluate_real(load_mtcars(), 25, reps=3, seed=0, methods=methods, workers=1)
+                evaluate_real(load_builtin("mtcars"), 25, reps=3, seed=0, methods=methods, workers=1)
 
     def test_no_surviving_split_reports_nan(self, monkeypatch):
         def fail(*args, **kwargs):
             raise ValueError("weight choice failed")
 
         monkeypatch.setattr(xp, "compute_weights", fail)
-        (row,) = evaluate_real(load_mtcars(), 25, reps=3, seed=0, methods=("mma",), workers=1)
+        (row,) = evaluate_real(load_builtin("mtcars"), 25, reps=3, seed=0, methods=("mma",), workers=1)
         assert (row["reps"], row["excluded"]) == (0, 3)
         assert np.isnan(row["test_err_mean"]) and np.isnan(row["test_err_var"])
 
     def test_csv_layout(self):
-        data = load_mtcars()
+        data = load_builtin("mtcars")
         rows = evaluate_real(data, 25, reps=2, seed=0, methods=("mma",), workers=1)
         buf = io.StringIO()
         real_eval_csv(rows, buf)

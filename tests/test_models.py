@@ -299,13 +299,7 @@ class TestLoadCsv:
         assert data.has_intercept and data.n == 2 and data.p == 3
         assert np.allclose(data.X[:, 0], 1.0)
         assert np.allclose(data.Y, [3.0, 6.0])
-        assert data.column_names == ("(intercept)", "a", "b")
-
-    def test_no_intercept_option(self, tmp_path):
-        f = tmp_path / "toy.csv"
-        f.write_text("a,resp\n1,3\n4,6\n")
-        data = load_csv(f, response="resp", intercept=False)
-        assert not data.has_intercept and data.p == 1
+        assert np.array_equal(data.X[:, 1:], [[1.0, 2.0], [4.0, 5.0]])  # regressors in file order
 
     def test_errors(self, tmp_path):
         f = tmp_path / "bad.csv"

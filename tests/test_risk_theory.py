@@ -640,15 +640,6 @@ class TestRiskSurface:
         assert surface.risk[2] == np.inf
         assert surface.bias[0] == 0.0 < surface.bias[3]
 
-    def test_callable_weighting_reproduces_equal(self, snr_profile):
-        def uniform(c, mats):
-            return np.full(c.shape[0], 1.0 / c.shape[0])
-
-        a = risk_surface([30], [5, 12], snr_profile, weighting=uniform)
-        b = risk_surface([30], [5, 12], snr_profile, weighting="equal")
-        np.testing.assert_array_equal(a.risk, b.risk)
-        assert a.weighting == "uniform"
-
     def test_rejects_unknown_weighting_and_empty_grid(self, snr_profile):
         with pytest.raises(ValueError, match="weighting"):
             risk_surface([20], [10], snr_profile, weighting="softmax")
@@ -658,19 +649,12 @@ class TestRiskSurface:
             risk_surface([0], [10], snr_profile)
 
     @pytest.mark.parametrize("exclude", [False, True])
-    @pytest.mark.parametrize("weighting", ["equal", "variance_penalized", "callable"])
+    @pytest.mark.parametrize("weighting", ["equal", "variance_penalized"])
     def test_every_cell_equals_a_per_cell_rebuild(self, snr_profile, weighting, exclude):
         # Unsorted and duplicated M, with M < n, M = n and M > n for both n.
         n_values, m_values = [12, 7], [15, 3, 12, 7, 3, 20, 1, 15]
-
-        def tilted(c, mats):
-            d = np.diag(mats.variance + mats.bias)
-            w = np.where(np.isfinite(d), 1.0 / (1.0 + c), 0.0)
-            return w / w.sum()
-
-        rule = tilted if weighting == "callable" else weighting
         surface = risk_surface(
-            n_values, m_values, snr_profile, sigma2=1.3, weighting=rule, exclude_singular=exclude
+            n_values, m_values, snr_profile, sigma2=1.3, weighting=weighting, exclude_singular=exclude
         )
         theta = snr_profile.coefficients(snr_profile.truncate)
         cells = [(n, m) for n in n_values for m in m_values]
@@ -681,10 +665,8 @@ class TestRiskSurface:
             mats = theorem1_matrices(*_nested(sizes, n, theta), 1.3)
             if weighting == "equal":
                 w = np.full(sizes.size, 1.0 / sizes.size)
-            elif weighting == "variance_penalized":
-                w = variance_penalized_weights(np.diag(mats.variance))
             else:
-                w = tilted(sizes / float(n), mats)
+                w = variance_penalized_weights(np.diag(mats.variance))
             assert (surface.n[i], surface.M[i], surface.excluded_singular[i]) == (
                 n, m, exclude and m >= n
             )
