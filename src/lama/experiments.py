@@ -261,29 +261,34 @@ def _conform(field: str, value, hint):
     raise InputError(field, f"expected {want}, got {value!r}")
 
 
-def _draw_design(rng, rows: int, cfg: SimulationConfig) -> np.ndarray:
-    return np.column_stack([np.ones(rows), rng.standard_normal((rows, cfg.p - 1))])
-
-
 def generate_data(cfg: SimulationConfig, r2: float, rep: int, n: int, m: int):
     """One replication's training and test draws at sample size n, candidate count m.
 
-    Returns (train Dataset, test Dataset, theta, mu_train, mu_test).  The
-    generator keys include every setting coordinate (n, M, R2, rep, stream),
-    so each cell is reproducible on its own.
+    Returns (train Dataset, test Dataset, theta, mu_train, mu_test), theta
+    holding all p coefficients.  A design holds only the m columns the
+    candidates read, the intercept and m - 1 standard normals.  Under the
+    identity covariance the other columns reach the mean only as
+    X_tail theta_tail ~ N(0, |theta_tail|^2) per row: ``mu`` adds
+    |theta_tail| times one normal per row, drawn last in each stream, so at
+    m = p every array is the full p-column draw bit for bit.  The generator
+    keys include every setting coordinate (n, M, R2, rep, stream), so each
+    cell is reproducible on its own.
     """
     n, m, r2, rep = int(n), int(m), float(r2), int(rep)
+    if not 1 <= m <= cfg.p:
+        raise InputError("m", f"{m} not in [1, {cfg.p}]")
     theta = PowerLawProfile.from_r2(r2, cfg.alpha, cfg.p).coefficients(cfg.p)
-    rng_train = rng_for(cfg.seed, "train", n, m, r2, rep)
-    rng_test = rng_for(cfg.seed, "test", n, m, r2, rep)
-    X = _draw_design(rng_train, n, cfg)
-    mu = X @ theta
-    Y = mu + rng_train.standard_normal(n)
-    Xt = _draw_design(rng_test, cfg.test_size, cfg)
-    mu_t = Xt @ theta
-    Yt = mu_t + rng_test.standard_normal(cfg.test_size)
-    train = Dataset(Y=Y, X=X, has_intercept=True)
-    test = Dataset(Y=Yt, X=Xt, has_intercept=True)
+    tail = float(np.linalg.norm(theta[m:]))
+    out = []
+    for stream, rows in (("train", n), ("test", cfg.test_size)):
+        rng = rng_for(cfg.seed, stream, n, m, r2, rep)
+        X = np.empty((rows, m))
+        X[:, 0] = 1.0
+        X[:, 1:] = rng.standard_normal((rows, m - 1))
+        noise = rng.standard_normal(rows)
+        mu = X @ theta[:m] + tail * rng.standard_normal(rows)
+        out.append((Dataset(Y=mu + noise, X=X, has_intercept=True), mu))
+    (train, mu), (test, mu_t) = out
     return train, test, theta, mu, mu_t
 
 

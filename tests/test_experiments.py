@@ -271,10 +271,13 @@ class TestGenerateData:
         assert not np.array_equal(a[0].Y, generate_data(self.CFG, 0.5, rep=3, n=12, m=11)[0].Y)
 
     def test_shapes_and_intercept(self):
+        # The designs hold only the m = 11 columns the candidates read;
+        # theta keeps all p = 16 coefficients.
         train, test, theta, mu, mu_t = generate_data(self.CFG, 0.5, rep=0, n=12, m=11)
-        assert train.X.shape == (12, 16)
-        assert test.X.shape == (64, 16)
+        assert train.X.shape == (12, 11)
+        assert test.X.shape == (64, 11)
         np.testing.assert_array_equal(train.X[:, 0], 1.0)
+        np.testing.assert_array_equal(test.X[:, 0], 1.0)
         assert theta.shape == (16,)
         assert mu.shape == (12,)
         assert mu_t.shape == (64,)
@@ -284,9 +287,36 @@ class TestGenerateData:
         np.testing.assert_allclose(theta, 1.0 / np.arange(1, 17), atol=1e-14)
 
     def test_means_are_linear_in_the_design(self):
-        train, test, theta, mu, mu_t = generate_data(self.CFG, 0.5, rep=1, n=12, m=11)
-        np.testing.assert_allclose(mu, train.X @ theta, atol=1e-12)
-        np.testing.assert_allclose(mu_t, test.X @ theta, atol=1e-12)
+        # At m = p no column is left out: every array is the full p-column
+        # draw bit for bit, and each mean is exactly X theta.
+        cfg = self.CFG
+        train, test, theta, mu, mu_t = generate_data(cfg, 0.5, rep=1, n=12, m=16)
+        for data, mean, stream, rows in ((train, mu, "train", 12), (test, mu_t, "test", 64)):
+            rng = rng_for(cfg.seed, stream, 12, 16, 0.5, 1)
+            X = np.column_stack([np.ones(rows), rng.standard_normal((rows, 15))])
+            full_mu = X @ theta
+            Y = full_mu + rng.standard_normal(rows)
+            assert data.X.tobytes() == X.tobytes()
+            assert data.Y.tobytes() == Y.tobytes()
+            assert mean.tobytes() == full_mu.tobytes()
+            np.testing.assert_array_equal(mean, data.X @ theta)
+
+    def test_left_out_columns_enter_as_one_normal_tail_term(self):
+        # Below m = p, mu - X theta[:m] is |theta_tail| z with z standard
+        # normal per row.  Over 4000 rows the sample variance of z has
+        # standard error sqrt(2 / 4000) = 0.022 and its mean 0.016; the
+        # tolerances 0.15 and 0.1 are about six of them.
+        cfg = dataclasses.replace(self.CFG, test_size=4000)
+        _, test, theta, _, mu_t = generate_data(cfg, 0.5, rep=0, n=12, m=5)
+        z = (mu_t - test.X @ theta[:5]) / np.linalg.norm(theta[5:])
+        assert abs(np.var(z) - 1.0) <= 0.15
+        assert abs(np.mean(z)) <= 0.1
+
+    def test_candidate_count_is_bounded_by_the_regressors(self):
+        for m in (0, 17):
+            with pytest.raises(InputError) as exc:
+                generate_data(self.CFG, 0.5, rep=0, n=12, m=m)
+            assert exc.value.field == "m"
 
     def test_candidate_count_is_part_of_the_key(self):
         a = generate_data(self.CFG, 0.5, rep=0, n=12, m=3)[0]
