@@ -25,9 +25,10 @@ __all__ = [
     "default_model_counts",
 ]
 
-# QR fast path is only taken when R's diagonal is comfortably nonsingular;
-# anything dicier goes through the rank-revealing SVD route.
-_QR_DIAG_RATIO = 1e-10
+# A fast route is taken only when its factor's pivots, smallest over largest,
+# exceed this ratio: |diag R| of a tall prefix's QR, diag(L)^2 of the Cholesky
+# factor of a wide prefix's Gram.  Anything dicier takes the SVD route.
+_PIVOT_RATIO = 1e-10
 
 
 @dataclass(frozen=True)
@@ -219,12 +220,15 @@ def fit_all(data: Dataset, sizes) -> ModelFits:
     """Fit candidate q = the first ``sizes[q]`` columns of X by minimum-norm least squares.
 
     ``sizes`` must be nonempty, at least 1, strictly increasing and at most
-    p.  A single QR factorization of the largest candidate covers all
-    prefixes when they are comfortably full rank; otherwise each candidate
-    goes through the SVD pseudo-inverse, treating singular values at or below
-    max(n, k_M) * eps times the largest as zero.  Both routes produce
-    identical values up to roundoff (the fast path is an algebraic
-    rearrangement, exercised against the SVD route in the tests).
+    p.  The prefixes with k <= n share one QR factorization; past the
+    boundary the Gram G_k = X_k X_k' grows by each size's new columns and the
+    coefficients are X_k' G_k^-1 Y.  A fast route is taken only when its
+    factor (R, or G_k's Cholesky factor) passes the pivot test; otherwise the
+    candidate goes through its own SVD pseudo-inverse, which treats singular
+    values at or below max(n, k_M) * eps times the largest as zero and so
+    reveals the rank.  The routes agree up to roundoff (the tests hold the
+    fast routes to the SVD route).  A candidate of rank n interpolates: on
+    every route its residuals are exactly 0 and its leverages exactly 1.
     """
     sizes = np.array(sizes, dtype=np.int64).reshape(-1)
     if sizes.size == 0:
@@ -238,41 +242,63 @@ def fit_all(data: Dataset, sizes) -> ModelFits:
     n = data.n
     M = sizes.shape[0]
     kM = int(sizes[-1])
-    Xo = data.X[:, :kM]
+    # One Fortran-order copy: every product below reads contiguous columns, so
+    # its bits depend neither on X's layout nor on the columns past k_M.
+    Xo = np.asfortranarray(data.X[:, :kM])
     Y = data.Y
 
+    coefs = np.zeros((kM, M))
     residuals = np.empty((n, M))
     leverages = np.empty((n, M))
-    ranks = np.empty(M, dtype=np.int64)
+    ranks = np.full(M, n, dtype=np.int64)
+    svd = sizes > n  # candidates left to the SVD route
 
-    fast = False
-    if kM <= n:
-        Q, R = np.linalg.qr(Xo, mode="reduced")
+    below = np.flatnonzero(sizes <= n)
+    if below.size:
+        kb, sb = int(sizes[below[-1]]), sizes[below]
+        Q, R = np.linalg.qr(Xo[:, :kb], mode="reduced")
         dr = np.abs(np.diag(R))
-        fast = dr.min() > _QR_DIAG_RATIO * dr.max()
+        if dr.min() > _PIVOT_RATIO * dr.max():
+            z = Q.T @ Y
+            # R is upper triangular (its LU is R itself), so the solve against z
+            # cut to its first k_q rows returns exact zeros below them: one solve
+            # fits every prefix.
+            coefs[:kb, below] = np.linalg.solve(R, z[:, None] * (np.arange(kb)[:, None] < sb))
+            residuals[:, below] = Y[:, None] - np.cumsum(Q * z, axis=1)[:, sb - 1]
+            leverages[:, below] = np.cumsum(Q * Q, axis=1)[:, sb - 1]
+            ranks[below] = sb
+        else:
+            svd[below] = True
 
-    if fast:
-        z = Q.T @ Y
-        # R is upper triangular (its LU is R itself), so the solve against z
-        # cut to its first k_q rows returns exact zeros below them: one solve
-        # fits every prefix.
-        coefs = np.linalg.solve(R, z[:, None] * (np.arange(kM)[:, None] < sizes))
-        residuals[:] = Y[:, None] - np.cumsum(Q * z, axis=1)[:, sizes - 1]
-        leverages[:] = np.cumsum(Q * Q, axis=1)[:, sizes - 1]
-        ranks[:] = sizes
-    else:
-        coefs = np.zeros((kM, M))
-        cutoff = max(n, kM) * np.finfo(np.float64).eps
-        for q, k in enumerate(sizes):
-            U, s, Vt = np.linalg.svd(Xo[:, :k], full_matrices=False)
-            r = int(np.count_nonzero(s > cutoff * s[0]))
-            Ur = U[:, :r]
-            UtY = Ur.T @ Y
-            coefs[:k, q] = Vt[:r].T @ (UtY / s[:r])
-            residuals[:, q] = Y - Ur @ UtY
-            leverages[:, q] = np.sum(Ur * Ur, axis=1)
-            ranks[q] = r
+    G, grown = np.zeros((n, n)), 0
+    for q in np.flatnonzero(sizes > n):
+        k = int(sizes[q])
+        new = Xo[:, grown:k]
+        G += new @ new.T
+        grown = k
+        try:
+            pivots = np.diag(np.linalg.cholesky(G)) ** 2
+        except np.linalg.LinAlgError:
+            continue
+        if pivots.min() > _PIVOT_RATIO * pivots.max():
+            coefs[:k, q] = Xo[:, :k].T @ np.linalg.solve(G, Y)
+            svd[q] = False
 
+    cutoff = max(n, kM) * np.finfo(np.float64).eps
+    for q in np.flatnonzero(svd):
+        k = sizes[q]
+        U, s, Vt = np.linalg.svd(Xo[:, :k], full_matrices=False)
+        r = int(np.count_nonzero(s > cutoff * s[0]))
+        Ur = U[:, :r]
+        UtY = Ur.T @ Y
+        coefs[:k, q] = Vt[:r].T @ (UtY / s[:r])
+        residuals[:, q] = Y - Ur @ UtY
+        leverages[:, q] = np.sum(Ur * Ur, axis=1)
+        ranks[q] = r
+
+    interpolating = ranks == n
+    residuals[:, interpolating] = 0.0
+    leverages[:, interpolating] = 1.0
     rss = np.sum(residuals * residuals, axis=0)
     return ModelFits(
         n=n,

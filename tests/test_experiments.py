@@ -154,6 +154,22 @@ class TestComputeWeights:
         assert lama.weights[1] == 0.0
         assert lama.weights[0] == pytest.approx(1.0)
 
+    def test_information_criteria_exclude_every_rank_n_candidate(self):
+        # n = 20 with 30 candidates, as in `simulate --n 20 --m 30 --p 100`:
+        # every k >= n candidate interpolates, so its RSS is exactly 0 and
+        # each information criterion excludes it and gives it no weight
+        # (a roundoff RSS near 1e-28 would win n log(RSS / n)).
+        cfg = SimulationConfig(n_values=(20,), p=100, m_values=(30,), replications=4)
+        for rep in range(4):
+            train = generate_data(cfg, 0.5, rep, n=20, m=30)[0]
+            fits = fit_all(train, np.arange(1, 31))
+            for method in ("aic", "bic", "saic", "sbic"):
+                with pytest.warns(RuntimeWarning, match="interpolating"):
+                    choice = compute_weights(fits, method)
+                assert choice.excluded == tuple(range(19, 30))
+                assert np.all(choice.weights[19:] == 0.0)
+                assert choice.weights.sum() == pytest.approx(1.0)
+
     def test_large_model_criterion_is_per_observation(self):
         fits, _, _ = make_fits(11, n=24, sizes=(1, 3, 6, 10))
         choice = compute_weights(fits, "lama")

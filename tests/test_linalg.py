@@ -25,7 +25,7 @@ def _projector(X):
 
 def _svd_fit(X, Y, sizes):
     """fit_all with the QR fast path switched off: every candidate takes the SVD route."""
-    with mock.patch.object(models, "_QR_DIAG_RATIO", 1.0):
+    with mock.patch.object(models, "_PIVOT_RATIO", 1.0):
         return fit_all(Dataset(Y=Y, X=X), sizes)
 
 

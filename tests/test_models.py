@@ -155,9 +155,18 @@ class TestFitAll:
         assert np.trace(Pw @ Pw) == pytest.approx(w @ np.minimum.outer(fits.ranks, fits.ranks) @ w)
 
     def test_interpolating_candidate_zero_residual(self, rng):
-        X = rng.standard_normal((6, 6))
-        fits = fit_all(Dataset(Y=rng.standard_normal(6), X=X), (3, 6))
-        assert np.allclose(fits.residuals[:, 1], 0.0, atol=1e-8)
+        # A rank-n candidate interpolates, on the QR route (k = n), the Gram
+        # route (k > n) and the SVD route alike: its residuals are exactly 0
+        # and its leverages exactly 1, not roundoff away from them.
+        X = rng.standard_normal((6, 9))
+        Y = rng.standard_normal(6)
+        for ratio in (models._PIVOT_RATIO, 1.0):
+            with mock.patch.object(models, "_PIVOT_RATIO", ratio):
+                fits = fit_all(Dataset(Y=Y, X=X), (3, 6, 9))
+            assert list(fits.ranks) == [3, 6, 6]
+            assert np.all(fits.residuals[:, 1:] == 0.0) and np.all(fits.rss[1:] == 0.0)
+            assert np.all(fits.leverages[:, 1:] == 1.0)
+            assert fits.rss[0] > 0.0
 
     def test_fast_and_careful_routes_agree(self, rng):
         # Well-conditioned tall design takes the shared-factorization
@@ -215,40 +224,115 @@ class TestFitAll:
         assert np.all(np.diff(fits.rss) <= 1e-9)
 
 
+def _forced(data, sizes, ratio):
+    """fit_all with the pivot test set to ``ratio``: 0.0 takes every fast route whose factorization exists, 1.0 none."""
+    with mock.patch.object(models, "_PIVOT_RATIO", ratio):
+        return fit_all(data, sizes)
+
+
+def _assert_near_svd_route(fast, svd, data, q):
+    """Candidate q of ``fast`` against the SVD route, to the accuracy its condition number kappa allows.
+
+    For k <= n (QR route): residuals and leverages within 10 eps kappa, and
+    coefficients within 100 times the least-squares perturbation bound
+    eps (kappa + kappa^2 |r| / (s_max |beta|)).  For k > n (Gram route, which
+    squares the condition number): both interpolate, so residuals and
+    leverages are equal, and coefficients lie within 100 eps kappa^2 |beta|.
+    """
+    k = int(svd.sizes[q])
+    s = np.linalg.svd(data.X[:, :k], compute_uv=False)
+    kappa = s[0] / s[-1]
+    eps = np.finfo(np.float64).eps
+    beta = svd.coefs[:k, q]
+    if k > data.n:
+        np.testing.assert_array_equal(fast.residuals[:, q], svd.residuals[:, q])
+        np.testing.assert_array_equal(fast.leverages[:, q], svd.leverages[:, q])
+        bound = eps * kappa**2
+    else:
+        assert np.max(np.abs(fast.residuals[:, q] - svd.residuals[:, q])) <= 10 * eps * kappa * np.linalg.norm(data.Y)
+        assert np.max(np.abs(fast.leverages[:, q] - svd.leverages[:, q])) <= 10 * eps * kappa
+        bound = eps * (kappa + kappa**2 * np.linalg.norm(svd.residuals[:, q]) / (s[0] * np.linalg.norm(beta)))
+    assert np.linalg.norm(fast.coefs[:k, q] - beta) <= 100 * bound * np.linalg.norm(beta)
+
+
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=2**32 - 1), log_ratio=st.floats(min_value=-1.0, max_value=1.0))
 def test_qr_fast_path_matches_the_svd_route_near_its_threshold(seed, log_ratio):
-    # X = U R0 with one diagonal entry of R0 at 10^log_ratio * _QR_DIAG_RATIO
+    # X = U R0 with one diagonal entry of R0 at 10^log_ratio * _PIVOT_RATIO
     # of the largest, so fit_all's route choice sits on either side of the
     # threshold.  Both routes are forced and compared, each candidate to the
-    # accuracy its condition number kappa allows: residuals and leverages
-    # within 10 eps kappa, coefficients within 100 times the least-squares
-    # perturbation bound eps (kappa + kappa^2 |r| / (s_max |beta|)).
+    # accuracy its condition number allows.
     rng = np.random.default_rng(seed)
     n = int(rng.integers(6, 40))
     k = int(rng.integers(2, n + 1))
     U, _ = np.linalg.qr(rng.standard_normal((n, k)))
     R0 = np.triu(rng.standard_normal((k, k))) / np.sqrt(k)
     diag = rng.uniform(1.0, 2.0, k)
-    diag[rng.integers(0, k)] = 10.0**log_ratio * models._QR_DIAG_RATIO * diag.max()
+    diag[rng.integers(0, k)] = 10.0**log_ratio * models._PIVOT_RATIO * diag.max()
     R0[np.diag_indices(k)] = diag * rng.choice([-1.0, 1.0], k)
     X = U @ R0
     data = Dataset(Y=X @ rng.standard_normal(k) + rng.standard_normal(n), X=X)
     sizes = np.unique(np.concatenate([[k], rng.integers(1, k + 1, 3)]))
-    with mock.patch.object(models, "_QR_DIAG_RATIO", 0.0):
-        qr = fit_all(data, sizes)
-    with mock.patch.object(models, "_QR_DIAG_RATIO", 1.0):
-        svd = fit_all(data, sizes)
+    qr, svd = _forced(data, sizes, 0.0), _forced(data, sizes, 1.0)
     np.testing.assert_array_equal(svd.ranks, sizes)
-    eps = np.finfo(np.float64).eps
-    for q, kq in enumerate(sizes):
-        s = np.linalg.svd(X[:, :kq], compute_uv=False)
-        kappa = s[0] / s[-1]
-        assert np.max(np.abs(qr.residuals[:, q] - svd.residuals[:, q])) <= 10 * eps * kappa * np.linalg.norm(data.Y)
-        assert np.max(np.abs(qr.leverages[:, q] - svd.leverages[:, q])) <= 10 * eps * kappa
-        beta = svd.coefs[:kq, q]
-        bound = eps * (kappa + kappa**2 * np.linalg.norm(svd.residuals[:, q]) / (s[0] * np.linalg.norm(beta)))
-        assert np.linalg.norm(qr.coefs[:kq, q] - beta) <= 100 * bound * np.linalg.norm(beta)
+    for q in range(sizes.size):
+        _assert_near_svd_route(qr, svd, data, q)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1), log_ratio=st.floats(min_value=-1.0, max_value=1.0))
+def test_gram_route_matches_the_svd_route_near_its_threshold(seed, log_ratio):
+    # X' = V R0 with V orthonormal (k_M x n), so the Gram of the widest
+    # candidate is R0' R0 and its Cholesky pivots are diag(R0)^2; one of them
+    # is 10^log_ratio * _PIVOT_RATIO of the largest, on either side of the
+    # threshold.  With both routes forced, every candidate, on either side
+    # of the boundary, matches the SVD route to the accuracy its condition
+    # number allows.  At the default threshold the widest candidate takes
+    # the Gram route above it and the SVD route below it (bit for bit the
+    # forced fits), away from roundoff's reach of the threshold itself.
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(4, 30))
+    kM = int(rng.integers(n + 1, 2 * n + 3))
+    V, _ = np.linalg.qr(rng.standard_normal((kM, n)))
+    R0 = np.triu(rng.standard_normal((n, n))) / np.sqrt(n)
+    diag = rng.uniform(1.0, 2.0, n)
+    j = rng.integers(0, n)
+    diag[j] = np.sqrt(10.0**log_ratio * models._PIVOT_RATIO) * np.delete(diag, j).max()
+    R0[np.diag_indices(n)] = diag
+    X = (V @ R0).T
+    data = Dataset(Y=rng.standard_normal(n), X=X)
+    sizes = np.unique(np.concatenate([[kM], rng.integers(1, kM + 1, 4)]))
+    gram, svd = _forced(data, sizes, 0.0), _forced(data, sizes, 1.0)
+    np.testing.assert_array_equal(svd.ranks, np.minimum(sizes, n))
+    for q in range(sizes.size):
+        _assert_near_svd_route(gram, svd, data, q)
+    if abs(log_ratio) > 0.1:
+        chosen = fit_all(data, sizes).coefs[:, -1]
+        route = gram if log_ratio > 0 else svd
+        assert chosen.tobytes() == route.coefs[:, -1].tobytes()
+
+
+def test_past_boundary_rank_below_n_takes_the_svd_route(rng):
+    # Two equal rows cap the rank at n - 1, so every Gram past the boundary
+    # is singular: each candidate takes the SVD route (bit for bit the forced
+    # SVD fit) and reports rank n - 1.  The equal rows share one fitted
+    # value, their mean response; every other row is fitted exactly.
+    n = 8
+    X = rng.standard_normal((n, 14))
+    X[7] = X[3]
+    Y = rng.standard_normal(n)
+    data = Dataset(Y=Y, X=X)
+    sizes = (9, 11, 14)
+    fits, svd = fit_all(data, sizes), _forced(data, sizes, 1.0)
+    assert list(fits.ranks) == [n - 1] * 3
+    for field in ("coefs", "residuals", "leverages", "rss"):
+        assert getattr(fits, field).tobytes() == getattr(svd, field).tobytes(), field
+    half = (Y[3] - Y[7]) / 2.0
+    expected = np.zeros(n)
+    expected[3], expected[7] = half, -half
+    for q in range(3):
+        np.testing.assert_allclose(fits.residuals[:, q], expected, atol=1e-10)
+        np.testing.assert_allclose(fits.leverages[[3, 7], q], 0.5, atol=1e-10)
 
 
 @settings(max_examples=40, deadline=None)
