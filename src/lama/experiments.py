@@ -71,6 +71,8 @@ def _stable_key(key) -> int:
 
 def rng_for(base_seed: int, *keys) -> np.random.Generator:
     """Deterministic generator keyed by (base seed, arbitrary key tuple)."""
+    if int(base_seed) < 0:
+        raise InputError("seed", f"must be a non-negative integer, got {base_seed}")
     ss = np.random.SeedSequence(entropy=int(base_seed), spawn_key=tuple(_stable_key(k) for k in keys))
     return np.random.default_rng(ss)
 
@@ -229,6 +231,8 @@ class SimulationConfig:
             raise InputError("test_size", f"need at least 2 test draws, got {self.test_size}")
         if self.alpha <= 0.0:
             raise InputError("alpha", "must be positive")
+        if self.truncate_loss is not None and not self.truncate_loss > 0.0:
+            raise InputError("truncate_loss", f"must be a positive cap, got {self.truncate_loss}")
         m_max = max(self.m_values) if self.m_values else max(default_model_counts(max(self.n_values)))
         if self.p < m_max:
             raise InputError("p", f"{self.p} smaller than the largest candidate count {m_max}")

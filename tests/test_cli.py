@@ -123,6 +123,15 @@ class TestRangeParsing:
         (["simulate", "--n", "8", "--m", "3", "--p", "8", "--reps", "2", "--test-size", "1"], None,
          "--test-size"),
         (["eval", "--data", "mtcars", "--n-train", "20", "--reps", "0"], None, "--reps"),
+        (["simulate", "--n", "8", "--m", "3", "--p", "8", "--reps", "2", "--test-size", "8",
+          "--truncate-loss", "-1"], None, "--truncate-loss"),
+        (["simulate", "--n", "8", "--m", "3", "--p", "8", "--reps", "2", "--test-size", "8",
+          "--truncate-loss", "nan"], None, "--truncate-loss"),
+        (["simulate", "--n", "8", "--m", "3", "--p", "8", "--reps", "2", "--test-size", "8",
+          "--seed", "-1"], None, "--seed"),
+        (["eval", "--data", "crime", "--n-train", "18", "--reps", "2", "--seed", "-1"], None, "--seed"),
+        (["validate-thm1", "--n", "20", "--sizes", "2,4", "--reps", "1", "--seed", "-1"], None, "--seed"),
+        (["simulate"], {"seed": -1}, "seed"),
     ],
     ids=[
         "eval-unknown-method", "eval-max-models", "eval-n-train", "fit-max-models", "fit-n-train",
@@ -135,7 +144,8 @@ class TestRangeParsing:
         "thm1-sizes-decreasing", "thm1-reps-zero", "thm1-test-size-zero", "thm1-test-size-negative",
         "thm1-n-zero", "rmt-reps-zero", "thm1-weights-nan", "thm1-weights-off-simplex",
         "thm1-weights-negative", "thm1-weights-length", "simulate-test-size-zero", "simulate-test-size-one",
-        "eval-reps-zero",
+        "eval-reps-zero", "simulate-truncate-loss-negative", "simulate-truncate-loss-nan",
+        "simulate-seed-negative", "eval-seed-negative", "thm1-seed-negative", "config-seed-negative",
     ],
 )
 def test_rejected_values_are_usage_errors(capsys, tmp_path, argv, config, name):

@@ -225,7 +225,10 @@ class TestFitAll:
 
 
 def _forced(data, sizes, ratio):
-    """fit_all with the pivot test set to ``ratio``: 0.0 takes every fast route whose factorization exists, 1.0 none."""
+    """fit_all under the pivot ratio ``ratio``.
+
+    0.0 takes every fast route whose factorization exists, 1.0 none of them.
+    """
     with mock.patch.object(models, "_PIVOT_RATIO", ratio):
         return fit_all(data, sizes)
 
