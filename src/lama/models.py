@@ -250,12 +250,12 @@ def fit_all(data: Dataset, sizes) -> ModelFits:
     coefs = np.zeros((kM, M))
     residuals = np.empty((n, M))
     leverages = np.empty((n, M))
-    ranks = np.full(M, n, dtype=np.int64)
-    svd = sizes > n  # candidates left to the SVD route
+    ranks = np.full(M, n, dtype=np.int64)  # the Gram route's; the other routes set theirs
+    nb = int(np.searchsorted(sizes, n, side="right"))  # candidates 0..nb-1 have k <= n
+    svd = []  # candidates left to the SVD route
 
-    below = np.flatnonzero(sizes <= n)
-    if below.size:
-        kb, sb = int(sizes[below[-1]]), sizes[below]
+    if nb:
+        kb, sb = int(sizes[nb - 1]), sizes[:nb]
         Q, R = np.linalg.qr(Xo[:, :kb], mode="reduced")
         dr = np.abs(np.diag(R))
         if dr.min() > _PIVOT_RATIO * dr.max():
@@ -263,15 +263,15 @@ def fit_all(data: Dataset, sizes) -> ModelFits:
             # R is upper triangular (its LU is R itself), so the solve against z
             # cut to its first k_q rows returns exact zeros below them: one solve
             # fits every prefix.
-            coefs[:kb, below] = np.linalg.solve(R, z[:, None] * (np.arange(kb)[:, None] < sb))
-            residuals[:, below] = Y[:, None] - np.cumsum(Q * z, axis=1)[:, sb - 1]
-            leverages[:, below] = np.cumsum(Q * Q, axis=1)[:, sb - 1]
-            ranks[below] = sb
+            coefs[:kb, :nb] = np.linalg.solve(R, z[:, None] * (np.arange(kb)[:, None] < sb))
+            residuals[:, :nb] = Y[:, None] - np.cumsum(Q * z, axis=1)[:, sb - 1]
+            leverages[:, :nb] = np.cumsum(Q * Q, axis=1)[:, sb - 1]
+            ranks[:nb] = sb
         else:
-            svd[below] = True
+            svd = list(range(nb))
 
     G, grown = np.zeros((n, n)), 0
-    for q in np.flatnonzero(sizes > n):
+    for q in range(nb, M):
         k = int(sizes[q])
         new = Xo[:, grown:k]
         G += new @ new.T
@@ -279,13 +279,14 @@ def fit_all(data: Dataset, sizes) -> ModelFits:
         try:
             pivots = np.diag(np.linalg.cholesky(G)) ** 2
         except np.linalg.LinAlgError:
-            continue
+            pivots = np.zeros(1)  # G is not positive definite: fails the test below
         if pivots.min() > _PIVOT_RATIO * pivots.max():
             coefs[:k, q] = Xo[:, :k].T @ np.linalg.solve(G, Y)
-            svd[q] = False
+        else:
+            svd.append(q)
 
     cutoff = max(n, kM) * np.finfo(np.float64).eps
-    for q in np.flatnonzero(svd):
+    for q in svd:
         k = sizes[q]
         U, s, Vt = np.linalg.svd(Xo[:, :k], full_matrices=False)
         r = int(np.count_nonzero(s > cutoff * s[0]))
