@@ -297,6 +297,7 @@ def fit_all(data: Dataset, sizes) -> ModelFits:
         leverages[:, q] = np.sum(Ur * Ur, axis=1)
         ranks[q] = r
 
+    # Rank n interpolates exactly; this also fills the Gram route's columns.
     interpolating = ranks == n
     residuals[:, interpolating] = 0.0
     leverages[:, interpolating] = 1.0

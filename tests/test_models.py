@@ -161,8 +161,7 @@ class TestFitAll:
         X = rng.standard_normal((6, 9))
         Y = rng.standard_normal(6)
         for ratio in (models._PIVOT_RATIO, 1.0):
-            with mock.patch.object(models, "_PIVOT_RATIO", ratio):
-                fits = fit_all(Dataset(Y=Y, X=X), (3, 6, 9))
+            fits = _forced(Dataset(Y=Y, X=X), (3, 6, 9), ratio)
             assert list(fits.ranks) == [3, 6, 6]
             assert np.all(fits.residuals[:, 1:] == 0.0) and np.all(fits.rss[1:] == 0.0)
             assert np.all(fits.leverages[:, 1:] == 1.0)
