@@ -13,7 +13,6 @@ zero).
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -71,16 +70,17 @@ def single_model_risk(c: float, norm2: float, sigma2: float) -> float:
     if not np.isfinite(norm2) or norm2 < 0.0:
         raise ValueError(f"norm2 must be nonnegative and finite, got {norm2}")
     bias, variance = _single_parts(c, norm2, sigma2)
-    return bias + variance
+    return float(bias + variance)
 
 
-def _single_parts(c: float, norm2: float, sigma2: float) -> tuple[float, float]:
-    """(bias, variance) limits of one min-norm fit; both +inf at the boundary."""
-    if abs(c - 1.0) <= BOUNDARY_DELTA:
-        return np.inf, np.inf
-    if c < 1.0:
-        return 0.0, sigma2 * c / (1.0 - c)
-    return norm2 * (1.0 - 1.0 / c), sigma2 / (c - 1.0)
+def _single_parts(c, norm2, sigma2: float) -> tuple[np.ndarray, np.ndarray]:
+    """(bias, variance) limits of lone min-norm fits, elementwise; both +inf at the boundary."""
+    c = np.asarray(c, dtype=np.float64)
+    with np.errstate(divide="ignore"):  # c = 1 exactly, which the boundary overwrites
+        bias = np.where(c < 1.0, 0.0, norm2 * (1.0 - 1.0 / c))
+        variance = np.where(c < 1.0, sigma2 * c / (1.0 - c), sigma2 / (c - 1.0))
+    on = np.abs(c - 1.0) <= BOUNDARY_DELTA
+    return np.where(on, np.inf, bias), np.where(on, np.inf, variance)
 
 
 @dataclass(frozen=True)
@@ -120,6 +120,12 @@ def theorem1_matrices(c, norms2, total_norm2: float, sigma2: float) -> RiskMatri
     total_norm2 that of the whole coefficient sequence, so candidate q omits
     total_norm2 - norms2[q].  sigma2 may be zero (noiseless responses).
     """
+    c, norms2 = _theorem1_inputs(c, norms2, total_norm2, sigma2)
+    return RiskMatrices(*_theorem1_entries(c, _norm_outers(norms2, total_norm2), sigma2))
+
+
+def _theorem1_inputs(c, norms2, total_norm2: float, sigma2: float) -> tuple[np.ndarray, np.ndarray]:
+    """c and norms2 as flat float arrays, once they pass the checks of ``theorem1_matrices``."""
     c = np.asarray(c, dtype=np.float64).reshape(-1)
     norms2 = np.asarray(norms2, dtype=np.float64).reshape(-1)
     if c.size == 0:
@@ -136,62 +142,60 @@ def theorem1_matrices(c, norms2, total_norm2: float, sigma2: float) -> RiskMatri
         raise ValueError("squared norms must be nonnegative and finite")
     if np.any(np.diff(norms2) < 0.0) or norms2[-1] > total_norm2:
         raise ValueError("nesting violated: a larger model carries less signal norm")
-    # Built in a helper so that its M x M temporaries are freed before the
-    # symmetry check allocates its own: reusing that memory halves the page
-    # faults of a 37 x 37 surface grid up to M = 200 (about 24k to 12k).
-    return RiskMatrices(*_theorem1_entries(c, norms2, total_norm2 - norms2, sigma2))
+    return c, norms2
 
 
-def _theorem1_entries(c, norms2, re2, sigma2) -> tuple[np.ndarray, np.ndarray]:
-    """The (variance, bias) limit matrices of ``theorem1_matrices``, unchecked.
+def _norm_outers(norms2, total_norm2: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pairwise smaller carried norm, carried-norm gap and smaller omitted norm; n plays no part."""
+    n2min, re2 = np.minimum.outer(norms2, norms2), total_norm2 - norms2
+    return n2min, np.maximum.outer(norms2, norms2) - n2min, np.minimum.outer(re2, re2)
 
-    Entry (q, l) reads the smaller model's ratio and carried norm and the
-    larger model's ratio, carried and omitted norms.  The nesting makes c and
-    norms2 nondecreasing and re2 nonincreasing, so those are elementwise
-    minima and maxima of the pair.
+
+def _theorem1_entries(c, outers, sigma2) -> tuple[np.ndarray, np.ndarray]:
+    """The (variance, bias) limit matrices of ``theorem1_matrices``, unchecked; ``outers`` is ``_norm_outers``.
+
+    Entry (q, l) reads the smaller model's ratio and carried norm and the larger model's ratio, carried
+    and omitted norms.  As c increases, the pairs below the boundary, above it and across it are two
+    diagonal blocks and a rectangle (mirrored); boundary rows and columns stay +inf.  Each entry takes
+    the operations of the elementwise formula in the same order, so the blocks move no bits.
     """
-    M = c.shape[0]
-    cmin, cmax = np.minimum.outer(c, c), np.maximum.outer(c, c)
-    n2min, n2max = np.minimum.outer(norms2, norms2), np.maximum.outer(norms2, norms2)
-    remax = np.minimum.outer(re2, re2)
+    n2min, n2gap, remax = outers
+    lo = slice(0, int(np.searchsorted(c, 1.0 - BOUNDARY_DELTA)))  # c < 1 - delta
+    hi = slice(int(np.searchsorted(c, 1.0 + BOUNDARY_DELTA, side="right")), c.size)  # c > 1 + delta
+    DV, DB = np.full((2, c.size, c.size), np.inf)
 
-    DV = np.full((M, M), np.inf)
-    DB = np.full((M, M), np.inf)
-    under = cmax < 1.0 - BOUNDARY_DELTA
-    over = cmin > 1.0 + BOUNDARY_DELTA
-    mixed = (cmin < 1.0 - BOUNDARY_DELTA) & (cmax > 1.0 + BOUNDARY_DELTA)
+    cmin = np.minimum.outer(c[lo], c[lo])
+    DV[lo, lo] = sigma2 * cmin / (1.0 - cmin)
+    DB[lo, lo] = remax[lo, lo] / (1.0 - cmin)
 
-    DV[under] = sigma2 * cmin[under] / (1.0 - cmin[under])
-    DV[mixed] = sigma2 * cmin[mixed] / (cmax[mixed] - cmin[mixed])
-    DV[over] = sigma2 / (cmax[over] - 1.0)
+    cmin, cmax = c[lo, None], c[None, hi]  # the row is the smaller model
+    gap = cmax - cmin
+    DV[lo, hi] = sigma2 * cmin / gap
+    DB[lo, hi] = (cmax - 1.0) / gap * n2gap[lo, hi] + cmax / gap * remax[lo, hi]
+    DV[hi, lo], DB[hi, lo] = DV[lo, hi].T, DB[lo, hi].T
 
-    DB[under] = remax[under] / (1.0 - cmin[under])
-    gap = cmax[mixed] - cmin[mixed]
-    DB[mixed] = (cmax[mixed] - 1.0) / gap * (n2max[mixed] - n2min[mixed]) + cmax[
-        mixed
-    ] / gap * remax[mixed]
-    DB[over] = (
-        (cmin[over] - 1.0) / cmin[over] * n2min[over]
-        + (n2max[over] - n2min[over])
-        + cmax[over] / (cmax[over] - 1.0) * remax[over]
-    )
+    cmin, cmax = np.minimum.outer(c[hi], c[hi]), np.maximum.outer(c[hi], c[hi])
+    DV[hi, hi] = sigma2 / (cmax - 1.0)
+    DB[hi, hi] = (cmin - 1.0) / cmin * n2min[hi, hi] + n2gap[hi, hi] + cmax / (cmax - 1.0) * remax[hi, hi]
     return DV, DB
 
 
-def variance_penalized_weights(dv_diag: np.ndarray) -> np.ndarray:
-    """Weights proportional to inverse limiting variance.
-
-    Candidates with infinite variance get weight exactly 0; at least one
-    entry must be finite.
-    """
+def _inverse_variance(dv_diag) -> np.ndarray:
+    """1 / d of a positive variance diagonal d: exactly 0 where d is +inf."""
     d = np.asarray(dv_diag, dtype=np.float64).reshape(-1)
     if d.size == 0:
         raise ValueError("need at least one candidate")
     if np.any(np.isnan(d)) or np.any(d <= 0.0):
         raise ValueError("variance diagonal must be positive (or +inf)")
-    inv = np.zeros_like(d)
-    finite = np.isfinite(d)
-    inv[finite] = 1.0 / d[finite]
+    return 1.0 / d
+
+
+def variance_penalized_weights(dv_diag: np.ndarray) -> np.ndarray:
+    """Weights proportional to inverse limiting variance.
+
+    Candidates with infinite variance get weight exactly 0; at least one entry must be finite.
+    """
+    inv = _inverse_variance(dv_diag)
     total = inv.sum()
     if total == 0.0:
         raise ValueError("all candidates have infinite variance")
@@ -201,35 +205,39 @@ def variance_penalized_weights(dv_diag: np.ndarray) -> np.ndarray:
 def asymptotic_risk(w: np.ndarray, matrices: RiskMatrices) -> tuple[float, float, float]:
     """(risk, bias part, variance part) of the limit w' (V + B) w.
 
-    Infinite entries met with exactly zero weight contribute nothing; any
-    infinite entry with positive weight on both sides makes the part +inf.
-    """
-    return _risk_parts(w, matrices.variance, matrices.bias, np.arange(matrices.variance.shape[0]))
-
-
-def _risk_parts(w, V, B, rows: np.ndarray) -> tuple[float, float, float]:
-    """asymptotic_risk of weights ``w`` on rows and columns ``rows`` of V and B.
-
-    Weights that are not a finite point of the probability simplex, one per
-    row, raise ``InputError`` naming ``w``.
+    Infinite entries met with exactly zero weight contribute nothing; any infinite entry with positive
+    weight on both sides makes the part +inf.  Weights that are not a finite point of the probability
+    simplex, one per candidate, raise ``InputError`` naming ``w``.
     """
     w = np.asarray(w, dtype=np.float64).reshape(-1)
-    if w.shape[0] != rows.shape[0]:
-        raise InputError("w", f"weight length {w.shape[0]} does not match the {rows.shape[0]} candidates")
+    if w.shape[0] != len(matrices.variance):
+        raise InputError("w", f"weight length {w.shape[0]} does not match the {len(matrices.variance)} candidates")
     # Both comparisons are false for NaN, so this one test also stops non-finite weights.
     if not (np.all(w >= -1e-12) and abs(w.sum() - 1.0) <= 1e-8):
         problem = "must lie on the probability simplex" if np.all(np.isfinite(w)) else "must be finite"
         raise InputError("w", f"weights {problem}, got {w.tolist()}")
     active = w > 0.0
     wa = w[active]
-    idx = rows[active]
     parts = []
-    for A in (B, V):
-        # Rows, then columns, then C order: the A[np.ix_(idx, idx)] array, gathered faster.
-        Aa = np.ascontiguousarray(A[idx][:, idx])
+    for A in (matrices.bias, matrices.variance):
+        Aa = np.ascontiguousarray(A[active][:, active])
         parts.append(np.inf if np.any(np.isinf(Aa)) else float(wa @ Aa @ wa))
     bias_part, var_part = parts
     return bias_part + var_part, bias_part, var_part
+
+
+def _prefix_forms(A: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Entry M - 1 is sum_{i,j<M} u_i u_j A_ij of a symmetric A, for every M; A is overwritten.
+
+    It is the running sum of the row borders u_m (2 sum_{j<m} u_j A_mj + u_m A_mm).  Rows and
+    columns with u = 0 add exactly 0; an infinite entry between positive weights gives +inf.
+    """
+    active = u > 0.0
+    A[:, ~active] = 0.0
+    A *= u
+    np.cumsum(A, axis=1, out=A)  # A[m, j] = sum_{i<=j} u_i A_mi
+    inner = np.diagonal(A) + np.concatenate(([0.0], np.diagonal(A, -1)))
+    return np.cumsum(np.multiply(u, inner, out=np.zeros_like(u), where=active))
 
 
 @dataclass(frozen=True)
@@ -319,11 +327,6 @@ class RiskSurface:
                 f"{str(bool(self.excluded_singular[i])).lower()}\n"
             )
 
-    def csv_text(self) -> str:
-        buf = io.StringIO()
-        self.to_csv(buf)
-        return buf.getvalue()
-
 
 def risk_surface(
     n_values,
@@ -347,9 +350,11 @@ def risk_surface(
     M >= n, which is the conventional way to plot equal-weight surfaces that
     would otherwise diverge on the diagonal.
 
-    The limit matrices are built and validated once per n, at the largest M;
-    each cell reads their leading M x M block (less row and column n when
-    excluded), equal entry for entry to a per-cell build.
+    The limit matrices are built and validated once per n, at the largest M.  Cell weights are
+    proportional to u: 1 for "equal", the inverse variance for "variance_penalized", 0 for an
+    infinite variance or an excluded candidate.  A part of cell (n, M) is sum_{i,j<M} u_i u_j A_ij
+    over (sum_{i<M} u_i)^2, one running sum over the rows of A for every M: a per-cell build
+    differs only in summation order, within 1e-13 relative.
     """
     n_values = np.asarray(n_values, dtype=np.int64).reshape(-1)
     m_values = np.asarray(m_values, dtype=np.int64).reshape(-1)
@@ -365,29 +370,28 @@ def risk_surface(
     out_n = np.repeat(n_values, m_values.size)
     out_m = np.tile(m_values, n_values.size)
     excl = (out_m >= out_n) & (bool(exclude_singular) and weighting != "single")
-    parts = np.empty((out_n.size, 3))  # risk, bias, variance of each cell
-    sizes = np.arange(1, int(m_values.max()) + 1)
-    for i, (n, m) in enumerate(zip(out_n, out_m)):
-        if weighting == "single":
-            b, v = _single_parts(m / float(n), float(profile.prefix_norm2(m)), sigma2)
-            parts[i] = b + v, b, v
-            continue
-        if i % m_values.size == 0:  # first cell of this n: its matrices at the largest M
-            c = sizes / float(n)
-            mats = theorem1_matrices(c, profile.prefix_norm2(sizes), profile.total_norm2(), sigma2)
-            DV, DB = mats.variance, mats.bias
-        rows = np.arange(m)
-        if excl[i]:
-            rows = rows[rows != n - 1]
-            if rows.size == 0:
-                raise ValueError(f"cell (n={n}, M={m}) has no candidates left")
-        if weighting == "equal":
-            w = np.full(rows.shape[0], 1.0 / rows.shape[0])
-        else:
-            w = variance_penalized_weights(DV[rows, rows])
-        parts[i] = _risk_parts(w, DV, DB, rows)
+    if weighting == "single":
+        bias, variance = _single_parts(out_m / out_n, profile.prefix_norm2(out_m), sigma2)
+    else:
+        bias, variance = np.empty((2, n_values.size, m_values.size))
+        sizes = np.arange(1, int(m_values.max()) + 1)
+        norms2, total = profile.prefix_norm2(sizes), profile.total_norm2()
+        outers = _norm_outers(norms2, total)
+        for row, n in enumerate(n_values):
+            c, _ = _theorem1_inputs(sizes / float(n), norms2, total, sigma2)
+            mats = RiskMatrices(*_theorem1_entries(c, outers, sigma2))
+            u = np.ones(sizes.size) if weighting == "equal" else _inverse_variance(np.diagonal(mats.variance))
+            if exclude_singular and n <= sizes.size:
+                u[n - 1] = 0.0
+            U = np.cumsum(u)[m_values - 1]
+            if np.any(U == 0.0):  # n = 1: the lone candidate of M = 1 is on the boundary
+                raise ValueError(f"cell (n={n}, M=1) has no candidates left" if exclude_singular
+                                 else "all candidates have infinite variance")
+            bias[row] = _prefix_forms(mats.bias, u)[m_values - 1] / U**2
+            variance[row] = _prefix_forms(mats.variance, u)[m_values - 1] / U**2
+        bias, variance = bias.reshape(-1), variance.reshape(-1)
 
     return RiskSurface(
-        n=out_n, M=out_m, weighting=weighting, risk=parts[:, 0], bias=parts[:, 1], variance=parts[:, 2],
+        n=out_n, M=out_m, weighting=weighting, risk=bias + variance, bias=bias, variance=variance,
         excluded_singular=excl,
     )

@@ -3,13 +3,17 @@
 Limit-matrix entries are pinned to hand-computed values, and the vectorized
 matrix builder is checked entrywise against the scalar entry formulas kept
 here as an independent oracle, and below the boundary against the
-general-covariance limits at the identity covariance.  Those limits, their
+general-covariance limits at the identity covariance.  The block builder is
+held bit for bit to the whole-matrix mask form it replaced, kept here too,
+and every surface cell to a per-cell rebuild.  Those limits, their
 Schur-complement strength and the variance-gap limit live here as oracles:
 each is pinned to hand values (the strength also to an explicit
 best-completion least-squares solve) before it checks the library.  Surface
 shapes are asserted from exact evaluation of the limits (variance spikes past
 the interpolation point, then a smooth descent).
 """
+
+import io
 
 import numpy as np
 import pytest
@@ -21,6 +25,7 @@ from lama.risk_theory import (
     InputError,
     PowerLawProfile,
     RiskMatrices,
+    _prefix_forms,
     _single_parts,
     asymptotic_risk,
     risk_surface,
@@ -67,6 +72,41 @@ def _db_entry(c_q, c_l, norm_q2, norm_l2, re_norm_l2):
         )
     gap = c_l - c_q
     return (c_l - 1.0) / gap * (norm_l2 - norm_q2) + c_l / gap * re_norm_l2
+
+
+def _mask_entries(c, norms2, re2, sigma2):
+    """Oracle: the (variance, bias) limit matrices by boolean masks over whole M x M arrays.
+
+    The builder the library used before it filled contiguous blocks; every
+    entry takes the same operations in the same order, so the two agree bit
+    for bit.
+    """
+    M = c.shape[0]
+    cmin, cmax = np.minimum.outer(c, c), np.maximum.outer(c, c)
+    n2min, n2max = np.minimum.outer(norms2, norms2), np.maximum.outer(norms2, norms2)
+    remax = np.minimum.outer(re2, re2)
+
+    DV = np.full((M, M), np.inf)
+    DB = np.full((M, M), np.inf)
+    under = cmax < 1.0 - BOUNDARY_DELTA
+    over = cmin > 1.0 + BOUNDARY_DELTA
+    mixed = (cmin < 1.0 - BOUNDARY_DELTA) & (cmax > 1.0 + BOUNDARY_DELTA)
+
+    DV[under] = sigma2 * cmin[under] / (1.0 - cmin[under])
+    DV[mixed] = sigma2 * cmin[mixed] / (cmax[mixed] - cmin[mixed])
+    DV[over] = sigma2 / (cmax[over] - 1.0)
+
+    DB[under] = remax[under] / (1.0 - cmin[under])
+    gap = cmax[mixed] - cmin[mixed]
+    DB[mixed] = (cmax[mixed] - 1.0) / gap * (n2max[mixed] - n2min[mixed]) + cmax[
+        mixed
+    ] / gap * remax[mixed]
+    DB[over] = (
+        (cmin[over] - 1.0) / cmin[over] * n2min[over]
+        + (n2max[over] - n2min[over])
+        + cmax[over] / (cmax[over] - 1.0) * remax[over]
+    )
+    return DV, DB
 
 
 def _phi(Sigma, theta, k_q):
@@ -308,6 +348,35 @@ class TestLimitMatrices:
         np.testing.assert_allclose(mats.variance, V, rtol=1e-13)
         np.testing.assert_allclose(mats.bias, B, rtol=1e-13)
 
+    @pytest.mark.parametrize("grid", ["below", "above", "straddling", "near-boundary", "at-delta", "single"])
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1), noiseless=st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_block_builder_is_bit_identical_to_the_mask_form(self, grid, seed, noiseless):
+        r = np.random.default_rng(seed)
+        m = int(r.integers(2, 13))
+        lo_edge, hi_edge = 1.0 - BOUNDARY_DELTA, 1.0 + BOUNDARY_DELTA
+        c = {
+            "below": lambda: r.uniform(0.01, 0.99, m),
+            "above": lambda: r.uniform(1.01, 6.0, m),
+            "straddling": lambda: r.uniform(0.05, 3.0, m),
+            # One ratio inside the boundary band, the rest anywhere.
+            "near-boundary": lambda: np.append(r.uniform(0.05, 3.0, m - 1), 1.0 + r.uniform(-1.0, 1.0) * BOUNDARY_DELTA),
+            # Ratios exactly at 1 -/+ delta (boundary) and one float past each edge (not).
+            "at-delta": lambda: np.append(
+                r.uniform(0.05, 3.0, m - 1), [lo_edge, hi_edge, np.nextafter(lo_edge, 0.0), np.nextafter(hi_edge, 2.0)]
+            ),
+            "single": lambda: r.choice([0.3, lo_edge, 1.0, hi_edge, 2.5], size=1),
+        }[grid]()
+        c = np.unique(c)  # sorted, strictly increasing
+        # Nondecreasing carried norms, with ties, and an omitted tail that may be empty.
+        norms2 = np.sort(r.choice([0.0, 0.5, r.uniform(0.0, 3.0), r.uniform(0.0, 3.0)], size=c.size))
+        total = float(norms2[-1]) + float(r.choice([0.0, r.uniform(0.0, 2.0)]))
+        sigma2 = 0.0 if noiseless else float(r.uniform(0.1, 3.0))
+        mats = theorem1_matrices(c, norms2, total, sigma2)
+        V, B = _mask_entries(c, norms2, total - norms2, sigma2)
+        assert mats.variance.tobytes() == V.tobytes()
+        assert mats.bias.tobytes() == B.tobytes()
+
     def test_boundary_row_is_inf(self):
         mats = theorem1_matrices(*_nested([2, 5, 10], 10, np.ones(10)), 1.0)
         assert np.all(np.isinf(mats.variance[2, :]))
@@ -473,6 +542,35 @@ class TestAsymptoticRisk:
             assert err.value.field == "w"
 
 
+class TestPrefixForms:
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_every_prefix_matches_a_direct_quadratic_form(self, seed):
+        r = np.random.default_rng(seed)
+        m = int(r.integers(1, 15))
+        G = r.uniform(0.0, 2.0, (m, m))
+        A = G + G.T
+        # An infinite row and column, as at the boundary, with zero or positive weight.
+        singular = int(r.integers(0, m))
+        A[singular, :] = A[:, singular] = np.inf
+        u = r.uniform(0.1, 2.0, m) * (r.uniform(size=m) < 0.8)
+        if r.uniform() < 0.5:
+            u[singular] = 0.0
+        got = _prefix_forms(A.copy(), u)
+        for M in range(1, m + 1):
+            active = np.flatnonzero(u[:M] > 0.0)
+            block = A[np.ix_(active, active)]
+            if np.any(np.isinf(block)):
+                assert got[M - 1] == np.inf
+            else:
+                want = float(u[active] @ block @ u[active])
+                assert got[M - 1] == pytest.approx(want, rel=1e-13, abs=0.0)
+
+    def test_zero_weight_rows_add_exactly_nothing(self):
+        A = np.array([[1.0, np.inf, 2.0], [np.inf, np.inf, np.inf], [2.0, np.inf, 4.0]])
+        np.testing.assert_array_equal(_prefix_forms(A, np.array([1.0, 0.0, 0.5])), [1.0, 1.0, 4.0])
+
+
 class TestDeltaVLimit:
     def test_single_candidate_plug(self):
         # c^2 / (1 - c) = 0.25 / 0.5
@@ -610,6 +708,11 @@ class TestRiskSurface:
     def test_exclusion_with_nothing_left_raises(self, snr_profile):
         with pytest.raises(ValueError, match="no candidates"):
             risk_surface([1], [1], snr_profile, exclude_singular=True)
+        with pytest.raises(ValueError, match=r"cell \(n=1, M=1\) has no candidates"):
+            risk_surface([2, 1], [3, 1], snr_profile, weighting="variance_penalized", exclude_singular=True)
+        # Without exclusion the lone boundary candidate gets inverse-variance weight 0.
+        with pytest.raises(ValueError, match="all candidates have infinite variance"):
+            risk_surface([1], [2, 1], snr_profile, weighting="variance_penalized")
 
     def test_variance_penalized_is_finite_through_the_boundary(self, snr_profile):
         surface = risk_surface(
@@ -651,7 +754,9 @@ class TestRiskSurface:
     @pytest.mark.parametrize("exclude", [False, True])
     @pytest.mark.parametrize("weighting", ["equal", "variance_penalized"])
     def test_every_cell_equals_a_per_cell_rebuild(self, snr_profile, weighting, exclude):
-        # Unsorted and duplicated M, with M < n, M = n and M > n for both n.
+        # Unsorted and duplicated M, with M < n, M = n and M > n for both n.  The
+        # surface sums each row's borders where the rebuild forms w'Aw, so the
+        # finite cells agree up to summation order.
         n_values, m_values = [12, 7], [15, 3, 12, 7, 3, 20, 1, 15]
         surface = risk_surface(
             n_values, m_values, snr_profile, sigma2=1.3, weighting=weighting, exclude_singular=exclude
@@ -670,13 +775,20 @@ class TestRiskSurface:
             assert (surface.n[i], surface.M[i], surface.excluded_singular[i]) == (
                 n, m, exclude and m >= n
             )
-            assert (surface.risk[i], surface.bias[i], surface.variance[i]) == asymptotic_risk(w, mats)
+            got = np.array([surface.risk[i], surface.bias[i], surface.variance[i]])
+            want = np.array(asymptotic_risk(w, mats))
+            np.testing.assert_array_equal(np.isfinite(got), np.isfinite(want))
+            np.testing.assert_array_equal(got[~np.isfinite(want)], want[~np.isfinite(want)])
+            finite = np.isfinite(want)
+            assert np.all(np.abs(got[finite] - want[finite]) <= 1e-13 * np.abs(want[finite]))
         if weighting == "equal" and not exclude:
             assert surface.risk[cells.index((12, 12))] == np.inf
 
     def test_csv_layout(self, snr_profile):
         surface = risk_surface([20], [10, 20], snr_profile, exclude_singular=True)
-        lines = surface.csv_text().strip().split("\n")
+        buf = io.StringIO()
+        surface.to_csv(buf)
+        lines = buf.getvalue().strip().split("\n")
         assert lines[0] == "n,M,weighting,risk,bias,variance,excluded_singular"
         first = lines[1].split(",")
         assert first[:3] == ["20", "10", "equal"]
