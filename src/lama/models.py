@@ -270,7 +270,8 @@ def fit_all(data: Dataset, sizes) -> ModelFits:
         else:
             svd = list(range(nb))
 
-    G, grown = np.zeros((n, n)), 0
+    if nb < M:  # some candidate lies past the boundary
+        G, grown = np.zeros((n, n)), 0
     for q in range(nb, M):
         k = int(sizes[q])
         new = Xo[:, grown:k]
@@ -298,9 +299,9 @@ def fit_all(data: Dataset, sizes) -> ModelFits:
         ranks[q] = r
 
     # Rank n interpolates exactly; this also fills the Gram route's columns.
-    interpolating = ranks == n
-    residuals[:, interpolating] = 0.0
-    leverages[:, interpolating] = 1.0
+    if np.any(interpolating := ranks == n):
+        residuals[:, interpolating] = 0.0
+        leverages[:, interpolating] = 1.0
     rss = np.sum(residuals * residuals, axis=0)
     return ModelFits(
         n=n,
