@@ -1,9 +1,12 @@
-"""Minimum-norm least squares in fit_all: coefficients, projectors, residuals, traces.
+"""Minimum-norm least squares in fit_all's fit routes: coefficients, projectors, residuals, traces.
 
-Derived expectations are checked against independent routes: the
-normal-equation solve for full-rank coefficients, numpy's ``lstsq`` and
-``pinv`` for minimum-norm solutions and projectors, explicit matrix products
-for projector traces, and numpy's own rank for deficient designs.
+Most cases force the per-candidate SVD route (``_svd_fit``) or reach it by
+themselves through a rank-deficient design; the rest take whichever route
+``fit_all`` picks.  Derived expectations are checked against independent
+routes: the normal-equation solve for full-rank coefficients, numpy's
+``lstsq`` and ``pinv`` for minimum-norm solutions and projectors, explicit
+matrix products for projector traces, and numpy's own rank for deficient
+designs.
 """
 
 from unittest import mock
