@@ -13,7 +13,6 @@ from .criteria import (
     SingularLooError,
     info_criterion_weights,
     jma_program,
-    lama_criterion_value,
     lama_program,
     mma_program,
     sigma_hat,
@@ -34,7 +33,6 @@ from .risk_theory import (
     RiskSurface,
     asymptotic_risk,
     risk_surface,
-    single_model_risk,
     theorem1_matrices,
     variance_penalized_weights,
 )
@@ -72,7 +70,6 @@ __all__ = [
     "generate_data",
     "info_criterion_weights",
     "jma_program",
-    "lama_criterion_value",
     "lama_program",
     "load_csv",
     "mma_program",
@@ -83,7 +80,6 @@ __all__ = [
     "run_simulation",
     "sigma_hat",
     "simplex_project",
-    "single_model_risk",
     "solve_simplex_qp",
     "theorem1_matrices",
     "validate_rmt",

@@ -14,17 +14,15 @@ variants) round out the baselines.
 The nesting does the work of the residual quadratic form: projections onto
 nested spans satisfy (I - P_q)(I - P_l) = I - P_max(q,l), so
 e_q'e_l = RSS_max(q,l).  The Mallows and large-model programs are therefore
-built from ``rss`` and ``sizes`` alone, in O(M^2).  Only the jackknife
+each described by four vectors over the candidates, a max-type part g, a
+min-type part h, a linear term b and a ridge r (``lama.qp.NestedForm``):
+Mallows is (RSS/n, 0, 2 sigma2 k/n, none) and the large model
+(RSS + sigma2 k, h, 0, xi h), where h = n sigma2 c/(1 - c) at c = k/n is n
+times the Theorem-1 variance entry below the boundary.  ``lama.qp`` builds
+the dense A, which stays the definition and the certificate of every solve,
+and the solver's cumulative form from the same vectors.  Only the jackknife
 program reads the n x M residuals: its leave-one-out residuals
-e_iq / (1 - h_iq) have no such reduction.
-
-The nesting also makes the Mallows and large-model programs banded in the
-cumulative weights C_i = w_0 + ... + w_i, and each carries that form
-(``QuadraticProgram.cumulative``, derived in ``lama.qp``) for the solver:
-Mallows is isotonic regression, solved by pool-adjacent-violators, and the
-large-model program is tridiagonal.  The jackknife program has no such form
-and takes the solver's dense path.  The dense A and b stay the definition:
-they give the objective and the certificate of every solve.
+e_iq / (1 - h_iq) have no such reduction, and it takes the dense path.
 """
 
 from __future__ import annotations
@@ -36,7 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .models import ModelFits
-from .qp import CumulativeForm
+from .qp import NestedForm
+from .risk_theory import below_boundary_variance
 
 __all__ = [
     "QuadraticProgram",
@@ -48,10 +47,10 @@ __all__ = [
     "jma_program",
     "loo_flagged",
     "xi",
+    "lama_vectors",
     "v_out_matrix",
     "b_in_diag",
     "lama_program",
-    "lama_criterion_value",
     "info_criterion_weights",
 ]
 
@@ -76,13 +75,13 @@ class SingularLooError(ValueError):
 class QuadraticProgram:
     """Criterion w'Aw + b'w over M candidates.
 
-    ``cumulative``, when set, is the same program in cumulative weights
-    (see ``lama.qp``), which the nesting makes banded.
+    ``form``, when set, is the nested description that A was built from
+    (``A = form.matrix()``); the solver derives its cumulative form from it.
     """
 
     A: np.ndarray
     b: np.ndarray
-    cumulative: CumulativeForm | None = None
+    form: NestedForm | None = None
 
     def __post_init__(self):
         A = np.asarray(self.A, dtype=np.float64)
@@ -96,13 +95,15 @@ class QuadraticProgram:
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "b", b)
 
-    def value(self, w: np.ndarray) -> float:
-        w = np.asarray(w, dtype=np.float64).reshape(-1)
-        return float(w @ self.A @ w + self.b @ w)
-
 
 def _sym(G: np.ndarray) -> np.ndarray:
     return 0.5 * (G + G.T)
+
+
+def _nested_program(g, h, b, r=None) -> QuadraticProgram:
+    """The nested program (g, h, b, r); A and the solver's cumulative form come from the same vectors."""
+    form = NestedForm(g, h, r)
+    return QuadraticProgram(A=form.matrix(), b=b, form=form)
 
 
 def sigma_hat(fits: ModelFits) -> float:
@@ -129,22 +130,11 @@ def sigma_hat(fits: ModelFits) -> float:
     return max(ref_ratio, SIGMA_FLOOR * guard_ratio)
 
 
-def _residual_gram(fits: ModelFits) -> np.ndarray:
-    """e_q'e_l = RSS_max(q,l), the residual cross-products of nested candidates."""
-    i = np.arange(fits.M)
-    return fits.rss[np.maximum.outer(i, i)]
-
-
 def mma_program(fits: ModelFits, sigma2_hat: float) -> QuadraticProgram:
     """Mallows criterion: w' (e'e/n) w + 2 sigma2_hat sum_q w_q k_q / n."""
     if sigma2_hat < 0.0 or not np.isfinite(sigma2_hat):
         raise ValueError("sigma2_hat must be finite and nonnegative")
-    A = _residual_gram(fits) / fits.n
-    b = 2.0 * sigma2_hat * fits.sizes / fits.n
-    # RSS_max(q,l) is max-type and b linear: d_i = (RSS_i - RSS_{i+1}) / n,
-    # e_i = -(b_{i+1} - b_i).
-    form = CumulativeForm(d=-np.diff(fits.rss) / fits.n, e=-np.diff(b))
-    return QuadraticProgram(A=A, b=b, cumulative=form)
+    return _nested_program(fits.rss / fits.n, np.zeros(fits.M), 2.0 * sigma2_hat * fits.sizes / fits.n)
 
 
 def loo_flagged(fits: ModelFits) -> np.ndarray:
@@ -181,75 +171,43 @@ def xi(v_diag: np.ndarray, b_diag: np.ndarray) -> float:
     return float(min(max(val, XI_CLAMP[0]), XI_CLAMP[1]))
 
 
-def v_out_matrix(fits: ModelFits, sigma2_hat: float) -> np.ndarray:
-    """Plug-in out-of-sample variance matrix sigma2 k_min / (n - k_min)."""
+def lama_vectors(fits: ModelFits, sigma2_hat: float) -> tuple[np.ndarray, np.ndarray]:
+    """The large-model program's max-type g = RSS + sigma2 k and min-type h = n sigma2 c / (1 - c), c = k/n.
+
+    h is n times the Theorem-1 variance entry below the boundary.  h/n and g/n
+    are the out-of-sample variance and in-sample bias diagonals, so
+    ``xi(h, g)`` is the program's ridge strength.
+    """
     if np.any(fits.sizes >= fits.n):
-        raise ValueError("out-of-sample variance plug-in requires all k < n")
-    kmin = np.minimum.outer(fits.sizes, fits.sizes).astype(np.float64)
-    return sigma2_hat * kmin / (fits.n - kmin)
+        raise ValueError("the large-model criterion needs every k < n; drop the candidates with k >= n first")
+    return fits.rss + sigma2_hat * fits.sizes, fits.n * below_boundary_variance(fits.sizes / fits.n, sigma2_hat)
+
+
+def v_out_matrix(fits: ModelFits, sigma2_hat: float) -> np.ndarray:
+    """Plug-in out-of-sample variance matrix sigma2 k_min / (n - k_min), all k < n."""
+    v = lama_vectors(fits, sigma2_hat)[1] / fits.n
+    return np.minimum.outer(v, v)  # v grows with k
 
 
 def b_in_diag(fits: ModelFits, sigma2_hat: float) -> np.ndarray:
-    """Diagonal of the in-sample bias quadratic form: RSS_q/n + sigma2 k_q/n."""
-    return fits.rss / fits.n + sigma2_hat * fits.sizes / fits.n
+    """Diagonal of the in-sample bias quadratic form: RSS_q/n + sigma2 k_q/n, all k < n."""
+    return lama_vectors(fits, sigma2_hat)[0] / fits.n
 
 
 def lama_program(fits: ModelFits, sigma2_hat: float, xi_value: float) -> QuadraticProgram:
     """Large-model criterion at sample scale (n times the per-observation value):
 
-        A(q,l) = RSS_max(q,l)
-                 + sigma2 (max(k_q,k_l) + n min(k_q,k_l)/(n - min(k_q,k_l)))
-                 + 1{q=l} xi sigma2 n k_q / (n - k_q),   b = 0.
+        A(q,l) = RSS_max(q,l) + sigma2 k_max(q,l) + h_min(q,l) + 1{q=l} xi h_q,   b = 0,
 
-    Requires every candidate strictly below the interpolation boundary.
+    the nested program (g, h, 0, xi h) of ``lama_vectors``.  Requires every
+    candidate strictly below the interpolation boundary.
     """
-    n = fits.n
-    if np.any(fits.sizes >= n):
-        raise ValueError("criterion undefined for candidates with k >= n; drop them first")
     if not np.isfinite(sigma2_hat) or sigma2_hat <= 0.0:
         raise ValueError("sigma2_hat must be positive")
     if not np.isfinite(xi_value) or xi_value < 0.0:
         raise ValueError("xi must be nonnegative and finite")
-    sizes = fits.sizes.astype(np.float64)
-    kmax = np.maximum.outer(sizes, sizes)
-    kmin = np.minimum.outer(sizes, sizes)
-    A = _residual_gram(fits) + sigma2_hat * (kmax + n * kmin / (n - kmin))
-    h = n * sizes / (n - sizes)
-    A[np.diag_indices_from(A)] += xi_value * sigma2_hat * h
-    # RSS + sigma2 k is max-type and sigma2 h min-type; together their C_i^2
-    # coefficient is the nonnegative RSS_i - RSS_{i+1} + sigma2 (h - k)_{i+1} - sigma2 (h - k)_i,
-    # with h - k = k^2 / (n - k).
-    form = CumulativeForm(
-        d=-np.diff(fits.rss) + sigma2_hat * np.diff(sizes**2 / (n - sizes)),
-        e=-2.0 * sigma2_hat * np.diff(h),
-        r=xi_value * sigma2_hat * h,
-    )
-    return QuadraticProgram(A=A, b=np.zeros(fits.M), cumulative=form)
-
-
-def lama_criterion_value(
-    fits: ModelFits, sigma2_hat: float, xi_value: float, w: np.ndarray
-) -> float:
-    """Per-observation large-model criterion evaluated term by term:
-
-    residual quadratic form / n, plus 2 sigma2 sum w_q k_q / n, plus the
-    variance-correction gap, plus the xi ridge.  Kept independent of the
-    quadratic-program assembly on purpose: times n, the two must agree on
-    the simplex, and the tests hold them to that.
-    """
-    w = np.asarray(w, dtype=np.float64).reshape(-1)
-    if w.shape[0] != fits.M:
-        raise ValueError("weight length does not match candidates")
-    n = fits.n
-    sizes = fits.sizes.astype(np.float64)
-    r = fits.residuals @ w
-    fit_term = float(r @ r) / n
-    penalty = 2.0 * sigma2_hat * float(w @ sizes) / n
-    V = v_out_matrix(fits, sigma2_hat)
-    kmin = np.minimum.outer(sizes, sizes)
-    delta_v = float(w @ V @ w) - sigma2_hat * float(w @ kmin @ w) / n
-    ridge = xi_value * float(w @ (np.diag(V) * w))
-    return fit_term + penalty + delta_v + ridge
+    g, h = lama_vectors(fits, sigma2_hat)
+    return _nested_program(g, h, np.zeros(fits.M), xi_value * h)
 
 
 def info_criterion_weights(fits: ModelFits, kind: str) -> np.ndarray:

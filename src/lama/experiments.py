@@ -182,10 +182,11 @@ def compute_weights(fits, method: str) -> WeightChoice:
         if method == "jma":
             program = crit.jma_program(sub)
         else:
-            xi_val = crit.xi(np.diag(crit.v_out_matrix(sub, s2)), crit.b_in_diag(sub, s2))
+            g, h = crit.lama_vectors(sub, s2)
+            xi_val = crit.xi(h, g)  # a ratio of ratios: the diagonals h/n and g/n give the same value
             # the program is on the n-scale; report the per-observation criterion
             program, scale = crit.lama_program(sub, s2, xi_val), sub.n
-    report = solve_simplex_qp(program.A, program.b, program.cumulative)
+    report = solve_simplex_qp(program.A, program.b, program.form)
     w = _scatter(M, np.flatnonzero(keep), report.weights)
     return WeightChoice(method, w, report.objective / scale, s2, xi_val, dropped, report.status,
                         report.kkt_residual)

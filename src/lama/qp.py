@@ -20,16 +20,19 @@ differ only in how they solve a face and where they start:
   convexity on the simplex: the centred matrix (I - 11'/M) A (I - 11'/M)
   may have no negative eigenvalue beyond roundoff, else ``ValueError``.
 
-* With a ``CumulativeForm`` (the Mallows and large-model programs), the
-  nested candidates make the program banded in the cumulative weights
-  C_i = w_0 + ... + w_i (C_{M-1} = 1).  A max-type entry g_max(q,l) gives
-  w'Gw = g_{M-1} - sum_i (g_{i+1} - g_i) C_i^2, a min-type entry h_min(q,l)
-  gives h_0 + sum_i (h_{i+1} - h_i) (1 - C_i)^2, a linear term b gives
-  b_{M-1} - sum_i (b_{i+1} - b_i) C_i and a diagonal r_q w_q^2 couples only
-  neighbours, (C_q - C_{q-1})^2.  So, up to a constant, the program is
+* With a ``NestedForm`` (the Mallows and large-model programs), A is
+  A(q,l) = g_max(q,l) + h_min(q,l) + 1{q=l} r_q (``NestedForm.matrix``),
+  which is banded in the cumulative weights C_i = w_0 + ... + w_i
+  (C_{M-1} = 1): the max-type part is g_{M-1} - sum_i (g_{i+1} - g_i) C_i^2,
+  the min-type part h_0 + sum_i (h_{i+1} - h_i) (1 - C_i)^2, b'w is
+  b_{M-1} - sum_i (b_{i+1} - b_i) C_i and the ridge couples only neighbours,
+  r_q (C_q - C_{q-1})^2.  So, up to a constant, the program is
 
       sum_{i<M-1} d_i C_i^2 + e_i C_i + sum_q r_q w_q^2
-      over 0 <= C_0 <= ... <= C_{M-2} <= 1.
+      over 0 <= C_0 <= ... <= C_{M-2} <= 1,
+
+  with d = diff(h) - diff(g) and e = -2 diff(h) - diff(b)
+  (``NestedForm.cumulative``).
 
   With the ridge r (large-model) the Hessian in C is tridiagonal.  The
   active-set loop solves each face by a tridiagonal (Thomas) solve in the
@@ -44,9 +47,9 @@ differ only in how they solve a face and where they start:
   t_i = -e_i / (2 d_i) with weights d_i, clipped to [0, 1], solved exactly
   by pool-adjacent-violators (Best & Chakravarti 1990) instead.  A step with
   |d_i| <= 1e-12 max|A| is a tie: its curvature is roundoff, and its linear
-  term (e_i <= 0) pushes C_i up, so it merges into the next block (a block
-  of ties alone sits at C = 1).  A d_i below -1e-12 max|A| is negative
-  curvature and raises ``ValueError``.
+  term (Mallows has e_i <= 0) pushes C_i up, so it merges into the next block
+  (a block of ties alone sits at C = 1).  A d_i below -1e-12 max|A| is
+  negative curvature and raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -55,7 +58,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["CumulativeForm", "SolveReport", "simplex_project", "solve_simplex_qp"]
+__all__ = ["NestedForm", "SolveReport", "simplex_project", "solve_simplex_qp"]
 
 _MAX_ITER = 10_000
 
@@ -70,13 +73,24 @@ class SolveReport:
 
 
 @dataclass(frozen=True)
-class CumulativeForm:
-    """A simplex program in cumulative weights, up to a constant:
-    sum_{i<M-1} d_i C_i^2 + e_i C_i + sum_q r_q w_q^2, with ``r`` None for no ridge."""
+class NestedForm:
+    """A(q,l) = g[max(q,l)] + h[min(q,l)] + 1{q=l} r_q of a nested program; ``r`` None for no ridge."""
 
-    d: np.ndarray
-    e: np.ndarray
+    g: np.ndarray
+    h: np.ndarray
     r: np.ndarray | None = None
+
+    def matrix(self) -> np.ndarray:
+        i = np.arange(len(self.g))
+        A = self.g[np.maximum.outer(i, i)] + self.h[np.minimum.outer(i, i)]
+        if self.r is not None:
+            A[np.diag_indices_from(A)] += self.r
+        return A
+
+    def cumulative(self, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(d, e) of the program w'Aw + b'w in cumulative weights (see the module docstring)."""
+        dh = np.diff(self.h)
+        return dh - np.diff(self.g), -2.0 * dh - np.diff(b)
 
 
 def simplex_project(v: np.ndarray) -> np.ndarray:
@@ -163,20 +177,20 @@ def _report(A, b, w, iterations: int, optimal: bool, scale: float) -> SolveRepor
     return SolveReport(w, _objective(A, b, w), iterations, status, kkt)
 
 
-def solve_simplex_qp(A: np.ndarray, b: np.ndarray | None = None, form: CumulativeForm | None = None) -> SolveReport:
+def solve_simplex_qp(A: np.ndarray, b: np.ndarray | None = None, form: NestedForm | None = None) -> SolveReport:
     """Minimize w'Aw + b'w over the probability simplex.
 
-    ``form``, when given, must describe the same program as (A, b) in
-    cumulative weights; (A, b) still give the tolerances and the
-    certificate.  Raises ``ValueError`` on malformed input and on programs
-    that are not convex on the simplex.
+    ``form``, when given, must describe A (``A == form.matrix()`` up to
+    roundoff); (A, b) still give the tolerances and the certificate.
+    Raises ``ValueError`` on malformed input and on programs that are not
+    convex on the simplex.
     """
     A, b, scale = _checked(A, b)
     M = A.shape[0]
     if form is not None:
-        d, e = (np.asarray(x, dtype=np.float64).reshape(-1) for x in (form.d, form.e))
-        if d.shape[0] != M - 1 or e.shape[0] != M - 1 or (form.r is not None and np.shape(form.r) != (M,)):
-            raise ValueError("cumulative form does not match the program size")
+        if np.shape(form.g) != (M,) or np.shape(form.h) != (M,) or (form.r is not None and np.shape(form.r) != (M,)):
+            raise ValueError("nested form does not match the program size")
+        d, e = form.cumulative(b)
     if M == 1:
         return _report(A, b, np.array([1.0]), 0, True, scale)
     if form is None:

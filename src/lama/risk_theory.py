@@ -23,7 +23,6 @@ __all__ = [
     "RiskMatrices",
     "RiskSurface",
     "PowerLawProfile",
-    "single_model_risk",
     "theorem1_matrices",
     "variance_penalized_weights",
     "asymptotic_risk",
@@ -57,29 +56,24 @@ def _positive(x: float, name: str) -> float:
     return x
 
 
-def single_model_risk(c: float, norm2: float, sigma2: float) -> float:
-    """Limiting out-of-sample risk of one min-norm least-squares fit.
+def _sides(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Masks of the ratios below and above the boundary [1 - BOUNDARY_DELTA, 1 + BOUNDARY_DELTA]."""
+    return c < 1.0 - BOUNDARY_DELTA, c > 1.0 + BOUNDARY_DELTA
 
-    sigma2 * c / (1 - c) below the boundary (no bias contribution there);
-    norm2 * (1 - 1/c) + sigma2 / (c - 1) above it, where norm2 is the squared
-    norm of the coefficients the model carries.  +inf within BOUNDARY_DELTA
-    of c = 1.
-    """
-    c = _positive(c, "c")
-    sigma2 = _positive(sigma2, "sigma2")
-    if not np.isfinite(norm2) or norm2 < 0.0:
-        raise ValueError(f"norm2 must be nonnegative and finite, got {norm2}")
-    bias, variance = _single_parts(c, norm2, sigma2)
-    return float(bias + variance)
+
+def below_boundary_variance(c, sigma2):
+    """The Theorem-1 variance entry sigma2 c / (1 - c) of a pair whose smaller ratio c is below the boundary."""
+    return sigma2 * c / (1.0 - c)
 
 
 def _single_parts(c, norm2, sigma2: float) -> tuple[np.ndarray, np.ndarray]:
     """(bias, variance) limits of lone min-norm fits, elementwise; both +inf at the boundary."""
     c = np.asarray(c, dtype=np.float64)
+    below, above = _sides(c)
     with np.errstate(divide="ignore"):  # c = 1 exactly, which the boundary overwrites
-        bias = np.where(c < 1.0, 0.0, norm2 * (1.0 - 1.0 / c))
-        variance = np.where(c < 1.0, sigma2 * c / (1.0 - c), sigma2 / (c - 1.0))
-    on = np.abs(c - 1.0) <= BOUNDARY_DELTA
+        bias = np.where(below, 0.0, norm2 * (1.0 - 1.0 / c))
+        variance = np.where(below, below_boundary_variance(c, sigma2), sigma2 / (c - 1.0))
+    on = ~(below | above)
     return np.where(on, np.inf, bias), np.where(on, np.inf, variance)
 
 
@@ -160,12 +154,12 @@ def _theorem1_entries(c, outers, sigma2) -> tuple[np.ndarray, np.ndarray]:
     the operations of the elementwise formula in the same order, so the blocks move no bits.
     """
     n2min, n2gap, remax = outers
-    lo = slice(0, int(np.searchsorted(c, 1.0 - BOUNDARY_DELTA)))  # c < 1 - delta
-    hi = slice(int(np.searchsorted(c, 1.0 + BOUNDARY_DELTA, side="right")), c.size)  # c > 1 + delta
+    below, above = _sides(c)
+    lo, hi = slice(0, int(below.sum())), slice(c.size - int(above.sum()), c.size)
     DV, DB = np.full((2, c.size, c.size), np.inf)
 
     cmin = np.minimum.outer(c[lo], c[lo])
-    DV[lo, lo] = sigma2 * cmin / (1.0 - cmin)
+    DV[lo, lo] = below_boundary_variance(cmin, sigma2)
     DB[lo, lo] = remax[lo, lo] / (1.0 - cmin)
 
     cmin, cmax = c[lo, None], c[None, hi]  # the row is the smaller model

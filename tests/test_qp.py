@@ -11,11 +11,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lama.criteria import b_in_diag, lama_criterion_value, lama_program, mma_program, sigma_hat, v_out_matrix, xi
+from lama.criteria import b_in_diag, lama_program, mma_program, sigma_hat, v_out_matrix, xi
 from lama.models import Dataset, ModelFits, fit_all
-from lama.qp import CumulativeForm, _tridiagonal_program, simplex_project, solve_simplex_qp
+from lama.qp import NestedForm, _tridiagonal_program, simplex_project, solve_simplex_qp
 
 from conftest import grid_min, simplex_grid, summary_fits
+from oracles import lama_criterion_value
 
 
 class TestSimplexProject:
@@ -143,7 +144,7 @@ class TestSolveSimplexQp:
         program = lama_program(fits, 1.0, 0.0)
         assert np.linalg.eigvalsh(program.A)[0] < 0.0
         for report in (solve_simplex_qp(program.A, program.b),
-                       solve_simplex_qp(program.A, program.b, program.cumulative)):
+                       solve_simplex_qp(program.A, program.b, program.form)):
             assert report.status == "converged"
             assert report.objective <= grid_min(program.A, program.b) + 1e-12
             assert report.objective / n == pytest.approx(
@@ -223,11 +224,45 @@ class TestCumulativeForm:
         x = xi(np.diag(v_out_matrix(sub, s2)), b_in_diag(sub, s2))
         for program in (mma_program(fits, s2), lama_program(sub, s2, x)):
             reference = solve_simplex_qp(program.A, program.b)
-            report = solve_simplex_qp(program.A, program.b, program.cumulative)
+            report = solve_simplex_qp(program.A, program.b, program.form)
             assert report.status == "converged"
             np.testing.assert_allclose(report.weights, reference.weights, rtol=0.0, atol=1e-9)
             scale = max(1.0, float(np.max(np.abs(program.A))))
             assert abs(report.objective - reference.objective) <= 1e-12 * scale
+
+    @given(st.integers(min_value=1, max_value=12), st.integers(min_value=0, max_value=2**32 - 1),
+           st.booleans(), st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_cumulative_form_of_arbitrary_vectors(self, M, seed, ridge, convex):
+        # For any (g, h, b, r), the min-type h and the linear b included,
+        # w'Aw + b'w - (sum_i d_i C_i^2 + e_i C_i + sum_q r_q w_q^2) is one
+        # constant on the simplex.  A falling g, a rising h and r >= 0 give
+        # d > 0, a convex form, whose path must match the dense path.
+        rng = np.random.default_rng(seed)
+        if convex:
+            g = rng.standard_normal() - np.cumsum(rng.uniform(0.1, 1.0, M))
+            h = np.cumsum(rng.uniform(0.1, 1.0, M))
+            r = rng.uniform(0.0, 1.0, M) if ridge else None
+        else:
+            g, h = rng.standard_normal((2, M))
+            r = rng.standard_normal(M) if ridge else None
+        b = rng.standard_normal(M)
+        form = NestedForm(g, h, r)
+        A = form.matrix()
+        d, e = form.cumulative(b)
+        gaps = []
+        for _ in range(8):
+            w = rng.dirichlet(np.ones(M))
+            C = np.cumsum(w)[:-1]
+            ridge_part = 0.0 if r is None else r @ w**2
+            gaps.append(w @ A @ w + b @ w - (d @ C**2 + e @ C + ridge_part))
+        scale = max(1.0, float(np.max(np.abs(A))), float(np.max(np.abs(b))))
+        assert np.ptp(gaps) <= 1e-12 * scale
+        if convex:
+            reference = solve_simplex_qp(A, b)
+            report = solve_simplex_qp(A, b, form)
+            assert report.status == reference.status == "converged"
+            np.testing.assert_allclose(report.weights, reference.weights, rtol=0.0, atol=1e-9)
 
     @given(st.integers(min_value=0, max_value=2**32 - 1), st.sampled_from(["qr", "svd"]))
     @settings(max_examples=30, deadline=None)
@@ -238,8 +273,8 @@ class TestCumulativeForm:
         s2 = sigma_hat(fits)
         sub = fits.subset(fits.sizes < fits.n)
         program = lama_program(sub, s2, xi(np.diag(v_out_matrix(sub, s2)), b_in_diag(sub, s2)))
-        form = program.cumulative
-        _, gradient = _tridiagonal_program(form.d, form.e, form.r)
+        form = program.form
+        _, gradient = _tridiagonal_program(*form.cumulative(program.b), form.r)
         w = simplex_project(np.random.default_rng(seed).standard_normal(sub.M))
         gap = gradient(w) - (2.0 * program.A @ w + program.b)
         scale = max(1.0, float(np.max(np.abs(program.A))), float(np.max(np.abs(program.b))))
@@ -253,7 +288,7 @@ class TestCumulativeForm:
         # and step 0 stays at 0.05 / 0.3 = 1/6.  An RSS rise at roundoff is a tie too.
         fits = summary_fits(10, [1, 2, 3, 4], [6.0, 3.0, 3.0 + roundoff, 1.0])
         program = mma_program(fits, 0.5)
-        report = solve_simplex_qp(program.A, program.b, program.cumulative)
+        report = solve_simplex_qp(program.A, program.b, program.form)
         np.testing.assert_allclose(report.weights, [1 / 6, 1 / 3, 0.0, 1 / 2], atol=1e-12)
         np.testing.assert_allclose(solve_simplex_qp(program.A, program.b).weights, report.weights, atol=1e-12)
         assert report.objective <= grid_min(program.A, program.b) + 1e-12
@@ -267,12 +302,14 @@ class TestCumulativeForm:
             with pytest.raises(ValueError, match="not convex on the simplex"):
                 solve_simplex_qp(program.A, program.b)
             with pytest.raises(ValueError, match="not convex on the simplex"):
-                solve_simplex_qp(program.A, program.b, program.cumulative)
+                solve_simplex_qp(program.A, program.b, program.form)
 
     def test_single_candidate_and_size_checks(self):
         program = mma_program(summary_fits(10, [3], [2.0]), 0.5)
-        report = solve_simplex_qp(program.A, program.b, program.cumulative)
+        report = solve_simplex_qp(program.A, program.b, program.form)
         np.testing.assert_array_equal(report.weights, [1.0])
         assert report.status == "converged"
-        with pytest.raises(ValueError, match="cumulative form"):
-            solve_simplex_qp(np.eye(3), None, CumulativeForm(d=np.ones(1), e=np.ones(1)))
+        with pytest.raises(ValueError, match="nested form"):
+            solve_simplex_qp(np.eye(3), None, NestedForm(g=np.ones(2), h=np.ones(2)))
+        with pytest.raises(ValueError, match="nested form"):
+            solve_simplex_qp(np.eye(3), None, NestedForm(g=np.ones(3), h=np.ones(3), r=np.ones(2)))

@@ -29,10 +29,15 @@ from lama.risk_theory import (
     _single_parts,
     asymptotic_risk,
     risk_surface,
-    single_model_risk,
     theorem1_matrices,
     variance_penalized_weights,
 )
+
+from oracles import single_model_risk
+
+
+def _on_boundary(c):
+    return 1.0 - BOUNDARY_DELTA <= c <= 1.0 + BOUNDARY_DELTA
 
 
 def _dv_entry(c_q, c_l, sigma2):
@@ -42,10 +47,10 @@ def _dv_entry(c_q, c_l, sigma2):
         sigma2 * c_q / (c_l - c_q)  when c_q < 1 < c_l
         sigma2 / (c_l - 1)          when 1 < c_q <= c_l
 
-    Arguments are order-free; ratios within BOUNDARY_DELTA of 1 give +inf.
+    Arguments are order-free; ratios in [1 - BOUNDARY_DELTA, 1 + BOUNDARY_DELTA] give +inf.
     """
     lo, hi = min(c_q, c_l), max(c_q, c_l)
-    if abs(lo - 1.0) <= BOUNDARY_DELTA or abs(hi - 1.0) <= BOUNDARY_DELTA:
+    if _on_boundary(lo) or _on_boundary(hi):
         return np.inf
     if hi < 1.0:
         return sigma2 * lo / (1.0 - lo)
@@ -60,7 +65,7 @@ def _db_entry(c_q, c_l, norm_q2, norm_l2, re_norm_l2):
     norm_q2 and norm_l2 are the squared signal norms the two models carry and
     re_norm_l2 the squared norm the larger one omits.
     """
-    if abs(c_q - 1.0) <= BOUNDARY_DELTA or abs(c_l - 1.0) <= BOUNDARY_DELTA:
+    if _on_boundary(c_q) or _on_boundary(c_l):
         return np.inf
     if c_l < 1.0:
         return re_norm_l2 / (1.0 - c_q)
@@ -276,6 +281,19 @@ class TestSingleModelRisk:
 
     def test_boundary_gives_inf(self):
         assert single_model_risk(1.0, 2.0, 1.0) == np.inf
+
+    def test_boundary_is_the_one_used_by_theorem1(self):
+        # Both ends of [1 - delta, 1 + delta] are on the boundary, and the
+        # nearest floats outside them are not: the lone-model parts, the
+        # Theorem-1 matrices and the scalar oracles all read the same interval.
+        for edge in (1.0 - BOUNDARY_DELTA, 1.0 + BOUNDARY_DELTA):
+            for c in (np.nextafter(edge, 0.0), edge, np.nextafter(edge, 2.0)):
+                on = _on_boundary(c)
+                mats = theorem1_matrices([c], [0.5], 1.0, 1.0)
+                for part in (*_single_parts(c, 0.5, 1.0), mats.variance[0, 0], mats.bias[0, 0],
+                             _dv_entry(c, c, 1.0), _db_entry(c, c, 0.5, 0.5, 0.5)):
+                    assert np.isinf(part) == on
+                assert np.isinf(single_model_risk(c, 0.5, 1.0)) == on
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
