@@ -10,7 +10,10 @@ Subcommands map one-to-one onto the library workloads:
 * ``validate-thm1``  Monte-Carlo check of the weighted-average risk limit, JSON
 
 Exit codes: 0 success, 1 usage error (bad flags, flag or config values the
-library rejects, unreadable input), 2 numerical failure during computation.
+library rejects, unreadable input such as a missing or malformed dataset or
+config file), 2 numerical failure during computation.  Every option's dest is
+the library name of the value it sets, so a usage error names the flag behind
+the rejected field; with ``simulate --config`` it keeps the config field's name.
 
 Determinism: all science parameters are explicit flags or config entries;
 the only environment control is LAMA_THREADS (worker processes for
@@ -24,7 +27,6 @@ import argparse
 import json
 import sys
 import warnings
-from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -121,39 +123,17 @@ def _load_dataset(args) -> Dataset:
         return ds.load_builtin(name, standardize=standardize)
     path = Path(name)
     if not path.exists():
-        raise InputError("--data", f"no such dataset {name!r} (path or one of {ds.available()})")
+        raise InputError("data", f"no such dataset {name!r} (path or one of {ds.available()})")
     if args.response is None:
-        raise InputError("--response", "required for dataset files")
+        raise InputError("response", "required for dataset files")
     data = load_csv(path, response=args.response)
     return ds.standardize_dataset(data) if standardize else data
 
 
-@contextmanager
-def _as_flags(flags: dict[str, str]):
-    """Re-raise an InputError on a library field under the flag that set it."""
-    try:
-        yield
-    except InputError as exc:
-        if exc.field not in flags:
-            raise
-        raise InputError(flags[exc.field], exc.args[1]) from None
-
-
-# The flag behind each PowerLawProfile field, per parameterization: the user
-# types --decay or --alpha, never "exponent", and the scale overflows only
-# through --snr (times --sigma2) or --alpha.
-_PROFILE_FLAGS = {"snr": {"exponent": "--decay", "scale": "--snr"}, "r2": {"scale": "--alpha"}}
-
-
 def _profile_from(args) -> PowerLawProfile:
     if args.r2 is not None:
-        alpha = 0.5 if args.alpha is None else args.alpha
-        with _as_flags(_PROFILE_FLAGS["r2"]):
-            return PowerLawProfile.from_r2(args.r2, alpha, args.p)
-    snr = 1.0 if args.snr is None else args.snr
-    decay = 0.6 if args.decay is None else args.decay
-    with _as_flags(_PROFILE_FLAGS["snr"]):
-        return PowerLawProfile.from_snr(snr, decay, sigma2=args.sigma2, truncate=args.truncate)
+        return PowerLawProfile.from_r2(args.r2, args.alpha, args.p)
+    return PowerLawProfile.from_snr(args.snr, args.exponent, sigma2=args.sigma2, truncate=args.truncate)
 
 
 # ---------------------------------------------------------------------------
@@ -161,26 +141,19 @@ def _profile_from(args) -> PowerLawProfile:
 
 
 def _cmd_surface(args) -> int:
-    profile = _profile_from(args)
-    with _as_flags({"n_values": "--n-range", "m_values": "--m-range"}):
-        surf = risk_surface(
-            args.n_range,
-            args.m_range,
-            profile,
-            sigma2=args.sigma2,
-            weighting=_WEIGHTINGS[args.weights],
-            exclude_singular=args.exclude_singular,
-        )
+    surf = risk_surface(
+        args.n_values,
+        args.m_values,
+        _profile_from(args),
+        sigma2=args.sigma2,
+        weighting=_WEIGHTINGS[args.weights],
+        exclude_singular=args.exclude_singular,
+    )
     return _write_out(args.out, surf.to_csv)
-
-
-# Argparse dest of each simulate config field whose flag is not named after it.
-_SIM_DESTS = {"n_values": "n", "r2_values": "r2", "m_values": "m", "replications": "reps"}
 
 
 def _cmd_simulate(args) -> int:
     merged = xp.SimulationConfig().to_dict()
-    dests = {key: _SIM_DESTS.get(key, key) for key in merged}
     config_vals = {}
     if args.config is not None:
         with open(args.config) as fh:
@@ -192,24 +165,14 @@ def _cmd_simulate(args) -> int:
             raise InputError(args.config, f"unknown config field(s): {sorted(unknown)}")
 
     # Flag values are lists, not tuples, so that they compare equal to JSON ones.
-    for key, dest in dests.items():
-        if getattr(args, dest) is not None:
-            merged[key] = getattr(args, dest)
+    for key in merged:
+        if getattr(args, key) is not None:
+            merged[key] = getattr(args, key)
     for key, val in config_vals.items():
-        flag_val = getattr(args, dests[key])
-        if flag_val is not None and flag_val != val:
-            warnings.warn(
-                f"--{dests[key].replace('_', '-')} conflicts with config field {key!r}; config wins",
-                RuntimeWarning,
-            )
+        if getattr(args, key) is not None and getattr(args, key) != val:
+            warnings.warn(f"{args.flags[key]} conflicts with config field {key!r}; config wins", RuntimeWarning)
         merged[key] = val
-
-    # Without a config file every value came from a flag or a default, so an
-    # error names the flag; with one, run() keeps the config field's name.
-    flags = {} if args.config is not None else {key: "--" + dest for key, dest in _SIM_DESTS.items()}
-    with _as_flags(flags):
-        cfg = xp.SimulationConfig(**merged)
-    rows = xp.run_simulation(cfg)
+    rows = xp.run_simulation(xp.SimulationConfig(**merged))
     return _write_out(args.out, lambda fh: xp.simulation_csv(rows, fh))
 
 
@@ -250,11 +213,10 @@ def _cmd_validate_rmt(args) -> int:
 def _cmd_validate_thm1(args) -> int:
     profile = _profile_from(args)
     theta = profile.coefficients(max(args.p, max(args.sizes)))
-    with _as_flags({"w": "--weights"}):
-        report = xp.validate_theorem1(
-            args.n, args.sizes, theta, sigma2=args.sigma2, reps=args.reps, seed=args.seed,
-            w=args.weights, test_size=args.test_size,
-        )
+    report = xp.validate_theorem1(
+        args.n, args.sizes, theta, sigma2=args.sigma2, reps=args.reps, seed=args.seed,
+        w=args.w, test_size=args.test_size,
+    )
     return _write_json(args.out, report)
 
 
@@ -262,20 +224,19 @@ def _cmd_validate_thm1(args) -> int:
 # Parser assembly
 
 
-def _add_profile_flags(sp, include_r2: bool = True):
-    sp.add_argument("--snr", type=float, default=None,
+def _add_profile_flags(sp):
+    sp.add_argument("--snr", type=float, default=1.0,
                     help="signal-to-noise ratio |theta|^2/sigma^2 (default 1)")
-    sp.add_argument("--decay", type=float, default=None,
+    sp.add_argument("--decay", dest="exponent", metavar="DECAY", type=float, default=0.6,
                     help="power-law exponent: theta_j proportional to j^-decay (default 0.6)")
     sp.add_argument("--truncate", type=int, default=400,
                     help="coefficients are zero beyond this index (default 400)")
-    if include_r2:
-        sp.add_argument("--r2", type=float, default=None,
-                        help="population R-squared; selects the R2/alpha parameterization instead of snr/decay")
-        sp.add_argument("--alpha", type=float, default=None,
-                        help="decay parameter for the R2 parameterization (default 0.5)")
-        sp.add_argument("--p", type=int, default=400,
-                        help="number of regressors for the R2 parameterization (default 400)")
+    sp.add_argument("--r2", type=float, default=None,
+                    help="population R-squared; selects the R2/alpha parameterization instead of snr/decay")
+    sp.add_argument("--alpha", type=float, default=0.5,
+                    help="decay parameter for the R2 parameterization (default 0.5)")
+    sp.add_argument("--p", type=int, default=400,
+                    help="number of regressors for the R2 parameterization (default 400)")
 
 
 def build_parser() -> _Parser:
@@ -283,9 +244,9 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", metavar="COMMAND", parser_class=_Parser)
 
     sp = sub.add_parser("surface", help="closed-form risk over an (n, M) grid (CSV)")
-    sp.add_argument("--n-range", type=_INT_LIST, required=True,
+    sp.add_argument("--n-range", dest="n_values", metavar="N_RANGE", type=_INT_LIST, required=True,
                     help="sample sizes, a:b[:step] or comma list, inclusive")
-    sp.add_argument("--m-range", type=_INT_LIST, required=True,
+    sp.add_argument("--m-range", dest="m_values", metavar="M_RANGE", type=_INT_LIST, required=True,
                     help="candidate counts, a:b[:step] or comma list, inclusive")
     sp.add_argument("--weights", choices=sorted(_WEIGHTINGS), default="equal",
                     help="equal | varpen (inverse limiting variance) | single (largest model alone)")
@@ -299,15 +260,16 @@ def build_parser() -> _Parser:
     sp = sub.add_parser("simulate",
                         help="synthetic method comparison (CSV)")
     sp.add_argument("--config", default=None, help="JSON config; wins over flags on conflict")
-    sp.add_argument("--n", type=_INT_LIST, default=None,
+    sp.add_argument("--n", dest="n_values", metavar="N", type=_INT_LIST, default=None,
                     help="sample sizes, comma list (default 25,50,150,300)")
-    sp.add_argument("--m", type=_INT_LIST, default=None,
+    sp.add_argument("--m", dest="m_values", metavar="M", type=_INT_LIST, default=None,
                     help="candidate counts, comma list (default: the three standard counts per n)")
-    sp.add_argument("--r2", type=_FLOAT_LIST, default=None,
+    sp.add_argument("--r2", dest="r2_values", metavar="R2", type=_FLOAT_LIST, default=None,
                     help="population R-squared values, comma list (default 0.5)")
     sp.add_argument("--alpha", type=float, default=None, help="coefficient decay parameter (default 0.5)")
     sp.add_argument("--p", type=int, default=None, help="number of regressors (default 1000)")
-    sp.add_argument("--reps", type=int, default=None, help="replications per setting (default 200)")
+    sp.add_argument("--reps", dest="replications", metavar="REPS", type=int, default=None,
+                    help="replications per setting (default 200)")
     sp.add_argument("--seed", type=int, default=None, help="base seed (default 0)")
     sp.add_argument("--methods", type=_METHODS, default=None,
                     help=f"comma list from {','.join(xp.ALL_METHODS)} (default mma,jma,lama,saic,sbic)")
@@ -371,12 +333,16 @@ def build_parser() -> _Parser:
     sp.add_argument("--reps", type=int, default=100, help="replications (default 100)")
     sp.add_argument("--seed", type=int, default=0, help="base seed (default 0)")
     sp.add_argument("--test-size", type=int, default=1000, help="test draws per replication (default 1000)")
-    sp.add_argument("--weights", type=_FLOAT_LIST, default=None,
+    sp.add_argument("--weights", dest="w", metavar="WEIGHTS", type=_FLOAT_LIST, default=None,
                     help="weight vector, comma list (default equal)")
     sp.add_argument("--out", default=None, help="output JSON path (default stdout)")
     _add_profile_flags(sp)
     sp.set_defaults(func=_cmd_validate_thm1)
 
+    # Each option's dest is the library name it feeds, so one {dest: flag} table per
+    # subcommand names the flag behind any field the library rejects.
+    for sp in sub.choices.values():
+        sp.set_defaults(flags={a.dest: a.option_strings[0] for a in sp._actions if a.option_strings})
     return parser
 
 
@@ -391,11 +357,11 @@ def run(argv=None) -> int:
             return 1
         return args.func(args)
     except InputError as exc:
-        # Name the flag of that name when it set the value; with a config file
-        # the value may come from either, so keep the config field's name.
+        # Name the flag that sets the field; with a config file the value may
+        # come from either, so keep the config field's name.
         field = exc.field
-        if getattr(args, field, None) is not None and getattr(args, "config", None) is None:
-            field = "--" + field.replace("_", "-")
+        if getattr(args, "config", None) is None:
+            field = getattr(args, "flags", {}).get(field, field)
         print(f"error: {field}: {exc.args[1]}", file=sys.stderr)
         return 1
     except (OSError, json.JSONDecodeError) as exc:

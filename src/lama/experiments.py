@@ -10,6 +10,7 @@ in index order, which keeps output bytes stable.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 import types
 import typing
@@ -255,15 +256,28 @@ def _conform(field: str, value, hint):
         return None
     kind = kinds[0]
     many = typing.get_origin(kind) is tuple
+    item = typing.get_args(kind)[0] if many else kind
     try:
         if many and not isinstance(value, str):
-            return tuple(typing.get_args(kind)[0](v) for v in value)
+            return tuple(_exact(item, v) for v in value)
         if kind is bool and isinstance(value, (bool, np.bool_)) or kind in (int, float):
-            return kind(value)
-    except (TypeError, ValueError):
+            return _exact(kind, value)
+    except (TypeError, ValueError, OverflowError):
         pass
-    want = ("list" if many else kind.__name__) + (" or null" if union else "")
+    want = (f"list of {item.__name__}" if many else kind.__name__) + (" or null" if union else "")
     raise InputError(field, f"expected {want}, got {value!r}")
+
+
+def _exact(kind, value):
+    """``kind(value)``, but a number must be no bool and convert without loss (ValueError otherwise)."""
+    if kind in (str, bool):
+        return kind(value)
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(value)
+    out = kind(value)
+    if out != value and value == value:  # NaN is the one number unequal to its conversion
+        raise ValueError(value)
+    return out
 
 
 def generate_data(cfg: SimulationConfig, r2: float, rep: int, n: int, m: int):

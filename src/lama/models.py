@@ -16,6 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .risk_theory import InputError
+
 __all__ = [
     "Dataset",
     "ModelFits",
@@ -127,20 +129,22 @@ def load_csv(path, response: str) -> Dataset:
     The named response column becomes Y; the remaining columns are regressors
     in file order, behind a prepended intercept column of ones.  Lines
     starting with '#' are skipped, so fixtures can carry provenance notes.
+    A malformed file raises ``InputError`` naming ``response`` for a missing
+    response column and the path otherwise.
     """
     with open(path, newline="") as fh:
         rows = [row for row in csv.reader(fh) if row and not row[0].lstrip().startswith("#")]
     if len(rows) < 2:
-        raise ValueError(f"{path}: need a header row and at least one data row")
+        raise InputError(str(path), "need a header row and at least one data row")
     header = [name.strip() for name in rows[0]]
     if response not in header:
-        raise ValueError(f"{path}: no column named {response!r} (columns: {header})")
+        raise InputError("response", f"no column named {response!r} in {path} (columns: {header})")
+    if any(len(row) != len(header) for row in rows[1:]):
+        raise InputError(str(path), f"ragged rows: every row needs the header's {len(header)} cells")
     try:
         body = np.array([[float(v) for v in row] for row in rows[1:]], dtype=np.float64)
     except ValueError as exc:
-        raise ValueError(f"{path}: non-numeric cell ({exc})") from None
-    if body.shape[1] != len(header):
-        raise ValueError(f"{path}: ragged rows")
+        raise InputError(str(path), f"non-numeric cell ({exc})") from None
     yj = header.index(response)
     Y = body[:, yj]
     X = np.column_stack([np.ones(body.shape[0]), np.delete(body, yj, axis=1)])

@@ -262,7 +262,10 @@ class PowerLawProfile:
         cls(exponent=exponent, scale=0.0, truncate=truncate)
         j = np.arange(1, truncate + 1, dtype=np.float64)
         base = float(np.sum(j ** (-2.0 * exponent)))
-        return cls(exponent=exponent, scale=float(np.sqrt(target / base)), truncate=truncate)
+        scale = float(np.sqrt(target / base))
+        if not np.isfinite(scale):  # base >= 1 (its j = 1 term), so only snr * sigma2 overflows
+            raise InputError("snr", f"snr * sigma2 overflows the coefficient scale, got {snr} * {sigma2}")
+        return cls(exponent=exponent, scale=scale, truncate=truncate)
 
     @classmethod
     def from_r2(cls, r2: float, alpha: float, p: int):
@@ -275,7 +278,10 @@ class PowerLawProfile:
         if p < 1:
             raise InputError("p", f"must be at least 1, got {p}")
         g = np.sqrt(r2 / (1.0 - r2))
-        return cls(exponent=alpha + 0.5, scale=float(g * np.sqrt(2.0 * alpha)), truncate=p)
+        scale = float(g * np.sqrt(2.0 * alpha))
+        if not np.isfinite(scale):
+            raise InputError("alpha", f"overflows the coefficient scale, got {alpha}")
+        return cls(exponent=alpha + 0.5, scale=scale, truncate=p)
 
     def coefficients(self, count: int) -> np.ndarray:
         """First ``count`` coefficients (zeros beyond the truncation index)."""
@@ -344,9 +350,9 @@ def risk_surface(
     M >= n, which is the conventional way to plot equal-weight surfaces that
     would otherwise diverge on the diagonal.
 
-    The limit matrices are built and validated once per n, at the largest M.  Cell weights are
-    proportional to u: 1 for "equal", the inverse variance for "variance_penalized", 0 for an
-    infinite variance or an excluded candidate.  A part of cell (n, M) is sum_{i,j<M} u_i u_j A_ij
+    The inputs are validated once and the limit matrices built once per n, at the largest M.  Cell
+    weights are proportional to u: 1 for "equal", the inverse variance for "variance_penalized", 0 for
+    an infinite variance or an excluded candidate.  A part of cell (n, M) is sum_{i,j<M} u_i u_j A_ij
     over (sum_{i<M} u_i)^2, one running sum over the rows of A for every M: a per-cell build
     differs only in summation order, within 1e-13 relative.
     """
@@ -370,19 +376,21 @@ def risk_surface(
         bias, variance = np.empty((2, n_values.size, m_values.size))
         sizes = np.arange(1, int(m_values.max()) + 1)
         norms2, total = profile.prefix_norm2(sizes), profile.total_norm2()
+        # The ratios sizes / n are positive and increasing at every n, as at n = 1: one check covers
+        # the grid, and the entries are symmetric, NaN-free and nonnegative by construction.
+        _theorem1_inputs(sizes, norms2, total, sigma2)
         outers = _norm_outers(norms2, total)
         for row, n in enumerate(n_values):
-            c, _ = _theorem1_inputs(sizes / float(n), norms2, total, sigma2)
-            mats = RiskMatrices(*_theorem1_entries(c, outers, sigma2))
-            u = np.ones(sizes.size) if weighting == "equal" else _inverse_variance(np.diagonal(mats.variance))
+            DV, DB = _theorem1_entries(sizes / float(n), outers, sigma2)
+            u = np.ones(sizes.size) if weighting == "equal" else _inverse_variance(np.diagonal(DV))
             if exclude_singular and n <= sizes.size:
                 u[n - 1] = 0.0
             U = np.cumsum(u)[m_values - 1]
             if np.any(U == 0.0):  # n = 1: the lone candidate of M = 1 is on the boundary
                 raise ValueError(f"cell (n={n}, M=1) has no candidates left" if exclude_singular
                                  else "all candidates have infinite variance")
-            bias[row] = _prefix_forms(mats.bias, u)[m_values - 1] / U**2
-            variance[row] = _prefix_forms(mats.variance, u)[m_values - 1] / U**2
+            bias[row] = _prefix_forms(DB, u)[m_values - 1] / U**2
+            variance[row] = _prefix_forms(DV, u)[m_values - 1] / U**2
         bias, variance = bias.reshape(-1), variance.reshape(-1)
 
     return RiskSurface(

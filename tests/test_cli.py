@@ -16,7 +16,8 @@ import sys
 import numpy as np
 import pytest
 
-from lama.cli import _parse_int_list, _parse_range, _write_json, run
+from lama.cli import _parse_int_list, _parse_range, _write_json, build_parser, run
+from lama.experiments import SimulationConfig
 
 
 def run_cli(capsys, *argv):
@@ -64,7 +65,7 @@ class TestRangeParsing:
 
 
 @pytest.mark.parametrize(
-    "argv, config, name",
+    "argv, file, name",
     [
         (["eval", "--data", "crime", "--n-train", "18", "--methods", "mma,foo", "--reps", "5"], None,
          "--methods"),
@@ -132,6 +133,10 @@ class TestRangeParsing:
         (["eval", "--data", "crime", "--n-train", "18", "--reps", "2", "--seed", "-1"], None, "--seed"),
         (["validate-thm1", "--n", "20", "--sizes", "2,4", "--reps", "1", "--seed", "-1"], None, "--seed"),
         (["simulate"], {"seed": -1}, "seed"),
+        (["simulate"], {"replications": 1.7}, "replications"),
+        (["fit", "--data", "DATA", "--response", "z"], "y,a\n1,2\n3,4\n", "--response"),
+        (["fit", "--data", "DATA", "--response", "y"], "y,a\n1,x\n3,4\n", "non-numeric cell"),
+        (["eval", "--data", "DATA", "--response", "y", "--n-train", "2"], "y,a\n1,2\n3\n", "ragged rows"),
     ],
     ids=[
         "eval-unknown-method", "eval-max-models", "eval-n-train", "fit-max-models", "fit-n-train",
@@ -146,13 +151,19 @@ class TestRangeParsing:
         "thm1-weights-negative", "thm1-weights-length", "simulate-test-size-zero", "simulate-test-size-one",
         "eval-reps-zero", "simulate-truncate-loss-negative", "simulate-truncate-loss-nan",
         "simulate-seed-negative", "eval-seed-negative", "thm1-seed-negative", "config-seed-negative",
+        "config-replications-fractional", "data-no-response-column", "data-non-numeric", "data-ragged",
     ],
 )
-def test_rejected_values_are_usage_errors(capsys, tmp_path, argv, config, name):
-    if config is not None:
+def test_rejected_values_are_usage_errors(capsys, tmp_path, argv, file, name):
+    # ``file`` is None, a config dict (passed with --config) or a CSV dataset's text (passed as DATA).
+    if isinstance(file, dict):
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(config))
+        path.write_text(json.dumps(file))
         argv = argv + ["--config", str(path)]
+    elif file is not None:
+        path = tmp_path / "data.csv"
+        path.write_text(file)
+        argv = [str(path) if a == "DATA" else a for a in argv]
     code, out, err = run_cli(capsys, *argv)
     assert code == 1
     assert out == ""
@@ -227,7 +238,8 @@ class TestSimulateCommand:
     def test_config_wins_over_flags_with_warning(self, capsys, tmp_path):
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({"replications": 3}))
-        with pytest.warns(RuntimeWarning, match="config wins"):
+        warning = "^--reps conflicts with config field 'replications'; config wins$"
+        with pytest.warns(RuntimeWarning, match=warning):
             code, flagged_out, _ = run_cli(
                 capsys, *SIM_ARGS, "--config", str(config)
             )
@@ -236,6 +248,14 @@ class TestSimulateCommand:
         pure[pure.index("--reps") + 1] = "3"
         code, expected_out, _ = run_cli(capsys, *pure)
         assert flagged_out == expected_out
+
+    def test_every_config_field_has_a_flag(self):
+        flags = build_parser().parse_args(["simulate"]).flags
+        assert {f: flags[f] for f in SimulationConfig.__dataclass_fields__} == {
+            "n_values": "--n", "r2_values": "--r2", "alpha": "--alpha", "p": "--p", "m_values": "--m",
+            "replications": "--reps", "seed": "--seed", "methods": "--methods", "test_size": "--test-size",
+            "exclude_boundary": "--exclude-boundary", "truncate_loss": "--truncate-loss",
+        }
 
     def test_unknown_config_field_is_a_usage_error(self, capsys, tmp_path):
         config = tmp_path / "cfg.json"

@@ -251,6 +251,9 @@ class TestSimulationConfig:
         for field, value in [
             ("n_values", 5), ("replications", "a"), ("methods", "mma"), ("exclude_boundary", "yes"),
             ("truncate_loss", "x"), ("seed", None),
+            # Only a number that converts without loss conforms: no truncation, no bools, no strings.
+            ("replications", 1.7), ("n_values", [20.9]), ("seed", 0.5), ("replications", True),
+            ("replications", "5"), ("alpha", True), ("m_values", [3, False]), ("replications", float("inf")),
         ]:
             with pytest.raises(InputError, match=f"^{field}: expected") as err:
                 SimulationConfig(**{**good, field: value})

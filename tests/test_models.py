@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from lama import models
 from lama.models import Dataset, default_model_counts, fit_all, load_csv, order_by_cp
+from lama.risk_theory import InputError
 
 from conftest import make_fits
 
@@ -389,12 +390,14 @@ class TestLoadCsv:
 
     def test_errors(self, tmp_path):
         f = tmp_path / "bad.csv"
-        f.write_text("a,b\n1,2\n")
-        with pytest.raises(ValueError, match="no column named"):
-            load_csv(f, response="zzz")
-        f.write_text("a,b\n1,x\n2,3\n")
-        with pytest.raises(ValueError, match="non-numeric"):
-            load_csv(f, response="a")
-        f.write_text("a,b\n")
-        with pytest.raises(ValueError, match="header row"):
-            load_csv(f, response="a")
+        for text, response, field, match in [
+            ("a,b\n1,2\n", "zzz", "response", "no column named"),
+            ("a,b\n1,x\n2,3\n", "a", str(f), "non-numeric"),
+            ("a,b\n1,2\n3\n", "a", str(f), "ragged rows"),  # not reported as a non-numeric cell
+            ("a,b\n1,2\n3,4,5\n", "a", str(f), "ragged rows"),
+            ("a,b\n", "a", str(f), "header row"),
+        ]:
+            f.write_text(text)
+            with pytest.raises(InputError, match=match) as err:  # a usage error: the CLI exits 1
+                load_csv(f, response=response)
+            assert err.value.field == field

@@ -683,6 +683,9 @@ class TestPowerLawProfile:
             (lambda: PowerLawProfile.from_r2(0.5, np.inf, 400), "alpha"),
             (lambda: PowerLawProfile.from_r2(0.5, 0.5, 0), "p"),
             (lambda: PowerLawProfile(exponent=1.0, scale=np.nan), "scale"),
+            # An overflowing scale is reported under the argument the caller gave.
+            (lambda: PowerLawProfile.from_snr(1e308, 0.6, sigma2=1e308), "snr"),
+            (lambda: PowerLawProfile.from_r2(0.5, 1e308, 400), "alpha"),
         ],
     )
     def test_bad_values_are_input_errors_naming_the_field(self, build, field):
@@ -768,6 +771,14 @@ class TestRiskSurface:
             risk_surface([], [10], snr_profile)
         with pytest.raises(ValueError, match="positive"):
             risk_surface([0], [10], snr_profile)
+
+    @pytest.mark.parametrize("weighting", ["equal", "variance_penalized"])
+    def test_rejects_overflowing_squared_norms(self, weighting):
+        # The inputs are checked once per call, not per n; the check must still run.
+        profile = PowerLawProfile(exponent=0.0, scale=1e200, truncate=10)
+        with np.errstate(over="ignore"):
+            with pytest.raises(ValueError, match="squared norms must be nonnegative and finite"):
+                risk_surface([20, 40], [10], profile, weighting=weighting)
 
     @pytest.mark.parametrize("exclude", [False, True])
     @pytest.mark.parametrize("weighting", ["equal", "variance_penalized"])
