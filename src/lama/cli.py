@@ -11,7 +11,8 @@ Subcommands map one-to-one onto the library workloads:
 
 Exit codes: 0 success, 1 usage error (bad flags, flag or config values the
 library rejects, unreadable input such as a missing or malformed dataset or
-config file), 2 numerical failure during computation.  Every option's dest is
+config file), 2 numerical failure during computation (running out of memory
+included).  Every option's dest is
 the library name of the value it sets, so a usage error names the flag behind
 the rejected field; with ``simulate --config`` it keeps the config field's name.
 
@@ -367,7 +368,7 @@ def run(argv=None) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, ArithmeticError, np.linalg.LinAlgError) as exc:
+    except (ValueError, ArithmeticError, MemoryError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
 

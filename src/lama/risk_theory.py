@@ -115,7 +115,7 @@ def theorem1_matrices(c, norms2, total_norm2: float, sigma2: float) -> RiskMatri
     total_norm2 - norms2[q].  sigma2 may be zero (noiseless responses).
     """
     c, norms2 = _theorem1_inputs(c, norms2, total_norm2, sigma2)
-    return RiskMatrices(*_theorem1_entries(c, _norm_outers(norms2, total_norm2), sigma2))
+    return RiskMatrices(*_theorem1_entries(c, norms2, total_norm2 - norms2, sigma2))
 
 
 def _theorem1_inputs(c, norms2, total_norm2: float, sigma2: float) -> tuple[np.ndarray, np.ndarray]:
@@ -139,39 +139,53 @@ def _theorem1_inputs(c, norms2, total_norm2: float, sigma2: float) -> tuple[np.n
     return c, norms2
 
 
-def _norm_outers(norms2, total_norm2: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Pairwise smaller carried norm, carried-norm gap and smaller omitted norm; n plays no part."""
-    n2min, re2 = np.minimum.outer(norms2, norms2), total_norm2 - norms2
-    return n2min, np.maximum.outer(norms2, norms2) - n2min, np.minimum.outer(re2, re2)
+def _theorem1_vectors(c, norms2, re2, sigma2):
+    """The Theorem-1 entries as per-candidate vectors, unchecked; re2 is the omitted norm total_norm2 - norms2.
 
-
-def _theorem1_entries(c, outers, sigma2) -> tuple[np.ndarray, np.ndarray]:
-    """The (variance, bias) limit matrices of ``theorem1_matrices``, unchecked; ``outers`` is ``_norm_outers``.
-
-    Entry (q, l) reads the smaller model's ratio and carried norm and the larger model's ratio, carried
-    and omitted norms.  As c increases, the pairs below the boundary, above it and across it are two
-    diagonal blocks and a rectangle (mirrored); boundary rows and columns stay +inf.  Each entry takes
-    the operations of the elementwise formula in the same order, so the blocks move no bits.
+    Entry (q, l) reads the smaller model q as [min] and the larger l as [max].  As c increases, the pairs
+    below the boundary, above it and across it are two diagonal blocks and a rectangle (rows below); the
+    boundary rows and columns between them are +inf.  Returns the block slices lo and hi, then
+      below (v, 1 - c, re2): D_V = v[min], v = below_boundary_variance(c); D_B = re2[max] / (1 - c)[min];
+      above (dv, a, norms2, b): D_V = dv[max], dv = sigma2 / (c - 1); D_B = a[min] + (norms2[max] -
+        norms2[min]) + b[max], a = (c - 1) / c * norms2, b = c / (c - 1) * re2;
+      across: the (D_V, D_B) rectangle itself.
     """
-    n2min, n2gap, remax = outers
     below, above = _sides(c)
     lo, hi = slice(0, int(below.sum())), slice(c.size - int(above.sum()), c.size)
-    DV, DB = np.full((2, c.size, c.size), np.inf)
-
-    cmin = np.minimum.outer(c[lo], c[lo])
-    DV[lo, lo] = below_boundary_variance(cmin, sigma2)
-    DB[lo, lo] = remax[lo, lo] / (1.0 - cmin)
-
-    cmin, cmax = c[lo, None], c[None, hi]  # the row is the smaller model
+    cl, ch, n2 = c[lo], c[hi], norms2[hi]
+    cmin, cmax = cl[:, None], ch[None, :]
     gap = cmax - cmin
-    DV[lo, hi] = sigma2 * cmin / gap
-    DB[lo, hi] = (cmax - 1.0) / gap * n2gap[lo, hi] + cmax / gap * remax[lo, hi]
-    DV[hi, lo], DB[hi, lo] = DV[lo, hi].T, DB[lo, hi].T
+    across = sigma2 * cmin / gap, (cmax - 1.0) / gap * (n2 - norms2[lo, None]) + cmax / gap * re2[hi]
+    return (lo, hi, (below_boundary_variance(cl, sigma2), 1.0 - cl, re2[lo]),
+            (sigma2 / (ch - 1.0), (ch - 1.0) / ch * n2, n2, ch / (ch - 1.0) * re2[hi]), across)
 
-    cmin, cmax = np.minimum.outer(c[hi], c[hi]), np.maximum.outer(c[hi], c[hi])
-    DV[hi, hi] = sigma2 / (cmax - 1.0)
-    DB[hi, hi] = (cmin - 1.0) / cmin * n2min[hi, hi] + n2gap[hi, hi] + cmax / (cmax - 1.0) * remax[hi, hi]
+
+def _theorem1_entries(c, norms2, re2, sigma2) -> tuple[np.ndarray, np.ndarray]:
+    """The (variance, bias) matrices of ``theorem1_matrices``: ``_theorem1_vectors`` placed by min/max index.
+
+    Each entry takes the operations of the elementwise formula in the same order, so no bit moves.
+    """
+    lo, hi, (v, omc, re2l), (dv, a, n2, b), (RV, RB) = _theorem1_vectors(c, norms2, re2, sigma2)
+    DV, DB = np.full((2, c.size, c.size), np.inf)
+    q, l = _min_max(v.size)
+    DV[lo, lo], DB[lo, lo] = v[q], re2l[l] / omc[q]
+    q, l = _min_max(dv.size)
+    DV[hi, hi], DB[hi, hi] = dv[l], a[q] + (n2[l] - n2[q]) + b[l]
+    DV[lo, hi], DB[lo, hi] = RV, RB
+    DV[hi, lo], DB[hi, lo] = RV.T, RB.T
     return DV, DB
+
+
+def _min_max(size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index matrices of the smaller and the larger member of every pair among ``size`` candidates."""
+    i = np.arange(size)
+    return np.minimum.outer(i, i), np.maximum.outer(i, i)
+
+
+def _borders(u, p, q) -> np.ndarray:
+    """Row borders u_m q_m (2 sum_{i<m} u_i p_i + u_m p_m) of sum_{i,j} u_i u_j p[min] q[max]; u = 0 adds 0."""
+    up = u * p
+    return u * q * (2.0 * np.cumsum(up) - up)
 
 
 def _inverse_variance(dv_diag) -> np.ndarray:
@@ -218,20 +232,6 @@ def asymptotic_risk(w: np.ndarray, matrices: RiskMatrices) -> tuple[float, float
         parts.append(np.inf if np.any(np.isinf(Aa)) else float(wa @ Aa @ wa))
     bias_part, var_part = parts
     return bias_part + var_part, bias_part, var_part
-
-
-def _prefix_forms(A: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Entry M - 1 is sum_{i,j<M} u_i u_j A_ij of a symmetric A, for every M; A is overwritten.
-
-    It is the running sum of the row borders u_m (2 sum_{j<m} u_j A_mj + u_m A_mm).  Rows and
-    columns with u = 0 add exactly 0; an infinite entry between positive weights gives +inf.
-    """
-    active = u > 0.0
-    A[:, ~active] = 0.0
-    A *= u
-    np.cumsum(A, axis=1, out=A)  # A[m, j] = sum_{i<=j} u_i A_mi
-    inner = np.diagonal(A) + np.concatenate(([0.0], np.diagonal(A, -1)))
-    return np.cumsum(np.multiply(u, inner, out=np.zeros_like(u), where=active))
 
 
 @dataclass(frozen=True)
@@ -319,13 +319,11 @@ class RiskSurface:
 
     def to_csv(self, fh) -> None:
         """Fixed header: n,M,weighting,risk,bias,variance,excluded_singular."""
-        fh.write("n,M,weighting,risk,bias,variance,excluded_singular\n")
-        for i in range(self.n.shape[0]):
-            fh.write(
-                f"{int(self.n[i])},{int(self.M[i])},{self.weighting},"
-                f"{float(self.risk[i])!r},{float(self.bias[i])!r},{float(self.variance[i])!r},"
-                f"{str(bool(self.excluded_singular[i])).lower()}\n"
-            )
+        rows = zip(self.n.tolist(), self.M.tolist(), self.risk.tolist(), self.bias.tolist(),
+                   self.variance.tolist(), self.excluded_singular.tolist())
+        fh.write("n,M,weighting,risk,bias,variance,excluded_singular\n" + "".join(
+            f"{n},{m},{self.weighting},{r!r},{b!r},{v!r},{'true' if e else 'false'}\n" for n, m, r, b, v, e in rows
+        ))
 
 
 def risk_surface(
@@ -350,11 +348,14 @@ def risk_surface(
     M >= n, which is the conventional way to plot equal-weight surfaces that
     would otherwise diverge on the diagonal.
 
-    The inputs are validated once and the limit matrices built once per n, at the largest M.  Cell
-    weights are proportional to u: 1 for "equal", the inverse variance for "variance_penalized", 0 for
-    an infinite variance or an excluded candidate.  A part of cell (n, M) is sum_{i,j<M} u_i u_j A_ij
-    over (sum_{i<M} u_i)^2, one running sum over the rows of A for every M: a per-cell build
-    differs only in summation order, within 1e-13 relative.
+    The inputs are validated once and each n's ``_theorem1_vectors`` built once, at the largest M.
+    Cell weights are proportional to u: 1 for "equal", the inverse variance for "variance_penalized", 0
+    for an infinite variance or an excluded candidate.  A part of cell (n, M) is sum_{i,j<M} u_i u_j A_ij
+    over (sum_{i<M} u_i)^2; one running sum of row borders gives every M of a row.  On a block with
+    A_ij = p[min] q[max] the border of row m is u_m q_m (2 sum_{i<m} u_i p_i + u_m p_m); the norm gap
+    above the boundary sums n2 steps times the weight before them, so nothing cancels and zeros stay
+    exact; the rectangle adds one weighted column sum.  A row takes O(M + |below| |above|) time and
+    memory, with no M x M array, and differs from a per-cell build only in summation order (1e-13).
     """
     n_values = np.asarray(n_values, dtype=np.int64).reshape(-1)
     m_values = np.asarray(m_values, dtype=np.int64).reshape(-1)
@@ -379,18 +380,29 @@ def risk_surface(
         # The ratios sizes / n are positive and increasing at every n, as at n = 1: one check covers
         # the grid, and the entries are symmetric, NaN-free and nonnegative by construction.
         _theorem1_inputs(sizes, norms2, total, sigma2)
-        outers = _norm_outers(norms2, total)
+        re2 = total - norms2
         for row, n in enumerate(n_values):
-            DV, DB = _theorem1_entries(sizes / float(n), outers, sigma2)
-            u = np.ones(sizes.size) if weighting == "equal" else _inverse_variance(np.diagonal(DV))
+            lo, hi, (v, omc, re2l), (dv, a, n2, b), (RV, RB) = _theorem1_vectors(sizes / n, norms2, re2, sigma2)
+            diag = np.full(sizes.size, np.inf)
+            diag[lo], diag[hi] = v, dv
+            u = np.ones(sizes.size) if weighting == "equal" else _inverse_variance(diag)
             if exclude_singular and n <= sizes.size:
                 u[n - 1] = 0.0
             U = np.cumsum(u)[m_values - 1]
             if np.any(U == 0.0):  # n = 1: the lone candidate of M = 1 is on the boundary
                 raise ValueError(f"cell (n={n}, M=1) has no candidates left" if exclude_singular
                                  else "all candidates have infinite variance")
-            bias[row] = _prefix_forms(DB, u)[m_values - 1] / U**2
-            variance[row] = _prefix_forms(DV, u)[m_values - 1] / U**2
+            # Row borders of D_V and D_B; a boundary row with weight makes every later prefix +inf.
+            bv = np.where(u > 0.0, np.inf, 0.0)
+            bb, ul, uh = bv.copy(), u[lo], u[hi]
+            bv[lo], bb[lo] = _borders(ul, v, 1.0), _borders(ul, 1.0 / omc, re2l)
+            # sum_{i<m} u_i (n2_m - n2_i) as the running sum of n2 steps times the weight before them.
+            gaps = np.zeros(uh.size)
+            np.cumsum(np.diff(n2) * np.cumsum(uh)[:-1], out=gaps[1:])
+            bv[hi] = _borders(uh, 1.0, dv) + 2.0 * uh * (ul @ RV)
+            bb[hi] = _borders(uh, a, 1.0) + _borders(uh, 1.0, b) + 2.0 * uh * (gaps + ul @ RB)
+            bias[row] = np.cumsum(bb)[m_values - 1] / U**2
+            variance[row] = np.cumsum(bv)[m_values - 1] / U**2
         bias, variance = bias.reshape(-1), variance.reshape(-1)
 
     return RiskSurface(

@@ -209,6 +209,15 @@ class TestSurfaceCommand:
         capsys.readouterr()
         assert target.read_text() == out
 
+    def test_out_of_memory_is_a_numerical_failure(self, capsys, monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+        monkeypatch.setattr("lama.cli.risk_surface", exhausted)
+        code, out, err = run_cli(capsys, "surface", "--n-range", "3", "--m-range", "1000000")
+        assert (code, out) == (2, "")
+        assert err == "numerical failure: Unable to allocate 7.28 TiB for an array\n"
+
     def test_profile_parameterizations_differ(self, capsys):
         _, snr_out, _ = run_cli(capsys, "surface", "--n-range", "20", "--m-range", "5")
         _, r2_out, _ = run_cli(

@@ -4,8 +4,9 @@ Limit-matrix entries are pinned to hand-computed values, and the vectorized
 matrix builder is checked entrywise against the scalar entry formulas kept
 here as an independent oracle, and below the boundary against the
 general-covariance limits at the identity covariance.  The block builder is
-held bit for bit to the whole-matrix mask form it replaced, kept here too,
-and every surface cell to a per-cell rebuild.  Those limits, their
+held bit for bit to the whole-matrix mask form it replaced, kept here too;
+every surface cell is held to a per-cell rebuild, and every prefix of a
+surface row to a brute-force quadratic form.  Those limits, their
 Schur-complement strength and the variance-gap limit live here as oracles:
 each is pinned to hand values (the strength also to an explicit
 best-completion least-squares solve) before it checks the library.  Surface
@@ -25,7 +26,6 @@ from lama.risk_theory import (
     InputError,
     PowerLawProfile,
     RiskMatrices,
-    _prefix_forms,
     _single_parts,
     asymptotic_risk,
     risk_surface,
@@ -560,33 +560,44 @@ class TestAsymptoticRisk:
             assert err.value.field == "w"
 
 
-class TestPrefixForms:
-    @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
-    @settings(max_examples=40, deadline=None)
-    def test_every_prefix_matches_a_direct_quadratic_form(self, seed):
-        r = np.random.default_rng(seed)
-        m = int(r.integers(1, 15))
-        G = r.uniform(0.0, 2.0, (m, m))
-        A = G + G.T
-        # An infinite row and column, as at the boundary, with zero or positive weight.
-        singular = int(r.integers(0, m))
-        A[singular, :] = A[:, singular] = np.inf
-        u = r.uniform(0.1, 2.0, m) * (r.uniform(size=m) < 0.8)
-        if r.uniform() < 0.5:
-            u[singular] = 0.0
-        got = _prefix_forms(A.copy(), u)
-        for M in range(1, m + 1):
+class TestSurfaceRowSums:
+    @given(
+        n_kind=st.sampled_from(["one", "two", "inside", "above"]),
+        m_max=st.integers(min_value=2, max_value=24),
+        # Truncation at 1 zeroes every omitted norm, so cells below the boundary have bias exactly 0.
+        truncate=st.one_of(st.sampled_from([1, 2]), st.integers(min_value=3, max_value=30)),
+        log_sigma2=st.floats(min_value=-6.0, max_value=2.0),
+        exponent=st.floats(min_value=0.0, max_value=2.0),
+        weighting=st.sampled_from(["equal", "variance_penalized"]),
+        exclude=st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_every_prefix_matches_a_brute_force_quadratic_form(
+        self, n_kind, m_max, truncate, log_sigma2, exponent, weighting, exclude
+    ):
+        # Equal weights without exclusion put positive weight on the k = n candidate; the other
+        # three rules give it weight 0.
+        n = {"one": 1, "two": 2, "inside": max(3, m_max // 2), "above": m_max + 3}[n_kind]
+        sigma2 = 10.0**log_sigma2
+        profile = PowerLawProfile(exponent=exponent, scale=1.3, truncate=truncate)
+        ks = np.arange(1, m_max + 1)
+        # At n = 1 the cell M = 1 would have no candidate left.
+        sizes = ks[1:] if n == 1 and (exclude or weighting == "variance_penalized") else ks
+        surface = risk_surface([n], sizes, profile, sigma2=sigma2, weighting=weighting, exclude_singular=exclude)
+        mats = theorem1_matrices(ks / n, profile.prefix_norm2(ks), profile.total_norm2(), sigma2)
+        u = np.ones(m_max) if weighting == "equal" else 1.0 / np.diag(mats.variance)
+        if exclude and n <= m_max:
+            u[n - 1] = 0.0
+        for i, M in enumerate(sizes):
             active = np.flatnonzero(u[:M] > 0.0)
-            block = A[np.ix_(active, active)]
-            if np.any(np.isinf(block)):
-                assert got[M - 1] == np.inf
-            else:
-                want = float(u[active] @ block @ u[active])
-                assert got[M - 1] == pytest.approx(want, rel=1e-13, abs=0.0)
-
-    def test_zero_weight_rows_add_exactly_nothing(self):
-        A = np.array([[1.0, np.inf, 2.0], [np.inf, np.inf, np.inf], [2.0, np.inf, 4.0]])
-        np.testing.assert_array_equal(_prefix_forms(A, np.array([1.0, 0.0, 0.5])), [1.0, 1.0, 4.0])
+            w = u[active] / u[active].sum()
+            for got, A in ((surface.bias[i], mats.bias), (surface.variance[i], mats.variance)):
+                block = A[np.ix_(active, active)]
+                want = np.inf if np.any(np.isinf(block)) else float(w @ block @ w)
+                if want == 0.0 or np.isinf(want):
+                    assert got == want
+                else:
+                    assert got == pytest.approx(want, rel=1e-13, abs=0.0)
 
 
 class TestDeltaVLimit:
@@ -812,6 +823,16 @@ class TestRiskSurface:
             assert np.all(np.abs(got[finite] - want[finite]) <= 1e-13 * np.abs(want[finite]))
         if weighting == "equal" and not exclude:
             assert surface.risk[cells.index((12, 12))] == np.inf
+
+    def test_largest_m_far_above_n_needs_no_m_by_m_array(self, snr_profile):
+        # Every M x M array at M = 200,000 would take 320 GB; the row is running sums of vectors.
+        surface = risk_surface([3], [1000, 200_000], snr_profile, weighting="variance_penalized")
+        assert np.all(np.isfinite([surface.risk, surface.bias, surface.variance]))
+        sizes = np.arange(1, 1001)
+        mats = theorem1_matrices(sizes / 3.0, snr_profile.prefix_norm2(sizes), snr_profile.total_norm2(), 1.0)
+        want = np.array(asymptotic_risk(variance_penalized_weights(np.diag(mats.variance)), mats))
+        got = np.array([surface.risk[0], surface.bias[0], surface.variance[0]])
+        assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
 
     def test_csv_layout(self, snr_profile):
         surface = risk_surface([20], [10, 20], snr_profile, exclude_singular=True)
