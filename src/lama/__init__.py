@@ -29,12 +29,8 @@ from .models import (
 from .qp import SolveReport, simplex_project, solve_simplex_qp
 from .risk_theory import (
     PowerLawProfile,
-    RiskMatrices,
     RiskSurface,
-    asymptotic_risk,
     risk_surface,
-    theorem1_matrices,
-    variance_penalized_weights,
 )
 from .experiments import (
     SimulationConfig,
@@ -56,13 +52,11 @@ __all__ = [
     "ModelFits",
     "PowerLawProfile",
     "QuadraticProgram",
-    "RiskMatrices",
     "RiskSurface",
     "SimulationConfig",
     "SingularLooError",
     "SolveReport",
     "WeightChoice",
-    "asymptotic_risk",
     "compute_weights",
     "default_model_counts",
     "evaluate_real",
@@ -81,10 +75,8 @@ __all__ = [
     "sigma_hat",
     "simplex_project",
     "solve_simplex_qp",
-    "theorem1_matrices",
     "validate_rmt",
     "validate_theorem1",
-    "variance_penalized_weights",
     "xi",
     "__version__",
 ]

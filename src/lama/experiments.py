@@ -24,7 +24,7 @@ import numpy as np
 from . import criteria as crit
 from .models import Dataset, default_model_counts, fit_all, order_by_cp
 from .qp import solve_simplex_qp
-from .risk_theory import InputError, PowerLawProfile, asymptotic_risk, theorem1_matrices
+from .risk_theory import InputError, PowerLawProfile, _theorem1_inputs, _weighted_borders
 
 __all__ = [
     "rng_for",
@@ -603,10 +603,11 @@ def validate_theorem1(
     Gaussian design with p = len(theta) regressors; candidates are the
     nested prefixes given by ``sizes``.  The empirical risk averages the
     squared deviation of the ensemble prediction from the true mean over an
-    independent test draw, then over replications.  ``w`` must lie on the
-    probability simplex (``InputError`` naming ``w`` otherwise) and put no
-    weight on a candidate with k = n, whose limiting risk is infinite
-    (``ValueError``).
+    independent test draw, then over replications.  ``w`` must be a finite
+    point of the probability simplex, one weight per candidate (``InputError``
+    naming ``w`` otherwise), and put no weight on a candidate with k = n,
+    whose limiting risk is infinite (``ValueError``).  The limit sums the
+    Theorem-1 row borders of ``w``, entries with w <= 0 left out.
     """
     if n < 2:
         raise InputError("n", f"{n} too small (need at least 2)")
@@ -623,14 +624,22 @@ def validate_theorem1(
         raise InputError("sizes", "largest candidate exceeds the coefficient length")
     M = sizes.shape[0]
     w = np.full(M, 1.0 / M) if w is None else np.asarray(w, dtype=np.float64).reshape(-1)
-    if sigma2 < 0.0:
-        raise InputError("sigma2", "must be nonnegative")
+    if not (np.isfinite(sigma2) and sigma2 >= 0.0):
+        raise InputError("sigma2", f"must be nonnegative and finite, got {sigma2}")
 
     sq = np.concatenate([[0.0], np.cumsum(theta**2)])
-    mats = theorem1_matrices(sizes / float(n), sq[sizes], float(sq[-1]), sigma2)
-    theo_risk, theo_bias, theo_var = asymptotic_risk(w, mats)  # InputError on w off the simplex
+    c, norms2 = _theorem1_inputs(sizes / float(n), sq[sizes], float(sq[-1]))
+    if w.shape[0] != M:
+        raise InputError("w", f"weight length {w.shape[0]} does not match the {M} candidates")
+    # Both comparisons are false for NaN, so this one test also stops non-finite weights.
+    if not (np.all(w >= -1e-12) and abs(w.sum() - 1.0) <= 1e-8):
+        problem = "must lie on the probability simplex" if np.all(np.isfinite(w)) else "must be finite"
+        raise InputError("w", f"weights {problem}, got {w.tolist()}")
     if np.any((sizes == n) & (w > 0.0)):
         raise ValueError(f"candidate size k = n = {n} has positive weight; it lies on the boundary")
+    bv, bb = _weighted_borders(c, norms2, float(sq[-1]) - norms2, sigma2, np.where(w > 0.0, w, 0.0))
+    theo_bias, theo_var = float(bb.sum()), float(bv.sum())
+    theo_risk = theo_bias + theo_var
 
     risks = []
     for rep in range(reps):

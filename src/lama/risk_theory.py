@@ -20,12 +20,8 @@ import numpy as np
 
 __all__ = [
     "BOUNDARY_DELTA",
-    "RiskMatrices",
     "RiskSurface",
     "PowerLawProfile",
-    "theorem1_matrices",
-    "variance_penalized_weights",
-    "asymptotic_risk",
     "risk_surface",
 ]
 
@@ -77,49 +73,12 @@ def _single_parts(c, norm2, sigma2: float) -> tuple[np.ndarray, np.ndarray]:
     return np.where(on, np.inf, bias), np.where(on, np.inf, variance)
 
 
-@dataclass(frozen=True)
-class RiskMatrices:
-    """Symmetric variance and bias matrices; +inf marks boundary entries."""
+def _theorem1_inputs(c, norms2, total_norm2: float) -> tuple[np.ndarray, np.ndarray]:
+    """c and norms2 as flat float arrays, once they describe nested candidates.
 
-    variance: np.ndarray
-    bias: np.ndarray
-
-    def __post_init__(self):
-        V = np.asarray(self.variance, dtype=np.float64)
-        B = np.asarray(self.bias, dtype=np.float64)
-        if V.ndim != 2 or V.shape[0] != V.shape[1] or B.shape != V.shape:
-            raise ValueError("variance and bias must be square matrices of equal shape")
-        for name, A in (("variance", V), ("bias", B)):
-            if np.isnan(A).any():
-                raise ValueError(f"{name} matrix has NaN entries")
-            finite = np.isfinite(A)
-            both = finite & finite.T
-            upper, lower = A[both], A.T[both]
-            # np.allclose(upper, lower, atol=1e-10, rtol=1e-10) on finite entries, less its overhead
-            if not np.array_equal(finite, finite.T) or not np.all(
-                np.abs(upper - lower) <= 1e-10 + 1e-10 * np.abs(lower)
-            ):
-                raise ValueError(f"{name} matrix must be symmetric")
-        if np.any(V[np.isfinite(V)] < 0.0):
-            raise ValueError("variance entries must be nonnegative")
-        object.__setattr__(self, "variance", V)
-        object.__setattr__(self, "bias", B)
-
-
-def theorem1_matrices(c, norms2, total_norm2: float, sigma2: float) -> RiskMatrices:
-    """Variance and bias limit matrices under an isotropic design.
-
-    c holds the strictly increasing aspect ratios k_q / n of the nested
-    candidates; norms2[q] is the squared signal norm candidate q carries and
-    total_norm2 that of the whole coefficient sequence, so candidate q omits
-    total_norm2 - norms2[q].  sigma2 may be zero (noiseless responses).
+    c holds the strictly increasing aspect ratios k_q / n; norms2[q] is the squared signal norm
+    candidate q carries and total_norm2 that of the whole coefficient sequence.
     """
-    c, norms2 = _theorem1_inputs(c, norms2, total_norm2, sigma2)
-    return RiskMatrices(*_theorem1_entries(c, norms2, total_norm2 - norms2, sigma2))
-
-
-def _theorem1_inputs(c, norms2, total_norm2: float, sigma2: float) -> tuple[np.ndarray, np.ndarray]:
-    """c and norms2 as flat float arrays, once they pass the checks of ``theorem1_matrices``."""
     c = np.asarray(c, dtype=np.float64).reshape(-1)
     norms2 = np.asarray(norms2, dtype=np.float64).reshape(-1)
     if c.size == 0:
@@ -128,8 +87,6 @@ def _theorem1_inputs(c, norms2, total_norm2: float, sigma2: float) -> tuple[np.n
         raise ValueError("aspect ratios must be positive and finite")
     if np.any(np.diff(c) <= 0.0):
         raise ValueError("aspect ratios must be strictly increasing")
-    if not (np.isfinite(sigma2) and sigma2 >= 0.0):
-        raise ValueError(f"sigma2 must be nonnegative and finite, got {sigma2}")
     if norms2.shape != c.shape:
         raise ValueError("need one carried norm per candidate")
     if not (np.all(np.isfinite(norms2)) and np.isfinite(total_norm2) and np.all(norms2 >= 0.0)):
@@ -139,99 +96,57 @@ def _theorem1_inputs(c, norms2, total_norm2: float, sigma2: float) -> tuple[np.n
     return c, norms2
 
 
-def _theorem1_vectors(c, norms2, re2, sigma2):
-    """The Theorem-1 entries as per-candidate vectors, unchecked; re2 is the omitted norm total_norm2 - norms2.
+# Entries of the across-boundary rectangle formed at once, so a row of borders needs O(M) memory.
+_BLOCK_ENTRIES = 1 << 16
 
-    Entry (q, l) reads the smaller model q as [min] and the larger l as [max].  As c increases, the pairs
+
+def _weighted_borders(c, norms2, re2, sigma2, u) -> tuple[np.ndarray, np.ndarray]:
+    """Row borders (bv, bb) of u' D_V u and u' D_B u for candidate weights u >= 0, inputs unchecked.
+
+    The one place the Theorem-1 entries are written.  re2 is the omitted norm total_norm2 - norms2, and
+    entry (q, l) reads the smaller model q as [min] and the larger l as [max].  As c increases, the pairs
     below the boundary, above it and across it are two diagonal blocks and a rectangle (rows below); the
-    boundary rows and columns between them are +inf.  Returns the block slices lo and hi, then
-      below (v, 1 - c, re2): D_V = v[min], v = below_boundary_variance(c); D_B = re2[max] / (1 - c)[min];
-      above (dv, a, norms2, b): D_V = dv[max], dv = sigma2 / (c - 1); D_B = a[min] + (norms2[max] -
-        norms2[min]) + b[max], a = (c - 1) / c * norms2, b = c / (c - 1) * re2;
-      across: the (D_V, D_B) rectangle itself.
+    boundary rows and columns between them are +inf:
+      below: D_V = v[min], v = below_boundary_variance(c); D_B = re2[max] / (1 - c)[min];
+      above: D_V = dv[max], dv = sigma2 / (c - 1); D_B = a[min] + (norms2[max] - norms2[min]) + b[max],
+        a = (c - 1) / c * norms2, b = c / (c - 1) * re2;
+      across: D_V = sigma2 c[min] / gap, D_B = (c[max] - 1) / gap (norms2[max] - norms2[min]) +
+        c[max] / gap re2[max], gap = c[max] - c[min].
+    Border m is u_m (2 sum_{i<m} u_i A_im + u_m A_mm), so the first M borders sum to the leading M x M
+    form; a boundary row is +inf with weight and 0 without.  On a block with A_ij = p[min] q[max] the
+    border is u_m q_m (2 sum_{i<m} u_i p_i + u_m p_m); the norm gap above the boundary sums norms2 steps
+    times the weight before them, so nothing cancels and zeros stay exact.  The rectangle enters as its
+    weighted column sums u_below' R, over blocks of at most _BLOCK_ENTRIES entries: O(M) memory and
+    O(M + |below| |above|) time.
     """
     below, above = _sides(c)
     lo, hi = slice(0, int(below.sum())), slice(c.size - int(above.sum()), c.size)
-    cl, ch, n2 = c[lo], c[hi], norms2[hi]
-    cmin, cmax = cl[:, None], ch[None, :]
-    gap = cmax - cmin
-    across = sigma2 * cmin / gap, (cmax - 1.0) / gap * (n2 - norms2[lo, None]) + cmax / gap * re2[hi]
-    return (lo, hi, (below_boundary_variance(cl, sigma2), 1.0 - cl, re2[lo]),
-            (sigma2 / (ch - 1.0), (ch - 1.0) / ch * n2, n2, ch / (ch - 1.0) * re2[hi]), across)
-
-
-def _theorem1_entries(c, norms2, re2, sigma2) -> tuple[np.ndarray, np.ndarray]:
-    """The (variance, bias) matrices of ``theorem1_matrices``: ``_theorem1_vectors`` placed by min/max index.
-
-    Each entry takes the operations of the elementwise formula in the same order, so no bit moves.
-    """
-    lo, hi, (v, omc, re2l), (dv, a, n2, b), (RV, RB) = _theorem1_vectors(c, norms2, re2, sigma2)
-    DV, DB = np.full((2, c.size, c.size), np.inf)
-    q, l = _min_max(v.size)
-    DV[lo, lo], DB[lo, lo] = v[q], re2l[l] / omc[q]
-    q, l = _min_max(dv.size)
-    DV[hi, hi], DB[hi, hi] = dv[l], a[q] + (n2[l] - n2[q]) + b[l]
-    DV[lo, hi], DB[lo, hi] = RV, RB
-    DV[hi, lo], DB[hi, lo] = RV.T, RB.T
-    return DV, DB
-
-
-def _min_max(size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Index matrices of the smaller and the larger member of every pair among ``size`` candidates."""
-    i = np.arange(size)
-    return np.minimum.outer(i, i), np.maximum.outer(i, i)
+    cl, ch, nl, n2, ul, uh = c[lo], c[hi], norms2[lo], norms2[hi], u[lo], u[hi]
+    bv = np.where(u > 0.0, np.inf, 0.0)
+    bb = bv.copy()
+    bv[lo] = _borders(ul, below_boundary_variance(cl, sigma2), 1.0)
+    bb[lo] = _borders(ul, 1.0 / (1.0 - cl), re2[lo])
+    sv = sb = 0.0
+    step, cmax = max(1, _BLOCK_ENTRIES // max(1, ch.size)), ch[None, :]
+    for start in range(0, cl.size, step):
+        rows = slice(start, start + step)
+        cmin = cl[rows, None]
+        gap = cmax - cmin
+        sv = sv + ul[rows] @ (sigma2 * cmin / gap)
+        sb = sb + ul[rows] @ ((cmax - 1.0) / gap * (n2 - nl[rows, None]) + cmax / gap * re2[hi])
+    # sum_{i<m} u_i (n2_m - n2_i) as the running sum of n2 steps times the weight before them.
+    gaps = np.zeros(uh.size)
+    np.cumsum(np.diff(n2) * np.cumsum(uh)[:-1], out=gaps[1:])
+    bv[hi] = _borders(uh, 1.0, sigma2 / (ch - 1.0)) + 2.0 * uh * sv
+    bb[hi] = (_borders(uh, (ch - 1.0) / ch * n2, 1.0) + _borders(uh, 1.0, ch / (ch - 1.0) * re2[hi])
+              + 2.0 * uh * (gaps + sb))
+    return bv, bb
 
 
 def _borders(u, p, q) -> np.ndarray:
     """Row borders u_m q_m (2 sum_{i<m} u_i p_i + u_m p_m) of sum_{i,j} u_i u_j p[min] q[max]; u = 0 adds 0."""
     up = u * p
     return u * q * (2.0 * np.cumsum(up) - up)
-
-
-def _inverse_variance(dv_diag) -> np.ndarray:
-    """1 / d of a positive variance diagonal d: exactly 0 where d is +inf."""
-    d = np.asarray(dv_diag, dtype=np.float64).reshape(-1)
-    if d.size == 0:
-        raise ValueError("need at least one candidate")
-    if np.any(np.isnan(d)) or np.any(d <= 0.0):
-        raise ValueError("variance diagonal must be positive (or +inf)")
-    return 1.0 / d
-
-
-def variance_penalized_weights(dv_diag: np.ndarray) -> np.ndarray:
-    """Weights proportional to inverse limiting variance.
-
-    Candidates with infinite variance get weight exactly 0; at least one entry must be finite.
-    """
-    inv = _inverse_variance(dv_diag)
-    total = inv.sum()
-    if total == 0.0:
-        raise ValueError("all candidates have infinite variance")
-    return inv / total
-
-
-def asymptotic_risk(w: np.ndarray, matrices: RiskMatrices) -> tuple[float, float, float]:
-    """(risk, bias part, variance part) of the limit w' (V + B) w.
-
-    Infinite entries met with exactly zero weight contribute nothing; any infinite entry with positive
-    weight on both sides makes the part +inf.  Weights that are not a finite point of the probability
-    simplex, one per candidate, raise ``InputError`` naming ``w``.
-    """
-    w = np.asarray(w, dtype=np.float64).reshape(-1)
-    if w.shape[0] != len(matrices.variance):
-        raise InputError("w", f"weight length {w.shape[0]} does not match the {len(matrices.variance)} candidates")
-    # Both comparisons are false for NaN, so this one test also stops non-finite weights.
-    if not (np.all(w >= -1e-12) and abs(w.sum() - 1.0) <= 1e-8):
-        problem = "must lie on the probability simplex" if np.all(np.isfinite(w)) else "must be finite"
-        raise InputError("w", f"weights {problem}, got {w.tolist()}")
-    active = w > 0.0
-    wa = w[active]
-    parts = []
-    for A in (matrices.bias, matrices.variance):
-        Aa = np.ascontiguousarray(A[active][:, active])
-        parts.append(np.inf if np.any(np.isinf(Aa)) else float(wa @ Aa @ wa))
-    bias_part, var_part = parts
-    return bias_part + var_part, bias_part, var_part
 
 
 @dataclass(frozen=True)
@@ -348,14 +263,12 @@ def risk_surface(
     M >= n, which is the conventional way to plot equal-weight surfaces that
     would otherwise diverge on the diagonal.
 
-    The inputs are validated once and each n's ``_theorem1_vectors`` built once, at the largest M.
-    Cell weights are proportional to u: 1 for "equal", the inverse variance for "variance_penalized", 0
-    for an infinite variance or an excluded candidate.  A part of cell (n, M) is sum_{i,j<M} u_i u_j A_ij
-    over (sum_{i<M} u_i)^2; one running sum of row borders gives every M of a row.  On a block with
-    A_ij = p[min] q[max] the border of row m is u_m q_m (2 sum_{i<m} u_i p_i + u_m p_m); the norm gap
-    above the boundary sums n2 steps times the weight before them, so nothing cancels and zeros stay
-    exact; the rectangle adds one weighted column sum.  A row takes O(M + |below| |above|) time and
-    memory, with no M x M array, and differs from a per-cell build only in summation order (1e-13).
+    The inputs are validated once.  Cell weights are proportional to u: 1 for "equal", the inverse
+    lone-model variance for "variance_penalized", 0 for an infinite variance or an excluded candidate.
+    A part of cell (n, M) is sum_{i,j<M} u_i u_j A_ij over (sum_{i<M} u_i)^2, so one call of
+    ``_weighted_borders`` per n, at the largest M, and one running sum of its borders give every M of a
+    row.  A row takes O(M) memory and O(M + |below| |above|) time, with no M x M array, and differs
+    from a per-cell build only in summation order (1e-13).
     """
     n_values = np.asarray(n_values, dtype=np.int64).reshape(-1)
     m_values = np.asarray(m_values, dtype=np.int64).reshape(-1)
@@ -379,28 +292,19 @@ def risk_surface(
         norms2, total = profile.prefix_norm2(sizes), profile.total_norm2()
         # The ratios sizes / n are positive and increasing at every n, as at n = 1: one check covers
         # the grid, and the entries are symmetric, NaN-free and nonnegative by construction.
-        _theorem1_inputs(sizes, norms2, total, sigma2)
+        _theorem1_inputs(sizes, norms2, total)
         re2 = total - norms2
         for row, n in enumerate(n_values):
-            lo, hi, (v, omc, re2l), (dv, a, n2, b), (RV, RB) = _theorem1_vectors(sizes / n, norms2, re2, sigma2)
-            diag = np.full(sizes.size, np.inf)
-            diag[lo], diag[hi] = v, dv
-            u = np.ones(sizes.size) if weighting == "equal" else _inverse_variance(diag)
+            c = sizes / n
+            u = np.ones(sizes.size) if weighting == "equal" else 1.0 / _single_parts(c, 0.0, sigma2)[1]
             if exclude_singular and n <= sizes.size:
                 u[n - 1] = 0.0
             U = np.cumsum(u)[m_values - 1]
             if np.any(U == 0.0):  # n = 1: the lone candidate of M = 1 is on the boundary
                 raise ValueError(f"cell (n={n}, M=1) has no candidates left" if exclude_singular
                                  else "all candidates have infinite variance")
-            # Row borders of D_V and D_B; a boundary row with weight makes every later prefix +inf.
-            bv = np.where(u > 0.0, np.inf, 0.0)
-            bb, ul, uh = bv.copy(), u[lo], u[hi]
-            bv[lo], bb[lo] = _borders(ul, v, 1.0), _borders(ul, 1.0 / omc, re2l)
-            # sum_{i<m} u_i (n2_m - n2_i) as the running sum of n2 steps times the weight before them.
-            gaps = np.zeros(uh.size)
-            np.cumsum(np.diff(n2) * np.cumsum(uh)[:-1], out=gaps[1:])
-            bv[hi] = _borders(uh, 1.0, dv) + 2.0 * uh * (ul @ RV)
-            bb[hi] = _borders(uh, a, 1.0) + _borders(uh, 1.0, b) + 2.0 * uh * (gaps + ul @ RB)
+            # A boundary row with weight makes every later prefix +inf.
+            bv, bb = _weighted_borders(c, norms2, re2, sigma2, u)
             bias[row] = np.cumsum(bb)[m_values - 1] / U**2
             variance[row] = np.cumsum(bv)[m_values - 1] / U**2
         bias, variance = bias.reshape(-1), variance.reshape(-1)

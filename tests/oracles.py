@@ -1,13 +1,17 @@
 """Values the library does not compute, coded term by term as test oracles.
 
 Each oracle evaluates its formula directly, apart from the library's program
-assembly and block builders, so that agreement with them is evidence rather
-than a restatement.
+assembly and row borders, so that agreement with them is evidence rather
+than a restatement.  The Theorem-1 limit is here as whole M x M matrices
+filled by boolean masks, read as the quadratic form w'(D_V + D_B)w; the
+library only ever sums row borders of it.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 
-from lama.risk_theory import BOUNDARY_DELTA
+from lama.risk_theory import BOUNDARY_DELTA, _theorem1_inputs
 
 
 def value(program, w) -> float:
@@ -58,3 +62,108 @@ def single_model_risk(c: float, norm2: float, sigma2: float) -> float:
     if c < 1.0:
         return sigma2 * c / (1.0 - c)
     return norm2 * (1.0 - 1.0 / c) + sigma2 / (c - 1.0)
+
+
+@dataclass(frozen=True)
+class RiskMatrices:
+    """Symmetric variance and bias matrices; +inf marks boundary entries."""
+
+    variance: np.ndarray
+    bias: np.ndarray
+
+    def __post_init__(self):
+        V = np.asarray(self.variance, dtype=np.float64)
+        B = np.asarray(self.bias, dtype=np.float64)
+        if V.ndim != 2 or V.shape[0] != V.shape[1] or B.shape != V.shape:
+            raise ValueError("variance and bias must be square matrices of equal shape")
+        for name, A in (("variance", V), ("bias", B)):
+            if np.isnan(A).any():
+                raise ValueError(f"{name} matrix has NaN entries")
+            finite = np.isfinite(A)
+            symmetric = np.array_equal(finite, finite.T) and np.allclose(A[finite], A.T[finite], atol=1e-10, rtol=1e-10)
+            if not symmetric:
+                raise ValueError(f"{name} matrix must be symmetric")
+        if np.any(V[np.isfinite(V)] < 0.0):
+            raise ValueError("variance entries must be nonnegative")
+        object.__setattr__(self, "variance", V)
+        object.__setattr__(self, "bias", B)
+
+
+def _mask_entries(c, norms2, re2, sigma2):
+    """The (variance, bias) limit matrices by boolean masks over whole M x M arrays.
+
+    re2 is the omitted norm total_norm2 - norms2; every pair reads its
+    smaller ratio and norm as min and the larger as max.
+    """
+    M = c.shape[0]
+    cmin, cmax = np.minimum.outer(c, c), np.maximum.outer(c, c)
+    n2min, n2max = np.minimum.outer(norms2, norms2), np.maximum.outer(norms2, norms2)
+    remax = np.minimum.outer(re2, re2)
+
+    DV = np.full((M, M), np.inf)
+    DB = np.full((M, M), np.inf)
+    under = cmax < 1.0 - BOUNDARY_DELTA
+    over = cmin > 1.0 + BOUNDARY_DELTA
+    mixed = (cmin < 1.0 - BOUNDARY_DELTA) & (cmax > 1.0 + BOUNDARY_DELTA)
+
+    DV[under] = sigma2 * cmin[under] / (1.0 - cmin[under])
+    DV[mixed] = sigma2 * cmin[mixed] / (cmax[mixed] - cmin[mixed])
+    DV[over] = sigma2 / (cmax[over] - 1.0)
+
+    DB[under] = remax[under] / (1.0 - cmin[under])
+    gap = cmax[mixed] - cmin[mixed]
+    DB[mixed] = (cmax[mixed] - 1.0) / gap * (n2max[mixed] - n2min[mixed]) + cmax[mixed] / gap * remax[mixed]
+    DB[over] = (
+        (cmin[over] - 1.0) / cmin[over] * n2min[over]
+        + (n2max[over] - n2min[over])
+        + cmax[over] / (cmax[over] - 1.0) * remax[over]
+    )
+    return DV, DB
+
+
+def theorem1_matrices(c, norms2, total_norm2: float, sigma2: float) -> RiskMatrices:
+    """Variance and bias limit matrices under an isotropic design.
+
+    c holds the strictly increasing aspect ratios k_q / n of the nested
+    candidates; norms2[q] is the squared signal norm candidate q carries and
+    total_norm2 that of the whole coefficient sequence, so candidate q omits
+    total_norm2 - norms2[q].  sigma2 may be zero (noiseless responses).
+    """
+    if not (np.isfinite(sigma2) and sigma2 >= 0.0):
+        raise ValueError(f"sigma2 must be nonnegative and finite, got {sigma2}")
+    c, norms2 = _theorem1_inputs(c, norms2, total_norm2)
+    return RiskMatrices(*_mask_entries(c, norms2, total_norm2 - norms2, sigma2))
+
+
+def asymptotic_risk(w, matrices: RiskMatrices) -> tuple[float, float, float]:
+    """(risk, bias part, variance part) of the limit w'(V + B)w over the entries with w > 0.
+
+    Infinite entries met with zero weight contribute nothing; any infinite
+    entry with positive weight on both sides makes the part +inf.
+    """
+    w = np.asarray(w, dtype=np.float64).reshape(-1)
+    active = w > 0.0
+    wa = w[active]
+    parts = []
+    for A in (matrices.bias, matrices.variance):
+        Aa = A[np.ix_(active, active)]
+        parts.append(np.inf if np.any(np.isinf(Aa)) else float(wa @ Aa @ wa))
+    bias_part, var_part = parts
+    return bias_part + var_part, bias_part, var_part
+
+
+def variance_penalized_weights(dv_diag) -> np.ndarray:
+    """Weights proportional to inverse limiting variance.
+
+    Candidates with infinite variance get weight exactly 0; at least one
+    entry must be finite, and every entry positive.
+    """
+    d = np.asarray(dv_diag, dtype=np.float64).reshape(-1)
+    if d.size == 0:
+        raise ValueError("need at least one candidate")
+    if np.any(np.isnan(d)) or np.any(d <= 0.0):
+        raise ValueError("variance diagonal must be positive (or +inf)")
+    inv = 1.0 / d
+    if inv.sum() == 0.0:
+        raise ValueError("all candidates have infinite variance")
+    return inv / inv.sum()

@@ -586,9 +586,17 @@ class TestValidateTheorem1:
                 validate_theorem1(30, (2, 4), theta, 1.0, reps=1, seed=0, w=w)
         with pytest.raises(ValueError, match="exceeds"):
             validate_theorem1(30, (2, 8), theta, 1.0, reps=1, seed=0)
-        with pytest.raises(ValueError, match="nonnegative"):
-            validate_theorem1(30, (2, 4), theta, -1.0, reps=1, seed=0)
+        for sigma2 in (-1.0, np.nan, np.inf):
+            with pytest.raises(InputError, match="nonnegative") as err:
+                validate_theorem1(30, (2, 4), theta, sigma2, reps=1, seed=0)
+            assert err.value.field == "sigma2"
 
+    def test_rejects_off_simplex_weights(self):
+        for w, match in [([0.7, 0.7], "simplex"), ([1.5, -0.5], "simplex"), ([1.0], "length"),
+                         ([0.5, np.nan], "finite"), ([np.inf, 0.0], "finite")]:
+            with pytest.raises(InputError, match=match) as err:
+                validate_theorem1(30, (2, 4), np.ones(6), 1.0, reps=1, seed=0, w=w)
+            assert err.value.field == "w"
 
     def test_positive_weight_at_the_boundary_raises(self):
         theta = np.ones(4)

@@ -1,12 +1,12 @@
 """Closed-form risk limits: entries, matrices, weights, and grid surfaces.
 
-Limit-matrix entries are pinned to hand-computed values, and the vectorized
-matrix builder is checked entrywise against the scalar entry formulas kept
-here as an independent oracle, and below the boundary against the
-general-covariance limits at the identity covariance.  The block builder is
-held bit for bit to the whole-matrix mask form it replaced, kept here too;
-every surface cell is held to a per-cell rebuild, and every prefix of a
-surface row to a brute-force quadratic form.  Those limits, their
+The limit matrices of the mask-built oracle (``oracles.theorem1_matrices``)
+are pinned to hand-computed values, checked entrywise against the scalar
+entry formulas kept here, and below the boundary against the
+general-covariance limits at the identity covariance.  The library's row
+borders are held to the oracle's quadratic form on grids at and around the
+boundary; every surface cell is held to a per-cell rebuild, and every prefix
+of a surface row to a brute-force quadratic form.  Those limits, their
 Schur-complement strength and the variance-gap limit live here as oracles:
 each is pinned to hand values (the strength also to an explicit
 best-completion least-squares solve) before it checks the library.  Surface
@@ -15,25 +15,22 @@ the interpolation point, then a smooth descent).
 """
 
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lama.risk_theory import (
-    BOUNDARY_DELTA,
-    InputError,
-    PowerLawProfile,
+from lama.risk_theory import BOUNDARY_DELTA, InputError, PowerLawProfile, _single_parts, _weighted_borders, risk_surface
+
+from oracles import (
     RiskMatrices,
-    _single_parts,
     asymptotic_risk,
-    risk_surface,
+    single_model_risk,
     theorem1_matrices,
     variance_penalized_weights,
 )
-
-from oracles import single_model_risk
 
 
 def _on_boundary(c):
@@ -77,41 +74,6 @@ def _db_entry(c_q, c_l, norm_q2, norm_l2, re_norm_l2):
         )
     gap = c_l - c_q
     return (c_l - 1.0) / gap * (norm_l2 - norm_q2) + c_l / gap * re_norm_l2
-
-
-def _mask_entries(c, norms2, re2, sigma2):
-    """Oracle: the (variance, bias) limit matrices by boolean masks over whole M x M arrays.
-
-    The builder the library used before it filled contiguous blocks; every
-    entry takes the same operations in the same order, so the two agree bit
-    for bit.
-    """
-    M = c.shape[0]
-    cmin, cmax = np.minimum.outer(c, c), np.maximum.outer(c, c)
-    n2min, n2max = np.minimum.outer(norms2, norms2), np.maximum.outer(norms2, norms2)
-    remax = np.minimum.outer(re2, re2)
-
-    DV = np.full((M, M), np.inf)
-    DB = np.full((M, M), np.inf)
-    under = cmax < 1.0 - BOUNDARY_DELTA
-    over = cmin > 1.0 + BOUNDARY_DELTA
-    mixed = (cmin < 1.0 - BOUNDARY_DELTA) & (cmax > 1.0 + BOUNDARY_DELTA)
-
-    DV[under] = sigma2 * cmin[under] / (1.0 - cmin[under])
-    DV[mixed] = sigma2 * cmin[mixed] / (cmax[mixed] - cmin[mixed])
-    DV[over] = sigma2 / (cmax[over] - 1.0)
-
-    DB[under] = remax[under] / (1.0 - cmin[under])
-    gap = cmax[mixed] - cmin[mixed]
-    DB[mixed] = (cmax[mixed] - 1.0) / gap * (n2max[mixed] - n2min[mixed]) + cmax[
-        mixed
-    ] / gap * remax[mixed]
-    DB[over] = (
-        (cmin[over] - 1.0) / cmin[over] * n2min[over]
-        + (n2max[over] - n2min[over])
-        + cmax[over] / (cmax[over] - 1.0) * remax[over]
-    )
-    return DV, DB
 
 
 def _phi(Sigma, theta, k_q):
@@ -290,7 +252,8 @@ class TestSingleModelRisk:
             for c in (np.nextafter(edge, 0.0), edge, np.nextafter(edge, 2.0)):
                 on = _on_boundary(c)
                 mats = theorem1_matrices([c], [0.5], 1.0, 1.0)
-                for part in (*_single_parts(c, 0.5, 1.0), mats.variance[0, 0], mats.bias[0, 0],
+                borders = _weighted_borders(np.array([c]), np.array([0.5]), np.array([0.5]), 1.0, np.ones(1))
+                for part in (*_single_parts(c, 0.5, 1.0), mats.variance[0, 0], mats.bias[0, 0], *np.ravel(borders),
                              _dv_entry(c, c, 1.0), _db_entry(c, c, 0.5, 0.5, 0.5)):
                     assert np.isinf(part) == on
                 assert np.isinf(single_model_risk(c, 0.5, 1.0)) == on
@@ -369,7 +332,7 @@ class TestLimitMatrices:
     @pytest.mark.parametrize("grid", ["below", "above", "straddling", "near-boundary", "at-delta", "single"])
     @given(seed=st.integers(min_value=0, max_value=2**32 - 1), noiseless=st.booleans())
     @settings(max_examples=40, deadline=None)
-    def test_block_builder_is_bit_identical_to_the_mask_form(self, grid, seed, noiseless):
+    def test_weighted_borders_sum_to_the_matrix_form(self, grid, seed, noiseless):
         r = np.random.default_rng(seed)
         m = int(r.integers(2, 13))
         lo_edge, hi_edge = 1.0 - BOUNDARY_DELTA, 1.0 + BOUNDARY_DELTA
@@ -390,10 +353,19 @@ class TestLimitMatrices:
         norms2 = np.sort(r.choice([0.0, 0.5, r.uniform(0.0, 3.0), r.uniform(0.0, 3.0)], size=c.size))
         total = float(norms2[-1]) + float(r.choice([0.0, r.uniform(0.0, 2.0)]))
         sigma2 = 0.0 if noiseless else float(r.uniform(0.1, 3.0))
-        mats = theorem1_matrices(c, norms2, total, sigma2)
-        V, B = _mask_entries(c, norms2, total - norms2, sigma2)
-        assert mats.variance.tobytes() == V.tobytes()
-        assert mats.bias.tobytes() == B.tobytes()
+        # A point of the simplex with exact zeros, which may fall on boundary candidates.
+        w = r.dirichlet(np.ones(c.size)) * (r.uniform(size=c.size) < 0.6)
+        if not w.any():
+            w[r.integers(c.size)] = 1.0
+        w /= w.sum()
+        want = np.array(asymptotic_risk(w, theorem1_matrices(c, norms2, total, sigma2)))
+        bv, bb = _weighted_borders(c, norms2, total - norms2, sigma2, w)
+        got = np.array([bb.sum() + bv.sum(), bb.sum(), bv.sum()])
+        finite = np.isfinite(want)
+        np.testing.assert_array_equal(np.isfinite(got), finite)
+        np.testing.assert_array_equal(got[~finite], want[~finite])
+        np.testing.assert_array_equal(got == 0.0, want == 0.0)
+        assert np.all(np.abs(got[finite] - want[finite]) <= 1e-13 * np.abs(want[finite]))
 
     def test_boundary_row_is_inf(self):
         mats = theorem1_matrices(*_nested([2, 5, 10], 10, np.ones(10)), 1.0)
@@ -537,6 +509,7 @@ class TestAsymptoticRisk:
             w[q] = 1.0
             risk, _, _ = asymptotic_risk(w, mats)
             assert risk == pytest.approx(single_model_risk(c[q], carried[q], 1.5), rel=1e-12)
+            assert sum(map(np.sum, _weighted_borders(c, carried, total - carried, 1.5, w))) == pytest.approx(risk)
 
     def test_zero_weight_silences_infinite_entries(self):
         V = np.array([[1.0, np.inf], [np.inf, np.inf]])
@@ -544,20 +517,16 @@ class TestAsymptoticRisk:
         risk, _, var_part = asymptotic_risk([1.0, 0.0], mats)
         assert risk == pytest.approx(1.0)
         assert np.isfinite(var_part)
+        bv, _ = _weighted_borders(np.array([0.5, 1.0]), np.zeros(2), np.zeros(2), 1.0, np.array([1.0, 0.0]))
+        assert bv.tolist() == [1.0, 0.0]
 
     def test_tiny_positive_weight_keeps_inf(self):
         V = np.array([[1.0, np.inf], [np.inf, np.inf]])
         mats = RiskMatrices(variance=V, bias=np.zeros((2, 2)))
         risk, _, _ = asymptotic_risk([1.0 - 1e-12, 1e-12], mats)
         assert risk == np.inf
-
-    def test_rejects_off_simplex_weights(self):
-        mats = RiskMatrices(variance=np.eye(2), bias=np.zeros((2, 2)))
-        for w, match in [([0.7, 0.7], "simplex"), ([1.5, -0.5], "simplex"), ([1.0], "length"),
-                         ([0.5, np.nan], "finite"), ([np.inf, 0.0], "finite")]:
-            with pytest.raises(InputError, match=match) as err:
-                asymptotic_risk(w, mats)
-            assert err.value.field == "w"
+        bv, _ = _weighted_borders(np.array([0.5, 1.0]), np.zeros(2), np.zeros(2), 1.0, np.array([1.0 - 1e-12, 1e-12]))
+        assert bv[1] == np.inf
 
 
 class TestSurfaceRowSums:
@@ -791,17 +760,22 @@ class TestRiskSurface:
             with pytest.raises(ValueError, match="squared norms must be nonnegative and finite"):
                 risk_surface([20, 40], [10], profile, weighting=weighting)
 
+    @pytest.mark.parametrize(
+        "n_values, m_values",
+        # Unsorted and duplicated M, with M < n, M = n and M > n for both n; then a
+        # 299 x 400 rectangle of pairs across the boundary, above one block of entries.
+        [([12, 7], [15, 3, 12, 7, 3, 20, 1, 15]), ([300], [700, 299])],
+        ids=["small", "past-one-block"],
+    )
     @pytest.mark.parametrize("exclude", [False, True])
     @pytest.mark.parametrize("weighting", ["equal", "variance_penalized"])
-    def test_every_cell_equals_a_per_cell_rebuild(self, snr_profile, weighting, exclude):
-        # Unsorted and duplicated M, with M < n, M = n and M > n for both n.  The
-        # surface sums each row's borders where the rebuild forms w'Aw, so the
+    def test_every_cell_equals_a_per_cell_rebuild(self, snr_profile, weighting, exclude, n_values, m_values):
+        # The surface sums each row's borders where the rebuild forms w'Aw, so the
         # finite cells agree up to summation order.
-        n_values, m_values = [12, 7], [15, 3, 12, 7, 3, 20, 1, 15]
         surface = risk_surface(
             n_values, m_values, snr_profile, sigma2=1.3, weighting=weighting, exclude_singular=exclude
         )
-        theta = snr_profile.coefficients(snr_profile.truncate)
+        theta = snr_profile.coefficients(max(snr_profile.truncate, *m_values))  # zeros past the truncation
         cells = [(n, m) for n in n_values for m in m_values]
         for i, (n, m) in enumerate(cells):
             sizes = np.arange(1, m + 1)
@@ -821,8 +795,8 @@ class TestRiskSurface:
             np.testing.assert_array_equal(np.isfinite(got), finite)
             np.testing.assert_array_equal(got[~finite], want[~finite])
             assert np.all(np.abs(got[finite] - want[finite]) <= 1e-13 * np.abs(want[finite]))
-        if weighting == "equal" and not exclude:
-            assert surface.risk[cells.index((12, 12))] == np.inf
+            if weighting == "equal" and not exclude and m >= n:
+                assert surface.risk[i] == np.inf
 
     def test_largest_m_far_above_n_needs_no_m_by_m_array(self, snr_profile):
         # Every M x M array at M = 200,000 would take 320 GB; the row is running sums of vectors.
@@ -833,6 +807,18 @@ class TestRiskSurface:
         want = np.array(asymptotic_risk(variance_penalized_weights(np.diag(mats.variance)), mats))
         got = np.array([surface.risk[0], surface.bias[0], surface.variance[0]])
         assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
+
+    def test_a_row_needs_memory_linear_in_m(self, snr_profile):
+        # At n = M / 2 the pairs across the boundary form a 1999 x 2000 rectangle, 32 MB as one
+        # array; its column sums are taken a block at a time.
+        tracemalloc.start()
+        try:
+            surface = risk_surface([2000], [4000], snr_profile, weighting="variance_penalized")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.isfinite(surface.risk[0])
+        assert peak < 8 * 2**20
 
     def test_csv_layout(self, snr_profile):
         surface = risk_surface([20], [10, 20], snr_profile, exclude_singular=True)
