@@ -18,11 +18,11 @@ each described by four vectors over the candidates, a max-type part g, a
 min-type part h, a linear term b and a ridge r (``lama.qp.NestedForm``):
 Mallows is (RSS/n, 0, 2 sigma2 k/n, none) and the large model
 (RSS + sigma2 k, h, 0, xi h), where h = n sigma2 c/(1 - c) at c = k/n is n
-times the Theorem-1 variance entry below the boundary.  ``lama.qp`` builds
-the dense A, which stays the definition and the certificate of every solve,
-and the solver's cumulative form from the same vectors.  Only the jackknife
+times the Theorem-1 variance entry below the boundary.  These programs hold
+their ``NestedForm`` as A, and ``lama.qp`` solves and certifies them from
+the vectors in O(M), without forming the M x M matrix.  Only the jackknife
 program reads the n x M residuals: its leave-one-out residuals
-e_iq / (1 - h_iq) have no such reduction, and it takes the dense path.
+e_iq / (1 - h_iq) have no such reduction, and it holds a dense A.
 """
 
 from __future__ import annotations
@@ -73,37 +73,24 @@ class SingularLooError(ValueError):
 
 @dataclass(frozen=True)
 class QuadraticProgram:
-    """Criterion w'Aw + b'w over M candidates.
+    """Criterion w'Aw + b'w over M candidates; A is an M x M array (checked
+    for symmetry) or the ``NestedForm`` that describes it, and the solver takes either."""
 
-    ``form``, when set, is the nested description that A was built from
-    (``A = form.matrix()``); the solver derives its cumulative form from it.
-    """
-
-    A: np.ndarray
+    A: np.ndarray | NestedForm
     b: np.ndarray
-    form: NestedForm | None = None
 
     def __post_init__(self):
-        A = np.asarray(self.A, dtype=np.float64)
         b = np.asarray(self.b, dtype=np.float64).reshape(-1)
-        if A.ndim != 2 or A.shape[0] != A.shape[1] or b.shape[0] != A.shape[0]:
-            raise ValueError("A must be square and b must match its size")
-        # np.allclose at the same tolerances, less its broadcasting and
-        # special-value handling: a NaN or infinite entry fails the test.
-        if not np.all(np.abs(A - A.T) <= 1e-12 + 1e-12 * np.abs(A.T)):
-            raise ValueError("A must be finite and symmetric to 1e-12")
-        object.__setattr__(self, "A", A)
+        if not isinstance(self.A, NestedForm):
+            A = np.asarray(self.A, dtype=np.float64)
+            if A.shape != (b.size, b.size):
+                raise ValueError("A must be square and b must match its size")
+            # np.allclose at the same tolerances, less its broadcasting and
+            # special-value handling: a NaN or infinite entry fails the test.
+            if not np.all(np.abs(A - A.T) <= 1e-12 + 1e-12 * np.abs(A.T)):
+                raise ValueError("A must be finite and symmetric to 1e-12")
+            object.__setattr__(self, "A", A)
         object.__setattr__(self, "b", b)
-
-
-def _sym(G: np.ndarray) -> np.ndarray:
-    return 0.5 * (G + G.T)
-
-
-def _nested_program(g, h, b, r=None) -> QuadraticProgram:
-    """The nested program (g, h, b, r); A and the solver's cumulative form come from the same vectors."""
-    form = NestedForm(g, h, r)
-    return QuadraticProgram(A=form.matrix(), b=b, form=form)
 
 
 def sigma_hat(fits: ModelFits) -> float:
@@ -134,7 +121,7 @@ def mma_program(fits: ModelFits, sigma2_hat: float) -> QuadraticProgram:
     """Mallows criterion: w' (e'e/n) w + 2 sigma2_hat sum_q w_q k_q / n."""
     if sigma2_hat < 0.0 or not np.isfinite(sigma2_hat):
         raise ValueError("sigma2_hat must be finite and nonnegative")
-    return _nested_program(fits.rss / fits.n, np.zeros(fits.M), 2.0 * sigma2_hat * fits.sizes / fits.n)
+    return QuadraticProgram(NestedForm(fits.rss / fits.n, np.zeros(fits.M)), 2.0 * sigma2_hat * fits.sizes / fits.n)
 
 
 def loo_flagged(fits: ModelFits) -> np.ndarray:
@@ -149,8 +136,7 @@ def jma_program(fits: ModelFits) -> QuadraticProgram:
     if np.any(flagged):
         raise SingularLooError(np.flatnonzero(flagged))
     E_loo = fits.residuals / (1.0 - fits.leverages)
-    A = _sym(E_loo.T @ E_loo) / fits.n
-    return QuadraticProgram(A=A, b=np.zeros(fits.M))
+    return QuadraticProgram(E_loo.T @ E_loo / fits.n, np.zeros(fits.M))
 
 
 def xi(v_diag: np.ndarray, b_diag: np.ndarray) -> float:
@@ -207,7 +193,7 @@ def lama_program(fits: ModelFits, sigma2_hat: float, xi_value: float) -> Quadrat
     if not np.isfinite(xi_value) or xi_value < 0.0:
         raise ValueError("xi must be nonnegative and finite")
     g, h = lama_vectors(fits, sigma2_hat)
-    return _nested_program(g, h, np.zeros(fits.M), xi_value * h)
+    return QuadraticProgram(NestedForm(g, h, xi_value * h), np.zeros(fits.M))
 
 
 def info_criterion_weights(fits: ModelFits, kind: str) -> np.ndarray:

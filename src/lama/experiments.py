@@ -118,8 +118,8 @@ class WeightChoice:
 
     Candidates a method cannot handle (interpolating ones, for the
     leave-one-out and large-model criteria) carry weight 0 and appear in
-    ``excluded``.  The quadratic methods keep their solve's ``status`` and
-    ``kkt_residual``; ``to_record`` leaves both out.
+    ``excluded``.  The quadratic methods keep their solve's ``status``,
+    ``iterations`` and ``kkt_residual``; ``to_record`` leaves them out.
     """
 
     method: str
@@ -129,6 +129,7 @@ class WeightChoice:
     xi: float | None = None
     excluded: tuple[int, ...] = ()
     status: str | None = None
+    iterations: int | None = None
     kkt_residual: float | None = None
 
     def to_record(self) -> dict:
@@ -187,10 +188,10 @@ def compute_weights(fits, method: str) -> WeightChoice:
             xi_val = crit.xi(h, g)  # a ratio of ratios: the diagonals h/n and g/n give the same value
             # the program is on the n-scale; report the per-observation criterion
             program, scale = crit.lama_program(sub, s2, xi_val), sub.n
-    report = solve_simplex_qp(program.A, program.b, program.form)
+    report = solve_simplex_qp(program.A, program.b)
     w = _scatter(M, np.flatnonzero(keep), report.weights)
     return WeightChoice(method, w, report.objective / scale, s2, xi_val, dropped, report.status,
-                        report.kkt_residual)
+                        report.iterations, report.kkt_residual)
 
 
 # ---------------------------------------------------------------------------
@@ -456,15 +457,15 @@ def _real_split(args):
         if np.ptp(Y[tr]) > 0.0:
             break
     else:
-        return {"degenerate": True}
+        return {"degenerate": True, "retries": _retry}
     fit = _fit_and_weigh(Dataset(Y=Y[tr], X=X[tr]), sizes, (X[te],), methods)
     if "failed" in fit:
-        return fit
+        return {**fit, "retries": _retry}
     (pred_te,) = fit["preds"]
     errs = {
         k: float(np.sum((pred_te @ c.weights - Y[te]) ** 2)) / (N - n_train) for k, c in fit["choices"].items()
     }
-    return {"errors": errs, "retries": int(_retry)}
+    return {"errors": errs, "retries": _retry}
 
 
 def evaluate_real(
@@ -482,8 +483,9 @@ def evaluate_real(
     data, before any splitting; candidates are the nested prefixes
     k = 1..M with M = min(p, floor(0.9 n_train)) unless ``max_models``
     overrides it.  Each split trains every method and scores squared test
-    error normalized by the test-set size.  Splits with a constant training
-    response are redrawn (and counted); failed splits are dropped.
+    error normalized by the test-set size.  A constant training response is
+    redrawn, at most 99 times, and ``redraws`` counts every split's redraws;
+    a split left constant, or whose fit fails, is dropped.
     """
     N = data.n
     if not 2 <= n_train < N:
@@ -495,8 +497,8 @@ def evaluate_real(
     workers = worker_count() if workers is None else workers
 
     tasks = [(X, data.Y, sizes, n_train, methods, seed, rep) for rep in range(reps)]
-    kept = [res for res in _pmap(_real_split, tasks, workers) if "errors" in res]
-    redraws = sum(res["retries"] for res in kept)
+    results = _pmap(_real_split, tasks, workers)
+    kept = [res for res in results if "errors" in res]
     rows = []
     for method in methods:
         mean, var = _mean_var([res["errors"][method] for res in kept])
@@ -508,7 +510,7 @@ def evaluate_real(
                 "test_err_var": var,
                 "reps": len(kept),
                 "excluded": reps - len(kept),
-                "redraws": redraws,
+                "redraws": sum(res["retries"] for res in results),
             }
         )
     return rows

@@ -1,8 +1,8 @@
 """Minimize w'Aw + b'w over the probability simplex.
 
-``solve_simplex_qp(A, b, form)`` is the one entry point.  Every answer has
-the same certificate: the report's ``status`` and ``kkt_residual`` (the
-projected-gradient fixed-point residual, taken in w on the dense program).
+``solve_simplex_qp(A, b)`` is the one entry point, for A an M x M array or
+the ``NestedForm`` that describes it.  Every answer has the same certificate:
+``status`` and ``kkt_residual``, the projected-gradient fixed-point residual.
 
 Two of the three paths run one primal active-set loop (Nocedal & Wright,
 *Numerical Optimization*, Alg. 16.3), ``_active_set``.  Each step goes
@@ -13,26 +13,28 @@ gradient entry enters if that entry lies below the free entries' common
 value; else the point is optimal.  Ties go to the lowest index.  The paths
 differ only in how they solve a face and where they start:
 
-* ``form=None`` (the jackknife program, and the reference the tests hold
-  the other paths to) solves the bordered KKT system of the face densely,
-  by SVD, from the best vertex.  A singular system is a zero-curvature
+* A dense A (the jackknife program, and the reference the tests hold the
+  other paths to) solves the bordered KKT system of the face densely, by
+  SVD, from the best vertex.  A singular system is a zero-curvature
   direction, walked downhill to the next bound.  The method needs
   convexity on the simplex: the centred matrix (I - 11'/M) A (I - 11'/M)
   may have no negative eigenvalue beyond roundoff, else ``ValueError``.
 
-* With a ``NestedForm`` (the Mallows and large-model programs), A is
-  A(q,l) = g_max(q,l) + h_min(q,l) + 1{q=l} r_q (``NestedForm.matrix``),
-  which is banded in the cumulative weights C_i = w_0 + ... + w_i
-  (C_{M-1} = 1): the max-type part is g_{M-1} - sum_i (g_{i+1} - g_i) C_i^2,
-  the min-type part h_0 + sum_i (h_{i+1} - h_i) (1 - C_i)^2, b'w is
+* A ``NestedForm`` (the Mallows and large-model programs) describes
+  A(q,l) = g_max(q,l) + h_min(q,l) + 1{q=l} r_q by its vectors.  It is
+  banded in the cumulative weights C_i = w_0 + ... + w_i (C_{M-1} = 1): the
+  max-type part is g_{M-1} - sum_i (g_{i+1} - g_i) C_i^2, the min-type part
+  h_0 + sum_i (h_{i+1} - h_i) (1 - C_i)^2, b'w is
   b_{M-1} - sum_i (b_{i+1} - b_i) C_i and the ridge couples only neighbours,
-  r_q (C_q - C_{q-1})^2.  So, up to a constant, the program is
+  r_q (C_q - C_{q-1})^2.  So the program is
 
-      sum_{i<M-1} d_i C_i^2 + e_i C_i + sum_q r_q w_q^2
+      g_{M-1} + h_{M-1} + b_{M-1} + sum_{i<M-1} d_i C_i^2 + e_i C_i + sum_q r_q w_q^2
       over 0 <= C_0 <= ... <= C_{M-2} <= 1,
 
   with d = diff(h) - diff(g) and e = -2 diff(h) - diff(b)
-  (``NestedForm.cumulative``).
+  (``NestedForm.cumulative``).  The solver never forms A: the objective, the
+  gradient (up to a common shift) and max|A| (``NestedForm.max_abs``) take
+  O(M) time and memory.
 
   With the ridge r (large-model) the Hessian in C is tridiagonal.  The
   active-set loop solves each face by a tridiagonal (Thomas) solve in the
@@ -54,6 +56,7 @@ differ only in how they solve a face and where they start:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,12 +83,18 @@ class NestedForm:
     h: np.ndarray
     r: np.ndarray | None = None
 
-    def matrix(self) -> np.ndarray:
-        i = np.arange(len(self.g))
-        A = self.g[np.maximum.outer(i, i)] + self.h[np.minimum.outer(i, i)]
-        if self.r is not None:
-            A[np.diag_indices_from(A)] += self.r
-        return A
+    def __post_init__(self):
+        for f in "gh" if self.r is None else "ghr":
+            object.__setattr__(self, f, np.asarray(getattr(self, f), dtype=np.float64))
+            if getattr(self, f).shape != (self.g.size,):
+                raise ValueError("nested form vectors must be one-dimensional and equally long")
+
+    def max_abs(self) -> float:
+        """max |A(q,l)|, bit-equal to the dense maximum: rounding is monotone, so the extremes of
+        column l off the diagonal are g_l plus the running maximum and minimum of h_q, q < l."""
+        g, h = self.g, self.h
+        off = [g[1:] + np.maximum.accumulate(h)[:-1], g[1:] + np.minimum.accumulate(h)[:-1]]
+        return float(np.max(np.abs(np.concatenate([g + h if self.r is None else g + h + self.r] + off))))
 
     def cumulative(self, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(d, e) of the program w'Aw + b'w in cumulative weights (see the module docstring)."""
@@ -108,14 +117,24 @@ def simplex_project(v: np.ndarray) -> np.ndarray:
     return np.maximum(v - theta, 0.0)
 
 
-def _objective(A: np.ndarray, b: np.ndarray, w: np.ndarray) -> float:
-    return float(w @ A @ w + b @ w)
+def _objective(A, b: np.ndarray, w: np.ndarray, cumulative=None) -> float:
+    """w'Aw + b'w; for a nested A, from its ``cumulative`` (d, e) (see the module docstring)."""
+    if cumulative is None:
+        return float(w @ A @ w + b @ w)
+    d, e = cumulative
+    C = np.cumsum(w)[:-1]
+    return float(A.g[-1] + A.h[-1] + b[-1] + d @ C**2 + e @ C + (0.0 if A.r is None else A.r @ w**2))
 
 
-def _kkt_residual(A: np.ndarray, b: np.ndarray, w: np.ndarray) -> float:
-    # Fixed-point residual of the unit-step projected-gradient map.
-    g = 2.0 * A @ w + b
-    return float(np.linalg.norm(w - simplex_project(w - g)))
+def _gradient(A, b: np.ndarray, w: np.ndarray, cumulative=None) -> np.ndarray:
+    """2Aw + b; for a nested A, up to a common shift, which the simplex projection and
+    the entering test ignore: g_q = sum_{q <= i < M-1} (2 d_i C_i + e_i) + 2 r_q w_q."""
+    if cumulative is None:
+        return 2.0 * A @ w + b
+    d, e = cumulative
+    g = np.zeros(w.size) if A.r is None else 2.0 * A.r * w
+    g[:-1] += np.cumsum((2.0 * d * np.cumsum(w)[:-1] + e)[::-1])[::-1]
+    return g
 
 
 def _not_convex(curvature: float) -> ValueError:
@@ -147,65 +166,62 @@ def _ratio_test(w: np.ndarray, p: np.ndarray, cap: float) -> tuple[float, int]:
     return max(float(ratios[j]), 0.0), int(neg[j])
 
 
-def _checked(A, b) -> tuple[np.ndarray, np.ndarray, float]:
-    """The program as float arrays, A symmetrized, and its scale; ``ValueError`` if malformed."""
-    A = np.asarray(A, dtype=np.float64)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError("A must be square")
-    M = A.shape[0]
+def _checked(A, b) -> tuple[np.ndarray | NestedForm, np.ndarray, float]:
+    """The program with float entries, a dense A symmetrized, and max|A|; ``ValueError`` if malformed."""
+    nested = isinstance(A, NestedForm)
+    if not nested:
+        A = np.asarray(A, dtype=np.float64)
+        if A.ndim != 2 or A.shape[0] != A.shape[1]:
+            raise ValueError("A must be square")
+        A = 0.5 * (A + A.T)  # the quadratic form only sees the symmetric part
+    M = A.g.size if nested else A.shape[0]
     if M == 0:
         raise ValueError("empty program")
     b = np.zeros(M) if b is None else np.asarray(b, dtype=np.float64).reshape(-1)
     if b.shape[0] != M:
         raise ValueError("b length does not match A")
-    if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b))):
-        raise ValueError("program contains non-finite entries")
-    A = 0.5 * (A + A.T)  # the quadratic form only sees the symmetric part
-    scale = max(1.0, float(np.max(np.abs(A))), float(np.max(np.abs(b))))
-    return A, b, scale
+    # max|A| is non-finite exactly when some entry is: NaN and infinity propagate through it.
+    peak = A.max_abs() if nested else float(np.max(np.abs(A)))
+    if not (np.isfinite(peak) and np.all(np.isfinite(b))):
+        raise ValueError(f"{'nested form' if nested else 'program'} contains non-finite entries")
+    return A, b, peak
 
 
-def _report(A, b, w, iterations: int, optimal: bool, scale: float) -> SolveReport:
-    """Feasible weights with their objective, certified by the KKT residual."""
+def _report(A, b, w, iterations: int, optimal: bool, scale: float, cumulative=None) -> SolveReport:
+    """Feasible weights with their objective, certified by the projected-gradient fixed-point residual."""
     w = np.maximum(w, 0.0)
     w /= w.sum()
-    kkt = _kkt_residual(A, b, w)
-    if kkt <= 1e-9 * scale:
-        status = "converged"
-    else:
-        status = "degenerate" if optimal else "max-iter"
-    return SolveReport(w, _objective(A, b, w), iterations, status, kkt)
+    kkt = float(np.linalg.norm(w - simplex_project(w - _gradient(A, b, w, cumulative))))
+    status = "converged" if kkt <= 1e-9 * scale else ("degenerate" if optimal else "max-iter")
+    return SolveReport(w, _objective(A, b, w, cumulative), iterations, status, kkt)
 
 
-def solve_simplex_qp(A: np.ndarray, b: np.ndarray | None = None, form: NestedForm | None = None) -> SolveReport:
+def solve_simplex_qp(A: np.ndarray | NestedForm, b: np.ndarray | None = None) -> SolveReport:
     """Minimize w'Aw + b'w over the probability simplex.
 
-    ``form``, when given, must describe A (``A == form.matrix()`` up to
-    roundoff); (A, b) still give the tolerances and the certificate.
-    Raises ``ValueError`` on malformed input and on programs that are not
-    convex on the simplex.
+    A is an M x M array or the ``NestedForm`` that describes it, in which
+    case no M x M array is formed.  Raises ``ValueError`` on malformed input
+    and on programs that are not convex on the simplex.
     """
-    A, b, scale = _checked(A, b)
-    M = A.shape[0]
-    if form is not None:
-        if np.shape(form.g) != (M,) or np.shape(form.h) != (M,) or (form.r is not None and np.shape(form.r) != (M,)):
-            raise ValueError("nested form does not match the program size")
-        d, e = form.cumulative(b)
+    A, b, peak = _checked(A, b)
+    scale = max(1.0, peak, float(np.max(np.abs(b))))
+    M = b.shape[0]
+    cumulative = A.cumulative(b) if isinstance(A, NestedForm) else None
+    gradient = functools.partial(_gradient, A, b, cumulative=cumulative)
     if M == 1:
-        return _report(A, b, np.array([1.0]), 0, True, scale)
-    if form is None:
+        w, iterations, optimal = np.ones(1), 0, True
+    elif cumulative is None:
         _check_convex_on_simplex(A)
         start = int(np.argmin(np.diag(A) + b))
         w = np.zeros(M)
         w[start] = 1.0
-        w, iterations, optimal = _active_set(*_dense_program(A, b, scale), [start], w, scale)
-    elif form.r is None:
-        w, iterations = _pool_adjacent_violators(d, e, 1e-12 * float(np.max(np.abs(A))))
-        optimal = True
+        w, iterations, optimal = _active_set(_dense_face(A, b, scale), gradient, [start], w, scale)
+    elif A.r is None:  # pool-adjacent-violators is exact
+        (w, iterations), optimal = _pool_adjacent_violators(*cumulative, 1e-12 * peak), True
     else:
-        face, gradient = _tridiagonal_program(d, e, np.asarray(form.r, dtype=np.float64))
+        face = _tridiagonal_face(*cumulative, A.r)
         w, iterations, optimal = _active_set(face, gradient, list(range(M)), np.full(M, 1.0 / M), scale)
-    return _report(A, b, w, iterations, optimal, scale)
+    return _report(A, b, w, iterations, optimal, scale, cumulative)
 
 
 def _active_set(face, gradient, free: list[int], w: np.ndarray, scale: float) -> tuple[np.ndarray, int, bool]:
@@ -244,9 +260,8 @@ def _active_set(face, gradient, free: list[int], w: np.ndarray, scale: float) ->
     return w, iterations, optimal
 
 
-def _dense_program(A: np.ndarray, b: np.ndarray, scale: float):
-    """The face step and the gradient of the dense program; a face step solves
-    the bordered KKT system on the free indices by SVD."""
+def _dense_face(A: np.ndarray, b: np.ndarray, scale: float):
+    """The face step of the dense program: the bordered KKT system on the free indices, solved by SVD."""
 
     def face(free: list[int], w: np.ndarray) -> tuple[np.ndarray, float]:
         k = len(free)
@@ -262,10 +277,7 @@ def _dense_program(A: np.ndarray, b: np.ndarray, scale: float):
         sol = Vt.T @ ((U.T @ np.concatenate([-b[free], [scale]])) / s)
         return sol[:k] - w[free], 1.0
 
-    def gradient(w: np.ndarray) -> np.ndarray:
-        return 2.0 * A @ w + b
-
-    return face, gradient
+    return face
 
 
 def _level(num: float, den: float) -> float:
@@ -320,15 +332,14 @@ def _tridiagonal_solve(diag: list[float], off: list[float], rhs: list[float]) ->
     return x
 
 
-def _tridiagonal_program(d: np.ndarray, e: np.ndarray, r: np.ndarray):
-    """The face step and the gradient of the ridged cumulative form, once its convexity is certified.
+def _tridiagonal_face(d: np.ndarray, e: np.ndarray, r: np.ndarray):
+    """The face step of the ridged cumulative form, once its convexity is certified.
 
     On the face with free candidates f_0 < ... < f_{s-1}, the variables are
     E_m = C_i for f_m <= i < f_{m+1} (m < s - 1); the steps inside one run
     pool their d and e, and the ridge keeps r at the free candidates only.
     The face solve runs on plain floats: the programs are small and numpy's
-    per-call cost would dominate.  The gradient in w, up to a common shift,
-    is g_q = sum_{q <= i < M-1} (2 d_i C_i + e_i) + 2 r_q w_q.
+    per-call cost would dominate.
     """
     pivots = _ldl_pivots((d + r[:-1] + r[1:]).tolist(), (-r[1:-1]).tolist())
     if min(pivots) <= 0.0:
@@ -349,9 +360,4 @@ def _tridiagonal_program(d: np.ndarray, e: np.ndarray, r: np.ndarray):
             target = [hi - lo for lo, hi in zip([0.0] + E, E + [1.0])]
         return np.array(target) - w[free], 1.0
 
-    def gradient(w: np.ndarray) -> np.ndarray:
-        g = 2.0 * r * w
-        g[:-1] += np.cumsum((2.0 * d * np.cumsum(w)[:-1] + e)[::-1])[::-1]
-        return g
-
-    return face, gradient
+    return face

@@ -4,20 +4,34 @@ Each oracle evaluates its formula directly, apart from the library's program
 assembly and row borders, so that agreement with them is evidence rather
 than a restatement.  The Theorem-1 limit is here as whole M x M matrices
 filled by boolean masks, read as the quadratic form w'(D_V + D_B)w; the
-library only ever sums row borders of it.
+library only ever sums row borders of it.  A nested program is here as the
+dense matrix its ``NestedForm`` describes; the solver only reads the vectors.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
+from lama.qp import NestedForm
 from lama.risk_theory import BOUNDARY_DELTA, _theorem1_inputs
+
+
+def matrix(A) -> np.ndarray:
+    """The dense A of a program: A(q,l) = g[max(q,l)] + h[min(q,l)] + 1{q=l} r_q
+    for a ``NestedForm``, else A itself."""
+    if not isinstance(A, NestedForm):
+        return np.asarray(A, dtype=np.float64)
+    i = np.arange(len(A.g))
+    dense = A.g[np.maximum.outer(i, i)] + A.h[np.minimum.outer(i, i)]
+    if A.r is not None:
+        dense[np.diag_indices_from(dense)] += A.r
+    return dense
 
 
 def value(program, w) -> float:
     """w'Aw + b'w of a ``QuadraticProgram``."""
     w = np.asarray(w, dtype=np.float64).reshape(-1)
-    return float(w @ program.A @ w + program.b @ w)
+    return float(w @ matrix(program.A) @ w + program.b @ w)
 
 
 def lama_criterion_value(fits, sigma2_hat: float, xi_value: float, w) -> float:

@@ -33,7 +33,7 @@ from lama.models import Dataset, fit_all
 from lama.qp import solve_simplex_qp
 
 from conftest import make_fits, summary_fits
-from oracles import lama_criterion_value, value
+from oracles import lama_criterion_value, matrix, value
 
 
 class TestQuadraticProgram:
@@ -84,7 +84,8 @@ class TestQuadraticProgram:
                 lama_program(fits.subset(fits.sizes < fits.n), s2, 0.5),
             )
             for prog in programs:
-                assert np.array_equal(prog.A, prog.A.T)
+                A = matrix(prog.A)
+                assert np.array_equal(A, A.T)
 
 
 class TestSigmaHat:
@@ -127,7 +128,7 @@ class TestMmaProgram:
         fits, _, _ = make_fits(11, n=24, sizes=(1, 3, 6))
         prog = mma_program(fits, 1.5)
         E = fits.residuals
-        np.testing.assert_allclose(prog.A, E.T @ E / 24, rtol=1e-12)
+        np.testing.assert_allclose(matrix(prog.A), E.T @ E / 24, rtol=1e-12)
         np.testing.assert_allclose(prog.b, 2 * 1.5 * fits.sizes / 24)
 
     def test_vertex_value_is_model_selection_score(self):
@@ -179,14 +180,14 @@ class TestResidualGramFromRss:
         tol = 1e-12 * np.max(np.abs(gram))
         s2 = sigma_hat(fits)
         mma = mma_program(fits, s2)
-        assert np.max(np.abs(fits.n * mma.A - gram)) <= tol
+        assert np.max(np.abs(fits.n * matrix(mma.A) - gram)) <= tol
         assert solve_simplex_qp(mma.A, mma.b).status == "converged"
 
         sub = fits.subset(fits.sizes < fits.n)
         sub_gram = gram[np.ix_(fits.sizes < fits.n, fits.sizes < fits.n)]
         # lama_program needs sigma2 > 0: the smallest normal float leaves
         # only the residual part of A.
-        residual_part = lama_program(sub, np.finfo(float).tiny, 0.0).A
+        residual_part = matrix(lama_program(sub, np.finfo(float).tiny, 0.0).A)
         assert np.max(np.abs(residual_part - sub_gram)) <= tol
         x = xi(np.diag(v_out_matrix(sub, s2)), b_in_diag(sub, s2))
         lama = lama_program(sub, s2, x)
@@ -305,13 +306,13 @@ class TestLamaProgram:
         mallows_scale = E.T @ E + s2 * (
             np.maximum.outer(sizes, sizes) + np.minimum.outer(sizes, sizes)
         )
-        assert np.all(prog.A - mallows_scale >= -1e-10)
+        assert np.all(matrix(prog.A) - mallows_scale >= -1e-10)
 
     def test_zero_ridge_drops_the_diagonal_term(self):
         fits, _, _ = make_fits(37, n=24, sizes=(2, 6))
         base = lama_program(fits, 1.0, 0.0)
         ridged = lama_program(fits, 1.0, 2.0)
-        extra = np.diag(ridged.A - base.A)
+        extra = np.diag(matrix(ridged.A) - matrix(base.A))
         np.testing.assert_allclose(
             extra, 2.0 * 1.0 * 24 * fits.sizes / (24 - fits.sizes), rtol=1e-12
         )

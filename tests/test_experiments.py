@@ -505,6 +505,32 @@ class TestEvaluateReal:
         assert (row["reps"], row["excluded"]) == (0, 3)
         assert np.isnan(row["test_err_mean"]) and np.isnan(row["test_err_var"])
 
+    def test_redraws_count_every_split(self, monkeypatch):
+        # One nonzero response in 400: a 4-row training draw is constant 99%
+        # of the time, so some splits use up their 100 draws and are dropped
+        # as degenerate.  Each split's draws past its first are redraws,
+        # whether it survives, is degenerate or fails.
+        Y = np.zeros(400)
+        Y[7] = 1.0
+        X = np.column_stack([np.ones(400), np.random.default_rng(0).standard_normal((400, 2))])
+        data = Dataset(Y=Y, X=X, has_intercept=True)
+        redraws, degenerate = 0, 0
+        for rep in range(20):
+            split = rng_for(0, "real-split", 4, rep)
+            hits = [7 in split.permutation(400)[:4] for _ in range(100)]
+            redraws += hits.index(True) if any(hits) else 99
+            degenerate += not any(hits)
+        (row,) = evaluate_real(data, 4, reps=20, seed=0, methods=("mma",), max_models=2, workers=1)
+        assert degenerate > 0
+        assert (row["excluded"], row["redraws"]) == (degenerate, redraws)
+
+        def fail(*args, **kwargs):
+            raise ValueError("weight choice failed")
+
+        monkeypatch.setattr(xp, "compute_weights", fail)
+        (row,) = evaluate_real(data, 4, reps=20, seed=0, methods=("mma",), max_models=2, workers=1)
+        assert (row["reps"], row["excluded"], row["redraws"]) == (0, 20, redraws)
+
     def test_csv_layout(self):
         data = load_builtin("mtcars")
         rows = evaluate_real(data, 25, reps=2, seed=0, methods=("mma",), workers=1)
@@ -624,7 +650,9 @@ def test_every_quadratic_solve_goes_through_one_name(monkeypatch):
     fits, _, _ = make_fits(3, n=24, sizes=(1, 3, 6))
     for method in QUADRATIC_METHODS:
         choice = compute_weights(fits, method)
-        assert (choice.status, choice.kkt_residual) == (reports[-1].status, reports[-1].kkt_residual)
+        last = reports[-1]
+        assert (choice.status, choice.iterations, choice.kkt_residual) == (
+            last.status, last.iterations, last.kkt_residual)
     assert len(reports) == 12
 
 

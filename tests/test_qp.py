@@ -6,6 +6,8 @@ programs, and to the feasibility, determinism, tie-breaking and convexity
 contracts that the experiment layer relies on.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,10 +15,10 @@ from hypothesis import strategies as st
 
 from lama.criteria import b_in_diag, lama_program, mma_program, sigma_hat, v_out_matrix, xi
 from lama.models import Dataset, ModelFits, fit_all
-from lama.qp import NestedForm, _tridiagonal_program, simplex_project, solve_simplex_qp
+from lama.qp import NestedForm, _checked, _gradient, _report, simplex_project, solve_simplex_qp
 
 from conftest import grid_min, simplex_grid, summary_fits
-from oracles import lama_criterion_value
+from oracles import lama_criterion_value, matrix
 
 
 class TestSimplexProject:
@@ -142,11 +144,11 @@ class TestSolveSimplexQp:
             ranks=sizes.copy(),
         )
         program = lama_program(fits, 1.0, 0.0)
-        assert np.linalg.eigvalsh(program.A)[0] < 0.0
-        for report in (solve_simplex_qp(program.A, program.b),
-                       solve_simplex_qp(program.A, program.b, program.form)):
+        A = matrix(program.A)
+        assert np.linalg.eigvalsh(A)[0] < 0.0
+        for report in (solve_simplex_qp(A, program.b), solve_simplex_qp(program.A, program.b)):
             assert report.status == "converged"
-            assert report.objective <= grid_min(program.A, program.b) + 1e-12
+            assert report.objective <= grid_min(A, program.b) + 1e-12
             assert report.objective / n == pytest.approx(
                 lama_criterion_value(fits, 1.0, 0.0, report.weights), rel=1e-12
             )
@@ -195,7 +197,7 @@ class TestSolveSimplexQp:
 
 class TestCumulativeForm:
     """The Mallows and large-model programs solved through their cumulative
-    form, held to the dense path (no form) as the reference."""
+    form, held to the dense path (the matrix their form describes) as the reference."""
 
     @staticmethod
     def _fits(seed, route):
@@ -223,11 +225,11 @@ class TestCumulativeForm:
         sub = fits.subset(fits.sizes < fits.n)
         x = xi(np.diag(v_out_matrix(sub, s2)), b_in_diag(sub, s2))
         for program in (mma_program(fits, s2), lama_program(sub, s2, x)):
-            reference = solve_simplex_qp(program.A, program.b)
-            report = solve_simplex_qp(program.A, program.b, program.form)
+            reference = solve_simplex_qp(matrix(program.A), program.b)
+            report = solve_simplex_qp(program.A, program.b)
             assert report.status == "converged"
             np.testing.assert_allclose(report.weights, reference.weights, rtol=0.0, atol=1e-9)
-            scale = max(1.0, float(np.max(np.abs(program.A))))
+            scale = max(1.0, program.A.max_abs())
             assert abs(report.objective - reference.objective) <= 1e-12 * scale
 
     @given(st.integers(min_value=1, max_value=12), st.integers(min_value=0, max_value=2**32 - 1),
@@ -248,7 +250,7 @@ class TestCumulativeForm:
             r = rng.standard_normal(M) if ridge else None
         b = rng.standard_normal(M)
         form = NestedForm(g, h, r)
-        A = form.matrix()
+        A = matrix(form)
         d, e = form.cumulative(b)
         gaps = []
         for _ in range(8):
@@ -260,25 +262,42 @@ class TestCumulativeForm:
         assert np.ptp(gaps) <= 1e-12 * scale
         if convex:
             reference = solve_simplex_qp(A, b)
-            report = solve_simplex_qp(A, b, form)
+            report = solve_simplex_qp(form, b)
             assert report.status == reference.status == "converged"
             np.testing.assert_allclose(report.weights, reference.weights, rtol=0.0, atol=1e-9)
 
-    @given(st.integers(min_value=0, max_value=2**32 - 1), st.sampled_from(["qr", "svd"]))
-    @settings(max_examples=30, deadline=None)
-    def test_tridiagonal_gradient_is_the_dense_gradient_up_to_a_shift(self, seed, route):
-        # The entering test compares gradient entries with the free ones'
-        # mean, so only a common shift may separate the two gradients.
-        fits = self._fits(seed, route)
-        s2 = sigma_hat(fits)
-        sub = fits.subset(fits.sizes < fits.n)
-        program = lama_program(sub, s2, xi(np.diag(v_out_matrix(sub, s2)), b_in_diag(sub, s2)))
-        form = program.form
-        _, gradient = _tridiagonal_program(*form.cumulative(program.b), form.r)
-        w = simplex_project(np.random.default_rng(seed).standard_normal(sub.M))
-        gap = gradient(w) - (2.0 * program.A @ w + program.b)
-        scale = max(1.0, float(np.max(np.abs(program.A))), float(np.max(np.abs(program.b))))
-        assert np.ptp(gap) <= 1e-9 * scale
+    @given(st.integers(min_value=1, max_value=12), st.integers(min_value=0, max_value=2**32 - 1),
+           st.booleans(), st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_vector_quantities_match_the_dense_oracle(self, M, seed, ridge, convex):
+        # The solver takes max|A|, the objective, the gradient and the KKT
+        # residual of a nested program from its vectors in O(M).  max|A| sets
+        # the tie tolerance and the status bound, so it must be bit-equal;
+        # the entering test and the projection ignore a common gradient shift.
+        rng = np.random.default_rng(seed)
+        size = 10.0 ** rng.uniform(-3, 3)
+        if convex:
+            g = rng.standard_normal() - np.cumsum(rng.uniform(0.1, 1.0, M))
+            h = np.cumsum(rng.uniform(0.1, 1.0, M))
+            r = rng.uniform(0.0, 1.0, M) if ridge else None
+        else:
+            g, h = rng.standard_normal((2, M))
+            r = rng.standard_normal(M) if ridge else None
+        form = NestedForm(size * g, size * h, None if r is None else size * r)
+        b = size * rng.standard_normal(M)
+        A = matrix(form)
+        _, _, peak = _checked(form, b)
+        assert peak == _checked(A, b)[2] == np.max(np.abs(A))
+        scale = max(1.0, peak, float(np.max(np.abs(b))))
+        cumulative = form.cumulative(b)
+        for _ in range(8):
+            w = rng.dirichlet(np.ones(M))
+            gap = _gradient(form, b, w, cumulative) - (2.0 * A @ w + b)
+            assert np.ptp(gap) <= 1e-12 * scale
+            nested = _report(form, b, w.copy(), 0, True, scale, cumulative)
+            dense = _report(A, b, w.copy(), 0, True, scale)
+            assert abs(nested.objective - dense.objective) <= 1e-12 * scale
+            assert abs(nested.kkt_residual - dense.kkt_residual) <= 1e-12 * scale
 
     @pytest.mark.parametrize("roundoff", [0.0, 3e-15])
     def test_tied_step_merges_into_the_next_block(self, roundoff):
@@ -288,10 +307,11 @@ class TestCumulativeForm:
         # and step 0 stays at 0.05 / 0.3 = 1/6.  An RSS rise at roundoff is a tie too.
         fits = summary_fits(10, [1, 2, 3, 4], [6.0, 3.0, 3.0 + roundoff, 1.0])
         program = mma_program(fits, 0.5)
-        report = solve_simplex_qp(program.A, program.b, program.form)
+        report = solve_simplex_qp(program.A, program.b)
+        A = matrix(program.A)
         np.testing.assert_allclose(report.weights, [1 / 6, 1 / 3, 0.0, 1 / 2], atol=1e-12)
-        np.testing.assert_allclose(solve_simplex_qp(program.A, program.b).weights, report.weights, atol=1e-12)
-        assert report.objective <= grid_min(program.A, program.b) + 1e-12
+        np.testing.assert_allclose(solve_simplex_qp(A, program.b).weights, report.weights, atol=1e-12)
+        assert report.objective <= grid_min(A, program.b) + 1e-12
 
     def test_negative_curvature_raises(self):
         # RSS rising by more than roundoff (Mallows), and a large-model
@@ -299,17 +319,49 @@ class TestCumulativeForm:
         mallows = mma_program(summary_fits(10, [1, 2], [1.0, 2.0]), 0.5)
         large = lama_program(summary_fits(10, [1, 2], [1.0, 50.0]), 1.0, 0.0)
         for program in (mallows, large):
-            with pytest.raises(ValueError, match="not convex on the simplex"):
-                solve_simplex_qp(program.A, program.b)
-            with pytest.raises(ValueError, match="not convex on the simplex"):
-                solve_simplex_qp(program.A, program.b, program.form)
+            for A in (matrix(program.A), program.A):
+                with pytest.raises(ValueError, match="not convex on the simplex"):
+                    solve_simplex_qp(A, program.b)
 
     def test_single_candidate_and_size_checks(self):
         program = mma_program(summary_fits(10, [3], [2.0]), 0.5)
-        report = solve_simplex_qp(program.A, program.b, program.form)
+        report = solve_simplex_qp(program.A, program.b)
         np.testing.assert_array_equal(report.weights, [1.0])
         assert report.status == "converged"
+        assert report.objective == pytest.approx(2.0 / 10 + 2 * 0.5 * 3 / 10, rel=1e-15)
         with pytest.raises(ValueError, match="nested form"):
-            solve_simplex_qp(np.eye(3), None, NestedForm(g=np.ones(2), h=np.ones(2)))
+            NestedForm(g=np.ones(3), h=np.ones(2))
         with pytest.raises(ValueError, match="nested form"):
-            solve_simplex_qp(np.eye(3), None, NestedForm(g=np.ones(3), h=np.ones(3), r=np.ones(2)))
+            NestedForm(g=np.ones(3), h=np.ones(3), r=np.ones(2))
+        with pytest.raises(ValueError, match="nested form"):
+            NestedForm(g=np.ones((3, 1)), h=np.ones(3))
+        with pytest.raises(ValueError, match="empty program"):
+            solve_simplex_qp(NestedForm(g=[], h=[]))
+        with pytest.raises(ValueError, match="length"):
+            solve_simplex_qp(NestedForm(g=np.ones(3), h=np.ones(3)), b=np.ones(2))
+        # A NaN anywhere, and a finite form whose entries g + h overflow.
+        for g, h in (([1.0, np.nan], [0.0, 0.0]), ([1.0, 1.0], [np.inf, 0.0]), ([1e308, 0.0], [1e308, 0.0])):
+            with pytest.raises(ValueError, match="nested form contains non-finite"), np.errstate(over="ignore"):
+                solve_simplex_qp(NestedForm(g=g, h=h))
+
+    def test_memory_does_not_grow_with_m_squared(self):
+        # The dense A alone would take 8 M^2 bytes: 3.2 GB for the Mallows
+        # program at M = 20,000 and 200 MB for the ridged one at M = 5,000.
+        # The ridged optimum keeps every candidate, so the active set, which
+        # starts from the full support, stops after one face solve.
+        for M, ridge in ((20_000, None), (5_000, 1.0)):
+            k = np.arange(1, M + 1)
+            if ridge is None:
+                form, b = NestedForm(1.0 + 1.0 / k, np.zeros(M)), k / (2.0 * M)
+            else:
+                form, b = NestedForm(1.0 + 1.0 / k, k / M, np.full(M, ridge)), np.zeros(M)
+            tracemalloc.start()
+            try:
+                report = solve_simplex_qp(form, b)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert report.status == "converged"
+            assert peak < 8 * 2**20
+            if ridge is not None:
+                assert report.iterations == 1 and np.all(report.weights > 0.0)
