@@ -213,7 +213,7 @@ def _cmd_validate_rmt(args) -> int:
 
 def _cmd_validate_thm1(args) -> int:
     profile = _profile_from(args)
-    theta = profile.coefficients(max(args.p, max(args.sizes)))
+    theta = profile.coefficients(max(args.p, profile.truncate, max(args.sizes)))
     report = xp.validate_theorem1(
         args.n, args.sizes, theta, sigma2=args.sigma2, reps=args.reps, seed=args.seed,
         w=args.w, test_size=args.test_size,
@@ -250,7 +250,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--m-range", dest="m_values", metavar="M_RANGE", type=_INT_LIST, required=True,
                     help="candidate counts, a:b[:step] or comma list, inclusive")
     sp.add_argument("--weights", choices=sorted(_WEIGHTINGS), default="equal",
-                    help="equal | varpen (inverse limiting variance) | single (largest model alone)")
+                    help="equal | varpen (inverse limiting variance) | single (lone k = M model: Theorem-1 diagonal)")
     sp.add_argument("--sigma2", type=float, default=1.0, help="noise variance (default 1.0)")
     sp.add_argument("--exclude-singular", action="store_true",
                     help="drop the k = n candidate from each cell instead of averaging over it")

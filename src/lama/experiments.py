@@ -16,7 +16,6 @@ import types
 import typing
 import warnings
 import zlib
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -103,6 +102,8 @@ def _pmap(fn, items, workers: int):
     if workers <= 1 or len(items) <= 1:
         return [fn(x) for x in items]
     chunk = max(1, len(items) // (workers * 4))
+    from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing, which one worker never needs
+
     # The fork start method launches every worker on the first submit.
     with ProcessPoolExecutor(max_workers=min(workers, len(items)), initializer=_limit_blas) as ex:
         return list(ex.map(fn, items, chunksize=chunk))

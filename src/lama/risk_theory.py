@@ -52,25 +52,26 @@ def _positive(x: float, name: str) -> float:
     return x
 
 
-def _sides(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Masks of the ratios below and above the boundary [1 - BOUNDARY_DELTA, 1 + BOUNDARY_DELTA]."""
-    return c < 1.0 - BOUNDARY_DELTA, c > 1.0 + BOUNDARY_DELTA
-
-
 def below_boundary_variance(c, sigma2):
     """The Theorem-1 variance entry sigma2 c / (1 - c) of a pair whose smaller ratio c is below the boundary."""
     return sigma2 * c / (1.0 - c)
 
 
-def _single_parts(c, norm2, sigma2: float) -> tuple[np.ndarray, np.ndarray]:
-    """(bias, variance) limits of lone min-norm fits, elementwise; both +inf at the boundary."""
-    c = np.asarray(c, dtype=np.float64)
-    below, above = _sides(c)
-    with np.errstate(divide="ignore"):  # c = 1 exactly, which the boundary overwrites
-        bias = np.where(below, 0.0, norm2 * (1.0 - 1.0 / c))
-        variance = np.where(below, below_boundary_variance(c, sigma2), sigma2 / (c - 1.0))
-    on = ~(below | above)
-    return np.where(on, np.inf, bias), np.where(on, np.inf, variance)
+def _factors(c, norms2, re2, sigma2):
+    """Slices (lo, hi) of the increasing ratios c below and above [1 - BOUNDARY_DELTA, 1 + BOUNDARY_DELTA],
+    and the factors (v, p, q) of the Theorem-1 diagonal blocks, whose entries read the smaller candidate as [min]:
+      below: D_V = v[min], D_B = p[min] q[max]; v = below_boundary_variance(c), p = 1 / (1 - c), q = re2;
+      above: D_V = v[max], D_B = p[min] + (norms2[max] - norms2[min]) + q[max];
+        v = sigma2 / (c - 1), p = (c - 1) / c * norms2, q = c / (c - 1) * re2.
+    A lone candidate is its diagonal entry: variance v, bias p q below and p + q above.  Boundary
+    candidates get v = p = q = +inf, so their lone limits are +inf and 1 / v is 0.
+    """
+    lo, hi = slice(0, int(np.sum(c < 1.0 - BOUNDARY_DELTA))), slice(int(np.sum(c <= 1.0 + BOUNDARY_DELTA)), c.size)
+    v, p, q = np.full((3, c.size), np.inf)
+    cl, ch = c[lo], c[hi]
+    v[lo], p[lo], q[lo] = below_boundary_variance(cl, sigma2), 1.0 / (1.0 - cl), re2[lo]
+    v[hi], p[hi], q[hi] = sigma2 / (ch - 1.0), (ch - 1.0) / ch * norms2[hi], ch / (ch - 1.0) * re2[hi]
+    return lo, hi, v, p, q
 
 
 def _theorem1_inputs(c, norms2, total_norm2: float) -> tuple[np.ndarray, np.ndarray]:
@@ -100,16 +101,13 @@ def _theorem1_inputs(c, norms2, total_norm2: float) -> tuple[np.ndarray, np.ndar
 _BLOCK_ENTRIES = 1 << 16
 
 
-def _weighted_borders(c, norms2, re2, sigma2, u) -> tuple[np.ndarray, np.ndarray]:
+def _weighted_borders(c, norms2, re2, sigma2, u, factors=None) -> tuple[np.ndarray, np.ndarray]:
     """Row borders (bv, bb) of u' D_V u and u' D_B u for candidate weights u >= 0, inputs unchecked.
 
-    The one place the Theorem-1 entries are written.  re2 is the omitted norm total_norm2 - norms2, and
-    entry (q, l) reads the smaller model q as [min] and the larger l as [max].  As c increases, the pairs
-    below the boundary, above it and across it are two diagonal blocks and a rectangle (rows below); the
-    boundary rows and columns between them are +inf:
-      below: D_V = v[min], v = below_boundary_variance(c); D_B = re2[max] / (1 - c)[min];
-      above: D_V = dv[max], dv = sigma2 / (c - 1); D_B = a[min] + (norms2[max] - norms2[min]) + b[max],
-        a = (c - 1) / c * norms2, b = c / (c - 1) * re2;
+    re2 is the omitted norm total_norm2 - norms2, and entry (q, l) reads the smaller model q as [min] and
+    the larger l as [max].  As c increases, the pairs below the boundary, above it and across it are two
+    diagonal blocks, whose entries are those of ``_factors`` (``factors`` if given), and a rectangle (rows
+    below); the boundary rows and columns between them are +inf:
       across: D_V = sigma2 c[min] / gap, D_B = (c[max] - 1) / gap (norms2[max] - norms2[min]) +
         c[max] / gap re2[max], gap = c[max] - c[min].
     Border m is u_m (2 sum_{i<m} u_i A_im + u_m A_mm), so the first M borders sum to the leading M x M
@@ -119,13 +117,12 @@ def _weighted_borders(c, norms2, re2, sigma2, u) -> tuple[np.ndarray, np.ndarray
     weighted column sums u_below' R, over blocks of at most _BLOCK_ENTRIES entries: O(M) memory and
     O(M + |below| |above|) time.
     """
-    below, above = _sides(c)
-    lo, hi = slice(0, int(below.sum())), slice(c.size - int(above.sum()), c.size)
+    lo, hi, v, p, q = factors or _factors(c, norms2, re2, sigma2)
     cl, ch, nl, n2, ul, uh = c[lo], c[hi], norms2[lo], norms2[hi], u[lo], u[hi]
     bv = np.where(u > 0.0, np.inf, 0.0)
     bb = bv.copy()
-    bv[lo] = _borders(ul, below_boundary_variance(cl, sigma2), 1.0)
-    bb[lo] = _borders(ul, 1.0 / (1.0 - cl), re2[lo])
+    bv[lo] = _borders(ul, v[lo], 1.0)
+    bb[lo] = _borders(ul, p[lo], q[lo])
     sv = sb = 0.0
     step, cmax = max(1, _BLOCK_ENTRIES // max(1, ch.size)), ch[None, :]
     for start in range(0, cl.size, step):
@@ -137,9 +134,8 @@ def _weighted_borders(c, norms2, re2, sigma2, u) -> tuple[np.ndarray, np.ndarray
     # sum_{i<m} u_i (n2_m - n2_i) as the running sum of n2 steps times the weight before them.
     gaps = np.zeros(uh.size)
     np.cumsum(np.diff(n2) * np.cumsum(uh)[:-1], out=gaps[1:])
-    bv[hi] = _borders(uh, 1.0, sigma2 / (ch - 1.0)) + 2.0 * uh * sv
-    bb[hi] = (_borders(uh, (ch - 1.0) / ch * n2, 1.0) + _borders(uh, 1.0, ch / (ch - 1.0) * re2[hi])
-              + 2.0 * uh * (gaps + sb))
+    bv[hi] = _borders(uh, 1.0, v[hi]) + 2.0 * uh * sv
+    bb[hi] = _borders(uh, p[hi], 1.0) + _borders(uh, 1.0, q[hi]) + 2.0 * uh * (gaps + sb)
     return bv, bb
 
 
@@ -255,16 +251,17 @@ def risk_surface(
       * "equal": uniform weights over the candidates kept in the cell;
       * "variance_penalized": weights inversely proportional to the limiting
         variance diagonal (singular candidates get weight zero);
-      * "single": no averaging at all, the closed-form risk of the lone
-        model with k = M (the bias column then reports its over-parameterized
-        compression bias, zero below the boundary).
+      * "single": no averaging at all, the Theorem-1 diagonal entry at
+        k = M, the limiting risk of the lone model with k = M; its bias
+        includes the signal the model omits.
 
     With ``exclude_singular`` the k = n candidate is dropped from cells where
     M >= n, which is the conventional way to plot equal-weight surfaces that
     would otherwise diverge on the diagonal.
 
-    The inputs are validated once.  Cell weights are proportional to u: 1 for "equal", the inverse
-    lone-model variance for "variance_penalized", 0 for an infinite variance or an excluded candidate.
+    The inputs are validated once, and each n takes the ``_factors`` of its candidates once; a "single"
+    cell reads their diagonal.  Other cell weights are proportional to u: 1 for "equal", 1 / v for
+    "variance_penalized", 0 for an infinite variance or an excluded candidate.
     A part of cell (n, M) is sum_{i,j<M} u_i u_j A_ij over (sum_{i<M} u_i)^2, so one call of
     ``_weighted_borders`` per n, at the largest M, and one running sum of its borders give every M of a
     row.  A row takes O(M) memory and O(M + |below| |above|) time, with no M x M array, and differs
@@ -284,30 +281,34 @@ def risk_surface(
     out_n = np.repeat(n_values, m_values.size)
     out_m = np.tile(m_values, n_values.size)
     excl = (out_m >= out_n) & (bool(exclude_singular) and weighting != "single")
-    if weighting == "single":
-        bias, variance = _single_parts(out_m / out_n, profile.prefix_norm2(out_m), sigma2)
-    else:
-        bias, variance = np.empty((2, n_values.size, m_values.size))
-        sizes = np.arange(1, int(m_values.max()) + 1)
-        norms2, total = profile.prefix_norm2(sizes), profile.total_norm2()
-        # The ratios sizes / n are positive and increasing at every n, as at n = 1: one check covers
-        # the grid, and the entries are symmetric, NaN-free and nonnegative by construction.
-        _theorem1_inputs(sizes, norms2, total)
-        re2 = total - norms2
-        for row, n in enumerate(n_values):
-            c = sizes / n
-            u = np.ones(sizes.size) if weighting == "equal" else 1.0 / _single_parts(c, 0.0, sigma2)[1]
-            if exclude_singular and n <= sizes.size:
-                u[n - 1] = 0.0
-            U = np.cumsum(u)[m_values - 1]
-            if np.any(U == 0.0):  # n = 1: the lone candidate of M = 1 is on the boundary
-                raise ValueError(f"cell (n={n}, M=1) has no candidates left" if exclude_singular
-                                 else "all candidates have infinite variance")
-            # A boundary row with weight makes every later prefix +inf.
-            bv, bb = _weighted_borders(c, norms2, re2, sigma2, u)
-            bias[row] = np.cumsum(bb)[m_values - 1] / U**2
-            variance[row] = np.cumsum(bv)[m_values - 1] / U**2
-        bias, variance = bias.reshape(-1), variance.reshape(-1)
+    bias, variance = np.empty((2, n_values.size, m_values.size))
+    sizes = np.arange(1, int(m_values.max()) + 1)
+    norms2, total = profile.prefix_norm2(sizes), profile.total_norm2()
+    # The ratios sizes / n are positive and increasing at every n, as at n = 1: one check covers
+    # the grid, and the entries are symmetric, NaN-free and nonnegative by construction.
+    _theorem1_inputs(sizes, norms2, total)
+    re2 = total - norms2
+    ms, cell = np.unique(m_values, return_inverse=True)
+    for row, n in enumerate(n_values):
+        if weighting == "single":  # the lone models of the grid's M alone, in increasing order
+            lo, _, v, p, q = _factors(ms / n, norms2[ms - 1], re2[ms - 1], sigma2)
+            lone = np.concatenate([p[lo] * q[lo], p[lo.stop:] + q[lo.stop:]])
+            bias[row], variance[row] = lone[cell], v[cell]
+            continue
+        c = sizes / n
+        factors = _factors(c, norms2, re2, sigma2)
+        u = np.ones(sizes.size) if weighting == "equal" else 1.0 / factors[2]
+        if exclude_singular and n <= sizes.size:
+            u[n - 1] = 0.0
+        U = np.cumsum(u)[m_values - 1]
+        if np.any(U == 0.0):  # n = 1: the lone candidate of M = 1 is on the boundary
+            raise ValueError(f"cell (n={n}, M=1) has no candidates left" if exclude_singular
+                             else "all candidates have infinite variance")
+        # A boundary row with weight makes every later prefix +inf.
+        bv, bb = _weighted_borders(c, norms2, re2, sigma2, u, factors)
+        bias[row] = np.cumsum(bb)[m_values - 1] / U**2
+        variance[row] = np.cumsum(bv)[m_values - 1] / U**2
+    bias, variance = bias.reshape(-1), variance.reshape(-1)
 
     return RiskSurface(
         n=out_n, M=out_m, weighting=weighting, risk=bias + variance, bias=bias, variance=variance,

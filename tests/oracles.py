@@ -59,8 +59,9 @@ def lama_criterion_value(fits, sigma2_hat: float, xi_value: float, w) -> float:
 
 
 def single_model_risk(c: float, norm2: float, sigma2: float) -> float:
-    """Limiting out-of-sample risk of one min-norm least-squares fit.
+    """Limiting out-of-sample risk of one min-norm least-squares fit that carries all the signal.
 
+    This is the Theorem-1 diagonal entry in the special case of no omitted signal (re2 = 0):
     sigma2 c / (1 - c) below the boundary (no bias contribution there);
     norm2 (1 - 1/c) + sigma2 / (c - 1) above it, where norm2 is the squared
     norm of the coefficients the model carries.  +inf for c in

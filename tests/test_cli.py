@@ -12,6 +12,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -218,6 +219,22 @@ class TestSurfaceCommand:
         assert (code, out) == (2, "")
         assert err == "numerical failure: Unable to allocate 7.28 TiB for an array\n"
 
+    @pytest.mark.parametrize("m", ["100", "300"])
+    def test_single_prints_the_validate_thm1_limit(self, capsys, m):
+        # Both commands evaluate the Theorem-1 form: "single" at its diagonal, validate-thm1 at e_1.
+        _, out, _ = run_cli(capsys, "surface", "--n-range", "200", "--m-range", m, "--weights", "single")
+        row = out.strip().split("\n")[1].split(",")
+        _, out, _ = run_cli(capsys, "validate-thm1", "--n", "200", "--sizes", m, "--reps", "1", "--test-size", "20")
+        report = json.loads(out)
+        assert row[3:6] == [repr(report[f"theoretical_{part}"]) for part in ("risk", "bias", "variance")]
+
+    def test_single_through_the_boundary_warns_nothing(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "surface", "--n-range", "1:20", "--m-range", "1:40", "--weights", "single")
+        assert (code, err) == (0, "")
+        assert out.count(",single,inf,inf,inf,") == 20
+
     def test_profile_parameterizations_differ(self, capsys):
         _, snr_out, _ = run_cli(capsys, "surface", "--n-range", "20", "--m-range", "5")
         _, r2_out, _ = run_cli(
@@ -394,6 +411,13 @@ class TestValidateCommands:
         assert report["sizes"] == [2, 4]
         assert report["rel_error"] >= 0.0
 
+    def test_thm1_keeps_the_profile_past_p(self, capsys):
+        # --p sizes the R2 parameterization; under --snr/--decay the signal runs to --truncate.
+        argv = ["validate-thm1", "--n", "100", "--sizes", "10,50", "--reps", "2", "--truncate", "800", "--decay", "0.3"]
+        _, out, _ = run_cli(capsys, *argv)
+        _, wide, _ = run_cli(capsys, *argv, "--p", "800")
+        assert out == wide
+
     def test_thm1_explicit_weights(self, capsys):
         code, out, _ = run_cli(
             capsys, "validate-thm1", "--n", "20", "--sizes", "2,4",
@@ -421,6 +445,13 @@ class TestTopLevel:
     def test_import_leaves_scipy_out(self):
         # Importing scipy would double the startup every command pays.
         code = "import lama.cli, sys; print(any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules))"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
+    def test_import_leaves_the_process_pool_out(self):
+        # A one-worker run never needs multiprocessing; the pool is imported where it is used.
+        code = "import lama.cli, sys; print('concurrent.futures.process' in sys.modules)"
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"

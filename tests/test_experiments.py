@@ -6,6 +6,7 @@ and to the underlying programs, and the Monte-Carlo validators are checked
 for their exact closed-form targets and report shapes.
 """
 
+import concurrent.futures
 import dataclasses
 import io
 import pickle
@@ -104,7 +105,7 @@ class TestWorkerCount:
             def map(self, fn, items, chunksize):
                 return map(fn, items)
 
-        monkeypatch.setattr(xp, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
         assert xp._pmap(abs, [-1, -2], workers=10_000) == [1, 2]
         assert xp._pmap(abs, range(-5, 0), workers=3) == [5, 4, 3, 2, 1]
         assert sizes == [2, 3]

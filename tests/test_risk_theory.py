@@ -22,7 +22,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lama.risk_theory import BOUNDARY_DELTA, InputError, PowerLawProfile, _single_parts, _weighted_borders, risk_surface
+from lama.experiments import validate_theorem1
+from lama.risk_theory import BOUNDARY_DELTA, InputError, PowerLawProfile, _factors, _weighted_borders, risk_surface
 
 from oracles import (
     RiskMatrices,
@@ -246,14 +247,15 @@ class TestSingleModelRisk:
 
     def test_boundary_is_the_one_used_by_theorem1(self):
         # Both ends of [1 - delta, 1 + delta] are on the boundary, and the
-        # nearest floats outside them are not: the lone-model parts, the
+        # nearest floats outside them are not: the diagonal factors, the
         # Theorem-1 matrices and the scalar oracles all read the same interval.
         for edge in (1.0 - BOUNDARY_DELTA, 1.0 + BOUNDARY_DELTA):
             for c in (np.nextafter(edge, 0.0), edge, np.nextafter(edge, 2.0)):
                 on = _on_boundary(c)
                 mats = theorem1_matrices([c], [0.5], 1.0, 1.0)
                 borders = _weighted_borders(np.array([c]), np.array([0.5]), np.array([0.5]), 1.0, np.ones(1))
-                for part in (*_single_parts(c, 0.5, 1.0), mats.variance[0, 0], mats.bias[0, 0], *np.ravel(borders),
+                factors = _factors(np.array([c]), np.array([0.5]), np.array([0.5]), 1.0)[2:]
+                for part in (*np.ravel(factors), mats.variance[0, 0], mats.bias[0, 0], *np.ravel(borders),
                              _dv_entry(c, c, 1.0), _db_entry(c, c, 0.5, 0.5, 0.5)):
                     assert np.isinf(part) == on
                 assert np.isinf(single_model_risk(c, 0.5, 1.0)) == on
@@ -723,26 +725,36 @@ class TestRiskSurface:
         assert surface.weighting == "variance_penalized"
 
     def test_single_weighting_uses_lone_model_closed_form(self, snr_profile):
+        # The lone model is the Theorem-1 diagonal entry, omitted signal included.
         surface = risk_surface([20], [10, 20, 40], snr_profile, weighting="single")
-        assert surface.risk[0] == pytest.approx(
-            single_model_risk(0.5, float(snr_profile.prefix_norm2(10)), 1.0)
-        )
+        sizes = np.array([10, 20, 40])
+        mats = theorem1_matrices(sizes / 20, snr_profile.prefix_norm2(sizes), snr_profile.total_norm2(), 1.0)
+        assert surface.risk[0] == pytest.approx(mats.variance[0, 0] + mats.bias[0, 0], rel=1e-13)
         assert surface.risk[1] == np.inf
-        assert surface.risk[2] == pytest.approx(
-            single_model_risk(2.0, float(snr_profile.prefix_norm2(40)), 1.0)
-        )
-        assert surface.bias[0] == 0.0
+        assert surface.risk[2] == pytest.approx(mats.variance[2, 2] + mats.bias[2, 2], rel=1e-13)
+        assert surface.bias[0] > 0.0
+
+    def test_single_weighting_is_the_lone_model_form_when_all_signal_is_carried(self):
+        # With truncate <= M the candidate omits nothing, and the lone-model oracle applies.
+        profile = PowerLawProfile.from_snr(1.0, 0.6, truncate=5)
+        ms = [5, 10, 20, 40, 80]
+        surface = risk_surface([20], ms, profile, sigma2=1.7, weighting="single")
+        for i, m in enumerate(ms):
+            expected = single_model_risk(m / 20.0, float(profile.prefix_norm2(m)), 1.7)
+            assert surface.risk[i] == pytest.approx(expected, rel=1e-13)
+        assert surface.bias[1] == 0.0 < surface.bias[3]
 
     def test_single_weighting_columns_are_the_lone_model_parts(self, snr_profile):
         ms = [5, 10, 20, 40, 80]  # c = 0.25, 0.5, 1 (boundary), 2, 4 at n = 20
         surface = risk_surface([20], ms, snr_profile, sigma2=1.7, weighting="single")
+        sizes = np.arange(1, 81)
+        mats = theorem1_matrices(sizes / 20, snr_profile.prefix_norm2(sizes), snr_profile.total_norm2(), 1.7)
         for i, m in enumerate(ms):
-            norm2 = float(snr_profile.prefix_norm2(m))
-            bias, variance = _single_parts(m / 20.0, norm2, 1.7)
-            assert (surface.bias[i], surface.variance[i]) == (bias, variance)
-            assert surface.risk[i] == single_model_risk(m / 20.0, norm2, 1.7)
+            parts = (mats.bias[m - 1, m - 1], mats.variance[m - 1, m - 1])
+            assert (surface.bias[i], surface.variance[i]) == pytest.approx(parts, rel=1e-13)
+            assert surface.risk[i] == surface.bias[i] + surface.variance[i]
         assert surface.risk[2] == np.inf
-        assert surface.bias[0] == 0.0 < surface.bias[3]
+        assert 0.0 < surface.bias[0]
 
     def test_rejects_unknown_weighting_and_empty_grid(self, snr_profile):
         with pytest.raises(ValueError, match="weighting"):
@@ -831,6 +843,66 @@ class TestRiskSurface:
         assert float(first[3]) == pytest.approx(surface.risk[0])
         assert first[6] == "false"
         assert lines[2].split(",")[6] == "true"
+
+
+class TestLoneModelDiagonal:
+    """A candidate alone is a vertex e_m of the Theorem-1 form: its limit is the diagonal entry."""
+
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1), edges=st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_factors_diagonal_is_the_vertex_of_the_form(self, seed, edges):
+        r = np.random.default_rng(seed)
+        lo_edge, hi_edge = 1.0 - BOUNDARY_DELTA, 1.0 + BOUNDARY_DELTA
+        c = r.uniform(0.05, 3.0, int(r.integers(1, 12)))
+        if edges:  # ratios exactly at 1 -/+ delta (boundary) and one float past each edge (not)
+            c = np.append(c, [lo_edge, hi_edge, np.nextafter(lo_edge, 0.0), np.nextafter(hi_edge, 2.0)])
+        c = np.unique(c)
+        norms2 = np.sort(r.choice([0.0, 0.5, r.uniform(0.0, 3.0), r.uniform(0.0, 3.0)], size=c.size))
+        total = float(norms2[-1]) + float(r.choice([0.0, r.uniform(0.0, 2.0)]))
+        sigma2 = float(r.uniform(0.1, 3.0))
+        re2 = total - norms2
+        # The lone-model parts as risk_surface reads them for "single" cells.
+        lo, _, variance, p, q = _factors(c, norms2, re2, sigma2)
+        bias = p + q
+        bias[lo] = p[lo] * q[lo]
+        mats = theorem1_matrices(c, norms2, total, sigma2)
+        on = np.array([_on_boundary(x) for x in c])
+        for m in range(c.size):
+            bv, bb = _weighted_borders(c, norms2, re2, sigma2, np.eye(c.size)[m])
+            assert (bias[m], variance[m]) == (bb.sum(), bv.sum())
+            for got, want in ((bias[m], mats.bias[m, m]), (variance[m], mats.variance[m, m])):
+                assert got == want if on[m] else abs(got - want) <= 1e-13 * abs(want)
+        np.testing.assert_array_equal(np.isinf(bias) | np.isinf(variance), on)
+        assert np.all(bias[on] == np.inf) and np.all(variance[on] == np.inf)
+
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_single_cells_are_the_diagonal_and_equal_at_one_candidate(self, seed):
+        r = np.random.default_rng(seed)
+        profile = PowerLawProfile.from_snr(float(r.uniform(0.2, 5.0)), float(r.uniform(0.2, 1.5)),
+                                           truncate=int(r.integers(1, 90)))
+        sigma2 = float(r.uniform(0.1, 3.0))
+        ns = r.choice(np.arange(1, 61), size=4, replace=False)
+        ms = np.append(r.choice(np.arange(2, 121), size=5, replace=False), 1)
+        single = risk_surface(ns, ms, profile, sigma2=sigma2, weighting="single")
+        equal = risk_surface(ns, [1], profile, sigma2=sigma2)
+        np.testing.assert_array_equal(single.risk[single.M == 1], equal.risk)
+        sizes = np.arange(1, ms.max() + 1)
+        norms2, total = profile.prefix_norm2(sizes), profile.total_norm2()
+        for i, (n, m) in enumerate(zip(single.n, single.M)):
+            mats = theorem1_matrices(sizes / n, norms2, total, sigma2)
+            bv, bb = _weighted_borders(sizes / n, norms2, total - norms2, sigma2, np.eye(sizes.size)[m - 1])
+            assert (single.bias[i], single.variance[i]) == (bb.sum(), bv.sum())
+            assert single.risk[i] == pytest.approx(mats.bias[m - 1, m - 1] + mats.variance[m - 1, m - 1], rel=1e-13)
+            assert (single.risk[i] == np.inf) == (m == n)
+
+    @pytest.mark.parametrize("m", [100, 300])
+    def test_single_cell_matches_monte_carlo(self, m):
+        # The CLI's default profile at n = 200, on both sides of the boundary, within criterion 2's 10%.
+        profile = PowerLawProfile.from_snr(1.0, 0.6)
+        limit = risk_surface([200], [m], profile, weighting="single").risk[0]
+        report = validate_theorem1(200, [m], profile.coefficients(400), 1.0, reps=40, seed=0, w=[1.0])
+        assert abs(limit - report["empirical_risk"]) <= 0.10 * report["empirical_risk"]
 
 
 class TestSurfaceShape:
