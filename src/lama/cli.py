@@ -213,7 +213,7 @@ def _cmd_validate_rmt(args) -> int:
 
 def _cmd_validate_thm1(args) -> int:
     profile = _profile_from(args)
-    theta = profile.coefficients(max(args.p, profile.truncate, max(args.sizes)))
+    theta = profile.coefficients(max(profile.truncate, max(args.sizes)))
     report = xp.validate_theorem1(
         args.n, args.sizes, theta, sigma2=args.sigma2, reps=args.reps, seed=args.seed,
         w=args.w, test_size=args.test_size,

@@ -282,35 +282,40 @@ def _exact(kind, value):
     return out
 
 
+def _draw(rng: np.random.Generator, rows: int, theta: np.ndarray, m: int, intercept: bool, sigma: float):
+    """(X, Y, mu) for ``rows`` Gaussian rows, drawing only the first m columns.
+
+    X is a column of ones, if ``intercept`` is set, then standard normals, and
+    Y = mu + sigma * noise.  Under the identity covariance the other columns
+    reach the mean only as X_tail theta_tail ~ N(0, |theta_tail|^2) per row:
+    ``mu`` adds |theta_tail| times one normal per row, drawn after the
+    ``rows`` noise normals, so at m = len(theta) the arrays are the full draw.
+    """
+    X = np.empty((rows, m))
+    X[:, :intercept] = 1.0  # a bool slices as 0 or 1
+    X[:, intercept:] = rng.standard_normal((rows, m - intercept))
+    noise = rng.standard_normal(rows)
+    mu = X @ theta[:m] + float(np.linalg.norm(theta[m:])) * rng.standard_normal(rows)
+    return X, mu + sigma * noise, mu
+
+
 def generate_data(cfg: SimulationConfig, r2: float, rep: int, n: int, m: int):
     """One replication's training and test draws at sample size n, candidate count m.
 
     Returns (train Dataset, test Dataset, theta, mu_train, mu_test), theta
-    holding all p coefficients.  A design holds only the m columns the
-    candidates read, the intercept and m - 1 standard normals.  Under the
-    identity covariance the other columns reach the mean only as
-    X_tail theta_tail ~ N(0, |theta_tail|^2) per row: ``mu`` adds
-    |theta_tail| times one normal per row, drawn last in each stream, so at
-    m = p every array is the full p-column draw bit for bit.  The generator
-    keys include every setting coordinate (n, M, R2, rep, stream), so each
-    cell is reproducible on its own.
+    holding all p coefficients.  Each design comes from ``_draw`` with an
+    intercept and unit noise, keyed by every setting coordinate (n, M, R2,
+    rep, stream), so each cell is reproducible on its own.
     """
     n, m, r2, rep = int(n), int(m), float(r2), int(rep)
     if not 1 <= m <= cfg.p:
         raise InputError("m", f"{m} not in [1, {cfg.p}]")
     theta = PowerLawProfile.from_r2(r2, cfg.alpha, cfg.p).coefficients(cfg.p)
-    tail = float(np.linalg.norm(theta[m:]))
-    out = []
-    for stream, rows in (("train", n), ("test", cfg.test_size)):
-        rng = rng_for(cfg.seed, stream, n, m, r2, rep)
-        X = np.empty((rows, m))
-        X[:, 0] = 1.0
-        X[:, 1:] = rng.standard_normal((rows, m - 1))
-        noise = rng.standard_normal(rows)
-        mu = X @ theta[:m] + tail * rng.standard_normal(rows)
-        out.append((Dataset(Y=mu + noise, X=X, has_intercept=True), mu))
-    (train, mu), (test, mu_t) = out
-    return train, test, theta, mu, mu_t
+    (X, Y, mu), (Xt, Yt, mu_t) = [
+        _draw(rng_for(cfg.seed, stream, n, m, r2, rep), rows, theta, m, True, 1.0)
+        for stream, rows in (("train", n), ("test", cfg.test_size))
+    ]
+    return Dataset(Y=Y, X=X, has_intercept=True), Dataset(Y=Yt, X=Xt, has_intercept=True), theta, mu, mu_t
 
 
 def relative_losses(
@@ -603,14 +608,15 @@ def validate_theorem1(
 ) -> dict:
     """Empirical out-of-sample risk of a weighted average against its limit.
 
-    Gaussian design with p = len(theta) regressors; candidates are the
-    nested prefixes given by ``sizes``.  The empirical risk averages the
-    squared deviation of the ensemble prediction from the true mean over an
-    independent test draw, then over replications.  ``w`` must be a finite
-    point of the probability simplex, one weight per candidate (``InputError``
-    naming ``w`` otherwise), and put no weight on a candidate with k = n,
-    whose limiting risk is infinite (``ValueError``).  The limit sums the
-    Theorem-1 row borders of ``w``, entries with w <= 0 left out.
+    Candidates are the nested prefixes given by ``sizes``; ``_draw`` gives
+    them the first ``sizes[-1]`` columns, and the rest of theta enters the
+    mean as its tail term.  The empirical risk averages the squared deviation
+    of the ensemble prediction from the true mean over an independent test
+    draw, then over replications.  ``w`` must be a finite point of the
+    probability simplex, one weight per candidate (``InputError`` naming ``w``
+    otherwise), and put no weight on a candidate with k = n, whose limiting
+    risk is infinite (``ValueError``).  The limit sums the Theorem-1 row
+    borders of ``w``, entries with w <= 0 left out.
     """
     if n < 2:
         raise InputError("n", f"{n} too small (need at least 2)")
@@ -620,10 +626,9 @@ def validate_theorem1(
         raise InputError("test_size", "need at least one test draw")
     sizes = np.asarray(sizes, dtype=np.int64).reshape(-1)
     theta = np.asarray(theta, dtype=np.float64).reshape(-1)
-    p = theta.shape[0]
     if sizes.size == 0 or sizes[0] < 1 or np.any(np.diff(sizes) <= 0):
         raise InputError("sizes", f"must be positive and strictly increasing, got {sizes.tolist()}")
-    if sizes[-1] > p:
+    if sizes[-1] > theta.shape[0]:
         raise InputError("sizes", "largest candidate exceeds the coefficient length")
     M = sizes.shape[0]
     w = np.full(M, 1.0 / M) if w is None else np.asarray(w, dtype=np.float64).reshape(-1)
@@ -647,12 +652,10 @@ def validate_theorem1(
     risks = []
     for rep in range(reps):
         rng = rng_for(seed, "thm1", n, rep)
-        X = rng.standard_normal((n, p))
-        Y = X @ theta + (np.sqrt(sigma2) * rng.standard_normal(n) if sigma2 > 0 else 0.0)
+        X, Y, _ = _draw(rng, n, theta, sizes[-1], False, np.sqrt(sigma2))
         fits = fit_all(Dataset(Y=Y, X=X), sizes)
-        Xt = rng.standard_normal((test_size, p))
-        pred = fits.predict(Xt) @ w
-        risks.append(float(np.mean((pred - Xt @ theta) ** 2)))
+        Xt, _, mu_t = _draw(rng, test_size, theta, sizes[-1], False, 0.0)
+        risks.append(float(np.mean((fits.predict(Xt) @ w - mu_t) ** 2)))
     emp = float(np.mean(risks))
     denom = theo_risk if theo_risk > 0 else 1.0
     return {

@@ -418,6 +418,13 @@ class TestValidateCommands:
         _, wide, _ = run_cli(capsys, *argv, "--p", "800")
         assert out == wide
 
+    def test_thm1_p_does_not_widen_the_draw(self, capsys):
+        # The draw reads sizes[-1] columns, and the coefficients between --truncate and --p are zero.
+        argv = ["validate-thm1", "--n", "300", "--sizes", "30,150,240", "--reps", "5"]
+        _, narrow, _ = run_cli(capsys, *argv, "--p", "400")
+        _, wide, _ = run_cli(capsys, *argv, "--p", "1000")
+        assert narrow == wide
+
     def test_thm1_explicit_weights(self, capsys):
         code, out, _ = run_cli(
             capsys, "validate-thm1", "--n", "20", "--sizes", "2,4",

@@ -633,6 +633,23 @@ class TestValidateTheorem1:
         report = validate_theorem1(2, (1, 2), theta, 1.0, reps=2, seed=0, w=(1.0, 0.0), test_size=20)
         assert np.isfinite(report["theoretical_risk"]) and np.isfinite(report["rel_error"])
 
+    def test_draws_only_the_columns_its_candidates_read(self, monkeypatch):
+        # Coefficients past sizes[-1] reach the draw only through the tail norm, so
+        # zero padding moves nothing but that norm's roundoff.
+        theta = np.linspace(1.0, 0.2, 8)
+        short = validate_theorem1(40, (2, 4), theta, 1.0, reps=3, seed=0, test_size=50)
+        padded = validate_theorem1(40, (2, 4), np.concatenate([theta, np.zeros(400)]), 1.0, reps=3, seed=0,
+                                   test_size=50)
+        assert padded["empirical_risk"] == pytest.approx(short["empirical_risk"], rel=1e-12)
+        for part in ("risk", "bias", "variance"):
+            assert padded["theoretical_" + part] == short["theoretical_" + part]
+        # With sizes[-1] = len(theta) the training design is the full p-column draw.
+        designs = []
+        fit = xp.fit_all
+        monkeypatch.setattr(xp, "fit_all", lambda data, sizes: designs.append(data.X) or fit(data, sizes))
+        validate_theorem1(40, (2, 8), theta, 1.0, reps=1, seed=0, test_size=50)
+        assert designs[0].tobytes() == rng_for(0, "thm1", 40, 0).standard_normal((40, 8)).tobytes()
+
 
 def test_every_quadratic_solve_goes_through_one_name(monkeypatch):
     # The benchmark's qp.* spans wrap experiments.solve_simplex_qp, so every
@@ -655,6 +672,39 @@ def test_every_quadratic_solve_goes_through_one_name(monkeypatch):
         assert (choice.status, choice.iterations, choice.kkt_residual) == (
             last.status, last.iterations, last.kkt_residual)
     assert len(reports) == 12
+
+
+def test_every_design_draw_goes_through_one_name(monkeypatch):
+    # A span timing the design draw can wrap experiments._draw only if both
+    # harnesses that fit synthetic designs take every normal there: one train
+    # and one test draw per replication, and no other generator call.
+    rows, inside = [], []
+
+    class Watched:
+        def __init__(self, rng):
+            self.rng = rng
+
+        def standard_normal(self, *args):
+            assert inside, "standard_normal called outside _draw"
+            return self.rng.standard_normal(*args)
+
+    def count(rng, n_rows, *args):
+        rows.append(n_rows)
+        inside.append(True)
+        try:
+            return draw(rng, n_rows, *args)
+        finally:
+            inside.pop()
+
+    draw, keyed = xp._draw, xp.rng_for
+    monkeypatch.setattr(xp, "rng_for", lambda *keys: Watched(keyed(*keys)))
+    monkeypatch.setattr(xp, "_draw", count)
+    cfg = SimulationConfig(n_values=(12,), m_values=(5,), r2_values=(0.5,), p=20, replications=3,
+                           methods=("mma",), test_size=30, seed=0)
+    run_simulation(cfg, workers=1)
+    assert rows == [12, 30] * 3
+    validate_theorem1(30, (2, 4), np.ones(6), 1.0, reps=2, seed=0, test_size=50)
+    assert rows[6:] == [30, 50] * 2
 
 
 def test_every_solve_on_the_benchmark_configs_converges(monkeypatch):
