@@ -21,7 +21,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import criteria as crit
-from .models import Dataset, default_model_counts, fit_all, order_by_cp
+from .models import Dataset, _candidate_sizes, default_model_counts, fit_all, order_by_cp
 from .qp import solve_simplex_qp
 from .risk_theory import InputError, PowerLawProfile, _theorem1_inputs, _weighted_borders
 
@@ -624,10 +624,8 @@ def validate_theorem1(
         raise InputError("reps", "need at least one replication")
     if test_size < 1:
         raise InputError("test_size", "need at least one test draw")
-    sizes = np.asarray(sizes, dtype=np.int64).reshape(-1)
+    sizes = _candidate_sizes(sizes)
     theta = np.asarray(theta, dtype=np.float64).reshape(-1)
-    if sizes.size == 0 or sizes[0] < 1 or np.any(np.diff(sizes) <= 0):
-        raise InputError("sizes", f"must be positive and strictly increasing, got {sizes.tolist()}")
     if sizes[-1] > theta.shape[0]:
         raise InputError("sizes", "largest candidate exceeds the coefficient length")
     M = sizes.shape[0]

@@ -4,8 +4,9 @@ A candidate is a prefix of the design's columns: given strictly increasing
 sizes k_1 < ... < k_M, candidate q uses the first k_q columns of X, so the
 regressors are put in priority order (``order_by_cp``) by permuting X's
 columns once.  ``fit_all`` fits every candidate by minimum-norm least
-squares and caches the residuals, leverages and ranks that the weight-choice
-criteria consume.
+squares, from one factorization below the boundary and one per block of
+sizes past it, and caches the residuals, leverages and ranks that the
+weight-choice criteria consume.
 """
 
 from __future__ import annotations
@@ -28,9 +29,16 @@ __all__ = [
 ]
 
 # A fast route is taken only when its factor's pivots, smallest over largest,
-# exceed this ratio: |diag R| of a tall prefix's QR, diag(L)^2 of the Cholesky
-# factor of a wide prefix's Gram.  Anything dicier takes the SVD route.
+# exceed this ratio: |diag R| of a tall prefix's QR, diag(C)^2 of the Cholesky
+# factor of a wide block's Gram (see fit_all).  Anything dicier takes the SVD route.
 _PIVOT_RATIO = 1e-10
+# Past the boundary, candidates whose sizes span at most this many columns share one factorization.
+_BLOCK_COLUMNS = 128
+
+
+def _forward(L: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """L^-1 B by forward substitution: L flipped is upper triangular, so its LU is itself."""
+    return np.linalg.solve(L[::-1, ::-1], B[::-1])[::-1]
 
 
 @dataclass(frozen=True)
@@ -220,27 +228,41 @@ def default_model_counts(n: int) -> tuple[int, int, int]:
     )
 
 
+def _candidate_sizes(sizes) -> np.ndarray:
+    """``sizes`` as int64 if integers (no bools), nonempty, at least 1 and increasing; else ``InputError``."""
+    # An integer array holds no bool; a list is kept as objects, so that True stays a bool.
+    raw = np.asarray(sizes, dtype=None if isinstance(sizes, np.ndarray) else object).reshape(-1)
+    if raw.dtype.kind not in "iu" and any(isinstance(k, (bool, np.bool_)) or not float(k).is_integer() for k in raw):
+        raise InputError("sizes", f"candidate sizes must be integers, got {raw.tolist()}")
+    sizes = raw.astype(np.int64)
+    if sizes.size == 0 or sizes[0] < 1 or np.any(np.diff(sizes) <= 0):
+        raise InputError("sizes", f"need at least one candidate size, each at least 1 and strictly "
+                         f"increasing, got {sizes.tolist()}")
+    return sizes
+
+
 def fit_all(data: Dataset, sizes) -> ModelFits:
     """Fit candidate q = the first ``sizes[q]`` columns of X by minimum-norm least squares.
 
-    ``sizes`` must be nonempty, at least 1, strictly increasing and at most
-    p.  The prefixes with k <= n share one QR factorization; past the
-    boundary the Gram G_k = X_k X_k' grows by each size's new columns and the
-    coefficients are X_k' G_k^-1 Y.  A fast route is taken only when its
-    factor (R, or G_k's Cholesky factor) passes the pivot test; otherwise the
-    candidate goes through its own SVD pseudo-inverse, which treats singular
-    values at or below max(n, k_M) * eps times the largest as zero and so
-    reveals the rank.  The routes agree up to roundoff (the tests hold the
-    fast routes to the SVD route).  A candidate of rank n interpolates: on
-    every route its residuals are exactly 0 and its leverages exactly 1.
+    ``sizes`` must be integers, nonempty, at least 1, strictly increasing and
+    at most p.  The prefixes with k <= n share one QR factorization.  Past the
+    boundary the coefficients are X_k' G_k^-1 Y, G_k = X_k X_k'; candidates
+    whose sizes span at most ``_BLOCK_COLUMNS`` = B columns form a block that
+    factors its widest Gram alone, G_T = C C'.  A narrower Gram is G_T less the
+    block's columns it lacks, W_j W_j', so one Cholesky L of S = I - Z'Z
+    (Z = C^-1 W, W widest first) holds every candidate's system as a leading
+    block; a block keeps O(n^2 + n B + B^2) numbers beyond the coefficients.
+    A fast route is taken only when its factor passes the pivot test: |diag R|
+    for a QR prefix; diag(C)^2, times the least of diag(L)^2 up to the
+    candidate, for a Gram.  Any other candidate (say, a narrower one when S is
+    not positive definite) goes through its own SVD pseudo-inverse, which
+    treats singular values at or below max(n, k_M) * eps times the largest as
+    zero and so reveals the rank.  The routes agree up to roundoff (the tests
+    hold the fast routes to the SVD route).  A candidate of rank n
+    interpolates: on every route its residuals are exactly 0 and its
+    leverages exactly 1.
     """
-    sizes = np.array(sizes, dtype=np.int64).reshape(-1)
-    if sizes.size == 0:
-        raise ValueError("need at least one candidate size")
-    if sizes[0] < 1:
-        raise ValueError("candidate sizes must be at least 1")
-    if np.any(np.diff(sizes) <= 0):
-        raise ValueError("candidate sizes must be strictly increasing")
+    sizes = _candidate_sizes(sizes)
     if sizes[-1] > data.p:
         raise ValueError(f"largest size {sizes[-1]} exceeds {data.p} regressors")
     n = data.n
@@ -274,21 +296,31 @@ def fit_all(data: Dataset, sizes) -> ModelFits:
         else:
             svd = list(range(nb))
 
-    if nb < M:  # some candidate lies past the boundary
-        G, grown = np.zeros((n, n)), 0
-    for q in range(nb, M):
-        k = int(sizes[q])
-        new = Xo[:, grown:k]
-        G += new @ new.T
-        grown = k
+    G, grown, a = (np.zeros((n, n)) if nb < M else None), 0, nb
+    while a < M:  # past the boundary: the block of candidates a..e-1, widest k_T
+        e = int(np.searchsorted(sizes, sizes[a] + _BLOCK_COLUMNS, side="right"))
+        kT, lack = int(sizes[e - 1]), sizes[e - 1] - sizes[a:e]
+        G += Xo[:, grown:kT] @ Xo[:, grown:kT].T
+        grown, w = kT, int(lack[0])
         try:
-            pivots = np.diag(np.linalg.cholesky(G)) ** 2
+            pc = np.diag(C := np.linalg.cholesky(G)) ** 2
         except np.linalg.LinAlgError:
-            pivots = np.zeros(1)  # G is not positive definite: fails the test below
-        if pivots.min() > _PIVOT_RATIO * pivots.max():
-            coefs[:k, q] = Xo[:, :k].T @ np.linalg.solve(G, Y)
-        else:
-            svd.append(q)
+            pc = np.zeros(1)  # G_T is not positive definite: fails the test below
+        W, V, ps = Xo[:, kT - 1 : kT - 1 - w : -1], np.zeros((w, e - a)), np.ones(w)
+        if pc.min() > _PIVOT_RATIO * pc.max():  # else every candidate fails, as least <= 1 below
+            if w:  # v_j = W_j' u_j solves the leading j x j block of S; its rows below j stay 0
+                y0, Z = np.hsplit(_forward(C, np.column_stack([Y, W])), [1])
+                try:
+                    ps = np.diag(L := np.linalg.cholesky(np.eye(w) - Z.T @ Z)) ** 2
+                except np.linalg.LinAlgError:  # the narrowest Gram is singular: only the widest stays
+                    L, ps = np.eye(w), np.zeros(w)
+                first = np.arange(w)[:, None] < lack
+                V = np.linalg.solve(L.T, _forward(L, (Z.T @ y0) * first) * first)
+            U = np.linalg.solve(G, Y[:, None] + W @ V)  # u_j = G_T^-1 (Y + W_j v_j)
+            coefs[:kT, a:e] = np.where(np.arange(kT)[:, None] < sizes[a:e], Xo[:, :kT].T @ U, 0.0)
+        least = np.minimum.accumulate(np.concatenate([[1.0], ps]))[lack]
+        svd += (a + np.flatnonzero(~(pc.min() * least > _PIVOT_RATIO * pc.max()))).tolist()
+        a = e
 
     cutoff = max(n, kM) * np.finfo(np.float64).eps
     for q in svd:

@@ -618,6 +618,14 @@ class TestValidateTheorem1:
                 validate_theorem1(30, (2, 4), theta, sigma2, reps=1, seed=0)
             assert err.value.field == "sigma2"
 
+    def test_rejects_non_integral_and_bool_sizes(self):
+        # 2.7 and 4.1 would otherwise be truncated to sizes 2 and 4 and reported as such.
+        for sizes in ([2.7, 4.1], [True, 4], [2, np.nan]):
+            with pytest.raises(InputError, match="integers") as err:
+                validate_theorem1(20, sizes, np.ones(6), 1.0, reps=1, seed=0)
+            assert err.value.field == "sizes"
+        assert validate_theorem1(20, [2.0, 4.0], np.ones(6), 1.0, reps=1, seed=0)["sizes"] == [2, 4]
+
     def test_rejects_off_simplex_weights(self):
         for w, match in [([0.7, 0.7], "simplex"), ([1.5, -0.5], "simplex"), ([1.0], "length"),
                          ([0.5, np.nan], "finite"), ([np.inf, 0.0], "finite")]:

@@ -1,5 +1,6 @@
 """Datasets, forward ordering, and batch fitting of column-prefix candidates."""
 
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -55,6 +56,15 @@ class TestCandidateSizes:
             fit_all(data, ())
         with pytest.raises(ValueError, match="at least 1"):
             fit_all(data, (0, 2))
+
+    def test_bool_and_non_integral_sizes_rejected(self, rng):
+        # Each would otherwise be truncated: [1.5, 2.9] to sizes [1, 2], [True, 3] to [1, 3].
+        data = Dataset(Y=rng.standard_normal(10), X=rng.standard_normal((10, 5)))
+        for sizes in ([1.5, 2.9, 4.2], [True, 3], np.array([False, True]), [1, np.inf]):
+            with pytest.raises(ValueError, match="integers") as err:
+                fit_all(data, sizes)
+            assert err.value.field == "sizes"
+        assert list(fit_all(data, [1.0, np.int32(3)]).sizes) == [1, 3]
 
     def test_valid_sizes(self, rng):
         data = Dataset(Y=rng.standard_normal(10), X=rng.standard_normal((10, 3)))
@@ -336,6 +346,71 @@ def test_past_boundary_rank_below_n_takes_the_svd_route(rng):
     for q in range(3):
         np.testing.assert_allclose(fits.residuals[:, q], expected, atol=1e-10)
         np.testing.assert_allclose(fits.leverages[[3, 7], q], 0.5, atol=1e-10)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1), block=st.integers(min_value=1, max_value=4))
+def test_gram_blocks_match_the_svd_route(seed, block):
+    # With a block at most ``block`` columns wide, sizes with gaps past the
+    # boundary fall into several blocks, each factoring only its widest Gram.
+    # Columns of unequal scale spread the conditioning; every candidate, with
+    # every fast route forced, matches the SVD route to the accuracy its
+    # condition number allows, and at the default threshold the route chosen
+    # for each one is, bit for bit, one of the two forced fits.
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 25))
+    kM = int(rng.integers(n + 2, 2 * n + 12))
+    X = rng.standard_normal((n, kM)) * 10.0 ** rng.uniform(-1.0, 1.0, kM)
+    data = Dataset(Y=rng.standard_normal(n), X=X)
+    sizes = np.unique(np.concatenate([[kM], rng.integers(1, kM + 1, int(rng.integers(2, 12)))]))
+    with mock.patch.object(models, "_BLOCK_COLUMNS", block):
+        gram, svd, chosen = _forced(data, sizes, 0.0), _forced(data, sizes, 1.0), fit_all(data, sizes)
+    np.testing.assert_array_equal(svd.ranks, np.minimum(sizes, n))
+    for q in range(sizes.size):
+        _assert_near_svd_route(gram, svd, data, q)
+        assert chosen.coefs[:, q].tobytes() in (gram.coefs[:, q].tobytes(), svd.coefs[:, q].tobytes())
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_singular_narrowest_gram_leaves_the_widest_on_the_gram_route(seed):
+    # The first n + 1 columns repeat two of their own, so they span n - 1
+    # dimensions: the narrowest Gram of the block past the boundary is
+    # singular and with it S.  Depending on roundoff, S's Cholesky fails or
+    # leaves a pivot near eps; either way the narrower candidate takes the SVD
+    # route (bit for bit the forced SVD fit, rank n - 1).  The two wider
+    # columns restore rank n, so the widest Gram passes its own pivot test and
+    # the widest candidate takes the Gram route (bit for bit the forced one).
+    rng = np.random.default_rng(seed)
+    n = 7
+    X = rng.standard_normal((n, n + 3))
+    X[:, 1] = X[:, 0]
+    X[:, n] = X[:, 2]
+    data = Dataset(Y=rng.standard_normal(n), X=X)
+    sizes = (2, n + 1, n + 3)
+    fits, gram, svd = fit_all(data, sizes), _forced(data, sizes, 0.0), _forced(data, sizes, 1.0)
+    assert list(fits.ranks) == [1, n - 1, n]
+    for field in ("coefs", "residuals", "leverages"):
+        assert getattr(fits, field)[:, 1].tobytes() == getattr(svd, field)[:, 1].tobytes(), field
+    assert fits.coefs[:, 2].tobytes() == gram.coefs[:, 2].tobytes()
+    _assert_near_svd_route(fits, svd, data, 2)
+
+
+def test_far_apart_sizes_past_the_boundary_fit_in_little_memory():
+    # Sizes 10,000 columns apart never share a block: one S over the columns
+    # between 22 and 10,001 would hold about 10^8 numbers (800 MB).  The fit
+    # peaks far below that, near the size of its own copy of the design.
+    rng = np.random.default_rng(5)
+    n, sizes = 20, (21, 22, 10000, 10001)
+    data = Dataset(Y=rng.standard_normal(n), X=rng.standard_normal((n, sizes[-1])))
+    tracemalloc.start()
+    try:
+        fits = fit_all(data, sizes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, peak
+    assert list(fits.ranks) == [n] * 4
+    assert np.all(fits.residuals == 0.0)
 
 
 @settings(max_examples=40, deadline=None)
