@@ -7,7 +7,8 @@ Subcommands map one-to-one onto the library workloads:
 * ``eval``           repeated random-split evaluation on a dataset, CSV
 * ``fit``            one dataset, every requested method's weights, JSON
 * ``validate-rmt``   Monte-Carlo check of the random-matrix trace limits, JSON
-* ``validate-thm1``  Monte-Carlo check of the weighted-average risk limit, JSON
+* ``validate-thm1``  check of the weighted-average risk limit against exact
+                     conditional risks over training draws, JSON
 
 Exit codes: 0 success, 1 usage error (bad flags, flag or config values the
 library rejects, unreadable input such as a missing or malformed dataset or
@@ -214,10 +215,8 @@ def _cmd_validate_rmt(args) -> int:
 def _cmd_validate_thm1(args) -> int:
     profile = _profile_from(args)
     theta = profile.coefficients(max(profile.truncate, max(args.sizes)))
-    report = xp.validate_theorem1(
-        args.n, args.sizes, theta, sigma2=args.sigma2, reps=args.reps, seed=args.seed,
-        w=args.w, test_size=args.test_size,
-    )
+    report = xp.validate_theorem1(args.n, args.sizes, theta, sigma2=args.sigma2, reps=args.reps,
+                                  seed=args.seed, w=args.w)
     return _write_json(args.out, report)
 
 
@@ -274,7 +273,6 @@ def build_parser() -> _Parser:
     sp.add_argument("--seed", type=int, default=None, help="base seed (default 0)")
     sp.add_argument("--methods", type=_METHODS, default=None,
                     help=f"comma list from {','.join(xp.ALL_METHODS)} (default mma,jma,lama,saic,sbic)")
-    sp.add_argument("--test-size", type=int, default=None, help="test draws per replication (default 1000)")
     sp.add_argument("--exclude-boundary", action="store_true", default=None,
                     help="drop the k = n candidate when the grid reaches it")
     sp.add_argument("--truncate-loss", type=float, default=None,
@@ -326,14 +324,14 @@ def build_parser() -> _Parser:
     sp.set_defaults(func=_cmd_validate_rmt)
 
     sp = sub.add_parser("validate-thm1",
-                        help="Monte-Carlo check of the weighted-average risk limit (JSON)")
+                        help="check of the weighted-average risk limit against exact conditional risks "
+                             "over training draws (JSON)")
     sp.add_argument("--n", type=int, required=True, help="sample size")
     sp.add_argument("--sizes", type=_INT_LIST, required=True,
                     help="candidate sizes, comma list or a:b[:step]")
     sp.add_argument("--sigma2", type=float, default=1.0, help="noise variance (default 1.0)")
     sp.add_argument("--reps", type=int, default=100, help="replications (default 100)")
     sp.add_argument("--seed", type=int, default=0, help="base seed (default 0)")
-    sp.add_argument("--test-size", type=int, default=1000, help="test draws per replication (default 1000)")
     sp.add_argument("--weights", dest="w", metavar="WEIGHTS", type=_FLOAT_LIST, default=None,
                     help="weight vector, comma list (default equal)")
     sp.add_argument("--out", default=None, help="output JSON path (default stdout)")

@@ -213,7 +213,6 @@ class SimulationConfig:
     replications: int = 200
     seed: int = 0
     methods: tuple[str, ...] = ("mma", "jma", "lama", "saic", "sbic")
-    test_size: int = 1000
     exclude_boundary: bool = False  # drop the k = n candidate if the grid reaches it
     truncate_loss: float | None = None  # cap per-replication relative losses
 
@@ -231,8 +230,6 @@ class SimulationConfig:
             raise InputError("m_values", "need candidate counts of at least 1")
         if self.replications < 1:
             raise InputError("replications", "need at least one replication")
-        if self.test_size < 2:
-            raise InputError("test_size", f"need at least 2 test draws, got {self.test_size}")
         if self.alpha <= 0.0:
             raise InputError("alpha", "must be positive")
         if self.truncate_loss is not None and not self.truncate_loss > 0.0:
@@ -300,65 +297,73 @@ def _draw(rng: np.random.Generator, rows: int, theta: np.ndarray, m: int, interc
 
 
 def generate_data(cfg: SimulationConfig, r2: float, rep: int, n: int, m: int):
-    """One replication's training and test draws at sample size n, candidate count m.
+    """One replication's training draw at sample size n, candidate count m.
 
-    Returns (train Dataset, test Dataset, theta, mu_train, mu_test), theta
-    holding all p coefficients.  Each design comes from ``_draw`` with an
+    Returns (train Dataset, theta, mu), theta holding all p coefficients and
+    mu the training rows' mean.  The design comes from ``_draw`` with an
     intercept and unit noise, keyed by every setting coordinate (n, M, R2,
-    rep, stream), so each cell is reproducible on its own.
+    rep), so each cell is reproducible on its own.  No test rows are drawn:
+    ``_risk`` gives a fit's out-of-sample risk exactly.
     """
     n, m, r2, rep = int(n), int(m), float(r2), int(rep)
     if not 1 <= m <= cfg.p:
         raise InputError("m", f"{m} not in [1, {cfg.p}]")
     theta = PowerLawProfile.from_r2(r2, cfg.alpha, cfg.p).coefficients(cfg.p)
-    (X, Y, mu), (Xt, Yt, mu_t) = [
-        _draw(rng_for(cfg.seed, stream, n, m, r2, rep), rows, theta, m, True, 1.0)
-        for stream, rows in (("train", n), ("test", cfg.test_size))
-    ]
-    return Dataset(Y=Y, X=X, has_intercept=True), Dataset(Y=Yt, X=Xt, has_intercept=True), theta, mu, mu_t
+    X, Y, mu = _draw(rng_for(cfg.seed, "train", n, m, r2, rep), n, theta, m, True, 1.0)
+    return Dataset(Y=Y, X=X, has_intercept=True), theta, mu
 
 
-def relative_losses(
-    ensemble_train: dict[str, np.ndarray],
-    ensemble_test: dict[str, np.ndarray],
-    pred_train: np.ndarray,
-    pred_test: np.ndarray,
-    mu_train: np.ndarray,
-    mu_test: np.ndarray,
-):
+def _risk(beta: np.ndarray, theta: np.ndarray):
+    """Exact out-of-sample risk of the coefficients ``beta`` on the leading entries of ``theta``.
+
+    A new row x of either synthetic design has E[x x'] = I, the intercept's
+    constant 1 included, so x'beta misses the mean x'theta by
+    |beta - theta[:k]|^2 + |theta[k:]|^2 in expectation, k = len(beta): the
+    conditional risk whose limit Theorem 1 gives.  A matrix ``beta`` holds
+    one coefficient vector per column and gets one risk per column.
+    """
+    k = beta.shape[0]
+    return np.sum((beta.T - theta[:k]) ** 2, axis=-1) + float(theta[k:] @ theta[k:])
+
+
+def relative_losses(weights: dict[str, np.ndarray], pred_train: np.ndarray, mu_train: np.ndarray,
+                    coefs: np.ndarray, theta: np.ndarray):
     """Per-method squared losses relative to the best single candidate.
 
-    Returns (rows, excluded) where rows maps method -> (relative in-sample
-    loss, relative out-of-sample loss).  When a candidate matches the true
-    mean exactly the denominators degenerate and the replication is flagged
-    for exclusion instead of producing a division by zero.
+    Candidate q has fitted values ``pred_train[:, q]`` and coefficients
+    ``coefs[:, q]``; a method averages them with its ``weights``.  In sample,
+    a loss is the squared distance of the fitted values from ``mu_train``;
+    out of sample, it is the exact risk ``_risk`` of the coefficients under
+    ``theta``.  Returns (rows, excluded) where rows maps method ->
+    (relative in-sample loss, relative out-of-sample loss).  When a
+    candidate matches the true mean exactly the denominators degenerate and
+    the replication is flagged for exclusion instead of producing a
+    division by zero.
     """
     den_in = float(np.min(np.sum((pred_train - mu_train[:, None]) ** 2, axis=0)))
-    den_out = float(np.min(np.sum((pred_test - mu_test[:, None]) ** 2, axis=0)))
+    den_out = float(np.min(_risk(coefs, theta)))
     if den_in <= 1e-12 or den_out <= 1e-12:
         return {}, True
     rows = {}
-    for method, fit_tr in ensemble_train.items():
-        num_in = float(np.sum((fit_tr - mu_train) ** 2))
-        num_out = float(np.sum((ensemble_test[method] - mu_test) ** 2))
-        rows[method] = (num_in / den_in, num_out / den_out)
+    for method, w in weights.items():
+        num_in = float(np.sum((pred_train @ w - mu_train) ** 2))
+        rows[method] = (num_in / den_in, float(_risk(coefs @ w, theta)) / den_out)
     return rows, False
 
 
-def _fit_and_weigh(train: Dataset, sizes, designs, methods) -> dict:
+def _fit_and_weigh(train: Dataset, sizes, methods) -> dict:
     """Fit the column prefixes ``sizes`` of ``train`` and choose each method's weights.
 
-    Returns ``{"preds": [candidate predictions at each design], "choices":
-    {method: WeightChoice}}``, or ``{"failed": reason}`` when a fit or a
-    weight choice raises.  Runtime warnings (excluded candidates, floors)
-    are silenced, as the harnesses run many replications.
+    Returns ``{"fits": ModelFits, "choices": {method: WeightChoice}}``, or
+    ``{"failed": reason}`` when a fit or a weight choice raises.  Runtime
+    warnings (excluded candidates, floors) are silenced, as the harnesses
+    run many replications.
     """
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             fits = fit_all(train, sizes)
-            preds = [fits.predict(X) for X in designs]
-            return {"preds": preds, "choices": {m: compute_weights(fits, m) for m in methods}}
+            return {"fits": fits, "choices": {m: compute_weights(fits, m) for m in methods}}
     except (ValueError, np.linalg.LinAlgError) as exc:
         return {"failed": str(exc)}
 
@@ -374,18 +379,16 @@ def _mean_var(values) -> tuple[float, float]:
 
 def _sim_rep(args):
     cfg, n, m, r2, rep = args
-    train, test, _, mu, mu_t = generate_data(cfg, r2, rep, n, m)
+    train, theta, mu = generate_data(cfg, r2, rep, n, m)
     sizes = np.arange(1, m + 1)
     if cfg.exclude_boundary:
         sizes = sizes[sizes != n]
-    fit = _fit_and_weigh(train, sizes, (train.X, test.X), cfg.methods)
+    fit = _fit_and_weigh(train, sizes, cfg.methods)
     if "failed" in fit:
         return fit
-    (pred_tr, pred_te), choices = fit["preds"], fit["choices"]
+    fits = fit["fits"]
     rows, degenerate = relative_losses(
-        {k: pred_tr @ c.weights for k, c in choices.items()},
-        {k: pred_te @ c.weights for k, c in choices.items()},
-        pred_tr, pred_te, mu, mu_t,
+        {k: c.weights for k, c in fit["choices"].items()}, fits.predict(train.X), mu, fits.coefs, theta
     )
     if degenerate:
         return {"degenerate": True}
@@ -464,10 +467,10 @@ def _real_split(args):
             break
     else:
         return {"degenerate": True, "retries": _retry}
-    fit = _fit_and_weigh(Dataset(Y=Y[tr], X=X[tr]), sizes, (X[te],), methods)
+    fit = _fit_and_weigh(Dataset(Y=Y[tr], X=X[tr]), sizes, methods)
     if "failed" in fit:
         return {**fit, "retries": _retry}
-    (pred_te,) = fit["preds"]
+    pred_te = fit["fits"].predict(X[te])
     errs = {
         k: float(np.sum((pred_te @ c.weights - Y[te]) ** 2)) / (N - n_train) for k, c in fit["choices"].items()
     }
@@ -604,15 +607,14 @@ def validate_theorem1(
     reps: int,
     seed: int,
     w: np.ndarray | None = None,
-    test_size: int = 1000,
 ) -> dict:
     """Empirical out-of-sample risk of a weighted average against its limit.
 
     Candidates are the nested prefixes given by ``sizes``; ``_draw`` gives
-    them the first ``sizes[-1]`` columns, and the rest of theta enters the
-    mean as its tail term.  The empirical risk averages the squared deviation
-    of the ensemble prediction from the true mean over an independent test
-    draw, then over replications.  ``w`` must be a finite point of the
+    them the first ``sizes[-1]`` columns of standard normals, and the rest
+    of theta enters the mean as its tail term.  The empirical risk is the
+    exact conditional risk ``_risk`` of the averaged coefficients, averaged
+    over ``reps`` training draws.  ``w`` must be a finite point of the
     probability simplex, one weight per candidate (``InputError`` naming ``w``
     otherwise), and put no weight on a candidate with k = n, whose limiting
     risk is infinite (``ValueError``).  The limit sums the Theorem-1 row
@@ -622,8 +624,6 @@ def validate_theorem1(
         raise InputError("n", f"{n} too small (need at least 2)")
     if reps < 1:
         raise InputError("reps", "need at least one replication")
-    if test_size < 1:
-        raise InputError("test_size", "need at least one test draw")
     sizes = _candidate_sizes(sizes)
     theta = np.asarray(theta, dtype=np.float64).reshape(-1)
     if sizes[-1] > theta.shape[0]:
@@ -649,18 +649,14 @@ def validate_theorem1(
 
     risks = []
     for rep in range(reps):
-        rng = rng_for(seed, "thm1", n, rep)
-        X, Y, _ = _draw(rng, n, theta, sizes[-1], False, np.sqrt(sigma2))
-        fits = fit_all(Dataset(Y=Y, X=X), sizes)
-        Xt, _, mu_t = _draw(rng, test_size, theta, sizes[-1], False, 0.0)
-        risks.append(float(np.mean((fits.predict(Xt) @ w - mu_t) ** 2)))
+        X, Y, _ = _draw(rng_for(seed, "thm1", n, rep), n, theta, sizes[-1], False, np.sqrt(sigma2))
+        risks.append(float(_risk(fit_all(Dataset(Y=Y, X=X), sizes).coefs @ w, theta)))
     emp = float(np.mean(risks))
     denom = theo_risk if theo_risk > 0 else 1.0
     return {
         "n": n,
         "sizes": [int(k) for k in sizes],
         "reps": reps,
-        "test_size": test_size,
         "empirical_risk": emp,
         "theoretical_risk": float(theo_risk),
         "theoretical_bias": float(theo_bias),

@@ -65,13 +65,12 @@ def test_criterion_01_random_matrix_trace_limits():
 
 def test_criterion_02_weighted_average_risk_limit():
     # n=300, nested sizes (30, 150, 240), unit noise, equal weights: the
-    # Monte-Carlo out-of-sample risk (1000-point test set, 100 replications)
-    # lands within 10% of the limiting quadratic form.  Budget: five minutes.
+    # out-of-sample risk, the exact conditional risk averaged over 100
+    # training draws, lands within 10% of the limiting quadratic form.
+    # Budget: five minutes.
     start = time.perf_counter()
     theta = _profile().coefficients(400)
-    report = validate_theorem1(
-        300, (30, 150, 240), theta, sigma2=1.0, reps=100, seed=0, test_size=1000
-    )
+    report = validate_theorem1(300, (30, 150, 240), theta, sigma2=1.0, reps=100, seed=0)
     elapsed = time.perf_counter() - start
     assert report["rel_error"] <= 0.10
     assert report["theoretical_risk"] > 0.0
@@ -241,8 +240,7 @@ def test_criterion_10_cli_byte_determinism():
 
     simulate = [
         "simulate", "--n", "10", "--m", "4,8", "--r2", "0.5", "--p", "16",
-        "--reps", "6", "--methods", "mma,lama,saic", "--test-size", "32",
-        "--seed", "7",
+        "--reps", "6", "--methods", "mma,lama,saic", "--seed", "7",
     ]
     evaluate = ["eval", "--data", "mtcars", "--n-train", "24", "--reps", "4", "--seed", "3"]
 

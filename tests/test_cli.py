@@ -106,10 +106,6 @@ class TestRangeParsing:
         (["validate-thm1", "--n", "20", "--sizes", "0,4", "--reps", "1"], None, "--sizes"),
         (["validate-thm1", "--n", "20", "--sizes", "4,2", "--reps", "1"], None, "--sizes"),
         (["validate-thm1", "--n", "20", "--sizes", "2,4", "--reps", "0"], None, "--reps"),
-        (["validate-thm1", "--n", "20", "--sizes", "2,4", "--reps", "1", "--test-size", "0"], None,
-         "--test-size"),
-        (["validate-thm1", "--n", "20", "--sizes", "2,4", "--reps", "1", "--test-size", "-1"], None,
-         "--test-size"),
         (["validate-thm1", "--n", "0", "--sizes", "2,4", "--reps", "1"], None, "--n:"),
         (["validate-rmt", "--n", "20", "--c", "0.5", "--reps", "0"], None, "--reps"),
         (["validate-thm1", "--n", "20", "--sizes", "2,4", "--reps", "1", "--weights", "0.5,nan"], None,
@@ -120,17 +116,12 @@ class TestRangeParsing:
          "--weights"),
         (["validate-thm1", "--n", "20", "--sizes", "2,4", "--reps", "1", "--weights", "0.5"], None,
          "--weights"),
-        (["simulate", "--n", "8", "--m", "3", "--p", "8", "--reps", "2", "--test-size", "0"], None,
-         "--test-size"),
-        (["simulate", "--n", "8", "--m", "3", "--p", "8", "--reps", "2", "--test-size", "1"], None,
-         "--test-size"),
         (["eval", "--data", "mtcars", "--n-train", "20", "--reps", "0"], None, "--reps"),
-        (["simulate", "--n", "8", "--m", "3", "--p", "8", "--reps", "2", "--test-size", "8",
-          "--truncate-loss", "-1"], None, "--truncate-loss"),
-        (["simulate", "--n", "8", "--m", "3", "--p", "8", "--reps", "2", "--test-size", "8",
-          "--truncate-loss", "nan"], None, "--truncate-loss"),
-        (["simulate", "--n", "8", "--m", "3", "--p", "8", "--reps", "2", "--test-size", "8",
-          "--seed", "-1"], None, "--seed"),
+        (["simulate", "--n", "8", "--m", "3", "--p", "8", "--reps", "2", "--truncate-loss", "-1"], None,
+         "--truncate-loss"),
+        (["simulate", "--n", "8", "--m", "3", "--p", "8", "--reps", "2", "--truncate-loss", "nan"], None,
+         "--truncate-loss"),
+        (["simulate", "--n", "8", "--m", "3", "--p", "8", "--reps", "2", "--seed", "-1"], None, "--seed"),
         (["eval", "--data", "crime", "--n-train", "18", "--reps", "2", "--seed", "-1"], None, "--seed"),
         (["validate-thm1", "--n", "20", "--sizes", "2,4", "--reps", "1", "--seed", "-1"], None, "--seed"),
         (["simulate"], {"seed": -1}, "seed"),
@@ -147,10 +138,9 @@ class TestRangeParsing:
         "config-replications-string", "config-methods-string", "surface-truncate", "surface-snr",
         "surface-r2", "surface-sigma2", "rmt-c-too-small", "surface-n-range", "surface-m-range", "rmt-c-nan",
         "surface-decay-nan", "surface-scale-overflow", "surface-alpha-overflow", "thm1-sizes-zero",
-        "thm1-sizes-decreasing", "thm1-reps-zero", "thm1-test-size-zero", "thm1-test-size-negative",
-        "thm1-n-zero", "rmt-reps-zero", "thm1-weights-nan", "thm1-weights-off-simplex",
-        "thm1-weights-negative", "thm1-weights-length", "simulate-test-size-zero", "simulate-test-size-one",
-        "eval-reps-zero", "simulate-truncate-loss-negative", "simulate-truncate-loss-nan",
+        "thm1-sizes-decreasing", "thm1-reps-zero", "thm1-n-zero", "rmt-reps-zero", "thm1-weights-nan",
+        "thm1-weights-off-simplex", "thm1-weights-negative", "thm1-weights-length", "eval-reps-zero",
+        "simulate-truncate-loss-negative", "simulate-truncate-loss-nan",
         "simulate-seed-negative", "eval-seed-negative", "thm1-seed-negative", "config-seed-negative",
         "config-replications-fractional", "data-no-response-column", "data-non-numeric", "data-ragged",
     ],
@@ -171,6 +161,33 @@ def test_rejected_values_are_usage_errors(capsys, tmp_path, argv, file, name):
     errors = [line for line in err.splitlines() if line.startswith("error:")]
     assert len(errors) == 1 and name in errors[0], err
     assert "unknown methods ['a', 'm']" not in err  # a bare string is not split into letters
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["simulate", "--n", "8", "--m", "3", "--p", "8", "--reps", "2"],
+     ["validate-thm1", "--n", "20", "--sizes", "2,4", "--reps", "1"]],
+    ids=["simulate", "thm1"],
+)
+def test_no_command_takes_a_test_set_size(capsys, argv):
+    # Out-of-sample risk is exact, so there are no test rows to size.
+    code, out, err = run_cli(capsys, *argv, "--test-size", "8")
+    assert (code, out, err) == (1, "", "error: lama: unrecognized arguments: --test-size 8\n")
+
+
+def test_a_config_naming_test_size_is_an_unknown_field(capsys, tmp_path):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"test_size": 8}))
+    code, out, err = run_cli(capsys, "simulate", "--config", str(config))
+    assert (code, out) == (1, "")
+    assert "unknown config field(s): ['test_size']" in err
+    with pytest.raises(TypeError, match="test_size"):
+        SimulationConfig(test_size=8)
+
+
+def test_thm1_json_has_no_test_size_key(capsys):
+    code, out, _ = run_cli(capsys, "validate-thm1", "--n", "20", "--sizes", "2,4", "--reps", "1")
+    assert code == 0 and "test_size" not in json.loads(out)
 
 
 class TestSurfaceCommand:
@@ -224,7 +241,7 @@ class TestSurfaceCommand:
         # Both commands evaluate the Theorem-1 form: "single" at its diagonal, validate-thm1 at e_1.
         _, out, _ = run_cli(capsys, "surface", "--n-range", "200", "--m-range", m, "--weights", "single")
         row = out.strip().split("\n")[1].split(",")
-        _, out, _ = run_cli(capsys, "validate-thm1", "--n", "200", "--sizes", m, "--reps", "1", "--test-size", "20")
+        _, out, _ = run_cli(capsys, "validate-thm1", "--n", "200", "--sizes", m, "--reps", "1")
         report = json.loads(out)
         assert row[3:6] == [repr(report[f"theoretical_{part}"]) for part in ("risk", "bias", "variance")]
 
@@ -245,7 +262,7 @@ class TestSurfaceCommand:
 
 SIM_ARGS = [
     "simulate", "--n", "8", "--m", "3,5", "--r2", "0.5", "--p", "16",
-    "--reps", "2", "--methods", "mma,uniform", "--test-size", "16", "--seed", "1",
+    "--reps", "2", "--methods", "mma,uniform", "--seed", "1",
 ]
 
 
@@ -279,7 +296,7 @@ class TestSimulateCommand:
         flags = build_parser().parse_args(["simulate"]).flags
         assert {f: flags[f] for f in SimulationConfig.__dataclass_fields__} == {
             "n_values": "--n", "r2_values": "--r2", "alpha": "--alpha", "p": "--p", "m_values": "--m",
-            "replications": "--reps", "seed": "--seed", "methods": "--methods", "test_size": "--test-size",
+            "replications": "--reps", "seed": "--seed", "methods": "--methods",
             "exclude_boundary": "--exclude-boundary", "truncate_loss": "--truncate-loss",
         }
 
@@ -404,7 +421,7 @@ class TestValidateCommands:
     def test_thm1_json(self, capsys):
         code, out, _ = run_cli(
             capsys, "validate-thm1", "--n", "20", "--sizes", "2,4",
-            "--reps", "1", "--test-size", "20",
+            "--reps", "1",
         )
         assert code == 0
         report = json.loads(out, parse_constant=_reject_constant)
@@ -428,7 +445,7 @@ class TestValidateCommands:
     def test_thm1_explicit_weights(self, capsys):
         code, out, _ = run_cli(
             capsys, "validate-thm1", "--n", "20", "--sizes", "2,4",
-            "--reps", "1", "--test-size", "20", "--weights", "0.25,0.75",
+            "--reps", "1", "--weights", "0.25,0.75",
         )
         assert code == 0
         assert json.loads(out)["theoretical_risk"] > 0.0

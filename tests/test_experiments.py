@@ -228,9 +228,6 @@ class TestSimulationConfig:
             SimulationConfig(**{**good, "r2_values": (1.0,)})
         with pytest.raises(ValueError, match="replication"):
             SimulationConfig(**{**good, "replications": 0})
-        for size in (0, 1):
-            with pytest.raises(InputError, match="^test_size: need at least 2"):
-                SimulationConfig(**{**good, "test_size": size})
         with pytest.raises(ValueError, match="alpha"):
             SimulationConfig(**{**good, "alpha": 0.0})
         with pytest.raises(ValueError, match="smaller than"):
@@ -281,7 +278,7 @@ class TestSimulationConfig:
 
 
 class TestGenerateData:
-    CFG = SimulationConfig(n_values=(12,), r2_values=(0.5,), p=16, test_size=64)
+    CFG = SimulationConfig(n_values=(12,), r2_values=(0.5,), p=16)
 
     def test_deterministic_per_replication(self):
         a = generate_data(self.CFG, 0.5, rep=2, n=12, m=11)
@@ -291,44 +288,39 @@ class TestGenerateData:
         assert not np.array_equal(a[0].Y, generate_data(self.CFG, 0.5, rep=3, n=12, m=11)[0].Y)
 
     def test_shapes_and_intercept(self):
-        # The designs hold only the m = 11 columns the candidates read;
+        # The design holds only the m = 11 columns the candidates read;
         # theta keeps all p = 16 coefficients.
-        train, test, theta, mu, mu_t = generate_data(self.CFG, 0.5, rep=0, n=12, m=11)
+        train, theta, mu = generate_data(self.CFG, 0.5, rep=0, n=12, m=11)
         assert train.X.shape == (12, 11)
-        assert test.X.shape == (64, 11)
         np.testing.assert_array_equal(train.X[:, 0], 1.0)
-        np.testing.assert_array_equal(test.X[:, 0], 1.0)
         assert theta.shape == (16,)
         assert mu.shape == (12,)
-        assert mu_t.shape == (64,)
 
     def test_harmonic_coefficients_at_half_r2(self):
-        _, _, theta, _, _ = generate_data(self.CFG, 0.5, rep=0, n=12, m=11)
+        _, theta, _ = generate_data(self.CFG, 0.5, rep=0, n=12, m=11)
         np.testing.assert_allclose(theta, 1.0 / np.arange(1, 17), atol=1e-14)
 
     def test_means_are_linear_in_the_design(self):
         # At m = p no column is left out: every array is the full p-column
-        # draw bit for bit, and each mean is exactly X theta.
+        # draw bit for bit, and the mean is exactly X theta.
         cfg = self.CFG
-        train, test, theta, mu, mu_t = generate_data(cfg, 0.5, rep=1, n=12, m=16)
-        for data, mean, stream, rows in ((train, mu, "train", 12), (test, mu_t, "test", 64)):
-            rng = rng_for(cfg.seed, stream, 12, 16, 0.5, 1)
-            X = np.column_stack([np.ones(rows), rng.standard_normal((rows, 15))])
-            full_mu = X @ theta
-            Y = full_mu + rng.standard_normal(rows)
-            assert data.X.tobytes() == X.tobytes()
-            assert data.Y.tobytes() == Y.tobytes()
-            assert mean.tobytes() == full_mu.tobytes()
-            np.testing.assert_array_equal(mean, data.X @ theta)
+        train, theta, mu = generate_data(cfg, 0.5, rep=1, n=12, m=16)
+        rng = rng_for(cfg.seed, "train", 12, 16, 0.5, 1)
+        X = np.column_stack([np.ones(12), rng.standard_normal((12, 15))])
+        full_mu = X @ theta
+        Y = full_mu + rng.standard_normal(12)
+        assert train.X.tobytes() == X.tobytes()
+        assert train.Y.tobytes() == Y.tobytes()
+        assert mu.tobytes() == full_mu.tobytes()
+        np.testing.assert_array_equal(mu, train.X @ theta)
 
     def test_left_out_columns_enter_as_one_normal_tail_term(self):
         # Below m = p, mu - X theta[:m] is |theta_tail| z with z standard
         # normal per row.  Over 4000 rows the sample variance of z has
         # standard error sqrt(2 / 4000) = 0.022 and its mean 0.016; the
         # tolerances 0.15 and 0.1 are about six of them.
-        cfg = dataclasses.replace(self.CFG, test_size=4000)
-        _, test, theta, _, mu_t = generate_data(cfg, 0.5, rep=0, n=12, m=5)
-        z = (mu_t - test.X @ theta[:5]) / np.linalg.norm(theta[5:])
+        train, theta, mu = generate_data(self.CFG, 0.5, rep=0, n=4000, m=5)
+        z = (mu - train.X @ theta[:5]) / np.linalg.norm(theta[5:])
         assert abs(np.var(z) - 1.0) <= 0.15
         assert abs(np.mean(z)) <= 0.1
 
@@ -346,36 +338,54 @@ class TestGenerateData:
 
 class TestRelativeLosses:
     def test_hand_computed_ratios(self):
-        mu_tr = np.zeros(2)
-        mu_te = np.zeros(3)
-        pred_tr = np.array([[1.0, 2.0], [0.0, 0.0]])  # candidate losses 1 and 4
-        pred_te = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 3.0]])  # losses 2 and 9
-        rows, excluded = relative_losses(
-            {"m": np.array([3.0, 0.0])},
-            {"m": np.array([2.0, 0.0, 0.0])},
-            pred_tr,
-            pred_te,
-            mu_tr,
-            mu_te,
-        )
+        # Candidate fitted values miss mu_train = 0 by 1 and 4; candidate
+        # coefficients (1, 0) and (0, 3) miss theta = (1, 0 | 2) by 0 + 4 and
+        # 10 + 4, the tail |theta[2:]|^2 = 4 counted in both.
+        pred_tr = np.array([[1.0, 2.0], [0.0, 0.0]])
+        coefs = np.array([[1.0, 0.0], [0.0, 3.0]])
+        theta = np.array([1.0, 0.0, 2.0])
+        rows, excluded = relative_losses({"m": np.array([0.5, 0.5])}, pred_tr, np.zeros(2), coefs, theta)
         assert not excluded
-        assert rows["m"][0] == pytest.approx(9.0)  # 9 / min(1, 4)
-        assert rows["m"][1] == pytest.approx(2.0)  # 4 / min(2, 9)
+        assert rows["m"][0] == pytest.approx(2.25)  # (1.5^2 + 0) / min(1, 4)
+        assert rows["m"][1] == pytest.approx(1.625)  # (0.5^2 + 1.5^2 + 4) / min(4, 14)
 
     def test_perfect_candidate_flags_the_replication(self):
-        mu = np.ones(2)
-        exact = np.ones((2, 1))
-        rows, excluded = relative_losses(
-            {"m": np.ones(2)}, {"m": np.ones(2)}, exact, exact, mu, mu
-        )
-        assert excluded
-        assert rows == {}
+        mu, exact = np.ones(2), np.ones((2, 1))
+        theta = np.array([1.0, 2.0])
+        for pred, coefs in ((exact, np.array([[1.0], [0.0]])), (2.0 * exact, theta[:, None])):
+            rows, excluded = relative_losses({"m": np.ones(1)}, pred, mu, coefs, theta)
+            assert excluded
+            assert rows == {}
+
+
+@pytest.mark.parametrize("shape", ["simulate", "thm1"])
+def test_exact_risk_is_the_mean_squared_error_on_fresh_rows(shape):
+    # One training draw at n = 20 as each harness makes it: simulate's with
+    # an intercept and a nonzero theta tail past its 30 drawn columns,
+    # validate-thm1's without an intercept (a tail here too).  The exact risk
+    # of each candidate (25 and 30 lie past the boundary) and of a non-vertex
+    # average must match the mean squared error against the mean over
+    # 200,000 fresh rows within 4 of its standard errors.
+    if shape == "simulate":
+        train, theta, _ = generate_data(SimulationConfig(n_values=(20,), p=60), 0.5, rep=0, n=20, m=30)
+    else:
+        theta = np.linspace(1.0, 0.1, 60)
+        X, Y, _ = xp._draw(rng_for(0, "thm1", 20, 0), 20, theta, 30, False, 1.0)
+        train = Dataset(Y=Y, X=X)
+    assert np.linalg.norm(theta[30:]) > 0.1
+    fits = fit_all(train, (3, 10, 25, 30))
+    betas = np.column_stack([fits.coefs, fits.coefs @ np.array([0.4, 0.3, 0.2, 0.1])])
+    Xt, _, mu_t = xp._draw(rng_for(1, "fresh rows", shape), 200_000, theta, 30, train.has_intercept, 0.0)
+    sq = (Xt @ betas - mu_t[:, None]) ** 2
+    risk = xp._risk(betas, theta)
+    assert np.all(np.abs(risk - sq.mean(axis=0)) <= 4.0 * sq.std(axis=0) / np.sqrt(sq.shape[0]))
+    assert xp._risk(betas[:, -1], theta) == pytest.approx(risk[-1], rel=1e-14)
 
 
 class TestRunSimulation:
     TINY = SimulationConfig(
         n_values=(8,), r2_values=(0.5,), p=16, m_values=(3, 5),
-        replications=4, seed=1, methods=("mma", "uniform"), test_size=32,
+        replications=4, seed=1, methods=("mma", "uniform"),
     )
 
     def test_canonical_row_order(self):
@@ -413,7 +423,7 @@ class TestRunSimulation:
     def test_boundary_exclusion_changes_the_candidate_set(self):
         base = dict(
             n_values=(8,), r2_values=(0.5,), p=16, m_values=(8,),
-            replications=2, seed=3, methods=("uniform",), test_size=32,
+            replications=2, seed=3, methods=("uniform",),
         )
         with_k_n = run_simulation(SimulationConfig(**base), workers=1)
         without = run_simulation(
@@ -589,23 +599,21 @@ class TestValidateRmt:
 class TestValidateTheorem1:
     def test_single_carried_candidate_matches_lone_model_form(self, rng):
         theta = rng.standard_normal(8)
-        report = validate_theorem1(40, (8,), theta, sigma2=2.0, reps=2, seed=0, test_size=100)
+        report = validate_theorem1(40, (8,), theta, sigma2=2.0, reps=2, seed=0)
         expected = single_model_risk(0.2, float(theta @ theta), 2.0)
         assert report["theoretical_risk"] == pytest.approx(expected, rel=1e-12)
         assert report["theoretical_bias"] == pytest.approx(0.0, abs=1e-12)
         assert report["empirical_risk"] > 0.0
 
     def test_noiseless_signal_is_pure_bias(self):
-        report = validate_theorem1(40, (2,), np.ones(4), sigma2=0.0, reps=2, seed=0, test_size=100)
+        report = validate_theorem1(40, (2,), np.ones(4), sigma2=0.0, reps=2, seed=0)
         assert report["theoretical_variance"] == 0.0
         assert report["theoretical_bias"] == pytest.approx(2.0 / 0.95)
         assert report["rel_error"] >= 0.0
 
     def test_explicit_weights_and_validation(self):
         theta = np.ones(6)
-        report = validate_theorem1(
-            30, (2, 4), theta, 1.0, reps=1, seed=0, w=(0.25, 0.75), test_size=50
-        )
+        report = validate_theorem1(30, (2, 4), theta, 1.0, reps=1, seed=0, w=(0.25, 0.75))
         assert report["sizes"] == [2, 4]
         for w, match in [((1.0,), "weight length"), ((0.5, np.nan), "finite"), ((0.7, 0.7), "simplex"),
                          ((-0.5, 1.5), "simplex")]:
@@ -638,16 +646,15 @@ class TestValidateTheorem1:
         with pytest.raises(ValueError, match="boundary") as err:
             validate_theorem1(2, (1, 2), theta, 1.0, reps=2, seed=0)
         assert not isinstance(err.value, InputError)
-        report = validate_theorem1(2, (1, 2), theta, 1.0, reps=2, seed=0, w=(1.0, 0.0), test_size=20)
+        report = validate_theorem1(2, (1, 2), theta, 1.0, reps=2, seed=0, w=(1.0, 0.0))
         assert np.isfinite(report["theoretical_risk"]) and np.isfinite(report["rel_error"])
 
     def test_draws_only_the_columns_its_candidates_read(self, monkeypatch):
         # Coefficients past sizes[-1] reach the draw only through the tail norm, so
         # zero padding moves nothing but that norm's roundoff.
         theta = np.linspace(1.0, 0.2, 8)
-        short = validate_theorem1(40, (2, 4), theta, 1.0, reps=3, seed=0, test_size=50)
-        padded = validate_theorem1(40, (2, 4), np.concatenate([theta, np.zeros(400)]), 1.0, reps=3, seed=0,
-                                   test_size=50)
+        short = validate_theorem1(40, (2, 4), theta, 1.0, reps=3, seed=0)
+        padded = validate_theorem1(40, (2, 4), np.concatenate([theta, np.zeros(400)]), 1.0, reps=3, seed=0)
         assert padded["empirical_risk"] == pytest.approx(short["empirical_risk"], rel=1e-12)
         for part in ("risk", "bias", "variance"):
             assert padded["theoretical_" + part] == short["theoretical_" + part]
@@ -655,7 +662,7 @@ class TestValidateTheorem1:
         designs = []
         fit = xp.fit_all
         monkeypatch.setattr(xp, "fit_all", lambda data, sizes: designs.append(data.X) or fit(data, sizes))
-        validate_theorem1(40, (2, 8), theta, 1.0, reps=1, seed=0, test_size=50)
+        validate_theorem1(40, (2, 8), theta, 1.0, reps=1, seed=0)
         assert designs[0].tobytes() == rng_for(0, "thm1", 40, 0).standard_normal((40, 8)).tobytes()
 
 
@@ -684,8 +691,8 @@ def test_every_quadratic_solve_goes_through_one_name(monkeypatch):
 
 def test_every_design_draw_goes_through_one_name(monkeypatch):
     # A span timing the design draw can wrap experiments._draw only if both
-    # harnesses that fit synthetic designs take every normal there: one train
-    # and one test draw per replication, and no other generator call.
+    # harnesses that fit synthetic designs take every normal there: one
+    # training draw per replication, and no other generator call.
     rows, inside = [], []
 
     class Watched:
@@ -708,11 +715,11 @@ def test_every_design_draw_goes_through_one_name(monkeypatch):
     monkeypatch.setattr(xp, "rng_for", lambda *keys: Watched(keyed(*keys)))
     monkeypatch.setattr(xp, "_draw", count)
     cfg = SimulationConfig(n_values=(12,), m_values=(5,), r2_values=(0.5,), p=20, replications=3,
-                           methods=("mma",), test_size=30, seed=0)
+                           methods=("mma",), seed=0)
     run_simulation(cfg, workers=1)
-    assert rows == [12, 30] * 3
-    validate_theorem1(30, (2, 4), np.ones(6), 1.0, reps=2, seed=0, test_size=50)
-    assert rows[6:] == [30, 50] * 2
+    assert rows == [12] * 3
+    validate_theorem1(30, (2, 4), np.ones(6), 1.0, reps=2, seed=0)
+    assert rows[3:] == [30] * 2
 
 
 def test_every_solve_on_the_benchmark_configs_converges(monkeypatch):
