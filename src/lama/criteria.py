@@ -22,7 +22,8 @@ times the Theorem-1 variance entry below the boundary.  These programs hold
 their ``NestedForm`` as A, and ``lama.qp`` solves and certifies them from
 the vectors in O(M), without forming the M x M matrix.  Only the jackknife
 program reads the n x M residuals: its leave-one-out residuals
-e_iq / (1 - h_iq) have no such reduction, and it holds a dense A.
+e_iq / (1 - h_iq) have no such reduction, and it holds B = E~/sqrt(n) as
+A = B'B (``lama.qp.GramForm``), which the solver reads without forming A.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .models import ModelFits
-from .qp import NestedForm
+from .qp import GramForm, NestedForm
 from .risk_theory import below_boundary_variance
 
 __all__ = [
@@ -73,15 +74,15 @@ class SingularLooError(ValueError):
 
 @dataclass(frozen=True)
 class QuadraticProgram:
-    """Criterion w'Aw + b'w over M candidates; A is an M x M array (checked
-    for symmetry) or the ``NestedForm`` that describes it, and the solver takes either."""
+    """Criterion w'Aw + b'w over M candidates; A is an M x M array (checked for
+    symmetry) or the ``GramForm`` or ``NestedForm`` that describes it, and the solver takes each."""
 
-    A: np.ndarray | NestedForm
+    A: np.ndarray | GramForm | NestedForm
     b: np.ndarray
 
     def __post_init__(self):
         b = np.asarray(self.b, dtype=np.float64).reshape(-1)
-        if not isinstance(self.A, NestedForm):
+        if not isinstance(self.A, (GramForm, NestedForm)):
             A = np.asarray(self.A, dtype=np.float64)
             if A.shape != (b.size, b.size):
                 raise ValueError("A must be square and b must match its size")
@@ -131,12 +132,13 @@ def loo_flagged(fits: ModelFits) -> np.ndarray:
 
 
 def jma_program(fits: ModelFits) -> QuadraticProgram:
-    """Leave-one-out criterion: w' (E~'E~/n) w with e~_iq = e_iq / (1 - h_iq)."""
+    """Leave-one-out criterion: w' (E~'E~/n) w with e~_iq = e_iq / (1 - h_iq), held as
+    the ``GramForm`` of B = E~/sqrt(n), so A = B'B is never formed."""
     flagged = loo_flagged(fits)
     if np.any(flagged):
         raise SingularLooError(np.flatnonzero(flagged))
-    E_loo = fits.residuals / (1.0 - fits.leverages)
-    return QuadraticProgram(E_loo.T @ E_loo / fits.n, np.zeros(fits.M))
+    B = fits.residuals / ((1.0 - fits.leverages) * math.sqrt(fits.n))
+    return QuadraticProgram(GramForm(B), np.zeros(fits.M))
 
 
 def xi(v_diag: np.ndarray, b_diag: np.ndarray) -> float:

@@ -181,7 +181,7 @@ def compute_weights(fits, method: str) -> WeightChoice:
                           RuntimeWarning, stacklevel=2)
         if not np.any(keep):
             raise ValueError(f"every candidate {why}; {name} criterion undefined")
-        sub = fits.subset(keep)
+        sub = fits.subset(keep) if dropped else fits
         if method == "jma":
             program = crit.jma_program(sub)
         else:

@@ -1,10 +1,10 @@
 """Minimize w'Aw + b'w over the probability simplex.
 
-``solve_simplex_qp(A, b)`` is the one entry point, for A an M x M array or
-the ``NestedForm`` that describes it.  Every answer has the same certificate:
+``solve_simplex_qp(A, b)`` is the one entry point, for A an M x M array, a
+``GramForm`` or a ``NestedForm``.  Every answer has the same certificate:
 ``status`` and ``kkt_residual``, the projected-gradient fixed-point residual.
 
-Two of the three paths run one primal active-set loop (Nocedal & Wright,
+Three of the four paths run one primal active-set loop (Nocedal & Wright,
 *Numerical Optimization*, Alg. 16.3), ``_active_set``.  Each step goes
 toward the minimizer of the current face (the simplex with the bound
 indices held at zero) and stops at the first bound it meets, which then
@@ -13,12 +13,17 @@ gradient entry enters if that entry lies below the free entries' common
 value; else the point is optimal.  Ties go to the lowest index.  The paths
 differ only in how they solve a face and where they start:
 
-* A dense A (the jackknife program, and the reference the tests hold the
-  other paths to) solves the bordered KKT system of the face densely, by
-  SVD, from the best vertex.  A singular system is a zero-curvature
-  direction, walked downhill to the next bound.  The method needs
-  convexity on the simplex: the centred matrix (I - 11'/M) A (I - 11'/M)
-  may have no negative eigenvalue beyond roundoff, else ``ValueError``.
+* A dense A (a user's program, and the reference the tests hold the other
+  paths to) solves the bordered KKT system of the face densely, by SVD,
+  from the best vertex.  A singular system is a zero-curvature direction,
+  walked downhill to the next bound.  The method needs convexity on the
+  simplex: the centred matrix (I - 11'/M) A (I - 11'/M) may have no
+  negative eigenvalue beyond roundoff, else ``ValueError``.
+
+* A ``GramForm`` (the jackknife program) describes A = B'B by B (n x M):
+  convex by construction, with objective and gradient in O(nM).  From the
+  best vertex, each face is a least-squares problem solved from a QR factor
+  of B_F updated by one column per step (Lawson & Hanson 1974, ch. 23).
 
 * A ``NestedForm`` (the Mallows and large-model programs) describes
   A(q,l) = g_max(q,l) + h_min(q,l) + 1{q=l} r_q by its vectors.  It is
@@ -61,7 +66,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["NestedForm", "SolveReport", "simplex_project", "solve_simplex_qp"]
+__all__ = ["GramForm", "NestedForm", "SolveReport", "simplex_project", "solve_simplex_qp"]
 
 _MAX_ITER = 10_000
 
@@ -73,6 +78,22 @@ class SolveReport:
     iterations: int
     status: str  # converged | max-iter | degenerate
     kkt_residual: float
+
+
+@dataclass(frozen=True)
+class GramForm:
+    """A = B'B of a Gram program, for an n x M array B; the solver never forms A."""
+
+    B: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "B", np.asarray(self.B, dtype=np.float64))
+        if self.B.ndim != 2:
+            raise ValueError("a Gram form needs a two-dimensional B")
+
+    def diagonal(self) -> np.ndarray:
+        """diag(A), the squared column norms of B; by Cauchy-Schwarz its maximum is max|A|."""
+        return np.einsum("ij,ij->j", self.B, self.B)
 
 
 @dataclass(frozen=True)
@@ -119,6 +140,8 @@ def simplex_project(v: np.ndarray) -> np.ndarray:
 
 def _objective(A, b: np.ndarray, w: np.ndarray, cumulative=None) -> float:
     """w'Aw + b'w; for a nested A, from its ``cumulative`` (d, e) (see the module docstring)."""
+    if isinstance(A, GramForm):
+        return float(np.linalg.norm(A.B @ w) ** 2 + b @ w)
     if cumulative is None:
         return float(w @ A @ w + b @ w)
     d, e = cumulative
@@ -129,6 +152,8 @@ def _objective(A, b: np.ndarray, w: np.ndarray, cumulative=None) -> float:
 def _gradient(A, b: np.ndarray, w: np.ndarray, cumulative=None) -> np.ndarray:
     """2Aw + b; for a nested A, up to a common shift, which the simplex projection and
     the entering test ignore: g_q = sum_{q <= i < M-1} (2 d_i C_i + e_i) + 2 r_q w_q."""
+    if isinstance(A, GramForm):
+        return 2.0 * (A.B.T @ (A.B @ w)) + b
     if cumulative is None:
         return 2.0 * A @ w + b
     d, e = cumulative
@@ -166,24 +191,25 @@ def _ratio_test(w: np.ndarray, p: np.ndarray, cap: float) -> tuple[float, int]:
     return max(float(ratios[j]), 0.0), int(neg[j])
 
 
-def _checked(A, b) -> tuple[np.ndarray | NestedForm, np.ndarray, float]:
+def _checked(A, b) -> tuple[np.ndarray | GramForm | NestedForm, np.ndarray, float]:
     """The program with float entries, a dense A symmetrized, and max|A|; ``ValueError`` if malformed."""
-    nested = isinstance(A, NestedForm)
-    if not nested:
+    gram, nested = isinstance(A, GramForm), isinstance(A, NestedForm)
+    if not (gram or nested):
         A = np.asarray(A, dtype=np.float64)
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
             raise ValueError("A must be square")
         A = 0.5 * (A + A.T)  # the quadratic form only sees the symmetric part
-    M = A.g.size if nested else A.shape[0]
+    M = A.B.shape[1] if gram else A.g.size if nested else A.shape[0]
     if M == 0:
         raise ValueError("empty program")
     b = np.zeros(M) if b is None else np.asarray(b, dtype=np.float64).reshape(-1)
     if b.shape[0] != M:
         raise ValueError("b length does not match A")
     # max|A| is non-finite exactly when some entry is: NaN and infinity propagate through it.
-    peak = A.max_abs() if nested else float(np.max(np.abs(A)))
+    peak = float(np.max(A.diagonal())) if gram else A.max_abs() if nested else float(np.max(np.abs(A)))
     if not (np.isfinite(peak) and np.all(np.isfinite(b))):
-        raise ValueError(f"{'nested form' if nested else 'program'} contains non-finite entries")
+        kind = "Gram form" if gram else "nested form" if nested else "program"
+        raise ValueError(f"{kind} contains non-finite entries")
     return A, b, peak
 
 
@@ -196,12 +222,12 @@ def _report(A, b, w, iterations: int, optimal: bool, scale: float, cumulative=No
     return SolveReport(w, _objective(A, b, w, cumulative), iterations, status, kkt)
 
 
-def solve_simplex_qp(A: np.ndarray | NestedForm, b: np.ndarray | None = None) -> SolveReport:
+def solve_simplex_qp(A: np.ndarray | GramForm | NestedForm, b: np.ndarray | None = None) -> SolveReport:
     """Minimize w'Aw + b'w over the probability simplex.
 
-    A is an M x M array or the ``NestedForm`` that describes it, in which
-    case no M x M array is formed.  Raises ``ValueError`` on malformed input
-    and on programs that are not convex on the simplex.
+    A is an M x M array or the ``GramForm`` or ``NestedForm`` that describes
+    it, in which case no M x M array is formed.  Raises ``ValueError`` on
+    malformed input and on programs that are not convex on the simplex.
     """
     A, b, peak = _checked(A, b)
     scale = max(1.0, peak, float(np.max(np.abs(b))))
@@ -211,11 +237,14 @@ def solve_simplex_qp(A: np.ndarray | NestedForm, b: np.ndarray | None = None) ->
     if M == 1:
         w, iterations, optimal = np.ones(1), 0, True
     elif cumulative is None:
-        _check_convex_on_simplex(A)
-        start = int(np.argmin(np.diag(A) + b))
+        gram = isinstance(A, GramForm)
+        if not gram:  # B'B is convex by construction
+            _check_convex_on_simplex(A)
+        start = int(np.argmin((A.diagonal() if gram else np.diag(A)) + b))
         w = np.zeros(M)
         w[start] = 1.0
-        w, iterations, optimal = _active_set(_dense_face(A, b, scale), gradient, [start], w, scale)
+        face = _gram_face(A.B, b, scale) if gram else _dense_face(A, b, scale)
+        w, iterations, optimal = _active_set(face, gradient, [start], w, scale)
     elif A.r is None:  # pool-adjacent-violators is exact
         (w, iterations), optimal = _pool_adjacent_violators(*cumulative, 1e-12 * peak), True
     else:
@@ -276,6 +305,47 @@ def _dense_face(A: np.ndarray, b: np.ndarray, scale: float):
             return (-p if (2.0 * A[free] @ w + b[free]) @ p > 0.0 else p), np.inf
         sol = Vt.T @ ((U.T @ np.concatenate([-b[free], [scale]])) / s)
         return sol[:k] - w[free], 1.0
+
+    return face
+
+
+def _gram_face(B: np.ndarray, b: np.ndarray, scale: float):
+    """The face step of A = B'B from a QR factor of the free columns C of [B; mu 1'], mu^2 = scale / M.
+
+    On the face 1'v = 1 the border adds the constant mu^2 to ||B_C v||^2, so the
+    minimizer is still R^-1 R^-T (lam 1 - b_C) / 2.  A column within an angle of
+    1e-6 of the span of those before it is an affine dependence (the bordered
+    KKT system's zero-curvature case): that face takes the dense step.  C keeps
+    the entering order, so a leaving column cuts the factor back to the columns before it.
+    """
+    BT = np.column_stack([B.T, np.full(B.shape[1], (scale / B.shape[1]) ** 0.5)])
+    size, linear = min(B.shape[1], B.shape[0] + 1), bool(np.any(b))
+    QT, Rinv, cols = np.empty((size, B.shape[0] + 1)), np.zeros((size, size)), []
+
+    def face(free: list[int], w: np.ndarray) -> tuple[np.ndarray, float]:
+        if len(free) == 1:  # a vertex is its face's minimizer
+            return np.zeros(1), 1.0
+        members = set(free)
+        k = next((i for i, j in enumerate(cols) if j not in members), len(cols))
+        del cols[k:]
+        for j in sorted(members.difference(cols)):
+            r = QT[:k] @ BT[j]  # classical Gram-Schmidt, reorthogonalized once
+            u = BT[j] - r @ QT[:k]
+            s = QT[:k] @ u
+            u -= s @ QT[:k]
+            rho = (u @ u) ** 0.5
+            if rho <= 1e-6 * (BT[j] @ BT[j]) ** 0.5:
+                return _dense_face(B[:, free].T @ B[:, free], b[free], scale)(list(range(len(free))), w[free])
+            QT[k], Rinv[:k, k], Rinv[k, k] = u / rho, Rinv[:k, :k] @ (r + s) / -rho, 1.0 / rho
+            cols.append(j)
+            k += 1
+        x = Rinv[:k, :k] @ Rinv[:k, :k].sum(axis=0)  # R^-1 R^-T 1
+        v = np.zeros(w.size)
+        v[cols] = x / x.sum()
+        if linear:  # lam from 1'v = 1, with y = R^-1 R^-T b_C
+            y = Rinv[:k, :k] @ (Rinv[:k, :k].T @ b[cols])
+            v[cols] += 0.5 * (y.sum() * v[cols] - y)
+        return v[free] - w[free], 1.0
 
     return face
 

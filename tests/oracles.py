@@ -4,21 +4,24 @@ Each oracle evaluates its formula directly, apart from the library's program
 assembly and row borders, so that agreement with them is evidence rather
 than a restatement.  The Theorem-1 limit is here as whole M x M matrices
 filled by boolean masks, read as the quadratic form w'(D_V + D_B)w; the
-library only ever sums row borders of it.  A nested program is here as the
-dense matrix its ``NestedForm`` describes; the solver only reads the vectors.
+library only ever sums row borders of it.  A nested or Gram program is here
+as the dense matrix its ``NestedForm`` or ``GramForm`` describes; the solver
+only reads the vectors or the factor.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from lama.qp import NestedForm
+from lama.qp import GramForm, NestedForm
 from lama.risk_theory import BOUNDARY_DELTA, _theorem1_inputs
 
 
 def matrix(A) -> np.ndarray:
     """The dense A of a program: A(q,l) = g[max(q,l)] + h[min(q,l)] + 1{q=l} r_q
-    for a ``NestedForm``, else A itself."""
+    for a ``NestedForm``, B'B for a ``GramForm``, else A itself."""
+    if isinstance(A, GramForm):
+        return A.B.T @ A.B
     if not isinstance(A, NestedForm):
         return np.asarray(A, dtype=np.float64)
     i = np.arange(len(A.g))

@@ -206,7 +206,7 @@ class TestLeaveOneOut:
                 loo[i, q] = data.Y[i] - data.X[i, :k] @ beta
         implied = fits.residuals / (1.0 - fits.leverages)
         np.testing.assert_allclose(implied, loo, rtol=1e-8, atol=1e-10)
-        np.testing.assert_allclose(prog.A, loo.T @ loo / 12, rtol=1e-8)
+        np.testing.assert_allclose(matrix(prog.A), loo.T @ loo / 12, rtol=1e-8)
         np.testing.assert_array_equal(prog.b, np.zeros(3))
 
     def test_single_candidate_value_is_mean_squared_loo(self):
@@ -217,7 +217,7 @@ class TestLeaveOneOut:
 
     def test_quadratic_part_is_psd(self):
         fits, _, _ = make_fits(23, n=20, sizes=(2, 5, 9, 14))
-        assert np.linalg.eigvalsh(jma_program(fits).A)[0] >= -1e-10
+        assert np.linalg.eigvalsh(matrix(jma_program(fits).A))[0] >= -1e-10
 
     def test_interpolating_candidate_is_flagged_and_fatal(self):
         fits, _, _ = make_fits(29, n=10, sizes=(2, 10), p=10, noise=0.5)

@@ -723,8 +723,9 @@ def test_every_design_draw_goes_through_one_name(monkeypatch):
 
 
 def test_every_solve_on_the_benchmark_configs_converges(monkeypatch):
-    # eval on crime at n_train 18 and simulate at n = 50 with M = 45 and 100
-    # (past the boundary), at reduced replications.
+    # eval on crime at n_train 18 and on mtcars at n_train 24, simulate at
+    # n = 50 with M = 45 and 100 (past the boundary), and the criterion-7
+    # simulate config, at reduced replications.
     choices = []
 
     def record(*args, **kwargs):
@@ -734,8 +735,33 @@ def test_every_solve_on_the_benchmark_configs_converges(monkeypatch):
 
     monkeypatch.setattr(xp, "compute_weights", record)
     evaluate_real(load_builtin("crime"), n_train=18, reps=10, seed=0, methods=QUADRATIC_METHODS, workers=1)
+    evaluate_real(load_builtin("mtcars"), n_train=24, reps=10, seed=0, methods=QUADRATIC_METHODS, workers=1)
     cfg = SimulationConfig(n_values=(50,), m_values=(45, 100), r2_values=(0.5,), p=1000, replications=3,
                            methods=QUADRATIC_METHODS, seed=0)
     run_simulation(cfg, workers=1)
-    assert len(choices) == 3 * (10 + 2 * 3)
+    criterion7 = SimulationConfig(n_values=(50,), m_values=(45,), r2_values=(0.5,), alpha=0.5, p=1000,
+                                  replications=10, methods=QUADRATIC_METHODS, seed=0)
+    run_simulation(criterion7, workers=1)
+    assert len(choices) == 3 * (10 + 10 + 2 * 3 + 10)
     assert [c.status for c in choices] == ["converged"] * len(choices)
+
+
+@pytest.mark.filterwarnings("ignore:leave-one-out criterion:RuntimeWarning")
+@pytest.mark.parametrize("m", [45, 100])
+def test_the_jackknife_weights_factor_no_m_by_m_matrix(monkeypatch, m):
+    # At the simulate-boundary shape the jma program is its n x M factor B:
+    # no eigvalsh convexity check of B'B and no SVD of a bordered KKT system
+    # runs.  The fits come first, since past the boundary fit_all may take
+    # its SVD route.
+    cfg = SimulationConfig(n_values=(50,), m_values=(m,), r2_values=(0.5,), p=1000, replications=3, seed=0)
+    fits = [fit_all(generate_data(cfg, 0.5, rep, 50, m)[0], np.arange(1, m + 1)) for rep in range(3)]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the jackknife path factored an M x M matrix")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
+    monkeypatch.setattr(np.linalg, "svd", forbidden)
+    for f in fits:
+        choice = compute_weights(f, "jma")
+        assert choice.status == "converged"
+        assert choice.excluded == tuple(range(49, m))  # k >= n interpolates

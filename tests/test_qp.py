@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 
 from lama.criteria import b_in_diag, lama_program, mma_program, sigma_hat, v_out_matrix, xi
 from lama.models import Dataset, ModelFits, fit_all
-from lama.qp import NestedForm, _checked, _gradient, _report, simplex_project, solve_simplex_qp
+from lama import qp
+from lama.qp import GramForm, NestedForm, _checked, _gradient, _report, simplex_project, solve_simplex_qp
 
 from conftest import grid_min, simplex_grid, summary_fits
 from oracles import lama_criterion_value, matrix
@@ -193,6 +194,81 @@ class TestSolveSimplexQp:
             solve_simplex_qp(np.eye(2), b=[1.0])
         with pytest.raises(ValueError, match="finite"):
             solve_simplex_qp(np.array([[np.inf, 0.0], [0.0, 1.0]]))
+
+
+class TestGramForm:
+    """The jackknife program's path: A = B'B read through B and a factor of its
+    free columns, held to the dense path on B'B as the reference."""
+
+    @given(st.integers(min_value=1, max_value=30), st.integers(min_value=1, max_value=40),
+           st.integers(min_value=0, max_value=2**32 - 1), st.booleans(), st.booleans(), st.booleans())
+    @settings(max_examples=120, deadline=None)
+    def test_matches_the_dense_path(self, n, M, seed, duplicate, zero, linear):
+        # Wide and tall B with column scales from 1e-3 to 1e3, maybe a
+        # duplicated and a zero column, and b zero or random.  The optimum is
+        # unique only where B has full column rank, so the weights are compared
+        # there alone, at the face solver's own margin: s_min > 1e-6 s_max.
+        rng = np.random.default_rng(seed)
+        B = rng.standard_normal((n, M)) * 10.0 ** rng.uniform(-3.0, 3.0, M)
+        if duplicate and M > 1:
+            to, source = rng.choice(M, 2, replace=False)
+            B[:, to] = B[:, source]
+        if zero:
+            B[:, rng.integers(M)] = 0.0
+        b = rng.standard_normal(M) * 10.0 ** rng.uniform(-3.0, 3.0) if linear else np.zeros(M)
+        report = solve_simplex_qp(GramForm(B), b)
+        reference = solve_simplex_qp(B.T @ B, b)
+        scale = max(1.0, float(np.max(np.abs(B.T @ B))), float(np.max(np.abs(b))))
+        assert report.status == "converged"
+        assert abs(report.objective - reference.objective) <= 1e-12 * scale
+        s = np.linalg.svd(B, compute_uv=False)
+        if n >= M and s[-1] > 1e-6 * s[0]:
+            assert np.max(np.abs(report.weights - reference.weights)) <= 1e-10 * scale
+
+    def test_a_column_on_the_affine_hull_of_the_face_takes_the_dense_step(self, monkeypatch):
+        # c2 = (c0 + c1) / 2 enters last, after c3, c0 and c1, because its
+        # linear term lies below the mean of theirs.  The face {0, 1, 2, 3} is
+        # then affinely dependent: the bordered factor is singular, and that
+        # face alone takes the dense step, a zero-curvature walk to the next
+        # bound.  An exact duplicate never enters a face its twin is on: the
+        # two gradient entries are equal, so this is how a dependent column does.
+        B = np.array([[1.0, 0.0, 0.5, 0.0], [0.0, 1.0, 0.5, 0.0], [0.0, 0.0, 0.0, 1.0]])
+        b = np.array([0.1, 0.98, 0.52, 0.0])
+        steps = []
+        dense_face = qp._dense_face
+
+        def recorded(*args):
+            face = dense_face(*args)
+
+            def step(free, w):
+                steps.append(face(free, w))
+                return steps[-1]
+
+            return step
+
+        monkeypatch.setattr(qp, "_dense_face", recorded)
+        report = solve_simplex_qp(GramForm(B), b)
+        monkeypatch.undo()
+        assert [cap for _, cap in steps] == [np.inf]
+        reference = solve_simplex_qp(B.T @ B, b)
+        assert report.status == reference.status == "converged"
+        assert report.iterations == reference.iterations
+        np.testing.assert_allclose(report.weights, reference.weights, rtol=0.0, atol=1e-12)
+        assert report.objective <= grid_min(B.T @ B, b, step=0.01) + 1e-12
+
+    def test_single_candidate_and_validation(self):
+        report = solve_simplex_qp(GramForm([[3.0], [4.0]]), b=[1.0])
+        np.testing.assert_array_equal(report.weights, [1.0])
+        assert report.objective == pytest.approx(26.0)
+        with pytest.raises(ValueError, match="two-dimensional"):
+            GramForm(np.ones(3))
+        with pytest.raises(ValueError, match="empty program"):
+            solve_simplex_qp(GramForm(np.zeros((3, 0))))
+        with pytest.raises(ValueError, match="length"):
+            solve_simplex_qp(GramForm(np.eye(2)), b=[1.0])
+        for B in ([[1.0, np.nan]], [[np.inf, 0.0]], [[1e200, 0.0]]):
+            with pytest.raises(ValueError, match="Gram form contains non-finite"), np.errstate(over="ignore"):
+                solve_simplex_qp(GramForm(B))
 
 
 class TestCumulativeForm:
