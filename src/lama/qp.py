@@ -4,26 +4,25 @@
 ``GramForm`` or a ``NestedForm``.  Every answer has the same certificate:
 ``status`` and ``kkt_residual``, the projected-gradient fixed-point residual.
 
-Three of the four paths run one primal active-set loop (Nocedal & Wright,
-*Numerical Optimization*, Alg. 16.3), ``_active_set``.  Each step goes
+The Gram and ridged nested paths run one primal active-set loop (Nocedal &
+Wright, *Numerical Optimization*, Alg. 16.3), ``_active_set``.  Each step goes
 toward the minimizer of the current face (the simplex with the bound
 indices held at zero) and stops at the first bound it meets, which then
 leaves the support.  At a face minimizer, the bound index with the lowest
 gradient entry enters if that entry lies below the free entries' common
-value; else the point is optimal.  Ties go to the lowest index.  The paths
-differ only in how they solve a face and where they start:
-
-* A dense A (a user's program, and the reference the tests hold the other
-  paths to) solves the bordered KKT system of the face densely, by SVD,
-  from the best vertex.  A singular system is a zero-curvature direction,
-  walked downhill to the next bound.  The method needs convexity on the
-  simplex: the centred matrix (I - 11'/M) A (I - 11'/M) may have no
-  negative eigenvalue beyond roundoff, else ``ValueError``.
+value; else the point is optimal.  Ties go to the lowest index.  A zero
+step that drops the index that just entered would return to the state
+just left, so the loop stops there and the certificate gives the status.
+The paths differ only in how they solve a face and where they start:
 
 * A ``GramForm`` (the jackknife program) describes A = B'B by B (n x M):
   convex by construction, with objective and gradient in O(nM).  From the
   best vertex, each face is a least-squares problem solved from a QR factor
   of B_F updated by one column per step (Lawson & Hanson 1974, ch. 23).
+  A dense A (a user's program) is centred and factored once, then solved
+  as a ``GramForm``; it needs convexity on the simplex: the centred matrix
+  (I - 11'/M) A (I - 11'/M) may have no negative eigenvalue beyond
+  roundoff, else ``ValueError``.
 
 * A ``NestedForm`` (the Mallows and large-model programs) describes
   A(q,l) = g_max(q,l) + h_min(q,l) + 1{q=l} r_q by its vectors.  It is
@@ -169,16 +168,23 @@ def _not_convex(curvature: float) -> ValueError:
     )
 
 
-def _check_convex_on_simplex(A: np.ndarray) -> None:
-    """Raise unless A has no negative curvature along {p : sum p = 0}."""
+def _centred_factor(A: np.ndarray, b: np.ndarray) -> tuple[GramForm, np.ndarray]:
+    """The Gram program equal to w'Aw + b'w on the simplex up to a constant; ``ValueError`` unless convex there.
+
+    With u = A1/M and P = I - 11'/M, A = PAP + 1u' + u1' - (1'A1/M^2) 11', so on
+    the simplex the objective is w'PAPw + (b + 2u)'w plus a constant, and PAP
+    is the Gram matrix of diag(sqrt(lam)) V' over its positive eigenpairs.
+    """
     M = A.shape[0]
     P = np.eye(M) - 1.0 / M
-    eigs = np.linalg.eigvalsh(P @ A @ P)
+    lam, V = np.linalg.eigh(P @ A @ P)
     # Centring a large constant or linear part leaves roundoff of order
     # eps * max|A_ij|, so that bounds the tolerance from below.
-    floor = max(float(np.max(np.abs(eigs))), float(np.max(np.abs(A))))
-    if eigs[0] < -1e-12 * floor:
-        raise _not_convex(eigs[0])
+    floor = max(float(np.max(np.abs(lam))), float(np.max(np.abs(A))))
+    if lam[0] < -1e-12 * floor:
+        raise _not_convex(lam[0])
+    keep = lam > 0.0
+    return GramForm(np.sqrt(lam[keep])[:, None] * V[:, keep].T), b + 2.0 * A.sum(axis=1) / M
 
 
 def _ratio_test(w: np.ndarray, p: np.ndarray, cap: float) -> tuple[float, int]:
@@ -213,12 +219,12 @@ def _checked(A, b) -> tuple[np.ndarray | GramForm | NestedForm, np.ndarray, floa
     return A, b, peak
 
 
-def _report(A, b, w, iterations: int, optimal: bool, scale: float, cumulative=None) -> SolveReport:
+def _report(A, b, w, iterations: int, stopped: bool, scale: float, cumulative=None) -> SolveReport:
     """Feasible weights with their objective, certified by the projected-gradient fixed-point residual."""
     w = np.maximum(w, 0.0)
     w /= w.sum()
     kkt = float(np.linalg.norm(w - simplex_project(w - _gradient(A, b, w, cumulative))))
-    status = "converged" if kkt <= 1e-9 * scale else ("degenerate" if optimal else "max-iter")
+    status = "converged" if kkt <= 1e-9 * scale else ("degenerate" if stopped else "max-iter")
     return SolveReport(w, _objective(A, b, w, cumulative), iterations, status, kkt)
 
 
@@ -233,24 +239,22 @@ def solve_simplex_qp(A: np.ndarray | GramForm | NestedForm, b: np.ndarray | None
     scale = max(1.0, peak, float(np.max(np.abs(b))))
     M = b.shape[0]
     cumulative = A.cumulative(b) if isinstance(A, NestedForm) else None
-    gradient = functools.partial(_gradient, A, b, cumulative=cumulative)
     if M == 1:
-        w, iterations, optimal = np.ones(1), 0, True
+        w, iterations, stopped = np.ones(1), 0, True
     elif cumulative is None:
-        gram = isinstance(A, GramForm)
-        if not gram:  # B'B is convex by construction
-            _check_convex_on_simplex(A)
-        start = int(np.argmin((A.diagonal() if gram else np.diag(A)) + b))
+        start = int(np.argmin(A.diagonal() + b))  # the best vertex
+        form, linear = (A, b) if isinstance(A, GramForm) else _centred_factor(A, b)
         w = np.zeros(M)
         w[start] = 1.0
-        face = _gram_face(A.B, b, scale) if gram else _dense_face(A, b, scale)
-        w, iterations, optimal = _active_set(face, gradient, [start], w, scale)
+        face = _gram_face(form.B, linear, scale)
+        w, iterations, stopped = _active_set(face, functools.partial(_gradient, form, linear), [start], w, scale)
     elif A.r is None:  # pool-adjacent-violators is exact
-        (w, iterations), optimal = _pool_adjacent_violators(*cumulative, 1e-12 * peak), True
+        (w, iterations), stopped = _pool_adjacent_violators(*cumulative, 1e-12 * peak), True
     else:
         face = _tridiagonal_face(*cumulative, A.r)
-        w, iterations, optimal = _active_set(face, gradient, list(range(M)), np.full(M, 1.0 / M), scale)
-    return _report(A, b, w, iterations, optimal, scale, cumulative)
+        gradient = functools.partial(_gradient, A, b, cumulative=cumulative)
+        w, iterations, stopped = _active_set(face, gradient, list(range(M)), np.full(M, 1.0 / M), scale)
+    return _report(A, b, w, iterations, stopped, scale, cumulative)
 
 
 def _active_set(face, gradient, free: list[int], w: np.ndarray, scale: float) -> tuple[np.ndarray, int, bool]:
@@ -260,19 +264,22 @@ def _active_set(face, gradient, free: list[int], w: np.ndarray, scale: float) ->
     face's minimizer and the longest multiple of it to take: 1 reaches the
     minimizer, and ``inf`` walks a zero-curvature direction to the next
     bound.  ``gradient(w)`` is the objective's gradient up to a common
-    shift.  Returns the weights, the iteration count and whether the last
-    face minimizer passed the entering test.
+    shift.  Returns the weights, the iteration count and whether the loop
+    stopped before ``_MAX_ITER``: at a face minimizer that passes the
+    entering test, or where the index that just entered would leave again
+    by a zero step, which would bring back the state just left and repeat it.
     """
-    optimal = False
-    iterations = 0
-    while not optimal and iterations < _MAX_ITER:
-        iterations += 1
+    entered = -1
+    for iterations in range(1, _MAX_ITER + 1):
         p, cap = face(free, w)
         idx = np.array(free)  # numpy indexes an array faster than a list
         wF = w[idx]
         t, block = _ratio_test(wF, p, cap)
         w[idx] = wF + t * p
         if block >= 0:
+            if t == 0.0 and free[block] == entered:
+                return w, iterations, True
+            entered = -1
             w[free[block]] = 0.0
             del free[block]
             continue
@@ -281,42 +288,23 @@ def _active_set(face, gradient, free: list[int], w: np.ndarray, scale: float) ->
         g = gradient(w)
         level = g[idx].sum() / len(free)
         g[idx] = np.inf
-        j = int(np.argmin(g))
-        if g[j] - level < -1e-12 * scale:
-            free = sorted(free + [j])
-        else:
-            optimal = True
-    return w, iterations, optimal
-
-
-def _dense_face(A: np.ndarray, b: np.ndarray, scale: float):
-    """The face step of the dense program: the bordered KKT system on the free indices, solved by SVD."""
-
-    def face(free: list[int], w: np.ndarray) -> tuple[np.ndarray, float]:
-        k = len(free)
-        K = np.zeros((k + 1, k + 1))
-        K[:k, :k] = 2.0 * A[np.ix_(free, free)]
-        K[:k, k] = K[k, :k] = scale  # sum w = 1, bordered at the scale of A and b
-        U, s, Vt = np.linalg.svd(K)
-        if s[-1] <= 1e-12 * s[0]:
-            # Zero curvature along the null vector: the objective is linear
-            # on that line, so go downhill to the first bound.
-            p = Vt[-1, :k]
-            return (-p if (2.0 * A[free] @ w + b[free]) @ p > 0.0 else p), np.inf
-        sol = Vt.T @ ((U.T @ np.concatenate([-b[free], [scale]])) / s)
-        return sol[:k] - w[free], 1.0
-
-    return face
+        entered = int(np.argmin(g))
+        if g[entered] - level >= -1e-12 * scale:
+            return w, iterations, True
+        free = sorted(free + [entered])
+    return w, _MAX_ITER, False
 
 
 def _gram_face(B: np.ndarray, b: np.ndarray, scale: float):
     """The face step of A = B'B from a QR factor of the free columns C of [B; mu 1'], mu^2 = scale / M.
 
     On the face 1'v = 1 the border adds the constant mu^2 to ||B_C v||^2, so the
-    minimizer is still R^-1 R^-T (lam 1 - b_C) / 2.  A column within an angle of
-    1e-6 of the span of those before it is an affine dependence (the bordered
-    KKT system's zero-curvature case): that face takes the dense step.  C keeps
-    the entering order, so a leaving column cuts the factor back to the columns before it.
+    minimizer is still R^-1 R^-T (lam 1 - b_C) / 2.  A column j within an angle
+    of 1e-6 of the span of those before it is an affine dependence: with
+    z_C = -R^-1 (r + s) its coefficients on them and z_j = 1, B z ~ 0 and
+    1'z ~ 0, so the objective is linear along z and the step walks it
+    downhill to the next bound.  C keeps the entering order, so a leaving
+    column cuts the factor back to the columns before it.
     """
     BT = np.column_stack([B.T, np.full(B.shape[1], (scale / B.shape[1]) ** 0.5)])
     size, linear = min(B.shape[1], B.shape[0] + 1), bool(np.any(b))
@@ -335,7 +323,9 @@ def _gram_face(B: np.ndarray, b: np.ndarray, scale: float):
             u -= s @ QT[:k]
             rho = (u @ u) ** 0.5
             if rho <= 1e-6 * (BT[j] @ BT[j]) ** 0.5:
-                return _dense_face(B[:, free].T @ B[:, free], b[free], scale)(list(range(len(free))), w[free])
+                z = np.zeros(w.size)
+                z[cols], z[j] = -(Rinv[:k, :k] @ (r + s)), 1.0
+                return (-z[free] if 2.0 * (B @ w) @ (B @ z) + b @ z > 0.0 else z[free]), np.inf
             QT[k], Rinv[:k, k], Rinv[k, k] = u / rho, Rinv[:k, :k] @ (r + s) / -rho, 1.0 / rho
             cols.append(j)
             k += 1

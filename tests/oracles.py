@@ -6,10 +6,12 @@ than a restatement.  The Theorem-1 limit is here as whole M x M matrices
 filled by boolean masks, read as the quadratic form w'(D_V + D_B)w; the
 library only ever sums row borders of it.  A nested or Gram program is here
 as the dense matrix its ``NestedForm`` or ``GramForm`` describes; the solver
-only reads the vectors or the factor.
+only reads the vectors or the factor.  A small simplex program is solved
+here by enumerating its faces; the solver walks an active set instead.
 """
 
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -29,6 +31,38 @@ def matrix(A) -> np.ndarray:
     if A.r is not None:
         dense[np.diag_indices_from(dense)] += A.r
     return dense
+
+
+def simplex_minimum(A, b) -> tuple[np.ndarray, float]:
+    """(weights, objective) minimizing w'Aw + b'w over the simplex, for a convex program with M <= 7.
+
+    Every support S gives the bordered KKT system [2 A_SS, c1; c1', 0] [w_S; lam] = [-b_S; c],
+    solved by ``np.linalg.lstsq``; each solution with w_S >= 0 is clipped onto the simplex, and
+    the least objective among them is the minimum.  A vertex of the optimal set is the unique
+    minimizer on its own support's affine hull, so that system is nonsingular and yields it.
+    """
+    A = np.asarray(A, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    M = b.size
+    if M > 7:
+        raise ValueError("the face enumeration is for programs with at most 7 candidates")
+    c = max(1.0, float(np.max(np.abs(A))))
+    best, best_value = None, np.inf
+    for k in range(1, M + 1):
+        for S in map(list, combinations(range(M), k)):
+            K = np.zeros((k + 1, k + 1))
+            K[:k, :k] = 2.0 * A[np.ix_(S, S)]
+            K[:k, k] = K[k, :k] = c
+            wS = np.linalg.lstsq(K, np.append(-b[S], c), rcond=None)[0][:k]
+            if wS.min() < -1e-9:
+                continue
+            w = np.zeros(M)
+            w[S] = np.maximum(wS, 0.0)
+            w /= w.sum()
+            objective = float(w @ A @ w + b @ w)
+            if objective < best_value:
+                best, best_value = w, objective
+    return best, best_value
 
 
 def value(program, w) -> float:

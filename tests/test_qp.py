@@ -1,9 +1,10 @@
 """Simplex quadratic programs: projection, solver, and solve reports.
 
 The solver is held to a lattice brute-force oracle on low-dimensional
-problems (rank-deficient ones included), to hand-solved two-candidate
-programs, and to the feasibility, determinism, tie-breaking and convexity
-contracts that the experiment layer relies on.
+problems (rank-deficient ones included), to an exact face-enumeration oracle
+on small Gram programs, to hand-solved two-candidate programs, and to the
+feasibility, determinism, tie-breaking and convexity contracts that the
+experiment layer relies on.
 """
 
 import tracemalloc
@@ -19,7 +20,7 @@ from lama import qp
 from lama.qp import GramForm, NestedForm, _checked, _gradient, _report, simplex_project, solve_simplex_qp
 
 from conftest import grid_min, simplex_grid, summary_fits
-from oracles import lama_criterion_value, matrix
+from oracles import lama_criterion_value, matrix, simplex_minimum
 
 
 class TestSimplexProject:
@@ -197,17 +198,20 @@ class TestSolveSimplexQp:
 
 
 class TestGramForm:
-    """The jackknife program's path: A = B'B read through B and a factor of its
-    free columns, held to the dense path on B'B as the reference."""
+    """The general path: A = B'B read through B and a factor of its free columns,
+    held to the face enumeration oracle on small programs and, for a dense A,
+    through the Gram program of its centred factor."""
 
     @given(st.integers(min_value=1, max_value=30), st.integers(min_value=1, max_value=40),
            st.integers(min_value=0, max_value=2**32 - 1), st.booleans(), st.booleans(), st.booleans())
     @settings(max_examples=120, deadline=None)
     def test_matches_the_dense_path(self, n, M, seed, duplicate, zero, linear):
         # Wide and tall B with column scales from 1e-3 to 1e3, maybe a
-        # duplicated and a zero column, and b zero or random.  The optimum is
-        # unique only where B has full column rank, so the weights are compared
-        # there alone, at the face solver's own margin: s_min > 1e-6 s_max.
+        # duplicated and a zero column, and b zero or random.  GramForm(B) and
+        # B'B are held to the exact oracle up to M = 7 and to each other beyond.
+        # The optimum is unique only where B has full column rank, so the
+        # weights are compared there alone, at the face solver's own margin:
+        # s_min > 1e-6 s_max.
         rng = np.random.default_rng(seed)
         B = rng.standard_normal((n, M)) * 10.0 ** rng.uniform(-3.0, 3.0, M)
         if duplicate and M > 1:
@@ -217,28 +221,35 @@ class TestGramForm:
             B[:, rng.integers(M)] = 0.0
         b = rng.standard_normal(M) * 10.0 ** rng.uniform(-3.0, 3.0) if linear else np.zeros(M)
         report = solve_simplex_qp(GramForm(B), b)
-        reference = solve_simplex_qp(B.T @ B, b)
+        dense = solve_simplex_qp(B.T @ B, b)
         scale = max(1.0, float(np.max(np.abs(B.T @ B))), float(np.max(np.abs(b))))
-        assert report.status == "converged"
-        assert abs(report.objective - reference.objective) <= 1e-12 * scale
         s = np.linalg.svd(B, compute_uv=False)
-        if n >= M and s[-1] > 1e-6 * s[0]:
-            assert np.max(np.abs(report.weights - reference.weights)) <= 1e-10 * scale
+        unique = n >= M and s[-1] > 1e-6 * s[0]
+        if M <= 7:
+            weights, objective = simplex_minimum(B.T @ B, b)
+            pairs = [(report, weights, objective), (dense, weights, objective)]
+        else:
+            pairs = [(report, dense.weights, dense.objective)]
+        assert report.status == dense.status == "converged"
+        for solved, weights, objective in pairs:
+            assert abs(solved.objective - objective) <= 1e-12 * scale
+            if unique:
+                assert np.max(np.abs(solved.weights - weights)) <= 1e-10 * scale
 
-    def test_a_column_on_the_affine_hull_of_the_face_takes_the_dense_step(self, monkeypatch):
+    def test_a_column_on_the_affine_hull_of_the_face_takes_a_zero_curvature_step(self, monkeypatch):
         # c2 = (c0 + c1) / 2 enters last, after c3, c0 and c1, because its
         # linear term lies below the mean of theirs.  The face {0, 1, 2, 3} is
         # then affinely dependent: the bordered factor is singular, and that
-        # face alone takes the dense step, a zero-curvature walk to the next
-        # bound.  An exact duplicate never enters a face its twin is on: the
-        # two gradient entries are equal, so this is how a dependent column does.
+        # face alone takes a zero-curvature walk to the next bound.  An exact
+        # duplicate never enters a face its twin is on: the two gradient
+        # entries are equal, so this is how a dependent column does.
         B = np.array([[1.0, 0.0, 0.5, 0.0], [0.0, 1.0, 0.5, 0.0], [0.0, 0.0, 0.0, 1.0]])
         b = np.array([0.1, 0.98, 0.52, 0.0])
         steps = []
-        dense_face = qp._dense_face
+        gram_face = qp._gram_face
 
         def recorded(*args):
-            face = dense_face(*args)
+            face = gram_face(*args)
 
             def step(free, w):
                 steps.append(face(free, w))
@@ -246,15 +257,62 @@ class TestGramForm:
 
             return step
 
-        monkeypatch.setattr(qp, "_dense_face", recorded)
+        monkeypatch.setattr(qp, "_gram_face", recorded)
         report = solve_simplex_qp(GramForm(B), b)
         monkeypatch.undo()
-        assert [cap for _, cap in steps] == [np.inf]
+        assert [cap for _, cap in steps].count(np.inf) == 1
         reference = solve_simplex_qp(B.T @ B, b)
         assert report.status == reference.status == "converged"
-        assert report.iterations == reference.iterations
-        np.testing.assert_allclose(report.weights, reference.weights, rtol=0.0, atol=1e-12)
+        assert report.iterations == reference.iterations == 5
+        np.testing.assert_allclose(report.weights, [0.42, 0.0, 11 / 150, 38 / 75], rtol=0.0, atol=1e-12)
         assert report.objective <= grid_min(B.T @ B, b, step=0.01) + 1e-12
+
+    @pytest.mark.parametrize("b", [[0.1, 0.98, 0.52, 0.0], [0.0, 0.0, 1.0, 0.0]])
+    def test_the_zero_curvature_step_walks_downhill(self, b):
+        # On the face {0, 1, 2, 3} of the B above, c2 = (c0 + c1) / 2 closes an
+        # affine dependence: the step is +-(-1/2, -1/2, 1, 0), uncapped, with
+        # whichever sign the linear term makes a descent direction.
+        B = np.array([[1.0, 0.0, 0.5, 0.0], [0.0, 1.0, 0.5, 0.0], [0.0, 0.0, 0.0, 1.0]])
+        b = np.array(b)
+        w = np.full(4, 0.25)
+        p, cap = qp._gram_face(B, b, 1.0)([0, 1, 2, 3], w)
+        assert cap == np.inf
+        np.testing.assert_allclose(np.abs(p), [0.5, 0.5, 1.0, 0.0], rtol=0.0, atol=1e-12)
+        assert _gradient(GramForm(B), b, w) @ p < 0.0
+
+    def test_no_active_set_cycle_on_degenerate_programs(self):
+        # Duplicate and zero columns at scales 1e-3 to 1e3: a zero step that
+        # drops the index that just entered brings back the state just left,
+        # which would repeat to the iteration cap.  Seeds 104, 151, 178, 192,
+        # 215, 245, 452 and 481 (B'B) and 494 (GramForm(B)) did so with a
+        # bordered-SVD face solver, 816 (GramForm(B)) and 1029 (B'B) do so
+        # with the factor alone.
+        for seed in [*range(500), 816, 1029]:
+            rng = np.random.default_rng(seed)
+            n, M = rng.integers(1, 31), rng.integers(1, 41)
+            B = rng.standard_normal((n, M)) * 10.0 ** rng.uniform(-3, 3, M)
+            if rng.random() < 0.5 and M > 1:
+                to, source = rng.choice(M, 2, replace=False)
+                B[:, to] = B[:, source]
+            if rng.random() < 0.5:
+                B[:, rng.integers(M)] = 0.0
+            b = rng.standard_normal(M) * 10.0 ** rng.uniform(-3, 3) if rng.random() < 0.5 else np.zeros(M)
+            for A in (GramForm(B), B.T @ B):
+                report = solve_simplex_qp(A, b)
+                assert report.status == "converged" and report.iterations < 1000, seed
+
+    def test_no_bordered_svd_runs(self, monkeypatch, rng):
+        # A dense A is solved as the Gram program of its centred factor, and a
+        # dependent face walks its zero-curvature direction from the factor.
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.linalg.svd called")
+
+        G = rng.standard_normal((3, 5))
+        B = np.array([[1.0, 0.0, 0.5, 0.0], [0.0, 1.0, 0.5, 0.0], [0.0, 0.0, 0.0, 1.0]])
+        programs = [(G.T @ G, rng.standard_normal(5)), (GramForm(B), [0.1, 0.98, 0.52, 0.0]), (np.diag([1, 2, 4]), None)]
+        monkeypatch.setattr(np.linalg, "svd", refuse)
+        for A, b in programs:
+            assert solve_simplex_qp(A, b).status == "converged"
 
     def test_single_candidate_and_validation(self):
         report = solve_simplex_qp(GramForm([[3.0], [4.0]]), b=[1.0])
@@ -273,7 +331,7 @@ class TestGramForm:
 
 class TestCumulativeForm:
     """The Mallows and large-model programs solved through their cumulative
-    form, held to the dense path (the matrix their form describes) as the reference."""
+    form, held to the general solver on the matrix their form describes."""
 
     @staticmethod
     def _fits(seed, route):
@@ -315,7 +373,7 @@ class TestCumulativeForm:
         # For any (g, h, b, r), the min-type h and the linear b included,
         # w'Aw + b'w - (sum_i d_i C_i^2 + e_i C_i + sum_q r_q w_q^2) is one
         # constant on the simplex.  A falling g, a rising h and r >= 0 give
-        # d > 0, a convex form, whose path must match the dense path.
+        # d > 0, a convex form, whose solve must match the dense matrix's.
         rng = np.random.default_rng(seed)
         if convex:
             g = rng.standard_normal() - np.cumsum(rng.uniform(0.1, 1.0, M))
