@@ -2,11 +2,12 @@
 
 A candidate is a prefix of the design's columns: given strictly increasing
 sizes k_1 < ... < k_M, candidate q uses the first k_q columns of X, so the
-regressors are put in priority order (``order_by_cp``) by permuting X's
-columns once.  ``fit_all`` fits every candidate by minimum-norm least
-squares, from one factorization below the boundary and one per block of
-sizes past it, and caches the residuals, leverages and ranks that the
-weight-choice criteria consume.
+regressors are put in priority order by permuting X's columns once; the
+forward selection ``order_by_cp`` sweeps every column's residual once per
+selected term, O(n p) each.  ``fit_all`` fits every candidate by
+minimum-norm least squares, from one factorization below the boundary and
+one per block of sizes past it, and caches the residuals, leverages and
+ranks that the weight-choice criteria consume.
 """
 
 from __future__ import annotations
@@ -164,59 +165,46 @@ def order_by_cp(data: Dataset) -> np.ndarray:
 
     Cp = RSS / sigma2 - n + 2k for any fixed sigma2 > 0.  At each step every
     candidate column adds one term, so k is common to them all and the Cp
-    minimizer is the column with the largest RSS drop (q_j'Y)^2, q_j being
-    its unit residual against the columns already selected.  Ties go to the
-    lower original index.  Selection stops after min(n - 2, p) terms or when
-    every remaining column lies in the selected span; the columns never
-    selected follow in original order, so the result is always a full
-    permutation.  An intercept column (``has_intercept``) is seeded as the
-    first term rather than competing in the search.
+    minimizer is the column with the largest RSS drop (r_j'Y)^2 / ||r_j||^2,
+    r_j being its residual against the columns already selected; ties go to
+    the lower original index.  Selection stops after min(n - 2, p) terms or
+    when every remaining column lies in the selected span (||r_j|| at most
+    1e-12 max(||x_j||, 1)); the columns never selected follow in original
+    order, so the result is always a full permutation.  An intercept column
+    (``has_intercept``) is seeded as the first term.
+
+    Each term sweeps every residual by one projection, applied twice for
+    stability (Miller, *Subset Selection in Regression*, 2002, ch. 3): O(n p)
+    per term.  Column sums are products summed down the rows, so equal
+    columns get equal bits wherever they sit (BLAS gemv does not promise it).
     """
     n, p = data.n, data.p
     if n < 3:
         raise ValueError(f"need at least 3 observations to order regressors, got {n}")
     term_cap = min(n - 2, p)
 
-    X, Y = data.X, data.Y
-    col_norms = np.linalg.norm(X, axis=0)
+    floor = 1e-12 * np.maximum(np.linalg.norm(data.X, axis=0), 1.0)
+    R = data.X.copy()  # column j: x_j's residual against the selected span
+    free = np.ones(p, dtype=bool)
     selected: list[int] = []
-    remaining = list(range(p))
-    # Orthonormal basis of the selected columns, grown one vector at a time.
-    Q = np.empty((n, 0))
-
-    def grow(j: int) -> np.ndarray | None:
-        x = X[:, j]
-        r = x - Q @ (Q.T @ x)
-        r = r - Q @ (Q.T @ r)  # second orthogonalization pass for stability
-        nr = np.linalg.norm(r)
-        if nr <= 1e-12 * max(col_norms[j], 1.0):
-            return None  # column already in the span
-        return r / nr
-
-    if data.has_intercept:
-        q0 = grow(0)
-        if q0 is not None:
-            Q = np.column_stack([Q, q0])
-        selected.append(0)
-        remaining.remove(0)
-
-    while len(selected) < term_cap and remaining:
-        gains = np.full(len(remaining), -1.0)
-        vecs: list[np.ndarray | None] = []
-        for i, j in enumerate(remaining):
-            qj = grow(j)
-            vecs.append(qj)
-            if qj is not None:
-                gains[i] = float(qj @ Y) ** 2
-        best = int(np.argmax(gains))  # first index wins exact ties
-        if gains[best] < 0.0:
+    while len(selected) < term_cap:
+        norm2 = (R * R).sum(axis=0)
+        live = free & (np.sqrt(norm2) > floor)
+        if data.has_intercept and not selected:
+            j = 0
+        elif live.any():
+            c = (R * data.Y[:, None]).sum(axis=0)
+            j = int(np.argmax(np.divide(c * c, norm2, out=np.full(p, -1.0), where=live)))  # first index wins ties
+        else:
             break  # every remaining column is in the current span
-        j = remaining.pop(best)
+        free[j] = False
         selected.append(j)
-        if vecs[best] is not None:
-            Q = np.column_stack([Q, vecs[best]])
+        if live[j]:
+            q = R[:, j : j + 1] / np.sqrt(norm2[j])
+            for _ in range(2):
+                R -= q * (q * R).sum(axis=0)
 
-    return np.array(selected + remaining, dtype=np.int64)
+    return np.concatenate([selected, np.flatnonzero(free)]).astype(np.int64)
 
 
 def default_model_counts(n: int) -> tuple[int, int, int]:

@@ -45,9 +45,9 @@ The paths differ only in how they solve a face and where they start:
   face's own cumulative weights.  It starts from the full support at
   uniform weights, not from a vertex, because the ridge keeps nearly every
   candidate: a vertex start would add them one face solve at a time.
-  Convexity is certified once, by the LDL' pivots of the full tridiagonal
-  Hessian being positive (else ``ValueError``), which makes the minimizer
-  unique and every face system positive definite.
+  The first face is the full support, and its solve certifies convexity:
+  the LDL' pivots of the whole Hessian must be positive (else ``ValueError``),
+  which makes the minimizer unique and every face system positive definite.
 
   Without the ridge (Mallows) it is weighted isotonic regression of
   t_i = -e_i / (2 d_i) with weights d_i, clipped to [0, 1], solved exactly
@@ -368,24 +368,20 @@ def _pool_adjacent_violators(d: np.ndarray, e: np.ndarray, tol: float) -> tuple[
     return np.diff(C, prepend=0.0, append=1.0), pools
 
 
-def _ldl_pivots(diag: list[float], off: list[float]) -> list[float]:
-    """Pivots of the LDL' factorization of the symmetric tridiagonal matrix (diag, off)."""
-    pivots = [diag[0]]
-    for a, o in zip(diag[1:], off):
-        pivots.append(a - o * o / pivots[-1])
-    return pivots
-
-
 def _tridiagonal_solve(diag: list[float], off: list[float], rhs: list[float]) -> list[float]:
-    """Thomas algorithm for a symmetric positive definite tridiagonal system."""
+    """Thomas algorithm for a symmetric tridiagonal system; ``ValueError`` at the first LDL' pivot <= 0."""
     n = len(diag)
     ratio = [0.0] * n
     x = [0.0] * n
     pivot = diag[0]
+    if not pivot > 0.0:
+        raise _not_convex(pivot)
     x[0] = rhs[0] / pivot
     for i in range(1, n):
         ratio[i - 1] = off[i - 1] / pivot
         pivot = diag[i] - off[i - 1] * ratio[i - 1]
+        if not pivot > 0.0:
+            raise _not_convex(pivot)
         x[i] = (rhs[i] - off[i - 1] * x[i - 1]) / pivot
     for i in range(n - 2, -1, -1):
         x[i] -= ratio[i] * x[i + 1]
@@ -393,17 +389,16 @@ def _tridiagonal_solve(diag: list[float], off: list[float], rhs: list[float]) ->
 
 
 def _tridiagonal_face(d: np.ndarray, e: np.ndarray, r: np.ndarray):
-    """The face step of the ridged cumulative form, once its convexity is certified.
+    """The face step of the ridged cumulative form.
 
     On the face with free candidates f_0 < ... < f_{s-1}, the variables are
     E_m = C_i for f_m <= i < f_{m+1} (m < s - 1); the steps inside one run
     pool their d and e, and the ridge keeps r at the free candidates only.
-    The face solve runs on plain floats: the programs are small and numpy's
-    per-call cost would dominate.
+    The first face, the full support, solves the whole Hessian (d from
+    differences of its running sums, equal up to roundoff), so that solve
+    certifies convexity.  The face solve runs on plain floats: the programs
+    are small and numpy's per-call cost would dominate.
     """
-    pivots = _ldl_pivots((d + r[:-1] + r[1:]).tolist(), (-r[1:-1]).tolist())
-    if min(pivots) <= 0.0:
-        raise _not_convex(min(pivots))
     d_sum = [0.0] + np.cumsum(d).tolist()
     e_sum = [0.0] + np.cumsum(e).tolist()
     ridge = r.tolist()

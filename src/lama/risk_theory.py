@@ -14,7 +14,6 @@ zero).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -201,7 +200,6 @@ class PowerLawProfile:
         out[self.truncate :] = 0.0
         return out
 
-    @lru_cache(maxsize=None)
     def _sq_prefix(self) -> np.ndarray:
         # _sq_prefix()[k] = sum of theta_j^2 for j <= k
         sq = self.coefficients(self.truncate) ** 2

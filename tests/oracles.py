@@ -2,12 +2,14 @@
 
 Each oracle evaluates its formula directly, apart from the library's program
 assembly and row borders, so that agreement with them is evidence rather
-than a restatement.  The Theorem-1 limit is here as whole M x M matrices
-filled by boolean masks, read as the quadratic form w'(D_V + D_B)w; the
-library only ever sums row borders of it.  A nested or Gram program is here
-as the dense matrix its ``NestedForm`` or ``GramForm`` describes; the solver
-only reads the vectors or the factor.  A small simplex program is solved
-here by enumerating its faces; the solver walks an active set instead.
+than a restatement.  The forward ordering is here as one least-squares fit
+per step and candidate column; the library sweeps residuals instead.  The
+Theorem-1 limit is here as whole M x M matrices filled by boolean masks,
+read as the quadratic form w'(D_V + D_B)w; the library only ever sums row
+borders of it.  A nested or Gram program is here as the dense matrix its
+``NestedForm`` or ``GramForm`` describes; the solver only reads the vectors
+or the factor.  A small simplex program is solved here by enumerating its
+faces; the solver walks an active set instead.
 """
 
 from dataclasses import dataclass
@@ -17,6 +19,36 @@ import numpy as np
 
 from lama.qp import GramForm, NestedForm
 from lama.risk_theory import BOUNDARY_DELTA, _theorem1_inputs
+
+
+def forward_order(X, Y, has_intercept: bool) -> list[int]:
+    """Greedy forward selection by residual sum of squares, each fit by ``np.linalg.lstsq``.
+
+    An intercept (column 0) is seeded first.  Each step skips the columns whose
+    residual against the selected ones has norm at most 1e-12 max(||x_j||, 1)
+    and takes the largest RSS drop, the lowest index on exact ties.  It stops at
+    min(n - 2, p) terms or when no column is left; the rest follow in order.
+    """
+    n, p = X.shape
+
+    def residual(cols, v):
+        return v - X[:, cols] @ np.linalg.lstsq(X[:, cols], v, rcond=None)[0] if cols else v
+
+    selected = [0] if has_intercept else []
+    while len(selected) < min(n - 2, p):
+        base, spans = residual(selected, Y), residual(selected, X)
+        best, best_drop = None, -np.inf
+        for j in range(p):
+            if j in selected or np.linalg.norm(spans[:, j]) <= 1e-12 * max(np.linalg.norm(X[:, j]), 1.0):
+                continue
+            rest = residual(selected + [j], Y)
+            drop = base @ base - rest @ rest
+            if drop > best_drop:
+                best, best_drop = j, drop
+        if best is None:
+            break
+        selected.append(best)
+    return selected + [j for j in range(p) if j not in selected]
 
 
 def matrix(A) -> np.ndarray:

@@ -13,6 +13,7 @@ from lama.models import Dataset, default_model_counts, fit_all, load_csv, order_
 from lama.risk_theory import InputError
 
 from conftest import make_fits
+from oracles import forward_order
 
 
 class TestDataset:
@@ -95,9 +96,9 @@ class TestOrderByCp:
         x = rng.standard_normal(20)
         X = np.column_stack([x, x, rng.standard_normal(20)])
         data = Dataset(Y=x + 0.01 * rng.standard_normal(20), X=X)
-        ordering = order_by_cp(data)
-        assert ordering[0] == 0  # the duplicate at index 1 loses the tie
-        assert sorted(ordering) == [0, 1, 2]
+        # The duplicate at index 1 loses the tie, then lies in the span: it is
+        # never selected and follows in its original order.
+        assert list(order_by_cp(data)) == [0, 2, 1]
 
     def test_intercept_seeded_first(self, rng):
         X = np.column_stack([np.ones(25), rng.standard_normal((25, 3))])
@@ -123,6 +124,25 @@ class TestOrderByCp:
         # Three rows are enough: one term is selected.
         data = Dataset(Y=rng.standard_normal(3), X=rng.standard_normal((3, 3)))
         assert sorted(order_by_cp(data)) == [0, 1, 2]
+
+    @pytest.mark.parametrize("seed", range(200))
+    def test_matches_least_squares_oracle(self, seed):
+        # Scales over four decades, an exact duplicate column in three designs of
+        # ten (its bits must tie with its twin's wherever it sits) and an
+        # intercept in half of them.
+        rng = np.random.default_rng(seed)
+        n, p = int(rng.integers(3, 41)), int(rng.integers(1, 61))
+        X = rng.standard_normal((n, p)) * 10.0 ** rng.uniform(-2.0, 2.0, p)
+        has_intercept = bool(rng.random() < 0.5)
+        if has_intercept:
+            X[:, 0] = 1.0
+        if p > 1 and rng.random() < 0.3:
+            a, b = sorted(rng.choice(p, size=2, replace=False))
+            X[:, b] = X[:, a]
+        signal = min(3, p)
+        Y = X[:, :signal] @ rng.standard_normal(signal) + rng.standard_normal(n)
+        expected = forward_order(X, Y, has_intercept)
+        assert list(order_by_cp(Dataset(Y=Y, X=X, has_intercept=has_intercept))) == expected
 
 
 def _projector(X):
