@@ -36,7 +36,7 @@ import numpy as np
 from . import datasets as ds
 from . import experiments as xp
 from .models import Dataset, load_csv
-from .risk_theory import InputError, PowerLawProfile, risk_surface
+from .risk_theory import InputError, PowerLawProfile, _counts, risk_surface
 
 __all__ = ["main", "run"]
 
@@ -193,8 +193,8 @@ def _cmd_eval(args) -> int:
 
 def _cmd_fit(args) -> int:
     data = _load_dataset(args)
-    n_fit = data.n if args.n_train is None else args.n_train
-    if not 2 <= n_fit <= data.n:
+    n_fit = data.n if args.n_train is None else _counts(args.n_train, "n_train", 2)
+    if n_fit > data.n:
         raise InputError("n_train", f"{n_fit} not in [2, {data.n}]")
     X, sizes = xp._nested_candidates(data, n_fit, args.max_models)
     Y = data.Y

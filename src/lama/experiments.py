@@ -10,7 +10,6 @@ in index order, which keeps output bytes stable.
 from __future__ import annotations
 
 import math
-import numbers
 import os
 import types
 import typing
@@ -23,7 +22,7 @@ import numpy as np
 from . import criteria as crit
 from .models import Dataset, _candidate_sizes, default_model_counts, fit_all, order_by_cp
 from .qp import solve_simplex_qp
-from .risk_theory import InputError, PowerLawProfile, _theorem1_inputs, _weighted_borders
+from .risk_theory import InputError, PowerLawProfile, _counts, _exact, _theorem1_inputs, _weighted_borders
 
 __all__ = [
     "rng_for",
@@ -70,10 +69,8 @@ def _stable_key(key) -> int:
 
 
 def rng_for(base_seed: int, *keys) -> np.random.Generator:
-    """Deterministic generator keyed by (base seed, arbitrary key tuple)."""
-    if int(base_seed) < 0:
-        raise InputError("seed", f"must be a non-negative integer, got {base_seed}")
-    ss = np.random.SeedSequence(entropy=int(base_seed), spawn_key=tuple(_stable_key(k) for k in keys))
+    """Deterministic generator keyed by (base seed, arbitrary key tuple); the seed is an integer >= 0."""
+    ss = np.random.SeedSequence(_counts(base_seed, "seed", 0), spawn_key=tuple(_stable_key(k) for k in keys))
     return np.random.default_rng(ss)
 
 
@@ -267,18 +264,6 @@ def _conform(field: str, value, hint):
     raise InputError(field, f"expected {want}, got {value!r}")
 
 
-def _exact(kind, value):
-    """``kind(value)``, but a number must be no bool and convert without loss (ValueError otherwise)."""
-    if kind in (str, bool):
-        return kind(value)
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValueError(value)
-    out = kind(value)
-    if out != value and value == value:  # NaN is the one number unequal to its conversion
-        raise ValueError(value)
-    return out
-
-
 def _draw(rng: np.random.Generator, rows: int, theta: np.ndarray, m: int, intercept: bool, sigma: float):
     """(X, Y, mu) for ``rows`` Gaussian rows, drawing only the first m columns.
 
@@ -305,11 +290,11 @@ def generate_data(cfg: SimulationConfig, r2: float, rep: int, n: int, m: int):
     rep), so each cell is reproducible on its own.  No test rows are drawn:
     ``_risk`` gives a fit's out-of-sample risk exactly.
     """
-    n, m, r2, rep = int(n), int(m), float(r2), int(rep)
-    if not 1 <= m <= cfg.p:
+    n, m, rep = _counts(n, "n"), _counts(m, "m"), _counts(rep, "rep", 0)
+    if m > cfg.p:
         raise InputError("m", f"{m} not in [1, {cfg.p}]")
     theta = PowerLawProfile.from_r2(r2, cfg.alpha, cfg.p).coefficients(cfg.p)
-    X, Y, mu = _draw(rng_for(cfg.seed, "train", n, m, r2, rep), n, theta, m, True, 1.0)
+    X, Y, mu = _draw(rng_for(cfg.seed, "train", n, m, float(r2), rep), n, theta, m, True, 1.0)
     return Dataset(Y=Y, X=X, has_intercept=True), theta, mu
 
 
@@ -418,8 +403,8 @@ def run_simulation(cfg: SimulationConfig, workers: int | None = None) -> list[di
                     rows.append(
                         {
                             "method": method,
-                            "n": int(n),
-                            "M": int(m),
+                            "n": n,
+                            "M": m,
                             "R2": float(r2),
                             "rel_loss_in_mean": mean_in,
                             "rel_loss_out_mean": mean_out,
@@ -450,8 +435,8 @@ def _nested_candidates(data: Dataset, n_fit: int, max_models: int | None = None)
     ``max_models`` overrides it.  Returns (X with its columns in that order,
     the sizes).
     """
-    M = min(data.p, math.floor(0.9 * n_fit)) if max_models is None else int(max_models)
-    if not 1 <= M <= data.p:
+    M = min(data.p, math.floor(0.9 * n_fit)) if max_models is None else _counts(max_models, "max_models")
+    if M > data.p:
         raise InputError("max_models", f"{M} not in [1, {data.p}]")
     return data.X[:, order_by_cp(data)], np.arange(1, M + 1)
 
@@ -496,11 +481,10 @@ def evaluate_real(
     redrawn, at most 99 times, and ``redraws`` counts every split's redraws;
     a split left constant, or whose fit fails, is dropped.
     """
-    N = data.n
-    if not 2 <= n_train < N:
+    N, n_train = data.n, _counts(n_train, "n_train", 2)
+    if n_train >= N:
         raise InputError("n_train", f"{n_train} not in [2, {N - 1}]")
-    if reps < 1:
-        raise InputError("reps", "need at least one split")
+    reps = _counts(reps, "reps")
     methods = _method_tags(methods)
     X, sizes = _nested_candidates(data, n_train, max_models)
     workers = worker_count() if workers is None else workers
@@ -514,7 +498,7 @@ def evaluate_real(
         rows.append(
             {
                 "method": method,
-                "n_train": int(n_train),
+                "n_train": n_train,
                 "test_err_mean": mean,
                 "test_err_var": var,
                 "reps": len(kept),
@@ -542,14 +526,12 @@ def validate_rmt(n: int, c: float, reps: int, seed: int, theta: np.ndarray | Non
 
     Below the boundary: tr((X'X)^-1) against c/(1-c).  Above: tr((X'X)^+)
     against 1/(c-1) and the projected signal quadratic form against
-    |theta|^2 / c.  Singular draws are redrawn and counted.  ``theta``, when
+    |theta|^2 / c.  Each design is a ``_draw`` of k standard-normal columns;
+    singular draws are redrawn and counted.  ``theta``, when
     given, must have length k = round(c n) on either side of the boundary;
     it defaults to the first basis vector and is used only above it.
     """
-    if n < 4:
-        raise InputError("n", f"{n} too small (need at least 4)")
-    if reps < 1:
-        raise InputError("reps", "need at least one replication")
+    n, reps = _counts(n, "n", 4), _counts(reps, "reps")
     if not np.isfinite(c):
         raise InputError("c", f"must be finite, got {c}")
     k = round(c * n)
@@ -569,7 +551,7 @@ def validate_rmt(n: int, c: float, reps: int, seed: int, theta: np.ndarray | Non
     for rep in range(reps):
         rng = rng_for(seed, "rmt", n, float(c), rep)
         for _ in range(20):
-            X = rng.standard_normal((n, k))
+            X = _draw(rng, n, np.zeros(k), k, False, 0.0)[0]
             try:
                 if over:
                     Ginv = np.linalg.inv(X @ X.T)
@@ -620,11 +602,7 @@ def validate_theorem1(
     risk is infinite (``ValueError``).  The limit sums the Theorem-1 row
     borders of ``w``, entries with w <= 0 left out.
     """
-    if n < 2:
-        raise InputError("n", f"{n} too small (need at least 2)")
-    if reps < 1:
-        raise InputError("reps", "need at least one replication")
-    sizes = _candidate_sizes(sizes)
+    n, reps, sizes = _counts(n, "n", 2), _counts(reps, "reps"), _candidate_sizes(sizes)
     theta = np.asarray(theta, dtype=np.float64).reshape(-1)
     if sizes[-1] > theta.shape[0]:
         raise InputError("sizes", "largest candidate exceeds the coefficient length")
@@ -655,7 +633,7 @@ def validate_theorem1(
     denom = theo_risk if theo_risk > 0 else 1.0
     return {
         "n": n,
-        "sizes": [int(k) for k in sizes],
+        "sizes": sizes.tolist(),
         "reps": reps,
         "empirical_risk": emp,
         "theoretical_risk": float(theo_risk),

@@ -6,8 +6,8 @@ regressors are put in priority order by permuting X's columns once; the
 forward selection ``order_by_cp`` sweeps every column's residual once per
 selected term, O(n p) each.  ``fit_all`` fits every candidate by
 minimum-norm least squares, from one factorization below the boundary and
-one per block of sizes past it, and caches the residuals, leverages and
-ranks that the weight-choice criteria consume.
+one per block of sizes past it, tested on each candidate's leading block,
+and caches the residuals, leverages and ranks the criteria consume.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .risk_theory import InputError
+from .risk_theory import InputError, _counts
 
 __all__ = [
     "Dataset",
@@ -217,38 +217,34 @@ def default_model_counts(n: int) -> tuple[int, int, int]:
 
 
 def _candidate_sizes(sizes) -> np.ndarray:
-    """``sizes`` as int64 if integers (no bools), nonempty, at least 1 and increasing; else ``InputError``."""
-    # An integer array holds no bool; a list is kept as objects, so that True stays a bool.
-    raw = np.asarray(sizes, dtype=None if isinstance(sizes, np.ndarray) else object).reshape(-1)
-    if raw.dtype.kind not in "iu" and any(isinstance(k, (bool, np.bool_)) or not float(k).is_integer() for k in raw):
-        raise InputError("sizes", f"candidate sizes must be integers, got {raw.tolist()}")
-    sizes = raw.astype(np.int64)
-    if sizes.size == 0 or sizes[0] < 1 or np.any(np.diff(sizes) <= 0):
-        raise InputError("sizes", f"need at least one candidate size, each at least 1 and strictly "
-                         f"increasing, got {sizes.tolist()}")
+    """``sizes`` as int64 counts (``_counts``), nonempty and strictly increasing; else ``InputError``."""
+    sizes = np.reshape(_counts(sizes, "sizes"), -1)
+    if sizes.size == 0 or np.any(np.diff(sizes) <= 0):
+        raise InputError("sizes", f"need at least one candidate size, strictly increasing, got {sizes.tolist()}")
     return sizes
 
 
 def fit_all(data: Dataset, sizes) -> ModelFits:
     """Fit candidate q = the first ``sizes[q]`` columns of X by minimum-norm least squares.
 
-    ``sizes`` must be integers, nonempty, at least 1, strictly increasing and
-    at most p.  The prefixes with k <= n share one QR factorization.  Past the
-    boundary the coefficients are X_k' G_k^-1 Y, G_k = X_k X_k'; candidates
-    whose sizes span at most ``_BLOCK_COLUMNS`` = B columns form a block that
-    factors its widest Gram alone, G_T = C C'.  A narrower Gram is G_T less the
-    block's columns it lacks, W_j W_j', so one Cholesky L of S = I - Z'Z
-    (Z = C^-1 W, W widest first) holds every candidate's system as a leading
-    block; a block keeps O(n^2 + n B + B^2) numbers beyond the coefficients.
-    A fast route is taken only when its factor passes the pivot test: |diag R|
-    for a QR prefix; diag(C)^2, times the least of diag(L)^2 up to the
-    candidate, for a Gram.  Any other candidate (say, a narrower one when S is
-    not positive definite) goes through its own SVD pseudo-inverse, which
-    treats singular values at or below max(n, k_M) * eps times the largest as
-    zero and so reveals the rank.  The routes agree up to roundoff (the tests
-    hold the fast routes to the SVD route).  A candidate of rank n
-    interpolates: on every route its residuals are exactly 0 and its
-    leverages exactly 1.
+    ``sizes`` must be integers (``_counts``), nonempty, at least 1, strictly
+    increasing and at most p.  The prefixes with k <= n share one QR
+    factorization.  Past the boundary the coefficients are X_k' G_k^-1 Y,
+    G_k = X_k X_k'; candidates whose sizes span at most ``_BLOCK_COLUMNS`` = B
+    columns form a block that factors its widest Gram alone, G_T = C C'.  A
+    narrower Gram is G_T less the block's columns it lacks, W_j W_j', so one
+    Cholesky L of S = I - Z'Z (Z = C^-1 W, W widest first) holds every
+    candidate's system as a leading block; a block keeps O(n^2 + n B + B^2)
+    numbers beyond the coefficients.  A fast route is taken only when its
+    factor passes the pivot test: the diagonal of R up to the candidate's
+    size for a QR prefix; diag(C)^2, times the least of diag(L)^2 up to the
+    candidate, for a Gram.  Any other candidate (say, one past a dependent
+    column, or a narrower one when S is not positive definite) goes through
+    its own SVD pseudo-inverse, which treats singular values at or below
+    max(n, k_M) * eps times the largest as zero and so reveals the rank.  The
+    routes agree up to roundoff (the tests hold the fast routes to the SVD
+    route).  A candidate of rank n interpolates: on every route its residuals
+    are exactly 0 and its leverages exactly 1.
     """
     sizes = _candidate_sizes(sizes)
     if sizes[-1] > data.p:
@@ -269,25 +265,27 @@ def fit_all(data: Dataset, sizes) -> ModelFits:
     svd = []  # candidates left to the SVD route
 
     if nb:
-        kb, sb = int(sizes[nb - 1]), sizes[:nb]
-        Q, R = np.linalg.qr(Xo[:, :kb], mode="reduced")
+        Q, R = np.linalg.qr(Xo[:, : sizes[nb - 1]], mode="reduced")
         dr = np.abs(np.diag(R))
-        if dr.min() > _PIVOT_RATIO * dr.max():
-            z = Q.T @ Y
-            # R is upper triangular (its LU is R itself), so the solve against z
-            # cut to its first k_q rows returns exact zeros below them: one solve
-            # fits every prefix.
-            coefs[:kb, :nb] = np.linalg.solve(R, z[:, None] * (np.arange(kb)[:, None] < sb))
-            residuals[:, :nb] = Y[:, None] - np.cumsum(Q * z, axis=1)[:, sb - 1]
-            leverages[:, :nb] = np.cumsum(Q * Q, axis=1)[:, sb - 1]
-            ranks[:nb] = sb
-        else:
-            svd = list(range(nb))
+        # R[:k, :k] is prefix k's factor; its test on running extrema passes the first kf prefixes only.
+        kf = np.count_nonzero(np.minimum.accumulate(dr) > _PIVOT_RATIO * np.maximum.accumulate(dr))
+        nf = int(np.searchsorted(sizes, kf, side="right"))
+        Q, R, sf = Q[:, :kf], R[:kf, :kf], sizes[:nf]
+        z = Q.T @ Y
+        # R is upper triangular (its LU is R itself), so the solve against z
+        # cut to its first k_q rows returns exact zeros below them: one solve
+        # fits every prefix.
+        coefs[:kf, :nf] = np.linalg.solve(R, z[:, None] * (np.arange(kf)[:, None] < sf))
+        residuals[:, :nf] = Y[:, None] - np.cumsum(Q * z, axis=1)[:, sf - 1]
+        leverages[:, :nf] = np.cumsum(Q * Q, axis=1)[:, sf - 1]
+        ranks[:nf] = sf
+        svd = list(range(nf, nb))
 
     G, grown, a = (np.zeros((n, n)) if nb < M else None), 0, nb
     while a < M:  # past the boundary: the block of candidates a..e-1, widest k_T
         e = int(np.searchsorted(sizes, sizes[a] + _BLOCK_COLUMNS, side="right"))
         kT, lack = int(sizes[e - 1]), sizes[e - 1] - sizes[a:e]
+        # Downdate the widest Gram: growing a near-singular narrowest one would spoil every wider fit.
         G += Xo[:, grown:kT] @ Xo[:, grown:kT].T
         grown, w = kT, int(lack[0])
         try:

@@ -13,6 +13,7 @@ zero).
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +43,36 @@ class InputError(ValueError):
 
     def __str__(self) -> str:
         return f"{self.args[0]}: {self.args[1]}"
+
+
+def _exact(kind, value):
+    """``kind(value)``, but a number must be no bool and convert without loss (ValueError otherwise)."""
+    if kind in (str, bool):
+        return kind(value)
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(value)
+    out = kind(value)
+    if out != value and value == value:  # NaN is the one number unequal to its conversion
+        raise ValueError(value)
+    return out
+
+
+def _counts(value, name: str, least: int = 1):
+    """``value`` as int64 counts of at least ``least``: an int for a scalar, else an array of its shape.
+
+    A value of integer dtype passes as it is; any other converts item by item through
+    ``_exact(int, .)``, so 100.0 and np.int64(3) pass while 2.5, True, np.float64(2.5) and "3"
+    raise ``InputError`` naming ``name``, as does a count below ``least``.
+    """
+    integral = np.dtype(getattr(value, "dtype", object)).kind in "iu"
+    raw = np.asarray(value, dtype=None if integral else object)
+    try:
+        out = raw.astype(np.int64) if integral else np.array([_exact(int, v) for v in raw.flat], np.int64)
+    except (TypeError, ValueError, OverflowError):
+        raise InputError(name, f"must be integers within int64, got {value!r}") from None
+    if out.size and out.min() < least:
+        raise InputError(name, f"must be at least {least}, got {value!r}")
+    return out.item() if raw.ndim == 0 else out.reshape(raw.shape)
 
 
 def _positive(x: float, name: str) -> float:
@@ -157,8 +188,7 @@ class PowerLawProfile:
     truncate: int = 400
 
     def __post_init__(self):
-        if self.truncate < 1:
-            raise InputError("truncate", f"must be at least 1, got {self.truncate}")
+        object.__setattr__(self, "truncate", _counts(self.truncate, "truncate"))
         if not np.isfinite(self.exponent):
             raise InputError("exponent", f"must be finite, got {self.exponent}")
         if not (np.isfinite(self.scale) and self.scale >= 0.0):
@@ -169,7 +199,7 @@ class PowerLawProfile:
         """Scale chosen so the total squared norm equals snr * sigma2."""
         target = _positive(snr, "snr") * _positive(sigma2, "sigma2")
         # Check exponent and truncate first: truncate < 1 would make base 0.
-        cls(exponent=exponent, scale=0.0, truncate=truncate)
+        truncate = cls(exponent=exponent, scale=0.0, truncate=truncate).truncate
         j = np.arange(1, truncate + 1, dtype=np.float64)
         base = float(np.sum(j ** (-2.0 * exponent)))
         scale = float(np.sqrt(target / base))
@@ -184,9 +214,7 @@ class PowerLawProfile:
         equals r2 (unit noise)."""
         if not 0.0 < r2 < 1.0:
             raise InputError("r2", f"must lie in (0, 1), got {r2}")
-        alpha = _positive(alpha, "alpha")
-        if p < 1:
-            raise InputError("p", f"must be at least 1, got {p}")
+        alpha, p = _positive(alpha, "alpha"), _counts(p, "p")
         g = np.sqrt(r2 / (1.0 - r2))
         scale = float(g * np.sqrt(2.0 * alpha))
         if not np.isfinite(scale):
@@ -195,7 +223,7 @@ class PowerLawProfile:
 
     def coefficients(self, count: int) -> np.ndarray:
         """First ``count`` coefficients (zeros beyond the truncation index)."""
-        j = np.arange(1, count + 1, dtype=np.float64)
+        j = np.arange(1, _counts(count, "count", 0) + 1, dtype=np.float64)
         out = self.scale * j ** (-self.exponent)
         out[self.truncate :] = 0.0
         return out
@@ -210,7 +238,7 @@ class PowerLawProfile:
 
     def prefix_norm2(self, k) -> np.ndarray:
         """Squared norm carried by a model of size k (array-friendly)."""
-        k = np.minimum(np.asarray(k, dtype=np.int64), self.truncate)
+        k = np.minimum(_counts(k, "k", 0), self.truncate)
         return self._sq_prefix()[k]
 
 
@@ -265,14 +293,12 @@ def risk_surface(
     row.  A row takes O(M) memory and O(M + |below| |above|) time, with no M x M array, and differs
     from a per-cell build only in summation order (1e-13).
     """
-    n_values = np.asarray(n_values, dtype=np.int64).reshape(-1)
-    m_values = np.asarray(m_values, dtype=np.int64).reshape(-1)
+    n_values = np.reshape(_counts(n_values, "n_values"), -1)
+    m_values = np.reshape(_counts(m_values, "m_values"), -1)
     sigma2 = _positive(sigma2, "sigma2")
     for name, values in (("n_values", n_values), ("m_values", m_values)):
         if values.size == 0:
             raise InputError(name, "grid must be non-empty")
-        if np.any(values < 1):
-            raise InputError(name, f"grid values must be positive, got {int(values.min())}")
     if weighting not in ("equal", "variance_penalized", "single"):
         raise ValueError(f"unknown weighting rule {weighting!r}")
 
@@ -280,7 +306,7 @@ def risk_surface(
     out_m = np.tile(m_values, n_values.size)
     excl = (out_m >= out_n) & (bool(exclude_singular) and weighting != "single")
     bias, variance = np.empty((2, n_values.size, m_values.size))
-    sizes = np.arange(1, int(m_values.max()) + 1)
+    sizes = np.arange(1, m_values.max() + 1)
     norms2, total = profile.prefix_norm2(sizes), profile.total_norm2()
     # The ratios sizes / n are positive and increasing at every n, as at n = 1: one check covers
     # the grid, and the entries are symmetric, NaN-free and nonnegative by construction.

@@ -9,6 +9,7 @@ for their exact closed-form targets and report shapes.
 import concurrent.futures
 import dataclasses
 import io
+import json
 import pickle
 
 import numpy as np
@@ -37,6 +38,7 @@ from lama.experiments import (
     worker_count,
 )
 from lama.models import Dataset, fit_all
+from lama.risk_theory import PowerLawProfile, risk_surface
 
 from conftest import make_fits
 from oracles import lama_criterion_value, single_model_risk, value
@@ -579,7 +581,7 @@ class TestValidateRmt:
     def test_boundary_and_size_validation(self):
         with pytest.raises(ValueError, match="boundary"):
             validate_rmt(10, 1.0, reps=1, seed=0)
-        with pytest.raises(ValueError, match="too small"):
+        with pytest.raises(ValueError, match="^n: .*at least 4"):
             validate_rmt(2, 0.5, reps=1, seed=0)
         with pytest.raises(InputError, match="^c: 0.01 too small for n=30"):
             validate_rmt(30, 0.01, reps=1, seed=0)
@@ -720,6 +722,8 @@ def test_every_design_draw_goes_through_one_name(monkeypatch):
     assert rows == [12] * 3
     validate_theorem1(30, (2, 4), np.ones(6), 1.0, reps=2, seed=0)
     assert rows[3:] == [30] * 2
+    validate_rmt(12, 0.5, reps=2, seed=0)
+    assert rows[5:] == [12] * 2
 
 
 def test_every_solve_on_the_benchmark_configs_converges(monkeypatch):
@@ -765,3 +769,64 @@ def test_the_jackknife_weights_factor_no_m_by_m_matrix(monkeypatch, m):
         choice = compute_weights(f, "jma")
         assert choice.status == "converged"
         assert choice.excluded == tuple(range(49, m))  # k >= n interpolates
+
+
+def _eval_json(n_train=20, reps=2, max_models=3):
+    rows = evaluate_real(load_builtin("mtcars"), n_train, reps=reps, seed=0, methods=("mma",),
+                         max_models=max_models, workers=1)
+    return json.dumps(rows)
+
+
+def _generated(n=12, m=5, rep=1):
+    cfg = SimulationConfig(n_values=(12,), m_values=(5,), p=20, replications=1, methods=("mma",))
+    train, _, _ = generate_data(cfg, 0.5, rep, n, m)
+    return train.X.tobytes() + train.Y.tobytes()
+
+
+def _surface_csv(n_values, m_values):
+    out = io.StringIO()
+    risk_surface(n_values, m_values, PowerLawProfile(0.6, 1.0)).to_csv(out)
+    return out.getvalue()
+
+
+_SIZES_DATA = Dataset(Y=np.arange(10.0), X=np.random.default_rng(0).standard_normal((10, 4)))
+
+# Every count argument: (field named by the InputError, a call on the argument that returns
+# bytes, JSON or a repr, so an unconverted 100.0 would show, and a valid plain int).
+_COUNT_ARGUMENTS = {
+    "fit_all-sizes": ("sizes", lambda v: fit_all(_SIZES_DATA, [1, v]).coefs.tobytes(), 3),
+    "risk_surface-n_values": ("n_values", lambda v: _surface_csv([v], [10]), 20),
+    "risk_surface-m_values": ("m_values", lambda v: _surface_csv([20], [v]), 10),
+    "evaluate_real-n_train": ("n_train", lambda v: _eval_json(n_train=v), 20),
+    "evaluate_real-reps": ("reps", lambda v: _eval_json(reps=v), 2),
+    "evaluate_real-max_models": ("max_models", lambda v: _eval_json(max_models=v), 3),
+    "validate_rmt-n": ("n", lambda v: json.dumps(validate_rmt(v, 0.5, reps=1, seed=0)), 12),
+    "validate_rmt-reps": ("reps", lambda v: json.dumps(validate_rmt(12, 0.5, reps=v, seed=0)), 2),
+    "validate_theorem1-n": (
+        "n", lambda v: json.dumps(validate_theorem1(v, (2, 4), np.ones(6), 1.0, reps=1, seed=0)), 30),
+    "validate_theorem1-reps": (
+        "reps", lambda v: json.dumps(validate_theorem1(30, (2, 4), np.ones(6), 1.0, reps=v, seed=0)), 2),
+    "rng_for-seed": ("seed", lambda v: rng_for(v, "key").random(4).tobytes(), 3),
+    "generate_data-n": ("n", lambda v: _generated(n=v), 12),
+    "generate_data-m": ("m", lambda v: _generated(m=v), 5),
+    "generate_data-rep": ("rep", lambda v: _generated(rep=v), 1),
+    "PowerLawProfile-truncate": ("truncate", lambda v: repr(PowerLawProfile(0.6, 1.0, truncate=v)), 10),
+    "from_snr-truncate": ("truncate", lambda v: repr(PowerLawProfile.from_snr(1.0, 0.6, truncate=v)), 10),
+    "from_r2-p": ("p", lambda v: repr(PowerLawProfile.from_r2(0.5, 0.5, v)), 10),
+    "coefficients-count": ("count", lambda v: PowerLawProfile(0.6, 1.0).coefficients(v).tobytes(), 10),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_COUNT_ARGUMENTS))
+def test_every_count_argument_takes_only_integral_values(name):
+    # A non-integral, bool or string count is an InputError naming its argument, never a
+    # truncation or a TypeError from inside numpy; an integral float or numpy integer
+    # gives exactly what the plain int gives.
+    field, call, plain = _COUNT_ARGUMENTS[name]
+    for bad in (2.5, True, np.float64(2.5), "3"):
+        with pytest.raises(InputError) as err:
+            call(bad)
+        assert err.value.field == field, (bad, err.value)
+    expected = call(plain)
+    for same in (float(plain), np.int64(plain)):
+        assert call(same) == expected, same

@@ -312,6 +312,28 @@ def test_qr_fast_path_matches_the_svd_route_near_its_threshold(seed, log_ratio):
         _assert_near_svd_route(qr, svd, data, q)
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_each_prefix_below_the_boundary_takes_its_own_route(seed):
+    # Column j is an earlier column doubled, exactly, so R's pivot test fails from prefix
+    # j + 1 on and passes before it: the SVD runs once for each candidate with k > j and
+    # never for the narrower ones, and every candidate matches the forced SVD fit to the
+    # accuracy its condition number allows.
+    rng = np.random.default_rng(seed)
+    n, p = 30, 10
+    j = int(rng.integers(1, p))
+    X = rng.standard_normal((n, p))
+    X[:, j] = 2.0 * X[:, rng.integers(0, j)]
+    data = Dataset(Y=rng.standard_normal(n), X=X)
+    sizes = np.arange(1, p + 1)
+    with mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd_calls:
+        fits = fit_all(data, sizes)
+    assert svd_calls.call_count == p - j
+    np.testing.assert_array_equal(fits.ranks, sizes - (sizes > j))
+    svd = _forced(data, sizes, 1.0)
+    for q in range(p):
+        _assert_near_svd_route(fits, svd, data, q)
+
+
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=2**32 - 1), log_ratio=st.floats(min_value=-1.0, max_value=1.0))
 def test_gram_route_matches_the_svd_route_near_its_threshold(seed, log_ratio):

@@ -761,7 +761,7 @@ class TestRiskSurface:
             risk_surface([20], [10], snr_profile, weighting="softmax")
         with pytest.raises(ValueError, match="non-empty"):
             risk_surface([], [10], snr_profile)
-        with pytest.raises(ValueError, match="positive"):
+        with pytest.raises(ValueError, match="^n_values: .*at least 1"):
             risk_surface([0], [10], snr_profile)
 
     @pytest.mark.parametrize("weighting", ["equal", "variance_penalized"])
