@@ -88,7 +88,7 @@ class QuadraticProgram:
                 raise ValueError("A must be square and b must match its size")
             # np.allclose at the same tolerances, less its broadcasting and
             # special-value handling: a NaN or infinite entry fails the test.
-            if not np.all(np.abs(A - A.T) <= 1e-12 + 1e-12 * np.abs(A.T)):
+            if not (np.abs(A - A.T) <= 1e-12 + 1e-12 * np.abs(A.T)).all():
                 raise ValueError("A must be finite and symmetric to 1e-12")
             object.__setattr__(self, "A", A)
         object.__setattr__(self, "b", b)
@@ -108,19 +108,19 @@ def sigma_hat(fits: ModelFits) -> float:
     """
     sizes, n = fits.sizes, fits.n
     below = sizes <= math.floor(0.9 * n)
-    ref = np.flatnonzero(below) if np.any(below) else np.flatnonzero(sizes < n)
+    ref = below.nonzero()[0] if below.any() else (sizes < n).nonzero()[0]
     if ref.size == 0:
         raise ValueError("no candidate has positive residual degrees of freedom")
-    guarded = np.flatnonzero(below & (sizes <= n - 5))
+    guarded = (below & (sizes <= n - 5)).nonzero()[0]
     K = ref[-1]
     G = guarded[-1] if guarded.size else K
-    ref_ratio, guard_ratio = (float(fits.rss[q]) / (n - int(sizes[q])) for q in (K, G))
+    ref_ratio, guard_ratio = float(fits.rss[K]) / (n - int(sizes[K])), float(fits.rss[G]) / (n - int(sizes[G]))
     return max(ref_ratio, SIGMA_FLOOR * guard_ratio)
 
 
 def mma_program(fits: ModelFits, sigma2_hat: float) -> QuadraticProgram:
     """Mallows criterion: w' (e'e/n) w + 2 sigma2_hat sum_q w_q k_q / n."""
-    if sigma2_hat < 0.0 or not np.isfinite(sigma2_hat):
+    if sigma2_hat < 0.0 or not math.isfinite(sigma2_hat):
         raise ValueError("sigma2_hat must be finite and nonnegative")
     return QuadraticProgram(NestedForm(fits.rss / fits.n, np.zeros(fits.M)), 2.0 * sigma2_hat * fits.sizes / fits.n)
 
@@ -128,15 +128,15 @@ def mma_program(fits: ModelFits, sigma2_hat: float) -> QuadraticProgram:
 def loo_flagged(fits: ModelFits) -> np.ndarray:
     """Mask of candidates whose leave-one-out residuals are undefined:
     some leverage within ``LEVERAGE_GUARD`` of 1."""
-    return np.max(fits.leverages, axis=0) >= 1.0 - LEVERAGE_GUARD
+    return fits.leverages.max(axis=0) >= 1.0 - LEVERAGE_GUARD
 
 
 def jma_program(fits: ModelFits) -> QuadraticProgram:
     """Leave-one-out criterion: w' (E~'E~/n) w with e~_iq = e_iq / (1 - h_iq), held as
     the ``GramForm`` of B = E~/sqrt(n), so A = B'B is never formed."""
     flagged = loo_flagged(fits)
-    if np.any(flagged):
-        raise SingularLooError(np.flatnonzero(flagged))
+    if flagged.any():
+        raise SingularLooError(flagged.nonzero()[0])
     B = fits.residuals / ((1.0 - fits.leverages) * math.sqrt(fits.n))
     return QuadraticProgram(GramForm(B), np.zeros(fits.M))
 
@@ -151,12 +151,11 @@ def xi(v_diag: np.ndarray, b_diag: np.ndarray) -> float:
     bd = np.asarray(b_diag, dtype=np.float64).reshape(-1)
     if v.size == 0 or v.shape != bd.shape:
         raise ValueError("diagnostic vectors must be non-empty and equally long")
-    if np.any(v <= 0.0) or np.any(bd <= 0.0) or not (
-        np.all(np.isfinite(v)) and np.all(np.isfinite(bd))
-    ):
+    # NaN propagates through min and max, so the four extremes check every entry.
+    v_lo, v_hi, b_lo, b_hi = v.min(), v.max(), bd.min(), bd.max()
+    if not (v_lo > 0.0 and b_lo > 0.0 and v_hi < math.inf and b_hi < math.inf):
         raise ValueError("diagnostic entries must be positive and finite")
-    val = (v.max() / v.min()) / (bd.max() / bd.min())
-    return float(min(max(val, XI_CLAMP[0]), XI_CLAMP[1]))
+    return float(min(max((v_hi / v_lo) / (b_hi / b_lo), XI_CLAMP[0]), XI_CLAMP[1]))
 
 
 def lama_vectors(fits: ModelFits, sigma2_hat: float) -> tuple[np.ndarray, np.ndarray]:
@@ -166,7 +165,7 @@ def lama_vectors(fits: ModelFits, sigma2_hat: float) -> tuple[np.ndarray, np.nda
     are the out-of-sample variance and in-sample bias diagonals, so
     ``xi(h, g)`` is the program's ridge strength.
     """
-    if np.any(fits.sizes >= fits.n):
+    if (fits.sizes >= fits.n).any():
         raise ValueError("the large-model criterion needs every k < n; drop the candidates with k >= n first")
     return fits.rss + sigma2_hat * fits.sizes, fits.n * below_boundary_variance(fits.sizes / fits.n, sigma2_hat)
 
@@ -190,9 +189,9 @@ def lama_program(fits: ModelFits, sigma2_hat: float, xi_value: float) -> Quadrat
     the nested program (g, h, 0, xi h) of ``lama_vectors``.  Requires every
     candidate strictly below the interpolation boundary.
     """
-    if not np.isfinite(sigma2_hat) or sigma2_hat <= 0.0:
+    if not math.isfinite(sigma2_hat) or sigma2_hat <= 0.0:
         raise ValueError("sigma2_hat must be positive")
-    if not np.isfinite(xi_value) or xi_value < 0.0:
+    if not math.isfinite(xi_value) or xi_value < 0.0:
         raise ValueError("xi must be nonnegative and finite")
     g, h = lama_vectors(fits, sigma2_hat)
     return QuadraticProgram(NestedForm(g, h, xi_value * h), np.zeros(fits.M))

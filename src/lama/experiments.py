@@ -140,12 +140,6 @@ class WeightChoice:
         }
 
 
-def _scatter(length: int, idx: np.ndarray, values: np.ndarray) -> np.ndarray:
-    out = np.zeros(length)
-    out[idx] = values
-    return out
-
-
 # Candidates each criterion cannot score: (criterion name, what every dropped candidate does).
 _EXCLUSION = {"jma": ("leave-one-out", "interpolates"), "lama": ("large-model", "has k >= n (boundary)")}
 
@@ -163,20 +157,18 @@ def compute_weights(fits, method: str) -> WeightChoice:
         excluded = tuple(int(i) for i in np.flatnonzero(fits.rss <= 0.0))
         return WeightChoice(method, w, excluded=excluded)
 
-    s2 = None
-    if method != "jma":
-        s2 = crit.sigma_hat(fits)
-    xi_val, scale, keep, dropped = None, 1, np.ones(M, dtype=bool), ()
+    s2 = None if method == "jma" else crit.sigma_hat(fits)
+    xi_val, scale, dropped = None, 1, ()
     if method == "mma":
         program = crit.mma_program(fits, s2)
     else:
         keep = ~crit.loo_flagged(fits) if method == "jma" else fits.sizes < fits.n
-        dropped = tuple(np.flatnonzero(~keep).tolist())
+        dropped = tuple((~keep).nonzero()[0].tolist())
         name, why = _EXCLUSION[method]
         if dropped:
             warnings.warn(f"{name} criterion: excluding candidate(s) {list(dropped)}; each {why}",
                           RuntimeWarning, stacklevel=2)
-        if not np.any(keep):
+        if not keep.any():
             raise ValueError(f"every candidate {why}; {name} criterion undefined")
         sub = fits.subset(keep) if dropped else fits
         if method == "jma":
@@ -187,7 +179,10 @@ def compute_weights(fits, method: str) -> WeightChoice:
             # the program is on the n-scale; report the per-observation criterion
             program, scale = crit.lama_program(sub, s2, xi_val), sub.n
     report = solve_simplex_qp(program.A, program.b)
-    w = _scatter(M, np.flatnonzero(keep), report.weights)
+    w = report.weights
+    if dropped:  # the dropped candidates keep weight 0
+        w = np.zeros(M)
+        w[keep] = report.weights
     return WeightChoice(method, w, report.objective / scale, s2, xi_val, dropped, report.status,
                         report.iterations, report.kkt_residual)
 
@@ -457,7 +452,7 @@ def _real_split(args):
         return {**fit, "retries": _retry}
     pred_te = fit["fits"].predict(X[te])
     errs = {
-        k: float(np.sum((pred_te @ c.weights - Y[te]) ** 2)) / (N - n_train) for k, c in fit["choices"].items()
+        k: float(((pred_te @ c.weights - Y[te]) ** 2).sum()) / (N - n_train) for k, c in fit["choices"].items()
     }
     return {"errors": errs, "retries": _retry}
 

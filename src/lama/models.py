@@ -66,7 +66,7 @@ class Dataset:
             raise ValueError("need at least 1 regressor")
         if Y.shape[0] != n:
             raise ValueError("Y length does not match X rows")
-        if not (np.all(np.isfinite(X)) and np.all(np.isfinite(Y))):
+        if not (np.isfinite(X).all() and np.isfinite(Y).all()):
             raise ValueError("dataset contains non-finite entries")
         if self.has_intercept and not np.allclose(X[:, 0], 1.0):
             raise ValueError("has_intercept is set but column 0 is not all ones")
@@ -218,8 +218,8 @@ def default_model_counts(n: int) -> tuple[int, int, int]:
 
 def _candidate_sizes(sizes) -> np.ndarray:
     """``sizes`` as int64 counts (``_counts``), nonempty and strictly increasing; else ``InputError``."""
-    sizes = np.reshape(_counts(sizes, "sizes"), -1)
-    if sizes.size == 0 or np.any(np.diff(sizes) <= 0):
+    sizes = np.asarray(_counts(sizes, "sizes")).reshape(-1)
+    if sizes.size == 0 or (sizes[1:] <= sizes[:-1]).any():
         raise InputError("sizes", f"need at least one candidate size, strictly increasing, got {sizes.tolist()}")
     return sizes
 
@@ -261,29 +261,29 @@ def fit_all(data: Dataset, sizes) -> ModelFits:
     residuals = np.empty((n, M))
     leverages = np.empty((n, M))
     ranks = np.full(M, n, dtype=np.int64)  # the Gram route's; the other routes set theirs
-    nb = int(np.searchsorted(sizes, n, side="right"))  # candidates 0..nb-1 have k <= n
+    nb = int(sizes.searchsorted(n, "right"))  # candidates 0..nb-1 have k <= n
     svd = []  # candidates left to the SVD route
 
     if nb:
         Q, R = np.linalg.qr(Xo[:, : sizes[nb - 1]], mode="reduced")
-        dr = np.abs(np.diag(R))
+        dr = np.abs(R.diagonal())
         # R[:k, :k] is prefix k's factor; its test on running extrema passes the first kf prefixes only.
         kf = np.count_nonzero(np.minimum.accumulate(dr) > _PIVOT_RATIO * np.maximum.accumulate(dr))
-        nf = int(np.searchsorted(sizes, kf, side="right"))
+        nf = int(sizes.searchsorted(kf, "right"))
         Q, R, sf = Q[:, :kf], R[:kf, :kf], sizes[:nf]
         z = Q.T @ Y
         # R is upper triangular (its LU is R itself), so the solve against z
         # cut to its first k_q rows returns exact zeros below them: one solve
         # fits every prefix.
         coefs[:kf, :nf] = np.linalg.solve(R, z[:, None] * (np.arange(kf)[:, None] < sf))
-        residuals[:, :nf] = Y[:, None] - np.cumsum(Q * z, axis=1)[:, sf - 1]
-        leverages[:, :nf] = np.cumsum(Q * Q, axis=1)[:, sf - 1]
+        residuals[:, :nf] = Y[:, None] - (Q * z).cumsum(axis=1)[:, sf - 1]
+        leverages[:, :nf] = (Q * Q).cumsum(axis=1)[:, sf - 1]
         ranks[:nf] = sf
         svd = list(range(nf, nb))
 
     G, grown, a = (np.zeros((n, n)) if nb < M else None), 0, nb
     while a < M:  # past the boundary: the block of candidates a..e-1, widest k_T
-        e = int(np.searchsorted(sizes, sizes[a] + _BLOCK_COLUMNS, side="right"))
+        e = int(sizes.searchsorted(sizes[a] + _BLOCK_COLUMNS, "right"))
         kT, lack = int(sizes[e - 1]), sizes[e - 1] - sizes[a:e]
         # Downdate the widest Gram: growing a near-singular narrowest one would spoil every wider fit.
         G += Xo[:, grown:kT] @ Xo[:, grown:kT].T
@@ -308,11 +308,10 @@ def fit_all(data: Dataset, sizes) -> ModelFits:
         svd += (a + np.flatnonzero(~(pc.min() * least > _PIVOT_RATIO * pc.max()))).tolist()
         a = e
 
-    cutoff = max(n, kM) * np.finfo(np.float64).eps
     for q in svd:
         k = sizes[q]
         U, s, Vt = np.linalg.svd(Xo[:, :k], full_matrices=False)
-        r = int(np.count_nonzero(s > cutoff * s[0]))
+        r = int(np.count_nonzero(s > max(n, kM) * np.finfo(np.float64).eps * s[0]))
         Ur = U[:, :r]
         UtY = Ur.T @ Y
         coefs[:k, q] = Vt[:r].T @ (UtY / s[:r])
@@ -321,10 +320,10 @@ def fit_all(data: Dataset, sizes) -> ModelFits:
         ranks[q] = r
 
     # Rank n interpolates exactly; this also fills the Gram route's columns.
-    if np.any(interpolating := ranks == n):
+    if (interpolating := ranks == n).any():
         residuals[:, interpolating] = 0.0
         leverages[:, interpolating] = 1.0
-    rss = np.sum(residuals * residuals, axis=0)
+    rss = (residuals * residuals).sum(axis=0)
     return ModelFits(
         n=n,
         sizes=sizes,

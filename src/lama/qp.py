@@ -61,6 +61,7 @@ The paths differ only in how they solve a face and where they start:
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,12 +115,12 @@ class NestedForm:
         column l off the diagonal are g_l plus the running maximum and minimum of h_q, q < l."""
         g, h = self.g, self.h
         off = [g[1:] + np.maximum.accumulate(h)[:-1], g[1:] + np.minimum.accumulate(h)[:-1]]
-        return float(np.max(np.abs(np.concatenate([g + h if self.r is None else g + h + self.r] + off))))
+        return float(np.abs(np.concatenate([g + h if self.r is None else g + h + self.r] + off)).max())
 
     def cumulative(self, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(d, e) of the program w'Aw + b'w in cumulative weights (see the module docstring)."""
-        dh = np.diff(self.h)
-        return dh - np.diff(self.g), -2.0 * dh - np.diff(b)
+        dh = self.h[1:] - self.h[:-1]
+        return dh - (self.g[1:] - self.g[:-1]), -2.0 * dh - (b[1:] - b[:-1])
 
 
 def simplex_project(v: np.ndarray) -> np.ndarray:
@@ -127,24 +128,28 @@ def simplex_project(v: np.ndarray) -> np.ndarray:
     v = np.asarray(v, dtype=np.float64).reshape(-1)
     if v.size == 0:
         raise ValueError("cannot project an empty vector")
-    if not np.all(np.isfinite(v)):
+    u = np.sort(v)[::-1]  # NaN sorts last, so the ends u[0] and u[-1] reveal every non-finite entry
+    if not (math.isfinite(u[0]) and math.isfinite(u[-1])):
         raise ValueError("cannot project non-finite values")
-    u = np.sort(v)[::-1]
-    cumulative = np.cumsum(u) - 1.0
-    counts = np.arange(1, v.size + 1)
-    rho = np.nonzero(u - cumulative / counts > 0.0)[0][-1]
+    cumulative = u.cumsum() - 1.0
+    rho = (u - cumulative / np.arange(1, v.size + 1) > 0.0).nonzero()[0][-1]
     theta = cumulative[rho] / (rho + 1.0)
     return np.maximum(v - theta, 0.0)
+
+
+def _norm(x: np.ndarray) -> float:
+    """||x|| of a float vector, computed as np.linalg.norm does (sqrt of x.dot(x)) without its per-call checks."""
+    return math.sqrt(x.dot(x))
 
 
 def _objective(A, b: np.ndarray, w: np.ndarray, cumulative=None) -> float:
     """w'Aw + b'w; for a nested A, from its ``cumulative`` (d, e) (see the module docstring)."""
     if isinstance(A, GramForm):
-        return float(np.linalg.norm(A.B @ w) ** 2 + b @ w)
+        return float(_norm(A.B @ w) ** 2 + b @ w)
     if cumulative is None:
         return float(w @ A @ w + b @ w)
     d, e = cumulative
-    C = np.cumsum(w)[:-1]
+    C = w.cumsum()[:-1]
     return float(A.g[-1] + A.h[-1] + b[-1] + d @ C**2 + e @ C + (0.0 if A.r is None else A.r @ w**2))
 
 
@@ -157,7 +162,7 @@ def _gradient(A, b: np.ndarray, w: np.ndarray, cumulative=None) -> np.ndarray:
         return 2.0 * A @ w + b
     d, e = cumulative
     g = np.zeros(w.size) if A.r is None else 2.0 * A.r * w
-    g[:-1] += np.cumsum((2.0 * d * np.cumsum(w)[:-1] + e)[::-1])[::-1]
+    g[:-1] += (2.0 * d * w.cumsum()[:-1] + e)[::-1].cumsum()[::-1]
     return g
 
 
@@ -189,12 +194,12 @@ def _centred_factor(A: np.ndarray, b: np.ndarray) -> tuple[GramForm, np.ndarray]
 
 def _ratio_test(w: np.ndarray, p: np.ndarray, cap: float) -> tuple[float, int]:
     """Longest step t <= cap keeping w + t p >= 0, and the blocking position (-1 if none)."""
-    neg = np.flatnonzero(p < 0.0)
-    ratios = w[neg] / -p[neg]
-    if neg.size == 0 or ratios.min() >= cap:
+    neg = (p < 0.0).nonzero()[0]
+    if neg.size == 0:
         return cap, -1
-    j = int(np.argmin(ratios))
-    return max(float(ratios[j]), 0.0), int(neg[j])
+    ratios = w[neg] / -p[neg]
+    j = ratios.argmin()
+    return (cap, -1) if ratios[j] >= cap else (max(float(ratios[j]), 0.0), int(neg[j]))
 
 
 def _checked(A, b) -> tuple[np.ndarray | GramForm | NestedForm, np.ndarray, float]:
@@ -212,8 +217,8 @@ def _checked(A, b) -> tuple[np.ndarray | GramForm | NestedForm, np.ndarray, floa
     if b.shape[0] != M:
         raise ValueError("b length does not match A")
     # max|A| is non-finite exactly when some entry is: NaN and infinity propagate through it.
-    peak = float(np.max(A.diagonal())) if gram else A.max_abs() if nested else float(np.max(np.abs(A)))
-    if not (np.isfinite(peak) and np.all(np.isfinite(b))):
+    peak = float(A.diagonal().max()) if gram else A.max_abs() if nested else float(np.abs(A).max())
+    if not (math.isfinite(peak) and np.isfinite(b).all()):
         kind = "Gram form" if gram else "nested form" if nested else "program"
         raise ValueError(f"{kind} contains non-finite entries")
     return A, b, peak
@@ -223,7 +228,7 @@ def _report(A, b, w, iterations: int, stopped: bool, scale: float, cumulative=No
     """Feasible weights with their objective, certified by the projected-gradient fixed-point residual."""
     w = np.maximum(w, 0.0)
     w /= w.sum()
-    kkt = float(np.linalg.norm(w - simplex_project(w - _gradient(A, b, w, cumulative))))
+    kkt = _norm(w - simplex_project(w - _gradient(A, b, w, cumulative)))
     status = "converged" if kkt <= 1e-9 * scale else ("degenerate" if stopped else "max-iter")
     return SolveReport(w, _objective(A, b, w, cumulative), iterations, status, kkt)
 
@@ -236,13 +241,13 @@ def solve_simplex_qp(A: np.ndarray | GramForm | NestedForm, b: np.ndarray | None
     malformed input and on programs that are not convex on the simplex.
     """
     A, b, peak = _checked(A, b)
-    scale = max(1.0, peak, float(np.max(np.abs(b))))
+    scale = max(1.0, peak, float(np.abs(b).max()))
     M = b.shape[0]
     cumulative = A.cumulative(b) if isinstance(A, NestedForm) else None
     if M == 1:
         w, iterations, stopped = np.ones(1), 0, True
     elif cumulative is None:
-        start = int(np.argmin(A.diagonal() + b))  # the best vertex
+        start = int((A.diagonal() + b).argmin())  # the best vertex
         form, linear = (A, b) if isinstance(A, GramForm) else _centred_factor(A, b)
         w = np.zeros(M)
         w[start] = 1.0
@@ -288,7 +293,7 @@ def _active_set(face, gradient, free: list[int], w: np.ndarray, scale: float) ->
         g = gradient(w)
         level = g[idx].sum() / len(free)
         g[idx] = np.inf
-        entered = int(np.argmin(g))
+        entered = int(g.argmin())
         if g[entered] - level >= -1e-12 * scale:
             return w, iterations, True
         free = sorted(free + [entered])
@@ -306,8 +311,8 @@ def _gram_face(B: np.ndarray, b: np.ndarray, scale: float):
     downhill to the next bound.  C keeps the entering order, so a leaving
     column cuts the factor back to the columns before it.
     """
-    BT = np.column_stack([B.T, np.full(B.shape[1], (scale / B.shape[1]) ** 0.5)])
-    size, linear = min(B.shape[1], B.shape[0] + 1), bool(np.any(b))
+    BT = np.concatenate([B.T, np.full((B.shape[1], 1), (scale / B.shape[1]) ** 0.5)], axis=1)
+    size, linear = min(B.shape[1], B.shape[0] + 1), bool(b.any())
     QT, Rinv, cols = np.empty((size, B.shape[0] + 1)), np.zeros((size, size)), []
 
     def face(free: list[int], w: np.ndarray) -> tuple[np.ndarray, float]:
@@ -317,25 +322,28 @@ def _gram_face(B: np.ndarray, b: np.ndarray, scale: float):
         k = next((i for i, j in enumerate(cols) if j not in members), len(cols))
         del cols[k:]
         for j in sorted(members.difference(cols)):
-            r = QT[:k] @ BT[j]  # classical Gram-Schmidt, reorthogonalized once
-            u = BT[j] - r @ QT[:k]
-            s = QT[:k] @ u
-            u -= s @ QT[:k]
-            rho = (u @ u) ** 0.5
-            if rho <= 1e-6 * (BT[j] @ BT[j]) ** 0.5:
+            a, Q = BT[j], QT[:k]
+            r = Q @ a  # classical Gram-Schmidt, reorthogonalized once
+            u = a - r @ Q
+            s = Q @ u
+            u -= s @ Q
+            rho = u.dot(u) ** 0.5
+            if rho <= 1e-6 * a.dot(a) ** 0.5:
                 z = np.zeros(w.size)
                 z[cols], z[j] = -(Rinv[:k, :k] @ (r + s)), 1.0
                 return (-z[free] if 2.0 * (B @ w) @ (B @ z) + b @ z > 0.0 else z[free]), np.inf
             QT[k], Rinv[:k, k], Rinv[k, k] = u / rho, Rinv[:k, :k] @ (r + s) / -rho, 1.0 / rho
             cols.append(j)
             k += 1
-        x = Rinv[:k, :k] @ Rinv[:k, :k].sum(axis=0)  # R^-1 R^-T 1
+        R = Rinv[:k, :k]
+        x = R @ R.sum(axis=0)  # R^-1 R^-T 1
         v = np.zeros(w.size)
         v[cols] = x / x.sum()
         if linear:  # lam from 1'v = 1, with y = R^-1 R^-T b_C
-            y = Rinv[:k, :k] @ (Rinv[:k, :k].T @ b[cols])
+            y = R @ (R.T @ b[cols])
             v[cols] += 0.5 * (y.sum() * v[cols] - y)
-        return v[free] - w[free], 1.0
+        idx = np.array(free)  # numpy indexes an array faster than a list
+        return v[idx] - w[idx], 1.0
 
     return face
 
@@ -350,22 +358,20 @@ def _level(num: float, den: float) -> float:
 def _pool_adjacent_violators(d: np.ndarray, e: np.ndarray, tol: float) -> tuple[np.ndarray, int]:
     """Weights minimizing sum_i d_i C_i^2 + e_i C_i over 0 <= C_0 <= ... <= C_{M-2} <= 1,
     and the number of pooling steps."""
-    if np.any(d < -tol):
+    if (d < -tol).any():
         raise _not_convex(float(d.min()))
-    blocks: list[list] = []  # [sum of -e/2, sum of d, length, level]
+    blocks: list[tuple] = []  # (sum of -e/2, sum of d, length, level)
     pools = 0
     for num, den in zip((-0.5 * e).tolist(), np.where(d <= tol, 0.0, d).tolist()):
-        blocks.append([num, den, 1, _level(num, den)])
-        while len(blocks) > 1 and blocks[-2][3] > blocks[-1][3]:
-            num, den, size, _ = blocks.pop()
-            last = blocks[-1]
-            last[0] += num
-            last[1] += den
-            last[2] += size
-            last[3] = _level(last[0], last[1])
+        size, level = 1, _level(num, den)
+        while blocks and blocks[-1][3] > level:  # pool with the violating block before
+            before = blocks.pop()
+            num, den, size = before[0] + num, before[1] + den, before[2] + size
+            level = _level(num, den)
             pools += 1
-    C = np.repeat(np.clip([blk[3] for blk in blocks], 0.0, 1.0), [blk[2] for blk in blocks])
-    return np.diff(C, prepend=0.0, append=1.0), pools
+        blocks.append((num, den, size, level))
+    C = np.array([0.0] + [level for _, _, size, level in blocks for _ in range(size)] + [1.0]).clip(0.0, 1.0)
+    return C[1:] - C[:-1], pools
 
 
 def _tridiagonal_solve(diag: list[float], off: list[float], rhs: list[float]) -> list[float]:
@@ -399,8 +405,8 @@ def _tridiagonal_face(d: np.ndarray, e: np.ndarray, r: np.ndarray):
     certifies convexity.  The face solve runs on plain floats: the programs
     are small and numpy's per-call cost would dominate.
     """
-    d_sum = [0.0] + np.cumsum(d).tolist()
-    e_sum = [0.0] + np.cumsum(e).tolist()
+    d_sum = [0.0] + d.cumsum().tolist()
+    e_sum = [0.0] + e.cumsum().tolist()
     ridge = r.tolist()
 
     def face(free: list[int], w: np.ndarray) -> tuple[np.ndarray, float]:

@@ -254,6 +254,17 @@ class TestXi:
         with pytest.raises(ValueError, match="positive"):
             xi([1.0, np.inf], [1.0, 1.0])
 
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf, np.inf, 0.0, -1.0])
+    @pytest.mark.parametrize("where", [0, 1, 2])
+    @pytest.mark.parametrize("vector", ["v", "b"])
+    def test_rejects_any_non_positive_or_non_finite_entry(self, bad, where, vector):
+        # The check reads each vector's extremes alone: NaN must reach them
+        # wherever it sits, and so must an infinity or a non-positive entry.
+        v, b = np.array([1.0, 2.0, 3.0]), np.array([4.0, 5.0, 6.0])
+        (v if vector == "v" else b)[where] = bad
+        with pytest.raises(ValueError, match="positive and finite"):
+            xi(v, b)
+
 
 class TestVarianceAndBiasPlugins:
     def test_out_of_sample_variance_matrix_plug(self):

@@ -499,3 +499,25 @@ class TestCumulativeForm:
             assert peak < 8 * 2**20
             if ridge is not None:
                 assert report.iterations == 1 and np.all(report.weights > 0.0)
+
+
+class TestCertificate:
+    @given(st.sampled_from(["gram", "ridged", "unridged"]), st.integers(min_value=1, max_value=40),
+           st.integers(min_value=0, max_value=2**32 - 1), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_kkt_residual_is_the_projected_gradient_residual(self, kind, M, seed, linear):
+        # The certificate is ||w - P(w - grad(w))|| at the reported weights, P the
+        # simplex projection, computed bit for bit as numpy's norm would: every
+        # shortcut the solver takes to it must leave the value unchanged.
+        rng = np.random.default_rng(seed)
+        b = rng.standard_normal(M) * 10.0 ** rng.uniform(-3.0, 3.0) if linear else np.zeros(M)
+        if kind == "gram":
+            A = GramForm(rng.standard_normal((int(rng.integers(1, 30)), M)) * 10.0 ** rng.uniform(-3.0, 3.0, M))
+        else:
+            g = rng.standard_normal() - np.cumsum(rng.uniform(0.0, 1.0, M))
+            h = np.cumsum(rng.uniform(0.0, 1.0, M))
+            A = NestedForm(g, h, rng.uniform(0.0, 1.0, M) if kind == "ridged" else None)
+        report = solve_simplex_qp(A, b)
+        cumulative = None if kind == "gram" else A.cumulative(b)
+        w = report.weights
+        assert report.kkt_residual == np.linalg.norm(w - simplex_project(w - _gradient(A, b, w, cumulative)))
