@@ -19,8 +19,9 @@ the rejected field; with ``simulate --config`` it keeps the config field's name.
 
 Determinism: all science parameters are explicit flags or config entries;
 the only environment control is LAMA_THREADS (worker processes for
-replication loops), which never changes output bytes.  BLAS pools are
-pinned to one thread for the same reason.
+replication loops of every harness), which never changes output bytes.
+Where threadpoolctl is installed, BLAS pools in workers are pinned to one
+thread so that workers do not oversubscribe the cores.
 """
 
 from __future__ import annotations

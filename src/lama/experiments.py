@@ -3,8 +3,10 @@
 Randomness never flows through shared generator state: every replication
 derives its own generator from (base seed, setting keys, replication index,
 stream tag), so any single replication can be reproduced in isolation and
-results are identical at any worker count.  Aggregation walks replications
-in index order, which keeps output bytes stable.
+results are identical at any worker count.  Every harness maps one
+module-level per-replication function through ``_pmap``, which reads the
+worker count from ``LAMA_THREADS``; aggregation walks replications in index
+order, which keeps output bytes stable.
 """
 
 from __future__ import annotations
@@ -93,9 +95,10 @@ def _limit_blas():
     threadpool_limits(limits=1)
 
 
-def _pmap(fn, items, workers: int):
-    """Order-preserving map, optionally across worker processes."""
+def _pmap(fn, items):
+    """Order-preserving map, across ``worker_count()`` worker processes when that exceeds 1."""
     items = list(items)
+    workers = worker_count()
     if workers <= 1 or len(items) <= 1:
         return [fn(x) for x in items]
     chunk = max(1, len(items) // (workers * 4))
@@ -104,6 +107,17 @@ def _pmap(fn, items, workers: int):
     # The fork start method launches every worker on the first submit.
     with ProcessPoolExecutor(max_workers=min(workers, len(items)), initializer=_limit_blas) as ex:
         return list(ex.map(fn, items, chunksize=chunk))
+
+
+def _replicate(fn, tasks) -> tuple[list, int, int]:
+    """(kept values in task order, dropped count, summed redraws) of ``fn`` mapped over ``tasks``.
+
+    ``fn`` returns (value, redraws, reason), the reason None if the
+    replication is kept, else "degenerate" or a failed fit's message.
+    """
+    outcomes = _pmap(fn, tasks)
+    kept = [value for value, _, reason in outcomes if reason is None]
+    return kept, len(outcomes) - len(kept), sum(redraws for _, redraws, _ in outcomes)
 
 
 # ---------------------------------------------------------------------------
@@ -331,21 +345,21 @@ def relative_losses(weights: dict[str, np.ndarray], pred_train: np.ndarray, mu_t
     return rows, False
 
 
-def _fit_and_weigh(train: Dataset, sizes, methods) -> dict:
+def _fit_and_weigh(train: Dataset, sizes, methods):
     """Fit the column prefixes ``sizes`` of ``train`` and choose each method's weights.
 
-    Returns ``{"fits": ModelFits, "choices": {method: WeightChoice}}``, or
-    ``{"failed": reason}`` when a fit or a weight choice raises.  Runtime
-    warnings (excluded candidates, floors) are silenced, as the harnesses
-    run many replications.
+    Returns (ModelFits, {method: WeightChoice}, None), or (None, None,
+    reason) when a fit or a weight choice raises.  Runtime warnings
+    (excluded candidates, floors) are silenced, as the harnesses run many
+    replications.
     """
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             fits = fit_all(train, sizes)
-            return {"fits": fits, "choices": {m: compute_weights(fits, m) for m in methods}}
+            return fits, {m: compute_weights(fits, m) for m in methods}, None
     except (ValueError, np.linalg.LinAlgError) as exc:
-        return {"failed": str(exc)}
+        return None, None, str(exc)
 
 
 def _mean_var(values) -> tuple[float, float]:
@@ -363,50 +377,41 @@ def _sim_rep(args):
     sizes = np.arange(1, m + 1)
     if cfg.exclude_boundary:
         sizes = sizes[sizes != n]
-    fit = _fit_and_weigh(train, sizes, cfg.methods)
-    if "failed" in fit:
-        return fit
-    fits = fit["fits"]
+    fits, choices, failed = _fit_and_weigh(train, sizes, cfg.methods)
+    if failed is not None:
+        return None, 0, failed
     rows, degenerate = relative_losses(
-        {k: c.weights for k, c in fit["choices"].items()}, fits.predict(train.X), mu, fits.coefs, theta
+        {k: c.weights for k, c in choices.items()}, fits.predict(train.X), mu, fits.coefs, theta
     )
     if degenerate:
-        return {"degenerate": True}
+        return None, 0, "degenerate"
     if cfg.truncate_loss is not None:
         cap = float(cfg.truncate_loss)
         rows = {k: (min(a, cap), min(b, cap)) for k, (a, b) in rows.items()}
-    return {"losses": rows}
+    return rows, 0, None
 
 
-def run_simulation(cfg: SimulationConfig, workers: int | None = None) -> list[dict]:
+def run_simulation(cfg: SimulationConfig) -> list[dict]:
     """Mean relative losses per (method, n, M, R2) over the replications.
 
     Rows come back in a canonical order: n, then M, then R2 as configured,
     then methods as configured.  Failed or degenerate replications are
-    dropped from the averages and counted in ``excluded_reps``.
+    dropped from the averages and counted in ``excluded_reps``.  The
+    replications run in ``LAMA_THREADS`` worker processes, with the same
+    result at any count.
     """
-    workers = worker_count() if workers is None else workers
     rows: list[dict] = []
     for n in cfg.n_values:
         for m in cfg.m_values if cfg.m_values is not None else default_model_counts(n):
             for r2 in cfg.r2_values:
                 tasks = [(cfg, n, m, r2, rep) for rep in range(cfg.replications)]
-                kept = [res["losses"] for res in _pmap(_sim_rep, tasks, workers) if "losses" in res]
+                kept, dropped, _ = _replicate(_sim_rep, tasks)
                 for method in cfg.methods:
                     mean_in, _ = _mean_var([loss[method][0] for loss in kept])
                     mean_out, var_out = _mean_var([loss[method][1] for loss in kept])
-                    rows.append(
-                        {
-                            "method": method,
-                            "n": n,
-                            "M": m,
-                            "R2": float(r2),
-                            "rel_loss_in_mean": mean_in,
-                            "rel_loss_out_mean": mean_out,
-                            "rel_loss_out_var": var_out,
-                            "excluded_reps": cfg.replications - len(kept),
-                        }
-                    )
+                    rows.append({"method": method, "n": n, "M": m, "R2": float(r2),
+                                 "rel_loss_in_mean": mean_in, "rel_loss_out_mean": mean_out,
+                                 "rel_loss_out_var": var_out, "excluded_reps": dropped})
     return rows
 
 
@@ -440,21 +445,19 @@ def _real_split(args):
     (X, Y, sizes, n_train, methods, seed, rep) = args
     N = X.shape[0]
     rng = rng_for(seed, "real-split", n_train, rep)
-    for _retry in range(100):
+    for redraws in range(100):
         idx = rng.permutation(N)
         tr, te = idx[:n_train], idx[n_train:]
         if np.ptp(Y[tr]) > 0.0:
             break
     else:
-        return {"degenerate": True, "retries": _retry}
-    fit = _fit_and_weigh(Dataset(Y=Y[tr], X=X[tr]), sizes, methods)
-    if "failed" in fit:
-        return {**fit, "retries": _retry}
-    pred_te = fit["fits"].predict(X[te])
-    errs = {
-        k: float(((pred_te @ c.weights - Y[te]) ** 2).sum()) / (N - n_train) for k, c in fit["choices"].items()
-    }
-    return {"errors": errs, "retries": _retry}
+        return None, redraws, "degenerate"
+    fits, choices, failed = _fit_and_weigh(Dataset(Y=Y[tr], X=X[tr]), sizes, methods)
+    if failed is not None:
+        return None, redraws, failed
+    pred_te = fits.predict(X[te])
+    errs = {k: float(((pred_te @ c.weights - Y[te]) ** 2).sum()) / (N - n_train) for k, c in choices.items()}
+    return errs, redraws, None
 
 
 def evaluate_real(
@@ -464,7 +467,6 @@ def evaluate_real(
     seed: int,
     methods=QUADRATIC_METHODS,
     max_models: int | None = None,
-    workers: int | None = None,
 ) -> list[dict]:
     """Repeated random-split evaluation on one dataset.
 
@@ -474,7 +476,8 @@ def evaluate_real(
     overrides it.  Each split trains every method and scores squared test
     error normalized by the test-set size.  A constant training response is
     redrawn, at most 99 times, and ``redraws`` counts every split's redraws;
-    a split left constant, or whose fit fails, is dropped.
+    a split left constant, or whose fit fails, is dropped.  The splits run
+    in ``LAMA_THREADS`` worker processes, with the same result at any count.
     """
     N, n_train = data.n, _counts(n_train, "n_train", 2)
     if n_train >= N:
@@ -482,25 +485,14 @@ def evaluate_real(
     reps = _counts(reps, "reps")
     methods = _method_tags(methods)
     X, sizes = _nested_candidates(data, n_train, max_models)
-    workers = worker_count() if workers is None else workers
 
     tasks = [(X, data.Y, sizes, n_train, methods, seed, rep) for rep in range(reps)]
-    results = _pmap(_real_split, tasks, workers)
-    kept = [res for res in results if "errors" in res]
+    kept, dropped, redraws = _replicate(_real_split, tasks)
     rows = []
     for method in methods:
-        mean, var = _mean_var([res["errors"][method] for res in kept])
-        rows.append(
-            {
-                "method": method,
-                "n_train": n_train,
-                "test_err_mean": mean,
-                "test_err_var": var,
-                "reps": len(kept),
-                "excluded": reps - len(kept),
-                "redraws": sum(res["retries"] for res in results),
-            }
-        )
+        mean, var = _mean_var([errors[method] for errors in kept])
+        rows.append({"method": method, "n_train": n_train, "test_err_mean": mean, "test_err_var": var,
+                     "reps": len(kept), "excluded": dropped, "redraws": redraws})
     return rows
 
 
@@ -516,6 +508,29 @@ def real_eval_csv(rows: list[dict], fh) -> None:
 # Monte-Carlo validation of the closed-form limits
 
 
+def _compare(empirical: float, theoretical: float) -> dict:
+    """Both values, and their distance relative to the theory, or absolute where the theory is 0."""
+    rel_error = abs(empirical - theoretical) / (theoretical if theoretical > 0 else 1.0)
+    return {"empirical": empirical, "theoretical": theoretical, "rel_error": rel_error}
+
+
+def _rmt_rep(args):
+    # One design, redrawn while singular: (trace, projected signal form or None below the boundary).
+    n, c, k, theta, seed, rep = args
+    rng = rng_for(seed, "rmt", n, float(c), rep)
+    for redraws in range(20):
+        X = _draw(rng, n, np.zeros(k), k, False, 0.0)[0]
+        try:
+            if k < n:
+                return (float(np.trace(np.linalg.inv(X.T @ X))), None), redraws, None
+            Ginv = np.linalg.inv(X @ X.T)
+            u = X @ theta
+            return (float(np.trace(Ginv)), float(u @ Ginv @ u)), redraws, None
+        except np.linalg.LinAlgError:
+            pass
+    raise np.linalg.LinAlgError("could not draw a nonsingular design in 20 tries")
+
+
 def validate_rmt(n: int, c: float, reps: int, seed: int, theta: np.ndarray | None = None) -> dict:
     """Empirical random-matrix limits against their closed forms.
 
@@ -523,8 +538,9 @@ def validate_rmt(n: int, c: float, reps: int, seed: int, theta: np.ndarray | Non
     against 1/(c-1) and the projected signal quadratic form against
     |theta|^2 / c.  Each design is a ``_draw`` of k standard-normal columns;
     singular draws are redrawn and counted.  ``theta``, when
-    given, must have length k = round(c n) on either side of the boundary;
-    it defaults to the first basis vector and is used only above it.
+    given, must be finite and have length k = round(c n) on either side of
+    the boundary; it defaults to the first basis vector and is used only
+    above it.
     """
     n, reps = _counts(n, "n", 4), _counts(reps, "reps")
     if not np.isfinite(c):
@@ -540,40 +556,23 @@ def validate_rmt(n: int, c: float, reps: int, seed: int, theta: np.ndarray | Non
         theta[0] = 1.0
     elif theta is not None and np.shape(theta) != (k,):
         raise InputError("theta", f"must have length k={k} (c={c}, n={n}), got shape {np.shape(theta)}")
-    retries = 0
-    traces = []
-    quads = []
-    for rep in range(reps):
-        rng = rng_for(seed, "rmt", n, float(c), rep)
-        for _ in range(20):
-            X = _draw(rng, n, np.zeros(k), k, False, 0.0)[0]
-            try:
-                if over:
-                    Ginv = np.linalg.inv(X @ X.T)
-                    traces.append(float(np.trace(Ginv)))
-                    u = X @ theta
-                    quads.append(float(u @ Ginv @ u))
-                else:
-                    traces.append(float(np.trace(np.linalg.inv(X.T @ X))))
-                break
-            except np.linalg.LinAlgError:
-                retries += 1
-        else:
-            raise np.linalg.LinAlgError("could not draw a nonsingular design in 20 tries")
-    def compare(empirical: float, theoretical: float) -> dict:
-        return {
-            "empirical": empirical,
-            "theoretical": theoretical,
-            "rel_error": abs(empirical - theoretical) / theoretical,
-        }
-
+    elif theta is not None and not np.isfinite(theta).all():
+        raise InputError("theta", "entries must be finite")
+    kept, _, retries = _replicate(_rmt_rep, [(n, c, k, theta, seed, rep) for rep in range(reps)])
     report = {"n": n, "k": k, "c": float(c), "reps": reps, "retries": retries}
+    trace = float(np.mean([t for t, _ in kept]))
     if over:
-        report["trace_pinv"] = compare(float(np.mean(traces)), 1.0 / (c - 1.0))
-        report["signal_quadratic_form"] = compare(float(np.mean(quads)), float(theta @ theta) / c)
+        report["trace_pinv"] = _compare(trace, 1.0 / (c - 1.0))
+        report["signal_quadratic_form"] = _compare(float(np.mean([q for _, q in kept])), float(theta @ theta) / c)
     else:
-        report["trace_inverse"] = compare(float(np.mean(traces)), c / (1.0 - c))
+        report["trace_inverse"] = _compare(trace, c / (1.0 - c))
     return report
+
+
+def _thm1_rep(args):
+    n, sizes, theta, sigma2, w, seed, rep = args
+    X, Y, _ = _draw(rng_for(seed, "thm1", n, rep), n, theta, sizes[-1], False, np.sqrt(sigma2))
+    return float(_risk(fit_all(Dataset(Y=Y, X=X), sizes).coefs @ w, theta)), 0, None
 
 
 def validate_theorem1(
@@ -620,12 +619,8 @@ def validate_theorem1(
     theo_bias, theo_var = float(bb.sum()), float(bv.sum())
     theo_risk = theo_bias + theo_var
 
-    risks = []
-    for rep in range(reps):
-        X, Y, _ = _draw(rng_for(seed, "thm1", n, rep), n, theta, sizes[-1], False, np.sqrt(sigma2))
-        risks.append(float(_risk(fit_all(Dataset(Y=Y, X=X), sizes).coefs @ w, theta)))
+    risks, _, _ = _replicate(_thm1_rep, [(n, sizes, theta, sigma2, w, seed, rep) for rep in range(reps)])
     emp = float(np.mean(risks))
-    denom = theo_risk if theo_risk > 0 else 1.0
     return {
         "n": n,
         "sizes": sizes.tolist(),
@@ -634,5 +629,5 @@ def validate_theorem1(
         "theoretical_risk": float(theo_risk),
         "theoretical_bias": float(theo_bias),
         "theoretical_variance": float(theo_var),
-        "rel_error": abs(emp - theo_risk) / denom,
+        "rel_error": _compare(emp, theo_risk)["rel_error"],
     }

@@ -87,6 +87,7 @@ class TestRangeParsing:
         (["simulate", "--n", "8", "--m", "3", "--p", "8", "--reps", "2", "--methods", ","], None, "--methods"),
         (["fit", "--data", "mtcars", "--methods", ","], None, "--methods"),
         (["validate-rmt", "--n", "30", "--c", "0.5", "--theta", "1,2"], None, "--theta"),
+        (["validate-rmt", "--n", "4", "--c", "1.5", "--reps", "2", "--theta", "nan,0,0,0,0,0"], None, "--theta"),
         (["simulate"], {"n_values": 5}, "n_values"),
         (["simulate"], {"replications": "a"}, "replications"),
         (["simulate"], {"methods": "mma"}, "methods"),
@@ -134,8 +135,9 @@ class TestRangeParsing:
         "eval-unknown-method", "eval-max-models", "eval-n-train", "fit-max-models", "fit-n-train",
         "fit-unknown-method", "simulate-r2", "simulate-reps", "simulate-n", "simulate-m-zero",
         "simulate-m-negative", "config-r2-values-empty", "config-m-values-zero", "eval-methods-empty",
-        "simulate-methods-empty", "fit-methods-empty", "rmt-theta-length", "config-n-values-scalar",
-        "config-replications-string", "config-methods-string", "surface-truncate", "surface-snr",
+        "simulate-methods-empty", "fit-methods-empty", "rmt-theta-length", "rmt-theta-nan",
+        "config-n-values-scalar", "config-replications-string", "config-methods-string", "surface-truncate",
+        "surface-snr",
         "surface-r2", "surface-sigma2", "rmt-c-too-small", "surface-n-range", "surface-m-range", "rmt-c-nan",
         "surface-decay-nan", "surface-scale-overflow", "surface-alpha-overflow", "thm1-sizes-zero",
         "thm1-sizes-decreasing", "thm1-reps-zero", "thm1-n-zero", "rmt-reps-zero", "thm1-weights-nan",
@@ -481,12 +483,19 @@ class TestTopLevel:
         assert proc.stdout.strip() == "False"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [SIM_ARGS,
+     ["validate-thm1", "--n", "40", "--sizes", "5,20,60,90", "--reps", "8", "--seed", "2"],
+     ["validate-rmt", "--n", "60", "--c", "2.0", "--reps", "6", "--seed", "1"]],
+    ids=["simulate", "thm1", "rmt"],
+)
 class TestProcessDeterminism:
     @staticmethod
-    def _run(threads: str):
+    def _run(argv, threads: str):
         env = {**os.environ, "LAMA_THREADS": threads}
         proc = subprocess.run(
-            [sys.executable, "-m", "lama.cli", *SIM_ARGS],
+            [sys.executable, "-m", "lama.cli", *argv],
             capture_output=True,
             env=env,
             timeout=300,
@@ -494,7 +503,7 @@ class TestProcessDeterminism:
         assert proc.returncode == 0, proc.stderr.decode()
         return proc.stdout
 
-    def test_output_bytes_ignore_worker_count(self):
-        serial = self._run("1")
-        assert serial == self._run("3")
-        assert serial == self._run("1")
+    def test_output_bytes_ignore_worker_count(self, argv):
+        serial = self._run(argv, "1")
+        assert serial == self._run(argv, "3")
+        assert serial == self._run(argv, "1")

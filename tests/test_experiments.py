@@ -44,6 +44,13 @@ from conftest import make_fits
 from oracles import lama_criterion_value, single_model_risk, value
 
 
+@pytest.fixture(autouse=True)
+def one_worker(monkeypatch):
+    # Tests that count or patch calls see only this process's calls, so every
+    # harness runs its replications here unless a test asks for workers.
+    monkeypatch.setenv("LAMA_THREADS", "1")
+
+
 class TestRngFor:
     def test_same_keys_same_stream(self):
         a = rng_for(7, "train", 50, 0.5, 3).random(8)
@@ -108,8 +115,10 @@ class TestWorkerCount:
                 return map(fn, items)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
-        assert xp._pmap(abs, [-1, -2], workers=10_000) == [1, 2]
-        assert xp._pmap(abs, range(-5, 0), workers=3) == [5, 4, 3, 2, 1]
+        monkeypatch.setenv("LAMA_THREADS", "10000")
+        assert xp._pmap(abs, [-1, -2]) == [1, 2]
+        monkeypatch.setenv("LAMA_THREADS", "3")
+        assert xp._pmap(abs, range(-5, 0)) == [5, 4, 3, 2, 1]
         assert sizes == [2, 3]
 
 
@@ -391,7 +400,7 @@ class TestRunSimulation:
     )
 
     def test_canonical_row_order(self):
-        rows = run_simulation(self.TINY, workers=1)
+        rows = run_simulation(self.TINY)
         assert [(r["method"], r["M"]) for r in rows] == [
             ("mma", 3), ("uniform", 3), ("mma", 5), ("uniform", 5),
         ]
@@ -402,9 +411,10 @@ class TestRunSimulation:
             assert r["rel_loss_out_var"] >= 0.0
             assert r["excluded_reps"] == 0
 
-    def test_identical_at_any_worker_count(self):
-        serial = run_simulation(self.TINY, workers=1)
-        parallel = run_simulation(self.TINY, workers=2)
+    def test_identical_at_any_worker_count(self, monkeypatch):
+        serial = run_simulation(self.TINY)
+        monkeypatch.setenv("LAMA_THREADS", "2")
+        parallel = run_simulation(self.TINY)
         assert serial == parallel  # dict equality is exact float equality
 
     def test_failed_replications_are_counted_and_leave_nan(self, monkeypatch):
@@ -412,13 +422,13 @@ class TestRunSimulation:
             raise ValueError("weight choice failed")
 
         monkeypatch.setattr(xp, "compute_weights", fail)
-        for r in run_simulation(self.TINY, workers=1):
+        for r in run_simulation(self.TINY):
             assert r["excluded_reps"] == self.TINY.replications
             assert np.isnan([r["rel_loss_in_mean"], r["rel_loss_out_mean"], r["rel_loss_out_var"]]).all()
 
     def test_loss_cap_applies(self):
         capped = SimulationConfig(**{**self.TINY.to_dict(), "truncate_loss": 0.5})
-        for row in run_simulation(capped, workers=1):
+        for row in run_simulation(capped):
             assert row["rel_loss_in_mean"] <= 0.5
             assert row["rel_loss_out_mean"] <= 0.5
 
@@ -427,27 +437,28 @@ class TestRunSimulation:
             n_values=(8,), r2_values=(0.5,), p=16, m_values=(8,),
             replications=2, seed=3, methods=("uniform",),
         )
-        with_k_n = run_simulation(SimulationConfig(**base), workers=1)
+        with_k_n = run_simulation(SimulationConfig(**base))
         without = run_simulation(
-            SimulationConfig(**base, exclude_boundary=True), workers=1
+            SimulationConfig(**base, exclude_boundary=True)
         )
         assert with_k_n[0]["rel_loss_out_mean"] != without[0]["rel_loss_out_mean"]
 
-    def test_uniform_average_degrades_toward_the_boundary(self):
+    def test_uniform_average_degrades_toward_the_boundary(self, monkeypatch):
         # Including near-interpolating candidates inflates the out-of-sample
         # loss far more than the in-sample loss.
         cfg = SimulationConfig(
             n_values=(64,), r2_values=(0.5,), p=128, m_values=(32, 63),
             replications=50, seed=11, methods=("uniform",),
         )
-        half, near = run_simulation(cfg, workers=2)
+        monkeypatch.setenv("LAMA_THREADS", "2")
+        half, near = run_simulation(cfg)
         assert near["rel_loss_out_mean"] > 2.0 * half["rel_loss_out_mean"]
         out_in_near = near["rel_loss_out_mean"] / near["rel_loss_in_mean"]
         out_in_half = half["rel_loss_out_mean"] / half["rel_loss_in_mean"]
         assert out_in_near > out_in_half
 
     def test_csv_layout(self):
-        rows = run_simulation(self.TINY, workers=1)
+        rows = run_simulation(self.TINY)
         buf = io.StringIO()
         simulation_csv(rows, buf)
         lines = buf.getvalue().strip().split("\n")
@@ -464,7 +475,7 @@ class TestRunSimulation:
 class TestEvaluateReal:
     def test_report_rows(self):
         data = load_builtin("mtcars")
-        rows = evaluate_real(data, n_train=25, reps=6, seed=0, methods=("mma", "lama"), workers=1)
+        rows = evaluate_real(data, n_train=25, reps=6, seed=0, methods=("mma", "lama"))
         assert [r["method"] for r in rows] == ["mma", "lama"]
         for r in rows:
             assert r["n_train"] == 25
@@ -475,19 +486,20 @@ class TestEvaluateReal:
 
     def test_single_split_single_test_point(self):
         data = load_builtin("mtcars")
-        rows = evaluate_real(data, n_train=31, reps=1, seed=0, methods=("mma",), workers=1)
+        rows = evaluate_real(data, n_train=31, reps=1, seed=0, methods=("mma",))
         assert rows[0]["reps"] == 1
         assert rows[0]["test_err_var"] == 0.0
 
-    def test_identical_at_any_worker_count(self):
+    def test_identical_at_any_worker_count(self, monkeypatch):
         data = load_builtin("mtcars")
-        serial = evaluate_real(data, 25, reps=8, seed=4, methods=("mma", "jma"), workers=1)
-        parallel = evaluate_real(data, 25, reps=8, seed=4, methods=("mma", "jma"), workers=2)
+        serial = evaluate_real(data, 25, reps=8, seed=4, methods=("mma", "jma"))
+        monkeypatch.setenv("LAMA_THREADS", "2")
+        parallel = evaluate_real(data, 25, reps=8, seed=4, methods=("mma", "jma"))
         assert serial == parallel
 
     def test_candidate_cap_override(self):
         data = load_builtin("mtcars")
-        rows = evaluate_real(data, 25, reps=2, seed=0, methods=("mma",), max_models=3, workers=1)
+        rows = evaluate_real(data, 25, reps=2, seed=0, methods=("mma",), max_models=3)
         assert rows[0]["reps"] == 2
 
     def test_validation(self):
@@ -507,14 +519,14 @@ class TestEvaluateReal:
             (("mma", "foo"), r"unknown methods \['foo'\]"), ("mma", "string 'mma'"), ((), "at least one method"),
         ]:
             with pytest.raises(InputError, match=match):
-                evaluate_real(load_builtin("mtcars"), 25, reps=3, seed=0, methods=methods, workers=1)
+                evaluate_real(load_builtin("mtcars"), 25, reps=3, seed=0, methods=methods)
 
     def test_no_surviving_split_reports_nan(self, monkeypatch):
         def fail(*args, **kwargs):
             raise ValueError("weight choice failed")
 
         monkeypatch.setattr(xp, "compute_weights", fail)
-        (row,) = evaluate_real(load_builtin("mtcars"), 25, reps=3, seed=0, methods=("mma",), workers=1)
+        (row,) = evaluate_real(load_builtin("mtcars"), 25, reps=3, seed=0, methods=("mma",))
         assert (row["reps"], row["excluded"]) == (0, 3)
         assert np.isnan(row["test_err_mean"]) and np.isnan(row["test_err_var"])
 
@@ -533,7 +545,7 @@ class TestEvaluateReal:
             hits = [7 in split.permutation(400)[:4] for _ in range(100)]
             redraws += hits.index(True) if any(hits) else 99
             degenerate += not any(hits)
-        (row,) = evaluate_real(data, 4, reps=20, seed=0, methods=("mma",), max_models=2, workers=1)
+        (row,) = evaluate_real(data, 4, reps=20, seed=0, methods=("mma",), max_models=2)
         assert degenerate > 0
         assert (row["excluded"], row["redraws"]) == (degenerate, redraws)
 
@@ -541,12 +553,12 @@ class TestEvaluateReal:
             raise ValueError("weight choice failed")
 
         monkeypatch.setattr(xp, "compute_weights", fail)
-        (row,) = evaluate_real(data, 4, reps=20, seed=0, methods=("mma",), max_models=2, workers=1)
+        (row,) = evaluate_real(data, 4, reps=20, seed=0, methods=("mma",), max_models=2)
         assert (row["reps"], row["excluded"], row["redraws"]) == (0, 20, redraws)
 
     def test_csv_layout(self):
         data = load_builtin("mtcars")
-        rows = evaluate_real(data, 25, reps=2, seed=0, methods=("mma",), workers=1)
+        rows = evaluate_real(data, 25, reps=2, seed=0, methods=("mma",))
         buf = io.StringIO()
         real_eval_csv(rows, buf)
         lines = buf.getvalue().strip().split("\n")
@@ -588,6 +600,27 @@ class TestValidateRmt:
 
     def test_deterministic(self):
         assert validate_rmt(30, 0.5, 2, 9) == validate_rmt(30, 0.5, 2, 9)
+
+    def test_identical_at_any_worker_count(self, monkeypatch):
+        serial = [validate_rmt(60, c, reps=6, seed=1) for c in (0.5, 2.0)]
+        monkeypatch.setenv("LAMA_THREADS", "2")
+        assert [validate_rmt(60, c, reps=6, seed=1) for c in (0.5, 2.0)] == serial
+
+    def test_theta_must_be_finite(self):
+        # Past the boundary a NaN once reached the JSON writer; below it theta is unused but still checked.
+        for n, c, k in [(4, 1.5, 6), (10, 0.5, 5)]:
+            for bad in (np.nan, np.inf, -np.inf):
+                theta = np.zeros(k)
+                theta[1] = bad
+                with pytest.raises(InputError, match="^theta: .*finite"):
+                    validate_rmt(n, c, reps=2, seed=0, theta=theta)
+
+    def test_zero_signal_error_is_absolute(self):
+        # An all-zero theta makes the quadratic form and its limit 0; the error is then absolute, as in
+        # validate_theorem1, not a division by zero.
+        report = validate_rmt(4, 1.5, reps=2, seed=0, theta=np.zeros(6))
+        assert report["signal_quadratic_form"] == {"empirical": 0.0, "theoretical": 0.0, "rel_error": 0.0}
+        assert report["trace_pinv"]["rel_error"] > 0.0
 
     def test_theta_length_must_be_k(self):
         # k = round(c n) = 80 past the boundary, where theta is used, and
@@ -651,6 +684,13 @@ class TestValidateTheorem1:
         report = validate_theorem1(2, (1, 2), theta, 1.0, reps=2, seed=0, w=(1.0, 0.0))
         assert np.isfinite(report["theoretical_risk"]) and np.isfinite(report["rel_error"])
 
+    def test_identical_at_any_worker_count(self, monkeypatch):
+        # Candidates on both sides of the boundary n = 40.
+        theta = np.linspace(1.0, 0.1, 100)
+        serial = validate_theorem1(40, (5, 20, 60, 90), theta, 1.0, reps=8, seed=2)
+        monkeypatch.setenv("LAMA_THREADS", "2")
+        assert validate_theorem1(40, (5, 20, 60, 90), theta, 1.0, reps=8, seed=2) == serial
+
     def test_draws_only_the_columns_its_candidates_read(self, monkeypatch):
         # Coefficients past sizes[-1] reach the draw only through the tail norm, so
         # zero padding moves nothing but that norm's roundoff.
@@ -680,7 +720,7 @@ def test_every_quadratic_solve_goes_through_one_name(monkeypatch):
 
     solve = xp.solve_simplex_qp
     monkeypatch.setattr(xp, "solve_simplex_qp", count)
-    evaluate_real(load_builtin("crime"), n_train=18, reps=3, seed=0, methods=QUADRATIC_METHODS, workers=1)
+    evaluate_real(load_builtin("crime"), n_train=18, reps=3, seed=0, methods=QUADRATIC_METHODS)
     assert len(reports) == 9
     fits, _, _ = make_fits(3, n=24, sizes=(1, 3, 6))
     for method in QUADRATIC_METHODS:
@@ -718,7 +758,7 @@ def test_every_design_draw_goes_through_one_name(monkeypatch):
     monkeypatch.setattr(xp, "_draw", count)
     cfg = SimulationConfig(n_values=(12,), m_values=(5,), r2_values=(0.5,), p=20, replications=3,
                            methods=("mma",), seed=0)
-    run_simulation(cfg, workers=1)
+    run_simulation(cfg)
     assert rows == [12] * 3
     validate_theorem1(30, (2, 4), np.ones(6), 1.0, reps=2, seed=0)
     assert rows[3:] == [30] * 2
@@ -738,14 +778,14 @@ def test_every_solve_on_the_benchmark_configs_converges(monkeypatch):
         return choice
 
     monkeypatch.setattr(xp, "compute_weights", record)
-    evaluate_real(load_builtin("crime"), n_train=18, reps=10, seed=0, methods=QUADRATIC_METHODS, workers=1)
-    evaluate_real(load_builtin("mtcars"), n_train=24, reps=10, seed=0, methods=QUADRATIC_METHODS, workers=1)
+    evaluate_real(load_builtin("crime"), n_train=18, reps=10, seed=0, methods=QUADRATIC_METHODS)
+    evaluate_real(load_builtin("mtcars"), n_train=24, reps=10, seed=0, methods=QUADRATIC_METHODS)
     cfg = SimulationConfig(n_values=(50,), m_values=(45, 100), r2_values=(0.5,), p=1000, replications=3,
                            methods=QUADRATIC_METHODS, seed=0)
-    run_simulation(cfg, workers=1)
+    run_simulation(cfg)
     criterion7 = SimulationConfig(n_values=(50,), m_values=(45,), r2_values=(0.5,), alpha=0.5, p=1000,
                                   replications=10, methods=QUADRATIC_METHODS, seed=0)
-    run_simulation(criterion7, workers=1)
+    run_simulation(criterion7)
     assert len(choices) == 3 * (10 + 10 + 2 * 3 + 10)
     assert [c.status for c in choices] == ["converged"] * len(choices)
 
@@ -773,7 +813,7 @@ def test_the_jackknife_weights_factor_no_m_by_m_matrix(monkeypatch, m):
 
 def _eval_json(n_train=20, reps=2, max_models=3):
     rows = evaluate_real(load_builtin("mtcars"), n_train, reps=reps, seed=0, methods=("mma",),
-                         max_models=max_models, workers=1)
+                         max_models=max_models)
     return json.dumps(rows)
 
 
