@@ -10,10 +10,14 @@ Subcommands map one-to-one onto the library workloads:
 * ``validate-thm1``  check of the weighted-average risk limit against exact
                      conditional risks over training draws, JSON
 
+Every subcommand takes ``--out`` (default stdout); ``eval`` and ``fit`` share
+``--data``, ``--response``, ``--no-standardize`` and ``--methods``, which is
+only split on commas: the library judges the pieces.
+
 Exit codes: 0 success, 1 usage error (bad flags, flag or config values the
 library rejects, unreadable input such as a missing or malformed dataset or
-config file), 2 numerical failure during computation (running out of memory
-included).  Every option's dest is
+config file, a dataset that breaks a dataset rule), 2 numerical failure
+during computation (running out of memory included).  Every option's dest is
 the library name of the value it sets, so a usage error names the flag behind
 the rejected field; with ``simulate --config`` it keeps the config field's name.
 
@@ -79,13 +83,6 @@ def _parse_float_list(text: str) -> list[float]:
     return [float(piece) for piece in text.split(",")]
 
 
-def _parse_methods(text: str) -> list[str]:
-    methods = [piece.strip().lower() for piece in text.split(",") if piece.strip()]
-    if not methods:
-        raise ValueError("need at least one method")
-    return methods
-
-
 def _flag_type(parse):
     """argparse ``type=`` converter: a value ``parse`` rejects is a usage error."""
 
@@ -100,7 +97,6 @@ def _flag_type(parse):
 
 _INT_LIST = _flag_type(_parse_int_list)
 _FLOAT_LIST = _flag_type(_parse_float_list)
-_METHODS = _flag_type(_parse_methods)
 
 
 def _write_out(path: str | None, emit) -> int:
@@ -120,16 +116,14 @@ def _write_json(path: str | None, obj) -> int:
 
 
 def _load_dataset(args) -> Dataset:
-    name = args.data
     standardize = not args.no_standardize
-    if name in ds.available():
-        return ds.load_builtin(name, standardize=standardize)
-    path = Path(name)
-    if not path.exists():
-        raise InputError("data", f"no such dataset {name!r} (path or one of {ds.available()})")
+    if args.data in ds.available():
+        return ds.load_builtin(args.data, standardize=standardize)
+    if not Path(args.data).exists():
+        raise InputError("data", f"no such dataset {args.data!r} (path or one of {ds.available()})")
     if args.response is None:
         raise InputError("response", "required for dataset files")
-    data = load_csv(path, response=args.response)
+    data = load_csv(args.data, response=args.response)
     return ds.standardize_dataset(data) if standardize else data
 
 
@@ -193,6 +187,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_fit(args) -> int:
+    methods = xp._method_tags(args.methods)
     data = _load_dataset(args)
     n_fit = data.n if args.n_train is None else _counts(args.n_train, "n_train", 2)
     if n_fit > data.n:
@@ -203,7 +198,7 @@ def _cmd_fit(args) -> int:
         idx = xp.rng_for(args.seed, "fit-split", 0).permutation(data.n)[:n_fit]
         X, Y = X[idx], Y[idx]
     fits = xp.fit_all(Dataset(Y=Y, X=X), sizes)
-    records = [xp.compute_weights(fits, method).to_record() for method in args.methods]
+    records = [xp.compute_weights(fits, method).to_record() for method in methods]
     return _write_json(args.out, records)
 
 
@@ -240,6 +235,20 @@ def _add_profile_flags(sp):
                     help="number of regressors for the R2 parameterization (default 400)")
 
 
+def _split(text: str) -> list[str]:
+    """A comma list's pieces, unjudged: the library that reads them judges them."""
+    return text.split(",")
+
+
+def _add_dataset_flags(sp):
+    sp.add_argument("--data", required=True, help=f"CSV path or builtin name {ds.available()}")
+    sp.add_argument("--response", default=None, help="response column (required for CSV paths)")
+    sp.add_argument("--methods", type=_split, default=list(xp.QUADRATIC_METHODS),
+                    help=f"comma list from {','.join(xp.ALL_METHODS)} (default {','.join(xp.QUADRATIC_METHODS)})")
+    sp.add_argument("--no-standardize", action="store_true",
+                    help="skip full-sample standardization of response and regressors")
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="lama", description="Model averaging over nested least-squares candidates")
     sub = parser.add_subparsers(dest="command", metavar="COMMAND", parser_class=_Parser)
@@ -254,74 +263,57 @@ def build_parser() -> _Parser:
     sp.add_argument("--sigma2", type=float, default=1.0, help="noise variance (default 1.0)")
     sp.add_argument("--exclude-singular", action="store_true",
                     help="drop the k = n candidate from each cell instead of averaging over it")
-    sp.add_argument("--out", default=None, help="output CSV path (default stdout)")
     _add_profile_flags(sp)
     sp.set_defaults(func=_cmd_surface)
 
-    sp = sub.add_parser("simulate",
-                        help="synthetic method comparison (CSV)")
+    cfg = xp.SimulationConfig()
+    sp = sub.add_parser("simulate", help="synthetic method comparison (CSV)")
     sp.add_argument("--config", default=None, help="JSON config; wins over flags on conflict")
     sp.add_argument("--n", dest="n_values", metavar="N", type=_INT_LIST, default=None,
-                    help="sample sizes, comma list (default 25,50,150,300)")
+                    help=f"sample sizes, comma list (default {','.join(map(str, cfg.n_values))})")
     sp.add_argument("--m", dest="m_values", metavar="M", type=_INT_LIST, default=None,
                     help="candidate counts, comma list (default: the three standard counts per n)")
     sp.add_argument("--r2", dest="r2_values", metavar="R2", type=_FLOAT_LIST, default=None,
-                    help="population R-squared values, comma list (default 0.5)")
-    sp.add_argument("--alpha", type=float, default=None, help="coefficient decay parameter (default 0.5)")
-    sp.add_argument("--p", type=int, default=None, help="number of regressors (default 1000)")
+                    help=f"population R-squared values, comma list (default {','.join(map(str, cfg.r2_values))})")
+    sp.add_argument("--alpha", type=float, default=None, help=f"coefficient decay parameter (default {cfg.alpha})")
+    sp.add_argument("--p", type=int, default=None, help=f"number of regressors (default {cfg.p})")
     sp.add_argument("--reps", dest="replications", metavar="REPS", type=int, default=None,
-                    help="replications per setting (default 200)")
-    sp.add_argument("--seed", type=int, default=None, help="base seed (default 0)")
-    sp.add_argument("--methods", type=_METHODS, default=None,
-                    help=f"comma list from {','.join(xp.ALL_METHODS)} (default mma,jma,lama,saic,sbic)")
+                    help=f"replications per setting (default {cfg.replications})")
+    sp.add_argument("--seed", type=int, default=None, help=f"base seed (default {cfg.seed})")
+    sp.add_argument("--methods", type=_split, default=None,
+                    help=f"comma list from {','.join(xp.ALL_METHODS)} (default {','.join(cfg.methods)})")
     sp.add_argument("--exclude-boundary", action="store_true", default=None,
                     help="drop the k = n candidate when the grid reaches it")
     sp.add_argument("--truncate-loss", type=float, default=None,
                     help="cap per-replication relative losses at this value (default: no cap)")
-    sp.add_argument("--out", default=None, help="output CSV path (default stdout)")
     sp.set_defaults(func=_cmd_simulate)
 
-    sp = sub.add_parser("eval",
-                        help="repeated random-split evaluation on a dataset (CSV)")
-    sp.add_argument("--data", required=True, help=f"CSV path or builtin name {ds.available()}")
-    sp.add_argument("--response", default=None, help="response column (required for CSV paths)")
+    sp = sub.add_parser("eval", help="repeated random-split evaluation on a dataset (CSV)")
+    _add_dataset_flags(sp)
     sp.add_argument("--n-train", type=int, required=True, help="training rows per split")
     sp.add_argument("--reps", type=int, default=1000, help="number of random splits (default 1000)")
     sp.add_argument("--seed", type=int, default=0, help="base seed (default 0)")
-    sp.add_argument("--methods", type=_METHODS, default="mma,jma,lama",
-                    help="comma list (default mma,jma,lama)")
     sp.add_argument("--max-models", type=int, default=None,
                     help="largest candidate size (default min(p, floor(0.9 n_train)))")
-    sp.add_argument("--no-standardize", action="store_true",
-                    help="skip full-sample standardization of response and regressors")
-    sp.add_argument("--out", default=None, help="output CSV path (default stdout)")
     sp.set_defaults(func=_cmd_eval)
 
-    sp = sub.add_parser("fit",
-                        help="fit one dataset; emit every method's weights (JSON)")
-    sp.add_argument("--data", required=True, help=f"CSV path or builtin name {ds.available()}")
-    sp.add_argument("--response", default=None, help="response column (required for CSV paths)")
+    sp = sub.add_parser("fit", help="fit one dataset; emit every method's weights (JSON)")
+    _add_dataset_flags(sp)
     sp.add_argument("--n-train", type=int, default=None,
                     help="fit on a seeded random subsample of this size (default: all rows)")
     sp.add_argument("--seed", type=int, default=0, help="base seed for the subsample (default 0)")
-    sp.add_argument("--methods", type=_METHODS, default="mma,jma,lama",
-                    help="comma list (default mma,jma,lama)")
     sp.add_argument("--max-models", type=int, default=None,
                     help="largest candidate size (default min(p, floor(0.9 n)))")
-    sp.add_argument("--no-standardize", action="store_true",
-                    help="skip full-sample standardization of response and regressors")
-    sp.add_argument("--out", default=None, help="output JSON path (default stdout)")
     sp.set_defaults(func=_cmd_fit)
 
-    sp = sub.add_parser("validate-rmt",
-                        help="Monte-Carlo check of the trace limits (JSON)")
+    sp = sub.add_parser("validate-rmt", help="Monte-Carlo check of the trace limits (JSON)")
     sp.add_argument("--n", type=int, required=True, help="sample size")
-    sp.add_argument("--c", type=float, required=True, help="aspect ratio k/n, away from 1")
+    sp.add_argument("--c", type=float, required=True,
+                    help="aspect ratio, away from 1: the design has k = round(c n) columns, the limits are at k/n")
     sp.add_argument("--reps", type=int, default=20, help="replications (default 20)")
     sp.add_argument("--seed", type=int, default=0, help="base seed (default 0)")
     sp.add_argument("--theta", type=_FLOAT_LIST, default=None,
                     help="signal vector for the quadratic form, comma list (default: first basis vector)")
-    sp.add_argument("--out", default=None, help="output JSON path (default stdout)")
     sp.set_defaults(func=_cmd_validate_rmt)
 
     sp = sub.add_parser("validate-thm1",
@@ -335,13 +327,14 @@ def build_parser() -> _Parser:
     sp.add_argument("--seed", type=int, default=0, help="base seed (default 0)")
     sp.add_argument("--weights", dest="w", metavar="WEIGHTS", type=_FLOAT_LIST, default=None,
                     help="weight vector, comma list (default equal)")
-    sp.add_argument("--out", default=None, help="output JSON path (default stdout)")
     _add_profile_flags(sp)
     sp.set_defaults(func=_cmd_validate_thm1)
 
     # Each option's dest is the library name it feeds, so one {dest: flag} table per
     # subcommand names the flag behind any field the library rejects.
-    for sp in sub.choices.values():
+    for name, sp in sub.choices.items():
+        kind = "CSV" if name in ("surface", "simulate", "eval") else "JSON"
+        sp.add_argument("--out", default=None, help=f"output {kind} path (default stdout)")
         sp.set_defaults(flags={a.dest: a.option_strings[0] for a in sp._actions if a.option_strings})
     return parser
 

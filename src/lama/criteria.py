@@ -74,24 +74,16 @@ class SingularLooError(ValueError):
 
 @dataclass(frozen=True)
 class QuadraticProgram:
-    """Criterion w'Aw + b'w over M candidates; A is an M x M array (checked for
-    symmetry) or the ``GramForm`` or ``NestedForm`` that describes it, and the solver takes each."""
+    """Criterion w'Aw + b'w over M candidates, A the ``GramForm`` or ``NestedForm`` that describes
+    it (``TypeError`` otherwise); a dense M x M program goes to ``lama.qp.solve_simplex_qp`` itself."""
 
-    A: np.ndarray | GramForm | NestedForm
+    A: GramForm | NestedForm
     b: np.ndarray
 
     def __post_init__(self):
-        b = np.asarray(self.b, dtype=np.float64).reshape(-1)
         if not isinstance(self.A, (GramForm, NestedForm)):
-            A = np.asarray(self.A, dtype=np.float64)
-            if A.shape != (b.size, b.size):
-                raise ValueError("A must be square and b must match its size")
-            # np.allclose at the same tolerances, less its broadcasting and
-            # special-value handling: a NaN or infinite entry fails the test.
-            if not (np.abs(A - A.T) <= 1e-12 + 1e-12 * np.abs(A.T)).all():
-                raise ValueError("A must be finite and symmetric to 1e-12")
-            object.__setattr__(self, "A", A)
-        object.__setattr__(self, "b", b)
+            raise TypeError(f"A must be a GramForm or NestedForm, got {type(self.A).__name__}")
+        object.__setattr__(self, "b", np.asarray(self.b, dtype=np.float64).reshape(-1))
 
 
 def sigma_hat(fits: ModelFits) -> float:

@@ -7,6 +7,7 @@ from importlib import resources
 import numpy as np
 
 from ..models import Dataset, load_csv
+from ..risk_theory import InputError
 
 __all__ = ["available", "fixture_path", "load_builtin", "standardize_dataset"]
 
@@ -28,19 +29,20 @@ def standardize_dataset(data: Dataset) -> Dataset:
     """Center and scale the response and every non-intercept regressor.
 
     Uses full-sample means and standard deviations (ddof=1).  Applied once,
-    before any train/test splitting, so all splits share one scale.
+    before any train/test splitting, so all splits share one scale.  A
+    constant column or response raises ``InputError`` naming ``data``.
     """
     X = data.X.copy()
     start = 1 if data.has_intercept else 0
     cols = X[:, start:]
     sd = np.std(cols, axis=0, ddof=1)
     if np.any(sd <= 0.0):
-        bad = np.flatnonzero(sd <= 0.0) + start
-        raise ValueError(f"constant column(s) {bad.tolist()} cannot be standardized")
+        bad = (np.flatnonzero(sd <= 0.0) + start).tolist()
+        raise InputError("data", f"constant column(s) {bad} cannot be standardized (--no-standardize skips it)")
     X[:, start:] = (cols - np.mean(cols, axis=0)) / sd
     y_sd = np.std(data.Y, ddof=1)
     if y_sd <= 0.0:
-        raise ValueError("constant response cannot be standardized")
+        raise InputError("data", "constant response cannot be standardized (--no-standardize skips it)")
     Y = (data.Y - np.mean(data.Y)) / y_sd
     return Dataset(Y=Y, X=X, has_intercept=data.has_intercept)
 

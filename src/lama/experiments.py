@@ -11,6 +11,7 @@ order, which keeps output bytes stable.
 
 from __future__ import annotations
 
+import importlib.util
 import math
 import os
 import types
@@ -49,10 +50,10 @@ ALL_METHODS = QUADRATIC_METHODS + ("aic", "bic", "saic", "sbic", "uniform")
 
 
 def _method_tags(methods) -> tuple[str, ...]:
-    """Lower-cased method tags, rejecting a bare string, an empty list and any tag not in ALL_METHODS."""
+    """Stripped, lower-cased, nonempty method tags; rejects a bare string, no tag and any tag not in ALL_METHODS."""
     if isinstance(methods, str):
         raise InputError("methods", f"expected a list of method names, got the string {methods!r}")
-    tags = tuple(str(m).lower() for m in methods)
+    tags = tuple(tag for tag in (str(m).strip().lower() for m in methods) if tag)
     if not tags:
         raise InputError("methods", "need at least one method")
     unknown = set(tags) - set(ALL_METHODS)
@@ -101,6 +102,9 @@ def _pmap(fn, items):
     workers = worker_count()
     if workers <= 1 or len(items) <= 1:
         return [fn(x) for x in items]
+    if importlib.util.find_spec("threadpoolctl") is None:  # the default filters show this once per process
+        warnings.warn("threadpoolctl is missing, so the workers' BLAS is not pinned; set OPENBLAS_NUM_THREADS=1 "
+                      "(or your BLAS's equivalent) lest they oversubscribe the cores", RuntimeWarning)
     chunk = max(1, len(items) // (workers * 4))
     from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing, which one worker never needs
 
@@ -534,12 +538,12 @@ def _rmt_rep(args):
 def validate_rmt(n: int, c: float, reps: int, seed: int, theta: np.ndarray | None = None) -> dict:
     """Empirical random-matrix limits against their closed forms.
 
-    Below the boundary: tr((X'X)^-1) against c/(1-c).  Above: tr((X'X)^+)
-    against 1/(c-1) and the projected signal quadratic form against
-    |theta|^2 / c.  Each design is a ``_draw`` of k standard-normal columns;
-    singular draws are redrawn and counted.  ``theta``, when
-    given, must be finite and have length k = round(c n) on either side of
-    the boundary; it defaults to the first basis vector and is used only
+    Each design is a ``_draw`` of k = round(c n) standard-normal columns,
+    singular ones redrawn and counted, and the limits take c = k/n.  Below
+    the boundary: tr((X'X)^-1) against c/(1-c).  Above: tr((X'X)^+) against
+    1/(c-1) and the projected signal quadratic form against |theta|^2 / c.
+    ``theta``, when given, must be finite and have length k on either side
+    of the boundary; it defaults to the first basis vector and is used only
     above it.
     """
     n, reps = _counts(n, "n", 4), _counts(reps, "reps")
@@ -560,12 +564,12 @@ def validate_rmt(n: int, c: float, reps: int, seed: int, theta: np.ndarray | Non
         raise InputError("theta", "entries must be finite")
     kept, _, retries = _replicate(_rmt_rep, [(n, c, k, theta, seed, rep) for rep in range(reps)])
     report = {"n": n, "k": k, "c": float(c), "reps": reps, "retries": retries}
-    trace = float(np.mean([t for t, _ in kept]))
+    trace, ratio = float(np.mean([t for t, _ in kept])), k / n
     if over:
-        report["trace_pinv"] = _compare(trace, 1.0 / (c - 1.0))
-        report["signal_quadratic_form"] = _compare(float(np.mean([q for _, q in kept])), float(theta @ theta) / c)
+        report["trace_pinv"] = _compare(trace, 1.0 / (ratio - 1.0))
+        report["signal_quadratic_form"] = _compare(float(np.mean([q for _, q in kept])), float(theta @ theta) / ratio)
     else:
-        report["trace_inverse"] = _compare(trace, c / (1.0 - c))
+        report["trace_inverse"] = _compare(trace, ratio / (1.0 - ratio))
     return report
 
 

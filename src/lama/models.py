@@ -46,8 +46,8 @@ def _forward(L: np.ndarray, B: np.ndarray) -> np.ndarray:
 class Dataset:
     """Response vector plus full design matrix.
 
-    When ``has_intercept`` is set, column 0 of X is a column of ones and
-    ``order_by_cp`` seeds it as the first regressor.
+    When ``has_intercept`` is set, column 0 of X is ones, which ``order_by_cp``
+    seeds as the first regressor; a broken rule is an ``InputError`` naming ``data``.
     """
 
     Y: np.ndarray
@@ -58,18 +58,18 @@ class Dataset:
         X = np.asarray(self.X, dtype=np.float64)
         Y = np.asarray(self.Y, dtype=np.float64).reshape(-1)
         if X.ndim != 2:
-            raise ValueError("X must be 2-d")
+            raise InputError("data", "X must be 2-d")
         n, p = X.shape
         if n < 2:
-            raise ValueError("need at least 2 observations")
+            raise InputError("data", "need at least 2 observations")
         if p < 1:
-            raise ValueError("need at least 1 regressor")
+            raise InputError("data", "need at least 1 regressor")
         if Y.shape[0] != n:
-            raise ValueError("Y length does not match X rows")
+            raise InputError("data", "Y length does not match X rows")
         if not (np.isfinite(X).all() and np.isfinite(Y).all()):
-            raise ValueError("dataset contains non-finite entries")
+            raise InputError("data", "dataset contains non-finite entries")
         if self.has_intercept and not np.allclose(X[:, 0], 1.0):
-            raise ValueError("has_intercept is set but column 0 is not all ones")
+            raise InputError("data", "has_intercept is set but column 0 is not all ones")
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "Y", Y)
 
@@ -180,7 +180,7 @@ def order_by_cp(data: Dataset) -> np.ndarray:
     """
     n, p = data.n, data.p
     if n < 3:
-        raise ValueError(f"need at least 3 observations to order regressors, got {n}")
+        raise InputError("data", f"need at least 3 observations to order regressors, got {n}")
     term_cap = min(n - 2, p)
 
     floor = 1e-12 * np.maximum(np.linalg.norm(data.X, axis=0), 1.0)

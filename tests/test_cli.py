@@ -1,8 +1,9 @@
 """Command-line interface: flag parsing, outputs, exit codes, determinism.
 
 Exit-code contract: 0 on success, 1 for usage problems (bad flags, flag or
-config values the library rejects, missing files, malformed config), 2 for
-numerical failures inside a computation.
+config values the library rejects, missing files, malformed config or
+dataset files, datasets that break a dataset rule), 2 for numerical failures
+inside a computation.
 Output bytes must not depend on the worker count; that is checked through
 real subprocess runs with different LAMA_THREADS settings.
 """
@@ -130,6 +131,14 @@ class TestRangeParsing:
         (["fit", "--data", "DATA", "--response", "z"], "y,a\n1,2\n3,4\n", "--response"),
         (["fit", "--data", "DATA", "--response", "y"], "y,a\n1,x\n3,4\n", "non-numeric cell"),
         (["eval", "--data", "DATA", "--response", "y", "--n-train", "2"], "y,a\n1,2\n3\n", "ragged rows"),
+        (["fit", "--data", "DATA", "--response", "y"], "y,a\n1,2\n3,nan\n5,7\n",
+         "--data: dataset contains non-finite entries"),
+        (["eval", "--data", "DATA", "--response", "y", "--n-train", "2"], "y,a,b\n1,2,3\n3,2,4\n5,2,8\n",
+         "--data: constant column(s) [1] cannot be standardized (--no-standardize skips it)"),
+        (["fit", "--data", "DATA", "--response", "y"], "y,a\n1,2\n", "--data: need at least 2 observations"),
+        (["fit", "--data", "DATA", "--response", "y"], "y,a\n1,2\n3,5\n",
+         "--data: need at least 3 observations to order regressors, got 2"),
+        (["fit", "--data", "mtcars", "--n-train", "40"], None, "--n-train: 40 not in [2, 32]"),
     ],
     ids=[
         "eval-unknown-method", "eval-max-models", "eval-n-train", "fit-max-models", "fit-n-train",
@@ -145,6 +154,7 @@ class TestRangeParsing:
         "simulate-truncate-loss-negative", "simulate-truncate-loss-nan",
         "simulate-seed-negative", "eval-seed-negative", "thm1-seed-negative", "config-seed-negative",
         "config-replications-fractional", "data-no-response-column", "data-non-numeric", "data-ragged",
+        "data-non-finite", "data-constant-column", "data-one-row", "fit-data-two-rows", "fit-n-train-above",
     ],
 )
 def test_rejected_values_are_usage_errors(capsys, tmp_path, argv, file, name):
@@ -369,6 +379,13 @@ class TestFitCommand:
             assert set(rec) == {"method", "weights", "criterion_value", "sigma_hat", "xi"}
             assert sum(rec["weights"]) == pytest.approx(1.0, abs=1e-8)
         assert records[1]["xi"] is not None
+
+    def test_methods_are_judged_by_the_library(self, capsys):
+        # --methods is only split on commas; experiments._method_tags strips, lower-cases and drops empty pieces.
+        _, plain, _ = run_cli(capsys, "fit", "--data", "mtcars", "--methods", "mma,lama")
+        assert run_cli(capsys, "fit", "--data", "mtcars", "--methods", " MMA, ,lama,") == (0, plain, "")
+        expected = (1, "", "error: --methods: need at least one method\n")
+        assert run_cli(capsys, "fit", "--data", "mtcars", "--methods", ",") == expected
 
     def test_subsample_changes_the_fit(self, capsys):
         _, full, _ = run_cli(capsys, "fit", "--data", "mtcars", "--methods", "mma")

@@ -11,6 +11,8 @@ import dataclasses
 import io
 import json
 import pickle
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -96,7 +98,8 @@ class TestWorkerCount:
         with pytest.warns(RuntimeWarning, match="LAMA_THREADS"):
             assert worker_count() == 1
 
-    def test_pool_never_exceeds_the_task_count(self, monkeypatch):
+    @pytest.fixture
+    def pool_sizes(self, monkeypatch):
         # Under fork every worker starts on the first submit, so the pool
         # size is what gets forked; the stand-in runs the map in-process.
         sizes = []
@@ -115,11 +118,26 @@ class TestWorkerCount:
                 return map(fn, items)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        return sizes
+
+    def test_pool_never_exceeds_the_task_count(self, monkeypatch, pool_sizes):
         monkeypatch.setenv("LAMA_THREADS", "10000")
         assert xp._pmap(abs, [-1, -2]) == [1, 2]
         monkeypatch.setenv("LAMA_THREADS", "3")
         assert xp._pmap(abs, range(-5, 0)) == [5, 4, 3, 2, 1]
-        assert sizes == [2, 3]
+        assert pool_sizes == [2, 3]
+
+    @pytest.mark.parametrize("workers, warns", [("1", False), ("2", True)])
+    def test_unpinned_blas_under_several_workers_warns(self, monkeypatch, pool_sizes, workers, warns):
+        # Without threadpoolctl the workers' BLAS is not pinned; one worker starts no pool and says nothing.
+        monkeypatch.setitem(sys.modules, "threadpoolctl", None)  # find_spec then finds no module
+        monkeypatch.setenv("LAMA_THREADS", workers)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert xp._pmap(abs, [-1, -2]) == [1, 2]
+        messages = [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert len(messages) == len(pool_sizes) == int(warns)
+        assert all("OPENBLAS_NUM_THREADS=1" in m for m in messages)
 
 
 class TestComputeWeights:
@@ -426,6 +444,13 @@ class TestRunSimulation:
             assert r["excluded_reps"] == self.TINY.replications
             assert np.isnan([r["rel_loss_in_mean"], r["rel_loss_out_mean"], r["rel_loss_out_var"]]).all()
 
+    def test_degenerate_replications_are_counted_and_leave_nan(self, monkeypatch):
+        # A candidate that matches the true mean leaves the loss denominators at 0.
+        monkeypatch.setattr(xp, "relative_losses", lambda *args: ({}, True))
+        for r in run_simulation(self.TINY):
+            assert r["excluded_reps"] == self.TINY.replications
+            assert np.isnan([r["rel_loss_in_mean"], r["rel_loss_out_mean"], r["rel_loss_out_var"]]).all()
+
     def test_loss_cap_applies(self):
         capped = SimulationConfig(**{**self.TINY.to_dict(), "truncate_loss": 0.5})
         for row in run_simulation(capped):
@@ -597,6 +622,31 @@ class TestValidateRmt:
             validate_rmt(2, 0.5, reps=1, seed=0)
         with pytest.raises(InputError, match="^c: 0.01 too small for n=30"):
             validate_rmt(30, 0.01, reps=1, seed=0)
+
+    def test_limits_are_taken_at_the_drawn_ratio(self):
+        # round(c n) columns at a non-integral c n: k/n = 8/25 and 42/25, not c.
+        below = validate_rmt(25, 0.3, reps=2, seed=0)
+        assert (below["k"], below["c"]) == (8, 0.3)
+        assert below["trace_inverse"]["theoretical"] == (8 / 25) / (1.0 - 8 / 25)
+        above = validate_rmt(25, 1.7, reps=2, seed=0)
+        assert (above["k"], above["c"]) == (42, 1.7)
+        assert above["trace_pinv"]["theoretical"] == 1.0 / (42 / 25 - 1.0)
+        assert above["signal_quadratic_form"]["theoretical"] == 1.0 / (42 / 25)
+
+    def test_singular_designs_are_redrawn_and_counted(self, monkeypatch):
+        draw, calls = xp._draw, []
+
+        def singular_every_other(rng, rows, theta, m, intercept, sigma):
+            X, Y, mu = draw(rng, rows, theta, m, intercept, sigma)
+            calls.append(None)
+            return (np.zeros_like(X) if len(calls) % 2 else X), Y, mu
+
+        monkeypatch.setattr(xp, "_draw", singular_every_other)
+        for c in (0.5, 2.0):
+            assert validate_rmt(20, c, reps=3, seed=0)["retries"] == 3
+        monkeypatch.setattr(xp, "_draw", lambda rng, rows, theta, m, *rest: (np.zeros((rows, m)), None, None))
+        with pytest.raises(np.linalg.LinAlgError, match="20 tries"):
+            validate_rmt(20, 0.5, reps=1, seed=0)
 
     def test_deterministic(self):
         assert validate_rmt(30, 0.5, 2, 9) == validate_rmt(30, 0.5, 2, 9)

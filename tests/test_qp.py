@@ -179,6 +179,13 @@ class TestSolveSimplexQp:
         symmetrized = solve_simplex_qp(0.5 * (A + A.T), b)
         assert np.array_equal(direct.weights, symmetrized.weights)
 
+    def test_the_iteration_cap_reports_max_iter(self, monkeypatch):
+        # From the best vertex of I, the uniform minimizer needs more than one step.
+        monkeypatch.setattr(qp, "_MAX_ITER", 1)
+        report = solve_simplex_qp(np.eye(3))
+        assert (report.status, report.iterations) == ("max-iter", 1)
+        assert report.kkt_residual > 1e-9
+
     def test_single_candidate_shortcut(self):
         report = solve_simplex_qp(np.array([[4.0]]), b=[1.0])
         np.testing.assert_array_equal(report.weights, [1.0])
@@ -456,6 +463,11 @@ class TestCumulativeForm:
             for A in (matrix(program.A), program.A):
                 with pytest.raises(ValueError, match="not convex on the simplex"):
                     solve_simplex_qp(A, program.b)
+
+    def test_a_later_tridiagonal_pivot_raises(self):
+        # d = (1, -6): the first pivot 1.02 passes and the second, about -5.98, is not positive.
+        with pytest.raises(ValueError, match=r"not convex on the simplex \(curvature -5.98\)"):
+            solve_simplex_qp(NestedForm([0.0, -1.0, 5.0], [0.0, 0.0, 0.0], [0.01] * 3))
 
     def test_single_candidate_and_size_checks(self):
         program = mma_program(summary_fits(10, [3], [2.0]), 0.5)
