@@ -102,7 +102,8 @@ def _pmap(fn, items):
     workers = worker_count()
     if workers <= 1 or len(items) <= 1:
         return [fn(x) for x in items]
-    if importlib.util.find_spec("threadpoolctl") is None:  # the default filters show this once per process
+    pins = {os.environ[k] for k in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS") if k in os.environ}
+    if pins != {"1"} and importlib.util.find_spec("threadpoolctl") is None:  # the default filters show this once
         warnings.warn("threadpoolctl is missing, so the workers' BLAS is not pinned; set OPENBLAS_NUM_THREADS=1 "
                       "(or your BLAS's equivalent) lest they oversubscribe the cores", RuntimeWarning)
     chunk = max(1, len(items) // (workers * 4))

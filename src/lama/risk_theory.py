@@ -88,19 +88,22 @@ def below_boundary_variance(c, sigma2):
 
 
 def _factors(c, norms2, re2, sigma2):
-    """Slices (lo, hi) of the increasing ratios c below and above [1 - BOUNDARY_DELTA, 1 + BOUNDARY_DELTA],
-    and the factors (v, p, q) of the Theorem-1 diagonal blocks, whose entries read the smaller candidate as [min]:
+    """Masks (lo, hi) of the ratios c below and above [1 - BOUNDARY_DELTA, 1 + BOUNDARY_DELTA], and the
+    factors (v, p, q) of the Theorem-1 diagonal blocks, whose entries read the smaller candidate as [min]:
       below: D_V = v[min], D_B = p[min] q[max]; v = below_boundary_variance(c), p = 1 / (1 - c), q = re2;
       above: D_V = v[max], D_B = p[min] + (norms2[max] - norms2[min]) + q[max];
         v = sigma2 / (c - 1), p = (c - 1) / c * norms2, q = c / (c - 1) * re2.
-    A lone candidate is its diagonal entry: variance v, bias p q below and p + q above.  Boundary
-    candidates get v = p = q = +inf, so their lone limits are +inf and 1 / v is 0.
+    c is a block of increasing grid rows, candidates on the last axis (1-D: one row), and norms2 and re2
+    are per candidate, so lo is a prefix of each row and hi a suffix; each formula is evaluated on its own
+    entries only.  A lone candidate is its diagonal entry: variance v, bias p q below and p + q above.
+    Boundary candidates get v = p = q = +inf, so their lone limits are +inf and 1 / v is 0.
     """
-    lo, hi = slice(0, int(np.sum(c < 1.0 - BOUNDARY_DELTA))), slice(int(np.sum(c <= 1.0 + BOUNDARY_DELTA)), c.size)
-    v, p, q = np.full((3, c.size), np.inf)
+    lo, hi = c < 1.0 - BOUNDARY_DELTA, c > 1.0 + BOUNDARY_DELTA
+    n2, r2 = np.broadcast_to(norms2, c.shape), np.broadcast_to(re2, c.shape)
+    v, p, q = np.full((3, *c.shape), np.inf)
     cl, ch = c[lo], c[hi]
-    v[lo], p[lo], q[lo] = below_boundary_variance(cl, sigma2), 1.0 / (1.0 - cl), re2[lo]
-    v[hi], p[hi], q[hi] = sigma2 / (ch - 1.0), (ch - 1.0) / ch * norms2[hi], ch / (ch - 1.0) * re2[hi]
+    v[lo], p[lo], q[lo] = below_boundary_variance(cl, sigma2), 1.0 / (1.0 - cl), r2[lo]
+    v[hi], p[hi], q[hi] = sigma2 / (ch - 1.0), (ch - 1.0) / ch * n2[hi], ch / (ch - 1.0) * r2[hi]
     return lo, hi, v, p, q
 
 
@@ -127,12 +130,12 @@ def _theorem1_inputs(c, norms2, total_norm2: float) -> tuple[np.ndarray, np.ndar
     return c, norms2
 
 
-# Entries of the across-boundary rectangle formed at once, so a row of borders needs O(M) memory.
+# Entries of an array formed at once: a block of grid rows, or of the across-boundary rectangle.
 _BLOCK_ENTRIES = 1 << 16
 
 
 def _weighted_borders(c, norms2, re2, sigma2, u, factors=None) -> tuple[np.ndarray, np.ndarray]:
-    """Row borders (bv, bb) of u' D_V u and u' D_B u for candidate weights u >= 0, inputs unchecked.
+    """Row borders (bv, bb) of u' D_V u and u' D_B u for weights u >= 0 on rows c as in ``_factors``, unchecked.
 
     re2 is the omitted norm total_norm2 - norms2, and entry (q, l) reads the smaller model q as [min] and
     the larger l as [max].  As c increases, the pairs below the boundary, above it and across it are two
@@ -143,36 +146,52 @@ def _weighted_borders(c, norms2, re2, sigma2, u, factors=None) -> tuple[np.ndarr
     Border m is u_m (2 sum_{i<m} u_i A_im + u_m A_mm), so the first M borders sum to the leading M x M
     form; a boundary row is +inf with weight and 0 without.  On a block with A_ij = p[min] q[max] the
     border is u_m q_m (2 sum_{i<m} u_i p_i + u_m p_m); the norm gap above the boundary sums norms2 steps
-    times the weight before them, so nothing cancels and zeros stay exact.  The rectangle enters as its
-    weighted column sums u_below' R, over blocks of at most _BLOCK_ENTRIES entries: O(M) memory and
-    O(M + |below| |above|) time.
+    times the weight before them, so nothing cancels and zeros stay exact.  The diagonal blocks of all
+    rows take one pass of array operations; a row's rectangle enters as its weighted column sums u_below' R,
+    in blocks of at most _BLOCK_ENTRIES entries: O(M) memory per row and O(M + |below| |above|) time.
     """
     lo, hi, v, p, q = factors or _factors(c, norms2, re2, sigma2)
-    cl, ch, nl, n2, ul, uh = c[lo], c[hi], norms2[lo], norms2[hi], u[lo], u[hi]
-    bv = np.where(u > 0.0, np.inf, 0.0)
+    below, above = np.count_nonzero(lo, axis=-1), np.count_nonzero(hi, axis=-1)
+    # The columns where some row is below the boundary, and those where some row is above it.
+    top = c.shape[-1] - above.max()
+    L, H = (..., slice(0, below.max())), (..., slice(top, None))
+    sv, sb = np.zeros((2, *hi[H].shape))
+    for r in np.ndindex(below.shape):
+        a, b = below[r], c.shape[-1] - above[r]
+        cl, ch, nl, n2, ul = c[r][:a], c[r][b:], norms2[:a], norms2[b:], u[r][:a]
+        step, cmax = max(1, _BLOCK_ENTRIES // max(1, ch.size)), ch[None, :]
+        for start in range(0, a, step):
+            rows = slice(start, start + step)
+            cmin = cl[rows, None]
+            gap = cmax - cmin
+            sv[r][b - top :] += ul[rows] @ (sigma2 * cmin / gap)
+            sb[r][b - top :] += ul[rows] @ ((cmax - 1.0) / gap * (n2 - nl[rows, None]) + cmax / gap * re2[b:])
+    bv = np.where((u > 0.0) & ~(lo | hi), np.inf, 0.0)
     bb = bv.copy()
-    bv[lo] = _borders(ul, v[lo], 1.0)
-    bb[lo] = _borders(ul, p[lo], q[lo])
-    sv = sb = 0.0
-    step, cmax = max(1, _BLOCK_ENTRIES // max(1, ch.size)), ch[None, :]
-    for start in range(0, cl.size, step):
-        rows = slice(start, start + step)
-        cmin = cl[rows, None]
-        gap = cmax - cmin
-        sv = sv + ul[rows] @ (sigma2 * cmin / gap)
-        sb = sb + ul[rows] @ ((cmax - 1.0) / gap * (n2 - nl[rows, None]) + cmax / gap * re2[hi])
-    # sum_{i<m} u_i (n2_m - n2_i) as the running sum of n2 steps times the weight before them.
-    gaps = np.zeros(uh.size)
-    np.cumsum(np.diff(n2) * np.cumsum(uh)[:-1], out=gaps[1:])
-    bv[hi] = _borders(uh, 1.0, v[hi]) + 2.0 * uh * sv
-    bb[hi] = _borders(uh, p[hi], 1.0) + _borders(uh, 1.0, q[hi]) + 2.0 * uh * (gaps + sb)
+    # Weights off each block are an exact 0, and so is every factor they meet (never 0 * inf), so a
+    # running sum over a suffix starts from 0 and adding a block's borders to a boundary entry leaves it.
+    lo, hi = lo[L], hi[H]
+    ul, uh = np.where(lo, u[L], 0.0), np.where(hi, u[H], 0.0)
+    run = np.cumsum(uh, axis=-1)
+    # sb gains sum_{i<m} u_i (n2_m - n2_i), the running sum of n2 steps times the weight before them.
+    sb[..., 1:] += np.cumsum(np.diff(norms2[top:]) * run[..., :-1], axis=-1)
+    run = 2.0 * run - uh  # now _runs(uh, 1.0, hi), from the running sum the gaps took
+    bv[L] += ul * _runs(ul, v[L], lo)
+    bb[L] += _on(lo, ul, q[L]) * _runs(ul, p[L], lo)
+    bv[H] += _on(hi, uh, v[H]) * run + 2.0 * uh * sv
+    bb[H] += uh * _runs(uh, p[H], hi) + _on(hi, uh, q[H]) * run + 2.0 * uh * sb
     return bv, bb
 
 
-def _borders(u, p, q) -> np.ndarray:
-    """Row borders u_m q_m (2 sum_{i<m} u_i p_i + u_m p_m) of sum_{i,j} u_i u_j p[min] q[max]; u = 0 adds 0."""
-    up = u * p
-    return u * q * (2.0 * np.cumsum(up) - up)
+def _on(mask, a, b) -> np.ndarray:
+    """a * b on the entries of ``mask`` and an exact 0 off them."""
+    return np.multiply(a, b, out=np.zeros(mask.shape), where=mask)
+
+
+def _runs(u, p, mask) -> np.ndarray:
+    """2 sum_{i<m} u_i p_i + u_m p_m along each row, over the candidates in ``mask`` (a prefix or a suffix)."""
+    up = _on(mask, u, p)
+    return 2.0 * np.cumsum(up, axis=-1) - up
 
 
 @dataclass(frozen=True)
@@ -285,13 +304,14 @@ def risk_surface(
     M >= n, which is the conventional way to plot equal-weight surfaces that
     would otherwise diverge on the diagonal.
 
-    The inputs are validated once, and each n takes the ``_factors`` of its candidates once; a "single"
-    cell reads their diagonal.  Other cell weights are proportional to u: 1 for "equal", 1 / v for
-    "variance_penalized", 0 for an infinite variance or an excluded candidate.
+    The inputs are validated once, and the n grid is walked a block of rows at a time, with at most
+    _BLOCK_ENTRIES entries per array (one row at least); a block takes the ``_factors`` of its candidates
+    once, and a "single" cell reads their diagonal.  Other cell weights are proportional to u: 1 for
+    "equal", 1 / v for "variance_penalized", 0 for an infinite variance or an excluded candidate.
     A part of cell (n, M) is sum_{i,j<M} u_i u_j A_ij over (sum_{i<M} u_i)^2, so one call of
-    ``_weighted_borders`` per n, at the largest M, and one running sum of its borders give every M of a
-    row.  A row takes O(M) memory and O(M + |below| |above|) time, with no M x M array, and differs
-    from a per-cell build only in summation order (1e-13).
+    ``_weighted_borders`` per block, at the largest M, and a running sum of each row's borders give every
+    cell.  A row takes O(M) memory and O(M + |below| |above|) time, with no M x M array; the numbers are
+    bit for bit those of a per-row build and differ from a per-cell build in summation order (1e-13).
     """
     n_values = np.reshape(_counts(n_values, "n_values"), -1)
     m_values = np.reshape(_counts(m_values, "m_values"), -1)
@@ -313,25 +333,26 @@ def risk_surface(
     _theorem1_inputs(sizes, norms2, total)
     re2 = total - norms2
     ms, cell = np.unique(m_values, return_inverse=True)
-    for row, n in enumerate(n_values):
+    step = max(1, _BLOCK_ENTRIES // (ms.size if weighting == "single" else sizes.size))
+    for start in range(0, n_values.size, step):
+        rows, n = slice(start, start + step), n_values[start : start + step, None]
         if weighting == "single":  # the lone models of the grid's M alone, in increasing order
             lo, _, v, p, q = _factors(ms / n, norms2[ms - 1], re2[ms - 1], sigma2)
-            lone = np.concatenate([p[lo] * q[lo], p[lo.stop:] + q[lo.stop:]])
-            bias[row], variance[row] = lone[cell], v[cell]
+            bias[rows], variance[rows] = np.where(lo, p * q, p + q)[:, cell], v[:, cell]
             continue
         c = sizes / n
         factors = _factors(c, norms2, re2, sigma2)
-        u = np.ones(sizes.size) if weighting == "equal" else 1.0 / factors[2]
-        if exclude_singular and n <= sizes.size:
-            u[n - 1] = 0.0
-        U = np.cumsum(u)[m_values - 1]
-        if np.any(U == 0.0):  # n = 1: the lone candidate of M = 1 is on the boundary
-            raise ValueError(f"cell (n={n}, M=1) has no candidates left" if exclude_singular
+        u = np.ones(c.shape) if weighting == "equal" else 1.0 / factors[2]
+        if exclude_singular:
+            u[sizes == n] = 0.0
+        U = np.cumsum(u, axis=-1)[:, m_values - 1]
+        if np.any(U == 0.0):  # only at n = 1, whose lone candidate of M = 1 is on the boundary
+            raise ValueError("cell (n=1, M=1) has no candidates left" if exclude_singular
                              else "all candidates have infinite variance")
         # A boundary row with weight makes every later prefix +inf.
         bv, bb = _weighted_borders(c, norms2, re2, sigma2, u, factors)
-        bias[row] = np.cumsum(bb)[m_values - 1] / U**2
-        variance[row] = np.cumsum(bv)[m_values - 1] / U**2
+        bias[rows] = np.cumsum(bb, axis=-1)[:, m_values - 1] / U**2
+        variance[rows] = np.cumsum(bv, axis=-1)[:, m_values - 1] / U**2
     bias, variance = bias.reshape(-1), variance.reshape(-1)
 
     return RiskSurface(

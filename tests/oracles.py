@@ -9,7 +9,9 @@ read as the quadratic form w'(D_V + D_B)w; the library only ever sums row
 borders of it.  A nested or Gram program is here as the dense matrix its
 ``NestedForm`` or ``GramForm`` describes; the solver only reads the vectors
 or the factor.  A small simplex program is solved here by enumerating its
-faces; the solver walks an active set instead.
+faces; the solver walks an active set instead.  A risk surface is here as
+it was once built, one grid row at a time with each diagonal block taken
+by slices; the library forms a block of rows at once.
 """
 
 from dataclasses import dataclass
@@ -18,6 +20,7 @@ from itertools import combinations
 import numpy as np
 
 from lama.qp import GramForm, NestedForm
+import lama.risk_theory as rt
 from lama.risk_theory import BOUNDARY_DELTA, _theorem1_inputs
 
 
@@ -251,3 +254,72 @@ def variance_penalized_weights(dv_diag) -> np.ndarray:
     if inv.sum() == 0.0:
         raise ValueError("all candidates have infinite variance")
     return inv / inv.sum()
+
+
+def _row_factors(c, norms2, re2, sigma2):
+    """One row's slices (lo, hi) below and above the boundary and its Theorem-1 factors (v, p, q)."""
+    lo, hi = slice(0, int(np.sum(c < 1.0 - BOUNDARY_DELTA))), slice(int(np.sum(c <= 1.0 + BOUNDARY_DELTA)), c.size)
+    v, p, q = np.full((3, c.size), np.inf)
+    cl, ch = c[lo], c[hi]
+    v[lo], p[lo], q[lo] = sigma2 * cl / (1.0 - cl), 1.0 / (1.0 - cl), re2[lo]
+    v[hi], p[hi], q[hi] = sigma2 / (ch - 1.0), (ch - 1.0) / ch * norms2[hi], ch / (ch - 1.0) * re2[hi]
+    return lo, hi, v, p, q
+
+
+def _row_borders(u, p, q) -> np.ndarray:
+    up = u * p
+    return u * q * (2.0 * np.cumsum(up) - up)
+
+
+def _row_weighted_borders(c, norms2, re2, sigma2, u, factors):
+    """One row's borders (bv, bb), each block by slices and the rectangle in blocks of rows below."""
+    lo, hi, v, p, q = factors
+    cl, ch, nl, n2, ul, uh = c[lo], c[hi], norms2[lo], norms2[hi], u[lo], u[hi]
+    bv = np.where(u > 0.0, np.inf, 0.0)
+    bb = bv.copy()
+    bv[lo] = _row_borders(ul, v[lo], 1.0)
+    bb[lo] = _row_borders(ul, p[lo], q[lo])
+    sv = sb = 0.0
+    step, cmax = max(1, rt._BLOCK_ENTRIES // max(1, ch.size)), ch[None, :]
+    for start in range(0, cl.size, step):
+        rows = slice(start, start + step)
+        cmin = cl[rows, None]
+        gap = cmax - cmin
+        sv = sv + ul[rows] @ (sigma2 * cmin / gap)
+        sb = sb + ul[rows] @ ((cmax - 1.0) / gap * (n2 - nl[rows, None]) + cmax / gap * re2[hi])
+    gaps = np.zeros(uh.size)
+    np.cumsum(np.diff(n2) * np.cumsum(uh)[:-1], out=gaps[1:])
+    bv[hi] = _row_borders(uh, 1.0, v[hi]) + 2.0 * uh * sv
+    bb[hi] = _row_borders(uh, p[hi], 1.0) + _row_borders(uh, 1.0, q[hi]) + 2.0 * uh * (gaps + sb)
+    return bv, bb
+
+
+def per_row_surface(n_values, m_values, profile, sigma2: float, weighting: str, exclude_singular: bool):
+    """(bias, variance) of every cell of a valid (n, M) grid, row-major, built one n at a time.
+
+    Each n takes its factors and row borders by slices, and one running sum of the borders gives
+    every M of the row; the rectangle across the boundary is summed a block of at most
+    ``risk_theory._BLOCK_ENTRIES`` entries at a time, as the library does.
+    """
+    n_values, m_values = np.asarray(n_values).reshape(-1), np.asarray(m_values).reshape(-1)
+    bias, variance = np.empty((2, n_values.size, m_values.size))
+    sizes = np.arange(1, m_values.max() + 1)
+    norms2, total = profile.prefix_norm2(sizes), profile.total_norm2()
+    re2 = total - norms2
+    ms, cell = np.unique(m_values, return_inverse=True)
+    for row, n in enumerate(n_values):
+        if weighting == "single":
+            lo, _, v, p, q = _row_factors(ms / n, norms2[ms - 1], re2[ms - 1], sigma2)
+            lone = np.concatenate([p[lo] * q[lo], p[lo.stop:] + q[lo.stop:]])
+            bias[row], variance[row] = lone[cell], v[cell]
+            continue
+        c = sizes / n
+        factors = _row_factors(c, norms2, re2, sigma2)
+        u = np.ones(sizes.size) if weighting == "equal" else 1.0 / factors[2]
+        if exclude_singular and n <= sizes.size:
+            u[n - 1] = 0.0
+        U = np.cumsum(u)[m_values - 1]
+        bv, bb = _row_weighted_borders(c, norms2, re2, sigma2, u, factors)
+        bias[row] = np.cumsum(bb)[m_values - 1] / U**2
+        variance[row] = np.cumsum(bv)[m_values - 1] / U**2
+    return bias.reshape(-1), variance.reshape(-1)

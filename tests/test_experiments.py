@@ -127,16 +127,30 @@ class TestWorkerCount:
         assert xp._pmap(abs, range(-5, 0)) == [5, 4, 3, 2, 1]
         assert pool_sizes == [2, 3]
 
-    @pytest.mark.parametrize("workers, warns", [("1", False), ("2", True)])
-    def test_unpinned_blas_under_several_workers_warns(self, monkeypatch, pool_sizes, workers, warns):
+    @pytest.mark.parametrize("workers, pins, warns", [
+        ("1", {}, False),
+        ("2", {}, True),
+        # Silent only when some pin is set and every pin that is set is 1.
+        ("2", {"OPENBLAS_NUM_THREADS": "1"}, False),
+        ("2", {"OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}, False),
+        ("2", {"OPENBLAS_NUM_THREADS": "4", "OMP_NUM_THREADS": "1"}, True),
+        ("2", {"MKL_NUM_THREADS": "2"}, True),
+        ("1", {"OPENBLAS_NUM_THREADS": "4"}, False),
+    ])
+    def test_unpinned_blas_under_several_workers_warns(self, monkeypatch, pool_sizes, workers, pins, warns):
         # Without threadpoolctl the workers' BLAS is not pinned; one worker starts no pool and says nothing.
         monkeypatch.setitem(sys.modules, "threadpoolctl", None)  # find_spec then finds no module
         monkeypatch.setenv("LAMA_THREADS", workers)
+        for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            monkeypatch.delenv(name, raising=False)
+        for name, value in pins.items():
+            monkeypatch.setenv(name, value)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             assert xp._pmap(abs, [-1, -2]) == [1, 2]
         messages = [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)]
-        assert len(messages) == len(pool_sizes) == int(warns)
+        assert len(messages) == int(warns)
+        assert len(pool_sizes) == int(workers == "2")
         assert all("OPENBLAS_NUM_THREADS=1" in m for m in messages)
 
 
