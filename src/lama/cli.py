@@ -12,7 +12,9 @@ Subcommands map one-to-one onto the library workloads:
 
 Every subcommand takes ``--out`` (default stdout); ``eval`` and ``fit`` share
 ``--data``, ``--response``, ``--no-standardize`` and ``--methods``, which is
-only split on commas: the library judges the pieces.
+only split on commas: the library judges the pieces.  ``lama COMMAND`` builds
+that command's parser alone, as building all seven outlasts a small surface's
+arithmetic; ``lama``, ``lama --help`` and an unknown command build them all.
 
 Exit codes: 0 success, 1 usage error (bad flags, flag or config values the
 library rejects, unreadable input such as a missing or malformed dataset or
@@ -249,11 +251,7 @@ def _add_dataset_flags(sp):
                     help="skip full-sample standardization of response and regressors")
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="lama", description="Model averaging over nested least-squares candidates")
-    sub = parser.add_subparsers(dest="command", metavar="COMMAND", parser_class=_Parser)
-
-    sp = sub.add_parser("surface", help="closed-form risk over an (n, M) grid (CSV)")
+def _surface_flags(sp):
     sp.add_argument("--n-range", dest="n_values", metavar="N_RANGE", type=_INT_LIST, required=True,
                     help="sample sizes, a:b[:step] or comma list, inclusive")
     sp.add_argument("--m-range", dest="m_values", metavar="M_RANGE", type=_INT_LIST, required=True,
@@ -264,10 +262,10 @@ def build_parser() -> _Parser:
     sp.add_argument("--exclude-singular", action="store_true",
                     help="drop the k = n candidate from each cell instead of averaging over it")
     _add_profile_flags(sp)
-    sp.set_defaults(func=_cmd_surface)
 
+
+def _simulate_flags(sp):
     cfg = xp.SimulationConfig()
-    sp = sub.add_parser("simulate", help="synthetic method comparison (CSV)")
     sp.add_argument("--config", default=None, help="JSON config; wins over flags on conflict")
     sp.add_argument("--n", dest="n_values", metavar="N", type=_INT_LIST, default=None,
                     help=f"sample sizes, comma list (default {','.join(map(str, cfg.n_values))})")
@@ -286,27 +284,27 @@ def build_parser() -> _Parser:
                     help="drop the k = n candidate when the grid reaches it")
     sp.add_argument("--truncate-loss", type=float, default=None,
                     help="cap per-replication relative losses at this value (default: no cap)")
-    sp.set_defaults(func=_cmd_simulate)
 
-    sp = sub.add_parser("eval", help="repeated random-split evaluation on a dataset (CSV)")
+
+def _eval_flags(sp):
     _add_dataset_flags(sp)
     sp.add_argument("--n-train", type=int, required=True, help="training rows per split")
     sp.add_argument("--reps", type=int, default=1000, help="number of random splits (default 1000)")
     sp.add_argument("--seed", type=int, default=0, help="base seed (default 0)")
     sp.add_argument("--max-models", type=int, default=None,
                     help="largest candidate size (default min(p, floor(0.9 n_train)))")
-    sp.set_defaults(func=_cmd_eval)
 
-    sp = sub.add_parser("fit", help="fit one dataset; emit every method's weights (JSON)")
+
+def _fit_flags(sp):
     _add_dataset_flags(sp)
     sp.add_argument("--n-train", type=int, default=None,
                     help="fit on a seeded random subsample of this size (default: all rows)")
     sp.add_argument("--seed", type=int, default=0, help="base seed for the subsample (default 0)")
     sp.add_argument("--max-models", type=int, default=None,
                     help="largest candidate size (default min(p, floor(0.9 n)))")
-    sp.set_defaults(func=_cmd_fit)
 
-    sp = sub.add_parser("validate-rmt", help="Monte-Carlo check of the trace limits (JSON)")
+
+def _validate_rmt_flags(sp):
     sp.add_argument("--n", type=int, required=True, help="sample size")
     sp.add_argument("--c", type=float, required=True,
                     help="aspect ratio, away from 1: the design has k = round(c n) columns, the limits are at k/n")
@@ -314,11 +312,9 @@ def build_parser() -> _Parser:
     sp.add_argument("--seed", type=int, default=0, help="base seed (default 0)")
     sp.add_argument("--theta", type=_FLOAT_LIST, default=None,
                     help="signal vector for the quadratic form, comma list (default: first basis vector)")
-    sp.set_defaults(func=_cmd_validate_rmt)
 
-    sp = sub.add_parser("validate-thm1",
-                        help="check of the weighted-average risk limit against exact conditional risks "
-                             "over training draws (JSON)")
+
+def _validate_thm1_flags(sp):
     sp.add_argument("--n", type=int, required=True, help="sample size")
     sp.add_argument("--sizes", type=_INT_LIST, required=True,
                     help="candidate sizes, comma list or a:b[:step]")
@@ -328,24 +324,52 @@ def build_parser() -> _Parser:
     sp.add_argument("--weights", dest="w", metavar="WEIGHTS", type=_FLOAT_LIST, default=None,
                     help="weight vector, comma list (default equal)")
     _add_profile_flags(sp)
-    sp.set_defaults(func=_cmd_validate_thm1)
 
-    # Each option's dest is the library name it feeds, so one {dest: flag} table per
-    # subcommand names the flag behind any field the library rejects.
-    for name, sp in sub.choices.items():
-        kind = "CSV" if name in ("surface", "simulate", "eval") else "JSON"
-        sp.add_argument("--out", default=None, help=f"output {kind} path (default stdout)")
-        sp.set_defaults(flags={a.dest: a.option_strings[0] for a in sp._actions if a.option_strings})
+
+# name: (help line in ``lama --help``, the function declaring its flags, the function running it)
+_COMMANDS = {
+    "surface": ("closed-form risk over an (n, M) grid (CSV)", _surface_flags, _cmd_surface),
+    "simulate": ("synthetic method comparison (CSV)", _simulate_flags, _cmd_simulate),
+    "eval": ("repeated random-split evaluation on a dataset (CSV)", _eval_flags, _cmd_eval),
+    "fit": ("fit one dataset; emit every method's weights (JSON)", _fit_flags, _cmd_fit),
+    "validate-rmt": ("Monte-Carlo check of the trace limits (JSON)", _validate_rmt_flags, _cmd_validate_rmt),
+    "validate-thm1": ("check of the weighted-average risk limit against exact conditional risks "
+                      "over training draws (JSON)", _validate_thm1_flags, _cmd_validate_thm1),
+}
+
+
+def _declare(sp: _Parser, name: str) -> _Parser:
+    """``sp`` with command ``name``'s flags, ``--out`` and the {dest: flag} table of them."""
+    help_text, add_flags, func = _COMMANDS[name]
+    add_flags(sp)
+    kind = "CSV" if help_text.endswith("(CSV)") else "JSON"
+    sp.add_argument("--out", default=None, help=f"output {kind} path (default stdout)")
+    # Each option's dest is the library name it feeds, so the table names the
+    # flag behind any field the library rejects.
+    sp.set_defaults(func=func, flags={a.dest: a.option_strings[0] for a in sp._actions if a.option_strings})
+    return sp
+
+
+def build_parser() -> _Parser:
+    parser = _Parser(prog="lama", description="Model averaging over nested least-squares candidates")
+    sub = parser.add_subparsers(dest="command", metavar="COMMAND", parser_class=_Parser)
+    for name, (help_text, *_) in _COMMANDS.items():
+        _declare(sub.add_parser(name, help=help_text), name)
     return parser
 
 
 def run(argv=None) -> int:
     xp._limit_blas()
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    name = argv[0] if argv and argv[0] in _COMMANDS else None
     args = None
     try:
-        args = parser.parse_args(argv)
-        if getattr(args, "command", None) is None:
+        # A named command's parser alone parses as build_parser's subparser would.
+        parser = build_parser() if name is None else _declare(_Parser(prog=f"lama {name}"), name)
+        args, extra = parser.parse_known_args(argv[1:] if name else argv, argparse.Namespace(command=name))
+        if extra:  # worded as the full parser words them
+            raise InputError("lama", f"unrecognized arguments: {' '.join(extra)}")
+        if args.command is None:
             parser.print_usage(sys.stderr)
             return 1
         return args.func(args)

@@ -92,8 +92,10 @@ class GramForm:
             raise ValueError("a Gram form needs a two-dimensional B")
 
     def diagonal(self) -> np.ndarray:
-        """diag(A), the squared column norms of B; by Cauchy-Schwarz its maximum is max|A|."""
-        return np.einsum("ij,ij->j", self.B, self.B)
+        """diag(A), the squared column norms of B, formed once and shared; by Cauchy-Schwarz its maximum is max|A|."""
+        if "_diagonal" not in vars(self):
+            object.__setattr__(self, "_diagonal", np.einsum("ij,ij->j", self.B, self.B))
+        return self._diagonal
 
 
 @dataclass(frozen=True)
@@ -288,6 +290,8 @@ def _active_set(face, gradient, free: list[int], w: np.ndarray, scale: float) ->
             w[free[block]] = 0.0
             del free[block]
             continue
+        if len(free) == w.size:  # no bound index can enter
+            return w, iterations, True
         # At the face minimizer the free gradient entries share one value;
         # a bound index with a smaller entry enters.
         g = gradient(w)

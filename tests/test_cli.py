@@ -18,8 +18,10 @@ import warnings
 import numpy as np
 import pytest
 
+from lama import cli
 from lama.cli import _parse_int_list, _parse_range, _write_json, build_parser, run
 from lama.experiments import SimulationConfig
+from lama.risk_theory import InputError
 
 
 def run_cli(capsys, *argv):
@@ -498,6 +500,89 @@ class TestTopLevel:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
+
+
+# The CI worker-count cases, the benchmark argvs and fit: at least one argv per command.
+PARITY_ARGVS = [
+    "eval --data crime --n-train 18 --methods mma,jma,lama --reps 50 --seed 0",
+    "eval --data mtcars --n-train 24 --methods jma --reps 20 --seed 0",
+    "simulate --n 50 --m 45,100 --r2 0.5 --p 1000 --methods mma,jma,lama --reps 12 --seed 0",
+    "simulate --n 50 --m 100 --p 1000 --reps 3 --methods jma --seed 0",
+    "simulate --n 20 --m 15,30 --p 100 --reps 4 --methods mma,jma,lama,aic --seed 0",
+    "simulate --n 20 --m 600 --p 1000 --reps 2 --methods mma,aic,uniform --seed 0",
+    "surface --n-range 20:200:5 --m-range 20:200:5 --weights varpen",
+    "surface --n-range 20:200:5 --m-range 20:200:5 --weights equal --exclude-singular",
+    "surface --n-range 5:300:5 --m-range 100:1200:100 --weights varpen --exclude-singular",
+    "surface --n-range 20:200:5 --m-range 20:200:5 --weights varpen --snr 1.2345 --decay 0.6543",
+    "validate-thm1 --n 40 --sizes 5,20,60,90 --reps 8 --seed 2",
+    "validate-rmt --n 60 --c 2.0 --reps 6 --seed 1",
+    "fit --data mtcars",
+]
+
+
+class TestCommandParser:
+    """``run`` parses a named command with that command's parser alone; it must
+    act as ``build_parser()``'s subparser for it, and build nothing more."""
+
+    @staticmethod
+    def _full(capsys, argv):
+        # run's exit code and stderr, had it parsed with the full parser.
+        try:
+            args = build_parser().parse_args(argv)
+        except InputError as exc:
+            return 1, f"error: {exc.field}: {exc.args[1]}\n", None
+        assert capsys.readouterr() == ("", "")
+        return None, "", args
+
+    def test_namespaces_match_the_full_parser(self, capsys, monkeypatch):
+        assert {argv.split()[0] for argv in PARITY_ARGVS} == set(cli._COMMANDS)
+        for argv in map(str.split, PARITY_ARGVS):
+            # Both parsers take func from the table: swap it for one that keeps the namespace.
+            seen = []
+            help_text, add_flags, _ = cli._COMMANDS[argv[0]]
+            monkeypatch.setitem(cli._COMMANDS, argv[0], (help_text, add_flags, seen.append))
+            assert run(argv) is None
+            assert vars(seen[0]) == vars(self._full(capsys, argv)[2]), argv
+
+    def test_help_matches_the_full_parser(self, capsys):
+        for name in cli._COMMANDS:
+            with pytest.raises(SystemExit) as exc:
+                run([name, "--help"])
+            assert exc.value.code == 0
+            command_help = capsys.readouterr()
+            with pytest.raises(SystemExit):
+                build_parser().parse_args([name, "--help"])
+            assert command_help == capsys.readouterr()
+            assert command_help.out.startswith(f"usage: lama {name} ")
+
+    @pytest.mark.parametrize(
+        "argv",
+        ["surface --weights bogus", "surface", "eval --data crime --n-train x"]
+        + [f"{argv} --test-size 8" for argv in PARITY_ARGVS],
+    )
+    def test_usage_errors_match_the_full_parser(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv.split())
+        assert out == "" and (code, err) == self._full(capsys, argv.split())[:2]
+
+    def test_a_command_builds_one_parser(self, capsys, monkeypatch):
+        built, init = [], cli._Parser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(kwargs["prog"])
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cli._Parser, "__init__", counting)
+        assert run(PARITY_ARGVS[9].split()) == 0  # the surface-grid benchmark argv
+        assert built == ["lama surface"]
+        full = ["lama"] + [f"lama {name}" for name in cli._COMMANDS]
+        for argv, code in (([], 1), (["bogus"], 1), (["--help"], 0)):
+            built.clear()
+            try:
+                assert run(argv) == code
+            except SystemExit as exc:
+                assert exc.code == code
+            assert built == full, argv
+        capsys.readouterr()
 
 
 @pytest.mark.parametrize(

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lama.criteria import b_in_diag, lama_program, mma_program, sigma_hat, v_out_matrix, xi
+from lama.criteria import b_in_diag, jma_program, lama_program, mma_program, sigma_hat, v_out_matrix, xi
 from lama.models import Dataset, ModelFits, fit_all
 from lama import qp
 from lama.qp import GramForm, NestedForm, _checked, _gradient, _report, simplex_project, solve_simplex_qp
@@ -336,6 +336,22 @@ class TestGramForm:
                 solve_simplex_qp(GramForm(B))
 
 
+    def test_a_jma_solve_forms_the_diagonal_once(self, monkeypatch):
+        # max|A| in _checked and the best-vertex start both read diag(B'B): one einsum over B.
+        rng = np.random.default_rng(3)
+        X = rng.standard_normal((18, 15))
+        program = jma_program(fit_all(Dataset(Y=X[:, :3].sum(axis=1) + rng.standard_normal(18), X=X), np.arange(1, 16)))
+        einsum, subscripts = np.einsum, []
+
+        def counting(*args, **kwargs):
+            subscripts.append(args[0])
+            return einsum(*args, **kwargs)
+
+        monkeypatch.setattr(np, "einsum", counting)
+        report = solve_simplex_qp(program.A, program.b)
+        assert report.status == "converged" and subscripts == ["ij,ij->j"]
+
+
 class TestCumulativeForm:
     """The Mallows and large-model programs solved through their cumulative
     form, held to the general solver on the matrix their form describes."""
@@ -511,6 +527,23 @@ class TestCumulativeForm:
             assert peak < 8 * 2**20
             if ridge is not None:
                 assert report.iterations == 1 and np.all(report.weights > 0.0)
+
+
+    def test_a_full_support_optimum_forms_the_gradient_once(self, monkeypatch):
+        # A = diag(r) keeps every candidate (w proportional to 1/r): the first face step
+        # meets no bound, so with no index bound there is no entering test and only the
+        # certificate forms the gradient.
+        gradient, calls = qp._gradient, []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return gradient(*args, **kwargs)
+
+        monkeypatch.setattr(qp, "_gradient", counting)
+        r = np.linspace(1.0, 3.0, 12)
+        report = solve_simplex_qp(NestedForm(np.zeros(12), np.zeros(12), r))
+        assert (report.status, report.iterations, len(calls)) == ("converged", 1, 1)
+        np.testing.assert_allclose(report.weights, (1.0 / r) / (1.0 / r).sum(), rtol=1e-12)
 
 
 class TestCertificate:
