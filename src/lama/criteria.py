@@ -157,6 +157,8 @@ def lama_vectors(fits: ModelFits, sigma2_hat: float) -> tuple[np.ndarray, np.nda
     are the out-of-sample variance and in-sample bias diagonals, so
     ``xi(h, g)`` is the program's ridge strength.
     """
+    if not math.isfinite(sigma2_hat) or sigma2_hat <= 0.0:
+        raise ValueError("sigma2_hat must be positive")
     if (fits.sizes >= fits.n).any():
         raise ValueError("the large-model criterion needs every k < n; drop the candidates with k >= n first")
     return fits.rss + sigma2_hat * fits.sizes, fits.n * below_boundary_variance(fits.sizes / fits.n, sigma2_hat)
@@ -173,20 +175,17 @@ def b_in_diag(fits: ModelFits, sigma2_hat: float) -> np.ndarray:
     return lama_vectors(fits, sigma2_hat)[0] / fits.n
 
 
-def lama_program(fits: ModelFits, sigma2_hat: float, xi_value: float) -> QuadraticProgram:
+def lama_program(g: np.ndarray, h: np.ndarray, xi_value: float) -> QuadraticProgram:
     """Large-model criterion at sample scale (n times the per-observation value):
 
-        A(q,l) = RSS_max(q,l) + sigma2 k_max(q,l) + h_min(q,l) + 1{q=l} xi h_q,   b = 0,
+        A(q,l) = g_max(q,l) + h_min(q,l) + 1{q=l} xi h_q,   b = 0,
 
-    the nested program (g, h, 0, xi h) of ``lama_vectors``.  Requires every
-    candidate strictly below the interpolation boundary.
+    the nested program (g, h, 0, xi h) of the vectors ``lama_vectors`` returns,
+    with g = RSS + sigma2 k and h = n sigma2 c / (1 - c).
     """
-    if not math.isfinite(sigma2_hat) or sigma2_hat <= 0.0:
-        raise ValueError("sigma2_hat must be positive")
     if not math.isfinite(xi_value) or xi_value < 0.0:
         raise ValueError("xi must be nonnegative and finite")
-    g, h = lama_vectors(fits, sigma2_hat)
-    return QuadraticProgram(NestedForm(g, h, xi_value * h), np.zeros(fits.M))
+    return QuadraticProgram(NestedForm(g, h, xi_value * h), np.zeros(len(g)))
 
 
 def info_criterion_weights(fits: ModelFits, kind: str) -> np.ndarray:

@@ -133,9 +133,9 @@ def _replicate(fn, tasks) -> tuple[list, int, int]:
 class WeightChoice:
     """One method's chosen weights on the full candidate list.
 
-    Candidates a method cannot handle (interpolating ones, for the
-    leave-one-out and large-model criteria) carry weight 0 and appear in
-    ``excluded``.  The quadratic methods keep their solve's ``status``,
+    Candidates a method cannot handle carry weight 0 and appear in ``excluded``:
+    interpolating ones for ``jma`` and the information criteria, and those with
+    k >= n for ``lama``.  The quadratic methods keep their solve's ``status``,
     ``iterations`` and ``kkt_residual``; ``to_record`` leaves them out.
     """
 
@@ -196,7 +196,7 @@ def compute_weights(fits, method: str) -> WeightChoice:
             g, h = crit.lama_vectors(sub, s2)
             xi_val = crit.xi(h, g)  # a ratio of ratios: the diagonals h/n and g/n give the same value
             # the program is on the n-scale; report the per-observation criterion
-            program, scale = crit.lama_program(sub, s2, xi_val), sub.n
+            program, scale = crit.lama_program(g, h, xi_val), sub.n
     report = solve_simplex_qp(program.A, program.b)
     w = report.weights
     if dropped:  # the dropped candidates keep weight 0
@@ -598,8 +598,9 @@ def validate_theorem1(
     over ``reps`` training draws.  ``w`` must be a finite point of the
     probability simplex, one weight per candidate (``InputError`` naming ``w``
     otherwise), and put no weight on a candidate with k = n, whose limiting
-    risk is infinite (``ValueError``).  The limit sums the Theorem-1 row
-    borders of ``w``, entries with w <= 0 left out.
+    risk is infinite (``ValueError``); weight at |k - n| = 1, whose finite-n
+    risk has an infinite mean, gives a ``RuntimeWarning``.  The limit sums
+    the Theorem-1 row borders of ``w``, entries with w <= 0 left out.
     """
     n, reps, sizes = _counts(n, "n", 2), _counts(reps, "reps"), _candidate_sizes(sizes)
     theta = np.asarray(theta, dtype=np.float64).reshape(-1)
@@ -620,6 +621,8 @@ def validate_theorem1(
         raise InputError("w", f"weights {problem}, got {w.tolist()}")
     if np.any((sizes == n) & (w > 0.0)):
         raise ValueError(f"candidate size k = n = {n} has positive weight; it lies on the boundary")
+    if near := sizes[(abs(sizes - n) == 1) & (w > 0.0)].tolist():
+        warnings.warn(f"weighted sizes {near} have |k - n| = 1: infinite expected risk at finite n", RuntimeWarning)
     bv, bb = _weighted_borders(c, norms2, float(sq[-1]) - norms2, sigma2, np.where(w > 0.0, w, 0.0))
     theo_bias, theo_var = float(bb.sum()), float(bv.sum())
     theo_risk = theo_bias + theo_var

@@ -6,8 +6,9 @@ regressors are put in priority order by permuting X's columns once; the
 forward selection ``order_by_cp`` sweeps every column's residual once per
 selected term, O(n p) each.  ``fit_all`` fits every candidate by
 minimum-norm least squares, from one factorization below the boundary and
-one per block of sizes past it, tested on each candidate's leading block,
-and caches the residuals, leverages and ranks the criteria consume.
+one per block of sizes past it, tested on each candidate's leading block.
+It keeps the residuals and leverages the criteria consume, and the ranks,
+which decide the exact-interpolation fill and are kept as a diagnostic.
 """
 
 from __future__ import annotations

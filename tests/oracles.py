@@ -9,9 +9,11 @@ read as the quadratic form w'(D_V + D_B)w; the library only ever sums row
 borders of it.  A nested or Gram program is here as the dense matrix its
 ``NestedForm`` or ``GramForm`` describes; the solver only reads the vectors
 or the factor.  A small simplex program is solved here by enumerating its
-faces; the solver walks an active set instead.  A risk surface is here as
-it was once built, one grid row at a time with each diagonal block taken
-by slices; the library forms a block of rows at once.
+faces; the solver walks an active set instead.  The finite-n expected risk
+of a lone model, which the library does not compute, is here from the
+inverse-Wishart trace moments.  A risk surface is here as it was once
+built, one grid row at a time with each diagonal block taken by slices;
+the library forms a block of rows at once.
 """
 
 from dataclasses import dataclass
@@ -113,7 +115,8 @@ def lama_criterion_value(fits, sigma2_hat: float, xi_value: float, w) -> float:
     variance-correction gap w'Vw - sigma2 w' k_min w / n with the plug-in
     V = sigma2 k_min / (n - k_min), plus the xi ridge on diag(V).  It reads
     the residuals themselves, not the residual sums of squares: times n, it
-    must equal ``lama_program`` on the simplex.
+    must equal ``lama_program(*lama_vectors(fits, sigma2_hat), xi_value)`` on
+    the simplex.
     """
     w = np.asarray(w, dtype=np.float64).reshape(-1)
     if w.shape[0] != fits.M:
@@ -149,6 +152,24 @@ def single_model_risk(c: float, norm2: float, sigma2: float) -> float:
     if c < 1.0:
         return sigma2 * c / (1.0 - c)
     return norm2 * (1.0 - 1.0 / c) + sigma2 / (c - 1.0)
+
+
+def finite_single_model_risk(n: int, k: int, head2: float, tail2: float, sigma2: float) -> float:
+    """Expected out-of-sample risk at finite n of one min-norm least-squares fit of k isotropic Gaussian columns.
+
+    head2 and tail2 are the squared norms of the coefficients the fit carries and omits; the omitted
+    columns reach the response as noise, so the fit sees noise variance s = sigma2 + tail2.  Below the
+    boundary E tr((X'X)^-1) = k / (n - k - 1) (Breiman & Freedman 1983), so the risk is
+    s k / (n - k - 1) + tail2.  Above it the fit keeps the projection of the carried coefficients on the
+    row space, a share n / k of head2 in expectation, and E tr((XX')^-1) = n / (k - n - 1) (Belkin, Hsu &
+    Xu 2020): head2 (1 - n / k) + s n / (k - n - 1) + tail2.  +inf for |k - n| <= 1.
+    """
+    s = sigma2 + tail2
+    if abs(k - n) <= 1:
+        return np.inf
+    if k < n:
+        return s * k / (n - k - 1) + tail2
+    return head2 * (1.0 - n / k) + s * n / (k - n - 1) + tail2
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,7 @@ import pytest
 from lama.criteria import (
     b_in_diag,
     lama_program,
+    lama_vectors,
     mma_program,
     sigma_hat,
     v_out_matrix,
@@ -133,7 +134,7 @@ def test_criterion_05_criterion_reformulation_identity():
         fits, _, _ = make_fits(500 + i, n=30, sizes=(1, 3, 6, 11, 18))
         s2 = sigma_hat(fits)
         xi_val = xi(np.diag(v_out_matrix(fits, s2)), b_in_diag(fits, s2))
-        program = lama_program(fits, s2, xi_val)
+        program = lama_program(*lama_vectors(fits, s2), xi_val)
         for _ in range(10):
             w = rng.dirichlet(np.ones(fits.M))
             direct = fits.n * lama_criterion_value(fits, s2, xi_val, w)

@@ -23,6 +23,7 @@ from lama.criteria import (
     info_criterion_weights,
     jma_program,
     lama_program,
+    lama_vectors,
     loo_flagged,
     mma_program,
     sigma_hat,
@@ -60,7 +61,7 @@ class TestQuadraticProgram:
             programs = (
                 mma_program(fits, s2),
                 jma_program(fits.subset(~loo_flagged(fits))),
-                lama_program(fits.subset(fits.sizes < fits.n), s2, 0.5),
+                lama_program(*lama_vectors(fits.subset(fits.sizes < fits.n), s2), 0.5),
             )
             for prog in programs:
                 A = matrix(prog.A)
@@ -164,12 +165,12 @@ class TestResidualGramFromRss:
 
         sub = fits.subset(fits.sizes < fits.n)
         sub_gram = gram[np.ix_(fits.sizes < fits.n, fits.sizes < fits.n)]
-        # lama_program needs sigma2 > 0: the smallest normal float leaves
+        # lama_vectors needs sigma2 > 0: the smallest normal float leaves
         # only the residual part of A.
-        residual_part = matrix(lama_program(sub, np.finfo(float).tiny, 0.0).A)
+        residual_part = matrix(lama_program(*lama_vectors(sub, np.finfo(float).tiny), 0.0).A)
         assert np.max(np.abs(residual_part - sub_gram)) <= tol
         x = xi(np.diag(v_out_matrix(sub, s2)), b_in_diag(sub, s2))
-        lama = lama_program(sub, s2, x)
+        lama = lama_program(*lama_vectors(sub, s2), x)
         assert solve_simplex_qp(lama.A, lama.b).status == "converged"
 
 
@@ -271,7 +272,7 @@ class TestLamaProgram:
         E = np.zeros((10, 1))
         E[0, 0], E[1, 0] = 1.0, 2.0  # exact squared norm 5
         fits = dataclasses.replace(fits, residuals=E)
-        prog = lama_program(fits, 1.0, 1.0)
+        prog = lama_program(*lama_vectors(fits, 1.0), 1.0)
         assert value(prog, [1.0]) == pytest.approx(12.0, abs=1e-12)
 
     def test_matches_per_observation_route_on_the_simplex(self, rng):
@@ -281,7 +282,7 @@ class TestLamaProgram:
             fits, _, _ = make_fits(100 + seed, n=26, sizes=(1, 3, 6, 11))
             s2 = sigma_hat(fits)
             x = xi(np.diag(v_out_matrix(fits, s2)), b_in_diag(fits, s2))
-            prog = lama_program(fits, s2, x)
+            prog = lama_program(*lama_vectors(fits, s2), x)
             for _ in range(10):
                 w = rng.dirichlet(np.ones(4))
                 direct = 26 * lama_criterion_value(fits, s2, x, w)
@@ -290,7 +291,7 @@ class TestLamaProgram:
     def test_penalty_dominates_plain_mallows(self):
         fits, _, _ = make_fits(31, n=24, sizes=(2, 6, 12))
         s2 = sigma_hat(fits)
-        prog = lama_program(fits, s2, 0.7)
+        prog = lama_program(*lama_vectors(fits, s2), 0.7)
         E = fits.residuals
         sizes = fits.sizes.astype(float)
         mallows_scale = E.T @ E + s2 * (
@@ -300,8 +301,8 @@ class TestLamaProgram:
 
     def test_zero_ridge_drops_the_diagonal_term(self):
         fits, _, _ = make_fits(37, n=24, sizes=(2, 6))
-        base = lama_program(fits, 1.0, 0.0)
-        ridged = lama_program(fits, 1.0, 2.0)
+        base = lama_program(*lama_vectors(fits, 1.0), 0.0)
+        ridged = lama_program(*lama_vectors(fits, 1.0), 2.0)
         extra = np.diag(matrix(ridged.A) - matrix(base.A))
         np.testing.assert_allclose(
             extra, 2.0 * 1.0 * 24 * fits.sizes / (24 - fits.sizes), rtol=1e-12
@@ -310,12 +311,12 @@ class TestLamaProgram:
     def test_validation(self):
         boundary = summary_fits(10, (2, 10), (5.0, 0.0))
         with pytest.raises(ValueError, match="k >= n"):
-            lama_program(boundary, 1.0, 1.0)
+            lama_program(*lama_vectors(boundary, 1.0), 1.0)
         fits = summary_fits(10, (2, 5), (5.0, 3.0))
         with pytest.raises(ValueError, match="positive"):
-            lama_program(fits, 0.0, 1.0)
+            lama_program(*lama_vectors(fits, 0.0), 1.0)
         with pytest.raises(ValueError, match="nonnegative"):
-            lama_program(fits, 1.0, -0.5)
+            lama_program(*lama_vectors(fits, 1.0), -0.5)
         with pytest.raises(ValueError, match="length"):
             lama_criterion_value(fits, 1.0, 1.0, [1.0, 0.0, 0.0])
 

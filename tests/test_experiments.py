@@ -11,6 +11,7 @@ import dataclasses
 import io
 import json
 import pickle
+import re
 import sys
 import warnings
 
@@ -43,7 +44,7 @@ from lama.models import Dataset, fit_all
 from lama.risk_theory import PowerLawProfile, risk_surface
 
 from conftest import make_fits
-from oracles import lama_criterion_value, single_model_risk, value
+from oracles import finite_single_model_risk, lama_criterion_value, single_model_risk, value
 
 
 @pytest.fixture(autouse=True)
@@ -771,6 +772,44 @@ class TestValidateTheorem1:
         validate_theorem1(40, (2, 8), theta, 1.0, reps=1, seed=0)
         assert designs[0].tobytes() == rng_for(0, "thm1", 40, 0).standard_normal((40, 8)).tobytes()
 
+    def test_weight_next_to_the_boundary_warns(self):
+        # E tr((X'X)^-1) diverges at k = n - 1 and E tr((XX')^-1) at k = n + 1, so the empirical
+        # risk of such a candidate has no mean to settle at; weight next to them stays silent.
+        theta = np.linspace(1.0, 0.1, 30)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            validate_theorem1(20, (5, 18, 22), theta, 1.0, reps=2, seed=0)
+            validate_theorem1(20, (5, 19, 21), theta, 1.0, reps=2, seed=0, w=(1.0, 0.0, 0.0))
+        for w, near in [((0.5, 0.5, 0.0), [19]), ((0.0, 0.0, 1.0), [21]), ((0.0, 0.5, 0.5), [19, 21])]:
+            with pytest.warns(RuntimeWarning, match=re.escape(f"sizes {near} have |k - n| = 1")):
+                validate_theorem1(20, (5, 19, 21), theta, 1.0, reps=2, seed=0, w=w)
+
+    @pytest.mark.parametrize("k", [35, 65])
+    def test_lone_model_risk_matches_its_finite_n_expectation(self, k):
+        # At n = 50 the finite-n risk of a lone fit sits 7% (k = 35) and 5% (k = 65) above what
+        # the denominators n - k and k - n would give: about 6 standard errors at 2,000 draws.
+        n, reps, profile = 50, 2000, PowerLawProfile(exponent=1.0, scale=0.5, truncate=150)
+        theta = profile.coefficients(150)
+        risks = np.array([xp._thm1_rep((n, np.array([k]), theta, 1.0, np.ones(1), 0, rep))[0]
+                          for rep in range(reps)])
+        head2 = float(profile.prefix_norm2(k))
+        expected = finite_single_model_risk(n, k, head2, profile.total_norm2() - head2, 1.0)
+        assert abs(risks.mean() - expected) <= 4.0 * risks.std(ddof=1) / np.sqrt(reps)
+
+    @pytest.mark.parametrize("c", [0.5, 0.8, 1.3, 2.0])
+    def test_lone_model_limit_is_the_finite_n_risk_as_n_grows(self, c):
+        # The Theorem-1 diagonal that validate-thm1 and `surface --weights single` print
+        # is a limit: its gap to the finite-n risk at k = c n shrinks as n doubles.
+        profile = PowerLawProfile(exponent=1.0, scale=0.5, truncate=2000)
+        gaps = []
+        for n in (50, 100, 200, 400):
+            k = round(c * n)
+            limit = float(risk_surface([n], [k], profile, 1.0, "single").risk[0])
+            head2 = float(profile.prefix_norm2(k))
+            gaps.append(abs(limit / finite_single_model_risk(n, k, head2, profile.total_norm2() - head2, 1.0) - 1))
+        assert all(later < earlier for earlier, later in zip(gaps, gaps[1:])), gaps
+        assert gaps[-1] < gaps[0] / 4, gaps
+
 
 def test_every_quadratic_solve_goes_through_one_name(monkeypatch):
     # The benchmark's qp.* spans wrap experiments.solve_simplex_qp, so every
@@ -793,6 +832,28 @@ def test_every_quadratic_solve_goes_through_one_name(monkeypatch):
         assert (choice.status, choice.iterations, choice.kkt_residual) == (
             last.status, last.iterations, last.kkt_residual)
     assert len(reports) == 12
+
+
+def test_each_large_model_solve_forms_its_vectors_once(monkeypatch):
+    # The same (g, h) set xi and build the program; mma and jma never form them.
+    # Two candidates have k >= n = 10, so the lama solve runs on the kept subset.
+    calls = []
+
+    def count(*args):
+        calls.append(args)
+        return vectors(*args)
+
+    vectors = crit.lama_vectors
+    monkeypatch.setattr(crit, "lama_vectors", count)
+    fits, _, _ = make_fits(9, n=10, sizes=(2, 5, 10, 12), p=12)
+    with pytest.warns(RuntimeWarning, match="boundary"):
+        choice = compute_weights(fits, "lama")
+    assert len(calls) == 1 and calls[0][0].M == 2
+    assert choice.excluded == (2, 3)
+    compute_weights(fits, "mma")
+    with pytest.warns(RuntimeWarning, match="interpolates"):
+        compute_weights(fits, "jma")
+    assert len(calls) == 1
 
 
 def test_every_design_draw_goes_through_one_name(monkeypatch):

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lama.criteria import b_in_diag, jma_program, lama_program, mma_program, sigma_hat, v_out_matrix, xi
+from lama.criteria import b_in_diag, jma_program, lama_program, lama_vectors, mma_program, sigma_hat, v_out_matrix, xi
 from lama.models import Dataset, ModelFits, fit_all
 from lama import qp
 from lama.qp import GramForm, NestedForm, _checked, _gradient, _report, simplex_project, solve_simplex_qp
@@ -145,7 +145,7 @@ class TestSolveSimplexQp:
             rss=np.zeros(2),
             ranks=sizes.copy(),
         )
-        program = lama_program(fits, 1.0, 0.0)
+        program = lama_program(*lama_vectors(fits, 1.0), 0.0)
         A = matrix(program.A)
         assert np.linalg.eigvalsh(A)[0] < 0.0
         for report in (solve_simplex_qp(A, program.b), solve_simplex_qp(program.A, program.b)):
@@ -381,7 +381,7 @@ class TestCumulativeForm:
         s2 = sigma_hat(fits)
         sub = fits.subset(fits.sizes < fits.n)
         x = xi(np.diag(v_out_matrix(sub, s2)), b_in_diag(sub, s2))
-        for program in (mma_program(fits, s2), lama_program(sub, s2, x)):
+        for program in (mma_program(fits, s2), lama_program(*lama_vectors(sub, s2), x)):
             reference = solve_simplex_qp(matrix(program.A), program.b)
             report = solve_simplex_qp(program.A, program.b)
             assert report.status == "converged"
@@ -474,7 +474,7 @@ class TestCumulativeForm:
         # RSS rising by more than roundoff (Mallows), and a large-model
         # program whose first tridiagonal pivot is negative.
         mallows = mma_program(summary_fits(10, [1, 2], [1.0, 2.0]), 0.5)
-        large = lama_program(summary_fits(10, [1, 2], [1.0, 50.0]), 1.0, 0.0)
+        large = lama_program(*lama_vectors(summary_fits(10, [1, 2], [1.0, 50.0]), 1.0), 0.0)
         for program in (mallows, large):
             for A in (matrix(program.A), program.A):
                 with pytest.raises(ValueError, match="not convex on the simplex"):
