@@ -4,9 +4,10 @@ Randomness never flows through shared generator state: every replication
 derives its own generator from (base seed, setting keys, replication index,
 stream tag), so any single replication can be reproduced in isolation and
 results are identical at any worker count.  Every harness maps one
-module-level per-replication function through ``_pmap``, which reads the
-worker count from ``LAMA_THREADS``; aggregation walks replications in index
-order, which keeps output bytes stable.
+module-level function, per replication or (``evaluate_real``) per fixed-size
+chunk of splits, through ``_pmap``, which reads the worker count from
+``LAMA_THREADS``; aggregation walks replications in index order, which keeps
+output bytes stable.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import criteria as crit
-from .models import Dataset, _candidate_sizes, default_model_counts, fit_all, order_by_cp
+from .models import Dataset, _candidate_sizes, _fit_stack, default_model_counts, fit_all, order_by_cp
 from .qp import solve_simplex_qp
 from .risk_theory import InputError, PowerLawProfile, _counts, _exact, _theorem1_inputs, _weighted_borders
 
@@ -114,13 +115,12 @@ def _pmap(fn, items):
         return list(ex.map(fn, items, chunksize=chunk))
 
 
-def _replicate(fn, tasks) -> tuple[list, int, int]:
-    """(kept values in task order, dropped count, summed redraws) of ``fn`` mapped over ``tasks``.
+def _replicate(outcomes: list) -> tuple[list, int, int]:
+    """(kept values in order, dropped count, summed redraws) of the replications' ``outcomes``.
 
-    ``fn`` returns (value, redraws, reason), the reason None if the
+    Each outcome is (value, redraws, reason), the reason None if the
     replication is kept, else "degenerate" or a failed fit's message.
     """
-    outcomes = _pmap(fn, tasks)
     kept = [value for value, _, reason in outcomes if reason is None]
     return kept, len(outcomes) - len(kept), sum(redraws for _, redraws, _ in outcomes)
 
@@ -350,18 +350,18 @@ def relative_losses(weights: dict[str, np.ndarray], pred_train: np.ndarray, mu_t
     return rows, False
 
 
-def _fit_and_weigh(train: Dataset, sizes, methods):
-    """Fit the column prefixes ``sizes`` of ``train`` and choose each method's weights.
+def _fit_and_weigh(fit, methods):
+    """The ModelFits that ``fit()`` returns, and each method's weights on them.
 
     Returns (ModelFits, {method: WeightChoice}, None), or (None, None,
-    reason) when a fit or a weight choice raises.  Runtime warnings
+    reason) when the fit or a weight choice raises.  Runtime warnings
     (excluded candidates, floors) are silenced, as the harnesses run many
     replications.
     """
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            fits = fit_all(train, sizes)
+            fits = fit()
             return fits, {m: compute_weights(fits, m) for m in methods}, None
     except (ValueError, np.linalg.LinAlgError) as exc:
         return None, None, str(exc)
@@ -382,7 +382,7 @@ def _sim_rep(args):
     sizes = np.arange(1, m + 1)
     if cfg.exclude_boundary:
         sizes = sizes[sizes != n]
-    fits, choices, failed = _fit_and_weigh(train, sizes, cfg.methods)
+    fits, choices, failed = _fit_and_weigh(lambda: fit_all(train, sizes), cfg.methods)
     if failed is not None:
         return None, 0, failed
     rows, degenerate = relative_losses(
@@ -410,7 +410,7 @@ def run_simulation(cfg: SimulationConfig) -> list[dict]:
         for m in cfg.m_values if cfg.m_values is not None else default_model_counts(n):
             for r2 in cfg.r2_values:
                 tasks = [(cfg, n, m, r2, rep) for rep in range(cfg.replications)]
-                kept, dropped, _ = _replicate(_sim_rep, tasks)
+                kept, dropped, _ = _replicate(_pmap(_sim_rep, tasks))
                 for method in cfg.methods:
                     mean_in, _ = _mean_var([loss[method][0] for loss in kept])
                     mean_out, var_out = _mean_var([loss[method][1] for loss in kept])
@@ -446,23 +446,40 @@ def _nested_candidates(data: Dataset, n_fit: int, max_models: int | None = None)
     return data.X[:, order_by_cp(data)], np.arange(1, M + 1)
 
 
-def _real_split(args):
-    (X, Y, sizes, n_train, methods, seed, rep) = args
-    N = X.shape[0]
-    rng = rng_for(seed, "real-split", n_train, rep)
+_CHUNK_SPLITS, _CHUNK_ENTRIES = 64, 1 << 16  # splits per chunk, fewer where their designs pass this many entries
+
+
+def _real_split(rng, Y, n_train: int):
+    """(permuted row indices, redraws) of one split: indices None if every draw's training response is constant."""
     for redraws in range(100):
-        idx = rng.permutation(N)
+        idx = rng.permutation(Y.shape[0])
+        if np.ptp(Y[idx[:n_train]]) > 0.0:
+            return idx, redraws
+    return None, redraws
+
+
+def _real_splits(args):
+    """(test errors by method, redraws, reason) of each split in a chunk, in order: one stacked QR fits
+    the chunk's designs below the boundary (``_fit_stack``), and the rest take ``fit_all``."""
+    (X, Y, sizes, n_train, methods, seed, reps) = args
+    splits = [_real_split(rng_for(seed, "real-split", n_train, rep), Y, n_train) for rep in reps]
+    trains = np.array([idx[:n_train] for idx, _ in splits if idx is not None], dtype=np.int64).reshape(-1, n_train)
+    stacked = iter(_fit_stack(X[:, : sizes[-1]][trains], Y[trains], sizes) if sizes[-1] <= n_train else [])
+    outcomes = []
+    for idx, redraws in splits:
+        if idx is None:
+            outcomes.append((None, redraws, "degenerate"))
+            continue
         tr, te = idx[:n_train], idx[n_train:]
-        if np.ptp(Y[tr]) > 0.0:
-            break
-    else:
-        return None, redraws, "degenerate"
-    fits, choices, failed = _fit_and_weigh(Dataset(Y=Y[tr], X=X[tr]), sizes, methods)
-    if failed is not None:
-        return None, redraws, failed
-    pred_te = fits.predict(X[te])
-    errs = {k: float(((pred_te @ c.weights - Y[te]) ** 2).sum()) / (N - n_train) for k, c in choices.items()}
-    return errs, redraws, None
+        fitted = next(stacked, None)  # a ModelFits is never falsy
+        fits, choices, failed = _fit_and_weigh(lambda: fitted or fit_all(Dataset(Y=Y[tr], X=X[tr]), sizes), methods)
+        if failed is not None:
+            outcomes.append((None, redraws, failed))
+            continue
+        pred_te = fits.predict(X[te])
+        errs = {k: float(((pred_te @ c.weights - Y[te]) ** 2).sum()) / te.size for k, c in choices.items()}
+        outcomes.append((errs, redraws, None))
+    return outcomes
 
 
 def evaluate_real(
@@ -481,8 +498,9 @@ def evaluate_real(
     overrides it.  Each split trains every method and scores squared test
     error normalized by the test-set size.  A constant training response is
     redrawn, at most 99 times, and ``redraws`` counts every split's redraws;
-    a split left constant, or whose fit fails, is dropped.  The splits run
-    in ``LAMA_THREADS`` worker processes, with the same result at any count.
+    a split left constant, or whose fit fails, is dropped.  Each split has
+    its own keyed stream; chunks of up to ``_CHUNK_SPLITS`` splits run in
+    ``LAMA_THREADS`` worker processes, with the same result at any count.
     """
     N, n_train = data.n, _counts(n_train, "n_train", 2)
     if n_train >= N:
@@ -491,8 +509,9 @@ def evaluate_real(
     methods = _method_tags(methods)
     X, sizes = _nested_candidates(data, n_train, max_models)
 
-    tasks = [(X, data.Y, sizes, n_train, methods, seed, rep) for rep in range(reps)]
-    kept, dropped, redraws = _replicate(_real_split, tasks)
+    step = max(1, min(_CHUNK_SPLITS, _CHUNK_ENTRIES // (n_train * int(sizes[-1]))))
+    tasks = [(X, data.Y, sizes, n_train, methods, seed, range(a, min(a + step, reps))) for a in range(0, reps, step)]
+    kept, dropped, redraws = _replicate([one for chunk in _pmap(_real_splits, tasks) for one in chunk])
     rows = []
     for method in methods:
         mean, var = _mean_var([errors[method] for errors in kept])
@@ -563,7 +582,7 @@ def validate_rmt(n: int, c: float, reps: int, seed: int, theta: np.ndarray | Non
         raise InputError("theta", f"must have length k={k} (c={c}, n={n}), got shape {np.shape(theta)}")
     elif theta is not None and not np.isfinite(theta).all():
         raise InputError("theta", "entries must be finite")
-    kept, _, retries = _replicate(_rmt_rep, [(n, c, k, theta, seed, rep) for rep in range(reps)])
+    kept, _, retries = _replicate(_pmap(_rmt_rep, [(n, c, k, theta, seed, rep) for rep in range(reps)]))
     report = {"n": n, "k": k, "c": float(c), "reps": reps, "retries": retries}
     trace, ratio = float(np.mean([t for t, _ in kept])), k / n
     if over:
@@ -627,7 +646,7 @@ def validate_theorem1(
     theo_bias, theo_var = float(bb.sum()), float(bv.sum())
     theo_risk = theo_bias + theo_var
 
-    risks, _, _ = _replicate(_thm1_rep, [(n, sizes, theta, sigma2, w, seed, rep) for rep in range(reps)])
+    risks, _, _ = _replicate(_pmap(_thm1_rep, [(n, sizes, theta, sigma2, w, seed, rep) for rep in range(reps)]))
     emp = float(np.mean(risks))
     return {
         "n": n,

@@ -9,6 +9,7 @@ minimum-norm least squares, from one factorization below the boundary and
 one per block of sizes past it, tested on each candidate's leading block.
 It keeps the residuals and leverages the criteria consume, and the ranks,
 which decide the exact-interpolation fill and are kept as a diagnostic.
+``_fit_stack`` runs the same QR route on a stack of designs of one shape.
 """
 
 from __future__ import annotations
@@ -267,19 +268,10 @@ def fit_all(data: Dataset, sizes) -> ModelFits:
 
     if nb:
         Q, R = np.linalg.qr(Xo[:, : sizes[nb - 1]], mode="reduced")
-        dr = np.abs(R.diagonal())
-        # R[:k, :k] is prefix k's factor; its test on running extrema passes the first kf prefixes only.
-        kf = np.count_nonzero(np.minimum.accumulate(dr) > _PIVOT_RATIO * np.maximum.accumulate(dr))
+        kf = np.count_nonzero(_passing(R))  # the test passes the first kf prefixes only
         nf = int(sizes.searchsorted(kf, "right"))
-        Q, R, sf = Q[:, :kf], R[:kf, :kf], sizes[:nf]
-        z = Q.T @ Y
-        # R is upper triangular (its LU is R itself), so the solve against z
-        # cut to its first k_q rows returns exact zeros below them: one solve
-        # fits every prefix.
-        coefs[:kf, :nf] = np.linalg.solve(R, z[:, None] * (np.arange(kf)[:, None] < sf))
-        residuals[:, :nf] = Y[:, None] - (Q * z).cumsum(axis=1)[:, sf - 1]
-        leverages[:, :nf] = (Q * Q).cumsum(axis=1)[:, sf - 1]
-        ranks[:nf] = sf
+        coefs[:kf, :nf], residuals[:, :nf], leverages[:, :nf] = _prefix_fits(Q[:, :kf], R[:kf, :kf], Y, sizes[:nf])
+        ranks[:nf] = sizes[:nf]
         svd = list(range(nf, nb))
 
     G, grown, a = (np.zeros((n, n)) if nb < M else None), 0, nb
@@ -320,17 +312,42 @@ def fit_all(data: Dataset, sizes) -> ModelFits:
         leverages[:, q] = np.sum(Ur * Ur, axis=1)
         ranks[q] = r
 
-    # Rank n interpolates exactly; this also fills the Gram route's columns.
+    return _filled(sizes, coefs, residuals, leverages, ranks)
+
+
+def _passing(R: np.ndarray) -> np.ndarray:
+    """The pivot test of every R[:k, :k] on running extrema of |diag R|, over any leading stack axes."""
+    dr = np.abs(R.diagonal(0, -2, -1))
+    return np.minimum.accumulate(dr, axis=-1) > _PIVOT_RATIO * np.maximum.accumulate(dr, axis=-1)
+
+
+def _prefix_fits(Q: np.ndarray, R: np.ndarray, Y: np.ndarray, sizes: np.ndarray):
+    """(coefs, residuals, leverages) of the prefixes ``sizes`` from Q R of their widest, over any stack axes.
+
+    R is upper triangular (its LU is R itself), so the solve against z = Q'Y cut to its first k_q rows
+    returns exact zeros below them: one solve fits every prefix.  A stacked design gets its 2-d bits.
+    """
+    z = (Q.swapaxes(-1, -2) @ Y[..., None])[..., 0]
+    coefs = np.linalg.solve(R, z[..., None] * (np.arange(R.shape[-1])[:, None] < sizes))
+    # take, unlike [..., sizes - 1], keeps each design's n x M block C-contiguous, as the RSS sum needs
+    residuals = Y[..., None] - (Q * z[..., None, :]).cumsum(axis=-1).take(sizes - 1, axis=-1)
+    return coefs, residuals, (Q * Q).cumsum(axis=-1).take(sizes - 1, axis=-1)
+
+
+def _filled(sizes, coefs, residuals, leverages, ranks) -> ModelFits:
+    """One design's ModelFits: a candidate of rank n interpolates exactly, which also fills the Gram
+    route's columns, and each RSS sums the design's own n x M residuals."""
+    n = residuals.shape[0]
     if (interpolating := ranks == n).any():
         residuals[:, interpolating] = 0.0
         leverages[:, interpolating] = 1.0
-    rss = (residuals * residuals).sum(axis=0)
-    return ModelFits(
-        n=n,
-        sizes=sizes,
-        coefs=coefs,
-        residuals=residuals,
-        leverages=leverages,
-        rss=rss,
-        ranks=ranks,
-    )
+    return ModelFits(n, sizes, coefs, residuals, leverages, (residuals * residuals).sum(axis=0), ranks)
+
+
+def _fit_stack(X: np.ndarray, Y: np.ndarray, sizes: np.ndarray) -> list[ModelFits | None]:
+    """``fit_all`` from one stacked QR of X (S x n x k_M, k_M <= n) and Y (S x n), ``sizes`` as checked there:
+    a design whose every prefix passes the pivot test gets fit_all's ModelFits bit for bit, any other None."""
+    Q, R = np.linalg.qr(X, mode="reduced")
+    ok = _passing(R).all(axis=-1)
+    fits = zip(*_prefix_fits(Q[ok], R[ok], Y[ok], sizes))
+    return [_filled(sizes, *next(fits), sizes) if passed else None for passed in ok]

@@ -52,10 +52,10 @@ The paths differ only in how they solve a face and where they start:
   Without the ridge (Mallows) it is weighted isotonic regression of
   t_i = -e_i / (2 d_i) with weights d_i, clipped to [0, 1], solved exactly
   by pool-adjacent-violators (Best & Chakravarti 1990) instead.  A step with
-  |d_i| <= 1e-12 max|A| is a tie: its curvature is roundoff, and its linear
-  term (Mallows has e_i <= 0) pushes C_i up, so it merges into the next block
-  (a block of ties alone sits at C = 1).  A d_i below -1e-12 max|A| is
-  negative curvature and raises ``ValueError``.
+  |d_i| <= 1e-12 max(1, max|A|, max|b|), the certificate's scale, is a tie:
+  its curvature is roundoff, and its linear term (Mallows has e_i <= 0) pushes
+  C_i up, so it merges into the next block (a block of ties alone sits at
+  C = 1).  A d_i below minus that is negative curvature: ``ValueError``.
 """
 
 from __future__ import annotations
@@ -256,7 +256,7 @@ def solve_simplex_qp(A: np.ndarray | GramForm | NestedForm, b: np.ndarray | None
         face = _gram_face(form.B, linear, scale)
         w, iterations, stopped = _active_set(face, functools.partial(_gradient, form, linear), [start], w, scale)
     elif A.r is None:  # pool-adjacent-violators is exact
-        (w, iterations), stopped = _pool_adjacent_violators(*cumulative, 1e-12 * peak), True
+        (w, iterations), stopped = _pool_adjacent_violators(*cumulative, 1e-12 * scale), True
     else:
         face = _tridiagonal_face(*cumulative, A.r)
         gradient = functools.partial(_gradient, A, b, cumulative=cumulative)

@@ -13,14 +13,20 @@ faces; the solver walks an active set instead.  The finite-n expected risk
 of a lone model, which the library does not compute, is here from the
 inverse-Wishart trace moments.  A risk surface is here as it was once
 built, one grid row at a time with each diagonal block taken by slices;
-the library forms a block of rows at once.
+the library forms a block of rows at once.  A repeated-split evaluation is
+here as it was once run, one ``fit_all`` per split; the library fits a
+chunk of splits from one stacked QR.
 """
 
 from dataclasses import dataclass
 from itertools import combinations
 
+import warnings
+
 import numpy as np
 
+from lama import experiments as xp
+from lama.models import Dataset, fit_all
 from lama.qp import GramForm, NestedForm
 import lama.risk_theory as rt
 from lama.risk_theory import BOUNDARY_DELTA, _theorem1_inputs
@@ -344,3 +350,42 @@ def per_row_surface(n_values, m_values, profile, sigma2: float, weighting: str, 
         bias[row] = np.cumsum(bb)[m_values - 1] / U**2
         variance[row] = np.cumsum(bv)[m_values - 1] / U**2
     return bias.reshape(-1), variance.reshape(-1)
+
+
+def per_split_evaluation(data, n_train: int, reps: int, seed: int, methods, max_models=None) -> list[dict]:
+    """``evaluate_real``'s rows, each split fitted by its own ``fit_all``.
+
+    Each split draws from its own ``rng_for(seed, "real-split", n_train, rep)``
+    stream, redrawing a constant training response at most 99 times, and is
+    dropped when it stays constant or its fit or a weight choice raises.
+    """
+    X, sizes = xp._nested_candidates(data, n_train, max_models)
+    Y, N = data.Y, data.n
+    kept, dropped, redraws = [], 0, 0
+    for rep in range(reps):
+        rng = xp.rng_for(seed, "real-split", n_train, rep)
+        for draw in range(100):
+            idx = rng.permutation(N)
+            if np.ptp(Y[idx[:n_train]]) > 0.0:
+                break
+        redraws += draw
+        tr, te = idx[:n_train], idx[n_train:]
+        if np.ptp(Y[tr]) == 0.0:
+            dropped += 1
+            continue
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                fits = fit_all(Dataset(Y=Y[tr], X=X[tr]), sizes)
+                choices = {m: xp.compute_weights(fits, m) for m in methods}
+        except (ValueError, np.linalg.LinAlgError):
+            dropped += 1
+            continue
+        pred = fits.predict(X[te])
+        kept.append({m: float(((pred @ c.weights - Y[te]) ** 2).sum()) / (N - n_train) for m, c in choices.items()})
+    rows = []
+    for method in methods:
+        mean, var = xp._mean_var([errors[method] for errors in kept])
+        rows.append({"method": method, "n_train": n_train, "test_err_mean": mean, "test_err_var": var,
+                     "reps": len(kept), "excluded": dropped, "redraws": redraws})
+    return rows

@@ -44,7 +44,7 @@ from lama.models import Dataset, fit_all
 from lama.risk_theory import PowerLawProfile, risk_surface
 
 from conftest import make_fits
-from oracles import finite_single_model_risk, lama_criterion_value, single_model_risk, value
+from oracles import finite_single_model_risk, lama_criterion_value, per_split_evaluation, single_model_risk, value
 
 
 @pytest.fixture(autouse=True)
@@ -186,6 +186,18 @@ class TestComputeWeights:
         prog = crit.mma_program(fits, choice.sigma2_hat)
         assert choice.criterion_value == pytest.approx(value(prog, choice.weights))
         assert choice.sigma2_hat == pytest.approx(crit.sigma_hat(fits))
+
+    def test_mallows_on_a_constant_response_takes_the_smallest_candidate(self):
+        # y = 2 on 12 rows beside two Gaussian regressors: the intercept fits
+        # exactly, so every RSS is roundoff (4.9e-32, 6.4e-31 and 1.3e-30),
+        # rising with k where nested fits cannot.  Each step's curvature is
+        # then a tie at 1e-12 times the solve's scale, not a negative one.
+        X = np.column_stack([np.ones(12), np.random.default_rng(0).standard_normal((12, 2))])
+        fits = fit_all(Dataset(Y=np.full(12, 2.0), X=X, has_intercept=True), (1, 2, 3))
+        assert np.all(np.diff(fits.rss) > 0.0)
+        choice = compute_weights(fits, "mma")
+        assert choice.status == "converged"
+        np.testing.assert_array_equal(choice.weights, [1.0, 0.0, 0.0])
 
     def test_interpolating_candidates_are_zero_weighted(self):
         fits, _, _ = make_fits(9, n=10, sizes=(2, 10), p=10)
@@ -606,6 +618,104 @@ class TestEvaluateReal:
         fields = lines[1].split(",")
         assert fields[0] == "mma"
         assert float(fields[2]) == rows[0]["test_err_mean"]
+
+
+def sparse_dataset(N: int, sparse_row: int, near_row: int | None = None, seed: int = 0) -> Dataset:
+    """N rows: an intercept, three Gaussian regressors, one that is nonzero in ``sparse_row`` only
+    and, given ``near_row``, one that repeats the first Gaussian but for 1e-6 in that row.
+
+    A training split without ``sparse_row`` has an exactly zero pivot, and one without ``near_row``
+    a dependent column; with ``near_row`` the design is near-singular but passes the pivot test.
+    """
+    rng = np.random.default_rng(seed)
+    G = rng.standard_normal((N, 3))
+    sparse = np.zeros(N)
+    sparse[sparse_row] = 1.0
+    columns = [np.ones(N), G, sparse]
+    if near_row is not None:
+        near = G[:, 0].copy()
+        near[near_row] += 1e-6
+        columns.append(near)
+    return Dataset(Y=G @ [1.0, -0.5, 0.25] + rng.standard_normal(N), X=np.column_stack(columns), has_intercept=True)
+
+
+@pytest.fixture
+def fit_calls(monkeypatch):
+    """Counts of np.linalg.qr and experiments.fit_all calls from here on."""
+    calls = {"qr": 0, "fit_all": 0}
+    qr, fit = np.linalg.qr, xp.fit_all
+
+    def count_qr(*args, **kwargs):
+        calls["qr"] += 1
+        return qr(*args, **kwargs)
+
+    def count_fit(*args):
+        calls["fit_all"] += 1
+        return fit(*args)
+
+    monkeypatch.setattr(np.linalg, "qr", count_qr)
+    monkeypatch.setattr(xp, "fit_all", count_fit)
+    return calls
+
+
+class TestEvalChunks:
+    """A chunk of splits is fitted from one stacked QR, bit for bit as one fit_all per split."""
+
+    def test_a_chunk_of_passing_designs(self, fit_calls):
+        data = load_builtin("crime")
+        reference = per_split_evaluation(data, 18, 20, 0, QUADRATIC_METHODS)
+        fit_calls.update(qr=0, fit_all=0)
+        assert evaluate_real(data, 18, reps=20, seed=0) == reference
+        assert fit_calls == {"qr": 1, "fit_all": 0}
+
+    def test_singular_and_near_singular_designs_take_fit_all(self, fit_calls):
+        data = sparse_dataset(40, sparse_row=7, near_row=11)
+        reference = per_split_evaluation(data, 20, 30, 1, QUADRATIC_METHODS, max_models=6)
+        fit_calls.update(qr=0, fit_all=0)
+        assert evaluate_real(data, 20, reps=30, seed=1, max_models=6) == reference
+        assert 0 < fit_calls["fit_all"] < 30
+        assert fit_calls["qr"] == 1 + fit_calls["fit_all"]
+
+    def test_one_failing_design_costs_one_fit_all(self, fit_calls):
+        # With n_train = N - 1 the only test row decides: the split that leaves row r out
+        # trains on an exactly zero column, and every other split keeps row r.
+        test_rows = [rng_for(0, "real-split", 39, rep).permutation(40)[39] for rep in range(20)]
+        assert test_rows.count(test_rows[3]) == 1
+        data = sparse_dataset(40, sparse_row=test_rows[3])
+        reference = per_split_evaluation(data, 39, 20, 0, ("mma", "lama"), max_models=5)
+        fit_calls.update(qr=0, fit_all=0)
+        assert evaluate_real(data, 39, reps=20, seed=0, methods=("mma", "lama"), max_models=5) == reference
+        assert fit_calls == {"qr": 2, "fit_all": 1}
+
+    def test_interpolating_candidates_are_filled(self, fit_calls):
+        # max_models = n_train: the widest candidate has rank n, so its residuals are exactly 0.
+        data = load_builtin("crime")
+        reference = per_split_evaluation(data, 12, 30, 1, QUADRATIC_METHODS, max_models=12)
+        fit_calls.update(qr=0, fit_all=0)
+        assert evaluate_real(data, 12, reps=30, seed=1, max_models=12) == reference
+        assert fit_calls == {"qr": 1, "fit_all": 0}
+
+    def test_past_the_boundary_every_design_takes_fit_all(self, fit_calls):
+        data = load_builtin("crime")
+        reference = per_split_evaluation(data, 12, 30, 1, QUADRATIC_METHODS, max_models=14)
+        fit_calls.update(qr=0, fit_all=0)
+        assert evaluate_real(data, 12, reps=30, seed=1, max_models=14) == reference
+        assert fit_calls["fit_all"] == 30
+
+    def test_a_partial_last_chunk(self, fit_calls):
+        reps = xp._CHUNK_SPLITS + 5
+        data = load_builtin("mtcars")
+        reference = per_split_evaluation(data, 24, reps, 2, ("mma", "jma"))
+        fit_calls.update(qr=0, fit_all=0)
+        assert evaluate_real(data, 24, reps=reps, seed=2, methods=("mma", "jma")) == reference
+        assert fit_calls == {"qr": 2, "fit_all": 0}
+
+    def test_chunks_in_two_workers(self, monkeypatch):
+        reps = 2 * xp._CHUNK_SPLITS + 10
+        data = load_builtin("crime")
+        reference = per_split_evaluation(data, 18, reps, 3, QUADRATIC_METHODS)
+        monkeypatch.setenv("LAMA_THREADS", "2")
+        assert evaluate_real(data, 18, reps=reps, seed=3) == reference
 
 
 class TestValidateRmt:
