@@ -10,7 +10,6 @@ front end (``cli``).
 
 from .criteria import (
     QuadraticProgram,
-    SingularLooError,
     info_criterion_weights,
     jma_program,
     lama_program,
@@ -54,7 +53,6 @@ __all__ = [
     "QuadraticProgram",
     "RiskSurface",
     "SimulationConfig",
-    "SingularLooError",
     "SolveReport",
     "WeightChoice",
     "compute_weights",

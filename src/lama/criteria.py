@@ -11,6 +11,10 @@ is set analytically from the dispersion of the per-candidate variance and
 bias diagnostics.  Information-criterion scores (AIC/BIC, plus smoothed
 variants) round out the baselines.
 
+Each builder scores every candidate it is given and raises ``ValueError`` on one it
+cannot score: leverage at 1 (``jma_program``), k >= n (``lama_vectors``) or RSS <= 0
+(``info_criterion_weights``).  ``lama.experiments.compute_weights`` drops those first.
+
 The nesting does the work of the residual quadratic form: projections onto
 nested spans satisfy (I - P_q)(I - P_l) = I - P_max(q,l), so
 e_q'e_l = RSS_max(q,l).  The Mallows and large-model programs are therefore
@@ -29,7 +33,6 @@ A = B'B (``lama.qp.GramForm``), which the solver reads without forming A.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,7 +43,6 @@ from .risk_theory import below_boundary_variance
 
 __all__ = [
     "QuadraticProgram",
-    "SingularLooError",
     "XI_CLAMP",
     "SIGMA_FLOOR",
     "sigma_hat",
@@ -58,18 +60,6 @@ __all__ = [
 LEVERAGE_GUARD = 1e-8
 XI_CLAMP = (1e-6, 1e6)
 SIGMA_FLOOR = 0.2
-
-
-class SingularLooError(ValueError):
-    """Raised when a candidate's leverage reaches 1 and leave-one-out
-    residuals are undefined; ``flagged`` lists the offending candidates."""
-
-    def __init__(self, flagged):
-        self.flagged = tuple(int(i) for i in flagged)
-        super().__init__(
-            f"candidates {self.flagged} have leverage at 1 (interpolating); "
-            "exclude them before building the leave-one-out program"
-        )
 
 
 @dataclass(frozen=True)
@@ -125,10 +115,10 @@ def loo_flagged(fits: ModelFits) -> np.ndarray:
 
 def jma_program(fits: ModelFits) -> QuadraticProgram:
     """Leave-one-out criterion: w' (E~'E~/n) w with e~_iq = e_iq / (1 - h_iq), held as
-    the ``GramForm`` of B = E~/sqrt(n), so A = B'B is never formed."""
-    flagged = loo_flagged(fits)
-    if flagged.any():
-        raise SingularLooError(flagged.nonzero()[0])
+    the ``GramForm`` of B = E~/sqrt(n), so A = B'B is never formed.  A candidate that ``loo_flagged``
+    marks raises ``ValueError``: its leave-one-out residuals are undefined."""
+    if loo_flagged(fits).any():
+        raise ValueError("a candidate with leverage at 1 has no leave-one-out residuals; drop it first")
     B = fits.residuals / ((1.0 - fits.leverages) * math.sqrt(fits.n))
     return QuadraticProgram(GramForm(B), np.zeros(fits.M))
 
@@ -192,31 +182,20 @@ def info_criterion_weights(fits: ModelFits, kind: str) -> np.ndarray:
     """AIC/BIC selection weights or their smoothed (softmax) variants.
 
     Scores: AIC_q = n log(RSS_q/n) + 2 k_q, BIC_q = n log(RSS_q/n) + k_q log n.
-    "aic"/"bic" put mass 1 on the minimizer; "saic"/"sbic" use weights
-    proportional to exp(-score/2).  Interpolating candidates (RSS = 0) are
-    excluded with a warning since their score is undefined.
+    "aic"/"bic" put mass 1 on the first minimizer; "saic"/"sbic" use weights
+    proportional to exp(-score/2).  The score of an interpolating candidate
+    (RSS = 0) is undefined, so any RSS <= 0 raises ``ValueError``.
     """
     kind = kind.lower()
     if kind not in {"aic", "bic", "saic", "sbic"}:
         raise ValueError(f"unknown information criterion {kind!r}")
-    n = fits.n
-    usable = fits.rss > 0.0
-    if not np.all(usable):
-        warnings.warn(
-            f"excluding {int(np.sum(~usable))} interpolating candidate(s) "
-            f"from {kind.upper()} (zero residual sum of squares)",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    if not np.any(usable):
-        raise ValueError("all candidates interpolate; information criteria undefined")
-    scores = np.full(fits.M, np.inf)
-    mult = 2.0 if kind in {"aic", "saic"} else math.log(n)
-    scores[usable] = n * np.log(fits.rss[usable] / n) + mult * fits.sizes[usable]
+    if not (fits.rss > 0.0).all():
+        raise ValueError("information criteria need every RSS > 0; drop the interpolating candidates first")
+    mult = 2.0 if kind in {"aic", "saic"} else math.log(fits.n)
+    scores = fits.n * np.log(fits.rss / fits.n) + mult * fits.sizes
+    if kind in {"saic", "sbic"}:
+        z = np.exp(-(scores - scores.min()) / 2.0)
+        return z / z.sum()
     w = np.zeros(fits.M)
-    if kind in {"aic", "bic"}:
-        w[int(np.argmin(scores))] = 1.0
-    else:
-        z = np.exp(-(scores[usable] - scores[usable].min()) / 2.0)
-        w[usable] = z / z.sum()
+    w[int(np.argmin(scores))] = 1.0
     return w

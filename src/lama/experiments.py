@@ -26,7 +26,8 @@ import numpy as np
 from . import criteria as crit
 from .models import Dataset, _candidate_sizes, _fit_stack, default_model_counts, fit_all, order_by_cp
 from .qp import solve_simplex_qp
-from .risk_theory import InputError, PowerLawProfile, _counts, _exact, _theorem1_inputs, _weighted_borders
+from .risk_theory import (_BLOCK_ENTRIES, InputError, PowerLawProfile, _counts, _exact, _theorem1_inputs,
+                          _weighted_borders)
 
 __all__ = [
     "rng_for",
@@ -133,9 +134,8 @@ def _replicate(outcomes: list) -> tuple[list, int, int]:
 class WeightChoice:
     """One method's chosen weights on the full candidate list.
 
-    Candidates a method cannot handle carry weight 0 and appear in ``excluded``:
-    interpolating ones for ``jma`` and the information criteria, and those with
-    k >= n for ``lama``.  The quadratic methods keep their solve's ``status``,
+    Candidates a method cannot score carry weight 0 and appear in ``excluded``
+    (see ``compute_weights``).  The quadratic methods keep their solve's ``status``,
     ``iterations`` and ``kkt_residual``; ``to_record`` leaves them out.
     """
 
@@ -159,49 +159,56 @@ class WeightChoice:
         }
 
 
-# Candidates each criterion cannot score: (criterion name, what every dropped candidate does).
-_EXCLUSION = {"jma": ("leave-one-out", "interpolates"), "lama": ("large-model", "has k >= n (boundary)")}
+# The candidates each method can score: (criterion name, what every dropped candidate does, keep mask).
+_KEEP = {"jma": ("leave-one-out", "interpolates", lambda fits: ~crit.loo_flagged(fits)),
+         "lama": ("large-model", "has k >= n (boundary)", lambda fits: fits.sizes < fits.n),
+         **{kind: (kind.upper(), "is interpolating (RSS = 0)", lambda fits: fits.rss > 0.0)
+            for kind in ("aic", "bic", "saic", "sbic")}}
 
 
 def compute_weights(fits, method: str) -> WeightChoice:
-    """Chosen weights for one method tag (see ALL_METHODS)."""
+    """Chosen weights for one method tag (see ALL_METHODS).
+
+    Each candidate that a ``_KEEP`` rule drops gets weight 0 and is named in ``excluded`` and in a
+    warning attributed to the caller; a method that keeps no candidate raises ``ValueError``."""
     (method,) = _method_tags([method])
     M = fits.M
 
     if method == "uniform":
         return WeightChoice(method, np.full(M, 1.0 / M))
 
-    if method in {"aic", "bic", "saic", "sbic"}:
-        w = crit.info_criterion_weights(fits, method)
-        excluded = tuple(int(i) for i in np.flatnonzero(fits.rss <= 0.0))
-        return WeightChoice(method, w, excluded=excluded)
-
-    s2 = None if method == "jma" else crit.sigma_hat(fits)
-    xi_val, scale, dropped = None, 1, ()
-    if method == "mma":
-        program = crit.mma_program(fits, s2)
-    else:
-        keep = ~crit.loo_flagged(fits) if method == "jma" else fits.sizes < fits.n
+    s2 = crit.sigma_hat(fits) if method in {"mma", "lama"} else None
+    sub, dropped, xi_val, scale = fits, (), None, 1
+    if method in _KEEP:
+        name, why, rule = _KEEP[method]
+        keep = rule(fits)
         dropped = tuple((~keep).nonzero()[0].tolist())
-        name, why = _EXCLUSION[method]
         if dropped:
             warnings.warn(f"{name} criterion: excluding candidate(s) {list(dropped)}; each {why}",
                           RuntimeWarning, stacklevel=2)
-        if not keep.any():
-            raise ValueError(f"every candidate {why}; {name} criterion undefined")
-        sub = fits.subset(keep) if dropped else fits
-        if method == "jma":
+            if len(dropped) == M:
+                raise ValueError(f"every candidate {why}; {name} criterion undefined")
+            sub = fits.subset(keep)
+    if method not in QUADRATIC_METHODS:  # an information criterion
+        kept, report = crit.info_criterion_weights(sub, method), None
+    else:
+        if method == "mma":
+            program = crit.mma_program(fits, s2)
+        elif method == "jma":
             program = crit.jma_program(sub)
         else:
             g, h = crit.lama_vectors(sub, s2)
             xi_val = crit.xi(h, g)  # a ratio of ratios: the diagonals h/n and g/n give the same value
             # the program is on the n-scale; report the per-observation criterion
             program, scale = crit.lama_program(g, h, xi_val), sub.n
-    report = solve_simplex_qp(program.A, program.b)
-    w = report.weights
+        report = solve_simplex_qp(program.A, program.b)
+        kept = report.weights
+    w = kept
     if dropped:  # the dropped candidates keep weight 0
         w = np.zeros(M)
-        w[keep] = report.weights
+        w[keep] = kept
+    if report is None:
+        return WeightChoice(method, w, excluded=dropped)
     return WeightChoice(method, w, report.objective / scale, s2, xi_val, dropped, report.status,
                         report.iterations, report.kkt_residual)
 
@@ -355,8 +362,8 @@ def _fit_and_weigh(fit, methods):
 
     Returns (ModelFits, {method: WeightChoice}, None), or (None, None,
     reason) when the fit or a weight choice raises.  Runtime warnings
-    (excluded candidates, floors) are silenced, as the harnesses run many
-    replications.
+    (``compute_weights``'s excluded candidates, for one) are silenced, as
+    the harnesses run many replications.
     """
     try:
         with warnings.catch_warnings():
@@ -446,7 +453,7 @@ def _nested_candidates(data: Dataset, n_fit: int, max_models: int | None = None)
     return data.X[:, order_by_cp(data)], np.arange(1, M + 1)
 
 
-_CHUNK_SPLITS, _CHUNK_ENTRIES = 64, 1 << 16  # splits per chunk, fewer where their designs pass this many entries
+_CHUNK_SPLITS = 64  # splits per chunk, fewer where their stacked designs pass _BLOCK_ENTRIES entries
 
 
 def _real_split(rng, Y, n_train: int):
@@ -509,7 +516,7 @@ def evaluate_real(
     methods = _method_tags(methods)
     X, sizes = _nested_candidates(data, n_train, max_models)
 
-    step = max(1, min(_CHUNK_SPLITS, _CHUNK_ENTRIES // (n_train * int(sizes[-1]))))
+    step = max(1, min(_CHUNK_SPLITS, _BLOCK_ENTRIES // (n_train * int(sizes[-1]))))
     tasks = [(X, data.Y, sizes, n_train, methods, seed, range(a, min(a + step, reps))) for a in range(0, reps, step)]
     kept, dropped, redraws = _replicate([one for chunk in _pmap(_real_splits, tasks) for one in chunk])
     rows = []

@@ -130,7 +130,7 @@ def _theorem1_inputs(c, norms2, total_norm2: float) -> tuple[np.ndarray, np.ndar
     return c, norms2
 
 
-# Entries of an array formed at once: a block of grid rows, or of the across-boundary rectangle.
+# Entries of an array formed at once: grid rows, the across-boundary rectangle or an eval chunk's stacked designs.
 _BLOCK_ENTRIES = 1 << 16
 
 

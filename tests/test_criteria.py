@@ -18,7 +18,6 @@ from lama.criteria import (
     SIGMA_FLOOR,
     XI_CLAMP,
     QuadraticProgram,
-    SingularLooError,
     b_in_diag,
     info_criterion_weights,
     jma_program,
@@ -202,9 +201,8 @@ class TestLeaveOneOut:
     def test_interpolating_candidate_is_flagged_and_fatal(self):
         fits, _, _ = make_fits(29, n=10, sizes=(2, 10), p=10, noise=0.5)
         np.testing.assert_array_equal(loo_flagged(fits), [False, True])
-        with pytest.raises(SingularLooError) as err:
+        with pytest.raises(ValueError, match="leverage at 1"):
             jma_program(fits)
-        assert err.value.flagged == (1,)
 
     def test_clean_fits_are_unflagged(self):
         fits, _, _ = make_fits(29, n=24, sizes=(1, 3, 6))
@@ -361,20 +359,17 @@ class TestInfoCriterionWeights:
             info_criterion_weights(fits, "saic"), z / z.sum(), rtol=1e-10
         )
 
-    def test_interpolating_candidates_are_excluded_with_warning(self):
+    def test_interpolating_candidates_are_rejected(self):
+        # Dropping them is compute_weights's job; the scores reject RSS = 0.
         fits = summary_fits(10, (1, 10), (4.0, 0.0))
-        with pytest.warns(RuntimeWarning, match="interpolating"):
-            w = info_criterion_weights(fits, "aic")
-        np.testing.assert_array_equal(w, [1.0, 0.0])
-        with pytest.warns(RuntimeWarning):
-            w = info_criterion_weights(fits, "saic")
-        np.testing.assert_array_equal(w, [1.0, 0.0])
+        for kind in ("aic", "bic", "saic", "sbic"):
+            with pytest.raises(ValueError, match="RSS > 0"):
+                info_criterion_weights(fits, kind)
 
     def test_all_interpolating_raises(self):
         fits = summary_fits(10, (9, 10), (0.0, 0.0))
-        with pytest.warns(RuntimeWarning):
-            with pytest.raises(ValueError, match="all candidates interpolate"):
-                info_criterion_weights(fits, "bic")
+        with pytest.raises(ValueError, match="RSS > 0"):
+            info_criterion_weights(fits, "bic")
 
     def test_unknown_kind_raises(self):
         fits = summary_fits(10, (1,), (4.0,))

@@ -227,6 +227,35 @@ class TestComputeWeights:
                 assert np.all(choice.weights[19:] == 0.0)
                 assert choice.weights.sum() == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("kind", ["aic", "bic", "saic", "sbic"])
+    def test_information_criteria_score_only_the_kept_candidates(self, kind):
+        # The candidates with k >= n = 10 interpolate (RSS = 0): compute_weights drops them,
+        # scores the rest and spreads those weights back, naming the dropped ones.
+        fits, _, _ = make_fits(9, n=10, sizes=(2, 5, 10, 12), p=12)
+        kept = fits.rss > 0.0
+        assert kept.tolist() == [True, True, False, False]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            choice = compute_weights(fits, kind)
+        expected = np.zeros(4)
+        expected[kept] = crit.info_criterion_weights(fits.subset(kept), kind)
+        assert choice.weights.tobytes() == expected.tobytes()
+        (message,) = [str(w.message) for w in caught]
+        assert choice.excluded == (2, 3)
+        assert f"excluding candidate(s) {list(choice.excluded)}" in message
+        everything, _, _ = make_fits(13, n=6, sizes=(6, 8), p=8)
+        with pytest.warns(RuntimeWarning, match="interpolating"):
+            with pytest.raises(ValueError, match="every candidate .*undefined"):
+                compute_weights(everything, kind)
+
+    def test_exclusion_warnings_name_the_calling_file(self):
+        fits, _, _ = make_fits(9, n=10, sizes=(2, 10), p=10)
+        for method in ("jma", "lama", "aic", "bic", "saic", "sbic"):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                compute_weights(fits, method)
+            assert [w.filename for w in caught] == [__file__], method
+
     def test_large_model_criterion_is_per_observation(self):
         fits, _, _ = make_fits(11, n=24, sizes=(1, 3, 6, 10))
         choice = compute_weights(fits, "lama")
