@@ -26,8 +26,8 @@ the rejected field; with ``simulate --config`` it keeps the config field's name.
 Determinism: all science parameters are explicit flags or config entries;
 the only environment control is LAMA_THREADS (worker processes for
 replication loops of every harness), which never changes output bytes.
-Where threadpoolctl is installed, BLAS pools in workers are pinned to one
-thread so that workers do not oversubscribe the cores.
+Where threadpoolctl is installed, every run pins BLAS to one thread, in the
+``lama`` process itself and in each worker, so workers do not oversubscribe the cores.
 """
 
 from __future__ import annotations

@@ -62,10 +62,10 @@ XI_CLAMP = (1e-6, 1e6)
 SIGMA_FLOOR = 0.2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuadraticProgram:
-    """Criterion w'Aw + b'w over M candidates, A the ``GramForm`` or ``NestedForm`` that describes
-    it (``TypeError`` otherwise); a dense M x M program goes to ``lama.qp.solve_simplex_qp`` itself."""
+    """Criterion w'Aw + b'w over M candidates, compared by identity; A is the ``GramForm`` or ``NestedForm``
+    that describes it (``TypeError`` otherwise); a dense M x M program goes to ``lama.qp.solve_simplex_qp``."""
 
     A: GramForm | NestedForm
     b: np.ndarray

@@ -27,7 +27,7 @@ from . import criteria as crit
 from .models import Dataset, _candidate_sizes, _fit_stack, default_model_counts, fit_all, order_by_cp
 from .qp import solve_simplex_qp
 from .risk_theory import (_BLOCK_ENTRIES, InputError, PowerLawProfile, _counts, _exact, _theorem1_inputs,
-                          _weighted_borders)
+                          _weighted_borders, above_boundary_variance, below_boundary_variance)
 
 __all__ = [
     "rng_for",
@@ -130,13 +130,13 @@ def _replicate(outcomes: list) -> tuple[list, int, int]:
 # Weight choice dispatch
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeightChoice:
     """One method's chosen weights on the full candidate list.
 
     Candidates a method cannot score carry weight 0 and appear in ``excluded``
     (see ``compute_weights``).  The quadratic methods keep their solve's ``status``,
-    ``iterations`` and ``kkt_residual``; ``to_record`` leaves them out.
+    ``iterations`` and ``kkt_residual``; ``to_record`` leaves them out.  Compares by identity.
     """
 
     method: str
@@ -593,10 +593,10 @@ def validate_rmt(n: int, c: float, reps: int, seed: int, theta: np.ndarray | Non
     report = {"n": n, "k": k, "c": float(c), "reps": reps, "retries": retries}
     trace, ratio = float(np.mean([t for t, _ in kept])), k / n
     if over:
-        report["trace_pinv"] = _compare(trace, 1.0 / (ratio - 1.0))
+        report["trace_pinv"] = _compare(trace, above_boundary_variance(ratio, 1.0))
         report["signal_quadratic_form"] = _compare(float(np.mean([q for _, q in kept])), float(theta @ theta) / ratio)
     else:
-        report["trace_inverse"] = _compare(trace, ratio / (1.0 - ratio))
+        report["trace_inverse"] = _compare(trace, below_boundary_variance(ratio, 1.0))
     return report
 
 

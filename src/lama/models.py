@@ -44,9 +44,9 @@ def _forward(L: np.ndarray, B: np.ndarray) -> np.ndarray:
     return np.linalg.solve(L[::-1, ::-1], B[::-1])[::-1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
-    """Response vector plus full design matrix.
+    """Response vector plus full design matrix; it compares by identity.
 
     When ``has_intercept`` is set, column 0 of X is ones, which ``order_by_cp``
     seeds as the first regressor; a broken rule is an ``InputError`` naming ``data``.
@@ -84,13 +84,13 @@ class Dataset:
         return self.X.shape[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ModelFits:
     """All candidates fitted on one dataset.
 
     residuals, leverages are n x M with one column per candidate; coefs is
     k_M x M, column q holding candidate q's coefficients in its first k_q
-    rows and zeros below.  Immutable after construction.
+    rows and zeros below.  Immutable after construction; compares by identity.
     """
 
     n: int

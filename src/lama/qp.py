@@ -71,8 +71,9 @@ __all__ = ["GramForm", "NestedForm", "SolveReport", "simplex_project", "solve_si
 _MAX_ITER = 10_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SolveReport:
+    """A solve's weights and certificate; it compares by identity."""
     weights: np.ndarray
     objective: float
     iterations: int
@@ -80,9 +81,9 @@ class SolveReport:
     kkt_residual: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GramForm:
-    """A = B'B of a Gram program, for an n x M array B; the solver never forms A."""
+    """A = B'B of a Gram program, for an n x M array B; the solver never forms A.  Compares by identity."""
 
     B: np.ndarray
 
@@ -98,9 +99,9 @@ class GramForm:
         return self._diagonal
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NestedForm:
-    """A(q,l) = g[max(q,l)] + h[min(q,l)] + 1{q=l} r_q of a nested program; ``r`` None for no ridge."""
+    """A(q,l) = g[max(q,l)] + h[min(q,l)] + 1{q=l} r_q, ``r`` None for no ridge; compares by identity."""
 
     g: np.ndarray
     h: np.ndarray

@@ -87,12 +87,17 @@ def below_boundary_variance(c, sigma2):
     return sigma2 * c / (1.0 - c)
 
 
+def above_boundary_variance(c, sigma2):
+    """The Theorem-1 variance entry sigma2 / (c - 1) of a pair whose larger ratio c is above the boundary."""
+    return sigma2 / (c - 1.0)
+
+
 def _factors(c, norms2, re2, sigma2):
     """Masks (lo, hi) of the ratios c below and above [1 - BOUNDARY_DELTA, 1 + BOUNDARY_DELTA], and the
     factors (v, p, q) of the Theorem-1 diagonal blocks, whose entries read the smaller candidate as [min]:
       below: D_V = v[min], D_B = p[min] q[max]; v = below_boundary_variance(c), p = 1 / (1 - c), q = re2;
       above: D_V = v[max], D_B = p[min] + (norms2[max] - norms2[min]) + q[max];
-        v = sigma2 / (c - 1), p = (c - 1) / c * norms2, q = c / (c - 1) * re2.
+        v = above_boundary_variance(c), p = (c - 1) / c * norms2, q = c / (c - 1) * re2.
     c is a block of increasing grid rows, candidates on the last axis (1-D: one row), and norms2 and re2
     are per candidate, so lo is a prefix of each row and hi a suffix; each formula is evaluated on its own
     entries only.  A lone candidate is its diagonal entry: variance v, bias p q below and p + q above.
@@ -103,7 +108,7 @@ def _factors(c, norms2, re2, sigma2):
     v, p, q = np.full((3, *c.shape), np.inf)
     cl, ch = c[lo], c[hi]
     v[lo], p[lo], q[lo] = below_boundary_variance(cl, sigma2), 1.0 / (1.0 - cl), r2[lo]
-    v[hi], p[hi], q[hi] = sigma2 / (ch - 1.0), (ch - 1.0) / ch * n2[hi], ch / (ch - 1.0) * r2[hi]
+    v[hi], p[hi], q[hi] = above_boundary_variance(ch, sigma2), (ch - 1.0) / ch * n2[hi], ch / (ch - 1.0) * r2[hi]
     return lo, hi, v, p, q
 
 
@@ -261,9 +266,9 @@ class PowerLawProfile:
         return self._sq_prefix()[k]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RiskSurface:
-    """Flattened (n, M) grid of limiting risks, row-major over the grid."""
+    """Flattened (n, M) grid of limiting risks, row-major over the grid; it compares by identity."""
 
     n: np.ndarray
     M: np.ndarray
