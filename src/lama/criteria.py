@@ -28,6 +28,9 @@ the vectors in O(M), without forming the M x M matrix.  Only the jackknife
 program reads the n x M residuals: its leave-one-out residuals
 e_iq / (1 - h_iq) have no such reduction, and it holds B = E~/sqrt(n) as
 A = B'B (``lama.qp.GramForm``), which the solver reads without forming A.
+
+Fits stacked on leading axes (``ModelFits``), with one sigma2 and xi per fit, give
+``sigma_hat`` and the Mallows and large-model builders one value or program per fit.
 """
 
 from __future__ import annotations
@@ -73,7 +76,7 @@ class QuadraticProgram:
     def __post_init__(self):
         if not isinstance(self.A, (GramForm, NestedForm)):
             raise TypeError(f"A must be a GramForm or NestedForm, got {type(self.A).__name__}")
-        object.__setattr__(self, "b", np.asarray(self.b, dtype=np.float64).reshape(-1))
+        object.__setattr__(self, "b", np.asarray(self.b, dtype=np.float64))
 
 
 def sigma_hat(fits: ModelFits) -> float:
@@ -96,15 +99,16 @@ def sigma_hat(fits: ModelFits) -> float:
     guarded = (below & (sizes <= n - 5)).nonzero()[0]
     K = ref[-1]
     G = guarded[-1] if guarded.size else K
-    ref_ratio, guard_ratio = float(fits.rss[K]) / (n - int(sizes[K])), float(fits.rss[G]) / (n - int(sizes[G]))
-    return max(ref_ratio, SIGMA_FLOOR * guard_ratio)
+    ref_ratio, guard_ratio = fits.rss[..., K] / (n - int(sizes[K])), fits.rss[..., G] / (n - int(sizes[G]))
+    return np.maximum(ref_ratio, SIGMA_FLOOR * guard_ratio)
 
 
 def mma_program(fits: ModelFits, sigma2_hat: float) -> QuadraticProgram:
     """Mallows criterion: w' (e'e/n) w + 2 sigma2_hat sum_q w_q k_q / n."""
-    if sigma2_hat < 0.0 or not math.isfinite(sigma2_hat):
+    if not all(0.0 <= s < math.inf for s in np.ravel(sigma2_hat).tolist()):
         raise ValueError("sigma2_hat must be finite and nonnegative")
-    return QuadraticProgram(NestedForm(fits.rss / fits.n, np.zeros(fits.M)), 2.0 * sigma2_hat * fits.sizes / fits.n)
+    b = 2.0 * np.asarray(sigma2_hat)[..., None] * fits.sizes / fits.n
+    return QuadraticProgram(NestedForm(fits.rss / fits.n, np.zeros(fits.rss.shape)), b)
 
 
 def loo_flagged(fits: ModelFits) -> np.ndarray:
@@ -129,15 +133,14 @@ def xi(v_diag: np.ndarray, b_diag: np.ndarray) -> float:
     (max v / min v) / (max b / min b) across candidates, clamped to XI_CLAMP
     to guard degenerate dispersion ratios on tiny candidate sets.
     """
-    v = np.asarray(v_diag, dtype=np.float64).reshape(-1)
-    bd = np.asarray(b_diag, dtype=np.float64).reshape(-1)
+    v, bd = np.atleast_1d(np.asarray(v_diag, dtype=np.float64), np.asarray(b_diag, dtype=np.float64))
     if v.size == 0 or v.shape != bd.shape:
         raise ValueError("diagnostic vectors must be non-empty and equally long")
     # NaN propagates through min and max, so the four extremes check every entry.
-    v_lo, v_hi, b_lo, b_hi = v.min(), v.max(), bd.min(), bd.max()
-    if not (v_lo > 0.0 and b_lo > 0.0 and v_hi < math.inf and b_hi < math.inf):
+    v_lo, v_hi, b_lo, b_hi = v.min(-1), v.max(-1), bd.min(-1), bd.max(-1)
+    if not ((v_lo > 0.0) & (b_lo > 0.0) & (v_hi < math.inf) & (b_hi < math.inf)).all():
         raise ValueError("diagnostic entries must be positive and finite")
-    return float(min(max((v_hi / v_lo) / (b_hi / b_lo), XI_CLAMP[0]), XI_CLAMP[1]))
+    return np.minimum(np.maximum((v_hi / v_lo) / (b_hi / b_lo), XI_CLAMP[0]), XI_CLAMP[1])
 
 
 def lama_vectors(fits: ModelFits, sigma2_hat: float) -> tuple[np.ndarray, np.ndarray]:
@@ -147,11 +150,12 @@ def lama_vectors(fits: ModelFits, sigma2_hat: float) -> tuple[np.ndarray, np.nda
     are the out-of-sample variance and in-sample bias diagonals, so
     ``xi(h, g)`` is the program's ridge strength.
     """
-    if not math.isfinite(sigma2_hat) or sigma2_hat <= 0.0:
+    if not all(0.0 < s < math.inf for s in np.ravel(sigma2_hat).tolist()):
         raise ValueError("sigma2_hat must be positive")
     if (fits.sizes >= fits.n).any():
         raise ValueError("the large-model criterion needs every k < n; drop the candidates with k >= n first")
-    return fits.rss + sigma2_hat * fits.sizes, fits.n * below_boundary_variance(fits.sizes / fits.n, sigma2_hat)
+    s2 = np.asarray(sigma2_hat)[..., None]  # one per fit of a stack
+    return fits.rss + s2 * fits.sizes, fits.n * below_boundary_variance(fits.sizes / fits.n, s2)
 
 
 def v_out_matrix(fits: ModelFits, sigma2_hat: float) -> np.ndarray:
@@ -173,9 +177,9 @@ def lama_program(g: np.ndarray, h: np.ndarray, xi_value: float) -> QuadraticProg
     the nested program (g, h, 0, xi h) of the vectors ``lama_vectors`` returns,
     with g = RSS + sigma2 k and h = n sigma2 c / (1 - c).
     """
-    if not math.isfinite(xi_value) or xi_value < 0.0:
+    if not all(0.0 <= x < math.inf for x in np.ravel(xi_value).tolist()):
         raise ValueError("xi must be nonnegative and finite")
-    return QuadraticProgram(NestedForm(g, h, xi_value * h), np.zeros(len(g)))
+    return QuadraticProgram(NestedForm(g, h, np.asarray(xi_value)[..., None] * h), np.zeros(np.shape(g)))
 
 
 def info_criterion_weights(fits: ModelFits, kind: str) -> np.ndarray:

@@ -3,11 +3,11 @@
 Randomness never flows through shared generator state: every replication
 derives its own generator from (base seed, setting keys, replication index,
 stream tag), so any single replication can be reproduced in isolation and
-results are identical at any worker count.  Every harness maps one
-module-level function, per replication or (``evaluate_real``) per fixed-size
-chunk of splits, through ``_pmap``, which reads the worker count from
-``LAMA_THREADS``; aggregation walks replications in index order, which keeps
-output bytes stable.
+results are identical at any worker count.  Every harness maps one module-level
+function, per replication or (``evaluate_real``) per fixed-size chunk of splits,
+whose mma and lama weights a chunk chooses as one stack, through ``_pmap``, which
+reads the worker count from ``LAMA_THREADS``; aggregation walks replications in
+index order, which keeps output bytes stable.
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from . import criteria as crit
-from .models import Dataset, _candidate_sizes, _fit_stack, default_model_counts, fit_all, order_by_cp
+from . import criteria as crit, qp
+from .models import Dataset, ModelFits, _candidate_sizes, _fit_stack, default_model_counts, fit_all, order_by_cp
 from .qp import solve_simplex_qp
 from .risk_theory import (_BLOCK_ENTRIES, InputError, PowerLawProfile, _counts, _exact, _theorem1_inputs,
                           _weighted_borders, above_boundary_variance, below_boundary_variance)
@@ -171,13 +171,21 @@ def compute_weights(fits, method: str) -> WeightChoice:
 
     Each candidate that a ``_KEEP`` rule drops gets weight 0 and is named in ``excluded`` and in a
     warning attributed to the caller; a method that keeps no candidate raises ``ValueError``."""
-    (method,) = _method_tags([method])
-    M = fits.M
-
+    if method not in ALL_METHODS:  # a canonical tag needs no parsing
+        (method,) = _method_tags([method])
     if method == "uniform":
-        return WeightChoice(method, np.full(M, 1.0 / M))
-
+        return WeightChoice(method, np.full(fits.M, 1.0 / fits.M))
     s2 = crit.sigma_hat(fits) if method in {"mma", "lama"} else None
+    w, report, xi_val, dropped, scale = _weigh(fits, method, s2, solve_simplex_qp)
+    if report is None:
+        return WeightChoice(method, w, excluded=dropped)
+    return WeightChoice(method, w, report.objective / scale, s2, xi_val, dropped, report.status,
+                        report.iterations, report.kkt_residual)
+
+
+def _weigh(fits, method: str, s2, solve):
+    """(weights on every candidate, report or None, xi or None, dropped indices, criterion scale) of a method
+    but uniform, given sigma_hat ``s2`` and ``solve``; for mma and lama ``fits`` may stack, one s2 per fit."""
     sub, dropped, xi_val, scale = fits, (), None, 1
     if method in _KEEP:
         name, why, rule = _KEEP[method]
@@ -185,8 +193,8 @@ def compute_weights(fits, method: str) -> WeightChoice:
         dropped = tuple((~keep).nonzero()[0].tolist())
         if dropped:
             warnings.warn(f"{name} criterion: excluding candidate(s) {list(dropped)}; each {why}",
-                          RuntimeWarning, stacklevel=2)
-            if len(dropped) == M:
+                          RuntimeWarning, stacklevel=3)
+            if len(dropped) == fits.M:
                 raise ValueError(f"every candidate {why}; {name} criterion undefined")
             sub = fits.subset(keep)
     if method not in QUADRATIC_METHODS:  # an information criterion
@@ -201,16 +209,13 @@ def compute_weights(fits, method: str) -> WeightChoice:
             xi_val = crit.xi(h, g)  # a ratio of ratios: the diagonals h/n and g/n give the same value
             # the program is on the n-scale; report the per-observation criterion
             program, scale = crit.lama_program(g, h, xi_val), sub.n
-        report = solve_simplex_qp(program.A, program.b)
+        report = solve(program.A, program.b)
         kept = report.weights
     w = kept
     if dropped:  # the dropped candidates keep weight 0
-        w = np.zeros(M)
-        w[keep] = kept
-    if report is None:
-        return WeightChoice(method, w, excluded=dropped)
-    return WeightChoice(method, w, report.objective / scale, s2, xi_val, dropped, report.status,
-                        report.iterations, report.kkt_residual)
+        w = np.zeros(fits.rss.shape)
+        w[..., keep] = kept
+    return w, report, xi_val, dropped, scale
 
 
 # ---------------------------------------------------------------------------
@@ -357,8 +362,8 @@ def relative_losses(weights: dict[str, np.ndarray], pred_train: np.ndarray, mu_t
     return rows, False
 
 
-def _fit_and_weigh(fit, methods):
-    """The ModelFits that ``fit()`` returns, and each method's weights on them.
+def _fit_and_weigh(fit, methods, chosen=None):
+    """The ModelFits that ``fit()`` returns, and each method's weights on them (``chosen``'s, where given).
 
     Returns (ModelFits, {method: WeightChoice}, None), or (None, None,
     reason) when the fit or a weight choice raises.  Runtime warnings
@@ -369,9 +374,33 @@ def _fit_and_weigh(fit, methods):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             fits = fit()
-            return fits, {m: compute_weights(fits, m) for m in methods}, None
+            return fits, {m: (chosen or {}).get(m) or compute_weights(fits, m) for m in methods}, None
     except (ValueError, np.linalg.LinAlgError) as exc:
         return None, None, str(exc)
+
+
+def _weigh_stack(fits: list, methods) -> dict[str, list]:
+    """``compute_weights``'s choice per fit for mma and lama in ``methods``, on fits of one n and sizes: sigma_hat
+    once per fit, and the programs, their checks, xi and the certificates in one pass over the stacked fits,
+    with only pool-adjacent-violators and the ridged face solves run per program.  A method whose stack
+    raises is left out, so that each fit weighs it alone and only the fits that raise fail."""
+    chosen, methods = {}, [m for m in ("mma", "lama") if m in methods]
+    if not (fits and methods):
+        return chosen
+    stack = ModelFits(fits[0].n, fits[0].sizes, *(np.array([getattr(f, a.name) for f in fits])
+                                                  for a in fields(ModelFits)[2:]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        s2 = crit.sigma_hat(stack)
+        for m in methods:
+            try:  # qp's own name: no caller of one solve expects a report that lists one entry per fit
+                w, report, xi_val, dropped, scale = _weigh(stack, m, s2, qp.solve_simplex_qp)
+            except ValueError:
+                continue
+            rows = zip(w, [value / scale for value in report.objective], s2, xi_val if m == "lama" else [None] * len(w),
+                       report.status, report.iterations, report.kkt_residual)
+            chosen[m] = [WeightChoice(m, *row[:4], dropped, *row[4:]) for row in rows]
+    return chosen
 
 
 def _mean_var(values) -> tuple[float, float]:
@@ -467,22 +496,24 @@ def _real_split(rng, Y, n_train: int):
 
 def _real_splits(args):
     """(test errors by method, redraws, reason) of each split in a chunk, in order: one stacked QR fits
-    the chunk's designs below the boundary (``_fit_stack``), and the rest take ``fit_all``."""
+    the chunk's designs below the boundary (``_fit_stack``), and the rest take ``fit_all``; mma and lama
+    weigh the chunk's fits as one stack (``_weigh_stack``), and the other methods each fit alone."""
     (X, Y, sizes, n_train, methods, seed, reps) = args
     splits = [_real_split(rng_for(seed, "real-split", n_train, rep), Y, n_train) for rep in reps]
     trains = np.array([idx[:n_train] for idx, _ in splits if idx is not None], dtype=np.int64).reshape(-1, n_train)
     stacked = iter(_fit_stack(X[:, : sizes[-1]][trains], Y[trains], sizes) if sizes[-1] <= n_train else [])
-    outcomes = []
-    for idx, redraws in splits:
-        if idx is None:
-            outcomes.append((None, redraws, "degenerate"))
-            continue
-        tr, te = idx[:n_train], idx[n_train:]
-        fitted = next(stacked, None)  # a ModelFits is never falsy
-        fits, choices, failed = _fit_and_weigh(lambda: fitted or fit_all(Dataset(Y=Y[tr], X=X[tr]), sizes), methods)
+    fitted = [(None, None, "degenerate") if idx is None else _fit_and_weigh(  # a ModelFits is never falsy
+        lambda: next(stacked, None) or fit_all(Dataset(Y=Y[idx[:n_train]], X=X[idx[:n_train]]), sizes), ())
+        for idx, _ in splits]
+    chosen = _weigh_stack([fits for fits, _, _ in fitted if fits], methods)
+    rows, outcomes = iter([dict(zip(chosen, row)) for row in zip(*chosen.values())]), []
+    for (idx, redraws), (fits, _, failed) in zip(splits, fitted):
+        if fits is not None:
+            fits, choices, failed = _fit_and_weigh(lambda: fits, methods, next(rows, None))
         if failed is not None:
             outcomes.append((None, redraws, failed))
             continue
+        te = idx[n_train:]
         pred_te = fits.predict(X[te])
         errs = {k: float(((pred_te @ c.weights - Y[te]) ** 2).sum()) / te.size for k, c in choices.items()}
         outcomes.append((errs, redraws, None))

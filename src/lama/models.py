@@ -91,6 +91,7 @@ class ModelFits:
     residuals, leverages are n x M with one column per candidate; coefs is
     k_M x M, column q holding candidate q's coefficients in its first k_q
     rows and zeros below.  Immutable after construction; compares by identity.
+    Fits of one n and sizes may stack on leading axes (``predict`` takes one).
     """
 
     n: int
@@ -113,11 +114,11 @@ class ModelFits:
         return ModelFits(
             n=self.n,
             sizes=self.sizes[keep],
-            coefs=self.coefs[:, keep],
-            residuals=self.residuals[:, keep],
-            leverages=self.leverages[:, keep],
-            rss=self.rss[keep],
-            ranks=self.ranks[keep],
+            coefs=self.coefs[..., keep],
+            residuals=self.residuals[..., keep],
+            leverages=self.leverages[..., keep],
+            rss=self.rss[..., keep],
+            ranks=self.ranks[..., keep],
         )
 
     def predict(self, X_new: np.ndarray) -> np.ndarray:

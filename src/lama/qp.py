@@ -1,8 +1,9 @@
 """Minimize w'Aw + b'w over the probability simplex.
 
-``solve_simplex_qp(A, b)`` is the one entry point, for A an M x M array, a
-``GramForm`` or a ``NestedForm``.  Every answer has the same certificate:
-``status`` and ``kkt_residual``, the projected-gradient fixed-point residual.
+``solve_simplex_qp(A, b)`` is the one entry point, for A an M x M array, a ``GramForm`` or a
+``NestedForm``, which may stack programs on leading axes: their checks and certificates then take
+one pass of array operations, and only the solves below run a program at a time.  Every answer has
+the same certificate: ``status`` and ``kkt_residual``, the projected-gradient fixed-point residual.
 
 The Gram and ridged nested paths run one primal active-set loop (Nocedal &
 Wright, *Numerical Optimization*, Alg. 16.3), ``_active_set``.  Each step goes
@@ -61,6 +62,7 @@ The paths differ only in how they solve a face and where they start:
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -101,7 +103,8 @@ class GramForm:
 
 @dataclass(frozen=True, eq=False)
 class NestedForm:
-    """A(q,l) = g[max(q,l)] + h[min(q,l)] + 1{q=l} r_q, ``r`` None for no ridge; compares by identity."""
+    """A(q,l) = g[max(q,l)] + h[min(q,l)] + 1{q=l} r_q, ``r`` None for no ridge; compares by identity.
+    The candidates are the vectors' last axis, and any axes before it stack programs."""
 
     g: np.ndarray
     h: np.ndarray
@@ -110,50 +113,55 @@ class NestedForm:
     def __post_init__(self):
         for f in "gh" if self.r is None else "ghr":
             object.__setattr__(self, f, np.asarray(getattr(self, f), dtype=np.float64))
-            if getattr(self, f).shape != (self.g.size,):
-                raise ValueError("nested form vectors must be one-dimensional and equally long")
+            if self.g.ndim == 0 or getattr(self, f).shape != self.g.shape:
+                raise ValueError("nested form vectors must share one shape, the candidates on its last axis")
 
-    def max_abs(self) -> float:
-        """max |A(q,l)|, bit-equal to the dense maximum: rounding is monotone, so the extremes of
-        column l off the diagonal are g_l plus the running maximum and minimum of h_q, q < l."""
+    def max_abs(self):
+        """max |A(q,l)| of each program, bit-equal to the dense maximum: rounding is monotone, so the
+        extremes of column l off the diagonal are g_l plus the running maximum and minimum of h_q, q < l."""
         g, h = self.g, self.h
-        off = [g[1:] + np.maximum.accumulate(h)[:-1], g[1:] + np.minimum.accumulate(h)[:-1]]
-        return float(np.abs(np.concatenate([g + h if self.r is None else g + h + self.r] + off)).max())
+        off = [g[..., 1:] + np.maximum.accumulate(h, -1)[..., :-1], g[..., 1:] + np.minimum.accumulate(h, -1)[..., :-1]]
+        return np.abs(np.concatenate([g + h if self.r is None else g + h + self.r] + off, -1)).max(-1)
 
     def cumulative(self, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(d, e) of the program w'Aw + b'w in cumulative weights (see the module docstring)."""
-        dh = self.h[1:] - self.h[:-1]
-        return dh - (self.g[1:] - self.g[:-1]), -2.0 * dh - (b[1:] - b[:-1])
+        dh = self.h[..., 1:] - self.h[..., :-1]
+        return dh - (self.g[..., 1:] - self.g[..., :-1]), -2.0 * dh - (b[..., 1:] - b[..., :-1])
 
 
 def simplex_project(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto {w >= 0, sum w = 1} (sorted-threshold rule)."""
-    v = np.asarray(v, dtype=np.float64).reshape(-1)
+    """Euclidean projection onto {w >= 0, sum w = 1} (sorted-threshold rule) of each vector on the last axis."""
+    v = np.asarray(v, dtype=np.float64)
     if v.size == 0:
         raise ValueError("cannot project an empty vector")
-    u = np.sort(v)[::-1]  # NaN sorts last, so the ends u[0] and u[-1] reveal every non-finite entry
-    if not (math.isfinite(u[0]) and math.isfinite(u[-1])):
+    if not np.isfinite(v).all():
         raise ValueError("cannot project non-finite values")
-    cumulative = u.cumsum() - 1.0
-    rho = (u - cumulative / np.arange(1, v.size + 1) > 0.0).nonzero()[0][-1]
-    theta = cumulative[rho] / (rho + 1.0)
-    return np.maximum(v - theta, 0.0)
+    u, M = np.sort(v, -1)[..., ::-1], v.shape[-1]
+    level = (u.cumsum(-1) - 1.0) / np.arange(1, M + 1)
+    rho = M - 1 - (u - level > 0.0)[..., ::-1].argmax(-1)  # each vector's last index whose entry beats its level
+    return np.maximum(v - level.reshape(-1)[np.arange(0, v.size, M).reshape(rho.shape) + rho][..., None], 0.0)
 
 
-def _norm(x: np.ndarray) -> float:
-    """||x|| of a float vector, computed as np.linalg.norm does (sqrt of x.dot(x)) without its per-call checks."""
-    return math.sqrt(x.dot(x))
+def _dot(x: np.ndarray, y: np.ndarray):
+    """x'y along the last axis, bit for bit as x.dot(y): numpy's matmul takes each stacked product as that dot."""
+    return x @ y if x.ndim == 1 else (x[..., None, :] @ y[..., :, None])[..., 0, 0]
 
 
-def _objective(A, b: np.ndarray, w: np.ndarray, cumulative=None) -> float:
+def _norm(x: np.ndarray):
+    """||x|| along the last axis, computed as np.linalg.norm does (sqrt of x.dot(x)) without its per-call checks."""
+    return np.sqrt(_dot(x, x))
+
+
+def _objective(A, b: np.ndarray, w: np.ndarray, cumulative=None):
     """w'Aw + b'w; for a nested A, from its ``cumulative`` (d, e) (see the module docstring)."""
     if isinstance(A, GramForm):
-        return float(_norm(A.B @ w) ** 2 + b @ w)
+        return _norm(A.B @ w) ** 2 + b @ w
     if cumulative is None:
-        return float(w @ A @ w + b @ w)
+        return w @ A @ w + b @ w
     d, e = cumulative
-    C = w.cumsum()[:-1]
-    return float(A.g[-1] + A.h[-1] + b[-1] + d @ C**2 + e @ C + (0.0 if A.r is None else A.r @ w**2))
+    C = w.cumsum(-1)[..., :-1]
+    ridge = 0.0 if A.r is None else _dot(A.r, w**2)
+    return A.g[..., -1] + A.h[..., -1] + b[..., -1] + _dot(d, C**2) + _dot(e, C) + ridge
 
 
 def _gradient(A, b: np.ndarray, w: np.ndarray, cumulative=None) -> np.ndarray:
@@ -164,8 +172,8 @@ def _gradient(A, b: np.ndarray, w: np.ndarray, cumulative=None) -> np.ndarray:
     if cumulative is None:
         return 2.0 * A @ w + b
     d, e = cumulative
-    g = np.zeros(w.size) if A.r is None else 2.0 * A.r * w
-    g[:-1] += (2.0 * d * w.cumsum()[:-1] + e)[::-1].cumsum()[::-1]
+    g = np.zeros(w.shape) if A.r is None else 2.0 * A.r * w
+    g[..., :-1] += (2.0 * d * w.cumsum(-1)[..., :-1] + e)[..., ::-1].cumsum(-1)[..., ::-1]
     return g
 
 
@@ -213,55 +221,58 @@ def _checked(A, b) -> tuple[np.ndarray | GramForm | NestedForm, np.ndarray, floa
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
             raise ValueError("A must be square")
         A = 0.5 * (A + A.T)  # the quadratic form only sees the symmetric part
-    M = A.B.shape[1] if gram else A.g.size if nested else A.shape[0]
-    if M == 0:
+    shape = A.g.shape if nested else (A.B.shape[1] if gram else A.shape[0],)
+    if shape[-1] == 0:
         raise ValueError("empty program")
-    b = np.zeros(M) if b is None else np.asarray(b, dtype=np.float64).reshape(-1)
-    if b.shape[0] != M:
+    b = np.zeros(shape) if b is None else np.asarray(b, dtype=np.float64).reshape(*shape[:-1], -1)
+    if b.shape != shape:
         raise ValueError("b length does not match A")
     # max|A| is non-finite exactly when some entry is: NaN and infinity propagate through it.
     peak = float(A.diagonal().max()) if gram else A.max_abs() if nested else float(np.abs(A).max())
-    if not (math.isfinite(peak) and np.isfinite(b).all()):
+    if not (np.isfinite(peak).all() and np.isfinite(b).all()):
         kind = "Gram form" if gram else "nested form" if nested else "program"
         raise ValueError(f"{kind} contains non-finite entries")
     return A, b, peak
 
 
-def _report(A, b, w, iterations: int, stopped: bool, scale: float, cumulative=None) -> SolveReport:
+def _report(A, b, w, iterations, stopped, scale, cumulative=None) -> SolveReport:
     """Feasible weights with their objective, certified by the projected-gradient fixed-point residual."""
     w = np.maximum(w, 0.0)
-    w /= w.sum()
+    w /= w.sum(-1, keepdims=True)
     kkt = _norm(w - simplex_project(w - _gradient(A, b, w, cumulative)))
-    status = "converged" if kkt <= 1e-9 * scale else ("degenerate" if stopped else "max-iter")
-    return SolveReport(w, _objective(A, b, w, cumulative), iterations, status, kkt)
+    status = np.where(kkt <= 1e-9 * scale, "converged", np.where(stopped, "degenerate", "max-iter"))
+    objective = _objective(A, b, w, cumulative).tolist()
+    return SolveReport(w, objective, np.asarray(iterations).tolist(), status.tolist(), kkt.tolist())
 
 
 def solve_simplex_qp(A: np.ndarray | GramForm | NestedForm, b: np.ndarray | None = None) -> SolveReport:
     """Minimize w'Aw + b'w over the probability simplex.
 
-    A is an M x M array or the ``GramForm`` or ``NestedForm`` that describes
-    it, in which case no M x M array is formed.  Raises ``ValueError`` on
-    malformed input and on programs that are not convex on the simplex.
+    A is an M x M array or the ``GramForm`` or ``NestedForm`` that describes it, in which case no
+    M x M array is formed.  A stack of nested programs (b of the form's shape) is solved a program
+    at a time, and checked and certified in one pass; each report field then lists one entry per
+    program.  Raises ``ValueError`` on malformed input and on programs not convex on the simplex.
     """
     A, b, peak = _checked(A, b)
-    scale = max(1.0, peak, float(np.abs(b).max()))
-    M = b.shape[0]
-    cumulative = A.cumulative(b) if isinstance(A, NestedForm) else None
-    if M == 1:
-        w, iterations, stopped = np.ones(1), 0, True
-    elif cumulative is None:
+    scale = np.maximum(np.maximum(1.0, peak), np.abs(b).max(-1))
+    M, cumulative = b.shape[-1], None
+    w, iterations, stopped = np.ones(b.shape), np.zeros(scale.shape, dtype=np.int64), np.ones(scale.shape, dtype=bool)
+    if isinstance(A, NestedForm):
+        d, e = cumulative = A.cumulative(b)
+        for i in itertools.product(*map(range, scale.shape)):
+            if A.r is None or M == 1:  # pool-adjacent-violators is exact
+                w[i], iterations[i] = _pool_adjacent_violators(d[i], e[i], 1e-12 * scale[i])
+            else:  # the gradient of one program reads its own ridge, and b only through e
+                grad = functools.partial(_gradient, NestedForm(A.g[i], A.h[i], A.r[i]), None, cumulative=(d[i], e[i]))
+                w[i], iterations[i], stopped[i] = _active_set(_tridiagonal_face(d[i], e[i], A.r[i]), grad,
+                                                              list(range(M)), np.full(M, 1.0 / M), scale[i])
+    elif M > 1:
         start = int((A.diagonal() + b).argmin())  # the best vertex
         form, linear = (A, b) if isinstance(A, GramForm) else _centred_factor(A, b)
         w = np.zeros(M)
         w[start] = 1.0
-        face = _gram_face(form.B, linear, scale)
+        face = _gram_face(form.B, linear, float(scale))
         w, iterations, stopped = _active_set(face, functools.partial(_gradient, form, linear), [start], w, scale)
-    elif A.r is None:  # pool-adjacent-violators is exact
-        (w, iterations), stopped = _pool_adjacent_violators(*cumulative, 1e-12 * scale), True
-    else:
-        face = _tridiagonal_face(*cumulative, A.r)
-        gradient = functools.partial(_gradient, A, b, cumulative=cumulative)
-        w, iterations, stopped = _active_set(face, gradient, list(range(M)), np.full(M, 1.0 / M), scale)
     return _report(A, b, w, iterations, stopped, scale, cumulative)
 
 
@@ -353,13 +364,6 @@ def _gram_face(B: np.ndarray, b: np.ndarray, scale: float):
     return face
 
 
-def _level(num: float, den: float) -> float:
-    """Minimizer of den C^2 - 2 num C; a block of ties (den = 0) goes to the bound its slope points at."""
-    if den > 0.0:
-        return num / den
-    return np.inf if num >= 0.0 else -np.inf
-
-
 def _pool_adjacent_violators(d: np.ndarray, e: np.ndarray, tol: float) -> tuple[np.ndarray, int]:
     """Weights minimizing sum_i d_i C_i^2 + e_i C_i over 0 <= C_0 <= ... <= C_{M-2} <= 1,
     and the number of pooling steps."""
@@ -368,11 +372,13 @@ def _pool_adjacent_violators(d: np.ndarray, e: np.ndarray, tol: float) -> tuple[
     blocks: list[tuple] = []  # (sum of -e/2, sum of d, length, level)
     pools = 0
     for num, den in zip((-0.5 * e).tolist(), np.where(d <= tol, 0.0, d).tolist()):
-        size, level = 1, _level(num, den)
-        while blocks and blocks[-1][3] > level:  # pool with the violating block before
-            before = blocks.pop()
+        size = 1
+        while True:  # level minimizes den C^2 - 2 num C; a tie block (den = 0) goes to the bound its slope picks
+            level = num / den if den > 0.0 else (math.inf if num >= 0.0 else -math.inf)
+            if not (blocks and blocks[-1][3] > level):
+                break
+            before = blocks.pop()  # pool with the violating block before
             num, den, size = before[0] + num, before[1] + den, before[2] + size
-            level = _level(num, den)
             pools += 1
         blocks.append((num, den, size, level))
     C = np.array([0.0] + [level for _, _, size, level in blocks for _ in range(size)] + [1.0]).clip(0.0, 1.0)

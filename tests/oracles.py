@@ -14,8 +14,9 @@ of a lone model, which the library does not compute, is here from the
 inverse-Wishart trace moments.  A risk surface is here as it was once
 built, one grid row at a time with each diagonal block taken by slices;
 the library forms a block of rows at once.  A repeated-split evaluation is
-here as it was once run, one ``fit_all`` per split; the library fits a
-chunk of splits from one stacked QR.
+here as it was once run, one ``fit_all`` and one ``compute_weights`` per
+split and method; the library fits a chunk of splits from one stacked QR and
+weighs its mma and lama programs as one stack.
 """
 
 from dataclasses import dataclass

@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 
 from lama import criteria as crit
 from lama import experiments as xp
+from lama import qp
 from lama.datasets import load_builtin
 from lama.experiments import (
     ALL_METHODS,
@@ -606,7 +607,8 @@ class TestEvaluateReal:
         def fail(*args, **kwargs):
             raise ValueError("weight choice failed")
 
-        monkeypatch.setattr(xp, "compute_weights", fail)
+        # _weigh is where a chunk's stacked weighing enters, and compute_weights too.
+        monkeypatch.setattr(xp, "_weigh", fail)
         (row,) = evaluate_real(load_builtin("mtcars"), 25, reps=3, seed=0, methods=("mma",))
         assert (row["reps"], row["excluded"]) == (0, 3)
         assert np.isnan(row["test_err_mean"]) and np.isnan(row["test_err_var"])
@@ -633,7 +635,7 @@ class TestEvaluateReal:
         def fail(*args, **kwargs):
             raise ValueError("weight choice failed")
 
-        monkeypatch.setattr(xp, "compute_weights", fail)
+        monkeypatch.setattr(xp, "_weigh", fail)  # where the chunk's stacked weighing enters
         (row,) = evaluate_real(data, 4, reps=20, seed=0, methods=("mma",), max_models=2)
         assert (row["reps"], row["excluded"], row["redraws"]) == (0, 20, redraws)
 
@@ -745,6 +747,59 @@ class TestEvalChunks:
         reference = per_split_evaluation(data, 18, reps, 3, QUADRATIC_METHODS)
         monkeypatch.setenv("LAMA_THREADS", "2")
         assert evaluate_real(data, 18, reps=reps, seed=3) == reference
+
+
+def split_fits(data, n_train, reps, seed, max_models=None):
+    """Each split's fit_all fits, drawn as evaluate_real draws its splits (none constant here)."""
+    X, sizes = xp._nested_candidates(data, n_train, max_models)
+    fits = []
+    for rep in range(reps):
+        idx, _ = xp._real_split(rng_for(seed, "real-split", n_train, rep), data.Y, n_train)
+        fits.append(fit_all(Dataset(Y=data.Y[idx[:n_train]], X=X[idx[:n_train]]), sizes))
+    return fits
+
+
+class TestStackedWeights:
+    """A chunk's mma and lama choices, weighed as one stack, are compute_weights's on each fit, bit for bit."""
+
+    @pytest.mark.parametrize("name, n_train, max_models",
+                             [("crime", 18, None), ("crime", 12, 14), ("mtcars", 24, None)])
+    def test_every_choice_equals_the_per_fit_choice(self, name, n_train, max_models):
+        # At n_train 12 with 14 candidates every split is past the boundary: lama drops k >= 12,
+        # and mma keeps the three interpolating candidates, whose RSS ties at 0.
+        fits = split_fits(load_builtin(name), n_train, xp._CHUNK_SPLITS, 0, max_models)
+        chosen = xp._weigh_stack(fits, ("mma", "jma", "lama"))
+        assert sorted(chosen) == ["lama", "mma"]  # neither stack raised and was left to compute_weights
+        if max_models:
+            assert (fits[0].rss[-3:] == 0.0).all()
+        for method, stacked in chosen.items():
+            assert len(stacked) == len(fits)
+            for f, choice in zip(fits, stacked):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", RuntimeWarning)
+                    alone = compute_weights(f, method)
+                assert choice.weights.tobytes() == alone.weights.tobytes()
+                assert choice.excluded == alone.excluded == ((11, 12, 13) if method == "lama" and max_models else ())
+                for field in ("criterion_value", "sigma2_hat", "xi", "iterations", "status", "kkt_residual"):
+                    assert getattr(choice, field) == getattr(alone, field), (method, field)
+
+    def test_a_split_whose_program_raises_is_dropped_alone(self, monkeypatch):
+        # sigma_hat reads 0 on split 7 alone, so its lama program raises ("sigma2_hat must be
+        # positive") and its mma program does not: that split is dropped, with that reason.
+        data, target = load_builtin("crime"), 7
+        zeroed = split_fits(data, 18, 20, 0)[target].rss
+        sigma = crit.sigma_hat
+
+        def zero_one(fits):
+            return np.where((fits.rss == zeroed).all(axis=-1), 0.0, sigma(fits))[()]
+
+        monkeypatch.setattr(crit, "sigma_hat", zero_one)
+        reference = per_split_evaluation(data, 18, 20, 0, QUADRATIC_METHODS)
+        assert [r["excluded"] for r in reference] == [1, 1, 1]
+        assert evaluate_real(data, 18, reps=20, seed=0) == reference
+        X, sizes = xp._nested_candidates(data, 18)
+        outcomes = xp._real_splits((X, data.Y, sizes, 18, QUADRATIC_METHODS, 0, range(20)))
+        assert [reason for _, _, reason in outcomes] == [None] * 7 + ["sigma2_hat must be positive"] + [None] * 12
 
 
 class TestValidateRmt:
@@ -952,16 +1007,24 @@ class TestValidateTheorem1:
 
 def test_every_quadratic_solve_goes_through_one_name(monkeypatch):
     # The benchmark's qp.* spans wrap experiments.solve_simplex_qp, so every
-    # method's solve must be looked up there, and its report passed on as is
-    # (each gets its own status label here, so a substituted one shows).
+    # method's solve on one fit must be looked up there, and its report passed
+    # on as is (each gets its own status label here, so a substituted one
+    # shows).  eval solves a chunk's mma and lama programs as one stack through
+    # lama.qp's own name instead, whose report lists one status per program.
     reports = []
 
     def count(*args, **kwargs):
         reports.append(dataclasses.replace(solve(*args, **kwargs), status=f"solve {len(reports)}"))
         return reports[-1]
 
+    def count_stack(*args, **kwargs):
+        report = solve(*args, **kwargs)
+        reports.extend([report] * len(report.status))
+        return report
+
     solve = xp.solve_simplex_qp
     monkeypatch.setattr(xp, "solve_simplex_qp", count)
+    monkeypatch.setattr(qp, "solve_simplex_qp", count_stack)
     evaluate_real(load_builtin("crime"), n_train=18, reps=3, seed=0, methods=QUADRATIC_METHODS)
     assert len(reports) == 9
     fits, _, _ = make_fits(3, n=24, sizes=(1, 3, 6))
@@ -1034,6 +1097,7 @@ def test_every_solve_on_the_benchmark_configs_converges(monkeypatch):
     # eval on crime at n_train 18 and on mtcars at n_train 24, simulate at
     # n = 50 with M = 45 and 100 (past the boundary), and the criterion-7
     # simulate config, at reduced replications.
+    # eval weighs each chunk's mma and lama choices as one stack (_weigh_stack).
     choices = []
 
     def record(*args, **kwargs):
@@ -1041,7 +1105,14 @@ def test_every_solve_on_the_benchmark_configs_converges(monkeypatch):
         choices.append(choice)
         return choice
 
+    def record_stack(*args, **kwargs):
+        chosen = weigh_stack(*args, **kwargs)
+        choices.extend(choice for stacked in chosen.values() for choice in stacked)
+        return chosen
+
+    weigh_stack = xp._weigh_stack
     monkeypatch.setattr(xp, "compute_weights", record)
+    monkeypatch.setattr(xp, "_weigh_stack", record_stack)
     evaluate_real(load_builtin("crime"), n_train=18, reps=10, seed=0, methods=QUADRATIC_METHODS)
     evaluate_real(load_builtin("mtcars"), n_train=24, reps=10, seed=0, methods=QUADRATIC_METHODS)
     cfg = SimulationConfig(n_values=(50,), m_values=(45, 100), r2_values=(0.5,), p=1000, replications=3,
