@@ -114,7 +114,7 @@ def mma_program(fits: ModelFits, sigma2_hat: float) -> QuadraticProgram:
 def loo_flagged(fits: ModelFits) -> np.ndarray:
     """Mask of candidates whose leave-one-out residuals are undefined:
     some leverage within ``LEVERAGE_GUARD`` of 1."""
-    return fits.leverages.max(axis=0) >= 1.0 - LEVERAGE_GUARD
+    return fits.leverages.max(axis=-2) >= 1.0 - LEVERAGE_GUARD
 
 
 def jma_program(fits: ModelFits) -> QuadraticProgram:
@@ -124,7 +124,7 @@ def jma_program(fits: ModelFits) -> QuadraticProgram:
     if loo_flagged(fits).any():
         raise ValueError("a candidate with leverage at 1 has no leave-one-out residuals; drop it first")
     B = fits.residuals / ((1.0 - fits.leverages) * math.sqrt(fits.n))
-    return QuadraticProgram(GramForm(B), np.zeros(fits.M))
+    return QuadraticProgram(GramForm(B), np.zeros(fits.rss.shape))
 
 
 def xi(v_diag: np.ndarray, b_diag: np.ndarray) -> float:

@@ -5,7 +5,7 @@ derives its own generator from (base seed, setting keys, replication index,
 stream tag), so any single replication can be reproduced in isolation and
 results are identical at any worker count.  Every harness maps one module-level
 function, per replication or (``evaluate_real``) per fixed-size chunk of splits,
-whose mma and lama weights a chunk chooses as one stack, through ``_pmap``, which
+whose quadratic weights a chunk chooses as one stack, through ``_pmap``, which
 reads the worker count from ``LAMA_THREADS``; aggregation walks replications in
 index order, which keeps output bytes stable.
 """
@@ -379,12 +379,19 @@ def _fit_and_weigh(fit, methods, chosen=None):
         return None, None, str(exc)
 
 
+# jma's lockstep solve pads each program's factor to M(n + 1) + M^2 entries: it beats one solve per fit
+# only on stacks of at least this many programs whose factors hold at most this many entries.
+_JMA_STACK_MIN, _JMA_FACTOR_ENTRIES = 8, 2048
+
+
 def _weigh_stack(fits: list, methods) -> dict[str, list]:
-    """``compute_weights``'s choice per fit for mma and lama in ``methods``, on fits of one n and sizes: sigma_hat
-    once per fit, and the programs, their checks, xi and the certificates in one pass over the stacked fits,
-    with only pool-adjacent-violators and the ridged face solves run per program.  A method whose stack
-    raises is left out, so that each fit weighs it alone and only the fits that raise fail."""
-    chosen, methods = {}, [m for m in ("mma", "lama") if m in methods]
+    """``compute_weights``'s choice per fit for the quadratic methods in ``methods``, on fits of one n and sizes:
+    sigma_hat once per fit, and the programs, their checks, xi, the jma solves and the certificates in one pass
+    over the stacked fits.  jma stacks the fits whose leave-one-out rule drops nothing and gives each other fit
+    None, for ``compute_weights`` to weigh alone; a program whose face fails the pivot test leaves the stack for
+    the one-program solve.  A method whose stack raises, or jma where the constants above rule a stack out, is
+    left out, so that each fit weighs it alone and only the fits that raise fail."""
+    chosen, methods = {}, [m for m in QUADRATIC_METHODS if m in methods]
     if not (fits and methods):
         return chosen
     stack = ModelFits(fits[0].n, fits[0].sizes, *(np.array([getattr(f, a.name) for f in fits])
@@ -393,13 +400,19 @@ def _weigh_stack(fits: list, methods) -> dict[str, list]:
         warnings.simplefilter("ignore", RuntimeWarning)
         s2 = crit.sigma_hat(stack)
         for m in methods:
+            keep = _KEEP[m][2](stack).all(-1) if m == "jma" else np.ones(len(fits), dtype=bool)
+            if m == "jma" and (keep.sum() < _JMA_STACK_MIN or stack.M * (stack.n + 1 + stack.M) > _JMA_FACTOR_ENTRIES):
+                continue
+            sub = stack if keep.all() else ModelFits(stack.n, stack.sizes, *(getattr(stack, a.name)[keep]
+                                                                             for a in fields(ModelFits)[2:]))
             try:  # qp's own name: no caller of one solve expects a report that lists one entry per fit
-                w, report, xi_val, dropped, scale = _weigh(stack, m, s2, qp.solve_simplex_qp)
+                w, report, xi_val, dropped, scale = _weigh(sub, m, s2, qp.solve_simplex_qp)  # jma reads no s2
             except ValueError:
                 continue
-            rows = zip(w, [value / scale for value in report.objective], s2, xi_val if m == "lama" else [None] * len(w),
-                       report.status, report.iterations, report.kkt_residual)
-            chosen[m] = [WeightChoice(m, *row[:4], dropped, *row[4:]) for row in rows]
+            made = (WeightChoice(m, *row[:4], dropped, *row[4:]) for row in zip(
+                w, [value / scale for value in report.objective], [None] * len(w) if m == "jma" else s2,
+                xi_val if m == "lama" else [None] * len(w), report.status, report.iterations, report.kkt_residual))
+            chosen[m] = [next(made) if kept else None for kept in keep]
     return chosen
 
 
@@ -496,8 +509,9 @@ def _real_split(rng, Y, n_train: int):
 
 def _real_splits(args):
     """(test errors by method, redraws, reason) of each split in a chunk, in order: one stacked QR fits
-    the chunk's designs below the boundary (``_fit_stack``), and the rest take ``fit_all``; mma and lama
-    weigh the chunk's fits as one stack (``_weigh_stack``), and the other methods each fit alone."""
+    the chunk's designs below the boundary (``_fit_stack``), and the rest take ``fit_all``; mma, jma and
+    lama weigh the chunk's fits as one stack each (``_weigh_stack``, which says which jma fits weigh alone),
+    and the other methods each fit alone; no program's bits depend on its stack-mates."""
     (X, Y, sizes, n_train, methods, seed, reps) = args
     splits = [_real_split(rng_for(seed, "real-split", n_train, rep), Y, n_train) for rep in reps]
     trains = np.array([idx[:n_train] for idx, _ in splits if idx is not None], dtype=np.int64).reshape(-1, n_train)

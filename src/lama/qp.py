@@ -2,8 +2,8 @@
 
 ``solve_simplex_qp(A, b)`` is the one entry point, for A an M x M array, a ``GramForm`` or a
 ``NestedForm``, which may stack programs on leading axes: their checks and certificates then take
-one pass of array operations, and only the solves below run a program at a time.  Every answer has
-the same certificate: ``status`` and ``kkt_residual``, the projected-gradient fixed-point residual.
+one pass of array operations, and only the nested solves below run a program at a time.  Every answer
+has the same certificate: ``status`` and ``kkt_residual``, the projected-gradient fixed-point residual.
 
 The Gram and ridged nested paths run one primal active-set loop (Nocedal &
 Wright, *Numerical Optimization*, Alg. 16.3), ``_active_set``.  Each step goes
@@ -24,6 +24,13 @@ The paths differ only in how they solve a face and where they start:
   as a ``GramForm``; it needs convexity on the simplex: the centred matrix
   (I - 11'/M) A (I - 11'/M) may have no negative eigenvalue beyond
   roundoff, else ``ValueError``.
+
+  A stack of Gram programs (B is S x n x M) runs the same loop in lockstep,
+  ``_gram_stack``: each program keeps its free row and its factor padded
+  to M rows, so every step is one stacked product or masked operation, and
+  a program's bits do not depend on its stack-mates.  A program leaves the
+  stack when its loop stops, or when a face fails the pivot test (an affine
+  dependence), which hands it to the one-program loop.
 
 * A ``NestedForm`` (the Mallows and large-model programs) describes
   A(q,l) = g_max(q,l) + h_min(q,l) + 1{q=l} r_q by its vectors.  It is
@@ -85,19 +92,21 @@ class SolveReport:
 
 @dataclass(frozen=True, eq=False)
 class GramForm:
-    """A = B'B of a Gram program, for an n x M array B; the solver never forms A.  Compares by identity."""
+    """A = B'B of a Gram program, for an n x M array B or a stack of them (S x n x M); the solver never
+    forms A.  Compares by identity."""
 
     B: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "B", np.asarray(self.B, dtype=np.float64))
-        if self.B.ndim != 2:
-            raise ValueError("a Gram form needs a two-dimensional B")
+        if self.B.ndim not in (2, 3):
+            raise ValueError("a Gram form needs a two-dimensional B, or a stack of them on one leading axis")
 
     def diagonal(self) -> np.ndarray:
         """diag(A), the squared column norms of B, formed once and shared; by Cauchy-Schwarz its maximum is max|A|."""
         if "_diagonal" not in vars(self):
-            object.__setattr__(self, "_diagonal", np.einsum("ij,ij->j", self.B, self.B))
+            subscripts = "ij,ij->j" if self.B.ndim == 2 else "...ij,...ij->...j"
+            object.__setattr__(self, "_diagonal", np.einsum(subscripts, self.B, self.B))
         return self._diagonal
 
 
@@ -147,6 +156,11 @@ def _dot(x: np.ndarray, y: np.ndarray):
     return x @ y if x.ndim == 1 else (x[..., None, :] @ y[..., :, None])[..., 0, 0]
 
 
+def _matvec(X: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """X y for each matrix of the stack ``X`` and vector of ``y``; X @ y itself for one vector."""
+    return X @ y if y.ndim == 1 else (X @ y[..., None])[..., 0]
+
+
 def _norm(x: np.ndarray):
     """||x|| along the last axis, computed as np.linalg.norm does (sqrt of x.dot(x)) without its per-call checks."""
     return np.sqrt(_dot(x, x))
@@ -155,7 +169,7 @@ def _norm(x: np.ndarray):
 def _objective(A, b: np.ndarray, w: np.ndarray, cumulative=None):
     """w'Aw + b'w; for a nested A, from its ``cumulative`` (d, e) (see the module docstring)."""
     if isinstance(A, GramForm):
-        return _norm(A.B @ w) ** 2 + b @ w
+        return _norm(_matvec(A.B, w)) ** 2 + _dot(b, w)
     if cumulative is None:
         return w @ A @ w + b @ w
     d, e = cumulative
@@ -168,7 +182,7 @@ def _gradient(A, b: np.ndarray, w: np.ndarray, cumulative=None) -> np.ndarray:
     """2Aw + b; for a nested A, up to a common shift, which the simplex projection and
     the entering test ignore: g_q = sum_{q <= i < M-1} (2 d_i C_i + e_i) + 2 r_q w_q."""
     if isinstance(A, GramForm):
-        return 2.0 * (A.B.T @ (A.B @ w)) + b
+        return 2.0 * _matvec(np.swapaxes(A.B, -1, -2), _matvec(A.B, w)) + b
     if cumulative is None:
         return 2.0 * A @ w + b
     d, e = cumulative
@@ -221,14 +235,14 @@ def _checked(A, b) -> tuple[np.ndarray | GramForm | NestedForm, np.ndarray, floa
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
             raise ValueError("A must be square")
         A = 0.5 * (A + A.T)  # the quadratic form only sees the symmetric part
-    shape = A.g.shape if nested else (A.B.shape[1] if gram else A.shape[0],)
+    shape = A.g.shape if nested else (*A.B.shape[:-2], A.B.shape[-1]) if gram else A.shape[:1]
     if shape[-1] == 0:
         raise ValueError("empty program")
     b = np.zeros(shape) if b is None else np.asarray(b, dtype=np.float64).reshape(*shape[:-1], -1)
     if b.shape != shape:
         raise ValueError("b length does not match A")
     # max|A| is non-finite exactly when some entry is: NaN and infinity propagate through it.
-    peak = float(A.diagonal().max()) if gram else A.max_abs() if nested else float(np.abs(A).max())
+    peak = A.diagonal().max(-1) if gram else A.max_abs() if nested else float(np.abs(A).max())
     if not (np.isfinite(peak).all() and np.isfinite(b).all()):
         kind = "Gram form" if gram else "nested form" if nested else "program"
         raise ValueError(f"{kind} contains non-finite entries")
@@ -250,8 +264,9 @@ def solve_simplex_qp(A: np.ndarray | GramForm | NestedForm, b: np.ndarray | None
 
     A is an M x M array or the ``GramForm`` or ``NestedForm`` that describes it, in which case no
     M x M array is formed.  A stack of nested programs (b of the form's shape) is solved a program
-    at a time, and checked and certified in one pass; each report field then lists one entry per
-    program.  Raises ``ValueError`` on malformed input and on programs not convex on the simplex.
+    at a time and a stack of Gram programs in lockstep, each checked and certified in one pass; each
+    report field then lists one entry per program.  Raises ``ValueError`` on malformed input and on
+    programs not convex on the simplex.
     """
     A, b, peak = _checked(A, b)
     scale = np.maximum(np.maximum(1.0, peak), np.abs(b).max(-1))
@@ -267,13 +282,16 @@ def solve_simplex_qp(A: np.ndarray | GramForm | NestedForm, b: np.ndarray | None
                 w[i], iterations[i], stopped[i] = _active_set(_tridiagonal_face(d[i], e[i], A.r[i]), grad,
                                                               list(range(M)), np.full(M, 1.0 / M), scale[i])
     elif M > 1:
-        start = int((A.diagonal() + b).argmin())  # the best vertex
+        start = (A.diagonal() + b).argmin(-1)  # the best vertex
         form, linear = (A, b) if isinstance(A, GramForm) else _centred_factor(A, b)
-        w = np.zeros(M)
-        w[start] = 1.0
-        face = _gram_face(form.B, linear, float(scale))
-        w, iterations, stopped = _active_set(face, functools.partial(_gradient, form, linear), [start], w, scale)
+        w, iterations, stopped = (_gram_stack if b.ndim > 1 else _gram_solve)(form, linear, scale, start)
     return _report(A, b, w, iterations, stopped, scale, cumulative)
+
+
+def _gram_solve(form: GramForm, b: np.ndarray, scale: float, start: int) -> tuple[np.ndarray, int, bool]:
+    """``_active_set`` on one Gram program from the vertex ``start``, each face solved by ``_gram_face``."""
+    face, gradient = _gram_face(form.B, b, float(scale)), functools.partial(_gradient, form, b)
+    return _active_set(face, gradient, [int(start)], 1.0 * (np.arange(b.size) == start), scale)
 
 
 def _active_set(face, gradient, free: list[int], w: np.ndarray, scale: float) -> tuple[np.ndarray, int, bool]:
@@ -362,6 +380,68 @@ def _gram_face(B: np.ndarray, b: np.ndarray, scale: float):
         return v[idx] - w[idx], 1.0
 
     return face
+
+
+def _gram_stack(form: GramForm, b: np.ndarray, scale: np.ndarray, start: np.ndarray):
+    """``_gram_solve`` on each Gram program of a stack in lockstep (see the module docstring): (weights,
+    iterations, stopped).  ``live`` holds one row per running program of each array the loop carries;
+    ``place`` holds the row of each column in its program's factor, M if none."""
+    B, (S, n, M) = form.B, form.B.shape
+    out, iterations, stopped, handed = np.zeros((S, M)), np.zeros(S, dtype=np.int64), np.zeros(S, bool), []
+    pos, w = np.arange(M), 1.0 * (start[:, None] == np.arange(M))
+    BT = np.concatenate([np.swapaxes(B, 1, 2), np.broadcast_to((scale[:, None, None] / M) ** 0.5, (S, M, 1))], 2)
+    live = {"id": np.arange(S), "B": B, "BT": BT, "norm": _norm(BT), "b": b, "scale": scale, "w": w,
+            "free": w > 0.0, "QT": np.zeros((S, M, n + 1)), "Rinv": np.zeros((S, M, M)),
+            "place": np.full((S, M), M), "k": np.zeros(S, dtype=np.int64), "entered": np.full(S, -1)}
+    while (ids := live["id"]).size and iterations[ids[0]] < _MAX_ITER:  # every live program has run as many steps
+        iterations[ids] += 1
+        BT, QT, Rinv, w, free, entered = (live[name] for name in ("BT", "QT", "Rinv", "w", "free", "entered"))
+        k = np.minimum(live["k"], np.where(free, M, live["place"]).min(1))  # cut each factor to its longest free prefix
+        place = np.where(live["place"] < k[:, None], live["place"], M)
+        cut, failed = pos >= k[:, None], np.zeros(ids.size, bool)
+        QT[cut], np.swapaxes(Rinv, 1, 2)[cut] = 0.0, 0.0
+        while (A := ((pending := free & (place == M)).any(1) & ~failed).nonzero()[0]).size:
+            j, kA = pending[A].argmax(1), k[A]  # add each program's lowest free column that its factor lacks
+            a, Q = BT[A, j], QT[A]
+            r = _matvec(Q, a)  # classical Gram-Schmidt, reorthogonalized once
+            u = a - (r[:, None] @ Q)[:, 0]
+            s = _matvec(Q, u)
+            u -= (s[:, None] @ Q)[:, 0]
+            rho = _norm(u)
+            failed[A] = bad = rho <= 1e-6 * live["norm"][A, j]
+            A, j, kA, u, rho, rs = (x[~bad] for x in (A, j, kA, u, rho, r + s))
+            QT[A, kA], Rinv[A, :, kA] = u / rho[:, None], _matvec(Rinv[A], rs) / -rho[:, None]
+            Rinv[A, kA, kA], place[A, j], k[A] = 1.0 / rho, kA, kA + 1
+        x = _matvec(Rinv, Rinv.sum(1))  # R^-1 R^-T 1, and the face minimizer v in factor order
+        v = x / x.sum(1, keepdims=True)
+        # lam from 1'v = 1, with y = R^-1 R^-T b_C (R^-T reads b_C's first k rows)
+        if (linear := live["b"].any(1)).any():
+            y = _matvec(Rinv, _matvec(np.swapaxes(Rinv, 1, 2), np.take_along_axis(live["b"], place.argsort(1), 1)))
+            v = np.where(linear[:, None], v + 0.5 * (y.sum(1, keepdims=True) * v - y), v)
+        p = np.where(free, v[np.arange(ids.size)[:, None], np.minimum(place, M - 1)] - w, 0.0)
+        ratio = np.divide(w, -p, out=np.full(p.shape, np.inf), where=p < 0.0)
+        j, t = ratio.argmin(1), np.clip(ratio.min(1), 0.0, 1.0)
+        block = t < 1.0
+        w = np.where(free, w + t[:, None] * p, w)
+        cycle = block & (t == 0.0) & (j == entered)  # the index that just entered would leave again
+        drop = (block & ~cycle).nonzero()[0]
+        w[drop, j[drop]], free[drop, j[drop]], entered[drop] = 0.0, False, -1
+        # at a face minimizer, a bound index below the free level enters
+        grad = _gradient(GramForm(live["B"]), live["b"], w)
+        level, grad = np.where(free, grad, 0.0).sum(1) / free.sum(1), np.where(free, np.inf, grad)
+        j = grad.argmin(1)
+        enter = ~block & (grad.min(1) - level < -1e-12 * live["scale"])
+        free[enter, j[enter]], entered[enter] = True, j[enter]
+        done = (~block | cycle) & ~enter & ~failed
+        out[ids[done]], stopped[ids[done]] = w[done], True
+        handed += ids[failed].tolist()
+        live.update(w=w, place=place, k=k)
+        if (left := done | failed).any():
+            live = {name: x[~left] for name, x in live.items()}
+    out[live["id"]] = live["w"]  # the programs still running at the iteration cap
+    for i in handed:
+        out[i], iterations[i], stopped[i] = _gram_solve(GramForm(B[i]), b[i], scale[i], start[i])
+    return out, iterations, stopped
 
 
 def _pool_adjacent_violators(d: np.ndarray, e: np.ndarray, tol: float) -> tuple[np.ndarray, int]:

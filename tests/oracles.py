@@ -15,8 +15,10 @@ inverse-Wishart trace moments.  A risk surface is here as it was once
 built, one grid row at a time with each diagonal block taken by slices;
 the library forms a block of rows at once.  A repeated-split evaluation is
 here as it was once run, one ``fit_all`` and one ``compute_weights`` per
-split and method; the library fits a chunk of splits from one stacked QR and
-weighs its mma and lama programs as one stack.
+split and method, but for the jma program of a split that drops no candidate
+in a chunk that stacks jma: it is solved as a stack of one, since a stacked
+program's bits do not depend on its stack-mates.  The library fits a chunk of
+splits from one stacked QR and weighs its quadratic programs as one stack.
 """
 
 from dataclasses import dataclass
@@ -26,9 +28,9 @@ import warnings
 
 import numpy as np
 
-from lama import experiments as xp
+from lama import criteria as crit, experiments as xp
 from lama.models import Dataset, fit_all
-from lama.qp import GramForm, NestedForm
+from lama.qp import GramForm, NestedForm, solve_simplex_qp
 import lama.risk_theory as rt
 from lama.risk_theory import BOUNDARY_DELTA, _theorem1_inputs
 
@@ -353,16 +355,25 @@ def per_row_surface(n_values, m_values, profile, sigma2: float, weighting: str, 
     return bias.reshape(-1), variance.reshape(-1)
 
 
+def jma_stack_of_one(fits) -> np.ndarray:
+    """The jma weights of one fit that drops no candidate, its program solved as a stack of one."""
+    program = crit.jma_program(fits)
+    return solve_simplex_qp(GramForm(program.A.B[None]), program.b[None]).weights[0]
+
+
 def per_split_evaluation(data, n_train: int, reps: int, seed: int, methods, max_models=None) -> list[dict]:
     """``evaluate_real``'s rows, each split fitted by its own ``fit_all``.
 
     Each split draws from its own ``rng_for(seed, "real-split", n_train, rep)``
     stream, redrawing a constant training response at most 99 times, and is
-    dropped when it stays constant or its fit or a weight choice raises.
+    dropped when it stays constant or its fit or a weight choice raises.  A jma
+    program that drops no candidate is solved as a stack of one where
+    ``evaluate_real``'s chunk of splits holds at least ``_JMA_STACK_MIN`` such
+    programs, each with a factor of at most ``_JMA_FACTOR_ENTRIES`` entries.
     """
     X, sizes = xp._nested_candidates(data, n_train, max_models)
-    Y, N = data.Y, data.n
-    kept, dropped, redraws = [], 0, 0
+    Y, N, M = data.Y, data.n, int(sizes[-1])
+    splits, redraws = [], 0
     for rep in range(reps):
         rng = xp.rng_for(seed, "real-split", n_train, rep)
         for draw in range(100):
@@ -370,20 +381,36 @@ def per_split_evaluation(data, n_train: int, reps: int, seed: int, methods, max_
             if np.ptp(Y[idx[:n_train]]) > 0.0:
                 break
         redraws += draw
-        tr, te = idx[:n_train], idx[n_train:]
-        if np.ptp(Y[tr]) == 0.0:
+        fits = None
+        if np.ptp(Y[idx[:n_train]]) > 0.0:
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", RuntimeWarning)
+                    fits = fit_all(Dataset(Y=Y[idx[:n_train]], X=X[idx[:n_train]]), sizes)
+            except (ValueError, np.linalg.LinAlgError):
+                pass
+        splits.append((idx, fits))
+    step = max(1, min(xp._CHUNK_SPLITS, xp._BLOCK_ENTRIES // (n_train * M)))
+    stackable = [fits is not None and not crit.loo_flagged(fits).any() for _, fits in splits]
+    kept, dropped = [], 0
+    for rep, (idx, fits) in enumerate(splits):
+        first = rep - rep % step
+        stacked = stackable[rep] and sum(stackable[first:first + step]) >= xp._JMA_STACK_MIN and (
+            M * (n_train + 1 + M) <= xp._JMA_FACTOR_ENTRIES)
+        if fits is None:  # a constant training response, or a fit that raised
             dropped += 1
             continue
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
-                fits = fit_all(Dataset(Y=Y[tr], X=X[tr]), sizes)
-                choices = {m: xp.compute_weights(fits, m) for m in methods}
+                weights = {m: jma_stack_of_one(fits) if m == "jma" and stacked
+                           else xp.compute_weights(fits, m).weights for m in methods}
         except (ValueError, np.linalg.LinAlgError):
             dropped += 1
             continue
+        te = idx[n_train:]
         pred = fits.predict(X[te])
-        kept.append({m: float(((pred @ c.weights - Y[te]) ** 2).sum()) / (N - n_train) for m, c in choices.items()})
+        kept.append({m: float(((pred @ w - Y[te]) ** 2).sum()) / (N - n_train) for m, w in weights.items()})
     rows = []
     for method in methods:
         mean, var = xp._mean_var([errors[method] for errors in kept])

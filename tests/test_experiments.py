@@ -41,7 +41,7 @@ from lama.experiments import (
     validate_theorem1,
     worker_count,
 )
-from lama.models import Dataset, fit_all
+from lama.models import Dataset, ModelFits, fit_all
 from lama.risk_theory import PowerLawProfile, risk_surface
 
 from conftest import make_fits
@@ -760,28 +760,93 @@ def split_fits(data, n_train, reps, seed, max_models=None):
 
 
 class TestStackedWeights:
-    """A chunk's mma and lama choices, weighed as one stack, are compute_weights's on each fit, bit for bit."""
+    """A chunk's mma and lama choices, weighed as one stack, are compute_weights's on each fit, bit for bit;
+    its jma choices take the lockstep Gram route, equal to compute_weights's up to roundoff."""
 
     @pytest.mark.parametrize("name, n_train, max_models",
                              [("crime", 18, None), ("crime", 12, 14), ("mtcars", 24, None)])
     def test_every_choice_equals_the_per_fit_choice(self, name, n_train, max_models):
         # At n_train 12 with 14 candidates every split is past the boundary: lama drops k >= 12,
-        # and mma keeps the three interpolating candidates, whose RSS ties at 0.
+        # mma keeps the three interpolating candidates, whose RSS ties at 0, and jma drops them
+        # on every split (leverage 1), so no fit is stacked and compute_weights weighs each alone.
         fits = split_fits(load_builtin(name), n_train, xp._CHUNK_SPLITS, 0, max_models)
         chosen = xp._weigh_stack(fits, ("mma", "jma", "lama"))
-        assert sorted(chosen) == ["lama", "mma"]  # neither stack raised and was left to compute_weights
+        assert sorted(chosen) == (["lama", "mma"] if max_models else ["jma", "lama", "mma"])  # no stack raised
         if max_models:
             assert (fits[0].rss[-3:] == 0.0).all()
+            assert all(crit.loo_flagged(f)[-3:].all() for f in fits)
         for method, stacked in chosen.items():
             assert len(stacked) == len(fits)
             for f, choice in zip(fits, stacked):
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore", RuntimeWarning)
                     alone = compute_weights(f, method)
-                assert choice.weights.tobytes() == alone.weights.tobytes()
                 assert choice.excluded == alone.excluded == ((11, 12, 13) if method == "lama" and max_models else ())
+                if method == "jma":  # the certificate's scale, max(1, max|A|, max|b|) with b = 0
+                    scale = max(1.0, float(crit.jma_program(f).A.diagonal().max()))
+                    assert np.abs(choice.weights - alone.weights).max() <= 1e-10 * scale
+                    assert (choice.status, choice.iterations) == (alone.status, alone.iterations)
+                    assert choice.kkt_residual <= 1e-9 * scale
+                    assert choice.sigma2_hat is choice.xi is alone.sigma2_hat is alone.xi is None
+                    continue
+                assert choice.weights.tobytes() == alone.weights.tobytes()
                 for field in ("criterion_value", "sigma2_hat", "xi", "iterations", "status", "kkt_residual"):
                     assert getattr(choice, field) == getattr(alone, field), (method, field)
+
+    def test_the_leave_one_out_mask_of_a_stack_is_the_per_fit_masks(self):
+        # mtcars at 12 training rows with 10 candidates: split 10 alone of splits 8-12 has a leverage at 1.
+        # A mask reduced over the leading axis, not the row axis, came back n x M.
+        fits = split_fits(load_builtin("mtcars"), 12, 13, 0, 10)[8:]
+        masks = np.array([crit.loo_flagged(f) for f in fits])
+        assert masks.any(axis=1).tolist() == [False, False, True, False, False]
+        stack = ModelFits(fits[0].n, fits[0].sizes, *(np.array([getattr(f, a.name) for f in fits])
+                                                      for a in dataclasses.fields(ModelFits)[2:]))
+        np.testing.assert_array_equal(crit.loo_flagged(stack), masks)
+
+    def test_a_chunk_mixes_stacked_and_handed_off_jma_splits(self, monkeypatch):
+        # 7 of mtcars's 64 splits at 12 training rows with 10 candidates drop a leave-one-out
+        # candidate: the chunk stacks the other 57 jma programs and hands those 7 to
+        # compute_weights, which weighs each alone, and mma stacks all 64.
+        data = load_builtin("mtcars")
+        fits = split_fits(data, 12, xp._CHUNK_SPLITS, 0, 10)
+        flagged = [bool(crit.loo_flagged(f).any()) for f in fits]
+        assert sum(flagged) == 7
+        assert [choice is None for choice in xp._weigh_stack(fits, ("mma", "jma"))["jma"]] == flagged
+        weighed, compute = [], xp.compute_weights
+
+        def record(fits, method):
+            weighed.append((fits, method, compute(fits, method)))
+            return weighed[-1][2]
+
+        monkeypatch.setattr(xp, "compute_weights", record)
+        X, sizes = xp._nested_candidates(data, 12, 10)
+        outcomes = xp._real_splits((X, data.Y, sizes, 12, ("mma", "jma"), 0, range(xp._CHUNK_SPLITS)))
+        monkeypatch.undo()
+        assert [reason for _, _, reason in outcomes] == [None] * len(fits)
+        assert [method for _, method, _ in weighed] == ["jma"] * 7
+        for (chunk_fits, _, choice), f in zip(weighed, [f for f, bad in zip(fits, flagged) if bad]):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                alone = compute_weights(f, "jma")
+            assert chunk_fits.residuals.tobytes() == f.residuals.tobytes()
+            assert choice.weights.tobytes() == alone.weights.tobytes()
+            assert choice.excluded == alone.excluded != ()
+        reps = xp._CHUNK_SPLITS
+        reference = per_split_evaluation(data, 12, reps, 0, ("mma", "jma"), max_models=10)
+        assert evaluate_real(data, 12, reps=reps, seed=0, methods=("mma", "jma"), max_models=10) == reference
+
+    def test_jma_stacks_only_where_the_lockstep_route_is_faster(self):
+        # Below _JMA_STACK_MIN programs, or past _JMA_FACTOR_ENTRIES entries per padded factor
+        # (n_train 50 with 45 candidates: 45 * (50 + 1 + 45) = 4320), every fit weighs jma alone.
+        fits = split_fits(load_builtin("crime"), 18, xp._JMA_STACK_MIN, 0)
+        assert sorted(xp._weigh_stack(fits, ("mma", "jma"))) == ["jma", "mma"]
+        assert sorted(xp._weigh_stack(fits[1:], ("mma", "jma"))) == ["mma"]
+        rng = np.random.default_rng(0)
+        X = rng.standard_normal((60, 45))
+        wide = split_fits(Dataset(Y=X[:, :3].sum(axis=1) + rng.standard_normal(60), X=X), 50, 16, 0)
+        assert wide[0].M * (50 + 1 + wide[0].M) > xp._JMA_FACTOR_ENTRIES
+        assert not any(crit.loo_flagged(f).any() for f in wide)
+        assert sorted(xp._weigh_stack(wide, ("mma", "jma"))) == ["mma"]
 
     def test_a_split_whose_program_raises_is_dropped_alone(self, monkeypatch):
         # sigma_hat reads 0 on split 7 alone, so its lama program raises ("sigma2_hat must be
@@ -1009,8 +1074,8 @@ def test_every_quadratic_solve_goes_through_one_name(monkeypatch):
     # The benchmark's qp.* spans wrap experiments.solve_simplex_qp, so every
     # method's solve on one fit must be looked up there, and its report passed
     # on as is (each gets its own status label here, so a substituted one
-    # shows).  eval solves a chunk's mma and lama programs as one stack through
-    # lama.qp's own name instead, whose report lists one status per program.
+    # shows).  eval solves a chunk's mma, jma and lama programs as one stack
+    # through lama.qp's own name instead, whose report lists one status per program.
     reports = []
 
     def count(*args, **kwargs):

@@ -115,8 +115,11 @@ class TestSolveSimplexQp:
     def test_rank_deficient_programs_match_the_lattice(self):
         # Singular KKT systems on the working face: A = G'G with rank < M,
         # some with a term linear on the simplex, some with integer b so
-        # that objective values tie.
+        # that objective values tie.  Their centred Gram programs, solved
+        # as stacks by shape, match the lattice too: the faces that fail the
+        # pivot test hand their programs to the one-program route.
         rng = np.random.default_rng(7)
+        programs, lattice = [], []
         for i in range(200):
             M = int(rng.integers(3, 5))
             G = rng.standard_normal((int(rng.integers(1, M)), M))
@@ -128,8 +131,15 @@ class TestSolveSimplexQp:
             if i % 2 == 0:
                 b = np.round(b)
             report = solve_simplex_qp(A, b)
+            lattice.append((A, b, grid_min(A, b, step=0.01 if M == 3 else 0.02)))
             assert report.status == "converged"
-            assert report.objective <= grid_min(A, b, step=0.01 if M == 3 else 0.02) + 1e-6
+            assert report.objective <= lattice[-1][2] + 1e-6
+            form, linear = qp._centred_factor(A, b)
+            programs.append((form.B, linear))
+        stacked, handed = solved_as_stacks(programs)
+        assert handed
+        for (w, _, _, status, _), (A, b, least) in zip(stacked, lattice):
+            assert status == "converged" and w @ A @ w + b @ w <= least + 1e-6
 
     def test_lama_program_indefinite_on_the_whole_space_is_solved(self):
         # Sizes (1, 2), n = 10, sigma2 = 1, zero residuals: sigma2 max(k_q, k_l)
@@ -293,7 +303,9 @@ class TestGramForm:
         # which would repeat to the iteration cap.  Seeds 104, 151, 178, 192,
         # 215, 245, 452 and 481 (B'B) and 494 (GramForm(B)) did so with a
         # bordered-SVD face solver, 816 (GramForm(B)) and 1029 (B'B) do so
-        # with the factor alone.
+        # with the factor alone.  As stacks by shape, where the faces that fail the pivot
+        # test hand their programs to the one-program route, each reaches the same objective.
+        programs, alone = [], []
         for seed in [*range(500), 816, 1029]:
             rng = np.random.default_rng(seed)
             n, M = rng.integers(1, 31), rng.integers(1, 41)
@@ -307,6 +319,12 @@ class TestGramForm:
             for A in (GramForm(B), B.T @ B):
                 report = solve_simplex_qp(A, b)
                 assert report.status == "converged" and report.iterations < 1000, seed
+            programs.append((B, b))
+            alone.append((report.objective, max(1.0, float(np.max(np.abs(B.T @ B))), float(np.max(np.abs(b))))))
+        stacked, handed = solved_as_stacks(programs)
+        assert handed
+        for (_, objective, iterations, status, _), (least, scale) in zip(stacked, alone):
+            assert status == "converged" and iterations < 1000 and abs(objective - least) <= 1e-12 * scale
 
     def test_no_bordered_svd_runs(self, monkeypatch, rng):
         # A dense A is solved as the Gram program of its centred factor, and a
@@ -350,6 +368,77 @@ class TestGramForm:
         monkeypatch.setattr(np, "einsum", counting)
         report = solve_simplex_qp(program.A, program.b)
         assert report.status == "converged" and subscripts == ["ij,ij->j"]
+
+
+def solved_as_stacks(programs):
+    """(report fields per program, the B of each program that left its stack) of the Gram programs
+    (B, b), each solved in one stack with the others of its shape."""
+    groups, fields, handed = {}, [None] * len(programs), []
+    for i, (B, _) in enumerate(programs):
+        groups.setdefault(np.shape(B), []).append(i)
+    alone = qp._gram_solve
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(qp, "_gram_solve", lambda *args: handed.append(args) or alone(*args))
+        for members in groups.values():
+            report = solve_simplex_qp(GramForm([programs[i][0] for i in members]), [programs[i][1] for i in members])
+            for at, i in enumerate(members):
+                fields[i] = (report.weights[at], report.objective[at], report.iterations[at], report.status[at],
+                             report.kkt_residual[at])
+    return fields, [form.B for form, *_ in handed]
+
+
+class TestGramStack:
+    """A stack of Gram programs, solved in lockstep: each program's bits do not depend on its
+    stack-mates, and a face that fails the pivot test hands its program to the one-program route."""
+
+    def test_every_program_is_itself_solved_as_a_stack_of_one(self):
+        # 64 programs with 6 rows and 9 candidates, columns at scales 1e-3 to 1e3, a third with
+        # column 2 on the affine hull of columns 0 and 1, half with a linear term: some faces
+        # fail the pivot test, and their programs leave the stack.
+        rng = np.random.default_rng(11)
+        B = rng.standard_normal((64, 6, 9)) * 10.0 ** rng.uniform(-3.0, 3.0, (64, 1, 9))
+        B[::3, :, 2] = (B[::3, :, 0] + B[::3, :, 1]) / 2.0
+        b = rng.standard_normal((64, 9)) * (np.arange(64) % 2 == 0)[:, None]
+        stacked, handed = solved_as_stacks([(B[i], b[i]) for i in range(64)])
+        assert 0 < len(handed) < 32
+        for i in range(64):
+            (one,), _ = solved_as_stacks([(B[i], b[i])])
+            assert one[0].tobytes() == stacked[i][0].tobytes()
+            assert one[1:] == stacked[i][1:]
+            assert one[3] == "converged"
+            if any(np.array_equal(B[i], left) for left in handed):  # the one-program route's weights, bit for bit
+                assert solve_simplex_qp(GramForm(B[i]), b[i]).weights.tobytes() == stacked[i][0].tobytes()
+
+    def test_a_stack_agrees_with_the_one_program_route(self, rng):
+        # 40 programs with more candidates than rows, half with a linear term: the stack meets the
+        # one-program route's weights within 1e-10 x scale, with its status and iterations.
+        B = rng.standard_normal((40, 9, 12)) * 10.0 ** rng.uniform(-3.0, 3.0, (40, 1, 12))
+        b = rng.standard_normal((40, 12)) * (np.arange(40) % 2 == 0)[:, None]
+        report = solve_simplex_qp(GramForm(B), b)
+        assert np.shape(report.weights) == (40, 12)
+        for i in range(40):
+            alone = solve_simplex_qp(GramForm(B[i]), b[i])
+            scale = max(1.0, float(np.max(np.abs(B[i].T @ B[i]))), float(np.max(np.abs(b[i]))))
+            assert np.max(np.abs(report.weights[i] - alone.weights)) <= 1e-10 * scale
+            assert abs(report.objective[i] - alone.objective) <= 1e-12 * scale
+            assert (report.status[i], report.iterations[i]) == (alone.status, alone.iterations)
+            assert report.kkt_residual[i] <= 1e-9 * scale
+
+    def test_the_iteration_cap_reports_max_iter(self, monkeypatch):
+        # Program 0 needs more than one step from its best vertex; program 1 starts at a zero
+        # column, whose vertex is optimal, so it stops within the cap.
+        monkeypatch.setattr(qp, "_MAX_ITER", 1)
+        report = solve_simplex_qp(GramForm([np.eye(3), np.diag([0.0, 1.0, 1.0])]))
+        assert (report.status, report.iterations) == (["max-iter", "converged"], [1, 1])
+        np.testing.assert_array_equal(report.weights, [[1.0, 0.0, 0.0]] * 2)
+
+    def test_a_stack_of_one_candidate_and_validation(self):
+        single = solve_simplex_qp(GramForm(np.ones((3, 5, 1))), np.ones((3, 1)))
+        assert np.array_equal(single.weights, np.ones((3, 1))) and single.iterations == [0] * 3
+        with pytest.raises(ValueError, match="two-dimensional"):
+            GramForm(np.ones((2, 3, 5, 4)))
+        with pytest.raises(ValueError, match="length"):
+            solve_simplex_qp(GramForm(np.ones((3, 5, 4))), np.ones((3, 3)))
 
 
 class TestCumulativeForm:
