@@ -4,10 +4,10 @@ Randomness never flows through shared generator state: every replication
 derives its own generator from (base seed, setting keys, replication index,
 stream tag), so any single replication can be reproduced in isolation and
 results are identical at any worker count.  Every harness maps one module-level
-function, per replication or (``evaluate_real``) per fixed-size chunk of splits,
-whose quadratic weights a chunk chooses as one stack, through ``_pmap``, which
-reads the worker count from ``LAMA_THREADS``; aggregation walks replications in
-index order, which keeps output bytes stable.
+function through ``_pmap`` (worker count from ``LAMA_THREADS``): per replication, or
+per fixed-size chunk of splits (``evaluate_real``) or of one cell's replications
+(``run_simulation``, every cell in one map), which ``_weigh_chunk`` fits and weighs as
+stacks.  Aggregation walks replications in index order, keeping output bytes stable.
 """
 
 from __future__ import annotations
@@ -363,13 +363,9 @@ def relative_losses(weights: dict[str, np.ndarray], pred_train: np.ndarray, mu_t
 
 
 def _fit_and_weigh(fit, methods, chosen=None):
-    """The ModelFits that ``fit()`` returns, and each method's weights on them (``chosen``'s, where given).
-
-    Returns (ModelFits, {method: WeightChoice}, None), or (None, None,
-    reason) when the fit or a weight choice raises.  Runtime warnings
-    (``compute_weights``'s excluded candidates, for one) are silenced, as
-    the harnesses run many replications.
-    """
+    """(the ModelFits that ``fit()`` returns, {method: its WeightChoice on them, ``chosen``'s where given}, None),
+    or (None, None, reason) if the fit or a weight choice raises; runtime warnings (excluded candidates) are silenced,
+    as the harnesses run many replications."""
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
@@ -394,14 +390,19 @@ def _weigh_stack(fits: list, methods) -> dict[str, list]:
     chosen, methods = {}, [m for m in QUADRATIC_METHODS if m in methods]
     if not (fits and methods):
         return chosen
-    stack = ModelFits(fits[0].n, fits[0].sizes, *(np.array([getattr(f, a.name) for f in fits])
-                                                  for a in fields(ModelFits)[2:]))
+    n, M, S = fits[0].n, fits[0].M, len(fits)
+    if S < _JMA_STACK_MIN or M * (n + 1 + M) > _JMA_FACTOR_ENTRIES:
+        methods = [m for m in methods if m != "jma"]
+    # No criterion reads coefficients or ranks, and only jma reads residuals and leverages: the rest stay empty.
+    copied = ("rss", "residuals", "leverages") if "jma" in methods else ("rss",)
+    stack = ModelFits(n, fits[0].sizes, *(np.array([getattr(f, a.name) for f in fits]) if a.name in copied
+                                          else np.empty((S, 0, M)) for a in fields(ModelFits)[2:]))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         s2 = crit.sigma_hat(stack)
         for m in methods:
-            keep = _KEEP[m][2](stack).all(-1) if m == "jma" else np.ones(len(fits), dtype=bool)
-            if m == "jma" and (keep.sum() < _JMA_STACK_MIN or stack.M * (stack.n + 1 + stack.M) > _JMA_FACTOR_ENTRIES):
+            keep = _KEEP[m][2](stack).all(-1) if m == "jma" else np.ones(S, dtype=bool)
+            if m == "jma" and keep.sum() < _JMA_STACK_MIN:
                 continue
             sub = stack if keep.all() else ModelFits(stack.n, stack.sizes, *(getattr(stack, a.name)[keep]
                                                                              for a in fields(ModelFits)[2:]))
@@ -416,6 +417,29 @@ def _weigh_stack(fits: list, methods) -> dict[str, list]:
     return chosen
 
 
+_CHUNK_SPLITS = 64  # designs per chunk, fewer where their stacked designs pass _BLOCK_ENTRIES entries
+
+
+def _chunks(count: int, entries: int) -> list[range]:
+    """Designs 0..count-1 in chunks of ``_CHUNK_SPLITS``, fewer where ``entries`` each would pass ``_BLOCK_ENTRIES``."""
+    step = max(1, min(_CHUNK_SPLITS, _BLOCK_ENTRIES // entries))
+    return [range(a, min(a + step, count)) for a in range(0, count, step)]
+
+
+def _weigh_chunk(X: np.ndarray, Y: np.ndarray, sizes: np.ndarray, methods) -> list[tuple]:
+    """``_fit_and_weigh``'s (fits, choices, reason) per design of a chunk, X S x n x (k_M or more) and Y S x n:
+    one stacked QR of the first k_M columns fits the designs below the boundary (``_fit_stack``), and the rest, or
+    one that fails the pivot test, take ``fit_all``; mma, jma and lama weigh the fits as one stack each
+    (``_weigh_stack`` says which jma fits weigh alone), the rest each fit alone; no bits depend on stack-mates."""
+    stacked = iter(_fit_stack(X[..., : sizes[-1]], Y, sizes) if sizes[-1] <= X.shape[1] else [])
+    fitted = [_fit_and_weigh(lambda: next(stacked, None) or fit_all(Dataset(Y=y, X=x), sizes), ())
+              for x, y in zip(X, Y)]  # a ModelFits is never falsy
+    chosen = _weigh_stack([fits for fits, _, _ in fitted if fits], methods)
+    rows = iter([dict(zip(chosen, row)) for row in zip(*chosen.values())])
+    return [_fit_and_weigh(lambda: fits, methods, next(rows, None)) if fits else (fits, choices, failed)
+            for fits, choices, failed in fitted]
+
+
 def _mean_var(values) -> tuple[float, float]:
     """Mean and ddof-1 variance of the surviving values: nan for both when
     none survive, variance 0 for a single one."""
@@ -425,24 +449,22 @@ def _mean_var(values) -> tuple[float, float]:
     return float(np.mean(vals)), (float(np.var(vals, ddof=1)) if vals.size > 1 else 0.0)
 
 
-def _sim_rep(args):
-    cfg, n, m, r2, rep = args
-    train, theta, mu = generate_data(cfg, r2, rep, n, m)
-    sizes = np.arange(1, m + 1)
-    if cfg.exclude_boundary:
-        sizes = sizes[sizes != n]
-    fits, choices, failed = _fit_and_weigh(lambda: fit_all(train, sizes), cfg.methods)
-    if failed is not None:
-        return None, 0, failed
-    rows, degenerate = relative_losses(
-        {k: c.weights for k, c in choices.items()}, fits.predict(train.X), mu, fits.coefs, theta
-    )
-    if degenerate:
-        return None, 0, "degenerate"
-    if cfg.truncate_loss is not None:
-        cap = float(cfg.truncate_loss)
-        rows = {k: (min(a, cap), min(b, cap)) for k, (a, b) in rows.items()}
-    return rows, 0, None
+def _sim_reps(args):
+    """(relative losses by method, 0, reason) of each replication in a chunk of one (n, M, R2) cell, in order:
+    each draws its own keyed ``generate_data`` stream, and ``_weigh_chunk`` fits and weighs the chunk."""
+    cfg, n, m, r2, reps = args
+    sizes = np.array([k for k in range(1, m + 1) if k != n or not cfg.exclude_boundary])
+    draws = [generate_data(cfg, r2, rep, n, m) for rep in reps]
+    X, Y = np.array([d.X for d, _, _ in draws]), np.array([d.Y for d, _, _ in draws])
+    cap, outcomes = math.inf if cfg.truncate_loss is None else cfg.truncate_loss, []
+    for (train, theta, mu), (fits, choices, failed) in zip(draws, _weigh_chunk(X, Y, sizes, cfg.methods)):
+        if failed is None:
+            losses, degenerate = relative_losses({k: c.weights for k, c in choices.items()}, fits.predict(train.X),
+                                                 mu, fits.coefs, theta)
+            failed = "degenerate" if degenerate else None
+        rows = None if failed is not None else {k: (min(a, cap), min(b, cap)) for k, (a, b) in losses.items()}
+        outcomes.append((rows, 0, failed))
+    return outcomes
 
 
 def run_simulation(cfg: SimulationConfig) -> list[dict]:
@@ -450,22 +472,20 @@ def run_simulation(cfg: SimulationConfig) -> list[dict]:
 
     Rows come back in a canonical order: n, then M, then R2 as configured,
     then methods as configured.  Failed or degenerate replications are
-    dropped from the averages and counted in ``excluded_reps``.  The
-    replications run in ``LAMA_THREADS`` worker processes, with the same
-    result at any count.
+    dropped from the averages and counted in ``excluded_reps``.  Each cell's
+    replications run in chunks (``_chunks``), and every cell's chunks in one
+    map over ``LAMA_THREADS`` worker processes, with the same result at any count.
     """
-    rows: list[dict] = []
-    for n in cfg.n_values:
-        for m in cfg.m_values if cfg.m_values is not None else default_model_counts(n):
-            for r2 in cfg.r2_values:
-                tasks = [(cfg, n, m, r2, rep) for rep in range(cfg.replications)]
-                kept, dropped, _ = _replicate(_pmap(_sim_rep, tasks))
-                for method in cfg.methods:
-                    mean_in, _ = _mean_var([loss[method][0] for loss in kept])
-                    mean_out, var_out = _mean_var([loss[method][1] for loss in kept])
-                    rows.append({"method": method, "n": n, "M": m, "R2": float(r2),
-                                 "rel_loss_in_mean": mean_in, "rel_loss_out_mean": mean_out,
-                                 "rel_loss_out_var": var_out, "excluded_reps": dropped})
+    cells = [(n, m, r2) for n in cfg.n_values for m in cfg.m_values or default_model_counts(n) for r2 in cfg.r2_values]
+    tasks = [(cfg, n, m, r2, reps) for n, m, r2 in cells for reps in _chunks(cfg.replications, n * m)]
+    done, rows = iter(_pmap(_sim_reps, tasks)), []
+    for n, m, r2 in cells:
+        kept, dropped, _ = _replicate([one for _ in _chunks(cfg.replications, n * m) for one in next(done)])
+        for method in cfg.methods:
+            mean_in, _ = _mean_var([loss[method][0] for loss in kept])
+            mean_out, var_out = _mean_var([loss[method][1] for loss in kept])
+            rows.append({"method": method, "n": n, "M": m, "R2": float(r2), "rel_loss_in_mean": mean_in,
+                         "rel_loss_out_mean": mean_out, "rel_loss_out_var": var_out, "excluded_reps": dropped})
     return rows
 
 
@@ -495,9 +515,6 @@ def _nested_candidates(data: Dataset, n_fit: int, max_models: int | None = None)
     return data.X[:, order_by_cp(data)], np.arange(1, M + 1)
 
 
-_CHUNK_SPLITS = 64  # splits per chunk, fewer where their stacked designs pass _BLOCK_ENTRIES entries
-
-
 def _real_split(rng, Y, n_train: int):
     """(permuted row indices, redraws) of one split: indices None if every draw's training response is constant."""
     for redraws in range(100):
@@ -508,22 +525,14 @@ def _real_split(rng, Y, n_train: int):
 
 
 def _real_splits(args):
-    """(test errors by method, redraws, reason) of each split in a chunk, in order: one stacked QR fits
-    the chunk's designs below the boundary (``_fit_stack``), and the rest take ``fit_all``; mma, jma and
-    lama weigh the chunk's fits as one stack each (``_weigh_stack``, which says which jma fits weigh alone),
-    and the other methods each fit alone; no program's bits depend on its stack-mates."""
+    """(test errors by method, redraws, reason) of each split in a chunk, in order: a split left constant is
+    degenerate, and ``_weigh_chunk`` fits and weighs the others' training rows."""
     (X, Y, sizes, n_train, methods, seed, reps) = args
     splits = [_real_split(rng_for(seed, "real-split", n_train, rep), Y, n_train) for rep in reps]
     trains = np.array([idx[:n_train] for idx, _ in splits if idx is not None], dtype=np.int64).reshape(-1, n_train)
-    stacked = iter(_fit_stack(X[:, : sizes[-1]][trains], Y[trains], sizes) if sizes[-1] <= n_train else [])
-    fitted = [(None, None, "degenerate") if idx is None else _fit_and_weigh(  # a ModelFits is never falsy
-        lambda: next(stacked, None) or fit_all(Dataset(Y=Y[idx[:n_train]], X=X[idx[:n_train]]), sizes), ())
-        for idx, _ in splits]
-    chosen = _weigh_stack([fits for fits, _, _ in fitted if fits], methods)
-    rows, outcomes = iter([dict(zip(chosen, row)) for row in zip(*chosen.values())]), []
-    for (idx, redraws), (fits, _, failed) in zip(splits, fitted):
-        if fits is not None:
-            fits, choices, failed = _fit_and_weigh(lambda: fits, methods, next(rows, None))
+    fitted, outcomes = iter(_weigh_chunk(X[:, : sizes[-1]][trains], Y[trains], sizes, methods)), []
+    for idx, redraws in splits:
+        fits, choices, failed = (None, None, "degenerate") if idx is None else next(fitted)
         if failed is not None:
             outcomes.append((None, redraws, failed))
             continue
@@ -561,8 +570,7 @@ def evaluate_real(
     methods = _method_tags(methods)
     X, sizes = _nested_candidates(data, n_train, max_models)
 
-    step = max(1, min(_CHUNK_SPLITS, _BLOCK_ENTRIES // (n_train * int(sizes[-1]))))
-    tasks = [(X, data.Y, sizes, n_train, methods, seed, range(a, min(a + step, reps))) for a in range(0, reps, step)]
+    tasks = [(X, data.Y, sizes, n_train, methods, seed, chunk) for chunk in _chunks(reps, n_train * int(sizes[-1]))]
     kept, dropped, redraws = _replicate([one for chunk in _pmap(_real_splits, tasks) for one in chunk])
     rows = []
     for method in methods:

@@ -17,8 +17,10 @@ the library forms a block of rows at once.  A repeated-split evaluation is
 here as it was once run, one ``fit_all`` and one ``compute_weights`` per
 split and method, but for the jma program of a split that drops no candidate
 in a chunk that stacks jma: it is solved as a stack of one, since a stacked
-program's bits do not depend on its stack-mates.  The library fits a chunk of
-splits from one stacked QR and weighs its quadratic programs as one stack.
+program's bits do not depend on its stack-mates.  A simulation is here as it
+was once run too, one ``fit_all`` and one ``compute_weights`` per replication
+and method.  The library fits a chunk of splits or replications from one
+stacked QR and weighs its quadratic programs as one stack.
 """
 
 from dataclasses import dataclass
@@ -29,7 +31,7 @@ import warnings
 import numpy as np
 
 from lama import criteria as crit, experiments as xp
-from lama.models import Dataset, fit_all
+from lama.models import Dataset, default_model_counts, fit_all
 from lama.qp import GramForm, NestedForm, solve_simplex_qp
 import lama.risk_theory as rt
 from lama.risk_theory import BOUNDARY_DELTA, _theorem1_inputs
@@ -416,4 +418,44 @@ def per_split_evaluation(data, n_train: int, reps: int, seed: int, methods, max_
         mean, var = xp._mean_var([errors[method] for errors in kept])
         rows.append({"method": method, "n_train": n_train, "test_err_mean": mean, "test_err_var": var,
                      "reps": len(kept), "excluded": dropped, "redraws": redraws})
+    return rows
+
+
+def per_replication_simulation(cfg) -> list[dict]:
+    """``run_simulation``'s rows, each replication fitted by its own ``fit_all`` and weighed by its own
+    ``compute_weights`` per method, one cell at a time.
+
+    Each replication draws ``generate_data``'s keyed stream.  It is dropped when its fit or a weight choice
+    raises, or when a candidate matches the true mean (``relative_losses`` flags it); ``truncate_loss`` caps
+    each kept loss.
+    """
+    rows = []
+    for n in cfg.n_values:
+        for m in cfg.m_values if cfg.m_values is not None else default_model_counts(n):
+            sizes = np.array([k for k in range(1, m + 1) if not (cfg.exclude_boundary and k == n)])
+            for r2 in cfg.r2_values:
+                kept, dropped = [], 0
+                for rep in range(cfg.replications):
+                    train, theta, mu = xp.generate_data(cfg, r2, rep, n, m)
+                    try:
+                        with warnings.catch_warnings():
+                            warnings.simplefilter("ignore", RuntimeWarning)
+                            fits = fit_all(train, sizes)
+                            weights = {method: xp.compute_weights(fits, method).weights for method in cfg.methods}
+                    except (ValueError, np.linalg.LinAlgError):
+                        dropped += 1
+                        continue
+                    losses, degenerate = xp.relative_losses(weights, fits.predict(train.X), mu, fits.coefs, theta)
+                    if degenerate:
+                        dropped += 1
+                        continue
+                    if cfg.truncate_loss is not None:
+                        losses = {k: (min(a, cfg.truncate_loss), min(b, cfg.truncate_loss))
+                                  for k, (a, b) in losses.items()}
+                    kept.append(losses)
+                for method in cfg.methods:
+                    mean_in, _ = xp._mean_var([loss[method][0] for loss in kept])
+                    mean_out, var_out = xp._mean_var([loss[method][1] for loss in kept])
+                    rows.append({"method": method, "n": n, "M": m, "R2": float(r2), "rel_loss_in_mean": mean_in,
+                                 "rel_loss_out_mean": mean_out, "rel_loss_out_var": var_out, "excluded_reps": dropped})
     return rows

@@ -45,7 +45,8 @@ from lama.models import Dataset, ModelFits, fit_all
 from lama.risk_theory import PowerLawProfile, risk_surface
 
 from conftest import make_fits
-from oracles import finite_single_model_risk, lama_criterion_value, per_split_evaluation, single_model_risk, value
+from oracles import (finite_single_model_risk, lama_criterion_value, per_replication_simulation, per_split_evaluation,
+                     single_model_risk, value)
 
 
 @pytest.fixture(autouse=True)
@@ -496,7 +497,8 @@ class TestRunSimulation:
         def fail(*args, **kwargs):
             raise ValueError("weight choice failed")
 
-        monkeypatch.setattr(xp, "compute_weights", fail)
+        # _weigh is where a chunk's stacked weighing enters, and compute_weights too.
+        monkeypatch.setattr(xp, "_weigh", fail)
         for r in run_simulation(self.TINY):
             assert r["excluded_reps"] == self.TINY.replications
             assert np.isnan([r["rel_loss_in_mean"], r["rel_loss_out_mean"], r["rel_loss_out_var"]]).all()
@@ -867,6 +869,85 @@ class TestStackedWeights:
         assert [reason for _, _, reason in outcomes] == [None] * 7 + ["sigma2_hat must be positive"] + [None] * 12
 
 
+def assert_simulation_rows(rows, reference, jma_stacked=()):
+    """``rows`` equal ``reference`` bit for bit, but for the jma rows of the cells ``jma_stacked`` (M values)
+    that weigh jma in lockstep stacks: their losses are held within 1e-12 relative."""
+    assert [(r["method"], r["M"]) for r in rows] == [(r["method"], r["M"]) for r in reference]
+    for row, ref in zip(rows, reference):
+        if row["method"] == "jma" and row["M"] in jma_stacked:
+            losses = ("rel_loss_in_mean", "rel_loss_out_mean", "rel_loss_out_var")
+            assert [row[k] for k in losses] == pytest.approx([ref[k] for k in losses], rel=1e-12, abs=0.0)
+            row, ref = ({k: v for k, v in r.items() if k not in losses} for r in (row, ref))
+        assert row == ref
+
+
+class TestSimulationChunks:
+    """A chunk of one cell's replications is fitted from one stacked QR below the boundary and weighed as one
+    stack, bit for bit as one fit_all and one compute_weights per replication but for jma's lockstep stacks."""
+
+    QUAD = dict(n_values=(20,), r2_values=(0.5,), p=100, methods=("mma", "jma", "lama", "saic"))
+
+    def test_a_cell_that_spans_two_chunks(self, fit_calls):
+        # 64 + 6 replications: the first chunk stacks its jma programs, the second has too few to.
+        cfg = SimulationConfig(**self.QUAD, m_values=(15,), replications=xp._CHUNK_SPLITS + 6, seed=1)
+        reference = per_replication_simulation(cfg)
+        fit_calls.update(qr=0, fit_all=0)
+        assert_simulation_rows(run_simulation(cfg), reference, jma_stacked=(15,))
+        assert fit_calls == {"qr": 2, "fit_all": 0}
+
+    def test_past_the_boundary_every_replication_takes_fit_all(self, fit_calls):
+        # At M = 30 > n every jma fit drops the interpolating candidates, so none stacks: every row is exact.
+        cfg = SimulationConfig(**self.QUAD, m_values=(30,), replications=xp._CHUNK_SPLITS + 6, seed=1)
+        reference = per_replication_simulation(cfg)
+        fit_calls.update(qr=0, fit_all=0)
+        assert_simulation_rows(run_simulation(cfg), reference)
+        assert fit_calls["fit_all"] == xp._CHUNK_SPLITS + 6
+
+    def test_excluding_the_boundary_stacks_only_the_fitted_columns(self, fit_calls):
+        # M = n = 20 less the k = n candidate: the stacked QR takes 19 of the 20 drawn columns.  A QR
+        # of all 20, whose last pivot decides nothing here, would move every method's row.
+        cfg = SimulationConfig(**self.QUAD, m_values=(20,), replications=10, seed=2, exclude_boundary=True)
+        reference = per_replication_simulation(cfg)
+        fit_calls.update(qr=0, fit_all=0)
+        assert_simulation_rows(run_simulation(cfg), reference, jma_stacked=(20,))
+        assert fit_calls == {"qr": 1, "fit_all": 0}
+
+    def test_truncated_losses(self):
+        cfg = SimulationConfig(**self.QUAD, m_values=(15,), replications=20, seed=4, truncate_loss=1.2)
+        rows = run_simulation(cfg)
+        assert_simulation_rows(rows, per_replication_simulation(cfg), jma_stacked=(15,))
+        uncapped = run_simulation(dataclasses.replace(cfg, truncate_loss=None))
+        assert all(r["rel_loss_in_mean"] < u["rel_loss_in_mean"] for r, u in zip(rows, uncapped))
+
+    def test_a_replication_whose_weight_choice_raises_is_dropped_alone(self, monkeypatch):
+        # sigma_hat reads 0 on replication 5 alone, so its lama program raises and the chunk's lama
+        # stack with it: every replication weighs lama alone, and only replication 5 is dropped.
+        cfg = SimulationConfig(**{**self.QUAD, "methods": ("mma", "lama", "aic")}, m_values=(15,), replications=12,
+                               seed=0)
+        zeroed = fit_all(generate_data(cfg, 0.5, 5, 20, 15)[0], np.arange(1, 16)).rss
+        sigma = crit.sigma_hat
+
+        def zero_one(fits):
+            return np.where((fits.rss == zeroed).all(axis=-1), 0.0, sigma(fits))[()]
+
+        monkeypatch.setattr(crit, "sigma_hat", zero_one)
+        reference = per_replication_simulation(cfg)
+        assert [r["excluded_reps"] for r in reference] == [1, 1, 1]
+        assert_simulation_rows(run_simulation(cfg), reference)
+        outcomes = xp._sim_reps((cfg, 20, 15, 0.5, range(12)))
+        assert [reason for _, _, reason in outcomes] == [None] * 5 + ["sigma2_hat must be positive"] + [None] * 6
+
+    def test_every_cell_in_one_map(self, monkeypatch):
+        # Two cells of 70 replications are four chunks, mapped once, with the same rows in two workers.
+        cfg = SimulationConfig(**self.QUAD, m_values=(15, 30), replications=xp._CHUNK_SPLITS + 6, seed=1)
+        serial = run_simulation(cfg)
+        maps, pmap = [], xp._pmap
+        monkeypatch.setattr(xp, "_pmap", lambda fn, items: maps.append(len(items)) or pmap(fn, items))
+        monkeypatch.setenv("LAMA_THREADS", "2")
+        assert run_simulation(cfg) == serial
+        assert maps == [4]
+
+
 class TestValidateRmt:
     def test_under_parameterized_report(self):
         report = validate_rmt(60, 0.5, reps=3, seed=1)
@@ -1162,7 +1243,8 @@ def test_every_solve_on_the_benchmark_configs_converges(monkeypatch):
     # eval on crime at n_train 18 and on mtcars at n_train 24, simulate at
     # n = 50 with M = 45 and 100 (past the boundary), and the criterion-7
     # simulate config, at reduced replications.
-    # eval weighs each chunk's mma and lama choices as one stack (_weigh_stack).
+    # eval and simulate weigh each chunk's mma and lama choices as one stack
+    # (_weigh_stack); at these shapes jma is weighed per fit (compute_weights).
     choices = []
 
     def record(*args, **kwargs):
