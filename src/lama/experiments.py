@@ -6,8 +6,9 @@ stream tag), so any single replication can be reproduced in isolation and
 results are identical at any worker count.  Every harness maps one module-level
 function through ``_pmap`` (worker count from ``LAMA_THREADS``): per replication, or
 per fixed-size chunk of splits (``evaluate_real``) or of one cell's replications
-(``run_simulation``, every cell in one map), which ``_weigh_chunk`` fits and weighs as
-stacks.  Aggregation walks replications in index order, keeping output bytes stable.
+(``run_simulation``, every cell in one map), which ``_weigh_chunk`` fits and weighs as stacks
+(eval scores them by one stacked ``predict``).  Aggregation walks replications in index order,
+keeping output bytes stable.
 """
 
 from __future__ import annotations
@@ -375,6 +376,14 @@ def _fit_and_weigh(fit, methods, chosen=None):
         return None, None, str(exc)
 
 
+def _stacked(fits: list, names) -> ModelFits:
+    """``fits``, of one n and sizes, as one ModelFits on a leading axis: the fields in ``names`` are stacked and
+    every other is an empty (S, 0, M) array."""
+    S, M = len(fits), fits[0].M
+    return ModelFits(fits[0].n, fits[0].sizes, *(np.array([getattr(f, a.name) for f in fits]) if a.name in names
+                                                 else np.empty((S, 0, M)) for a in fields(ModelFits)[2:]))
+
+
 # jma's lockstep solve pads each program's factor to M(n + 1) + M^2 entries: it beats one solve per fit
 # only on stacks of at least this many programs whose factors hold at most this many entries.
 _JMA_STACK_MIN, _JMA_FACTOR_ENTRIES = 8, 2048
@@ -394,9 +403,7 @@ def _weigh_stack(fits: list, methods) -> dict[str, list]:
     if S < _JMA_STACK_MIN or M * (n + 1 + M) > _JMA_FACTOR_ENTRIES:
         methods = [m for m in methods if m != "jma"]
     # No criterion reads coefficients or ranks, and only jma reads residuals and leverages: the rest stay empty.
-    copied = ("rss", "residuals", "leverages") if "jma" in methods else ("rss",)
-    stack = ModelFits(n, fits[0].sizes, *(np.array([getattr(f, a.name) for f in fits]) if a.name in copied
-                                          else np.empty((S, 0, M)) for a in fields(ModelFits)[2:]))
+    stack = _stacked(fits, ("rss", "residuals", "leverages") if "jma" in methods else ("rss",))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         s2 = crit.sigma_hat(stack)
@@ -451,15 +458,19 @@ def _mean_var(values) -> tuple[float, float]:
 
 def _sim_reps(args):
     """(relative losses by method, 0, reason) of each replication in a chunk of one (n, M, R2) cell, in order:
-    each draws its own keyed ``generate_data`` stream, and ``_weigh_chunk`` fits and weighs the chunk."""
+    theta is derived once, each replication draws ``generate_data``'s keyed stream, one check finds any non-finite
+    entry in the chunk's draws, and ``_weigh_chunk`` fits and weighs the chunk."""
     cfg, n, m, r2, reps = args
     sizes = np.array([k for k in range(1, m + 1) if k != n or not cfg.exclude_boundary])
-    draws = [generate_data(cfg, r2, rep, n, m) for rep in reps]
-    X, Y = np.array([d.X for d, _, _ in draws]), np.array([d.Y for d, _, _ in draws])
+    theta = PowerLawProfile.from_r2(r2, cfg.alpha, cfg.p).coefficients(cfg.p)
+    draws = [_draw(rng_for(cfg.seed, "train", n, m, float(r2), rep), n, theta, m, True, 1.0) for rep in reps]
+    X, Y = np.array([x for x, _, _ in draws]), np.array([y for _, y, _ in draws])
+    if not (np.isfinite(X).all() and np.isfinite(Y).all()):
+        raise InputError("data", "dataset contains non-finite entries")
     cap, outcomes = math.inf if cfg.truncate_loss is None else cfg.truncate_loss, []
-    for (train, theta, mu), (fits, choices, failed) in zip(draws, _weigh_chunk(X, Y, sizes, cfg.methods)):
+    for (x, _, mu), (fits, choices, failed) in zip(draws, _weigh_chunk(X, Y, sizes, cfg.methods)):
         if failed is None:
-            losses, degenerate = relative_losses({k: c.weights for k, c in choices.items()}, fits.predict(train.X),
+            losses, degenerate = relative_losses({k: c.weights for k, c in choices.items()}, fits.predict(x),
                                                  mu, fits.coefs, theta)
             failed = "degenerate" if degenerate else None
         rows = None if failed is not None else {k: (min(a, cap), min(b, cap)) for k, (a, b) in losses.items()}
@@ -526,21 +537,24 @@ def _real_split(rng, Y, n_train: int):
 
 def _real_splits(args):
     """(test errors by method, redraws, reason) of each split in a chunk, in order: a split left constant is
-    degenerate, and ``_weigh_chunk`` fits and weighs the others' training rows."""
+    degenerate, ``_weigh_chunk`` fits and weighs the others' training rows, and the splits whose fits and choices
+    stand are scored from one ``predict`` over their stacked fits and one stacked product per method."""
     (X, Y, sizes, n_train, methods, seed, reps) = args
     splits = [_real_split(rng_for(seed, "real-split", n_train, rep), Y, n_train) for rep in reps]
     trains = np.array([idx[:n_train] for idx, _ in splits if idx is not None], dtype=np.int64).reshape(-1, n_train)
-    fitted, outcomes = iter(_weigh_chunk(X[:, : sizes[-1]][trains], Y[trains], sizes, methods)), []
-    for idx, redraws in splits:
-        fits, choices, failed = (None, None, "degenerate") if idx is None else next(fitted)
-        if failed is not None:
-            outcomes.append((None, redraws, failed))
-            continue
-        te = idx[n_train:]
-        pred_te = fits.predict(X[te])
-        errs = {k: float(((pred_te @ c.weights - Y[te]) ** 2).sum()) / te.size for k, c in choices.items()}
-        outcomes.append((errs, redraws, None))
-    return outcomes
+    fitted = iter(_weigh_chunk(X[:, : sizes[-1]][trains], Y[trains], sizes, methods))
+    fitted = [(None, None, "degenerate") if idx is None else next(fitted) for idx, _ in splits]
+    kept = [(idx[n_train:], fits, choices)
+            for (idx, _), (fits, choices, failed) in zip(splits, fitted) if failed is None]
+    errors = iter(())
+    if kept:
+        te, fits, choices = zip(*kept)
+        te = np.array(te)
+        pred = _stacked(fits, ("coefs",)).predict(X[te])
+        sq = [((pred @ np.array([c[m].weights for c in choices])[..., None])[..., 0] - Y[te]) ** 2 for m in methods]
+        errors = iter([dict(zip(methods, row)) for row in zip(*[(e.sum(-1) / te.shape[1]).tolist() for e in sq])])
+    return [(next(errors), redraws, None) if failed is None else (None, redraws, failed)
+            for (_, redraws), (_, _, failed) in zip(splits, fitted)]
 
 
 def evaluate_real(

@@ -91,7 +91,7 @@ class ModelFits:
     residuals, leverages are n x M with one column per candidate; coefs is
     k_M x M, column q holding candidate q's coefficients in its first k_q
     rows and zeros below.  Immutable after construction; compares by identity.
-    Fits of one n and sizes may stack on leading axes (``predict`` takes one).
+    Fits of one n and sizes may stack on leading axes, and ``predict`` then takes one matrix of rows per fit.
     """
 
     n: int
@@ -122,17 +122,18 @@ class ModelFits:
         )
 
     def predict(self, X_new: np.ndarray) -> np.ndarray:
-        """Per-candidate predictions on new rows, one column per candidate.
+        """Per-candidate predictions on new rows, one column per candidate; stacked fits take one
+        matrix of rows per fit on the same leading axes.
 
-        Only the first k_M columns of ``X_new`` are read.  They are copied in
-        Fortran order, so the product's bits do not depend on how many
-        columns follow or on ``X_new``'s memory layout.
+        Only the first k_M columns of ``X_new`` are read.  Each matrix of them is
+        copied in Fortran order, so the product's bits do not depend on how many
+        columns follow, on ``X_new``'s memory layout or on the stack.
         """
         X_new = np.asarray(X_new, dtype=np.float64)
-        kM = self.coefs.shape[0]
-        if X_new.ndim != 2 or X_new.shape[1] < kM:
-            raise ValueError("X_new must have at least k_M columns")
-        return np.asfortranarray(X_new[:, :kM]) @ self.coefs
+        kM = self.coefs.shape[-2]
+        if X_new.ndim != self.coefs.ndim or X_new.shape[-1] < kM:
+            raise ValueError("X_new must have at least k_M columns, and one matrix of rows per stacked fit")
+        return np.ascontiguousarray(np.swapaxes(X_new[..., :kM], -1, -2)).swapaxes(-1, -2) @ self.coefs
 
 
 def load_csv(path, response: str) -> Dataset:

@@ -1,9 +1,9 @@
 """Minimize w'Aw + b'w over the probability simplex.
 
 ``solve_simplex_qp(A, b)`` is the one entry point, for A an M x M array, a ``GramForm`` or a
-``NestedForm``, which may stack programs on leading axes: their checks and certificates then take
-one pass of array operations, and only the nested solves below run a program at a time.  Every answer
-has the same certificate: ``status`` and ``kkt_residual``, the projected-gradient fixed-point residual.
+``NestedForm``, which may stack programs on leading axes: their checks, certificates and solves then
+run as array operations over the stack, but for the nested steps below that take a program at a time.
+Every answer has the same certificate: ``status`` and ``kkt_residual``, the projected-gradient residual.
 
 The Gram and ridged nested paths run one primal active-set loop (Nocedal &
 Wright, *Numerical Optimization*, Alg. 16.3), ``_active_set``.  Each step goes
@@ -56,6 +56,8 @@ The paths differ only in how they solve a face and where they start:
   The first face is the full support, and its solve certifies convexity:
   the LDL' pivots of the whole Hessian must be positive (else ``ValueError``),
   which makes the minimizer unique and every face system positive definite.
+  A stack solves every first face in one Thomas pass (``_ridged_stack``), bit for bit as alone; only
+  a program whose first step meets a bound goes on alone, and the first with a pivot <= 0 raises.
 
   Without the ridge (Mallows) it is weighted isotonic regression of
   t_i = -e_i / (2 d_i) with weights d_i, clipped to [0, 1], solved exactly
@@ -64,12 +66,12 @@ The paths differ only in how they solve a face and where they start:
   its curvature is roundoff, and its linear term (Mallows has e_i <= 0) pushes
   C_i up, so it merges into the next block (a block of ties alone sits at
   C = 1).  A d_i below minus that is negative curvature: ``ValueError``.
+  A stack is converted to floats and back once, and each program pools on plain floats.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -263,24 +265,25 @@ def solve_simplex_qp(A: np.ndarray | GramForm | NestedForm, b: np.ndarray | None
     """Minimize w'Aw + b'w over the probability simplex.
 
     A is an M x M array or the ``GramForm`` or ``NestedForm`` that describes it, in which case no
-    M x M array is formed.  A stack of nested programs (b of the form's shape) is solved a program
-    at a time and a stack of Gram programs in lockstep, each checked and certified in one pass; each
-    report field then lists one entry per program.  Raises ``ValueError`` on malformed input and on
-    programs not convex on the simplex.
+    M x M array is formed.  A stack of programs (b of the form's shape) is checked and certified in
+    one pass and solved as the module docstring says, a Gram stack in lockstep; each report field then
+    lists one entry per program.  Raises ``ValueError`` on malformed input and on programs not convex
+    on the simplex.
     """
     A, b, peak = _checked(A, b)
     scale = np.maximum(np.maximum(1.0, peak), np.abs(b).max(-1))
     M, cumulative = b.shape[-1], None
-    w, iterations, stopped = np.ones(b.shape), np.zeros(scale.shape, dtype=np.int64), np.ones(scale.shape, dtype=bool)
+    w, iterations, stopped = np.ones(b.shape), np.zeros(scale.shape, dtype=np.int64), True
     if isinstance(A, NestedForm):
         d, e = cumulative = A.cumulative(b)
-        for i in itertools.product(*map(range, scale.shape)):
-            if A.r is None or M == 1:  # pool-adjacent-violators is exact
-                w[i], iterations[i] = _pool_adjacent_violators(d[i], e[i], 1e-12 * scale[i])
-            else:  # the gradient of one program reads its own ridge, and b only through e
-                grad = functools.partial(_gradient, NestedForm(A.g[i], A.h[i], A.r[i]), None, cumulative=(d[i], e[i]))
-                w[i], iterations[i], stopped[i] = _active_set(_tridiagonal_face(d[i], e[i], A.r[i]), grad,
-                                                              list(range(M)), np.full(M, 1.0 / M), scale[i])
+        if A.r is None or M == 1:  # pool-adjacent-violators is exact
+            w, iterations = _pool_adjacent_violators(d, e, 1e-12 * scale)
+        elif b.ndim > 1:
+            w, iterations, stopped = _ridged_stack(A, d, e, scale)
+        else:  # the gradient reads the ridge, and b only through e
+            face = _tridiagonal_face(_face_target(d, e, A.r))
+            grad = functools.partial(_gradient, A, None, cumulative=cumulative)
+            w, iterations, stopped = _active_set(face, grad, list(range(M)), np.full(M, 1.0 / M), scale)
     elif M > 1:
         start = (A.diagonal() + b).argmin(-1)  # the best vertex
         form, linear = (A, b) if isinstance(A, GramForm) else _centred_factor(A, b)
@@ -398,19 +401,21 @@ def _gram_stack(form: GramForm, b: np.ndarray, scale: np.ndarray, start: np.ndar
         BT, QT, Rinv, w, free, entered = (live[name] for name in ("BT", "QT", "Rinv", "w", "free", "entered"))
         k = np.minimum(live["k"], np.where(free, M, live["place"]).min(1))  # cut each factor to its longest free prefix
         place = np.where(live["place"] < k[:, None], live["place"], M)
-        cut, failed = pos >= k[:, None], np.zeros(ids.size, bool)
-        QT[cut], np.swapaxes(Rinv, 1, 2)[cut] = 0.0, 0.0
+        cut, failed = (pos >= k[:, None]) & (pos < live["k"][:, None]), np.zeros(ids.size, bool)
+        QT[cut], np.swapaxes(Rinv, 1, 2)[cut] = 0.0, 0.0  # the rows past the old cut are 0 already
         while (A := ((pending := free & (place == M)).any(1) & ~failed).nonzero()[0]).size:
             j, kA = pending[A].argmax(1), k[A]  # add each program's lowest free column that its factor lacks
-            a, Q = BT[A, j], QT[A]
+            every = A.size == ids.size  # every live program adds one: read the factors in place
+            a, Q = BT[A, j], QT if every else QT[A]
             r = _matvec(Q, a)  # classical Gram-Schmidt, reorthogonalized once
             u = a - (r[:, None] @ Q)[:, 0]
             s = _matvec(Q, u)
             u -= (s[:, None] @ Q)[:, 0]
             rho = _norm(u)
             failed[A] = bad = rho <= 1e-6 * live["norm"][A, j]
+            every &= not bad.any()
             A, j, kA, u, rho, rs = (x[~bad] for x in (A, j, kA, u, rho, r + s))
-            QT[A, kA], Rinv[A, :, kA] = u / rho[:, None], _matvec(Rinv[A], rs) / -rho[:, None]
+            QT[A, kA], Rinv[A, :, kA] = u / rho[:, None], _matvec(Rinv if every else Rinv[A], rs) / -rho[:, None]
             Rinv[A, kA, kA], place[A, j], k[A] = 1.0 / rho, kA, kA + 1
         x = _matvec(Rinv, Rinv.sum(1))  # R^-1 R^-T 1, and the face minimizer v in factor order
         v = x / x.sum(1, keepdims=True)
@@ -444,72 +449,100 @@ def _gram_stack(form: GramForm, b: np.ndarray, scale: np.ndarray, start: np.ndar
     return out, iterations, stopped
 
 
-def _pool_adjacent_violators(d: np.ndarray, e: np.ndarray, tol: float) -> tuple[np.ndarray, int]:
-    """Weights minimizing sum_i d_i C_i^2 + e_i C_i over 0 <= C_0 <= ... <= C_{M-2} <= 1,
-    and the number of pooling steps."""
-    if (d < -tol).any():
-        raise _not_convex(float(d.min()))
-    blocks: list[tuple] = []  # (sum of -e/2, sum of d, length, level)
-    pools = 0
-    for num, den in zip((-0.5 * e).tolist(), np.where(d <= tol, 0.0, d).tolist()):
-        size = 1
-        while True:  # level minimizes den C^2 - 2 num C; a tie block (den = 0) goes to the bound its slope picks
-            level = num / den if den > 0.0 else (math.inf if num >= 0.0 else -math.inf)
-            if not (blocks and blocks[-1][3] > level):
-                break
-            before = blocks.pop()  # pool with the violating block before
-            num, den, size = before[0] + num, before[1] + den, before[2] + size
-            pools += 1
-        blocks.append((num, den, size, level))
-    C = np.array([0.0] + [level for _, _, size, level in blocks for _ in range(size)] + [1.0]).clip(0.0, 1.0)
-    return C[1:] - C[:-1], pools
+def _pool_adjacent_violators(d: np.ndarray, e: np.ndarray, tol) -> tuple[np.ndarray, np.ndarray]:
+    """Weights minimizing sum_i d_i C_i^2 + e_i C_i over 0 <= C_0 <= ... <= C_{M-2} <= 1, and the number of
+    pooling steps, of each program of a stack on the leading axes (none: one program), ``tol`` one per program."""
+    lead, tol = d.shape[:-1], tol[..., None] if d.ndim > 1 else tol  # a scalar broadcasts faster
+    if (d < -tol).any():  # the first program's least d
+        raise _not_convex(float(d.reshape(-1, d.shape[-1])[(d < -tol).any(-1).argmax()].min()))
+    levels, pools = [], []
+    rows = (-0.5 * e).reshape(tol.size, -1).tolist(), np.where(d <= tol, 0.0, d).reshape(tol.size, -1).tolist()
+    for nums, dens in zip(*rows):
+        blocks, count = [], 0  # blocks: (sum of -e/2, sum of d, length, level)
+        for num, den in zip(nums, dens):
+            size = 1
+            while True:  # level minimizes den C^2 - 2 num C; a tie block (den = 0) goes to the bound its slope picks
+                level = num / den if den > 0.0 else (math.inf if num >= 0.0 else -math.inf)
+                if not (blocks and blocks[-1][3] > level):
+                    break
+                before = blocks.pop()  # pool with the violating block before
+                num, den, size = before[0] + num, before[1] + den, before[2] + size
+                count += 1
+            blocks.append((num, den, size, level))
+        levels += [0.0] + [level for _, _, size, level in blocks for _ in range(size)] + [1.0]
+        pools.append(count)
+    C = np.array(levels).reshape(*lead, -1).clip(0.0, 1.0)
+    return C[..., 1:] - C[..., :-1], np.array(pools).reshape(lead)
 
 
-def _tridiagonal_solve(diag: list[float], off: list[float], rhs: list[float]) -> list[float]:
-    """Thomas algorithm for a symmetric tridiagonal system; ``ValueError`` at the first LDL' pivot <= 0."""
-    n = len(diag)
-    ratio = [0.0] * n
-    x = [0.0] * n
-    pivot = diag[0]
-    if not pivot > 0.0:
+def _tridiagonal_solve(diag: list, off: list, rhs: list) -> tuple[list, list]:
+    """Thomas algorithm for a symmetric tridiagonal system: (x, the LDL' pivots).  On floats it raises ``ValueError``
+    at the first pivot <= 0; on arrays, each one position of a stack of systems, the caller tests the pivots."""
+    n, pivot = len(diag), diag[0]
+    ratio, x, pivots, alone = [0.0] * n, [0.0] * n, [pivot], isinstance(pivot, float)
+    if alone and not pivot > 0.0:
         raise _not_convex(pivot)
     x[0] = rhs[0] / pivot
     for i in range(1, n):
         ratio[i - 1] = off[i - 1] / pivot
         pivot = diag[i] - off[i - 1] * ratio[i - 1]
-        if not pivot > 0.0:
+        if alone and not pivot > 0.0:
             raise _not_convex(pivot)
+        pivots.append(pivot)
         x[i] = (rhs[i] - off[i - 1] * x[i - 1]) / pivot
     for i in range(n - 2, -1, -1):
         x[i] -= ratio[i] * x[i + 1]
-    return x
+    return x, pivots
 
 
-def _tridiagonal_face(d: np.ndarray, e: np.ndarray, r: np.ndarray):
-    """The face step of the ridged cumulative form.
+def _face_target(d: np.ndarray, e: np.ndarray, r: np.ndarray):
+    """``target(free)``: the ridged cumulative form's minimizer on a face, as weights on the free candidates,
+    and the Thomas pivots of the face system.
 
-    On the face with free candidates f_0 < ... < f_{s-1}, the variables are
-    E_m = C_i for f_m <= i < f_{m+1} (m < s - 1); the steps inside one run
-    pool their d and e, and the ridge keeps r at the free candidates only.
-    The first face, the full support, solves the whole Hessian (d from
-    differences of its running sums, equal up to roundoff), so that solve
-    certifies convexity.  The face solve runs on plain floats: the programs
-    are small and numpy's per-call cost would dominate.
+    On the face with free candidates f_0 < ... < f_{s-1}, the variables are E_m = C_i for
+    f_m <= i < f_{m+1} (m < s - 1); the steps inside one run pool their d and e, and the ridge keeps
+    r at the free candidates only.  The first face, the full support, solves the whole Hessian (d
+    from differences of its running sums, equal up to roundoff), so that solve certifies convexity:
+    ``_tridiagonal_solve`` raises at one program's first pivot <= 0, and ``_ridged_stack`` hands a
+    stacked program with one to the one-program loop.  One program runs on plain floats, as numpy's
+    per-call cost would dominate; a stack runs the same operations on arrays over it, one per position.
     """
-    d_sum = [0.0] + d.cumsum().tolist()
-    e_sum = [0.0] + e.cumsum().tolist()
-    ridge = r.tolist()
+    entries = np.ndarray.tolist if r.ndim == 1 else lambda x: list(np.moveaxis(x, -1, 0))
+    d_sum, e_sum, ridge = [0.0] + entries(d.cumsum(-1)), [0.0] + entries(e.cumsum(-1)), entries(r)
 
-    def face(free: list[int], w: np.ndarray) -> tuple[np.ndarray, float]:
-        target = [1.0]
-        if len(free) > 1:
-            runs = list(zip(free[:-1], free[1:]))
-            rhs = [0.5 * (e_sum[f] - e_sum[g]) for f, g in runs]
-            rhs[-1] += ridge[free[-1]]
-            E = _tridiagonal_solve(
-                [d_sum[g] - d_sum[f] + ridge[f] + ridge[g] for f, g in runs], [-ridge[f] for f in free[1:-1]], rhs
-            )
-            target = [hi - lo for lo, hi in zip([0.0] + E, E + [1.0])]
-        return np.array(target) - w[free], 1.0
+    def target(free) -> tuple[list, list]:
+        if len(free) == 1:
+            return [1.0], []
+        runs = list(zip(free[:-1], free[1:]))
+        rhs = [0.5 * (e_sum[f] - e_sum[g]) for f, g in runs]
+        rhs[-1] += ridge[free[-1]]
+        E, pivots = _tridiagonal_solve(
+            [d_sum[g] - d_sum[f] + ridge[f] + ridge[g] for f, g in runs], [-ridge[f] for f in free[1:-1]], rhs
+        )
+        return [hi - lo for lo, hi in zip([0.0] + E, E + [1.0])], pivots
 
-    return face
+    return target
+
+
+def _tridiagonal_face(target, full: np.ndarray | None = None):
+    """The face step of one ridged program from its ``_face_target``, the full support's from ``full`` when given."""
+    return lambda free, w: ((full if full is not None and len(free) == w.size else np.array(target(free)[0]))
+                            - w[free], 1.0)
+
+
+def _ridged_stack(A: NestedForm, d: np.ndarray, e: np.ndarray, scale: np.ndarray):
+    """``_active_set`` on each ridged program of a stack: (weights, iterations, stopped).  Every first face is one
+    Thomas pass; the programs whose step meets a bound, or with a pivot <= 0, go on alone in stack order."""
+    M = A.r.shape[-1]
+    w, iterations, stopped = np.full(A.r.shape, 1.0 / M), np.ones(scale.shape, np.int64), np.ones(scale.shape, bool)
+    with np.errstate(all="ignore"):  # a program with a pivot <= 0 sweeps on, and goes on alone below
+        target, pivots = _face_target(d, e, A.r)(range(M))
+        target, convex = np.moveaxis(np.array(target), 0, -1), (np.array(pivots) > 0.0).all(0)
+        step = target - w
+        blocked = np.divide(w, -step, out=np.full(w.shape, np.inf), where=step < 0.0).min(-1) < 1.0
+    w = w + step  # the whole step: the active set's w + 1.0 p
+    for i in zip(*(blocked | ~convex).nonzero()):
+        grad = functools.partial(_gradient, NestedForm(A.g[i], A.h[i], A.r[i]), None, cumulative=(d[i], e[i]))
+        face = _tridiagonal_face(_face_target(d[i], e[i], A.r[i]), target[i] if convex[i] else None)
+        w[i], iterations[i], stopped[i] = _active_set(face, grad, list(range(M)), np.full(M, 1.0 / M), scale[i])
+    return w, iterations, stopped

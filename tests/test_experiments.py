@@ -948,6 +948,30 @@ class TestSimulationChunks:
         assert maps == [4]
 
 
+def test_a_chunk_draws_each_replication_as_generate_data(monkeypatch):
+    # A chunk derives theta once and checks its stacked draws once; each replication's X, Y, mu and
+    # theta are generate_data's, bit for bit.
+    cfg = SimulationConfig(n_values=(20,), p=100, m_values=(15,), replications=8, seed=3, methods=("mma", "lama"))
+    drawn, scored, weigh, losses = [], [], xp._weigh_chunk, xp.relative_losses
+    monkeypatch.setattr(xp, "_weigh_chunk", lambda X, Y, *rest: drawn.append((X, Y)) or weigh(X, Y, *rest))
+    monkeypatch.setattr(xp, "relative_losses", lambda *args: scored.append(args) or losses(*args))
+    xp._sim_reps((cfg, 20, 15, 0.5, range(2, 7)))
+    ((X, Y),) = drawn
+    assert X.shape == (5, 20, 15) and len(scored) == 5
+    for at, rep in enumerate(range(2, 7)):
+        train, theta, mu = generate_data(cfg, 0.5, rep, 20, 15)
+        assert X[at].tobytes() == train.X.tobytes() and Y[at].tobytes() == train.Y.tobytes()
+        assert scored[at][2].tobytes() == mu.tobytes() and scored[at][4].tobytes() == theta.tobytes()
+
+    # A non-finite draw raises the InputError of generate_data's Dataset.
+    def nan_draw(rng, rows, theta, m, *rest):
+        return np.full((rows, m), np.nan), np.zeros(rows), np.zeros(rows)
+
+    monkeypatch.setattr(xp, "_draw", nan_draw)
+    with pytest.raises(InputError, match="non-finite"):
+        xp._sim_reps((cfg, 20, 15, 0.5, range(2)))
+
+
 class TestValidateRmt:
     def test_under_parameterized_report(self):
         report = validate_rmt(60, 0.5, reps=3, seed=1)

@@ -1,5 +1,6 @@
 """Datasets, forward ordering, and batch fitting of column-prefix candidates."""
 
+import dataclasses
 import tracemalloc
 from unittest import mock
 
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lama import models
-from lama.models import Dataset, default_model_counts, fit_all, load_csv, order_by_cp
+from lama.models import Dataset, ModelFits, default_model_counts, fit_all, load_csv, order_by_cp
 from lama.risk_theory import InputError
 
 from conftest import make_fits
@@ -486,6 +487,31 @@ def test_columns_past_the_largest_candidate_are_never_read(seed, wide):
             assert a.shape == b.shape and a.tobytes() == b.tobytes(), field
         for X_other in past(X_new, 7):
             assert fits.predict(X_other).tobytes() == expected.tobytes()
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1), wide=st.booleans())
+def test_stacked_predict_is_each_fits_predict(seed, wide):
+    # Fits of one n and sizes stacked on leading axes predict one matrix of rows per fit, bit for bit as
+    # each fit's own predict, whatever the layout of the rows and the columns past k_M.
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(4, 20))
+    kM = int(rng.integers(n + 1, 2 * n + 1)) if wide else int(rng.integers(1, n + 1))
+    p, rows, S = kM + int(rng.integers(0, 4)), int(rng.integers(1, 9)), int(rng.integers(1, 7))
+    sizes = np.unique(np.concatenate([[kM], rng.integers(1, kM + 1, 3)]))
+    fits = [fit_all(Dataset(Y=rng.standard_normal(n), X=rng.standard_normal((n, p))), sizes) for _ in range(S)]
+    stack = ModelFits(n, sizes, *(np.array([getattr(f, a.name) for f in fits])
+                                  for a in dataclasses.fields(ModelFits)[2:]))
+    X_new = rng.standard_normal((S, rows, p))
+    for X_other in (X_new, np.asfortranarray(X_new), X_new.transpose(0, 2, 1).copy().transpose(0, 2, 1)):
+        pred = stack.predict(X_other)
+        assert pred.shape == (S, rows, sizes.size)
+        for f, X_one, one in zip(fits, X_new, pred):
+            assert one.tobytes() == f.predict(X_one).tobytes()
+    paired = ModelFits(n, sizes, *(getattr(stack, a.name)[None] for a in dataclasses.fields(ModelFits)[2:]))
+    assert paired.predict(X_new[None]).tobytes() == pred.tobytes()  # leading shape (1, S)
+    with pytest.raises(ValueError, match="k_M columns"):
+        stack.predict(X_new[0])  # one matrix of rows for a stack of fits
 
 
 def test_default_model_counts_match_rounding_rule():

@@ -441,6 +441,107 @@ class TestGramStack:
             solve_simplex_qp(GramForm(np.ones((3, 5, 4))), np.ones((3, 3)))
 
 
+def _entry(values, index):
+    """The entry at ``index`` (a tuple) of a report field that lists one entry per program."""
+    for i in index:
+        values = values[i]
+    return values
+
+
+def assert_solved_as_members(g, h, r, b):
+    """A stack of nested programs reports each member's lone solve in every field, bit for bit, or raises the
+    ValueError text of the first member that raises alone.  Returns how many members went on past their first
+    face (one ``_active_set`` run each)."""
+    lead, alone = b.shape[:-1], []
+    for i in np.ndindex(lead):
+        try:
+            alone.append(solve_simplex_qp(NestedForm(g[i], h[i], None if r is None else r[i]), b[i]))
+        except ValueError as exc:
+            with pytest.raises(ValueError) as err:
+                solve_simplex_qp(NestedForm(g, h, r), b)
+            assert str(err.value) == str(exc)
+            return None
+    went_on, active_set = [], qp._active_set
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(qp, "_active_set", lambda *args: went_on.append(args) or active_set(*args))
+        report = solve_simplex_qp(NestedForm(g, h, r), b)
+    assert np.shape(report.weights) == b.shape
+    for i, one in zip(np.ndindex(lead), alone):
+        assert report.weights[i].tobytes() == one.weights.tobytes()
+        for field in ("objective", "iterations", "status", "kkt_residual"):
+            assert _entry(getattr(report, field), i) == getattr(one, field), field
+    return len(went_on)
+
+
+def _nested_stack(rng, S, M, ridge):
+    """(g, h, r, b) of S convex nested programs, r None without ``ridge``; about half have a linear term."""
+    g = rng.standard_normal((S, 1)) - np.cumsum(rng.uniform(0.0, 1.0, (S, M)), -1)
+    h = np.cumsum(rng.uniform(0.0, 1.0, (S, M)), -1)
+    r = rng.uniform(0.0, 1.0, (S, M)) * 10.0 ** rng.uniform(-3.0, 1.0, (S, 1)) if ridge else None
+    b = rng.standard_normal((S, M)) * rng.uniform(0.0, 3.0, (S, 1)) * (rng.uniform(size=(S, 1)) < 0.5)
+    return g, h, r, b
+
+
+class TestNestedStack:
+    """A stack of Mallows or ridged programs is each member solved alone: pool-adjacent-violators converts a
+    stack once, and every ridged first face is one Thomas pass over the stack, whose blocked members go on alone."""
+
+    @pytest.mark.parametrize("ridge", [False, True])
+    @pytest.mark.parametrize("M", [1, 2, 3, 16, 45])
+    @pytest.mark.parametrize("lead", [(9,), (1, 9)])
+    def test_every_member_is_its_lone_solve(self, ridge, M, lead):
+        g, h, r, b = _nested_stack(np.random.default_rng(M + 100 * ridge), 9, M, ridge)
+        shaped = [None if x is None else x.reshape(*lead, M) for x in (g, h, r, b)]
+        assert assert_solved_as_members(*shaped) is not None
+
+    @given(st.integers(min_value=1, max_value=20), st.integers(min_value=1, max_value=12),
+           st.integers(min_value=0, max_value=2**32 - 1), st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_random_stacks(self, M, S, seed, ridge):
+        assert assert_solved_as_members(*_nested_stack(np.random.default_rng(seed), S, M, ridge)) is not None
+
+    @pytest.mark.parametrize("ridge", [False, True])
+    def test_exact_ties(self, ridge):
+        # Repeated g and h give d_i = 0 exactly on every other step, and programs 0 and 3 are the same program.
+        g, h, r, b = _nested_stack(np.random.default_rng(5), 6, 10, ridge)
+        g[:, 1::2], h[:, 1::2] = g[:, ::2], h[:, ::2]
+        for x in (g, h, b) if r is None else (g, h, r, b):
+            x[3] = x[0]
+        report = solve_simplex_qp(NestedForm(g, h, r), b)
+        assert report.weights[3].tobytes() == report.weights[0].tobytes()
+        assert assert_solved_as_members(g, h, r, b) is not None
+
+    def test_most_first_steps_block_or_none_do(self):
+        # A small ridge under a steep linear term puts the optimum on few candidates, so the full-support
+        # step meets a bound; with g = h = 0 and b = 0 the optimum is w ~ 1/r on every candidate.
+        rng = np.random.default_rng(8)
+        g, h, r, b = _nested_stack(rng, 40, 16, True)
+        assert assert_solved_as_members(g, h, 1e-3 * r, 30.0 * rng.standard_normal((40, 16))) > 30
+        zeros = np.zeros((40, 16))
+        assert assert_solved_as_members(zeros, zeros, r, zeros) == 0
+
+    @pytest.mark.parametrize("ridge", [False, True])
+    def test_a_member_that_is_not_convex(self, ridge):
+        # Member 5 of 8 is not convex; on the ridged stack, members before it go on past their first face first.
+        rng = np.random.default_rng(2)
+        g, h, r, b = _nested_stack(rng, 8, 12, ridge)
+        b[:5] = 30.0 * rng.standard_normal((5, 12))
+        g[5], h[5] = rng.standard_normal(12), rng.standard_normal(12)
+        with pytest.raises(ValueError, match="not convex on the simplex"):
+            solve_simplex_qp(NestedForm(g[5], h[5], None if r is None else r[5]), b[5])
+        assert assert_solved_as_members(g, h, r, b) is None
+        assert assert_solved_as_members(g[:5], h[:5], None if r is None else r[:5], b[:5]) is not None
+
+    def test_a_member_that_is_not_convex_and_whose_first_step_meets_no_bound(self):
+        # g = (0, 3), h = 0, r = 1/2 and b = (0, -3) give d = -3 and e = 3: the one pivot is -2, and the
+        # step from uniform weights is 0, so only the pivot test sends member 1 on, to raise alone.
+        g, h, r, b = np.array([[0.0, 0.0], [0.0, 3.0]]), np.zeros((2, 2)), np.full((2, 2), 0.5), np.zeros((2, 2))
+        b[1, 1] = -3.0
+        with pytest.raises(ValueError, match=r"curvature -2\)"):
+            solve_simplex_qp(NestedForm(g, h, r), b)
+        assert assert_solved_as_members(g, h, r, b) is None
+
+
 class TestCumulativeForm:
     """The Mallows and large-model programs solved through their cumulative
     form, held to the general solver on the matrix their form describes."""
