@@ -705,7 +705,7 @@ def validate_theorem1(
         raise InputError("sigma2", f"must be nonnegative and finite, got {sigma2}")
 
     sq = np.concatenate([[0.0], np.cumsum(theta**2)])
-    c, norms2 = _theorem1_inputs(sizes / float(n), sq[sizes], float(sq[-1]))
+    norms2 = _theorem1_inputs(sizes / float(n), sq[sizes], float(sq[-1]))[1]
     if w.shape[0] != M:
         raise InputError("w", f"weight length {w.shape[0]} does not match the {M} candidates")
     # Both comparisons are false for NaN, so this one test also stops non-finite weights.
@@ -716,7 +716,7 @@ def validate_theorem1(
         raise ValueError(f"candidate size k = n = {n} has positive weight; it lies on the boundary")
     if near := sizes[(abs(sizes - n) == 1) & (w > 0.0)].tolist():
         warnings.warn(f"weighted sizes {near} have |k - n| = 1: infinite expected risk at finite n", RuntimeWarning)
-    bv, bb = _weighted_borders(c, norms2, float(sq[-1]) - norms2, sigma2, np.where(w > 0.0, w, 0.0))
+    bv, bb = _weighted_borders(sizes, n, norms2, float(sq[-1]) - norms2, sigma2, np.where(w > 0.0, w, 0.0))
     theo_bias, theo_var = float(bb.sum()), float(bv.sum())
     theo_risk = theo_bias + theo_var
 

@@ -170,9 +170,12 @@ def order_by_cp(data: Dataset) -> np.ndarray:
     Cp = RSS / sigma2 - n + 2k for any fixed sigma2 > 0.  At each step every
     candidate column adds one term, so k is common to them all and the Cp
     minimizer is the column with the largest RSS drop (r_j'Y)^2 / ||r_j||^2,
-    r_j being its residual against the columns already selected; ties go to
-    the lower original index.  Selection stops after min(n - 2, p) terms or
-    when every remaining column lies in the selected span (||r_j|| at most
+    r_j being its residual against the columns already selected.  Drops within
+    1e-10 ||Y|| sqrt(d) of the largest, d (the scale of a drop's roundoff), tie,
+    and the lowest original index among them wins, so columns tied by exact
+    linear relations (a factor's dummies beside an intercept) go by index, not
+    by roundoff or the scale of Y.  Selection stops after min(n - 2, p) terms
+    or when every remaining column lies in the selected span (||r_j|| at most
     1e-12 max(||x_j||, 1)); the columns never selected follow in original
     order, so the result is always a full permutation.  An intercept column
     (``has_intercept``) is seeded as the first term.
@@ -188,6 +191,7 @@ def order_by_cp(data: Dataset) -> np.ndarray:
     term_cap = min(n - 2, p)
 
     floor = 1e-12 * np.maximum(np.linalg.norm(data.X, axis=0), 1.0)
+    tie = 1e-10 * np.sqrt((data.Y * data.Y).sum())
     R = data.X.copy()  # column j: x_j's residual against the selected span
     free = np.ones(p, dtype=bool)
     selected: list[int] = []
@@ -198,7 +202,8 @@ def order_by_cp(data: Dataset) -> np.ndarray:
             j = 0
         elif live.any():
             c = (R * data.Y[:, None]).sum(axis=0)
-            j = int(np.argmax(np.divide(c * c, norm2, out=np.full(p, -1.0), where=live)))  # first index wins ties
+            drop = np.divide(c * c, norm2, out=np.full(p, -np.inf), where=live)
+            j = int(np.argmax(drop >= drop.max() - tie * np.sqrt(drop.max())))  # the first of the ties
         else:
             break  # every remaining column is in the current span
         free[j] = False

@@ -13,6 +13,7 @@ zero).
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -135,42 +136,54 @@ def _theorem1_inputs(c, norms2, total_norm2: float) -> tuple[np.ndarray, np.ndar
     return c, norms2
 
 
-# Entries of an array formed at once: grid rows, the across-boundary rectangle or an eval chunk's stacked designs.
+# Entries of an array formed at once: grid rows, a tile of the kernels across the boundary or an eval chunk.
 _BLOCK_ENTRIES = 1 << 16
 
 
-def _weighted_borders(c, norms2, re2, sigma2, u, factors=None) -> tuple[np.ndarray, np.ndarray]:
-    """Row borders (bv, bb) of u' D_V u and u' D_B u for weights u >= 0 on rows c as in ``_factors``, unchecked.
+def _weighted_borders(sizes, n, norms2, re2, sigma2, u, factors=None) -> tuple[np.ndarray, np.ndarray]:
+    """Row borders (bv, bb) of u' D_V u and u' D_B u for weights u >= 0 on rows c = sizes / n as in
+    ``_factors``, unchecked: n is one per row, and bare ratios c pass as (c, 1.0).
 
     re2 is the omitted norm total_norm2 - norms2, and entry (q, l) reads the smaller model q as [min] and
     the larger l as [max].  As c increases, the pairs below the boundary, above it and across it are two
     diagonal blocks, whose entries are those of ``_factors`` (``factors`` if given), and a rectangle (rows
-    below); the boundary rows and columns between them are +inf:
-      across: D_V = sigma2 c[min] / gap, D_B = (c[max] - 1) / gap (norms2[max] - norms2[min]) +
-        c[max] / gap re2[max], gap = c[max] - c[min].
+    below); the boundary rows and columns between them are +inf.  The rectangle reads n only through one
+    factor per column of the kernels K = 1 / (k[max] - k[min]) and D = (norms2[max] - norms2[min]) K:
+      across: D_V = sigma2 k[min] K, D_B = (k[max] - n) D + k[max] re2[max] K.
     Border m is u_m (2 sum_{i<m} u_i A_im + u_m A_mm), so the first M borders sum to the leading M x M
     form; a boundary row is +inf with weight and 0 without.  On a block with A_ij = p[min] q[max] the
-    border is u_m q_m (2 sum_{i<m} u_i p_i + u_m p_m); the norm gap above the boundary sums norms2 steps
-    times the weight before them, so nothing cancels and zeros stay exact.  The diagonal blocks of all
-    rows take one pass of array operations; a row's rectangle enters as its weighted column sums u_below' R,
-    in blocks of at most _BLOCK_ENTRIES entries: O(M) memory per row and O(M + |below| |above|) time.
+    border is u_m q_m (2 sum_{i<m} u_i p_i + u_m p_m); the norm gaps sum norms2 steps or differences, so
+    nothing cancels and zeros stay exact.  The diagonal blocks of all rows take one pass of array
+    operations.  The kernels are formed once, in square tiles of at most _BLOCK_ENTRIES entries at
+    multiples of their side, and a row takes three vector-matrix products per tile it meets: O(M) memory
+    per row, and bits that depend on the row's inputs and _BLOCK_ENTRIES alone.
     """
-    lo, hi, v, p, q = factors or _factors(c, norms2, re2, sigma2)
+    lo, hi, v, p, q = factors or _factors(sizes / n, norms2, re2, sigma2)
     below, above = np.count_nonzero(lo, axis=-1), np.count_nonzero(hi, axis=-1)
+    M, A, side = lo.shape[-1], below.max(), math.isqrt(_BLOCK_ENTRIES)
+    top = M - above.max()
     # The columns where some row is below the boundary, and those where some row is above it.
-    top = c.shape[-1] - above.max()
-    L, H = (..., slice(0, below.max())), (..., slice(top, None))
-    sv, sb = np.zeros((2, *hi[H].shape))
-    for r in np.ndindex(below.shape):
-        a, b = below[r], c.shape[-1] - above[r]
-        cl, ch, nl, n2, ul = c[r][:a], c[r][b:], norms2[:a], norms2[b:], u[r][:a]
-        step, cmax = max(1, _BLOCK_ENTRIES // max(1, ch.size)), ch[None, :]
-        for start in range(0, a, step):
-            rows = slice(start, start + step)
-            cmin = cl[rows, None]
-            gap = cmax - cmin
-            sv[r][b - top :] += ul[rows] @ (sigma2 * cmin / gap)
-            sb[r][b - top :] += ul[rows] @ ((cmax - 1.0) / gap * (n2 - nl[rows, None]) + cmax / gap * re2[b:])
+    L, H = (..., slice(0, A)), (..., slice(top, None))
+    sv, s0, s1 = np.zeros((3, *hi[H].shape))
+    uk = sigma2 * u[L] * sizes[:A]
+    spans = list(zip(np.ndindex(below.shape), below.reshape(-1).tolist(), (M - above).reshape(-1).tolist()))
+    with np.errstate(divide="ignore", invalid="ignore"):  # tile entries with k[min] >= k[max], which no row reads
+        for j in range(top - top % side, M if top < M else 0, side):
+            for i in range(0, A, side):
+                rows, cols = slice(i, min(i + side, A)), slice(j, j + side)
+                K = np.subtract(sizes[cols], sizes[rows, None], dtype=np.float64)  # the gaps, inverted below
+                D = np.subtract(norms2[cols], norms2[rows, None])
+                D /= K
+                np.divide(1.0, K, out=K)
+                for r, a, b in spans:
+                    a, b = min(a - i, side), max(b, j)
+                    if a > 0 and b < min(j + side, M):
+                        x, y = (slice(0, a), slice(b - j, None)), slice(b - top, j + side - top)
+                        sv[r][y] += uk[r][i : i + a] @ K[x]
+                        s0[r][y] += u[r][i : i + a] @ K[x]
+                        s1[r][y] += u[r][i : i + a] @ D[x]
+    s0 *= sizes[top:] * re2[top:]
+    sb = np.add(np.multiply(s1, sizes[top:] - n, out=s1), s0, out=s1)  # two nonnegative terms above
     bv = np.where((u > 0.0) & ~(lo | hi), np.inf, 0.0)
     bb = bv.copy()
     # Weights off each block are an exact 0, and so is every factor they meet (never 0 * inf), so a
@@ -315,8 +328,9 @@ def risk_surface(
     "equal", 1 / v for "variance_penalized", 0 for an infinite variance or an excluded candidate.
     A part of cell (n, M) is sum_{i,j<M} u_i u_j A_ij over (sum_{i<M} u_i)^2, so one call of
     ``_weighted_borders`` per block, at the largest M, and a running sum of each row's borders give every
-    cell.  A row takes O(M) memory and O(M + |below| |above|) time, with no M x M array; the numbers are
-    bit for bit those of a per-row build and differ from a per-cell build in summation order (1e-13).
+    cell.  The block's kernels across the boundary are formed once from the sizes, and a row adds three
+    vector-matrix products with views of them: O(M) memory and no M x M array.  The numbers are bit for
+    bit those of a per-row build with the same tiles and differ from a per-cell build in summation order.
     """
     n_values = np.reshape(_counts(n_values, "n_values"), -1)
     m_values = np.reshape(_counts(m_values, "m_values"), -1)
@@ -345,9 +359,8 @@ def risk_surface(
             lo, _, v, p, q = _factors(ms / n, norms2[ms - 1], re2[ms - 1], sigma2)
             bias[rows], variance[rows] = np.where(lo, p * q, p + q)[:, cell], v[:, cell]
             continue
-        c = sizes / n
-        factors = _factors(c, norms2, re2, sigma2)
-        u = np.ones(c.shape) if weighting == "equal" else 1.0 / factors[2]
+        factors = _factors(sizes / n, norms2, re2, sigma2)
+        u = np.ones(factors[2].shape) if weighting == "equal" else 1.0 / factors[2]
         if exclude_singular:
             u[sizes == n] = 0.0
         U = np.cumsum(u, axis=-1)[:, m_values - 1]
@@ -355,7 +368,7 @@ def risk_surface(
             raise ValueError("cell (n=1, M=1) has no candidates left" if exclude_singular
                              else "all candidates have infinite variance")
         # A boundary row with weight makes every later prefix +inf.
-        bv, bb = _weighted_borders(c, norms2, re2, sigma2, u, factors)
+        bv, bb = _weighted_borders(sizes, n, norms2, re2, sigma2, u, factors)
         bias[rows] = np.cumsum(bb, axis=-1)[:, m_values - 1] / U**2
         variance[rows] = np.cumsum(bv, axis=-1)[:, m_values - 1] / U**2
     bias, variance = bias.reshape(-1), variance.reshape(-1)

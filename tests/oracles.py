@@ -26,6 +26,7 @@ stacked QR and weighs its quadratic programs as one stack.
 from dataclasses import dataclass
 from itertools import combinations
 
+import math
 import warnings
 
 import numpy as np
@@ -42,10 +43,14 @@ def forward_order(X, Y, has_intercept: bool) -> list[int]:
 
     An intercept (column 0) is seeded first.  Each step skips the columns whose
     residual against the selected ones has norm at most 1e-12 max(||x_j||, 1)
-    and takes the largest RSS drop, the lowest index on exact ties.  It stops at
-    min(n - 2, p) terms or when no column is left; the rest follow in order.
+    and takes the largest RSS drop d.  Drops within 1e-10 ||Y|| sqrt(d) of it
+    are tied, and the lowest index among them wins, so that columns which tie
+    in exact arithmetic (exact linear relations) do not go by roundoff.  It
+    stops at min(n - 2, p) terms or when no column is left; the rest follow in
+    order.
     """
     n, p = X.shape
+    tie = 1e-10 * float(np.sqrt(Y @ Y))
 
     def residual(cols, v):
         return v - X[:, cols] @ np.linalg.lstsq(X[:, cols], v, rcond=None)[0] if cols else v
@@ -53,17 +58,16 @@ def forward_order(X, Y, has_intercept: bool) -> list[int]:
     selected = [0] if has_intercept else []
     while len(selected) < min(n - 2, p):
         base, spans = residual(selected, Y), residual(selected, X)
-        best, best_drop = None, -np.inf
+        drops = {}
         for j in range(p):
             if j in selected or np.linalg.norm(spans[:, j]) <= 1e-12 * max(np.linalg.norm(X[:, j]), 1.0):
                 continue
             rest = residual(selected + [j], Y)
-            drop = base @ base - rest @ rest
-            if drop > best_drop:
-                best, best_drop = j, drop
-        if best is None:
+            drops[j] = base @ base - rest @ rest
+        if not drops:
             break
-        selected.append(best)
+        best = max(drops.values())
+        selected.append(min(j for j, drop in drops.items() if drop >= best - tie * np.sqrt(best)))
     return selected + [j for j in range(p) if j not in selected]
 
 
@@ -303,24 +307,36 @@ def _row_borders(u, p, q) -> np.ndarray:
     return u * q * (2.0 * np.cumsum(up) - up)
 
 
-def _row_weighted_borders(c, norms2, re2, sigma2, u, factors):
-    """One row's borders (bv, bb), each block by slices and the rectangle in blocks of rows below."""
+def _row_weighted_borders(sizes, n, norms2, re2, sigma2, u, factors):
+    """One row's borders (bv, bb), each block by slices.  The rectangle across the boundary is the row's
+    column sums of the kernels K = 1 / (k[max] - k[min]) and D = (norms2[max] - norms2[min]) K, each
+    tile formed where the library forms it, at multiples of sqrt(``_BLOCK_ENTRIES``), but with this row's
+    candidates below alone.  A tile keeps every column of its span, so that the row's three vector-matrix
+    products per tile read their columns at the library's stride.
+    """
     lo, hi, v, p, q = factors
-    cl, ch, nl, n2, ul, uh = c[lo], c[hi], norms2[lo], norms2[hi], u[lo], u[hi]
+    k, M, side = np.asarray(sizes, dtype=np.float64), sizes.size, math.isqrt(rt._BLOCK_ENTRIES)
+    ul, uh = u[lo], u[hi]
     bv = np.where(u > 0.0, np.inf, 0.0)
     bb = bv.copy()
     bv[lo] = _row_borders(ul, v[lo], 1.0)
     bb[lo] = _row_borders(ul, p[lo], q[lo])
-    sv = sb = 0.0
-    step, cmax = max(1, rt._BLOCK_ENTRIES // max(1, ch.size)), ch[None, :]
-    for start in range(0, cl.size, step):
-        rows = slice(start, start + step)
-        cmin = cl[rows, None]
-        gap = cmax - cmin
-        sv = sv + ul[rows] @ (sigma2 * cmin / gap)
-        sb = sb + ul[rows] @ ((cmax - 1.0) / gap * (n2 - nl[rows, None]) + cmax / gap * re2[hi])
+    sv, s0, s1 = np.zeros((3, uh.size))
+    uk = sigma2 * ul * k[lo]
+    for j in range(hi.start - hi.start % side, M, side):
+        for i in range(0, lo.stop, side):
+            rows, cols = slice(i, min(i + side, lo.stop)), slice(j, j + side)
+            with np.errstate(divide="ignore", invalid="ignore"):  # the tile's columns left of the row's first
+                gap = k[cols] - k[rows, None]
+                K, D = 1.0 / gap, (norms2[cols] - norms2[rows, None]) / gap
+            view = (slice(None), slice(max(hi.start - j, 0), None))
+            out = slice(max(j - hi.start, 0), j + side - hi.start)
+            sv[out] += uk[rows] @ K[view]
+            s0[out] += ul[rows] @ K[view]
+            s1[out] += ul[rows] @ D[view]
+    sb = (sizes[hi] - n) * s1 + sizes[hi] * re2[hi] * s0
     gaps = np.zeros(uh.size)
-    np.cumsum(np.diff(n2) * np.cumsum(uh)[:-1], out=gaps[1:])
+    np.cumsum(np.diff(norms2[hi]) * np.cumsum(uh)[:-1], out=gaps[1:])
     bv[hi] = _row_borders(uh, 1.0, v[hi]) + 2.0 * uh * sv
     bb[hi] = _row_borders(uh, p[hi], 1.0) + _row_borders(uh, 1.0, q[hi]) + 2.0 * uh * (gaps + sb)
     return bv, bb
@@ -330,8 +346,8 @@ def per_row_surface(n_values, m_values, profile, sigma2: float, weighting: str, 
     """(bias, variance) of every cell of a valid (n, M) grid, row-major, built one n at a time.
 
     Each n takes its factors and row borders by slices, and one running sum of the borders gives
-    every M of the row; the rectangle across the boundary is summed a block of at most
-    ``risk_theory._BLOCK_ENTRIES`` entries at a time, as the library does.
+    every M of the row; the rectangle across the boundary is the row's products with its own tiles
+    of the kernels, at most ``risk_theory._BLOCK_ENTRIES`` entries each, placed as the library's.
     """
     n_values, m_values = np.asarray(n_values).reshape(-1), np.asarray(m_values).reshape(-1)
     bias, variance = np.empty((2, n_values.size, m_values.size))
@@ -351,7 +367,7 @@ def per_row_surface(n_values, m_values, profile, sigma2: float, weighting: str, 
         if exclude_singular and n <= sizes.size:
             u[n - 1] = 0.0
         U = np.cumsum(u)[m_values - 1]
-        bv, bb = _row_weighted_borders(c, norms2, re2, sigma2, u, factors)
+        bv, bb = _row_weighted_borders(sizes, n, norms2, re2, sigma2, u, factors)
         bias[row] = np.cumsum(bb)[m_values - 1] / U**2
         variance[row] = np.cumsum(bv)[m_values - 1] / U**2
     return bias.reshape(-1), variance.reshape(-1)

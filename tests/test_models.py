@@ -145,6 +145,24 @@ class TestOrderByCp:
         expected = forward_order(X, Y, has_intercept)
         assert list(order_by_cp(Dataset(Y=Y, X=X, has_intercept=has_intercept))) == expected
 
+    @pytest.mark.parametrize("seed", range(100))
+    def test_collinear_columns_tie_and_ignore_the_scale_of_y(self, seed):
+        # An intercept, every dummy of a 3-level factor, three Gaussian columns and two exact
+        # combinations of them, in a shuffled order: pairs of columns tie in exact arithmetic
+        # (two dummies once the third is in, a combination and the column it replaces), and
+        # the tie rule, not roundoff, picks between them, at Y and at 3 Y alike.
+        rng = np.random.default_rng(seed)
+        n = 30
+        level = rng.permutation(np.arange(n) % 3)
+        gauss = rng.standard_normal((n, 3))
+        cols = [np.eye(3)[level].T[l] for l in range(3)] + list(gauss.T)
+        cols += [gauss[:, 0] + gauss[:, 1], 2.0 * gauss[:, 2] - gauss[:, 1]]
+        X = np.column_stack([np.ones(n)] + [cols[i] for i in rng.permutation(len(cols))])
+        Y = X @ rng.standard_normal(X.shape[1]) + rng.standard_normal(n)
+        order = list(order_by_cp(Dataset(Y=Y, X=X, has_intercept=True)))
+        assert order == forward_order(X, Y, True)
+        assert list(order_by_cp(Dataset(Y=3.0 * Y, X=X, has_intercept=True))) == order
+
 
 def _projector(X):
     return X @ np.linalg.pinv(X)

@@ -253,7 +253,7 @@ class TestSingleModelRisk:
             for c in (np.nextafter(edge, 0.0), edge, np.nextafter(edge, 2.0)):
                 on = _on_boundary(c)
                 mats = theorem1_matrices([c], [0.5], 1.0, 1.0)
-                borders = _weighted_borders(np.array([c]), np.array([0.5]), np.array([0.5]), 1.0, np.ones(1))
+                borders = _weighted_borders(np.array([c]), 1.0, np.array([0.5]), np.array([0.5]), 1.0, np.ones(1))
                 factors = _factors(np.array([c]), np.array([0.5]), np.array([0.5]), 1.0)[2:]
                 for part in (*np.ravel(factors), mats.variance[0, 0], mats.bias[0, 0], *np.ravel(borders),
                              _dv_entry(c, c, 1.0), _db_entry(c, c, 0.5, 0.5, 0.5)):
@@ -361,7 +361,7 @@ class TestLimitMatrices:
             w[r.integers(c.size)] = 1.0
         w /= w.sum()
         want = np.array(asymptotic_risk(w, theorem1_matrices(c, norms2, total, sigma2)))
-        bv, bb = _weighted_borders(c, norms2, total - norms2, sigma2, w)
+        bv, bb = _weighted_borders(c, 1.0, norms2, total - norms2, sigma2, w)
         got = np.array([bb.sum() + bv.sum(), bb.sum(), bv.sum()])
         finite = np.isfinite(want)
         np.testing.assert_array_equal(np.isfinite(got), finite)
@@ -511,7 +511,8 @@ class TestAsymptoticRisk:
             w[q] = 1.0
             risk, _, _ = asymptotic_risk(w, mats)
             assert risk == pytest.approx(single_model_risk(c[q], carried[q], 1.5), rel=1e-12)
-            assert sum(map(np.sum, _weighted_borders(c, carried, total - carried, 1.5, w))) == pytest.approx(risk)
+            borders = _weighted_borders(c, 1.0, carried, total - carried, 1.5, w)
+            assert sum(map(np.sum, borders)) == pytest.approx(risk, rel=1e-13, abs=0.0)
 
     def test_zero_weight_silences_infinite_entries(self):
         V = np.array([[1.0, np.inf], [np.inf, np.inf]])
@@ -519,7 +520,7 @@ class TestAsymptoticRisk:
         risk, _, var_part = asymptotic_risk([1.0, 0.0], mats)
         assert risk == pytest.approx(1.0)
         assert np.isfinite(var_part)
-        bv, _ = _weighted_borders(np.array([0.5, 1.0]), np.zeros(2), np.zeros(2), 1.0, np.array([1.0, 0.0]))
+        bv, _ = _weighted_borders(np.array([0.5, 1.0]), 1.0, np.zeros(2), np.zeros(2), 1.0, np.array([1.0, 0.0]))
         assert bv.tolist() == [1.0, 0.0]
 
     def test_tiny_positive_weight_keeps_inf(self):
@@ -527,7 +528,8 @@ class TestAsymptoticRisk:
         mats = RiskMatrices(variance=V, bias=np.zeros((2, 2)))
         risk, _, _ = asymptotic_risk([1.0 - 1e-12, 1e-12], mats)
         assert risk == np.inf
-        bv, _ = _weighted_borders(np.array([0.5, 1.0]), np.zeros(2), np.zeros(2), 1.0, np.array([1.0 - 1e-12, 1e-12]))
+        w = np.array([1.0 - 1e-12, 1e-12])
+        bv, _ = _weighted_borders(np.array([0.5, 1.0]), 1.0, np.zeros(2), np.zeros(2), 1.0, w)
         assert bv[1] == np.inf
 
 
@@ -822,7 +824,7 @@ class TestRiskSurface:
 
     def test_a_row_needs_memory_linear_in_m(self, snr_profile):
         # At n = M / 2 the pairs across the boundary form a 1999 x 2000 rectangle, 32 MB as one
-        # array; its column sums are taken a block at a time.
+        # array of each kernel; the kernels are formed a tile of 256 x 256 candidates at a time.
         tracemalloc.start()
         try:
             surface = risk_surface([2000], [4000], snr_profile, weighting="variance_penalized")
@@ -868,7 +870,7 @@ class TestLoneModelDiagonal:
         mats = theorem1_matrices(c, norms2, total, sigma2)
         on = np.array([_on_boundary(x) for x in c])
         for m in range(c.size):
-            bv, bb = _weighted_borders(c, norms2, re2, sigma2, np.eye(c.size)[m])
+            bv, bb = _weighted_borders(c, 1.0, norms2, re2, sigma2, np.eye(c.size)[m])
             assert (bias[m], variance[m]) == (bb.sum(), bv.sum())
             for got, want in ((bias[m], mats.bias[m, m]), (variance[m], mats.variance[m, m])):
                 assert got == want if on[m] else abs(got - want) <= 1e-13 * abs(want)
@@ -891,7 +893,7 @@ class TestLoneModelDiagonal:
         norms2, total = profile.prefix_norm2(sizes), profile.total_norm2()
         for i, (n, m) in enumerate(zip(single.n, single.M)):
             mats = theorem1_matrices(sizes / n, norms2, total, sigma2)
-            bv, bb = _weighted_borders(sizes / n, norms2, total - norms2, sigma2, np.eye(sizes.size)[m - 1])
+            bv, bb = _weighted_borders(sizes / n, 1.0, norms2, total - norms2, sigma2, np.eye(sizes.size)[m - 1])
             assert (single.bias[i], single.variance[i]) == (bb.sum(), bv.sum())
             assert single.risk[i] == pytest.approx(mats.bias[m - 1, m - 1] + mats.variance[m - 1, m - 1], rel=1e-13)
             assert (single.risk[i] == np.inf) == (m == n)
